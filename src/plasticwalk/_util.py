@@ -18,3 +18,8 @@ def stack_power(m: NDArray[np.complex128], n: int) -> NDArray[np.complex128]:
         base = base @ base
         n >>= 1
     return out
+
+
+def flat2(m: NDArray[np.complex128]) -> list[float]:
+    """A 2x2 matrix as row-major (re, im) float pairs, the JSON matrix layout."""
+    return [float(x) for entry in np.asarray(m).reshape(-1) for x in (entry.real, entry.imag)]

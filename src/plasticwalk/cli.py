@@ -66,10 +66,14 @@ def _grid(n: int):
 
 def cmd_check(args) -> int:
     cfg = _load(args)
-    if cfg.walk.mode == "time":
-        report = tl.check_time_limit(cfg.walk, l=cfg.l_index)
-    else:
-        report = pl.check_spacetime_limit(cfg.walk, cfg.a_exp, cfg.b_exp, l=cfg.l_index)
+    try:
+        if cfg.walk.mode == "time":
+            report = tl.check_time_limit(cfg.walk, l=cfg.l_index)
+        else:
+            report = pl.check_spacetime_limit(cfg.walk, cfg.a_exp, cfg.b_exp, l=cfg.l_index)
+    except ValueError as exc:
+        sys.stderr.write(f"check: {exc}\n")
+        return 1
     _emit(args, report.to_dict())
     return 0 if report.passed else 1
 
@@ -222,8 +226,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; kernels are vectorized in-process")
     parser.add_argument("command",
                         choices=("check", "hamiltonian", "pde", "simulate",
                                  "converge", "dispersion", "terms"))

@@ -25,8 +25,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.typing import NDArray
 
-from .mat2 import SY, SZ, dag, rot
-from ._util import stack_power
+from .mat2 import SY, SZ, rot
 
 __all__ = [
     "CoinJet",
@@ -35,7 +34,6 @@ __all__ = [
     "shift_symbol",
     "walk_k",
     "first_order_blocks",
-    "walk_power_expansion",
 ]
 
 _MODES = ("time", "plastic")
@@ -176,34 +174,3 @@ def first_order_blocks(jet: CoinJet, k) -> tuple[NDArray[np.complex128], NDArray
     a = rot("z", zp) @ rot("y", jet.theta0) @ rot("z", jet.phi0)
     b = jet.zeta1 * (SZ @ a) + jet.theta1 * (SY @ rot("z", -2.0 * zp) @ a) + jet.phi1 * (a @ SZ)
     return a, b
-
-
-def walk_power_expansion(cfg: WalkConfig, kx, ky) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Zeroth- and first-order coefficients of W(k)^tau in eps.
-
-    Returns (zeroth, first) with
-
-        W^tau = zeroth + eps * first + O(eps^2)
-        zeroth = (e^{i delta} A)^tau
-        first  = -(i/2) zeroth A^{-1} sum_{j=0}^{tau-1} A^{-j} B A^j
-
-    where A = A_x A_y and B = A_x B_y + B_x A_y.  Time mode only.
-    """
-    if cfg.mode != "time":
-        raise ValueError("walk_power_expansion applies to time-mode configs only")
-    ax, bx = first_order_blocks(cfg.coin_x, kx)
-    ay, by = first_order_blocks(cfg.coin_y, ky)
-    a = ax @ ay
-    b = ax @ by + bx @ ay
-    phase = np.exp(1j * cfg.delta_sum)
-
-    a_inv = dag(a)  # A is unitary
-    zeroth = stack_power(phase * a, cfg.tau)
-
-    total = np.zeros_like(b)
-    conj = b
-    for _ in range(cfg.tau):
-        total = total + conj
-        conj = a_inv @ conj @ a
-    first = -0.5j * (zeroth @ a_inv @ total)
-    return zeroth, first

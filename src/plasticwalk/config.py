@@ -19,9 +19,12 @@ One section per subsystem:
               "l_index": <int>,
               "initial": {"type": "plane_wave" | "delta" | "random",
                           "kx": ..., "ky": ...}},
-      "output": {"format": "csv" | "json", "path": <str or null>},
       "seed": <int>
     }
+
+Ranges are checked on load: nx, ny >= 2, grid >= 1, steps >= 0, eps > 0,
+at least three eps_list entries, all > 0, and at least one momentum.
+Unknown sections, such as an "output" section, are ignored.
 
 Exponents are rationals written as "p/q" strings so the exact matching
 in the term enumerator never sees a float.  Emission is canonical
@@ -96,8 +99,6 @@ class ExperimentConfig:
     momenta: tuple[tuple[float, float], ...] = ((0.7, -0.3), (0.23, 0.9), (-0.51, 0.42))
     l_index: int = 0
     initial: dict = field(default_factory=lambda: {"type": "plane_wave", "kx": 0.0, "ky": 0.0})
-    out_format: str = "json"
-    out_path: str | None = None
     seed: int = 0
 
     @property
@@ -134,12 +135,8 @@ class ExperimentConfig:
 
         lat = doc.get("lattice", {})
         run = doc.get("run", {})
-        out = doc.get("output", {})
-        fmt = out.get("format", "json")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
         try:
-            return ExperimentConfig(
+            cfg = ExperimentConfig(
                 walk=walk,
                 nx=int(lat.get("nx", 32)),
                 ny=int(lat.get("ny", 32)),
@@ -153,12 +150,24 @@ class ExperimentConfig:
                     "momenta", [(0.7, -0.3), (0.23, 0.9), (-0.51, 0.42)])),
                 l_index=int(run.get("l_index", 0)),
                 initial=dict(run.get("initial", {"type": "plane_wave", "kx": 0.0, "ky": 0.0})),
-                out_format=fmt,
-                out_path=out.get("path"),
                 seed=int(doc.get("seed", 0)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from None
+        if min(cfg.nx, cfg.ny) < 2:
+            raise ConfigError(f"lattice nx and ny must be >= 2, got {cfg.nx}, {cfg.ny}")
+        if cfg.grid < 1:
+            raise ConfigError(f"run.grid must be >= 1, got {cfg.grid}")
+        if cfg.steps < 0:
+            raise ConfigError(f"run.steps must be >= 0, got {cfg.steps}")
+        if not cfg.eps > 0:
+            raise ConfigError(f"run.eps must be > 0, got {cfg.eps}")
+        if len(cfg.eps_list) < 3 or not all(e > 0 for e in cfg.eps_list):
+            raise ConfigError(f"run.eps_list needs at least 3 entries, all > 0, "
+                              f"got {list(cfg.eps_list)}")
+        if not cfg.momenta:
+            raise ConfigError("run.momenta must not be empty")
+        return cfg
 
     def to_dict(self) -> dict:
         return {
@@ -182,7 +191,6 @@ class ExperimentConfig:
                 "l_index": self.l_index,
                 "initial": dict(self.initial),
             },
-            "output": {"format": self.out_format, "path": self.out_path},
             "seed": self.seed,
         }
 

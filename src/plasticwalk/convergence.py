@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from .coins import WalkConfig, walk_k
 from .mat2 import dag, eigvals2, exp_herm, op_norm
 from .plastic import spacetime_hamiltonian
-from .timelimit import check_time_limit, time_hamiltonian
+from .timelimit import time_hamiltonian
 from ._util import stack_power
 
 __all__ = [
@@ -77,38 +77,36 @@ def _check_unitary(m: NDArray[np.complex128], what: str) -> None:
         raise RuntimeError(f"{what} lost unitarity (defect {defect:.3e})")
 
 
-def time_convergence(cfg: WalkConfig, t_final: float, kx, ky,
-                     eps_list: Sequence[float]) -> ConvergenceResult:
-    """sup-norm distance between W^(tau n) and e^{-i H T} as eps shrinks.
+def _converge(cfg: WalkConfig, tau: int, h: NDArray[np.complex128], kx, ky,
+              t_final: float, eps_list: Sequence[float], target_name: str) -> ConvergenceResult:
+    """sup-norm distance between W^(tau n) and exp(-i H tau n eps) as eps shrinks.
 
     The step count n = round(T / (tau eps)) rounds the horizon to a whole
     number of stroboscopic blocks; the induced O(eps) time mismatch is
     absorbed into the fitted order.
     """
-    if len(eps_list) == 0:
-        raise ValueError("eps_list must be nonempty")
-    report = check_time_limit(cfg)
-    if not report.passed:
-        failing = [c.name for c in report.conditions if not c.satisfied]
-        raise ValueError(f"config fails the time-limit gate: {', '.join(failing)}")
-    _, symbol = time_hamiltonian(cfg)
-    kx = np.asarray(kx, dtype=np.float64)
-    ky = np.asarray(ky, dtype=np.float64)
-    h = symbol(kx, ky)
-
     samples = []
     for eps in sorted(eps_list, reverse=True):
-        n = max(1, round(t_final / (cfg.tau * eps)))
-        horizon = cfg.tau * n * eps
+        n = max(1, round(t_final / (tau * eps)))
         w = walk_k(cfg, kx, ky, eps)
         _check_unitary(w, "walk symbol")
-        walk_pow = stack_power(w, cfg.tau * n)
-        target = exp_herm(h, horizon)
-        _check_unitary(target, "Hamiltonian evolution")
+        walk_pow = stack_power(w, tau * n)
+        target = exp_herm(h, tau * n * eps)
+        _check_unitary(target, target_name)
         err = float(np.max(op_norm(walk_pow - target)))
         samples.append((float(eps), err))
     slope, intercept, r2 = fit_order(samples)
     return ConvergenceResult(tuple(samples), slope, intercept, r2)
+
+
+def time_convergence(cfg: WalkConfig, t_final: float, kx, ky,
+                     eps_list: Sequence[float]) -> ConvergenceResult:
+    """sup-norm distance between W^(tau n) and e^{-i H T} as eps shrinks."""
+    _, symbol = time_hamiltonian(cfg)  # raises on gate failure
+    kx = np.asarray(kx, dtype=np.float64)
+    ky = np.asarray(ky, dtype=np.float64)
+    return _converge(cfg, cfg.tau, symbol(kx, ky), kx, ky, t_final, eps_list,
+                     "Hamiltonian evolution")
 
 
 def spacetime_convergence(cfg: WalkConfig, a: Fraction, b: Fraction,
@@ -120,26 +118,11 @@ def spacetime_convergence(cfg: WalkConfig, a: Fraction, b: Fraction,
     k eps^a internally.  The comparison generator is the calibrated
     order-1 assembly, evolved as exp(G t).
     """
-    if len(eps_list) == 0:
-        raise ValueError("eps_list must be nonempty")
     assembly = spacetime_hamiltonian(cfg, a, b)  # raises on gate failure
     kx = np.array([m[0] for m in momenta], dtype=np.float64)
     ky = np.array([m[1] for m in momenta], dtype=np.float64)
-    h = assembly.hamiltonian(kx, ky)
-
-    samples = []
-    for eps in sorted(eps_list, reverse=True):
-        n = max(1, round(t_final / (2.0 * eps)))
-        horizon = 2.0 * n * eps
-        w = walk_k(cfg, kx, ky, eps)
-        _check_unitary(w, "walk symbol")
-        walk_pow = stack_power(w, 2 * n)
-        target = exp_herm(h, horizon)
-        _check_unitary(target, "PDE evolution")
-        err = float(np.max(op_norm(walk_pow - target)))
-        samples.append((float(eps), err))
-    slope, intercept, r2 = fit_order(samples)
-    return ConvergenceResult(tuple(samples), slope, intercept, r2)
+    return _converge(cfg, 2, assembly.hamiltonian(kx, ky), kx, ky, t_final, eps_list,
+                     "PDE evolution")
 
 
 def dispersion(cfg: WalkConfig, eps: float, kx, ky) -> NDArray[np.float64]:

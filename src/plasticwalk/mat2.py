@@ -16,8 +16,6 @@ All tolerances are absolute; default 1e-12 for algebraic identities and
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -32,8 +30,6 @@ __all__ = [
     "det2",
     "op_norm",
     "eigvals2",
-    "eig2",
-    "Eig2Result",
     "exp_herm",
     "is_unitary",
     "is_hermitian",
@@ -118,81 +114,12 @@ def op_norm(m: NDArray[np.complex128]) -> NDArray[np.float64]:
 def eigvals2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     """Both eigenvalues of a (..., 2, 2) stack, by the quadratic formula.
 
-    Returns shape (..., 2).  No eigenvectors; see :func:`eig2` for the
-    full decomposition of a single matrix.
+    Returns shape (..., 2).  No eigenvectors.
     """
     m = np.asarray(m, dtype=np.complex128)
     half_tr = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
     disc = np.sqrt(half_tr * half_tr - det2(m) + 0j)
     return np.stack([half_tr + disc, half_tr - disc], axis=-1)
-
-
-class Eig2Result(NamedTuple):
-    values: NDArray[np.complex128]      # shape (2,)
-    vectors: NDArray[np.complex128]     # shape (2, 2), columns are eigenvectors
-    degenerate: bool                    # eigenvalues coincide within tolerance
-    defective: bool                     # no independent eigenvector pair found
-
-
-def eig2(m: NDArray[np.complex128], assume: str = "general",
-         tol: float = 1e-10) -> Eig2Result:
-    """Closed-form eigendecomposition of a single 2x2 matrix.
-
-    Parameters
-    ----------
-    m : (2, 2) complex array
-    assume : {'general', 'unitary', 'hermitian'}
-        'hermitian' projects the eigenvalues onto the real axis,
-        'unitary' onto the unit circle; both assume the corresponding
-        precondition holds to ~tol.
-    tol : float
-        Degeneracy / defectiveness threshold.
-
-    Returns
-    -------
-    Eig2Result
-        Unit-norm eigenvector columns; ``m @ v = lam * v`` to 1e-12 for
-        diagonalizable input.  For a degenerate scalar matrix the
-        canonical basis is returned and ``degenerate`` is set.
-        ``defective`` flags inputs with a double eigenvalue but only a
-        one-dimensional eigenspace (e.g. a Jordan block).
-    """
-    if assume not in ("general", "unitary", "hermitian"):
-        raise ValueError(f"unknown assume={assume!r}")
-    m = np.asarray(m, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise ValueError(f"eig2 expects a single (2, 2) matrix, got {m.shape}")
-
-    lam = eigvals2(m)
-    if assume == "hermitian":
-        lam = lam.real.astype(np.complex128)
-    elif assume == "unitary":
-        lam = lam / np.abs(lam)
-
-    scale = max(float(op_norm(m)), 1.0)
-    degenerate = bool(abs(lam[0] - lam[1]) <= tol * scale)
-
-    vectors = np.empty((2, 2), dtype=np.complex128)
-    defective = False
-    if degenerate and op_norm(m - lam[0] * ID2) <= tol * scale:
-        # scalar matrix: canonical basis, by convention
-        vectors[:] = ID2
-    else:
-        for j in range(2):
-            a = m - lam[j] * ID2
-            # null vector of a singular 2x2: pick the larger row
-            r0, r1 = a[0], a[1]
-            row = r0 if np.linalg.norm(r0) >= np.linalg.norm(r1) else r1
-            v = np.array([-row[1], row[0]], dtype=np.complex128)
-            nrm = np.linalg.norm(v)
-            if nrm <= tol * scale:
-                v = np.array([1.0, 0.0], dtype=np.complex128)
-                nrm = 1.0
-            vectors[:, j] = v / nrm
-        overlap = abs(np.vdot(vectors[:, 0], vectors[:, 1]))
-        if degenerate and overlap > 1.0 - 1e-10:
-            defective = True
-    return Eig2Result(lam, vectors, degenerate, defective)
 
 
 def exp_herm(h: NDArray[np.complex128], t) -> NDArray[np.complex128]:

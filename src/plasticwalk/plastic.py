@@ -7,10 +7,11 @@ The squared walk expands as
 
 where each Gamma is a rotation word with sigma_z / sigma_y insertions and
 each nu carries (i k)^l (-i theta1 / 2)^n / (l! n!) factors.  Exponent
-matching is exact rational arithmetic.  Orders in (0, 1) must cancel
-group by group (divergence gate); order-1 groups assemble into the PDE
-generator, whose overall scalar prefactor is calibrated once against the
-numerical limit (W^2 - I)/(2 eps).
+matching is exact rational arithmetic.  One engine, :func:`_grouped_sums`,
+multiplies the Gamma words: orders in (0, 1) must cancel group by group
+(divergence gate); order-1 groups assemble into the PDE generator, whose
+overall scalar prefactor is calibrated once against the numerical limit
+(W^2 - I)/(2 eps).
 """
 
 from __future__ import annotations
@@ -18,14 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .coins import WalkConfig, walk_k
 from .mat2 import SY, SZ, op_norm, rot
-from .timelimit import Condition, ConstraintReport, _nearest_int, ANGLE_TOL
+from .timelimit import (ANGLE_TOL, Condition, ConstraintReport, _delta_quantization,
+                        _theta_branch)
+from ._util import flat2
 
 __all__ = [
     "TermIndex",
@@ -34,15 +37,12 @@ __all__ = [
     "DivergenceGroup",
     "gamma_hat",
     "enumerate_terms",
-    "divergence_report",
     "divergence_residual",
     "check_spacetime_limit",
     "spacetime_hamiltonian",
     "half_half_pde",
     "transport_commutator",
     "cross_term_report",
-    "zeroth_order_residual",
-    "constraint_f2",
 ]
 
 
@@ -179,7 +179,7 @@ def _scalar_coeff(idx: TermIndex) -> complex:
 
 @dataclass(frozen=True)
 class DivergenceGroup:
-    """One fractional-order coefficient group of the squared-walk expansion."""
+    """One coefficient group of the squared-walk expansion at order eps^exponent."""
 
     exponent: Fraction
     kx_power: int
@@ -192,23 +192,16 @@ class DivergenceGroup:
     def norm(self) -> float:
         return float(op_norm(self.matrix))
 
-    def to_dict(self) -> dict:
-        flat = []
-        for entry in np.asarray(self.matrix).reshape(-1):
-            flat.extend([float(entry.real), float(entry.imag)])
-        return {
-            "exponent": f"{self.exponent.numerator}/{self.exponent.denominator}",
-            "kx_power": self.kx_power,
-            "ky_power": self.ky_power,
-            "thx_power": self.thx_power,
-            "thy_power": self.thy_power,
-            "norm": self.norm,
-            "matrix": flat,
-        }
-
 
 def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
-                  low: Fraction, high: Fraction) -> list[DivergenceGroup]:
+                  keep: Callable[[Fraction], bool]) -> list[DivergenceGroup]:
+    """Grouped coefficient sums over the index tuples of order f in (0, 1] with keep(f).
+
+    Terms are grouped by (f, kx power, ky power, theta1x power, theta1y
+    power) because momenta and the theta1 drivers are free parameters:
+    a group vanishes only if its own sum cancels.
+    """
+    a, b = Fraction(a), Fraction(b)
     gammas: dict[tuple[int, int, int, int], NDArray[np.complex128]] = {}
 
     def gam(key):
@@ -217,9 +210,12 @@ def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
         return gammas[key]
 
     groups: dict[tuple, NDArray[np.complex128]] = {}
-    for sl, sn in _sum_pairs(a, b, low, high):
+    for sl, sn in _sum_pairs(a, b, Fraction(0), Fraction(1)):
+        order = a * sl + b * sn
+        if not keep(order):
+            continue
         for idx in _index_tuples(sl, sn):
-            key = (idx.order(a, b), idx.l1x + idx.l2x, idx.l1y + idx.l2y,
+            key = (order, idx.l1x + idx.l2x, idx.l1y + idx.l2y,
                    idx.n1x + idx.n2x, idx.n1y + idx.n2y)
             acc = groups.setdefault(key, np.zeros((2, 2), dtype=np.complex128))
             acc += _scalar_coeff(idx) * (gam(idx.first) @ gam(idx.second))
@@ -227,56 +223,34 @@ def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
             for k, v in sorted(groups.items())]
 
 
-def divergence_report(cfg: WalkConfig, a: Fraction, b: Fraction) -> list[DivergenceGroup]:
-    """Coefficient groups of all orders eps^f with 0 < f < 1.
+def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction) -> tuple[float, list[DivergenceGroup]]:
+    """Max norm over the coefficient groups of orders eps^f with 0 < f < 1, and the groups.
 
-    Terms are grouped by (f, kx power, ky power, theta1x power, theta1y
-    power) because momenta and the theta1 drivers are free parameters:
-    the limit exists only if every group cancels on its own.
+    The limit exists only if every group cancels on its own; zero means
+    no divergence.
     """
     if cfg.mode != "plastic":
         raise ValueError("divergence analysis applies to plastic-mode configs")
-    one = Fraction(1)
-    return [g for g in _grouped_sums(cfg, a, b, Fraction(0), one) if g.exponent < one]
-
-
-def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction) -> tuple[float, list[DivergenceGroup]]:
-    """Max fractional-group norm plus the grouped report; zero means no divergence."""
-    groups = divergence_report(cfg, a, b)
-    residual = max((g.norm for g in groups), default=0.0)
-    return residual, groups
+    groups = _grouped_sums(cfg, a, b, lambda f: f < 1)
+    return max((g.norm for g in groups), default=0.0), groups
 
 
 def check_spacetime_limit(cfg: WalkConfig, a: Fraction, b: Fraction,
                           l: int = 0, tol: float = ANGLE_TOL) -> ConstraintReport:
     """Gate for the joint continuous-time + continuous-spacetime limit.
 
-    Four conditions: the theta0 branch (2 pi m / 2 pi t + pi), the total
-    phase quantization cos(2 pi l / tau - delta) = 0, exact rational
-    exponents with a usable order-1 term set, and cancellation of every
-    fractional-order coefficient group.
+    Four conditions: the theta0 branch with nu = 0 (2 pi m / 2 pi t + pi),
+    the total phase quantization cos(2 pi l / tau - delta) = 0, exact
+    rational exponents with a usable order-1 term set, and cancellation of
+    every fractional-order coefficient group.  Without order-1 terms the
+    last condition is not evaluated and reads unsatisfied with residual
+    1.0, as exponents_rational does.
     """
     if cfg.mode != "plastic":
         raise ValueError("check_spacetime_limit applies to plastic-mode configs")
     if cfg.tau != 2:
         raise ValueError("the spacetime limit is defined for tau = 2")
     a, b = Fraction(a), Fraction(b)
-    jx, jy = cfg.coin_x, cfg.coin_y
-
-    m, res_m = _nearest_int(jx.theta0 / (2.0 * np.pi))
-    t, res_t = _nearest_int((jy.theta0 - np.pi) / (2.0 * np.pi))
-    res_theta = 2.0 * np.pi * max(res_m, res_t)
-    theta = Condition("theta_branch", res_theta <= tol, res_theta,
-                      {"m": m, "t": t} if res_theta <= tol else {})
-
-    delta = cfg.delta_sum
-    c_val = abs(np.cos(2.0 * np.pi * l / cfg.tau - delta))
-    wit: dict[str, int] = {"l": l}
-    if c_val <= tol:
-        p, _ = _nearest_int((2.0 * np.pi * l / cfg.tau - delta) / (np.pi / 2.0))
-        wit["p"] = p
-    delta_cond = Condition("delta_quantization", c_val <= tol, float(c_val), wit)
-
     try:
         n_terms = len(enumerate_terms(a, b))
     except ValueError:
@@ -285,14 +259,9 @@ def check_spacetime_limit(cfg: WalkConfig, a: Fraction, b: Fraction,
                      {"a_num": a.numerator, "a_den": a.denominator,
                       "b_num": b.numerator, "b_den": b.denominator,
                       "order_one_terms": n_terms})
-
-    if expo.satisfied:
-        residual, _ = divergence_residual(cfg, a, b)
-    else:
-        residual = float("inf")
-    div = Condition("no_divergence", residual <= 1e-10, residual)
-
-    conds = (theta, delta_cond, expo, div)
+    residual = divergence_residual(cfg, a, b)[0] if n_terms else 1.0
+    conds = (_theta_branch(cfg, (0,), tol), _delta_quantization(cfg, l, tol), expo,
+             Condition("no_divergence", residual <= 1e-10, residual))
     return ConstraintReport(all(c.satisfied for c in conds), conds)
 
 
@@ -312,12 +281,9 @@ class PdeTerm:
     coeff: NDArray[np.complex128]
 
     def to_dict(self) -> dict:
-        flat = []
-        for entry in np.asarray(self.coeff).reshape(-1):
-            flat.extend([float(entry.real), float(entry.imag)])
         return {"dx_power": self.dx_power, "dy_power": self.dy_power,
                 "thx_power": self.thx_power, "thy_power": self.thy_power,
-                "matrix": flat}
+                "matrix": flat2(self.coeff)}
 
 
 @dataclass(frozen=True)
@@ -412,35 +378,17 @@ def spacetime_hamiltonian(cfg: WalkConfig, a: Fraction, b: Fraction) -> PdeAssem
     """Assemble the order-1 PDE generator and calibrate its prefactor.
 
     Requires the spacetime gate to pass (named failing condition
-    otherwise).  Group sums run over all order-1 index tuples; the
+    otherwise).  The terms are the order-1 coefficient groups; the
     calibration constant multiplying the bare assembly is fitted against
     the numerical limit (W^2 - I)/(2 eps).
     """
     a, b = Fraction(a), Fraction(b)
-    report = check_spacetime_limit(cfg, a, b)
-    if not report.passed:
-        failing = [c.name for c in report.conditions if not c.satisfied]
-        raise ValueError(f"config fails the spacetime gate: {', '.join(failing)}")
-
-    gammas: dict[tuple[int, int, int, int], NDArray[np.complex128]] = {}
-
-    def gam(key):
-        if key not in gammas:
-            gammas[key] = gamma_hat(cfg, *key)
-        return gammas[key]
-
-    grouped: dict[tuple[int, int, int, int], NDArray[np.complex128]] = {}
-    for idx in enumerate_terms(a, b):
-        key = (idx.l1x + idx.l2x, idx.l1y + idx.l2y,
-               idx.n1x + idx.n2x, idx.n1y + idx.n2y)
-        acc = grouped.setdefault(key, np.zeros((2, 2), dtype=np.complex128))
-        # the i^sum_l factor lives in the (i k)^d monomials of the symbol
-        scalar = _scalar_coeff(idx) / (1j ** idx.sum_l)
-        acc += scalar * (gam(idx.first) @ gam(idx.second))
-
+    check_spacetime_limit(cfg, a, b).require("spacetime gate")
+    # the group sums carry i^sum_l, which belongs to the (i k)^d monomials of the symbol
     terms = tuple(
-        PdeTerm(k[0], k[1], k[2], k[3], v)
-        for k, v in sorted(grouped.items()) if float(op_norm(v)) > 1e-13
+        PdeTerm(g.kx_power, g.ky_power, g.thx_power, g.thy_power,
+                (-1j) ** (g.kx_power + g.ky_power) * g.matrix)
+        for g in _grouped_sums(cfg, a, b, lambda f: f == 1) if g.norm > 1e-13
     )
     theta1x, theta1y = cfg.coin_x.theta1, cfg.coin_y.theta1
     probe = PdeAssembly(terms, 1.0, theta1x, theta1y)
@@ -461,10 +409,7 @@ def half_half_pde(cfg: WalkConfig) -> tuple[NDArray[np.complex128], NDArray[np.c
     constraint shell, commute (see :func:`transport_commutator`).
     """
     half = Fraction(1, 2)
-    report = check_spacetime_limit(cfg, half, half)
-    if not report.passed:
-        failing = [c.name for c in report.conditions if not c.satisfied]
-        raise ValueError(f"config fails the a=b=1/2 gate: {', '.join(failing)}")
+    check_spacetime_limit(cfg, half, half).require("a=b=1/2 gate")
     zx, _, phx, zy, _, phy = _angles(cfg)
     thx, thy = cfg.coin_x.theta1, cfg.coin_y.theta1
     u = zx + zy + phx
@@ -508,19 +453,3 @@ def cross_term_report(cfg: WalkConfig) -> dict:
              + j_word(0, 1, 1, 0) + j_word(0, 0, 1, 1))
     residual = float(op_norm(total))
     return {"cancels": residual <= 1e-12, "residual": residual}
-
-
-def zeroth_order_residual(cfg: WalkConfig) -> float:
-    """|| e^{2 i delta} Gamma_0000^2 - I ||, the zeroth-order gate."""
-    g0 = gamma_hat(cfg, 0, 0, 0, 0)
-    return float(op_norm(np.exp(2j * cfg.delta_sum) * (g0 @ g0) - np.eye(2)))
-
-
-def constraint_f2(cfg: WalkConfig, l: int = 0) -> float:
-    """Root-of-unity constraint function of the zeroth-order plastic word."""
-    zx, thx, phx, zy, thy, phy = _angles(cfg)
-    w1 = np.cos(thx / 2.0) * np.cos(thy / 2.0)
-    w2 = np.sin(thx / 2.0) * np.sin(thy / 2.0)
-    c = np.cos(2.0 * np.pi * l / cfg.tau - cfg.delta_sum)
-    return float(w1 * np.cos((phx + phy + zx + zy) / 2.0)
-                 - w2 * np.cos((phy - phx + zx - zy) / 2.0) - c)

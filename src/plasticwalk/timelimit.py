@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 
 from .coins import WalkConfig, first_order_blocks
 from .mat2 import SY, eigvals2, op_norm, rot
-from ._util import stack_power
+from ._util import flat2, stack_power
 
 __all__ = [
     "Condition",
@@ -79,23 +79,41 @@ class ConstraintReport:
             "conditions": [c.to_dict() for c in self.conditions],
         }
 
+    def require(self, gate: str) -> "ConstraintReport":
+        """Return the report if it passed; else raise naming the failing conditions."""
+        if not self.passed:
+            failing = [c.name for c in self.conditions if not c.satisfied]
+            raise ValueError(f"config fails the {gate}: {', '.join(failing)}")
+        return self
+
 
 def _nearest_int(x: float) -> tuple[int, float]:
     n = int(round(x))
     return n, abs(x - n)
 
 
-def _theta_branch(theta0x: float, theta0y: float,
-                  tol: float) -> tuple[bool, float, dict[str, int]]:
-    """Match (theta0x, theta0y) against 2 pi m + nu pi / 2 pi t + (1-nu) pi."""
-    best = (False, np.inf, {})
-    for nu in (0, 1):
-        m, res_m = _nearest_int((theta0x - nu * np.pi) / (2.0 * np.pi))
-        t, res_t = _nearest_int((theta0y - (1 - nu) * np.pi) / (2.0 * np.pi))
+def _theta_branch(cfg: WalkConfig, nus: tuple[int, ...], tol: float) -> Condition:
+    """theta0x = 2 pi m + nu pi, theta0y = 2 pi t + (1 - nu) pi for some nu in ``nus``."""
+    best = (np.inf, {})
+    for nu in nus:
+        m, res_m = _nearest_int((cfg.coin_x.theta0 - nu * np.pi) / (2.0 * np.pi))
+        t, res_t = _nearest_int((cfg.coin_y.theta0 - (1 - nu) * np.pi) / (2.0 * np.pi))
         residual = 2.0 * np.pi * max(res_m, res_t)
-        if residual < best[1]:
-            best = (residual <= tol, residual, {"nu": nu, "m": m, "t": t})
-    return best
+        if residual < best[0]:
+            best = (residual, {"nu": nu, "m": m, "t": t})
+    residual, witness = best
+    ok = residual <= tol
+    return Condition("theta_branch", ok, residual, witness if ok else {})
+
+
+def _delta_quantization(cfg: WalkConfig, l: int, tol: float) -> Condition:
+    """cos(2 pi l / tau - delta) = 0, with the odd multiple p of pi/2 as witness."""
+    phase = 2.0 * np.pi * l / cfg.tau - cfg.delta_sum
+    c_val = abs(np.cos(phase))
+    witness = {"l": l}
+    if c_val <= tol:
+        witness["p"] = _nearest_int(phase / (np.pi / 2.0))[0]
+    return Condition("delta_quantization", c_val <= tol, float(c_val), witness)
 
 
 def check_time_limit(cfg: WalkConfig, l: int = 0,
@@ -103,24 +121,8 @@ def check_time_limit(cfg: WalkConfig, l: int = 0,
     """Gate for the continuous-time limit; failures are report entries."""
     if cfg.mode != "time":
         raise ValueError("check_time_limit applies to time-mode configs")
-
-    ok_theta, res_theta, wit_theta = _theta_branch(
-        cfg.coin_x.theta0, cfg.coin_y.theta0, tol)
-    theta = Condition("theta_branch", ok_theta, res_theta,
-                      wit_theta if ok_theta else {})
-
-    delta = cfg.delta_sum
-    c_val = abs(np.cos(2.0 * np.pi * l / cfg.tau - delta))
-    wit_delta: dict[str, int] = {"l": l}
-    ok_delta = c_val <= tol
-    if ok_delta:
-        p, _ = _nearest_int((2.0 * np.pi * l / cfg.tau - delta) / (np.pi / 2.0))
-        wit_delta["p"] = p
-    delta_cond = Condition("delta_quantization", ok_delta, float(c_val), wit_delta)
-
-    tau_cond = Condition("tau_even", cfg.tau % 2 == 0, float(cfg.tau % 2))
-
-    conds = (theta, delta_cond, tau_cond)
+    conds = (_theta_branch(cfg, (0, 1), tol), _delta_quantization(cfg, l, tol),
+             Condition("tau_even", cfg.tau % 2 == 0, float(cfg.tau % 2)))
     return ConstraintReport(all(c.satisfied for c in conds), conds)
 
 
@@ -166,8 +168,7 @@ def odd_tau_gap(cfg: WalkConfig, tau_odd: int, kx, ky) -> float:
     return float(np.max(op_norm(block - np.eye(2))))
 
 
-def _require_branch(cfg: WalkConfig, nu: int | None) -> int:
-    report = check_time_limit(cfg)
+def _require_branch(report: ConstraintReport, nu: int | None) -> int:
     if not report["theta_branch"].satisfied:
         raise ValueError("theta0 angles are not on a compliant branch")
     found = report["theta_branch"].witness["nu"]
@@ -185,7 +186,7 @@ def anticommutator_AB(cfg: WalkConfig, kx, ky,
     with s = (-1)^nu and zeta'0j = zeta0j - 2 k_j.  Hermitian; broadcasts
     over momentum arrays.
     """
-    nu = _require_branch(cfg, nu)
+    nu = _require_branch(check_time_limit(cfg), nu)
     s = 1.0 if nu == 0 else -1.0
     jx, jy = cfg.coin_x, cfg.coin_y
     kx = np.asarray(kx, dtype=np.float64)
@@ -207,10 +208,7 @@ class HamiltonianTerm:
     coeff: NDArray[np.complex128]
 
     def to_dict(self) -> dict:
-        flat = []
-        for entry in np.asarray(self.coeff).reshape(-1):
-            flat.extend([float(entry.real), float(entry.imag)])
-        return {"px": self.px, "py": self.py, "matrix": flat}
+        return {"px": self.px, "py": self.py, "matrix": flat2(self.coeff)}
 
 
 def time_hamiltonian(cfg: WalkConfig, nu: int | None = None):
@@ -222,11 +220,7 @@ def time_hamiltonian(cfg: WalkConfig, nu: int | None = None):
     shift words.  H(k) is Hermitian and equals -{A,B}(k)/4, the limit
     i (W^tau - I)/(tau eps).
     """
-    report = check_time_limit(cfg)
-    if not report.passed:
-        failing = [c.name for c in report.conditions if not c.satisfied]
-        raise ValueError(f"config fails the time-limit gate: {', '.join(failing)}")
-    nu = _require_branch(cfg, nu)
+    nu = _require_branch(check_time_limit(cfg).require("time-limit gate"), nu)
     s = 1 if nu == 0 else -1
     jx, jy = cfg.coin_x, cfg.coin_y
 

@@ -365,7 +365,7 @@ def test_criterion_13_spacetime_convergence():
     residual, _ = divergence_residual(bad, HALF, HALF)
     assert residual > 0.1
     groups = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): g.matrix
-              for g in _grouped_sums(bad, HALF, HALF, Fraction(1, 2), Fraction(1))
+              for g in _grouped_sums(bad, HALF, HALF, lambda f: f == 1)
               if g.exponent == 1}
     thx, thy = bad.coin_x.theta1, bad.coin_y.theta1
 

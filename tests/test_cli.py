@@ -205,3 +205,52 @@ def test_outputs_are_deterministic(tmp_path):
     assert main(["--config", path, "--output", str(out2), "--seed", "9", "simulate"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert (dir1 / "out.json.field.csv").read_bytes() == (dir2 / "out.json.field.csv").read_bytes()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize("a,b", [("2/3", "3/4"), ("0/1", "1/2")])
+def test_check_without_order_one_terms_prints_strict_json(tmp_path, capsys, a, b):
+    doc = plastic_doc(np.random.default_rng(9))
+    doc["walk"]["a"] = a
+    doc["walk"]["coin_x"]["b"] = doc["walk"]["coin_y"]["b"] = b
+    assert main(["--config", write_config(tmp_path, doc), "check"]) == 1
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    by_name = {c["name"]: c for c in out["conditions"]}
+    assert by_name["exponents_rational"]["witness"]["order_one_terms"] == 0
+    assert by_name["no_divergence"] == {"name": "no_divergence", "satisfied": False,
+                                        "residual": 1.0, "witness": {}}
+
+
+def _set(section, key, value):
+    def edit(doc):
+        doc[section][key] = value
+    return edit
+
+
+def _plastic_tau(doc):
+    doc.update(plastic_doc(np.random.default_rng(10)))
+    doc["walk"]["tau"] = 4
+
+
+@pytest.mark.parametrize("edit,command,code", [
+    (_plastic_tau, "check", 1),
+    (_set("lattice", "nx", 1), "simulate", 2),
+    (_set("lattice", "ny", 0), "simulate", 2),
+    (_set("run", "grid", 0), "dispersion", 2),
+    (_set("run", "eps", -1.0), "simulate", 2),
+    (_set("run", "eps", 0.0), "dispersion", 2),
+    (_set("run", "eps_list", [0.01, 0.005]), "converge", 2),
+    (_set("run", "eps_list", [0.01, 0.0, 0.005]), "converge", 2),
+    (_set("run", "momenta", []), "converge", 2),
+    (_set("run", "steps", -1), "simulate", 2),
+], ids=["plastic-tau-4", "nx-1", "ny-0", "grid-0", "eps-negative", "eps-zero",
+        "eps_list-two", "eps_list-zero-entry", "momenta-empty", "steps-negative"])
+def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command, code):
+    doc = time_doc()
+    edit(doc)
+    assert main(["--config", write_config(tmp_path, doc), command]) == code
+    err = capsys.readouterr().err
+    assert err.strip() and "Traceback" not in err
