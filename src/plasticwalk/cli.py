@@ -32,20 +32,26 @@ __all__ = ["main"]
 SCHEMA_VERSION = 1
 
 
-def _emit(args, payload: dict, csv_rows: list[str] | None = None) -> None:
-    """Write JSON (always available) or CSV (when rows are provided)."""
-    fmt = args.format
-    path = args.output
-    if fmt == "csv" and csv_rows is not None:
-        text = "\n".join(csv_rows) + "\n"
-    else:
-        payload = {"schema_version": SCHEMA_VERSION, **payload}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w") as fh:
+def _write(args, text: str) -> None:
+    """Write the command output to --output, or to stdout."""
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json_text(payload: dict) -> str:
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _emit(args, payload: dict, csv_rows: list[str] | None = None) -> None:
+    """Write JSON (always available) or CSV (when rows are provided)."""
+    if args.format == "csv" and csv_rows is not None:
+        _write(args, "\n".join(csv_rows) + "\n")
+    else:
+        _write(args, _json_text(payload))
 
 
 def _f17(x: float) -> str:
@@ -80,6 +86,9 @@ def cmd_check(args) -> int:
 
 def cmd_hamiltonian(args) -> int:
     cfg = _load(args)
+    if cfg.walk.mode != "time":
+        sys.stderr.write("hamiltonian: requires a time-mode config\n")
+        return 1
     try:
         terms, symbol = tl.time_hamiltonian(cfg.walk)
     except ValueError as exc:
@@ -125,9 +134,8 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     init = cfg.initial.get("type", "plane_wave")
     if init == "plane_wave":
-        state = lat.SpinorField.plane_wave(cfg.nx, cfg.ny,
-                                           float(cfg.initial.get("kx", 0.0)),
-                                           float(cfg.initial.get("ky", 0.0)))
+        state = lat.SpinorField.plane_wave(cfg.nx, cfg.ny, cfg.initial.get("kx", 0.0),
+                                           cfg.initial.get("ky", 0.0))
     elif init == "delta":
         state = lat.SpinorField.delta(cfg.nx, cfg.ny)
     elif init == "random":
@@ -175,21 +183,42 @@ def cmd_converge(args) -> int:
     return 0
 
 
+# (float format, row template, row separator) of the band table; the row's kx and ky
+# are filled in by str.format, its phases by %.  %r is float.__repr__, as json writes it.
+_BAND_ROWS = {
+    "csv": ("%.17g", "{},{},%.17g,%.17g\n", ""),
+    "json": ("%r", '    {{\n      "kx": {},\n      "ky": {},\n'
+                   '      "phase1": %r,\n      "phase2": %r\n    }}', ",\n"),
+}
+
+
+def _band_rows(fmt: str, kx, ky, bands) -> str:
+    """The rows of the band table over the grid kx (n, 1) x ky (1, n), in one pass.
+
+    Each grid momentum is formatted once, not once per row it appears in.
+    """
+    spec, row, sep = _BAND_ROWS[fmt]
+    xs = [spec % v for v in kx.ravel().tolist()]
+    ys = [spec % v for v in ky.ravel().tolist()]
+    template = sep.join([row.format(x, y) for x in xs for y in ys])
+    return template % tuple(bands.reshape(-1).tolist())
+
+
 def cmd_dispersion(args) -> int:
     cfg = _load(args)
     kx, ky = _grid(cfg.grid)
     bands = conv.dispersion(cfg.walk, cfg.eps, kx, ky)
-    kxg = np.broadcast_to(kx, bands.shape[:-1])
-    kyg = np.broadcast_to(ky, bands.shape[:-1])
-    rows = ["kx,ky,phase1,phase2"]
-    flat_rows = []
-    for i in range(bands.shape[0]):
-        for j in range(bands.shape[1]):
-            rows.append(f"{_f17(kxg[i, j])},{_f17(kyg[i, j])},"
-                        f"{_f17(bands[i, j, 0])},{_f17(bands[i, j, 1])}")
-            flat_rows.append({"kx": kxg[i, j], "ky": kyg[i, j],
-                              "phase1": bands[i, j, 0], "phase2": bands[i, j, 1]})
-    _emit(args, {"eps": cfg.eps, "bands": flat_rows}, csv_rows=rows)
+    if args.format == "csv":
+        _write(args, "kx,ky,phase1,phase2\n" + _band_rows("csv", kx, ky, bands))
+        return 0
+    rows = _band_rows("json", kx, ky, bands)
+    if not np.isfinite(bands).all():
+        # %r writes nan, inf and -inf where json writes NaN, Infinity and -Infinity;
+        # neither the row template nor a finite grid momentum contains "nan" or "inf"
+        rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+    # splice the rows into the json.dumps of the rest of the payload
+    _write(args, _json_text({"eps": cfg.eps, "bands": "@bands@"})
+           .replace('"@bands@"', "[\n" + rows + "\n  ]", 1))
     return 0
 
 

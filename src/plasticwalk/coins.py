@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.typing import NDArray
 
-from .mat2 import SY, SZ, rot
+from .mat2 import SY, SZ, diag_mul, mul2, rot
 
 __all__ = [
     "CoinJet",
@@ -151,9 +151,9 @@ def walk_k(cfg: WalkConfig, kx, ky, eps: float) -> NDArray[np.complex128]:
     shift phase is k * eps**a.
     """
     spacing = cfg.spacing(eps)
-    cx = coin_at(cfg.coin_x, eps)
-    cy = coin_at(cfg.coin_y, eps)
-    return shift_symbol(kx, spacing) @ cx @ shift_symbol(ky, spacing) @ cy
+    sx = np.exp(1j * np.asarray(kx, dtype=np.float64) * spacing)
+    sy = np.exp(1j * np.asarray(ky, dtype=np.float64) * spacing)
+    return mul2(diag_mul(sx, coin_at(cfg.coin_x, eps)), diag_mul(sy, coin_at(cfg.coin_y, eps)))
 
 
 def first_order_blocks(jet: CoinJet, k) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:

@@ -24,6 +24,7 @@ One section per subsystem:
 
 Ranges are checked on load: nx, ny >= 2, grid >= 1, steps >= 0, eps > 0,
 at least three eps_list entries, all > 0, and at least one momentum.
+The initial momenta kx, ky must be numbers.
 Unknown sections, such as an "output" section, are ignored.
 
 Exponents are rationals written as "p/q" strings so the exact matching
@@ -136,6 +137,8 @@ class ExperimentConfig:
         lat = doc.get("lattice", {})
         run = doc.get("run", {})
         try:
+            initial = dict(run.get("initial", {"type": "plane_wave", "kx": 0.0, "ky": 0.0}))
+            initial.update({k: float(initial[k]) for k in ("kx", "ky") if k in initial})
             cfg = ExperimentConfig(
                 walk=walk,
                 nx=int(lat.get("nx", 32)),
@@ -149,7 +152,7 @@ class ExperimentConfig:
                 momenta=tuple((float(m[0]), float(m[1])) for m in run.get(
                     "momenta", [(0.7, -0.3), (0.23, 0.9), (-0.51, 0.42)])),
                 l_index=int(run.get("l_index", 0)),
-                initial=dict(run.get("initial", {"type": "plane_wave", "kx": 0.0, "ky": 0.0})),
+                initial=initial,
                 seed=int(doc.get("seed", 0)),
             )
         except (TypeError, ValueError) as exc:

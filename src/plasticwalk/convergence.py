@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import WalkConfig, walk_k
-from .mat2 import dag, eigvals2, exp_herm, op_norm
+from .mat2 import eigvals2, exp_herm, op_norm, unitarity_defect
 from .plastic import spacetime_hamiltonian
 from .timelimit import time_hamiltonian
 from ._util import stack_power
@@ -72,7 +72,7 @@ def fit_order(samples: Sequence[tuple[float, float]]) -> tuple[float, float, flo
 
 
 def _check_unitary(m: NDArray[np.complex128], what: str) -> None:
-    defect = float(np.max(op_norm(dag(m) @ m - np.eye(2))))
+    defect = float(np.max(unitarity_defect(m)))
     if defect > _UNITARITY_TOL:
         raise RuntimeError(f"{what} lost unitarity (defect {defect:.3e})")
 

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import WalkConfig, coin_at
-from .mat2 import ID2, dag, exp_herm, op_norm
+from .mat2 import exp_herm, unitarity_defect
 
 __all__ = [
     "SpinorField",
@@ -111,7 +111,7 @@ def shift(field: SpinorField, axis: str) -> SpinorField:
 def apply_coin(field: SpinorField, c: NDArray[np.complex128]) -> SpinorField:
     """Left-multiply the spinor at every site by the unitary 2x2 coin."""
     c = np.asarray(c, dtype=np.complex128)
-    if float(op_norm(dag(c) @ c - ID2)) > 1e-10:
+    if float(unitarity_defect(c)) > 1e-10:
         raise ValueError("coin must be unitary to 1e-10")
     return SpinorField(np.einsum("ab,bxy->axy", c, field.data))
 

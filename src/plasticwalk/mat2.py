@@ -4,7 +4,10 @@ Everything in this package lives in the space of 2x2 complex matrices:
 coins, shift symbols, walk operators, Hamiltonian symbols, transport
 matrices.  This module provides the shared primitives as broadcast-aware
 closed forms over numpy arrays of shape (..., 2, 2), so k-grid sweeps
-stay vectorized.
+stay vectorized.  Products and norms are written as entry formulas on
+whole arrays: numpy's gufunc matmul on a stack of 2x2 matrices costs
+about ten times as much.  A single (2, 2) matrix goes through the same
+formulas on Python complex scalars, which skips numpy's per-call cost.
 
 Rotation convention, fixed once for the whole package:
 
@@ -28,7 +31,10 @@ __all__ = [
     "rot",
     "dag",
     "det2",
+    "mul2",
+    "diag_mul",
     "op_norm",
+    "unitarity_defect",
     "eigvals2",
     "exp_herm",
     "is_unitary",
@@ -94,6 +100,81 @@ def det2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
+def _entries(m):
+    """The four entries (m00, m01, m10, m11) of a (..., 2, 2) stack.
+
+    A single (2, 2) matrix gives Python complex scalars, a stack gives
+    array views.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim == 2:
+        (a, b), (c, d) = m.tolist()
+        return a, b, c, d
+    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+
+
+def _from_entries(a, b, c, d) -> NDArray[np.complex128]:
+    """The (..., 2, 2) stack [[a, b], [c, d]]; the entries broadcast."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    out = np.empty(a.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = a
+    out[..., 0, 1] = b
+    out[..., 1, 0] = c
+    out[..., 1, 1] = d
+    return out
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Entries of the product of two matrices given by their entries."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def mul2(x, y) -> NDArray[np.complex128]:
+    """Matrix product x @ y of two broadcastable (..., 2, 2) stacks."""
+    return _from_entries(*_mul(_entries(x), _entries(y)))
+
+
+def _power(m, n: int) -> NDArray[np.complex128]:
+    """m^n over the trailing (2, 2) axes for n >= 0, by repeated squaring."""
+    m = np.asarray(m, dtype=np.complex128)
+    out, base = None, _entries(m)
+    while n > 0:
+        if n & 1:
+            out = base if out is None else _mul(out, base)
+        n >>= 1
+        if n:
+            base = _mul(base, base)
+    if out is None:
+        return np.broadcast_to(ID2, m.shape).copy()
+    return _from_entries(*out)
+
+
+def diag_mul(e, m) -> NDArray[np.complex128]:
+    """diag(e, conj(e)) @ m, the form of every shift symbol and shift word.
+
+    The diagonal only scales the rows of m; ``e`` broadcasts against the
+    stack axes of m.
+    """
+    e = np.asarray(e, dtype=np.complex128)
+    return np.stack([e, e.conj()], axis=-1)[..., None] * m
+
+
+def _gram(a, b, c, d):
+    """(p, r, q): the entries [[p, q], [q*, r]] of M^dag M for M = [[a, b], [c, d]]."""
+    p = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+    r = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+    q = a.conjugate() * b + c.conjugate() * d
+    return p, r, q
+
+
+def _radius(p, r, q):
+    """sqrt(((p - r)/2)^2 + |q|^2): half the eigenvalue gap of [[p, q], [q*, r]]."""
+    h = 0.5 * (p - r)
+    return (h * h + q.real * q.real + q.imag * q.imag) ** 0.5
+
+
 def op_norm(m: NDArray[np.complex128]) -> NDArray[np.float64]:
     """Largest singular value, via the closed-form 2x2 SVD.
 
@@ -102,13 +183,19 @@ def op_norm(m: NDArray[np.complex128]) -> NDArray[np.float64]:
     a sum of nonnegative terms (no cancellation when the two singular
     values are close).
     """
-    m = np.asarray(m, dtype=np.complex128)
-    g = dag(m) @ m
-    p = g[..., 0, 0].real
-    r = g[..., 1, 1].real
-    q = g[..., 0, 1]
-    lam = 0.5 * (p + r) + np.sqrt((0.5 * (p - r)) ** 2 + np.abs(q) ** 2)
+    p, r, q = _gram(*_entries(m))
+    lam = 0.5 * (p + r) + _radius(p, r, q)
     return np.sqrt(np.maximum(lam, 0.0))
+
+
+def unitarity_defect(m: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """||M^dag M - I||, the distance of each slice from U(2).
+
+    M^dag M - I is Hermitian, so its norm is its largest eigenvalue in
+    modulus: |(p + r)/2 - 1| + sqrt(((p - r)/2)^2 + |q|^2).
+    """
+    p, r, q = _gram(*_entries(m))
+    return abs(0.5 * (p + r) - 1.0) + _radius(p, r, q)
 
 
 def eigvals2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -161,8 +248,7 @@ def exp_herm(h: NDArray[np.complex128], t) -> NDArray[np.complex128]:
 
 def is_unitary(m: NDArray[np.complex128], tol: float = 1e-10) -> bool:
     """True when every slice satisfies M^dag M = I within tol."""
-    m = np.asarray(m, dtype=np.complex128)
-    return bool(np.all(op_norm(dag(m) @ m - ID2) <= tol))
+    return bool(np.all(unitarity_defect(m) <= tol))
 
 
 def is_hermitian(m: NDArray[np.complex128], tol: float = 1e-10) -> bool:

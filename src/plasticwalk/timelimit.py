@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import WalkConfig, first_order_blocks
-from .mat2 import SY, eigvals2, op_norm, rot
+from .mat2 import SY, diag_mul, eigvals2, op_norm, rot
 from ._util import flat2, stack_power
 
 __all__ = [
@@ -236,14 +236,6 @@ def time_hamiltonian(cfg: WalkConfig, nu: int | None = None):
     def symbol(kx, ky) -> NDArray[np.complex128]:
         kx = np.asarray(kx, dtype=np.float64)
         ky = np.asarray(ky, dtype=np.float64)
-        shape = np.broadcast(kx, ky).shape
-        out = np.zeros(shape + (2, 2), dtype=np.complex128)
-        for term in terms:
-            phase = term.px * kx + term.py * ky
-            word = np.zeros(shape + (2, 2), dtype=np.complex128)
-            word[..., 0, 0] = np.exp(1j * phase)
-            word[..., 1, 1] = np.exp(-1j * phase)
-            out = out + word @ term.coeff
-        return out
+        return sum(diag_mul(np.exp(1j * (t.px * kx + t.py * ky)), t.coeff) for t in terms)
 
     return terms, symbol

@@ -1,8 +1,11 @@
 """Reference implementations that only the tests use.
 
 They stay here as oracles for the library's closed forms: a full 2x2
-eigendecomposition, the first-order expansion of W^tau and the
-zeroth-order constraint functions of the plastic walk.
+eigendecomposition, the first-order expansion of W^tau, the
+zeroth-order constraint functions of the plastic walk, and the gufunc
+matmul forms of the elementwise 2x2 kernels (walk symbol, squaring,
+operator norm, unitarity defect, Hamiltonian symbol), with an
+extended-precision matrix power as the reference for both squarings.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from plasticwalk.coins import WalkConfig, first_order_blocks
+from plasticwalk.coins import WalkConfig, coin_at, first_order_blocks, shift_symbol
 from plasticwalk.mat2 import ID2, dag, eigvals2, op_norm
 from plasticwalk.plastic import gamma_hat
 from plasticwalk._util import stack_power
@@ -132,3 +135,58 @@ def constraint_f2(cfg: WalkConfig, l: int = 0) -> float:
     c = np.cos(2.0 * np.pi * l / cfg.tau - cfg.delta_sum)
     return float(w1 * np.cos((phx + phy + zx + zy) / 2.0)
                  - w2 * np.cos((phy - phx + zx - zy) / 2.0) - c)
+
+
+def walk_k_matmul(cfg: WalkConfig, kx, ky, eps: float) -> NDArray[np.complex128]:
+    """W(k) = S_x(kx) C_x S_y(ky) C_y as a chain of matmuls over full shift matrices."""
+    spacing = cfg.spacing(eps)
+    return (shift_symbol(kx, spacing) @ coin_at(cfg.coin_x, eps)
+            @ shift_symbol(ky, spacing) @ coin_at(cfg.coin_y, eps))
+
+
+def stack_power_matmul(m: NDArray[np.complex128], n: int,
+                       dtype=np.complex128) -> NDArray[np.complex128]:
+    """n-th power over the trailing (2, 2) axes by squaring with matmul, in ``dtype``.
+
+    With ``dtype=np.clongdouble`` (64-bit mantissa on x86-64) it is the
+    extended-precision reference for the double-precision squarings.
+    """
+    out = np.broadcast_to(np.eye(2, dtype=dtype), np.shape(m)).copy()
+    base = np.asarray(m).astype(dtype)
+    while n > 0:
+        if n & 1:
+            out = out @ base
+        base = base @ base
+        n >>= 1
+    return out
+
+
+def op_norm_matmul(m: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """Largest singular value from the matmul-built Gram matrix M^dag M."""
+    g = dag(m) @ np.asarray(m, dtype=np.complex128)
+    p = g[..., 0, 0].real
+    r = g[..., 1, 1].real
+    q = g[..., 0, 1]
+    lam = 0.5 * (p + r) + np.sqrt((0.5 * (p - r)) ** 2 + np.abs(q) ** 2)
+    return np.sqrt(np.maximum(lam, 0.0))
+
+
+def unitarity_defect_matmul(m: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """||M^dag M - I|| with the product and the norm both through matmul."""
+    m = np.asarray(m, dtype=np.complex128)
+    return op_norm_matmul(dag(m) @ m - ID2)
+
+
+def time_symbol_matmul(terms, kx, ky) -> NDArray[np.complex128]:
+    """H(k) = sum of shift words diag(e^{i phase}, e^{-i phase}) @ term matrix."""
+    kx = np.asarray(kx, dtype=np.float64)
+    ky = np.asarray(ky, dtype=np.float64)
+    shape = np.broadcast(kx, ky).shape
+    out = np.zeros(shape + (2, 2), dtype=np.complex128)
+    for term in terms:
+        phase = term.px * kx + term.py * ky
+        word = np.zeros(shape + (2, 2), dtype=np.complex128)
+        word[..., 0, 0] = np.exp(1j * phase)
+        word[..., 1, 1] = np.exp(-1j * phase)
+        out = out + word @ term.coeff
+    return out

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from plasticwalk import convergence
 from plasticwalk.cli import main
 from plasticwalk.config import ConfigError, ExperimentConfig, parse_rational
 
@@ -193,6 +194,52 @@ def test_dispersion_command(tmp_path, capsys):
     assert len(out["bands"]) == 25
 
 
+def _dispersion_oracle(eps, n, bands):
+    """The band table as json.dumps and %.17g write it, one k-point at a time."""
+    ks = np.linspace(-np.pi, np.pi, n, endpoint=False).tolist()
+    rows = [(x, y, p1, p2) for (x, y), (p1, p2)
+            in zip([(x, y) for x in ks for y in ks], bands.reshape(-1, 2).tolist())]
+    text = json.dumps({"schema_version": 1, "eps": eps, "bands": [
+        {"kx": x, "ky": y, "phase1": p1, "phase2": p2} for x, y, p1, p2 in rows]},
+        sort_keys=True, indent=2) + "\n"
+    csv = "kx,ky,phase1,phase2\n" + "".join(
+        f"{x:.17g},{y:.17g},{p1:.17g},{p2:.17g}\n" for x, y, p1, p2 in rows)
+    return text, csv
+
+
+def _dispersion_outputs(tmp_path, capsys, doc):
+    path = write_config(tmp_path, doc)
+    outs = []
+    for fmt in ("json", "csv"):
+        assert main(["--config", path, "--format", fmt, "dispersion"]) == 0
+        outs.append(capsys.readouterr().out)
+    return tuple(outs)
+
+
+def test_dispersion_nan_phases_print_as_json_writes_them(tmp_path, capsys):
+    doc = time_doc()
+    doc["walk"]["coin_x"]["theta1"] = 4.0  # theta0 + theta1 eps overflows to inf
+    doc["run"].update(eps=1e308, grid=3)
+    ks = np.linspace(-np.pi, np.pi, 3, endpoint=False)
+    with np.errstate(invalid="ignore"):
+        bands = convergence.dispersion(ExperimentConfig.from_dict(doc).walk, 1e308,
+                                       ks[:, None], ks[None, :])
+        outs = _dispersion_outputs(tmp_path, capsys, doc)
+    assert np.isnan(bands).all()
+    assert outs == _dispersion_oracle(1e308, 3, bands)
+    assert '"phase1": NaN' in outs[0] and ",nan,nan\n" in outs[1]
+
+
+def test_dispersion_infinite_phases_print_as_json_writes_them(tmp_path, capsys, monkeypatch):
+    bands = np.array([np.nan, np.inf, -np.inf, 0.5, -1e-300, 3.0, np.inf, -np.inf] * 4)[:18]
+    monkeypatch.setattr(convergence, "dispersion", lambda *args: bands.reshape(3, 3, 2))
+    doc = time_doc()
+    doc["run"]["grid"] = 3
+    outs = _dispersion_outputs(tmp_path, capsys, doc)
+    assert outs == _dispersion_oracle(doc["run"]["eps"], 3, bands)
+    assert '"phase2": -Infinity' in outs[0] and ",-inf," in outs[1]
+
+
 def test_outputs_are_deterministic(tmp_path):
     path = write_config(tmp_path, time_doc())
     dir1 = tmp_path / "run1"
@@ -230,6 +277,12 @@ def _set(section, key, value):
     return edit
 
 
+def _initial_kx(value):
+    def edit(doc):
+        doc["run"]["initial"] = {"type": "plane_wave", "kx": value}
+    return edit
+
+
 def _plastic_tau(doc):
     doc.update(plastic_doc(np.random.default_rng(10)))
     doc["walk"]["tau"] = 4
@@ -246,8 +299,10 @@ def _plastic_tau(doc):
     (_set("run", "eps_list", [0.01, 0.0, 0.005]), "converge", 2),
     (_set("run", "momenta", []), "converge", 2),
     (_set("run", "steps", -1), "simulate", 2),
+    (_initial_kx("abc"), "simulate", 2),
 ], ids=["plastic-tau-4", "nx-1", "ny-0", "grid-0", "eps-negative", "eps-zero",
-        "eps_list-two", "eps_list-zero-entry", "momenta-empty", "steps-negative"])
+        "eps_list-two", "eps_list-zero-entry", "momenta-empty", "steps-negative",
+        "initial-kx-abc"])
 def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command, code):
     doc = time_doc()
     edit(doc)
