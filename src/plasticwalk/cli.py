@@ -8,6 +8,10 @@ JSON (--format / --output), and uses the exit-code contract
     1  domain failure (constraint gate rejected, non-convergence input)
     2  usage or config parse error
 
+``main`` alone turns exceptions into these codes: a ConfigError (raised
+while loading the config) or an OSError (writing the output) gives 2,
+any other ValueError gives 1, each with one line on stderr.
+
 Outputs are deterministic for a fixed config and seed: JSON is emitted
 with sorted keys, CSV floats at 17 significant digits.
 """
@@ -15,6 +19,7 @@ with sorted keys, CSV floats at 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,13 +37,17 @@ __all__ = ["main"]
 SCHEMA_VERSION = 1
 
 
-def _write(args, text: str) -> None:
-    """Write the command output to --output, or to stdout."""
+def _write(args, *parts: str) -> None:
+    """Write the command output, given in parts, to --output or to stdout.
+
+    Parts are written one by one, so a large output is never copied into
+    one string first.
+    """
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _json_text(payload: dict) -> str:
@@ -60,9 +69,7 @@ def _f17(x: float) -> str:
 
 def _load(args) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config)
-    if args.seed is not None:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
-    return cfg
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def _grid(n: int):
@@ -72,14 +79,10 @@ def _grid(n: int):
 
 def cmd_check(args) -> int:
     cfg = _load(args)
-    try:
-        if cfg.walk.mode == "time":
-            report = tl.check_time_limit(cfg.walk, l=cfg.l_index)
-        else:
-            report = pl.check_spacetime_limit(cfg.walk, cfg.a_exp, cfg.b_exp, l=cfg.l_index)
-    except ValueError as exc:
-        sys.stderr.write(f"check: {exc}\n")
-        return 1
+    if cfg.walk.mode == "time":
+        report = tl.check_time_limit(cfg.walk, l=cfg.l_index)
+    else:
+        report = pl.check_spacetime_limit(cfg.walk, cfg.a_exp, cfg.b_exp, l=cfg.l_index)
     _emit(args, report.to_dict())
     return 0 if report.passed else 1
 
@@ -87,13 +90,8 @@ def cmd_check(args) -> int:
 def cmd_hamiltonian(args) -> int:
     cfg = _load(args)
     if cfg.walk.mode != "time":
-        sys.stderr.write("hamiltonian: requires a time-mode config\n")
-        return 1
-    try:
-        terms, symbol = tl.time_hamiltonian(cfg.walk)
-    except ValueError as exc:
-        sys.stderr.write(f"hamiltonian: {exc}\n")
-        return 1
+        raise ValueError("requires a time-mode config")
+    terms, _ = tl.time_hamiltonian(cfg.walk)
     summary = [f"H = sum of {len(terms)} shift-word terms, prefactor included in matrices:"]
     for t in terms:
         summary.append(f"  S_x^{t.px} S_y^{t.py} x {np.round(t.coeff, 12).tolist()}")
@@ -104,13 +102,8 @@ def cmd_hamiltonian(args) -> int:
 def cmd_pde(args) -> int:
     cfg = _load(args)
     if cfg.walk.mode != "plastic":
-        sys.stderr.write("pde: requires a plastic-mode config\n")
-        return 1
-    try:
-        assembly = pl.spacetime_hamiltonian(cfg.walk, cfg.a_exp, cfg.b_exp)
-    except ValueError as exc:
-        sys.stderr.write(f"pde: {exc}\n")
-        return 1
+        raise ValueError("requires a plastic-mode config")
+    assembly = pl.spacetime_hamiltonian(cfg.walk, cfg.a_exp, cfg.b_exp)
     lam = assembly.calibration
     rendered = ["d/dt Psi = sum of the terms below (calibration folded in):"]
     for t in assembly.terms:
@@ -132,17 +125,13 @@ def cmd_pde(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     rng = np.random.default_rng(cfg.seed)
-    init = cfg.initial.get("type", "plane_wave")
-    if init == "plane_wave":
+    if cfg.initial_type == "plane_wave":
         state = lat.SpinorField.plane_wave(cfg.nx, cfg.ny, cfg.initial.get("kx", 0.0),
                                            cfg.initial.get("ky", 0.0))
-    elif init == "delta":
+    elif cfg.initial_type == "delta":
         state = lat.SpinorField.delta(cfg.nx, cfg.ny)
-    elif init == "random":
-        state = lat.SpinorField.random(cfg.nx, cfg.ny, rng)
     else:
-        sys.stderr.write(f"simulate: unknown initial state {init!r}\n")
-        return 2
+        state = lat.SpinorField.random(cfg.nx, cfg.ny, rng)
     norm0 = state.norm()
     for _ in range(cfg.steps):
         state = lat.step(state, cfg.walk, cfg.eps)
@@ -164,22 +153,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = _load(args)
-    try:
-        if cfg.walk.mode == "time":
-            kx, ky = _grid(cfg.grid)
-            result = conv.time_convergence(cfg.walk, cfg.t_final, kx, ky, cfg.eps_list)
-        else:
-            result = conv.spacetime_convergence(cfg.walk, cfg.a_exp, cfg.b_exp,
-                                                cfg.t_final, cfg.momenta, cfg.eps_list)
-    except ValueError as exc:
-        sys.stderr.write(f"converge: {exc}\n")
-        return 1
+    if cfg.walk.mode == "time":
+        kx, ky = _grid(cfg.grid)
+        result = conv.time_convergence(cfg.walk, cfg.t_final, kx, ky, cfg.eps_list)
+    else:
+        result = conv.spacetime_convergence(cfg.walk, cfg.a_exp, cfg.b_exp,
+                                            cfg.t_final, cfg.momenta, cfg.eps_list)
     rows = ["eps,error"] + [f"{_f17(e)},{_f17(err)}" for e, err in result.samples]
     _emit(args, result.to_dict(), csv_rows=rows)
     if args.format == "csv" and args.output:
         with open(args.output + ".json", "w") as fh:
-            json.dump(result.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(_json_text(result.to_dict()))
     return 0
 
 
@@ -209,16 +193,16 @@ def cmd_dispersion(args) -> int:
     kx, ky = _grid(cfg.grid)
     bands = conv.dispersion(cfg.walk, cfg.eps, kx, ky)
     if args.format == "csv":
-        _write(args, "kx,ky,phase1,phase2\n" + _band_rows("csv", kx, ky, bands))
+        _write(args, "kx,ky,phase1,phase2\n", _band_rows("csv", kx, ky, bands))
         return 0
     rows = _band_rows("json", kx, ky, bands)
     if not np.isfinite(bands).all():
         # %r writes nan, inf and -inf where json writes NaN, Infinity and -Infinity;
         # neither the row template nor a finite grid momentum contains "nan" or "inf"
         rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
-    # splice the rows into the json.dumps of the rest of the payload
-    _write(args, _json_text({"eps": cfg.eps, "bands": "@bands@"})
-           .replace('"@bands@"', "[\n" + rows + "\n  ]", 1))
+    # write the rows in place of the placeholder in the json.dumps of the rest of the payload
+    head, tail = _json_text({"eps": cfg.eps, "bands": "@bands@"}).split('"@bands@"')
+    _write(args, head, "[\n", rows, "\n  ]", tail)
     return 0
 
 
@@ -230,11 +214,7 @@ def _term_group(idx: pl.TermIndex) -> str:
 
 def cmd_terms(args) -> int:
     cfg = _load(args)
-    try:
-        terms = pl.enumerate_terms(cfg.a_exp, cfg.b_exp)
-    except ValueError as exc:
-        sys.stderr.write(f"terms: {exc}\n")
-        return 1
+    terms = pl.enumerate_terms(cfg.a_exp, cfg.b_exp)
     header = "l1x,l1y,l2x,l2y,n1x,n1y,n2x,n2y,sum_l,sum_n,group"
     rows = [header]
     listing = []
@@ -273,11 +253,18 @@ def main(argv: list[str] | None = None) -> int:
         "dispersion": cmd_dispersion,
         "terms": cmd_terms,
     }
+    # the one map from exceptions to exit codes; a RuntimeError is a defect and escapes
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
+    except OSError as exc:
+        sys.stderr.write(f"{args.command}: cannot write output: {exc}\n")
+        return 2
+    except ValueError as exc:
+        sys.stderr.write(f"{args.command}: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

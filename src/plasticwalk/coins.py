@@ -105,7 +105,7 @@ class WalkConfig:
         object.__setattr__(self, "a_exp", a)
         if not (0 <= a <= 1):
             raise ValueError(f"a_exp must lie in [0, 1], got {a}")
-        if self.delta_spatial <= 0:
+        if not self.delta_spatial > 0:  # NaN fails too
             raise ValueError("delta_spatial must be positive")
         if self.coin_x.mode != self.coin_y.mode:
             raise ValueError("both coins must use the same jet mode")

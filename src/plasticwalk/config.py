@@ -22,9 +22,12 @@ One section per subsystem:
       "seed": <int>
     }
 
-Ranges are checked on load: nx, ny >= 2, grid >= 1, steps >= 0, eps > 0,
-at least three eps_list entries, all > 0, and at least one momentum.
-The initial momenta kx, ky must be numbers.
+``from_dict`` only parses; an absent key keeps its dataclass default.
+Ranges are checked in ``ExperimentConfig.__post_init__``, so a config
+changed with ``dataclasses.replace`` is checked too: nx, ny >= 2, grid >= 1,
+steps >= 0, eps > 0, at least three eps_list entries, all > 0, t_final >= 0
+with t_final / eps finite, at least one momentum, tau and |l_index| at most
+2**53, seed >= 0, finite initial kx and ky, and a known initial type.
 Unknown sections, such as an "output" section, are ignored.
 
 Exponents are rationals written as "p/q" strings so the exact matching
@@ -35,6 +38,7 @@ in the term enumerator never sees a float.  Emission is canonical
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -65,24 +69,58 @@ def format_rational(frac: Fraction) -> str:
 
 
 _COIN_KEYS = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
+_INITIAL_TYPES = ("plane_wave", "delta", "random")
+_EXACT_INT = 2 ** 53  # the largest integer range a float holds exactly
+# the parser of each optional key; an absent key keeps the dataclass field default
+_WALK = {"tau": ("tau", int), "a": ("a_exp", parse_rational),
+         "delta_spatial": ("delta_spatial", float)}
 
 
-def _coin_from_dict(section: dict, mode: str) -> CoinJet:
-    try:
-        values = {k: float(section[k]) for k in _COIN_KEYS}
-    except KeyError as exc:
-        raise ConfigError(f"coin section missing key {exc}") from None
-    b = parse_rational(section.get("b", "1/1"))
-    if not (0 < b <= 1):
-        raise ConfigError(f"coin exponent b must lie in (0, 1], got {b}")
-    try:
-        return CoinJet(b_exp=b, mode=mode, **values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _coin_from_dict(section, mode: str) -> CoinJet:
+    section = _object(section, "coin section")
+    values = {k: float(section[k]) for k in _COIN_KEYS}
+    if "b" in section:
+        values["b_exp"] = parse_rational(section["b"])
+    return CoinJet(mode=mode, **values)
+
+
+def _walk_from_dict(section) -> WalkConfig:
+    section = _object(section, "walk")
+    mode = section["mode"]
+    return WalkConfig(coin_x=_coin_from_dict(section["coin_x"], mode),
+                      coin_y=_coin_from_dict(section["coin_y"], mode),
+                      **{name: parse(section[key]) for key, (name, parse) in _WALK.items()
+                         if key in section})
+
+
+def _initial_from_dict(section) -> dict:
+    initial = dict(_object(section, "run.initial"))
+    initial.update({k: float(initial[k]) for k in ("kx", "ky") if k in initial})
+    return initial
+
+
+_SECTIONS = {
+    "lattice": {"nx": int, "ny": int},
+    "run": {"t_final": float, "eps": float, "grid": int, "steps": int, "l_index": int,
+            "eps_list": lambda v: tuple(float(e) for e in v),
+            "momenta": lambda v: tuple((float(kx), float(ky)) for kx, ky in v),
+            "initial": _initial_from_dict},
+}
 
 
 def _coin_to_dict(jet: CoinJet) -> dict:
-    out = {k: float(getattr(jet, k if k != "delta" else "delta")) for k in _COIN_KEYS}
+    out = {k: float(getattr(jet, k)) for k in _COIN_KEYS}
     out["b"] = format_rational(jet.b_exp)
     return out
 
@@ -102,6 +140,25 @@ class ExperimentConfig:
     initial: dict = field(default_factory=lambda: {"type": "plane_wave", "kx": 0.0, "ky": 0.0})
     seed: int = 0
 
+    def __post_init__(self):
+        _require(min(self.nx, self.ny) >= 2,
+                 f"lattice nx and ny must be >= 2, got {self.nx}, {self.ny}")
+        _require(self.grid >= 1, f"run.grid must be >= 1, got {self.grid}")
+        _require(self.steps >= 0, f"run.steps must be >= 0, got {self.steps}")
+        _require(self.eps > 0, f"run.eps must be > 0, got {self.eps}")
+        _require(len(self.eps_list) >= 3 and all(e > 0 for e in self.eps_list),
+                 f"run.eps_list needs at least 3 entries, all > 0, got {list(self.eps_list)}")
+        _require(self.t_final >= 0 and math.isfinite(self.t_final / min(self.eps_list)),
+                 f"run.t_final must be >= 0 with t_final / eps finite, got {self.t_final}")
+        _require(len(self.momenta) > 0, "run.momenta must not be empty")
+        _require(self.walk.tau <= _EXACT_INT and abs(self.l_index) <= _EXACT_INT,
+                 "walk.tau and run.l_index must be at most 2**53 in magnitude")
+        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        _require(all(math.isfinite(self.initial.get(k, 0.0)) for k in ("kx", "ky")),
+                 f"run.initial kx and ky must be finite, got {self.initial}")
+        _require(self.initial_type in _INITIAL_TYPES,
+                 f"run.initial.type must be one of {_INITIAL_TYPES}, got {self.initial_type!r}")
+
     @property
     def a_exp(self) -> Fraction:
         return self.walk.a_exp
@@ -110,67 +167,25 @@ class ExperimentConfig:
     def b_exp(self) -> Fraction:
         return self.walk.coin_x.b_exp
 
+    @property
+    def initial_type(self) -> str:
+        return self.initial.get("type", "plane_wave")
+
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be a JSON object")
+        doc = _object(doc, "config root")
+        sections = {name: _object(doc.get(name, {}), name) for name in _SECTIONS}
         try:
-            wsec = doc["walk"]
-            mode = wsec["mode"]
-            if mode not in ("time", "plastic"):
-                raise ConfigError(f"walk.mode must be 'time' or 'plastic', got {mode!r}")
-            a = parse_rational(wsec.get("a", "0/1"))
-            if not (0 <= a <= 1):
-                raise ConfigError(f"walk exponent a must lie in [0, 1], got {a}")
-            walk = WalkConfig(
-                coin_x=_coin_from_dict(wsec["coin_x"], mode),
-                coin_y=_coin_from_dict(wsec["coin_y"], mode),
-                tau=int(wsec.get("tau", 2)),
-                a_exp=a,
-                delta_spatial=float(wsec.get("delta_spatial", 1.0)),
-            )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad walk section: {exc}") from None
-
-        lat = doc.get("lattice", {})
-        run = doc.get("run", {})
-        try:
-            initial = dict(run.get("initial", {"type": "plane_wave", "kx": 0.0, "ky": 0.0}))
-            initial.update({k: float(initial[k]) for k in ("kx", "ky") if k in initial})
-            cfg = ExperimentConfig(
-                walk=walk,
-                nx=int(lat.get("nx", 32)),
-                ny=int(lat.get("ny", 32)),
-                t_final=float(run.get("t_final", 1.0)),
-                eps=float(run.get("eps", 2.0 ** -6)),
-                eps_list=tuple(float(e) for e in run.get(
-                    "eps_list", [2.0 ** -k for k in range(6, 13)])),
-                grid=int(run.get("grid", 9)),
-                steps=int(run.get("steps", 100)),
-                momenta=tuple((float(m[0]), float(m[1])) for m in run.get(
-                    "momenta", [(0.7, -0.3), (0.23, 0.9), (-0.51, 0.42)])),
-                l_index=int(run.get("l_index", 0)),
-                initial=initial,
-                seed=int(doc.get("seed", 0)),
-            )
-        except (TypeError, ValueError) as exc:
+            walk = _walk_from_dict(doc.get("walk"))
+            values = {key: parse(sections[name][key]) for name, parsers in _SECTIONS.items()
+                      for key, parse in parsers.items() if key in sections[name]}
+            if "seed" in doc:
+                values["seed"] = int(doc["seed"])
+        except KeyError as exc:  # only walk and coin keys are required
+            raise ConfigError(f"walk section missing key {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad config value: {exc}") from None
-        if min(cfg.nx, cfg.ny) < 2:
-            raise ConfigError(f"lattice nx and ny must be >= 2, got {cfg.nx}, {cfg.ny}")
-        if cfg.grid < 1:
-            raise ConfigError(f"run.grid must be >= 1, got {cfg.grid}")
-        if cfg.steps < 0:
-            raise ConfigError(f"run.steps must be >= 0, got {cfg.steps}")
-        if not cfg.eps > 0:
-            raise ConfigError(f"run.eps must be > 0, got {cfg.eps}")
-        if len(cfg.eps_list) < 3 or not all(e > 0 for e in cfg.eps_list):
-            raise ConfigError(f"run.eps_list needs at least 3 entries, all > 0, "
-                              f"got {list(cfg.eps_list)}")
-        if not cfg.momenta:
-            raise ConfigError("run.momenta must not be empty")
-        return cfg
+        return ExperimentConfig(walk=walk, **values)
 
     def to_dict(self) -> dict:
         return {
@@ -204,7 +219,7 @@ class ExperimentConfig:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         return ExperimentConfig.from_dict(doc)
 

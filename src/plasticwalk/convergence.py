@@ -73,8 +73,8 @@ def fit_order(samples: Sequence[tuple[float, float]]) -> tuple[float, float, flo
 
 def _check_unitary(m: NDArray[np.complex128], what: str) -> None:
     defect = float(np.max(unitarity_defect(m)))
-    if defect > _UNITARITY_TOL:
-        raise RuntimeError(f"{what} lost unitarity (defect {defect:.3e})")
+    if not defect <= _UNITARITY_TOL:  # a NaN defect fails too
+        raise ValueError(f"{what} lost unitarity (defect {defect:.3e})")
 
 
 def _converge(cfg: WalkConfig, tau: int, h: NDArray[np.complex128], kx, ky,

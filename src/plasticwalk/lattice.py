@@ -111,7 +111,7 @@ def shift(field: SpinorField, axis: str) -> SpinorField:
 def apply_coin(field: SpinorField, c: NDArray[np.complex128]) -> SpinorField:
     """Left-multiply the spinor at every site by the unitary 2x2 coin."""
     c = np.asarray(c, dtype=np.complex128)
-    if float(unitarity_defect(c)) > 1e-10:
+    if not float(unitarity_defect(c)) <= 1e-10:  # a NaN defect fails too
         raise ValueError("coin must be unitary to 1e-10")
     return SpinorField(np.einsum("ab,bxy->axy", c, field.data))
 

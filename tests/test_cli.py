@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plasticwalk import convergence
 from plasticwalk.cli import main
@@ -216,20 +223,6 @@ def _dispersion_outputs(tmp_path, capsys, doc):
     return tuple(outs)
 
 
-def test_dispersion_nan_phases_print_as_json_writes_them(tmp_path, capsys):
-    doc = time_doc()
-    doc["walk"]["coin_x"]["theta1"] = 4.0  # theta0 + theta1 eps overflows to inf
-    doc["run"].update(eps=1e308, grid=3)
-    ks = np.linspace(-np.pi, np.pi, 3, endpoint=False)
-    with np.errstate(invalid="ignore"):
-        bands = convergence.dispersion(ExperimentConfig.from_dict(doc).walk, 1e308,
-                                       ks[:, None], ks[None, :])
-        outs = _dispersion_outputs(tmp_path, capsys, doc)
-    assert np.isnan(bands).all()
-    assert outs == _dispersion_oracle(1e308, 3, bands)
-    assert '"phase1": NaN' in outs[0] and ",nan,nan\n" in outs[1]
-
-
 def test_dispersion_infinite_phases_print_as_json_writes_them(tmp_path, capsys, monkeypatch):
     bands = np.array([np.nan, np.inf, -np.inf, 0.5, -1e-300, 3.0, np.inf, -np.inf] * 4)[:18]
     monkeypatch.setattr(convergence, "dispersion", lambda *args: bands.reshape(3, 3, 2))
@@ -288,6 +281,34 @@ def _plastic_tau(doc):
     doc["walk"]["tau"] = 4
 
 
+def _plastic(edit):
+    def plastic_edit(doc):
+        doc.update(plastic_doc(np.random.default_rng(10)))
+        edit(doc)
+    return plastic_edit
+
+
+def _coin_angle(value):
+    def edit(doc):
+        doc["walk"]["coin_x"]["theta1"] = value
+    return edit
+
+
+def _overflowing_coin(doc):
+    doc["walk"]["coin_x"]["theta1"] = 4.0  # theta0 + theta1 eps overflows to inf
+    doc["run"].update(eps=1e308, grid=3)
+
+
+def _root(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _fiftieths(doc):
+    doc["walk"]["a"] = doc["walk"]["coin_x"]["b"] = doc["walk"]["coin_y"]["b"] = "1/50"
+
+
 @pytest.mark.parametrize("edit,command,code", [
     (_plastic_tau, "check", 1),
     (_set("lattice", "nx", 1), "simulate", 2),
@@ -300,12 +321,145 @@ def _plastic_tau(doc):
     (_set("run", "momenta", []), "converge", 2),
     (_set("run", "steps", -1), "simulate", 2),
     (_initial_kx("abc"), "simulate", 2),
+    (_initial_kx(float("inf")), "simulate", 2),
+    (_set("run", "t_final", float("inf")), "converge", 2),
+    (_set("run", "t_final", -1e308), "converge", 2),
+    (_plastic(_set("run", "momenta", [[1.0]])), "converge", 2),
+    (_root("run", []), "check", 2),
+    (_root("lattice", 5), "simulate", 2),
+    (_root("seed", -1), "simulate", 2),
+    (_set("run", "l_index", 10 ** 400), "check", 2),
+    (_set("walk", "tau", 10 ** 400), "check", 2),
+    (_coin_angle(10 ** 400), "check", 2),
+    (_set("walk", "delta_spatial", float("nan")), "dispersion", 2),
+    (_overflowing_coin, "dispersion", 1),
+    (_set("run", "eps_list", [1e308, 1e-3, 1e-4]), "converge", 1),
+    (_set("walk", "delta_spatial", float("inf")), "dispersion", 1),
+    (_plastic(_set("run", "momenta", [[float("inf"), 0.0]])), "converge", 1),
+    (_plastic(_fiftieths), "check", 1),
+    (_plastic(_fiftieths), "pde", 1),
+    (_plastic(_fiftieths), "terms", 1),
 ], ids=["plastic-tau-4", "nx-1", "ny-0", "grid-0", "eps-negative", "eps-zero",
         "eps_list-two", "eps_list-zero-entry", "momenta-empty", "steps-negative",
-        "initial-kx-abc"])
+        "initial-kx-abc", "initial-kx-inf", "t_final-inf", "t_final-huge-negative",
+        "momenta-short", "run-list", "lattice-int", "seed-negative", "l_index-huge", "tau-huge", "coin-angle-huge", "delta_spatial-nan",
+        "coin-overflow-nan-phases", "eps_list-huge", "delta_spatial-inf",
+        "plastic-momenta-inf", "budget-check", "budget-pde", "budget-terms"])
 def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command, code):
     doc = time_doc()
     edit(doc)
     assert main(["--config", write_config(tmp_path, doc), command]) == code
     err = capsys.readouterr().err
-    assert err.strip() and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path, time_doc())
+    out = str(tmp_path / "missing-dir" / "out.json")
+    assert main(["--config", path, "--output", out, "check"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("check: cannot write output: ") and "Traceback" not in err
+
+
+def test_negative_seed_flag_is_checked_on_load(tmp_path, capsys):
+    path = write_config(tmp_path, time_doc())
+    assert main(["--config", path, "--seed", "-1", "simulate"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing config documents: every command ends in exit 0, 1 or 2, promptly
+
+COMMANDS = ("check", "hamiltonian", "pde", "simulate", "converge", "dispersion", "terms")
+DELETE = object()
+JUNK = st.sampled_from([None, "abc", [], {}, True, "1/0", [1, 2]])
+FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -1.0,
+                          5e-324, 1e-300]) | st.floats(-10, 10)
+INTS = st.sampled_from([10 ** 400, -10 ** 400, -1, 0, 1, 2, 3, 4])
+RATIONALS = st.builds("{}/{}".format, st.integers(-1, 61), st.integers(0, 60))
+NUMBERS = st.one_of(FLOATS, FLOATS, FLOATS, INTS, JUNK)  # mostly numbers that parse
+# size keys stay small: a huge lattice or grid is slow, not wrong
+SIZES = st.integers(-2, 12) | JUNK | st.sampled_from([math.nan, math.inf, 2.5])
+COIN_KEYS = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
+
+
+def _edit(path, values):
+    return st.tuples(st.just(path), values).map(lambda edit: [edit])
+
+
+def _exponents():
+    """a, and b on both coins (plastic mode needs one b), denominators up to 60."""
+    return st.tuples(RATIONALS, RATIONALS).map(lambda ab: [
+        (("walk", "a"), ab[0]), (("walk", "coin_x", "b"), ab[1]),
+        (("walk", "coin_y", "b"), ab[1])])
+
+
+EDITS = st.one_of(
+    [_edit(("lattice", k), SIZES) for k in ("nx", "ny")]
+    + [_edit(("run", k), SIZES) for k in ("grid", "steps")]
+    + [_edit(("run", k), NUMBERS) for k in ("t_final", "eps", "l_index")]
+    + [_edit(("walk", k), NUMBERS | RATIONALS) for k in ("tau", "a", "delta_spatial")]
+    + [_edit(("walk", c, k), NUMBERS) for c in ("coin_x", "coin_y") for k in COIN_KEYS]
+    + [_edit(("walk", c, "b"), RATIONALS | NUMBERS) for c in ("coin_x", "coin_y")]
+    + [_exponents(),
+       _edit(("walk", "mode"), st.sampled_from(["time", "plastic", "both"]) | JUNK),
+       _edit(("run", "eps_list"), st.lists(FLOATS, max_size=6) | NUMBERS),
+       _edit(("run", "momenta"), st.lists(st.lists(FLOATS, max_size=3) | JUNK, max_size=4)
+             | NUMBERS),
+       _edit(("run", "initial"), st.sampled_from(
+           [{"type": "delta"}, {"type": "random"}, {"type": "plane_wave", "kx": 1e308},
+            {"type": "spiral"}, {"kx": "abc"}]) | JUNK),
+       _edit(("seed",), NUMBERS)]
+    + [_edit(path, JUNK) for path in ((), ("walk",), ("walk", "coin_x"), ("lattice",), ("run",))]
+    + [st.sampled_from([("walk",), ("walk", "mode"), ("walk", "coin_y"),
+                        ("walk", "coin_x", "theta0"), ("walk", "tau"), ("lattice",), ("run",),
+                        ("run", "eps_list"), ("seed",)]).map(lambda path: [(path, DELETE)])])
+
+
+def _apply(doc, path, value):
+    if value is not DELETE:
+        value = copy.deepcopy(value)  # strategies may hand out one object many times
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        if not isinstance(node, dict) or not isinstance(node.get(key), dict):
+            return doc  # an earlier edit replaced this section
+        node = node[key]
+    if isinstance(node, dict):
+        if value is DELETE:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    return doc
+
+
+def _non_real_calibration(exc):
+    # known defect (ROADMAP item 4): the Richardson calibration of pde can come out
+    # non-real and escape as this RuntimeError; it is not filtered out of the inputs
+    return type(exc) is RuntimeError and str(exc).startswith(
+        "calibration constant came out non-real: ")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["time", "plastic"]), st.lists(EDITS, min_size=1, max_size=4))
+def test_config_fuzz_exits_with_a_code(tmp_path_factory, base, edits):
+    doc = time_doc() if base == "time" else plastic_doc(np.random.default_rng(12))
+    for edit in edits:
+        for path, value in edit:
+            doc = _apply(doc, path, value)
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(doc))
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    np.errstate(all="ignore"):
+                code = main(["--config", str(path), command])
+        except RuntimeError as exc:
+            assert _non_real_calibration(exc), (command, doc)
+            continue
+        assert code in (0, 1, 2), (command, doc)
+        assert "Traceback" not in err.getvalue(), (command, doc)
+        assert time.perf_counter() - start < 10.0, (command, doc)

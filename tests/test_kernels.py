@@ -105,9 +105,7 @@ def test_overflowing_entries_follow_numpy(m):
         assert is_hermitian(m) == is_hermitian(m[None]) == bool(np.allclose(m, m.conj().T))
 
 
-@pytest.mark.parametrize("m", OVERFLOWING[:2] + [pytest.param(OVERFLOWING[2], marks=pytest.mark.xfail(
-    strict=True, reason="apply_coin tests defect > tol, which a NaN defect passes"))],
-    ids=OVERFLOWING_IDS)
+@pytest.mark.parametrize("m", OVERFLOWING, ids=OVERFLOWING_IDS)
 def test_apply_coin_rejects_overflowing_coin(m):
     field = lattice.SpinorField.random(4, 4, np.random.default_rng(0))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="unitary"):

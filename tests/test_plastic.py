@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -11,7 +12,7 @@ from plasticwalk import (
 )
 from plasticwalk.mat2 import ID2, is_hermitian, op_norm, rot
 from plasticwalk.plastic import (
-    TermIndex, _grouped_sums, cross_term_report, gamma_hat, transport_commutator,
+    TUPLE_BUDGET, TermIndex, _grouped_sums, cross_term_report, gamma_hat, transport_commutator,
 )
 
 from conftest import (
@@ -150,6 +151,27 @@ def test_enumerate_a_zero_cases():
     assert enumerate_terms(Fraction(0), Fraction(2, 3)) == []
     with pytest.raises(ValueError):
         enumerate_terms(Fraction(0), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("a,b", [(HALF, HALF), (Fraction(1, 3), Fraction(2, 3)),
+                                 (Fraction(1, 4), Fraction(1, 3)), (Fraction(1, 5), Fraction(2, 5)),
+                                 (Fraction(2, 3), Fraction(3, 4)), (Fraction(1), Fraction(1))])
+def test_order_one_terms_is_the_enumerated_count(rng, a, b):
+    """The gate counts its order-1 tuples in closed form; the enumeration is the oracle."""
+    report = check_spacetime_limit(draw_plastic_compliant(rng), a, b)
+    assert report["exponents_rational"].witness["order_one_terms"] == len(enumerate_terms(a, b))
+
+
+def test_tuple_budget_stops_enumeration_early(rng):
+    tiny = Fraction(1, 50)  # about 1.7e9 tuples of order at most 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="work budget"):
+        enumerate_terms(tiny, tiny)
+    with pytest.raises(ValueError, match="work budget"):
+        _grouped_sums(draw_plastic_compliant(rng), tiny, tiny, lambda f: f < 1)
+    assert time.perf_counter() - start < 1.0
+    eighth = Fraction(1, 8)  # the largest term set at denominators up to 8 fits
+    assert len(enumerate_terms(eighth, eighth)) == comb(15, 7) < TUPLE_BUDGET
 
 
 # ----------------------------------------------------------------- divergence
