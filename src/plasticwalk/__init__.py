@@ -7,7 +7,7 @@ closed forms against brute-force matrix oracles and convergence
 experiments.
 """
 
-from .coins import CoinJet, WalkConfig, coin_at, shift_symbol, walk_k
+from .coins import CoinJet, WalkConfig, coin_at, walk_k
 from .lattice import SpinorField
 from .timelimit import ConstraintReport, HamiltonianTerm, check_time_limit, time_hamiltonian
 from .plastic import (
@@ -28,7 +28,6 @@ __all__ = [
     "CoinJet",
     "WalkConfig",
     "coin_at",
-    "shift_symbol",
     "walk_k",
     "SpinorField",
     "ConstraintReport",

@@ -1,4 +1,4 @@
-"""Coin jets, the Fourier-space walk operator, and its first-order expansion.
+"""Coin jets and the Fourier-space walk operator.
 
 A coin is the U(2) matrix
 
@@ -25,15 +25,13 @@ from fractions import Fraction
 import numpy as np
 from numpy.typing import NDArray
 
-from .mat2 import SY, SZ, diag_mul, mul2, rot
+from .mat2 import diag_mul, mul2, rot
 
 __all__ = [
     "CoinJet",
     "WalkConfig",
     "coin_at",
-    "shift_symbol",
     "walk_k",
-    "first_order_blocks",
 ]
 
 _MODES = ("time", "plastic")
@@ -135,15 +133,6 @@ def coin_at(jet: CoinJet, eps: float) -> NDArray[np.complex128]:
     return np.exp(1j * jet.delta) * (rot("z", zeta) @ rot("y", theta) @ rot("z", phi))
 
 
-def shift_symbol(k, delta_spatial: float = 1.0) -> NDArray[np.complex128]:
-    """Fourier symbol e^{i k Delta sigma_z} of the spin-dependent shift.
-
-    Equals rot('z', -2 k Delta); diagonal and unitary.  ``k`` may be an
-    array, giving a (..., 2, 2) stack.
-    """
-    return rot("z", -2.0 * np.asarray(k, dtype=np.float64) * delta_spatial)
-
-
 def walk_k(cfg: WalkConfig, kx, ky, eps: float) -> NDArray[np.complex128]:
     """One-step walk symbol W(k) = S_x(kx) C_x(eps) S_y(ky) C_y(eps).
 
@@ -155,22 +144,3 @@ def walk_k(cfg: WalkConfig, kx, ky, eps: float) -> NDArray[np.complex128]:
     sy = np.exp(1j * np.asarray(ky, dtype=np.float64) * spacing)
     return mul2(diag_mul(sx, coin_at(cfg.coin_x, eps)), diag_mul(sy, coin_at(cfg.coin_y, eps)))
 
-
-def first_order_blocks(jet: CoinJet, k) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Zeroth/first expansion blocks (A_j, B_j) of one shift-coin factor.
-
-    With zeta' = zeta0 - 2k,
-
-        A = rot('z', zeta') rot('y', theta0) rot('z', phi0)
-        B = zeta1 sz A  +  theta1 sy rot('z', -2 zeta') A  +  phi1 A sz
-
-    so that S(k) C(eps) = e^{i delta} (A - i eps B / 2) + O(eps^2).
-    Time-mode jets only.  ``k`` may be an array.
-    """
-    if jet.mode != "time":
-        raise ValueError("first_order_blocks applies to time-mode jets only")
-    k = np.asarray(k, dtype=np.float64)
-    zp = jet.zeta0 - 2.0 * k
-    a = rot("z", zp) @ rot("y", jet.theta0) @ rot("z", jet.phi0)
-    b = jet.zeta1 * (SZ @ a) + jet.theta1 * (SY @ rot("z", -2.0 * zp) @ a) + jet.phi1 * (a @ SZ)
-    return a, b

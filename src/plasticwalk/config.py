@@ -1,4 +1,4 @@
-"""Experiment configuration: a single JSON document, exact round-trip.
+"""Experiment configuration: a single JSON document, parsed and checked once.
 
 One section per subsystem:
 
@@ -25,14 +25,13 @@ One section per subsystem:
 ``from_dict`` only parses; an absent key keeps its dataclass default.
 Ranges are checked in ``ExperimentConfig.__post_init__``, so a config
 changed with ``dataclasses.replace`` is checked too: nx, ny >= 2, grid >= 1,
-steps >= 0, eps > 0, at least three eps_list entries, all > 0, t_final >= 0
+steps >= 0, eps > 0, at least three distinct eps_list entries, all > 0, t_final >= 0
 with t_final / eps finite, at least one momentum, tau and |l_index| at most
 2**53, seed >= 0, finite initial kx and ky, and a known initial type.
 Unknown sections, such as an "output" section, are ignored.
 
 Exponents are rationals written as "p/q" strings so the exact matching
-in the term enumerator never sees a float.  Emission is canonical
-(sorted keys), so parse -> emit round-trips byte-identically.
+in the term enumerator never sees a float.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from fractions import Fraction
 
 from .coins import CoinJet, WalkConfig
 
-__all__ = ["ExperimentConfig", "ConfigError", "parse_rational", "format_rational"]
+__all__ = ["ExperimentConfig", "ConfigError", "parse_rational"]
 
 
 class ConfigError(ValueError):
@@ -62,10 +61,6 @@ def parse_rational(text) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad rational {text!r}: {exc}") from None
     return frac
-
-
-def format_rational(frac: Fraction) -> str:
-    return f"{frac.numerator}/{frac.denominator}"
 
 
 _COIN_KEYS = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
@@ -119,12 +114,6 @@ _SECTIONS = {
 }
 
 
-def _coin_to_dict(jet: CoinJet) -> dict:
-    out = {k: float(getattr(jet, k)) for k in _COIN_KEYS}
-    out["b"] = format_rational(jet.b_exp)
-    return out
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     walk: WalkConfig
@@ -146,8 +135,9 @@ class ExperimentConfig:
         _require(self.grid >= 1, f"run.grid must be >= 1, got {self.grid}")
         _require(self.steps >= 0, f"run.steps must be >= 0, got {self.steps}")
         _require(self.eps > 0, f"run.eps must be > 0, got {self.eps}")
-        _require(len(self.eps_list) >= 3 and all(e > 0 for e in self.eps_list),
-                 f"run.eps_list needs at least 3 entries, all > 0, got {list(self.eps_list)}")
+        _require(len(set(self.eps_list)) >= 3 and all(e > 0 for e in self.eps_list),
+                 f"run.eps_list needs at least 3 distinct entries, all > 0, "
+                 f"got {list(self.eps_list)}")
         _require(self.t_final >= 0 and math.isfinite(self.t_final / min(self.eps_list)),
                  f"run.t_final must be >= 0 with t_final / eps finite, got {self.t_final}")
         _require(len(self.momenta) > 0, "run.momenta must not be empty")
@@ -187,31 +177,6 @@ class ExperimentConfig:
             raise ConfigError(f"bad config value: {exc}") from None
         return ExperimentConfig(walk=walk, **values)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "walk": {
-                "mode": self.walk.mode,
-                "tau": self.walk.tau,
-                "a": format_rational(self.walk.a_exp),
-                "delta_spatial": self.walk.delta_spatial,
-                "coin_x": _coin_to_dict(self.walk.coin_x),
-                "coin_y": _coin_to_dict(self.walk.coin_y),
-            },
-            "lattice": {"nx": self.nx, "ny": self.ny},
-            "run": {
-                "t_final": self.t_final,
-                "eps": self.eps,
-                "eps_list": list(self.eps_list),
-                "grid": self.grid,
-                "steps": self.steps,
-                "momenta": [list(m) for m in self.momenta],
-                "l_index": self.l_index,
-                "initial": dict(self.initial),
-            },
-            "seed": self.seed,
-        }
-
     @staticmethod
     def load(path) -> "ExperimentConfig":
         try:
@@ -222,6 +187,3 @@ class ExperimentConfig:
         except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         return ExperimentConfig.from_dict(doc)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

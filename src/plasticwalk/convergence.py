@@ -52,14 +52,14 @@ class ConvergenceResult:
 def fit_order(samples: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
     """Least-squares slope/intercept/r^2 of log(error) against log(eps).
 
-    Needs at least three samples with strictly positive errors; an exact
-    zero means the caller hit the floating floor and should report that
-    instead of fitting.
+    Needs samples at three or more distinct eps values, with strictly
+    positive errors; an exact zero means the caller hit the floating floor
+    and should report that instead of fitting.
     """
-    if len(samples) < 3:
-        raise ValueError("need at least 3 samples to fit an order")
     eps = np.array([s[0] for s in samples], dtype=np.float64)
     err = np.array([s[1] for s in samples], dtype=np.float64)
+    if len(np.unique(eps)) < 3:
+        raise ValueError("need samples at 3 distinct eps values to fit an order")
     if np.any(err <= 0.0):
         raise ValueError("nonpositive error values: agreement is below the floating floor")
     x = np.log(eps)

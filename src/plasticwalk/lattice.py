@@ -8,9 +8,8 @@ The spin-dependent shift moves the L component against the axis index and
 the R component along it: output L at l reads input L at l+1 (x axis),
 output R at l reads input R at l-1.
 
-Fourier conventions (matching numpy's fft): forward kernel
-e^{-i(kx l + ky m)} unnormalized, inverse carries 1/(Nx Ny); discrete
-momenta 2 pi j / N mapped to (-pi, pi].
+Discrete momenta follow numpy's fft order: 2 pi j / N mapped to
+(-pi, pi].
 
 File formats
 ------------
@@ -30,17 +29,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import WalkConfig, coin_at
-from .mat2 import exp_herm, unitarity_defect
+from .mat2 import unitarity_defect
 
 __all__ = [
     "SpinorField",
     "shift",
     "apply_coin",
-    "apply_shift_word",
     "step",
-    "dft",
-    "idft",
-    "evolve_by_symbol",
     "momentum_grid",
     "save_csv",
     "load_csv",
@@ -116,13 +111,6 @@ def apply_coin(field: SpinorField, c: NDArray[np.complex128]) -> SpinorField:
     return SpinorField(np.einsum("ab,bxy->axy", c, field.data))
 
 
-def apply_shift_word(field: SpinorField, px: int, py: int) -> SpinorField:
-    """Apply the shift word S_x^px S_y^py (negative powers are inverses)."""
-    l_part = np.roll(np.roll(field.data[0], -px, axis=0), -py, axis=1)
-    r_part = np.roll(np.roll(field.data[1], +px, axis=0), +py, axis=1)
-    return SpinorField(np.stack([l_part, r_part]))
-
-
 def step(field: SpinorField, cfg: WalkConfig, eps: float) -> SpinorField:
     """One walk step W = V_x V_y (the y factor acts first)."""
     out = apply_coin(field, coin_at(cfg.coin_y, eps))
@@ -132,16 +120,6 @@ def step(field: SpinorField, cfg: WalkConfig, eps: float) -> SpinorField:
     return out
 
 
-def dft(field: SpinorField) -> NDArray[np.complex128]:
-    """Componentwise 2D DFT, unnormalized forward kernel e^{-i k.x}."""
-    return np.fft.fft2(field.data, axes=(1, 2))
-
-
-def idft(fhat: NDArray[np.complex128]) -> SpinorField:
-    """Inverse of :func:`dft` (carries the 1/(Nx Ny) factor)."""
-    return SpinorField(np.fft.ifft2(np.asarray(fhat, dtype=np.complex128), axes=(1, 2)))
-
-
 def momentum_grid(nx: int, ny: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Discrete momenta 2 pi j / N mapped to (-pi, pi], as broadcastable grids."""
     kx = 2.0 * np.pi * np.fft.fftfreq(nx)
@@ -149,31 +127,6 @@ def momentum_grid(nx: int, ny: int) -> tuple[NDArray[np.float64], NDArray[np.flo
     kx = np.where(kx <= -np.pi + 1e-15, kx + 2.0 * np.pi, kx)
     ky = np.where(ky <= -np.pi + 1e-15, ky + 2.0 * np.pi, ky)
     return kx[:, None], ky[None, :]
-
-
-def evolve_by_symbol(field: SpinorField, symbol, t: float,
-                     generator: bool = False) -> SpinorField:
-    """Evolve by a momentum-space 2x2 symbol.
-
-    symbol(kx, ky) must accept broadcastable momentum grids and return a
-    (..., 2, 2) stack.  With ``generator=False`` the symbol is a
-    Hamiltonian H(k) (Hermitian, checked) and the evolution is
-    e^{-i H t}; with ``generator=True`` the symbol G(k) is the d/dt
-    generator and the evolution is e^{G t} (G must be anti-Hermitian,
-    checked, so the evolution stays unitary).
-    """
-    nx, ny = field.shape
-    kx, ky = momentum_grid(nx, ny)
-    sym = np.asarray(symbol(kx, ky), dtype=np.complex128)
-    sym = np.broadcast_to(sym, (nx, ny, 2, 2))
-    if generator:
-        h = 1j * sym  # anti-Hermitian G => Hermitian iG, e^{G t} = e^{-i (iG) t}
-    else:
-        h = sym
-    u = exp_herm(h, t)
-    fhat = dft(field)
-    out = np.einsum("xyab,bxy->axy", u, fhat)
-    return idft(out)
 
 
 def save_csv(field: SpinorField, path) -> None:

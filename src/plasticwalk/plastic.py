@@ -26,8 +26,7 @@ from numpy.typing import NDArray
 
 from .coins import WalkConfig, walk_k
 from .mat2 import SY, SZ, op_norm, rot
-from .timelimit import (ANGLE_TOL, Condition, ConstraintReport, _delta_quantization,
-                        _theta_branch)
+from .timelimit import Condition, ConstraintReport, _delta_quantization, _theta_branch
 from ._util import flat2
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "check_spacetime_limit",
     "spacetime_hamiltonian",
     "half_half_pde",
-    "transport_commutator",
-    "cross_term_report",
 ]
 
 # Most index tuples one enumeration may visit: 15x the largest count over the
@@ -71,9 +68,6 @@ class TermIndex(NamedTuple):
     @property
     def sum_n(self) -> int:
         return self.n1x + self.n1y + self.n2x + self.n2y
-
-    def order(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * self.sum_l + b * self.sum_n
 
     @property
     def first(self) -> tuple[int, int, int, int]:
@@ -261,7 +255,7 @@ def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction) -> tuple[floa
 
 
 def check_spacetime_limit(cfg: WalkConfig, a: Fraction, b: Fraction,
-                          l: int = 0, tol: float = ANGLE_TOL) -> ConstraintReport:
+                          l: int = 0) -> ConstraintReport:
     """Gate for the joint continuous-time + continuous-spacetime limit.
 
     Four conditions: the theta0 branch with nu = 0 (2 pi m / 2 pi t + pi),
@@ -283,7 +277,7 @@ def check_spacetime_limit(cfg: WalkConfig, a: Fraction, b: Fraction,
                       "b_num": b.numerator, "b_den": b.denominator,
                       "order_one_terms": n_terms})
     residual = divergence_residual(cfg, a, b)[0] if n_terms else 1.0
-    conds = (_theta_branch(cfg, (0,), tol), _delta_quantization(cfg, l, tol), expo,
+    conds = (_theta_branch(cfg, (0,)), _delta_quantization(cfg, l), expo,
              Condition("no_divergence", residual <= 1e-10, residual))
     return ConstraintReport(all(c.satisfied for c in conds), conds)
 
@@ -340,15 +334,6 @@ class PdeAssembly:
     def hamiltonian(self, kx, ky) -> NDArray[np.complex128]:
         """H(k) = i G(k), the Hermitian generator of i d/dt Psi = H Psi."""
         return 1j * self.generator(kx, ky)
-
-    def derivative_coefficient(self, dx: int, dy: int) -> NDArray[np.complex128]:
-        """Bare matrix multiplying d_x^dx d_y^dy with theta1 powers folded in."""
-        out = np.zeros((2, 2), dtype=np.complex128)
-        for term in self.terms:
-            if term.dx_power == dx and term.dy_power == dy:
-                out = out + (self.theta1x ** term.thx_power) \
-                    * (self.theta1y ** term.thy_power) * term.coeff
-        return out
 
     def to_dict(self) -> dict:
         return {
@@ -429,7 +414,7 @@ def half_half_pde(cfg: WalkConfig) -> tuple[NDArray[np.complex128], NDArray[np.c
         Py = i thx sz sy Rz(-2 (phi_x + zeta_y - phi_y)) + i thy sz sy Rz(-2 u)
 
     where u = zeta_x + zeta_y + phi_x.  Both are Hermitian and, on the
-    constraint shell, commute (see :func:`transport_commutator`).
+    constraint shell, commute.
     """
     half = Fraction(1, 2)
     check_spacetime_limit(cfg, half, half).require("a=b=1/2 gate")
@@ -440,39 +425,3 @@ def half_half_pde(cfg: WalkConfig) -> tuple[NDArray[np.complex128], NDArray[np.c
     py = 1j * thx * SZ @ SY @ rot("z", -2.0 * (phx + zy - phy)) + 1j * thy * SZ @ SY @ rot("z", -2.0 * u)
     return px, py
 
-
-def transport_commutator(cfg: WalkConfig) -> NDArray[np.complex128]:
-    """[Px, Py] in closed form: -2i (thx^2 sin(a2-a1) + thx thy (sin a2 - sin a1)) sz.
-
-    Vanishes identically when a1 = phi_x + zeta_y and a2 = phi_y + zeta_x
-    are the integer-pi values the divergence gate enforces.
-    """
-    zx, _, phx, zy, _, phy = _angles(cfg)
-    thx, thy = cfg.coin_x.theta1, cfg.coin_y.theta1
-    a1, a2 = phx + zy, phy + zx
-    scalar = thx * thx * np.sin(a2 - a1) + thx * thy * (np.sin(a2) - np.sin(a1))
-    return -2j * scalar * SZ
-
-
-def cross_term_report(cfg: WalkConfig) -> dict:
-    """Cancellation test for the mixed-derivative words.
-
-    Sums the four J words (index patterns 1100, 1001, 0110, 0011) whose
-    vanishing removes every d_x d_y term from the limit, and reports the
-    norm of the sum.
-    """
-    _, thx0, _, _, thy0, _ = _angles(cfg)
-    a1 = cfg.coin_x.phi0 + cfg.coin_y.zeta0
-    a2 = cfg.coin_y.phi0 + cfg.coin_x.zeta0
-
-    def j_word(l1x, l1y, l2x, l2y):
-        s1 = (-1.0) ** (l1y + l2x + l2y)
-        s2 = (-1.0) ** (l2x + l2y)
-        s3 = (-1.0) ** l2y
-        return rot("y", s1 * thx0) @ rot("z", a1) @ rot("y", s2 * thy0) \
-            @ rot("z", a2) @ rot("y", s3 * thx0)
-
-    total = (j_word(1, 1, 0, 0) + j_word(1, 0, 0, 1)
-             + j_word(0, 1, 1, 0) + j_word(0, 0, 1, 1))
-    residual = float(op_norm(total))
-    return {"cancels": residual <= 1e-12, "residual": residual}

@@ -1,24 +1,55 @@
 """Reference implementations that only the tests use.
 
-They stay here as oracles for the library's closed forms: a full 2x2
-eigendecomposition, the first-order expansion of W^tau, the
-zeroth-order constraint functions of the plastic walk, and the gufunc
-matmul forms of the elementwise 2x2 kernels (walk symbol, squaring,
-operator norm, unitarity defect, Hamiltonian symbol), with an
-extended-precision matrix power as the reference for both squarings.
+The package holds what the CLI runs; the steps of the derivation that
+no command needs stay here, as oracles for the library's closed forms:
+
+* the Fourier-space shift symbol and the first-order expansion blocks
+  (A, B) of one shift-coin factor, the first-order expansion of W^tau,
+  and the root-of-unity mechanism of the time limit (the constraint
+  function, the eigenvalues of the zeroth-order block, the odd-tau
+  obstruction);
+* the zeroth-order constraint functions of the plastic walk, the
+  commutator [Px, Py] of the a = b = 1/2 transport matrices and the
+  cancellation of the mixed-derivative words;
+* real-space shift words, the componentwise DFT and evolution by a
+  momentum-space symbol;
+* a full 2x2 eigendecomposition, the unitarity and Hermiticity
+  predicates, and the gufunc matmul forms of the elementwise 2x2
+  kernels (walk symbol, squaring, operator norm, unitarity defect,
+  Hamiltonian symbol), with an extended-precision matrix power as the
+  reference for both squarings;
+* plain-function views of library results: a report's integer
+  witnesses, a term's order and an assembly's derivative coefficients.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from plasticwalk.coins import WalkConfig, coin_at, first_order_blocks, shift_symbol
-from plasticwalk.mat2 import ID2, dag, eigvals2, op_norm
-from plasticwalk.plastic import gamma_hat
+from plasticwalk.coins import CoinJet, WalkConfig, coin_at
+from plasticwalk.lattice import SpinorField, momentum_grid
+from plasticwalk.mat2 import ID2, SY, SZ, dag, eigvals2, exp_herm, op_norm, rot, unitarity_defect
+from plasticwalk.plastic import PdeAssembly, TermIndex, _angles, gamma_hat
+from plasticwalk.timelimit import ConstraintReport
 from plasticwalk._util import stack_power
+
+
+# ----------------------------------------------------------------- 2x2 algebra
+
+
+def is_unitary(m: NDArray[np.complex128], tol: float = 1e-10) -> bool:
+    """True when every slice satisfies M^dag M = I within tol."""
+    return bool(np.all(unitarity_defect(m) <= tol))
+
+
+def is_hermitian(m: NDArray[np.complex128], tol: float = 1e-10) -> bool:
+    """True when every slice satisfies M = M^dag within tol."""
+    m = np.asarray(m, dtype=np.complex128)
+    return bool(np.all(op_norm(m - dag(m)) <= tol))
 
 
 class Eig2Result(NamedTuple):
@@ -89,6 +120,80 @@ def eig2(m: NDArray[np.complex128], assume: str = "general",
     return Eig2Result(lam, vectors, degenerate, defective)
 
 
+# ----------------------------------------------------------- continuous time
+
+
+def shift_symbol(k, delta_spatial: float = 1.0) -> NDArray[np.complex128]:
+    """Fourier symbol e^{i k Delta sigma_z} of the spin-dependent shift.
+
+    Equals rot('z', -2 k Delta); diagonal and unitary.  ``k`` may be an
+    array, giving a (..., 2, 2) stack.
+    """
+    return rot("z", -2.0 * np.asarray(k, dtype=np.float64) * delta_spatial)
+
+
+def first_order_blocks(jet: CoinJet, k) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """Zeroth/first expansion blocks (A_j, B_j) of one shift-coin factor.
+
+    With zeta' = zeta0 - 2k,
+
+        A = rot('z', zeta') rot('y', theta0) rot('z', phi0)
+        B = zeta1 sz A  +  theta1 sy rot('z', -2 zeta') A  +  phi1 A sz
+
+    so that S(k) C(eps) = e^{i delta} (A - i eps B / 2) + O(eps^2).
+    Time-mode jets only.  ``k`` may be an array.
+    """
+    if jet.mode != "time":
+        raise ValueError("first_order_blocks applies to time-mode jets only")
+    k = np.asarray(k, dtype=np.float64)
+    zp = jet.zeta0 - 2.0 * k
+    a = rot("z", zp) @ rot("y", jet.theta0) @ rot("z", jet.phi0)
+    b = jet.zeta1 * (SZ @ a) + jet.theta1 * (SY @ rot("z", -2.0 * zp) @ a) + jet.phi1 * (a @ SZ)
+    return a, b
+
+
+def constraint_f(cfg: WalkConfig, kx, ky, l: int = 0):
+    """Root-of-unity constraint function; identically zero on compliant configs.
+
+    f = W1 cos(g) - W2 cos(h) - c with
+    W1 = cos(theta0x/2) cos(theta0y/2), W2 = sin(theta0x/2) sin(theta0y/2),
+    g = (phi0x + phi0y + zeta'0x + zeta'0y)/2,
+    h = (phi0y - phi0x + zeta'0x - zeta'0y)/2, c = cos(2 pi l / tau - delta).
+    """
+    jx, jy = cfg.coin_x, cfg.coin_y
+    kx = np.asarray(kx, dtype=np.float64)
+    ky = np.asarray(ky, dtype=np.float64)
+    zpx = jx.zeta0 - 2.0 * kx
+    zpy = jy.zeta0 - 2.0 * ky
+    w1 = np.cos(jx.theta0 / 2.0) * np.cos(jy.theta0 / 2.0)
+    w2 = np.sin(jx.theta0 / 2.0) * np.sin(jy.theta0 / 2.0)
+    g = 0.5 * (jx.phi0 + jy.phi0 + zpx + zpy)
+    h = 0.5 * (jy.phi0 - jx.phi0 + zpx - zpy)
+    c = np.cos(2.0 * np.pi * l / cfg.tau - cfg.delta_sum)
+    return w1 * np.cos(g) - w2 * np.cos(h) - c
+
+
+def walk_block(cfg: WalkConfig, kx, ky) -> NDArray[np.complex128]:
+    """The zeroth-order block e^{i delta} A(k) with A = A_x A_y."""
+    ax, _ = first_order_blocks(cfg.coin_x, kx)
+    ay, _ = first_order_blocks(cfg.coin_y, ky)
+    return np.exp(1j * cfg.delta_sum) * (ax @ ay)
+
+
+def roots_of_unity_residual(cfg: WalkConfig, kx, ky) -> float:
+    """max over the grid of |lambda^tau - 1| for eigenvalues of e^{i delta} A."""
+    lam = eigvals2(walk_block(cfg, kx, ky))
+    return float(np.max(np.abs(lam ** cfg.tau - 1.0)))
+
+
+def odd_tau_gap(cfg: WalkConfig, tau_odd: int, kx, ky) -> float:
+    """max over the grid of ||(e^{i delta} A)^tau - I|| for odd tau."""
+    if tau_odd % 2 == 0:
+        raise ValueError("tau_odd must be odd")
+    block = stack_power(walk_block(cfg, kx, ky), tau_odd)
+    return float(np.max(op_norm(block - np.eye(2))))
+
+
 def walk_power_expansion(cfg: WalkConfig, kx, ky) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
     """Zeroth- and first-order coefficients of W(k)^tau in eps.
 
@@ -120,6 +225,9 @@ def walk_power_expansion(cfg: WalkConfig, kx, ky) -> tuple[NDArray[np.complex128
     return zeroth, first
 
 
+# ------------------------------------------------------- continuous spacetime
+
+
 def zeroth_order_residual(cfg: WalkConfig) -> float:
     """|| e^{2 i delta} Gamma_0000^2 - I ||, the zeroth-order gate."""
     g0 = gamma_hat(cfg, 0, 0, 0, 0)
@@ -135,6 +243,117 @@ def constraint_f2(cfg: WalkConfig, l: int = 0) -> float:
     c = np.cos(2.0 * np.pi * l / cfg.tau - cfg.delta_sum)
     return float(w1 * np.cos((phx + phy + zx + zy) / 2.0)
                  - w2 * np.cos((phy - phx + zx - zy) / 2.0) - c)
+
+
+def transport_commutator(cfg: WalkConfig) -> NDArray[np.complex128]:
+    """[Px, Py] in closed form: -2i (thx^2 sin(a2-a1) + thx thy (sin a2 - sin a1)) sz.
+
+    Vanishes identically when a1 = phi_x + zeta_y and a2 = phi_y + zeta_x
+    are the integer-pi values the divergence gate enforces.
+    """
+    zx, _, phx, zy, _, phy = _angles(cfg)
+    thx, thy = cfg.coin_x.theta1, cfg.coin_y.theta1
+    a1, a2 = phx + zy, phy + zx
+    scalar = thx * thx * np.sin(a2 - a1) + thx * thy * (np.sin(a2) - np.sin(a1))
+    return -2j * scalar * SZ
+
+
+def cross_term_report(cfg: WalkConfig) -> dict:
+    """Cancellation test for the mixed-derivative words.
+
+    Sums the four J words (index patterns 1100, 1001, 0110, 0011) whose
+    vanishing removes every d_x d_y term from the limit, and reports the
+    norm of the sum.
+    """
+    _, thx0, _, _, thy0, _ = _angles(cfg)
+    a1 = cfg.coin_x.phi0 + cfg.coin_y.zeta0
+    a2 = cfg.coin_y.phi0 + cfg.coin_x.zeta0
+
+    def j_word(l1x, l1y, l2x, l2y):
+        s1 = (-1.0) ** (l1y + l2x + l2y)
+        s2 = (-1.0) ** (l2x + l2y)
+        s3 = (-1.0) ** l2y
+        return rot("y", s1 * thx0) @ rot("z", a1) @ rot("y", s2 * thy0) \
+            @ rot("z", a2) @ rot("y", s3 * thx0)
+
+    total = (j_word(1, 1, 0, 0) + j_word(1, 0, 0, 1)
+             + j_word(0, 1, 1, 0) + j_word(0, 0, 1, 1))
+    residual = float(op_norm(total))
+    return {"cancels": residual <= 1e-12, "residual": residual}
+
+
+# ----------------------------------------------------------------- real space
+
+
+def apply_shift_word(field: SpinorField, px: int, py: int) -> SpinorField:
+    """Apply the shift word S_x^px S_y^py (negative powers are inverses)."""
+    l_part = np.roll(np.roll(field.data[0], -px, axis=0), -py, axis=1)
+    r_part = np.roll(np.roll(field.data[1], +px, axis=0), +py, axis=1)
+    return SpinorField(np.stack([l_part, r_part]))
+
+
+def dft(field: SpinorField) -> NDArray[np.complex128]:
+    """Componentwise 2D DFT, unnormalized forward kernel e^{-i k.x}."""
+    return np.fft.fft2(field.data, axes=(1, 2))
+
+
+def idft(fhat: NDArray[np.complex128]) -> SpinorField:
+    """Inverse of :func:`dft` (carries the 1/(Nx Ny) factor)."""
+    return SpinorField(np.fft.ifft2(np.asarray(fhat, dtype=np.complex128), axes=(1, 2)))
+
+
+def evolve_by_symbol(field: SpinorField, symbol, t: float,
+                     generator: bool = False) -> SpinorField:
+    """Evolve by a momentum-space 2x2 symbol.
+
+    symbol(kx, ky) must accept broadcastable momentum grids and return a
+    (..., 2, 2) stack.  With ``generator=False`` the symbol is a
+    Hamiltonian H(k) (Hermitian, checked) and the evolution is
+    e^{-i H t}; with ``generator=True`` the symbol G(k) is the d/dt
+    generator and the evolution is e^{G t} (G must be anti-Hermitian,
+    checked, so the evolution stays unitary).
+    """
+    nx, ny = field.shape
+    kx, ky = momentum_grid(nx, ny)
+    sym = np.asarray(symbol(kx, ky), dtype=np.complex128)
+    sym = np.broadcast_to(sym, (nx, ny, 2, 2))
+    if generator:
+        h = 1j * sym  # anti-Hermitian G => Hermitian iG, e^{G t} = e^{-i (iG) t}
+    else:
+        h = sym
+    u = exp_herm(h, t)
+    fhat = dft(field)
+    out = np.einsum("xyab,bxy->axy", u, fhat)
+    return idft(out)
+
+
+# ------------------------------------------------------------ result views
+
+
+def witnesses(report: ConstraintReport) -> dict[str, int]:
+    """The integer witnesses of every condition of a report, merged."""
+    out: dict[str, int] = {}
+    for c in report.conditions:
+        out.update(c.witness)
+    return out
+
+
+def term_order(idx: TermIndex, a: Fraction, b: Fraction) -> Fraction:
+    """The eps order a * sum_l + b * sum_n of one index tuple."""
+    return a * idx.sum_l + b * idx.sum_n
+
+
+def derivative_coefficient(asm: PdeAssembly, dx: int, dy: int) -> NDArray[np.complex128]:
+    """Bare matrix multiplying d_x^dx d_y^dy with theta1 powers folded in."""
+    out = np.zeros((2, 2), dtype=np.complex128)
+    for term in asm.terms:
+        if term.dx_power == dx and term.dy_power == dy:
+            out = out + (asm.theta1x ** term.thx_power) \
+                * (asm.theta1y ** term.thy_power) * term.coeff
+    return out
+
+
+# ------------------------------------------------------------- matmul kernels
 
 
 def walk_k_matmul(cfg: WalkConfig, kx, ky, eps: float) -> NDArray[np.complex128]:

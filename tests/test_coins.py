@@ -5,12 +5,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plasticwalk import CoinJet, WalkConfig, coin_at, shift_symbol, walk_k
-from plasticwalk.coins import first_order_blocks
-from plasticwalk.mat2 import ID2, is_unitary, op_norm, rot
+from plasticwalk import CoinJet, WalkConfig, coin_at, walk_k
+from plasticwalk.mat2 import ID2, op_norm, rot
 
 from conftest import draw_time_compliant, draw_time_generic
-from oracles import walk_power_expansion
+from oracles import first_order_blocks, is_unitary, shift_symbol, walk_power_expansion
 
 
 @settings(max_examples=150, deadline=None)

@@ -46,6 +46,15 @@ def test_fit_order_rejects_bad_input():
         fit_order([(0.1, 1.0), (0.05, 0.0), (0.025, 0.1)])
 
 
+def test_fit_order_needs_three_distinct_eps():
+    with pytest.raises(ValueError, match="distinct"):
+        fit_order([(0.01, 0.3), (0.01, 0.3), (0.01, 0.3)])
+    with pytest.raises(ValueError, match="distinct"):
+        fit_order([(0.01, 0.3), (0.01, 0.2), (0.005, 0.1)])
+    slope, _, _ = fit_order([(0.01, 0.01), (0.01, 0.01), (0.005, 0.005), (0.0025, 0.0025)])
+    assert abs(slope - 1.0) <= 1e-10
+
+
 def test_time_convergence_slope_one(rng):
     kx, ky = _kgrid(9)
     eps_list = [2.0 ** -k for k in range(6, 13)]
@@ -154,7 +163,8 @@ def test_wavepacket_walk_matches_pde_evolution(rng):
     actual lattice walk at small eps approaches the spectral evolution
     under the calibrated generator, at the O(sqrt(eps)) rate."""
     from plasticwalk import SpinorField, spacetime_hamiltonian
-    from plasticwalk.lattice import evolve_by_symbol, step
+    from plasticwalk.lattice import step
+    from oracles import evolve_by_symbol
 
     cfg = draw_plastic_compliant(rng)
     asm = spacetime_hamiltonian(cfg, HALF, HALF)

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasticwalk import lattice, walk_k
-from plasticwalk.mat2 import is_hermitian, is_unitary, mul2, op_norm, rot, unitarity_defect
+from plasticwalk.mat2 import mul2, op_norm, rot, unitarity_defect
 from plasticwalk.timelimit import time_hamiltonian
 from plasticwalk._util import stack_power
 
 from conftest import draw_plastic_compliant, draw_time_compliant, draw_time_generic
 from oracles import (
-    op_norm_matmul, stack_power_matmul, time_symbol_matmul,
+    is_hermitian, is_unitary, op_norm_matmul, stack_power_matmul, time_symbol_matmul,
     unitarity_defect_matmul, walk_k_matmul,
 )
 

@@ -3,13 +3,13 @@ import pytest
 
 from plasticwalk import CoinJet, WalkConfig, SpinorField, walk_k
 from plasticwalk.lattice import (
-    apply_coin, apply_shift_word, dft, evolve_by_symbol, idft, load_binary,
-    load_csv, momentum_grid, save_binary, save_csv, shift, step,
+    apply_coin, load_binary, load_csv, momentum_grid, save_binary, save_csv, shift, step,
 )
 from plasticwalk.mat2 import ID2, SX, SZ, rot
 from plasticwalk.timelimit import time_hamiltonian
 
 from conftest import draw_time_compliant, draw_time_generic
+from oracles import apply_shift_word, dft, evolve_by_symbol, idft
 
 
 def test_shift_moves_left_component_down():

@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plasticwalk.mat2 import (
-    ID2, SY, SZ,
-    dag, det2, exp_herm, is_hermitian, is_unitary,
-    op_norm, pauli, rot,
-)
+from plasticwalk.mat2 import ID2, SY, SZ, dag, det2, exp_herm, op_norm, rot
 
-from oracles import eig2
+from oracles import eig2, is_hermitian, is_unitary
 
 
 def random_unitary(rng):
@@ -21,14 +17,6 @@ def random_unitary(rng):
 def random_hermitian(rng):
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return 0.5 * (z + z.conj().T)
-
-
-def test_pauli_values():
-    assert np.array_equal(pauli("z"), np.diag([1.0 + 0j, -1.0]))
-    assert np.array_equal(pauli("y"), np.array([[0, -1j], [1j, 0]]))
-    assert np.array_equal(pauli("x"), np.array([[0, 1], [1, 0]], dtype=complex))
-    with pytest.raises(ValueError):
-        pauli("w")
 
 
 def test_rot_special_values():
@@ -167,6 +155,16 @@ def test_exp_herm_group_property():
 def test_exp_herm_rejects_non_hermitian():
     with pytest.raises(ValueError):
         exp_herm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+def test_exp_herm_rejects_nan_entry():
+    h = np.array([[0.3, np.nan], [np.nan, -0.3]])
+    with pytest.raises(ValueError):
+        exp_herm(h, 1.0)
+    stack = np.broadcast_to(ID2, (3, 2, 2)).copy()
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        exp_herm(stack, 1.0)
 
 
 def test_op_norm_basics():

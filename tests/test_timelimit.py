@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from plasticwalk import CoinJet, WalkConfig, check_time_limit, time_hamiltonian, walk_k
-from plasticwalk.coins import first_order_blocks
-from plasticwalk.mat2 import SY, is_hermitian, op_norm
-from plasticwalk.timelimit import (
-    anticommutator_AB, constraint_f, odd_tau_gap, roots_of_unity_residual, walk_block,
-)
+from plasticwalk.mat2 import SY, op_norm
+from plasticwalk.timelimit import anticommutator_AB
 from plasticwalk._util import stack_power
 
 from conftest import draw_time_compliant, draw_time_generic
+from oracles import (
+    constraint_f, first_order_blocks, is_hermitian, odd_tau_gap, roots_of_unity_residual,
+    walk_block, witnesses,
+)
 
 
 def simple_config(theta0x, theta0y, delta, tau, **kw):
@@ -25,15 +26,15 @@ def simple_config(theta0x, theta0y, delta, tau, **kw):
 def test_gate_accepts_reference_configs():
     rep = check_time_limit(simple_config(np.pi, 0.0, -np.pi / 2, 2))
     assert rep.passed
-    assert rep.witnesses["nu"] == 1
-    assert rep.witnesses["p"] == 1
+    assert witnesses(rep)["nu"] == 1
+    assert witnesses(rep)["p"] == 1
 
     rep = check_time_limit(simple_config(0.0, 3 * np.pi, -3 * np.pi / 2, 4))
     assert rep.passed
-    assert rep.witnesses["nu"] == 0
-    assert rep.witnesses["m"] == 0
-    assert rep.witnesses["t"] == 1
-    assert rep.witnesses["p"] == 3
+    assert witnesses(rep)["nu"] == 0
+    assert witnesses(rep)["m"] == 0
+    assert witnesses(rep)["t"] == 1
+    assert witnesses(rep)["p"] == 3
 
 
 def test_gate_rejects_odd_tau():
@@ -64,9 +65,9 @@ def test_witness_gauge_covariance(rng):
         coin_y=cfg.coin_y, tau=cfg.tau)
     rep2 = check_time_limit(shifted)
     assert rep2.passed == rep.passed
-    assert rep2.witnesses["m"] == rep.witnesses["m"] + 2
-    assert rep2.witnesses["t"] == rep.witnesses["t"]
-    assert rep2.witnesses["nu"] == rep.witnesses["nu"]
+    assert witnesses(rep2)["m"] == witnesses(rep)["m"] + 2
+    assert witnesses(rep2)["t"] == witnesses(rep)["t"]
+    assert witnesses(rep2)["nu"] == witnesses(rep)["nu"]
 
 
 def test_report_serializes_with_stable_keys(rng):
@@ -166,7 +167,7 @@ def test_anticommutator_matches_brute_force_both_branches(rng):
             a = ax @ ay
             b = ax @ by + bx @ ay
             brute = a @ b + b @ a
-            closed = anticommutator_AB(cfg, kx, ky, nu=nu)
+            closed = anticommutator_AB(cfg, kx, ky)
             assert float(np.max(op_norm(brute - closed))) <= 1e-12
             assert is_hermitian(closed, tol=1e-12)
 
@@ -175,9 +176,6 @@ def test_anticommutator_rejects_off_branch(rng):
     cfg = draw_time_generic(rng)
     with pytest.raises(ValueError):
         anticommutator_AB(cfg, 0.1, 0.2)
-    cfg = draw_time_compliant(rng, nu=0)
-    with pytest.raises(ValueError):
-        anticommutator_AB(cfg, 0.1, 0.2, nu=1)
 
 
 def test_hamiltonian_zero_angle_structure():
