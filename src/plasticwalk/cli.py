@@ -124,6 +124,11 @@ def cmd_pde(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    work = max(cfg.nx * cfg.ny, lat.STEP_MIN_SITES) * max(cfg.steps, 1)
+    if work > lat.SITE_STEP_BUDGET:
+        raise ValueError(f"{cfg.steps} steps on a {cfg.nx}x{cfg.ny} lattice need {work} "
+                         f"site-steps (a step counts as at least {lat.STEP_MIN_SITES} sites), "
+                         f"over the work budget of {lat.SITE_STEP_BUDGET}")
     rng = np.random.default_rng(cfg.seed)
     if cfg.initial_type == "plane_wave":
         state = lat.SpinorField.plane_wave(cfg.nx, cfg.ny, cfg.initial.get("kx", 0.0),
@@ -206,23 +211,25 @@ def cmd_dispersion(args) -> int:
     return 0
 
 
-def _term_group(idx: pl.TermIndex) -> str:
+def _term_row(idx: pl.TermIndex) -> tuple:
+    """The indices of one tuple, then sum_l, sum_n and its group label."""
     kinds = [f"l={v}" for v in (idx.l1x, idx.l1y, idx.l2x, idx.l2y) if v]
     kinds += [f"n={v}" for v in (idx.n1x, idx.n1y, idx.n2x, idx.n2y) if v]
-    return "+".join(sorted(kinds))
+    return (*idx, idx.sum_l, idx.sum_n, "+".join(sorted(kinds)))
+
+
+_TERM_COLUMNS = pl.TermIndex._fields + ("sum_l", "sum_n", "group")
 
 
 def cmd_terms(args) -> int:
     cfg = _load(args)
-    terms = pl.enumerate_terms(cfg.a_exp, cfg.b_exp)
-    header = "l1x,l1y,l2x,l2y,n1x,n1y,n2x,n2y,sum_l,sum_n,group"
-    rows = [header]
-    listing = []
-    for idx in terms:
-        rows.append(",".join(str(v) for v in idx) + f",{idx.sum_l},{idx.sum_n},{_term_group(idx)}")
-        listing.append({**idx._asdict(), "sum_l": idx.sum_l, "sum_n": idx.sum_n,
-                        "group": _term_group(idx)})
-    _emit(args, {"count": len(terms), "terms": listing}, csv_rows=rows)
+    rows = [_term_row(idx) for idx in pl.enumerate_terms(cfg.a_exp, cfg.b_exp)]
+    if args.format == "csv":
+        _write(args, ",".join(_TERM_COLUMNS) + "\n",
+               *(",".join(map(str, row)) + "\n" for row in rows))
+    else:
+        listing = [dict(zip(_TERM_COLUMNS, row)) for row in rows]
+        _emit(args, {"count": len(rows), "terms": listing})
     return 0
 
 
@@ -253,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         "dispersion": cmd_dispersion,
         "terms": cmd_terms,
     }
-    # the one map from exceptions to exit codes; a RuntimeError is a defect and escapes
+    # the one map from exceptions to exit codes; any other exception is a defect and escapes
     try:
         return handlers[args.command](args)
     except ConfigError as exc:

@@ -32,6 +32,8 @@ from .coins import WalkConfig, coin_at
 from .mat2 import unitarity_defect
 
 __all__ = [
+    "SITE_STEP_BUDGET",
+    "STEP_MIN_SITES",
     "SpinorField",
     "shift",
     "apply_coin",
@@ -44,6 +46,12 @@ __all__ = [
 ]
 
 _MAGIC = b"PWFLD1\x00\x00"
+
+# Most site-steps one simulate may run: 134x the largest simulate of the benchmark
+# (2e6), about 19 s at 70 ns per site-step on a 2-core x86 host.  A step counts as
+# at least STEP_MIN_SITES sites: its fixed cost (~190 us) is that of ~2,700 sites.
+SITE_STEP_BUDGET = 2 ** 28
+STEP_MIN_SITES = 4096
 
 
 @dataclass(frozen=True)

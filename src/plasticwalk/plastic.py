@@ -9,9 +9,9 @@ where each Gamma is a rotation word with sigma_z / sigma_y insertions and
 each nu carries (i k)^l (-i theta1 / 2)^n / (l! n!) factors.  Exponent
 matching is exact rational arithmetic.  One engine, :func:`_grouped_sums`,
 multiplies the Gamma words: orders in (0, 1) must cancel group by group
-(divergence gate); order-1 groups assemble into the PDE generator, whose
-overall scalar prefactor is calibrated once against the numerical limit
-(W^2 - I)/(2 eps).
+(divergence gate); order-1 groups assemble into the PDE generator.  Its
+overall prefactor is the closed form e^{2 i delta} / 2 = -1/2, because the
+delta gate puts delta at pi/2 mod pi.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import WalkConfig, walk_k
+from .coins import WalkConfig
 from .mat2 import SY, SZ, op_norm, rot
 from .timelimit import Condition, ConstraintReport, _delta_quantization, _theta_branch
 from ._util import flat2
 
 __all__ = [
+    "CALIBRATION",
     "TUPLE_BUDGET",
     "TermIndex",
     "PdeTerm",
@@ -47,6 +48,9 @@ __all__ = [
 # exponent pairs with denominators up to 8 (12,870).  On a 2-core x86 host,
 # check sums 125,970 tuples (a = b = 1/12) in about 1 s.
 TUPLE_BUDGET = 200_000
+
+# Prefactor of the order-1 assembly: e^{2 i delta} / 2 with tau = 2, and delta = pi/2 mod pi.
+CALIBRATION = -0.5
 
 
 class TermIndex(NamedTuple):
@@ -122,30 +126,23 @@ def _index_tuples(sum_l: int, sum_n: int):
             yield TermIndex(ls[0], ls[1], ls[2], ls[3], ns[0], ns[1], ns[2], ns[3])
 
 
-def _sum_pairs(a: Fraction, b: Fraction, low: Fraction, high: Fraction):
-    """All (sum_l, sum_n) with low < a*sum_l + b*sum_n <= high, exact arithmetic."""
+def _sum_pairs(a: Fraction, b: Fraction):
+    """All (sum_l, sum_n) with 0 < a*sum_l + b*sum_n <= 1, exact arithmetic."""
     a, b = Fraction(a), Fraction(b)
     if b <= 0:
         raise ValueError("b must be positive")
     if a < 0:
         raise ValueError("a must be nonnegative")
     if a == 0:
-        # l indices never raise the order: any order in (low, high] hit by
-        # pure-n sums would admit infinitely many l tuples
-        hits = [n for n in range(int(high / b) + 1) if low < b * n <= high]
-        if hits:
+        # l indices never raise the order: the pure-n sum n = 1 (order b <= 1)
+        # would admit infinitely many l tuples
+        if b <= 1:
             raise ValueError(
                 "a = 0 admits infinitely many index tuples; the pure "
                 "time scaling belongs to the time-limit machinery")
         return []
-    max_l = int(high / a)
-    max_n = int(high / b)
-    out = []
-    for sl in range(max_l + 1):
-        for sn in range(max_n + 1):
-            if low < a * sl + b * sn <= high:
-                out.append((sl, sn))
-    return out
+    return [(sl, sn) for sl in range(int(1 / a) + 1)
+            for sn in range(int((1 - a * sl) / b) + 1) if sl or sn]
 
 
 def _budgeted(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -165,8 +162,7 @@ def _tuple_count(pairs: list[tuple[int, int]]) -> int:
 
 def _kept_pairs(a: Fraction, b: Fraction, keep: Callable[[Fraction], bool]):
     """The (sum_l, sum_n) pairs of order f in (0, 1] with keep(f)."""
-    return [(sl, sn) for sl, sn in _sum_pairs(a, b, Fraction(0), Fraction(1))
-            if keep(a * sl + b * sn)]
+    return [(sl, sn) for sl, sn in _sum_pairs(a, b) if keep(a * sl + b * sn)]
 
 
 def enumerate_terms(a: Fraction, b: Fraction) -> list[TermIndex]:
@@ -305,10 +301,11 @@ class PdeTerm:
 
 @dataclass(frozen=True)
 class PdeAssembly:
-    """Order-1 term assembly plus the calibrated d/dt generator.
+    """Order-1 term assembly and the d/dt generator it defines.
 
     ``terms`` hold the bare Kronecker-delta assembly; the physical
-    generator of d/dt Psi = G Psi is ``calibration`` times the bare sum.
+    generator of d/dt Psi = G Psi is ``calibration`` (CALIBRATION, the
+    closed-form -1/2) times the bare sum.
     """
 
     terms: tuple[PdeTerm, ...]
@@ -316,20 +313,16 @@ class PdeAssembly:
     theta1x: float
     theta1y: float
 
-    def bare_symbol(self, kx, ky) -> NDArray[np.complex128]:
+    def generator(self, kx, ky) -> NDArray[np.complex128]:
+        """Momentum-space d/dt generator (anti-Hermitian on shell)."""
         kx = np.asarray(kx, dtype=np.float64)
         ky = np.asarray(ky, dtype=np.float64)
-        shape = np.broadcast(kx, ky).shape
-        out = np.zeros(shape + (2, 2), dtype=np.complex128)
+        out = np.zeros(np.broadcast(kx, ky).shape + (2, 2), dtype=np.complex128)
         for term in self.terms:
             mono = ((1j * kx) ** term.dx_power) * ((1j * ky) ** term.dy_power) \
                 * (self.theta1x ** term.thx_power) * (self.theta1y ** term.thy_power)
             out = out + np.asarray(mono)[..., None, None] * term.coeff
-        return out
-
-    def generator(self, kx, ky) -> NDArray[np.complex128]:
-        """Momentum-space d/dt generator (anti-Hermitian on shell)."""
-        return self.calibration * self.bare_symbol(kx, ky)
+        return self.calibration * out
 
     def hamiltonian(self, kx, ky) -> NDArray[np.complex128]:
         """H(k) = i G(k), the Hermitian generator of i d/dt Psi = H Psi."""
@@ -343,52 +336,12 @@ class PdeAssembly:
         }
 
 
-def _calibration_exponents(a: Fraction, b: Fraction) -> list[Fraction]:
-    """Contamination exponents (relative to eps^1) present in (W^2-I)/(2 eps)."""
-    out = set()
-    for sl, sn in _sum_pairs(a, b, Fraction(1), Fraction(4)):
-        out.add(a * sl + b * sn - 1)
-    return sorted(e for e in out if e > 0)
-
-
-def _fit_lambda(cfg: WalkConfig, assembly_symbol, a: Fraction, b: Fraction) -> float:
-    """Least-squares prefactor between the numerical limit and the bare sum.
-
-    The finite-eps quotient carries contamination at known rational
-    exponents; Richardson elimination over a geometric eps ladder pushes
-    the fit error to ~1e-12 so constancy across configs is testable.
-    """
-    kappas = [(0.7, -0.3), (0.23, 0.9), (-0.51, 0.42), (0.5, 0.5), (-0.8, -0.15)]
-    bare = np.stack([assembly_symbol(kx, ky) for kx, ky in kappas])
-    denom = np.vdot(bare, bare)
-    exponents = _calibration_exponents(a, b)
-    ratio = 4.0
-    eps0 = 4e-2
-    n_nodes = len(exponents) + 1
-    fits = []
-    for j in range(n_nodes):
-        eps = eps0 / ratio ** j
-        w = np.stack([walk_k(cfg, kx, ky, eps) for kx, ky in kappas])
-        quotient = (w @ w - np.eye(2)) / (2.0 * eps)
-        fits.append(complex(np.vdot(bare, quotient) / denom))
-    # eliminate each contamination exponent in turn
-    vals = fits
-    for q in exponents:
-        w = ratio ** float(-q)
-        vals = [(vals[j + 1] - w * vals[j]) / (1.0 - w) for j in range(len(vals) - 1)]
-    lam = vals[0]
-    if abs(lam.imag) > 1e-8:
-        raise RuntimeError(f"calibration constant came out non-real: {lam}")
-    return float(lam.real)
-
-
 def spacetime_hamiltonian(cfg: WalkConfig, a: Fraction, b: Fraction) -> PdeAssembly:
-    """Assemble the order-1 PDE generator and calibrate its prefactor.
+    """Assemble the order-1 PDE generator with the closed-form prefactor CALIBRATION.
 
     Requires the spacetime gate to pass (named failing condition
-    otherwise).  The terms are the order-1 coefficient groups; the
-    calibration constant multiplying the bare assembly is fitted against
-    the numerical limit (W^2 - I)/(2 eps).
+    otherwise).  The terms are the order-1 coefficient groups that do not
+    vanish.
     """
     a, b = Fraction(a), Fraction(b)
     check_spacetime_limit(cfg, a, b).require("spacetime gate")
@@ -398,10 +351,11 @@ def spacetime_hamiltonian(cfg: WalkConfig, a: Fraction, b: Fraction) -> PdeAssem
                 (-1j) ** (g.kx_power + g.ky_power) * g.matrix)
         for g in _grouped_sums(cfg, a, b, lambda f: f == 1) if g.norm > 1e-13
     )
-    theta1x, theta1y = cfg.coin_x.theta1, cfg.coin_y.theta1
-    probe = PdeAssembly(terms, 1.0, theta1x, theta1y)
-    lam = _fit_lambda(cfg, probe.bare_symbol, a, b)
-    return PdeAssembly(terms, lam, theta1x, theta1y)
+    # Known defect, kept until the gate rejects it (ROADMAP item 3): when every order-1
+    # group cancels (compliant a + b > 1) there are no terms, and the calibration reads
+    # NaN, as the 0/0 of the earlier numerical fit did.
+    calibration = CALIBRATION if terms else float("nan")
+    return PdeAssembly(terms, calibration, cfg.coin_x.theta1, cfg.coin_y.theta1)
 
 
 def half_half_pde(cfg: WalkConfig) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:

@@ -103,6 +103,13 @@ def draw_plastic_generic(rng: np.random.Generator) -> WalkConfig:
             return plastic_from_angles(a1, a2, rng)
 
 
+def with_exponents(cfg: WalkConfig, a: Fraction, b: Fraction) -> WalkConfig:
+    """The plastic config with exponents a (spacing) and b (both coins) swapped in."""
+    return WalkConfig(coin_x=CoinJet(**{**cfg.coin_x.__dict__, "b_exp": b}),
+                      coin_y=CoinJet(**{**cfg.coin_y.__dict__, "b_exp": b}),
+                      tau=2, a_exp=a)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)

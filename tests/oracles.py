@@ -19,7 +19,9 @@ no command needs stay here, as oracles for the library's closed forms:
   Hamiltonian symbol), with an extended-precision matrix power as the
   reference for both squarings;
 * plain-function views of library results: a report's integer
-  witnesses, a term's order and an assembly's derivative coefficients.
+  witnesses, a term's order and an assembly's derivative coefficients;
+* the Richardson fit of the PDE prefactor against the numerical limit
+  (W^2 - I)/(2 eps), which checks the closed form CALIBRATION = -1/2.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from plasticwalk.coins import CoinJet, WalkConfig, coin_at
+from plasticwalk.coins import CoinJet, WalkConfig, coin_at, walk_k
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import ID2, SY, SZ, dag, eigvals2, exp_herm, op_norm, rot, unitarity_defect
 from plasticwalk.plastic import PdeAssembly, TermIndex, _angles, gamma_hat
@@ -351,6 +353,50 @@ def derivative_coefficient(asm: PdeAssembly, dx: int, dy: int) -> NDArray[np.com
             out = out + (asm.theta1x ** term.thx_power) \
                 * (asm.theta1y ** term.thy_power) * term.coeff
     return out
+
+
+# ---------------------------------------------------------------- PDE prefactor
+
+
+def calibration_exponents(a: Fraction, b: Fraction) -> list[Fraction]:
+    """Contamination exponents (relative to eps^1) present in (W^2-I)/(2 eps)."""
+    out = set()
+    for sl in range(int(4 / a) + 1):
+        for sn in range(int(4 / b) + 1):
+            if 1 < a * sl + b * sn <= 4:
+                out.add(a * sl + b * sn - 1)
+    return sorted(out)
+
+
+def fit_lambda(cfg: WalkConfig, assembly_symbol, a: Fraction, b: Fraction) -> float:
+    """Least-squares prefactor between the numerical limit and the bare sum.
+
+    The finite-eps quotient carries contamination at known rational
+    exponents; Richardson elimination over a geometric eps ladder pushes
+    the fit error to ~1e-12 so constancy across configs is testable.
+    """
+    kappas = [(0.7, -0.3), (0.23, 0.9), (-0.51, 0.42), (0.5, 0.5), (-0.8, -0.15)]
+    bare = np.stack([assembly_symbol(kx, ky) for kx, ky in kappas])
+    denom = np.vdot(bare, bare)
+    exponents = calibration_exponents(a, b)
+    ratio = 4.0
+    eps0 = 4e-2
+    n_nodes = len(exponents) + 1
+    fits = []
+    for j in range(n_nodes):
+        eps = eps0 / ratio ** j
+        w = np.stack([walk_k(cfg, kx, ky, eps) for kx, ky in kappas])
+        quotient = (w @ w - np.eye(2)) / (2.0 * eps)
+        fits.append(complex(np.vdot(bare, quotient) / denom))
+    # eliminate each contamination exponent in turn
+    vals = fits
+    for q in exponents:
+        w = ratio ** float(-q)
+        vals = [(vals[j + 1] - w * vals[j]) / (1.0 - w) for j in range(len(vals) - 1)]
+    lam = vals[0]
+    if abs(lam.imag) > 1e-8:
+        raise RuntimeError(f"calibration constant came out non-real: {lam}")
+    return float(lam.real)
 
 
 # ------------------------------------------------------------- matmul kernels

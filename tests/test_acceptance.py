@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred to calibration.
 """
 
+import dataclasses
 import time
 from fractions import Fraction
 from math import comb
@@ -17,7 +18,7 @@ from plasticwalk import (
 )
 from plasticwalk.lattice import momentum_grid, step
 from plasticwalk.mat2 import dag, op_norm, rot
-from plasticwalk.plastic import _grouped_sums
+from plasticwalk.plastic import CALIBRATION, _grouped_sums
 from plasticwalk.timelimit import anticommutator_AB
 from plasticwalk._util import stack_power
 
@@ -26,8 +27,8 @@ from conftest import (
     draw_time_generic, plastic_from_angles,
 )
 from oracles import (
-    apply_shift_word, cross_term_report, derivative_coefficient, dft, first_order_blocks, idft,
-    odd_tau_gap, roots_of_unity_residual, term_order,
+    apply_shift_word, cross_term_report, derivative_coefficient, dft, first_order_blocks,
+    fit_lambda, idft, odd_tau_gap, roots_of_unity_residual, term_order,
 )
 
 RNG = np.random.default_rng(777)
@@ -275,18 +276,18 @@ def test_criterion_09_divergence_constraints():
 
 
 def test_criterion_10_closed_form_pde():
-    calibrations = []
+    worst = 0.0
     for _ in range(20):
         cfg = draw_plastic_compliant(RNG)
         asm = spacetime_hamiltonian(cfg, HALF, HALF)
         px, py = half_half_pde(cfg)
         assert float(op_norm(derivative_coefficient(asm, 1, 0) - px)) <= 1e-12
         assert float(op_norm(derivative_coefficient(asm, 0, 1) - py)) <= 1e-12
-        calibrations.append(asm.calibration)
-    spread = max(calibrations) - min(calibrations)
-    assert spread <= 1e-10
+        bare = dataclasses.replace(asm, calibration=1.0).generator
+        worst = max(worst, abs(fit_lambda(cfg, bare, HALF, HALF) - CALIBRATION))
+    assert worst <= 1e-10
     report(10, f"enumerator equals closed-form (Px, Py) <= 1e-12 on 20 configs; "
-               f"calibration constant spread {spread:.2e} <= 1e-10")
+               f"Richardson fit of the prefactor within {worst:.2e} <= 1e-10 of -1/2")
 
 
 # -------------------------------------------------------------------------- 11

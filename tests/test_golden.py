@@ -21,7 +21,7 @@ from plasticwalk.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 COMMANDS = ("check", "hamiltonian", "pde", "simulate", "converge", "dispersion", "terms")
-CSV_COMMANDS = ("converge", "dispersion")
+CSV_COMMANDS = ("converge", "dispersion", "terms")
 CONFIGS = sorted(d for d in os.listdir(GOLDEN) if os.path.isdir(os.path.join(GOLDEN, d)))
 CASES = [(name, command) for name in CONFIGS for command in COMMANDS]
 CSV_CASES = [(name, command) for name in CONFIGS for command in CSV_COMMANDS]

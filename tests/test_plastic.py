@@ -8,19 +8,20 @@ import pytest
 
 from plasticwalk import (
     CoinJet, WalkConfig, check_spacetime_limit, divergence_residual,
-    enumerate_terms, half_half_pde, spacetime_hamiltonian, walk_k,
+    enumerate_terms, fit_order, half_half_pde, spacetime_hamiltonian, walk_k,
 )
+from plasticwalk.config import ExperimentConfig
 from plasticwalk.mat2 import ID2, op_norm, rot
 from plasticwalk.plastic import (
     TUPLE_BUDGET, TermIndex, _grouped_sums, gamma_hat,
 )
 
 from conftest import (
-    HALF, draw_plastic_compliant, draw_plastic_generic, plastic_from_angles,
+    HALF, draw_plastic_compliant, draw_plastic_generic, plastic_from_angles, with_exponents,
 )
 from oracles import (
-    constraint_f2, cross_term_report, derivative_coefficient, is_hermitian, transport_commutator,
-    witnesses, zeroth_order_residual,
+    calibration_exponents, constraint_f2, cross_term_report, derivative_coefficient,
+    is_hermitian, transport_commutator, witnesses, zeroth_order_residual,
 )
 
 
@@ -237,11 +238,7 @@ def test_divergence_grouped_report_reproduces_the_four_conditions(rng):
 
 
 def test_divergence_empty_for_unit_exponents(rng):
-    cfg = draw_plastic_compliant(rng)
-    cfg = WalkConfig(
-        coin_x=CoinJet(**{**cfg.coin_x.__dict__, "b_exp": Fraction(1)}),
-        coin_y=CoinJet(**{**cfg.coin_y.__dict__, "b_exp": Fraction(1)}),
-        tau=2, a_exp=Fraction(1))
+    cfg = with_exponents(draw_plastic_compliant(rng), Fraction(1), Fraction(1))
     residual, groups = divergence_residual(cfg, Fraction(1), Fraction(1))
     assert residual == 0.0 and groups == []
 
@@ -305,7 +302,6 @@ def test_spacetime_assembly_half_half_has_only_transport_terms(rng):
 def test_spacetime_assembly_matches_walk_limit(rng):
     cfg = draw_plastic_compliant(rng)
     asm = spacetime_hamiltonian(cfg, HALF, HALF)
-    assert abs(asm.calibration + 0.5) <= 1e-10
     kx, ky = 0.9, -0.4
 
     def err(eps):
@@ -322,11 +318,7 @@ def test_spacetime_assembly_unit_exponents_is_mass_type(rng):
     """At a = b = 1 the derivative groups cancel identically on the branch;
     the limit generator is a pure theta1 (mass) term."""
     one = Fraction(1)
-    cfg = draw_plastic_generic(rng)
-    cfg = WalkConfig(
-        coin_x=CoinJet(**{**cfg.coin_x.__dict__, "b_exp": one}),
-        coin_y=CoinJet(**{**cfg.coin_y.__dict__, "b_exp": one}),
-        tau=2, a_exp=one)
+    cfg = with_exponents(draw_plastic_generic(rng), one, one)
     asm = spacetime_hamiltonian(cfg, one, one)
     assert all(t.dx_power == 0 and t.dy_power == 0 for t in asm.terms)
     assert len(asm.terms) >= 1
@@ -337,6 +329,40 @@ def test_spacetime_assembly_unit_exponents_is_mass_type(rng):
         quotient = (w @ w - ID2) / (2 * eps)
         return float(op_norm(quotient - asm.generator(kx, ky)))
     assert err(1e-7) <= 1e-4
+
+
+FAREY_8 = sorted({Fraction(p, q) for q in range(1, 9) for p in range(1, q + 1)})
+
+
+def test_generator_matches_walk_quotient_at_contamination_rate(rng):
+    """On every gate-passing Farey-8 (a, b, class) with terms, ||(W^2 - I)/(2 eps) - G(k)||
+    falls strictly over eps = 1e-4 ... 1e-7, at least at 0.8 times the rate of the
+    smallest contamination exponent: the closed-form -1/2 is the limit's prefactor."""
+    eps_list = [1e-4, 1e-5, 1e-6, 1e-7]
+    momenta = ExperimentConfig.momenta
+    kx = np.array([k[0] for k in momenta])
+    ky = np.array([k[1] for k in momenta])
+    cases = 0
+    for a in FAREY_8:
+        for b in FAREY_8:
+            for draw in (draw_plastic_compliant, draw_plastic_generic):
+                cfg = with_exponents(draw(rng), a, b)
+                if not check_spacetime_limit(cfg, a, b).passed:
+                    continue
+                asm = spacetime_hamiltonian(cfg, a, b)
+                if not asm.terms:
+                    continue  # no order-1 group survives (the NaN calibration defect)
+                gen = asm.generator(kx, ky)
+                errs = []
+                for eps in eps_list:
+                    w = walk_k(cfg, kx, ky, eps)
+                    errs.append(float(np.max(op_norm((w @ w - ID2) / (2 * eps) - gen))))
+                case = (str(a), str(b), draw.__name__, errs)
+                assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:])), case
+                slope = fit_order(list(zip(eps_list, errs)))[0]
+                assert slope >= 0.8 * float(calibration_exponents(a, b)[0]), (case, slope)
+                cases += 1
+    assert cases == 43  # 21 compliant with a + b = 1, 22 divergent with b = 1
 
 
 def test_spacetime_assembly_rejects_divergent_config(rng):
