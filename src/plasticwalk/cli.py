@@ -79,10 +79,8 @@ def _grid(n: int):
 
 def cmd_check(args) -> int:
     cfg = _load(args)
-    if cfg.walk.mode == "time":
-        report = tl.check_time_limit(cfg.walk, l=cfg.l_index)
-    else:
-        report = pl.check_spacetime_limit(cfg.walk, cfg.a_exp, cfg.b_exp, l=cfg.l_index)
+    report = (tl.check_time_limit(cfg.walk) if cfg.walk.mode == "time"
+              else pl.check_spacetime_limit(cfg.walk, cfg.a_exp, cfg.b_exp))
     _emit(args, report.to_dict())
     return 0 if report.passed else 1
 

@@ -86,15 +86,14 @@ class CoinJet:
 class WalkConfig:
     """One walk family: two coin jets, stroboscopic step, space scaling.
 
-    The lattice spacing is Delta = eps**a_exp when a_exp > 0, else the
-    fixed ``delta_spatial`` (unity for the pure continuous-time scaling).
+    The lattice spacing is Delta = eps**a_exp when a_exp > 0, else 1;
+    time mode fixes a_exp = 0 (the pure continuous-time scaling).
     """
 
     coin_x: CoinJet
     coin_y: CoinJet
     tau: int = 2
     a_exp: Fraction = Fraction(0)
-    delta_spatial: float = 1.0
 
     def __post_init__(self):
         if self.tau < 1:
@@ -103,10 +102,10 @@ class WalkConfig:
         object.__setattr__(self, "a_exp", a)
         if not (0 <= a <= 1):
             raise ValueError(f"a_exp must lie in [0, 1], got {a}")
-        if not self.delta_spatial > 0:  # NaN fails too
-            raise ValueError("delta_spatial must be positive")
         if self.coin_x.mode != self.coin_y.mode:
             raise ValueError("both coins must use the same jet mode")
+        if self.mode == "time" and a != 0:
+            raise ValueError("time mode fixes a_exp = 0")
         if self.mode == "plastic" and self.coin_x.b_exp != self.coin_y.b_exp:
             raise ValueError("plastic mode requires a common b_exp for both coins")
 
@@ -124,7 +123,7 @@ class WalkConfig:
             if eps <= 0:
                 raise ValueError("eps must be positive when the spacing scales as eps**a")
             return float(eps) ** float(self.a_exp)
-        return self.delta_spatial
+        return 1.0
 
 
 def coin_at(jet: CoinJet, eps: float) -> NDArray[np.complex128]:

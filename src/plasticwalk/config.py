@@ -7,8 +7,7 @@ One section per subsystem:
       "walk": {
         "mode": "time" | "plastic",
         "tau": <int>,
-        "a": "p/q",                  exact rational, 0 <= a <= 1
-        "delta_spatial": <float>,
+        "a": "p/q",                  exact rational, 0 <= a <= 1 (0 in time mode)
         "coin_x": {"delta", "zeta0", "zeta1", "theta0", "theta1",
                    "phi0", "phi1", "b": "p/q"},
         "coin_y": {...}
@@ -16,7 +15,6 @@ One section per subsystem:
       "lattice": {"nx": <int>, "ny": <int>},
       "run": {"t_final": <float>, "eps": <float>, "eps_list": [...],
               "grid": <int>, "steps": <int>, "momenta": [[kx, ky], ...],
-              "l_index": <int>,
               "initial": {"type": "plane_wave" | "delta" | "random",
                           "kx": ..., "ky": ...}},
       "seed": <int>
@@ -26,9 +24,9 @@ One section per subsystem:
 Ranges are checked in ``ExperimentConfig.__post_init__``, so a config
 changed with ``dataclasses.replace`` is checked too: nx, ny >= 2, grid >= 1,
 steps >= 0, eps > 0, at least three distinct eps_list entries, all > 0, t_final >= 0
-with t_final / eps finite, at least one momentum, tau and |l_index| at most
-2**53, seed >= 0, finite initial kx and ky, and a known initial type.
-Unknown sections, such as an "output" section, are ignored.
+with t_final / eps finite, at least one momentum, tau at most 2**53,
+seed >= 0, finite initial kx and ky, and a known initial type.  Unknown
+sections and keys, such as an "output" section, are ignored.
 
 Exponents are rationals written as "p/q" strings so the exact matching
 in the term enumerator never sees a float.
@@ -65,10 +63,8 @@ def parse_rational(text) -> Fraction:
 
 _COIN_KEYS = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
 _INITIAL_TYPES = ("plane_wave", "delta", "random")
-_EXACT_INT = 2 ** 53  # the largest integer range a float holds exactly
 # the parser of each optional key; an absent key keeps the dataclass field default
-_WALK = {"tau": ("tau", int), "a": ("a_exp", parse_rational),
-         "delta_spatial": ("delta_spatial", float)}
+_WALK = {"tau": ("tau", int), "a": ("a_exp", parse_rational)}
 
 
 def _require(ok: bool, message: str) -> None:
@@ -107,7 +103,7 @@ def _initial_from_dict(section) -> dict:
 
 _SECTIONS = {
     "lattice": {"nx": int, "ny": int},
-    "run": {"t_final": float, "eps": float, "grid": int, "steps": int, "l_index": int,
+    "run": {"t_final": float, "eps": float, "grid": int, "steps": int,
             "eps_list": lambda v: tuple(float(e) for e in v),
             "momenta": lambda v: tuple((float(kx), float(ky)) for kx, ky in v),
             "initial": _initial_from_dict},
@@ -125,7 +121,6 @@ class ExperimentConfig:
     grid: int = 9
     steps: int = 100
     momenta: tuple[tuple[float, float], ...] = ((0.7, -0.3), (0.23, 0.9), (-0.51, 0.42))
-    l_index: int = 0
     initial: dict = field(default_factory=lambda: {"type": "plane_wave", "kx": 0.0, "ky": 0.0})
     seed: int = 0
 
@@ -141,8 +136,7 @@ class ExperimentConfig:
         _require(self.t_final >= 0 and math.isfinite(self.t_final / min(self.eps_list)),
                  f"run.t_final must be >= 0 with t_final / eps finite, got {self.t_final}")
         _require(len(self.momenta) > 0, "run.momenta must not be empty")
-        _require(self.walk.tau <= _EXACT_INT and abs(self.l_index) <= _EXACT_INT,
-                 "walk.tau and run.l_index must be at most 2**53 in magnitude")
+        _require(self.walk.tau <= 2 ** 53, "walk.tau must be at most 2**53")
         _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         _require(all(math.isfinite(self.initial.get(k, 0.0)) for k in ("kx", "ky")),
                  f"run.initial kx and ky must be finite, got {self.initial}")

@@ -119,6 +119,8 @@ def spacetime_convergence(cfg: WalkConfig, a: Fraction, b: Fraction,
     order-1 assembly, evolved as exp(G t).
     """
     assembly = spacetime_hamiltonian(cfg, a, b)  # raises on gate failure
+    if not assembly.terms:
+        raise ValueError("every order-1 coefficient group cancels: no generator to converge to")
     kx = np.array([m[0] for m in momenta], dtype=np.float64)
     ky = np.array([m[1] for m in momenta], dtype=np.float64)
     return _converge(cfg, 2, assembly.hamiltonian(kx, ky), kx, ky, t_final, eps_list,

@@ -139,13 +139,14 @@ def momentum_grid(nx: int, ny: int) -> tuple[NDArray[np.float64], NDArray[np.flo
 
 def save_csv(field: SpinorField, path) -> None:
     nx, ny = field.shape
+    # the cells of one site; a row puts str(l) before each.  %.17g is f"{x:.17g}"
+    cells = [f",{m},%.17g,%.17g,%.17g,%.17g\n" for m in range(ny)]
     with open(path, "w") as fh:
         fh.write("l,m,re_L,im_L,re_R,im_R\n")
         for l in range(nx):
-            for m in range(ny):
-                vl = field.data[0, l, m]
-                vr = field.data[1, l, m]
-                fh.write(f"{l},{m},{vl.real:.17g},{vl.imag:.17g},{vr.real:.17g},{vr.imag:.17g}\n")
+            sites = field.data[:, l, :].T  # (ny, 2): psi_L, psi_R
+            values = np.stack((sites.real, sites.imag), axis=-1).ravel().tolist()
+            fh.write(str(l).join([""] + cells) % tuple(values))
 
 
 def load_csv(path) -> SpinorField:

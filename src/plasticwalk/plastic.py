@@ -250,8 +250,7 @@ def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction) -> tuple[floa
     return max((g.norm for g in groups), default=0.0), groups
 
 
-def check_spacetime_limit(cfg: WalkConfig, a: Fraction, b: Fraction,
-                          l: int = 0) -> ConstraintReport:
+def check_spacetime_limit(cfg: WalkConfig, a: Fraction, b: Fraction) -> ConstraintReport:
     """Gate for the joint continuous-time + continuous-spacetime limit.
 
     Four conditions: the theta0 branch with nu = 0 (2 pi m / 2 pi t + pi),
@@ -273,7 +272,7 @@ def check_spacetime_limit(cfg: WalkConfig, a: Fraction, b: Fraction,
                       "b_num": b.numerator, "b_den": b.denominator,
                       "order_one_terms": n_terms})
     residual = divergence_residual(cfg, a, b)[0] if n_terms else 1.0
-    conds = (_theta_branch(cfg, (0,)), _delta_quantization(cfg, l), expo,
+    conds = (_theta_branch(cfg, (0,)), _delta_quantization(cfg), expo,
              Condition("no_divergence", residual <= 1e-10, residual))
     return ConstraintReport(all(c.satisfied for c in conds), conds)
 

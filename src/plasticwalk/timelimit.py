@@ -3,8 +3,8 @@ closed form, and the lattice Hamiltonian.
 
 The time limit exists iff (i) the two zeroth-order theta angles sit on
 opposite branches theta0 = 2 pi m + nu pi / 2 pi t + (1 - nu) pi, (ii)
-the total phase satisfies cos(2 pi l / tau - delta) = 0 (an odd multiple
-of pi/2 away from 2 pi l / tau), and (iii) tau is even.  The resulting
+cos(2 pi l / tau - delta) = 0 for a root-of-unity index l the gate finds,
+and (iii) tau is even: on that branch, W0^tau = I.  The resulting
 Hamiltonian symbol is -{A, B}/4 built from the first-order expansion
 blocks; in real space it is a four-term spin-dependent shift stencil.
 """
@@ -95,8 +95,15 @@ def _theta_branch(cfg: WalkConfig, nus: tuple[int, ...]) -> Condition:
     return Condition("theta_branch", ok, residual, witness if ok else {})
 
 
-def _delta_quantization(cfg: WalkConfig, l: int) -> Condition:
-    """cos(2 pi l / tau - delta) = 0, with the odd multiple p of pi/2 as witness."""
+def _delta_quantization(cfg: WalkConfig) -> Condition:
+    """cos(2 pi l / tau - delta) = 0 for the smallest l >= 0 that can satisfy it.
+
+    That l has 2 pi l / tau = delta + pi/2 (mod pi), and is 0 if delta is not finite.
+    Witnesses: l, and the odd multiple p of pi/2 that 2 pi l / tau - delta is.
+    """
+    r = (cfg.delta_sum + np.pi / 2.0) % np.pi  # reduced mod pi before tau scales it
+    x = int(round(cfg.tau * r / np.pi)) % cfg.tau if np.isfinite(r) else 0  # 2 l = x (mod tau)
+    l = (x + cfg.tau) // 2 if x % 2 and cfg.tau % 2 else x // 2
     phase = 2.0 * np.pi * l / cfg.tau - cfg.delta_sum
     c_val = abs(np.cos(phase))
     witness = {"l": l}
@@ -105,11 +112,11 @@ def _delta_quantization(cfg: WalkConfig, l: int) -> Condition:
     return Condition("delta_quantization", c_val <= ANGLE_TOL, float(c_val), witness)
 
 
-def check_time_limit(cfg: WalkConfig, l: int = 0) -> ConstraintReport:
+def check_time_limit(cfg: WalkConfig) -> ConstraintReport:
     """Gate for the continuous-time limit; failures are report entries."""
     if cfg.mode != "time":
         raise ValueError("check_time_limit applies to time-mode configs")
-    conds = (_theta_branch(cfg, (0, 1)), _delta_quantization(cfg, l),
+    conds = (_theta_branch(cfg, (0, 1)), _delta_quantization(cfg),
              Condition("tau_even", cfg.tau % 2 == 0, float(cfg.tau % 2)))
     return ConstraintReport(all(c.satisfied for c in conds), conds)
 

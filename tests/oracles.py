@@ -12,7 +12,7 @@ no command needs stay here, as oracles for the library's closed forms:
   commutator [Px, Py] of the a = b = 1/2 transport matrices and the
   cancellation of the mixed-derivative words;
 * real-space shift words, the componentwise DFT and evolution by a
-  momentum-space symbol;
+  momentum-space symbol, and the site-by-site CSV writer;
 * a full 2x2 eigendecomposition, the unitarity and Hermiticity
   predicates, and the gufunc matmul forms of the elementwise 2x2
   kernels (walk symbol, squaring, operator norm, unitarity defect,
@@ -302,6 +302,18 @@ def dft(field: SpinorField) -> NDArray[np.complex128]:
 def idft(fhat: NDArray[np.complex128]) -> SpinorField:
     """Inverse of :func:`dft` (carries the 1/(Nx Ny) factor)."""
     return SpinorField(np.fft.ifft2(np.asarray(fhat, dtype=np.complex128), axes=(1, 2)))
+
+
+def save_csv_per_site(field: SpinorField, path) -> None:
+    """The CSV form of a field, written one site at a time with its own f-string."""
+    nx, ny = field.shape
+    with open(path, "w") as fh:
+        fh.write("l,m,re_L,im_L,re_R,im_R\n")
+        for l in range(nx):
+            for m in range(ny):
+                vl = field.data[0, l, m]
+                vr = field.data[1, l, m]
+                fh.write(f"{l},{m},{vl.real:.17g},{vl.imag:.17g},{vr.real:.17g},{vr.imag:.17g}\n")
 
 
 def evolve_by_symbol(field: SpinorField, symbol, t: float,

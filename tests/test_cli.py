@@ -271,6 +271,27 @@ def test_pde_without_surviving_order_one_groups_prints_strict_json(tmp_path, cap
     json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
 
 
+def test_converge_without_surviving_order_one_groups_names_the_cause(tmp_path, capsys):
+    doc = plastic_doc(np.random.default_rng(9))
+    doc["walk"]["a"] = doc["walk"]["coin_x"]["b"] = doc["walk"]["coin_y"]["b"] = "1/1"
+    assert main(["--config", write_config(tmp_path, doc), "converge"]) == 1
+    err = capsys.readouterr().err
+    assert "every order-1 coefficient group cancels" in err and "exp_herm" not in err
+
+
+def test_gate_finds_the_root_of_unity_index(tmp_path, capsys):
+    """tau = 4 with delta = 0 needs l = 1: every command runs the same gate."""
+    path = write_config(tmp_path, time_doc(delta=0.0, tau=4))
+    assert main(["--config", path, "check"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    by_name = {c["name"]: c for c in out["conditions"]}
+    assert by_name["delta_quantization"]["witness"] == {"l": 1, "p": 1}
+    assert main(["--config", path, "hamiltonian"]) == 0
+    capsys.readouterr()
+    assert main(["--config", path, "converge"]) == 0
+    assert 0.85 <= json.loads(capsys.readouterr().out)["slope"] <= 1.15
+
+
 @pytest.mark.parametrize("steps", [10 ** 12, 10 ** 7])
 def test_simulate_over_the_work_budget_exits_one_at_once(tmp_path, steps):
     """Checked before any state is built; in a child process, so that a missing
@@ -360,13 +381,11 @@ def _fiftieths(doc):
     (_root("run", []), "check", 2),
     (_root("lattice", 5), "simulate", 2),
     (_root("seed", -1), "simulate", 2),
-    (_set("run", "l_index", 10 ** 400), "check", 2),
     (_set("walk", "tau", 10 ** 400), "check", 2),
     (_coin_angle(10 ** 400), "check", 2),
-    (_set("walk", "delta_spatial", float("nan")), "dispersion", 2),
+    (_set("walk", "a", "1/2"), "converge", 2),
     (_overflowing_coin, "dispersion", 1),
     (_set("run", "eps_list", [1e308, 1e-3, 1e-4]), "converge", 1),
-    (_set("walk", "delta_spatial", float("inf")), "dispersion", 1),
     (_plastic(_set("run", "momenta", [[float("inf"), 0.0]])), "converge", 1),
     (_plastic(_fiftieths), "check", 1),
     (_plastic(_fiftieths), "pde", 1),
@@ -375,8 +394,8 @@ def _fiftieths(doc):
         "eps_list-two", "eps_list-zero-entry", "eps_list-repeated", "momenta-empty",
         "steps-negative",
         "initial-kx-abc", "initial-kx-inf", "t_final-inf", "t_final-huge-negative",
-        "momenta-short", "run-list", "lattice-int", "seed-negative", "l_index-huge", "tau-huge", "coin-angle-huge", "delta_spatial-nan",
-        "coin-overflow-nan-phases", "eps_list-huge", "delta_spatial-inf",
+        "momenta-short", "run-list", "lattice-int", "seed-negative", "tau-huge", "coin-angle-huge", "time-a-nonzero",
+        "coin-overflow-nan-phases", "eps_list-huge",
         "plastic-momenta-inf", "budget-check", "budget-pde", "budget-terms"])
 def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command, code):
     doc = time_doc()
@@ -430,8 +449,8 @@ def _exponents():
 EDITS = st.one_of(
     [_edit(("lattice", k), SIZES) for k in ("nx", "ny")]
     + [_edit(("run", k), SIZES) for k in ("grid", "steps")]
-    + [_edit(("run", k), NUMBERS) for k in ("t_final", "eps", "l_index")]
-    + [_edit(("walk", k), NUMBERS | RATIONALS) for k in ("tau", "a", "delta_spatial")]
+    + [_edit(("run", k), NUMBERS) for k in ("t_final", "eps")]
+    + [_edit(("walk", k), NUMBERS | RATIONALS) for k in ("tau", "a")]
     + [_edit(("walk", c, k), NUMBERS) for c in ("coin_x", "coin_y") for k in COIN_KEYS]
     + [_edit(("walk", c, "b"), RATIONALS | NUMBERS) for c in ("coin_x", "coin_y")]
     + [_exponents(),

@@ -9,7 +9,7 @@ from plasticwalk.mat2 import ID2, SX, SZ, rot
 from plasticwalk.timelimit import time_hamiltonian
 
 from conftest import draw_time_compliant, draw_time_generic
-from oracles import apply_shift_word, dft, evolve_by_symbol, idft
+from oracles import apply_shift_word, dft, evolve_by_symbol, idft, save_csv_per_site
 
 
 def test_shift_moves_left_component_down():
@@ -171,6 +171,18 @@ def test_csv_roundtrip(tmp_path, rng):
     back = load_csv(path)
     assert back.shape == (5, 7)
     assert float(np.max(np.abs(back.data - f.data))) <= 1e-15
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (64, 64)])
+def test_save_csv_matches_per_site_writer(tmp_path, rng, nx, ny):
+    d = SpinorField.random(nx, ny, rng).data.copy()
+    d[0, 0, 0] = complex(-0.0, 5e-324)  # negative zero and the smallest subnormal
+    d[1, -1, -1] = complex(2.2250738585072014e-308 / 3, -0.0)
+    d[:, nx // 2, :] *= 1e300  # three-digit exponents
+    field = SpinorField(d)
+    save_csv(field, tmp_path / "rows.csv")
+    save_csv_per_site(field, tmp_path / "sites.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "sites.csv").read_bytes()
 
 
 def test_binary_roundtrip_exact(tmp_path, rng):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plasticwalk import CoinJet, WalkConfig, check_time_limit, time_hamiltonian, walk_k
 from plasticwalk.mat2 import SY, op_norm
@@ -132,6 +134,24 @@ def test_roots_of_unity_compliant_and_not(rng):
         assert roots_of_unity_residual(cfg, kx, ky) <= 1e-12
     cfg = draw_time_generic(rng)
     assert roots_of_unity_residual(cfg, kx, ky) >= 0.1
+
+
+NOISE = st.just(0.0) | st.floats(1e-6, 0.1) | st.floats(-0.1, -1e-6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4, 6, 8]), st.integers(0, 1), st.integers(-40, 40), NOISE,
+       st.integers(0, 2 ** 32 - 1))
+def test_delta_gate_finds_the_root_of_unity_index(tau, nu, j, noise, seed):
+    """On either theta branch, the gate's delta condition holds iff W0^tau = I, for
+    delta on the pi / tau grid and off it."""
+    cfg = draw_time_compliant(np.random.default_rng(seed), nu=nu, tau=tau)
+    delta_y = j * np.pi / tau + noise - cfg.coin_x.delta
+    coin_y = CoinJet(**{**cfg.coin_y.__dict__, "delta": delta_y})
+    cfg = WalkConfig(coin_x=cfg.coin_x, coin_y=coin_y, tau=tau)
+    ks = np.linspace(-np.pi, np.pi, 7)
+    satisfied = check_time_limit(cfg)["delta_quantization"].satisfied
+    assert satisfied == (roots_of_unity_residual(cfg, ks[:, None], ks[None, :]) <= 1e-9)
 
 
 def test_odd_tau_gap_and_odd_power_reduction(rng):
