@@ -36,6 +36,15 @@ __all__ = ["main"]
 
 SCHEMA_VERSION = 1
 
+# Most k-points (grid**2 of dispersion and time-mode converge) or site-bits (nx * ny *
+# max(1, steps.bit_length()) of simulate, whose evolution costs about 60 ns a
+# site-bit) one command may ask for; checked before anything is allocated.  At the
+# limit, on a 2-core x86 host: time-mode converge with the default eps_list takes
+# 23 s and 0.94 GiB peak RSS (grid 1448), dispersion JSON 11 s and 0.79 GiB, and
+# simulate of 1448^2 sites with its field CSV 10 s and 0.2 GiB.  The benchmark asks
+# for at most 786,432 (simulate, 512^2 x 7 steps).
+WORK_BUDGET = 2 ** 21
+
 
 def _write(args, *parts: str) -> None:
     """Write the command output, given in parts, to --output or to stdout.
@@ -72,7 +81,13 @@ def _load(args) -> ExperimentConfig:
     return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
+def _within_budget(work: int, what: str) -> None:
+    if work > WORK_BUDGET:
+        raise ValueError(f"{what}: {work}, over the work budget of {WORK_BUDGET}")
+
+
 def _grid(n: int):
+    _within_budget(n * n, f"a {n}x{n} k-grid has grid**2 k-points")
     ks = np.linspace(-np.pi, np.pi, n, endpoint=False)
     return ks[:, None], ks[None, :]
 
@@ -122,11 +137,9 @@ def cmd_pde(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    work = max(cfg.nx * cfg.ny, lat.STEP_MIN_SITES) * max(cfg.steps, 1)
-    if work > lat.SITE_STEP_BUDGET:
-        raise ValueError(f"{cfg.steps} steps on a {cfg.nx}x{cfg.ny} lattice need {work} "
-                         f"site-steps (a step counts as at least {lat.STEP_MIN_SITES} sites), "
-                         f"over the work budget of {lat.SITE_STEP_BUDGET}")
+    _within_budget(cfg.nx * cfg.ny * max(1, cfg.steps.bit_length()),
+                   f"{cfg.steps} steps on a {cfg.nx}x{cfg.ny} lattice need "
+                   f"nx * ny * max(1, steps.bit_length()) site-bits")
     rng = np.random.default_rng(cfg.seed)
     if cfg.initial_type == "plane_wave":
         state = lat.SpinorField.plane_wave(cfg.nx, cfg.ny, cfg.initial.get("kx", 0.0),
@@ -136,8 +149,7 @@ def cmd_simulate(args) -> int:
     else:
         state = lat.SpinorField.random(cfg.nx, cfg.ny, rng)
     norm0 = state.norm()
-    for _ in range(cfg.steps):
-        state = lat.step(state, cfg.walk, cfg.eps)
+    state = lat.evolve(state, cfg.walk, cfg.eps, cfg.steps)
     drift = abs(state.norm() - norm0)
     field_file = None
     if args.output:

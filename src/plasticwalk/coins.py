@@ -87,7 +87,9 @@ class WalkConfig:
     """One walk family: two coin jets, stroboscopic step, space scaling.
 
     The lattice spacing is Delta = eps**a_exp when a_exp > 0, else 1;
-    time mode fixes a_exp = 0 (the pure continuous-time scaling).
+    time mode fixes a_exp = 0 (the pure continuous-time scaling).  The
+    total phase delta_x + delta_y must be finite: two finite deltas can
+    overflow it.
     """
 
     coin_x: CoinJet
@@ -102,6 +104,8 @@ class WalkConfig:
         object.__setattr__(self, "a_exp", a)
         if not (0 <= a <= 1):
             raise ValueError(f"a_exp must lie in [0, 1], got {a}")
+        if not np.isfinite(self.delta_sum):
+            raise ValueError("delta_x + delta_y must be finite")
         if self.coin_x.mode != self.coin_y.mode:
             raise ValueError("both coins must use the same jet mode")
         if self.mode == "time" and a != 0:

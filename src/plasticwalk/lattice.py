@@ -4,6 +4,11 @@ A field holds two complex amplitudes (psi_L, psi_R) per site (l, m) of an
 Nx x Ny torus, stored as a (2, Nx, Ny) complex array.  The walk step is
 W = V_x V_y with V_i = S_i (C_i (x) Id): the y-factor acts first.
 
+The coins do not depend on the site, so the walk is diagonal in momentum:
+``evolve`` takes any number of steps at once as psi_hat(k) <- W(k)^steps
+psi_hat(k), at a cost logarithmic in the step count.  ``step`` is the
+real-space form of one step, and the oracle ``evolve`` is tested against.
+
 The spin-dependent shift moves the L component against the axis index and
 the R component along it: output L at l reads input L at l+1 (x axis),
 output R at l reads input R at l-1.
@@ -28,16 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import WalkConfig, coin_at
+from .coins import WalkConfig, coin_at, walk_k
 from .mat2 import unitarity_defect
+from ._util import stack_power
 
 __all__ = [
-    "SITE_STEP_BUDGET",
-    "STEP_MIN_SITES",
     "SpinorField",
     "shift",
     "apply_coin",
     "step",
+    "evolve",
     "momentum_grid",
     "save_csv",
     "load_csv",
@@ -47,11 +52,14 @@ __all__ = [
 
 _MAGIC = b"PWFLD1\x00\x00"
 
-# Most site-steps one simulate may run: 134x the largest simulate of the benchmark
-# (2e6), about 19 s at 70 ns per site-step on a 2-core x86 host.  A step counts as
-# at least STEP_MIN_SITES sites: its fixed cost (~190 us) is that of ~2,700 sites.
-SITE_STEP_BUDGET = 2 ** 28
-STEP_MIN_SITES = 4096
+# Most k-points ``evolve`` holds a walk power for at once.  Measured on 256^2: the
+# peak traced memory of an evolution is 1.7x the field's bytes at 2**12 k-points a
+# block (3.9x at 2**14), and 512^2 x 1000 steps is no slower than with larger blocks.
+_K_BLOCK = 2 ** 12
+# Largest unitarity defect W(k)^steps may carry.  Squaring adds about 5e-16 of
+# defect per step (measured), so this admits about 2e12 steps; by 1e16 steps the
+# power is noise, and by 1e50 it overflows.
+_POWER_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -111,12 +119,17 @@ def shift(field: SpinorField, axis: str) -> SpinorField:
     return SpinorField(out)
 
 
-def apply_coin(field: SpinorField, c: NDArray[np.complex128]) -> SpinorField:
-    """Left-multiply the spinor at every site by the unitary 2x2 coin."""
+def _unitary(c) -> NDArray[np.complex128]:
+    """The coin as a complex array, if it is unitary to 1e-10."""
     c = np.asarray(c, dtype=np.complex128)
     if not float(unitarity_defect(c)) <= 1e-10:  # a NaN defect fails too
         raise ValueError("coin must be unitary to 1e-10")
-    return SpinorField(np.einsum("ab,bxy->axy", c, field.data))
+    return c
+
+
+def apply_coin(field: SpinorField, c: NDArray[np.complex128]) -> SpinorField:
+    """Left-multiply the spinor at every site by the unitary 2x2 coin."""
+    return SpinorField(np.einsum("ab,bxy->axy", _unitary(c), field.data))
 
 
 def step(field: SpinorField, cfg: WalkConfig, eps: float) -> SpinorField:
@@ -126,6 +139,45 @@ def step(field: SpinorField, cfg: WalkConfig, eps: float) -> SpinorField:
     out = apply_coin(out, coin_at(cfg.coin_x, eps))
     out = shift(out, "x")
     return out
+
+
+def evolve(field: SpinorField, cfg: WalkConfig, eps: float, steps: int) -> SpinorField:
+    """``steps`` walk steps at once, in momentum space: psi_hat(k) <- W(k)^steps psi_hat(k).
+
+    The same map as ``steps`` calls of :func:`step`, up to FFT roundoff (up to
+    about 2e-16 where stepping leaves exact zeros).  W(k) is evaluated at k / spacing,
+    so each shift moves one site in plastic mode too.  Both coins must be
+    unitary to 1e-10, and W(k)^steps to ``_POWER_TOL``; ``steps == 0`` returns
+    ``field`` itself.  Memory beyond one copy of the field stays small: the
+    FFTs run in place, one axis at a time, and the walk power is built for at
+    most ``_K_BLOCK`` k-points at once.
+    """
+    if steps == 0:
+        return field
+    for jet in (cfg.coin_x, cfg.coin_y):
+        _unitary(coin_at(jet, eps))
+    nx, ny = field.shape
+    spacing = cfg.spacing(eps)
+    kx, ky = (k.ravel() / spacing for k in momentum_grid(nx, ny))
+    psi = field.data.copy()
+    for axis in (2, 1):
+        np.fft.fft(psi, axis=axis, out=psi)
+    flat = psi.reshape(2, -1)  # a view; k-point j is (kx[j // ny], ky[j % ny])
+    for start in range(0, nx * ny, _K_BLOCK):
+        block = slice(start, min(start + _K_BLOCK, nx * ny))
+        j = np.arange(block.start, block.stop)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the gate
+            w = stack_power(walk_k(cfg, kx[j // ny], ky[j % ny], eps), steps)
+            defect = float(np.max(unitarity_defect(w)))
+        if not defect <= _POWER_TOL:
+            raise ValueError(f"W(k)^{steps} is not unitary to {_POWER_TOL:g} (defect "
+                             f"{defect:.3e}): roundoff grows about 5e-16 a step")
+        up, down = flat[:, block]
+        flat[0, block], flat[1, block] = (w[:, 0, 0] * up + w[:, 0, 1] * down,
+                                          w[:, 1, 0] * up + w[:, 1, 1] * down)
+    for axis in (2, 1):
+        np.fft.ifft(psi, axis=axis, out=psi)
+    return SpinorField(psi)
 
 
 def momentum_grid(nx: int, ny: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

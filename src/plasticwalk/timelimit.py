@@ -98,11 +98,11 @@ def _theta_branch(cfg: WalkConfig, nus: tuple[int, ...]) -> Condition:
 def _delta_quantization(cfg: WalkConfig) -> Condition:
     """cos(2 pi l / tau - delta) = 0 for the smallest l >= 0 that can satisfy it.
 
-    That l has 2 pi l / tau = delta + pi/2 (mod pi), and is 0 if delta is not finite.
+    That l has 2 pi l / tau = delta + pi/2 (mod pi).
     Witnesses: l, and the odd multiple p of pi/2 that 2 pi l / tau - delta is.
     """
     r = (cfg.delta_sum + np.pi / 2.0) % np.pi  # reduced mod pi before tau scales it
-    x = int(round(cfg.tau * r / np.pi)) % cfg.tau if np.isfinite(r) else 0  # 2 l = x (mod tau)
+    x = int(round(cfg.tau * r / np.pi)) % cfg.tau  # 2 l = x (mod tau)
     l = (x + cfg.tau) // 2 if x % 2 and cfg.tau % 2 else x // 2
     phase = 2.0 * np.pi * l / cfg.tau - cfg.delta_sum
     c_val = abs(np.cos(phase))

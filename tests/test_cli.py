@@ -292,27 +292,63 @@ def test_gate_finds_the_root_of_unity_index(tmp_path, capsys):
     assert 0.85 <= json.loads(capsys.readouterr().out)["slope"] <= 1.15
 
 
-@pytest.mark.parametrize("steps", [10 ** 12, 10 ** 7])
-def test_simulate_over_the_work_budget_exits_one_at_once(tmp_path, steps):
-    """Checked before any state is built; in a child process, so that a missing
-    check fails on the timeout instead of hanging the suite."""
-    doc = time_doc()
-    doc["lattice"] = {"nx": 2, "ny": 2}
-    doc["run"]["steps"] = steps
-    child = ("import sys, time\n"
+def _run_child(tmp_path, doc, command):
+    """``main`` on ``doc`` in a child process, so that a slow run fails on the timeout
+    instead of hanging the suite.  Returns the process, the seconds ``main`` took and
+    the peak memory it traced."""
+    child = ("import sys, time, tracemalloc\n"
              "from plasticwalk.cli import main\n"
+             "tracemalloc.start()\n"
              "start = time.perf_counter()\n"
-             "code = main(sys.argv[1:])\n"
-             "print(time.perf_counter() - start)\n"
+             "code = main(sys.argv[2:])\n"
+             "seconds = time.perf_counter() - start\n"
+             "with open(sys.argv[1], 'w') as fh:\n"
+             "    fh.write(f'{seconds} {tracemalloc.get_traced_memory()[1]}')\n"
              "sys.exit(code)\n")
     # the child imports the package these tests import
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(plasticwalk.__file__))}
-    proc = subprocess.run([sys.executable, "-c", child, "--config",
-                           write_config(tmp_path, doc), "simulate"],
+    measured = tmp_path / "measured.txt"
+    proc = subprocess.run([sys.executable, "-c", child, str(measured), "--config",
+                           write_config(tmp_path, doc), command],
                           env=env, capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 1
-    assert float(proc.stdout) < 1.0
-    assert proc.stderr.startswith("simulate: ") and "work budget" in proc.stderr
+    seconds, peak = measured.read_text().split()
+    return proc, float(seconds), int(peak)
+
+
+@pytest.mark.parametrize("steps", [10 ** 12, 10 ** 7])
+def test_simulate_cost_is_logarithmic_in_steps(tmp_path, steps):
+    doc = time_doc()
+    doc["lattice"] = {"nx": 2, "ny": 2}
+    doc["run"]["steps"] = steps
+    proc, seconds, _ = _run_child(tmp_path, doc, "simulate")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert seconds < 1.0
+    out = json.loads(proc.stdout)
+    assert out["steps"] == steps and out["norm_drift"] <= 1e-3
+
+
+def _lattice(side, steps=1):
+    def edit(doc):
+        doc["lattice"] = {"nx": side, "ny": side}
+        doc["run"]["steps"] = steps
+    return edit
+
+
+@pytest.mark.parametrize("edit,command", [
+    (_lattice(2 ** 15), "simulate"),
+    (_lattice(512, steps=256), "simulate"),
+    (lambda doc: doc["run"].update(grid=2 ** 15), "dispersion"),
+    (lambda doc: doc["run"].update(grid=2 ** 15), "converge"),
+], ids=["simulate-sites", "simulate-site-bits", "dispersion-grid", "converge-grid"])
+def test_over_the_work_budget_exits_one_before_allocating(tmp_path, edit, command):
+    """2**30 sites or k-points would need tens of GiB; 512^2 x 256 steps is
+    2**18 sites x 9 bits, just over the budget."""
+    doc = time_doc()
+    edit(doc)
+    proc, seconds, peak = _run_child(tmp_path, doc, command)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert seconds < 1.0 and peak < 2 ** 20
+    assert proc.stderr.startswith(f"{command}: ") and "work budget" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
 
 
@@ -357,6 +393,10 @@ def _root(key, value):
     return edit
 
 
+def _huge_deltas(doc):
+    doc["walk"]["coin_x"]["delta"] = doc["walk"]["coin_y"]["delta"] = 1e308  # the sum is inf
+
+
 def _fiftieths(doc):
     doc["walk"]["a"] = doc["walk"]["coin_x"]["b"] = doc["walk"]["coin_y"]["b"] = "1/50"
 
@@ -383,6 +423,7 @@ def _fiftieths(doc):
     (_root("seed", -1), "simulate", 2),
     (_set("walk", "tau", 10 ** 400), "check", 2),
     (_coin_angle(10 ** 400), "check", 2),
+    (_huge_deltas, "check", 2),
     (_set("walk", "a", "1/2"), "converge", 2),
     (_overflowing_coin, "dispersion", 1),
     (_set("run", "eps_list", [1e308, 1e-3, 1e-4]), "converge", 1),
@@ -394,7 +435,7 @@ def _fiftieths(doc):
         "eps_list-two", "eps_list-zero-entry", "eps_list-repeated", "momenta-empty",
         "steps-negative",
         "initial-kx-abc", "initial-kx-inf", "t_final-inf", "t_final-huge-negative",
-        "momenta-short", "run-list", "lattice-int", "seed-negative", "tau-huge", "coin-angle-huge", "time-a-nonzero",
+        "momenta-short", "run-list", "lattice-int", "seed-negative", "tau-huge", "coin-angle-huge", "delta-sum-overflow", "time-a-nonzero",
         "coin-overflow-nan-phases", "eps_list-huge",
         "plastic-momenta-inf", "budget-check", "budget-pde", "budget-terms"])
 def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command, code):

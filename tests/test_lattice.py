@@ -1,14 +1,20 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plasticwalk import CoinJet, WalkConfig, SpinorField, walk_k
+from plasticwalk import CoinJet, WalkConfig, SpinorField, lattice, walk_k
 from plasticwalk.lattice import (
-    apply_coin, load_binary, load_csv, momentum_grid, save_binary, save_csv, shift, step,
+    apply_coin, evolve, load_binary, load_csv, momentum_grid, save_binary, save_csv, shift,
+    step,
 )
 from plasticwalk.mat2 import ID2, SX, SZ, rot
 from plasticwalk.timelimit import time_hamiltonian
 
-from conftest import draw_time_compliant, draw_time_generic
+from conftest import draw_plastic_generic, draw_time_compliant, draw_time_generic, with_exponents
 from oracles import apply_shift_word, dft, evolve_by_symbol, idft, save_csv_per_site
 
 
@@ -90,6 +96,56 @@ def test_step_on_plane_wave_matches_symbol(rng):
     expected = SpinorField.plane_wave(nx, ny, kx, ky, expected_spinor)
     # plane_wave normalizes the spinor; expected_spinor is unit already
     assert float(np.max(np.abs(stepped.data - expected.data))) <= 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(nx=st.integers(2, 12), ny=st.integers(2, 12), steps=st.integers(0, 40),
+       a=st.sampled_from([None, Fraction(1, 2), Fraction(1, 3)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_evolve_matches_repeated_step(nx, ny, steps, a, seed):
+    """Time mode (a None), and plastic mode, where the spacing eps**a is not 1."""
+    rng = np.random.default_rng(seed)
+    cfg = draw_time_generic(rng) if a is None else with_exponents(draw_plastic_generic(rng), a, a)
+    eps = float(rng.uniform(0.01, 0.3))
+    f = SpinorField.random(nx, ny, rng)
+    expected = f
+    for _ in range(steps):
+        expected = step(expected, cfg, eps)
+    assert float(np.max(np.abs(evolve(f, cfg, eps, steps).data - expected.data))) <= 1e-10
+
+
+def test_evolve_zero_steps_returns_the_input(rng):
+    f = SpinorField.random(5, 3, rng)
+    assert evolve(f, draw_time_generic(rng), 0.05, 0).data is f.data
+
+
+def test_evolve_rejects_non_unitary_coin(rng, monkeypatch):
+    f = SpinorField.random(4, 4, rng)
+    cfg = draw_time_generic(rng)
+    monkeypatch.setattr(lattice, "coin_at", lambda jet, eps: np.array([[1.0, 0.2], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="unitary"):
+        evolve(f, cfg, 0.05, 3)
+
+
+def test_evolve_rejects_a_power_past_double_precision(rng):
+    """Squaring adds about 5e-16 of unitarity defect a step: 1e18 steps is noise."""
+    f = SpinorField.random(4, 4, rng)
+    cfg = draw_time_generic(rng)
+    assert abs(evolve(f, cfg, 0.05, 10 ** 12).norm() - f.norm()) <= 1e-3
+    with pytest.raises(ValueError, match="not unitary"):
+        evolve(f, cfg, 0.05, 10 ** 18)
+
+
+def test_evolve_memory_stays_near_one_field_copy(rng):
+    f = SpinorField.random(256, 256, rng)
+    cfg = draw_time_generic(rng)
+    tracemalloc.start()
+    try:
+        evolve(f, cfg, 0.05, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * f.data.nbytes
 
 
 def test_dft_uniform_and_delta():
