@@ -327,22 +327,31 @@ def test_simulate_cost_is_logarithmic_in_steps(tmp_path, steps):
     assert out["steps"] == steps and out["norm_drift"] <= 1e-3
 
 
-def _lattice(side, steps=1):
+def _lattice(nx, ny, steps=1):
     def edit(doc):
-        doc["lattice"] = {"nx": side, "ny": side}
+        doc["lattice"] = {"nx": nx, "ny": ny}
         doc["run"]["steps"] = steps
     return edit
 
 
+def test_simulate_budget_does_not_count_steps(tmp_path):
+    """512^2 sites x 256 steps: within the budget, whatever the step count."""
+    doc = time_doc()
+    _lattice(512, 512, steps=256)(doc)
+    proc, _, _ = _run_child(tmp_path, doc, "simulate")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["norm_drift"] <= 1e-12
+
+
 @pytest.mark.parametrize("edit,command", [
-    (_lattice(2 ** 15), "simulate"),
-    (_lattice(512, steps=256), "simulate"),
+    (_lattice(2 ** 15, 2 ** 15), "simulate"),
+    (_lattice(2 ** 12, 2 ** 10, steps=100), "simulate"),
     (lambda doc: doc["run"].update(grid=2 ** 15), "dispersion"),
     (lambda doc: doc["run"].update(grid=2 ** 15), "converge"),
-], ids=["simulate-sites", "simulate-site-bits", "dispersion-grid", "converge-grid"])
+], ids=["simulate-sites", "simulate-rectangle", "dispersion-grid", "converge-grid"])
 def test_over_the_work_budget_exits_one_before_allocating(tmp_path, edit, command):
-    """2**30 sites or k-points would need tens of GiB; 512^2 x 256 steps is
-    2**18 sites x 9 bits, just over the budget."""
+    """2**30 sites or k-points would need tens of GiB; 2**12 x 2**10 is 2**22
+    sites, twice the budget."""
     doc = time_doc()
     edit(doc)
     proc, seconds, peak = _run_child(tmp_path, doc, command)
