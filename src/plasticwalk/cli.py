@@ -20,9 +20,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import json
+import operator
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -40,18 +44,20 @@ SCHEMA_VERSION = 1
 # ny of simulate) one command may ask for; checked before anything is allocated.
 # simulate's step count is not counted: its evolution is logarithmic in it, and the
 # unitarity check of W(k)^steps stops it at about 2e12 steps (41 bits).  At the
-# limit, on a 2-core x86 host: time-mode converge with the default eps_list takes
-# 23 s and 0.94 GiB peak RSS (grid 1448), dispersion JSON 11 s and 0.79 GiB, and
-# simulate of 1448^2 sites with its field CSV 8.8 s and 0.2 GiB at 1 step, 10.1 s
-# and 0.2 GiB at 10**12 steps.  The benchmark asks for at most 512^2.
+# limit, on a 2-core x86 host: dispersion, which writes its band table a kx row at
+# a time, takes 3.5 s and 0.34 GiB peak RSS (grid 1448, JSON or CSV), and simulate
+# of 1448^2 sites with its field CSV 5.3 s at 1 step and 6.8 s at 10**12 steps, 0.2
+# GiB both.  Time-mode converge with the default eps_list still takes 15 s and 0.92
+# GiB (grid 1448), which is why the budget stays at 2**21.  The benchmark asks for
+# at most 512^2.
 WORK_BUDGET = 2 ** 21
 
 
-def _write(args, *parts: str) -> None:
-    """Write the command output, given in parts, to --output or to stdout.
+def _write(args, parts: Iterable[str]) -> None:
+    """Write the command output, given as an iterable of parts, to --output or to stdout.
 
-    Parts are written one by one, so a large output is never copied into
-    one string first.
+    Parts are written one by one as they are produced, so a large output is
+    never held in one string first.
     """
     if args.output:
         with open(args.output, "w") as fh:
@@ -68,9 +74,26 @@ def _json_text(payload: dict) -> str:
 def _emit(args, payload: dict, csv_rows: list[str] | None = None) -> None:
     """Write JSON (always available) or CSV (when rows are provided)."""
     if args.format == "csv" and csv_rows is not None:
-        _write(args, "\n".join(csv_rows) + "\n")
+        _write(args, ("\n".join(csv_rows) + "\n",))
     else:
-        _write(args, _json_text(payload))
+        _write(args, (_json_text(payload),))
+
+
+def _emit_listing(args, payload: dict, key: str, rows: Iterable[str]) -> None:
+    """Write the JSON of ``payload`` with the list under ``key`` given as formatted rows.
+
+    The rows are the list items as json.dumps(indent=2) writes them, with their
+    separators; they are written in place of a placeholder in the JSON of the
+    rest of the payload, so the list is never built as Python objects.  An empty
+    listing (no rows, or an empty first row) writes [].
+    """
+    head, tail = _json_text({**payload, key: "@rows@"}).split('"@rows@"')
+    rows = iter(rows)
+    first = next(rows, "")
+    if first:
+        _write(args, itertools.chain((head, "[\n", first), rows, ("\n  ]", tail)))
+    else:
+        _write(args, (head, "[]", tail))
 
 
 def _f17(x: float) -> str:
@@ -190,33 +213,31 @@ _BAND_ROWS = {
 }
 
 
-def _band_rows(fmt: str, kx, ky, bands) -> str:
-    """The rows of the band table over the grid kx (n, 1) x ky (1, n), in one pass.
+def _band_rows(fmt: str, kx, ky, bands):
+    """Yield the rows of the band table over the grid kx (n, 1) x ky (1, n), one kx at a time.
 
-    Each grid momentum is formatted once, not once per row it appears in.
+    The rows of one kx come from one template, built once with each ky formatted
+    in; each kx fills in its own kx and phases.
     """
     spec, row, sep = _BAND_ROWS[fmt]
-    xs = [spec % v for v in kx.ravel().tolist()]
-    ys = [spec % v for v in ky.ravel().tolist()]
-    template = sep.join([row.format(x, y) for x in xs for y in ys])
-    return template % tuple(bands.reshape(-1).tolist())
+    line = sep.join([row.format("\0", spec % y) for y in ky.ravel().tolist()])
+    for i, (x, phases) in enumerate(zip(kx.ravel().tolist(), bands)):
+        yield (sep if i else "") + line.replace("\0", spec % x) % tuple(phases.ravel().tolist())
 
 
 def cmd_dispersion(args) -> int:
     cfg = _load(args)
     kx, ky = _grid(cfg.grid)
     bands = conv.dispersion(cfg.walk, cfg.eps, kx, ky)
+    rows = _band_rows(args.format, kx, ky, bands)
     if args.format == "csv":
-        _write(args, "kx,ky,phase1,phase2\n", _band_rows("csv", kx, ky, bands))
+        _write(args, itertools.chain(("kx,ky,phase1,phase2\n",), rows))
         return 0
-    rows = _band_rows("json", kx, ky, bands)
     if not np.isfinite(bands).all():
         # %r writes nan, inf and -inf where json writes NaN, Infinity and -Infinity;
         # neither the row template nor a finite grid momentum contains "nan" or "inf"
-        rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
-    # write the rows in place of the placeholder in the json.dumps of the rest of the payload
-    head, tail = _json_text({"eps": cfg.eps, "bands": "@bands@"}).split('"@bands@"')
-    _write(args, head, "[\n", rows, "\n  ]", tail)
+        rows = (r.replace("nan", "NaN").replace("inf", "Infinity") for r in rows)
+    _emit_listing(args, {"eps": cfg.eps}, "bands", rows)
     return 0
 
 
@@ -228,21 +249,34 @@ def _term_row(idx: pl.TermIndex) -> tuple:
 
 
 _TERM_COLUMNS = pl.TermIndex._fields + ("sum_l", "sum_n", "group")
+# (column order, row template, row separator) of the terms listing; json writes the
+# keys sorted.  A group label is made of [ln=0-9+] alone, so "%s" quotes it as json does.
+_TERM_ROWS = {
+    "csv": (_TERM_COLUMNS, "%d," * 10 + "%s\n", ""),
+    "json": (tuple(sorted(_TERM_COLUMNS)),
+             '    {\n      "group": "%s",\n'
+             + "".join(f'      "{c}": %d,\n' for c in sorted(_TERM_COLUMNS)[1:-1])
+             + '      "sum_n": %d\n    }', ",\n"),
+}
 
 
 def cmd_terms(args) -> int:
     cfg = _load(args)
     rows = [_term_row(idx) for idx in pl.enumerate_terms(cfg.a_exp, cfg.b_exp)]
+    columns, row, sep = _TERM_ROWS[args.format]
+    pick = operator.itemgetter(*map(_TERM_COLUMNS.index, columns))
+    text = sep.join([row] * len(rows)) % tuple(itertools.chain.from_iterable(map(pick, rows)))
     if args.format == "csv":
-        _write(args, ",".join(_TERM_COLUMNS) + "\n",
-               *(",".join(map(str, row)) + "\n" for row in rows))
+        _write(args, (",".join(_TERM_COLUMNS) + "\n", text))
     else:
-        listing = [dict(zip(_TERM_COLUMNS, row)) for row in rows]
-        _emit(args, {"count": len(rows), "terms": listing})
+        _emit_listing(args, {"count": len(rows)}, "terms", (text,))
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one argument parser, built on the first call of ``main``, not at import:
+    the first parser a process builds imports ``locale`` (about 1 ms)."""
     parser = argparse.ArgumentParser(
         prog="plasticwalk",
         description="2D+1 quantum-walk continuum limits: constraint checks, "
@@ -254,12 +288,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command",
                         choices=("check", "hamiltonian", "pde", "simulate",
                                  "converge", "dispersion", "terms"))
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        return 2
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # 0 after --help, 2 on a usage error
+        return exc.code
 
+    # looked up on each call, so a rebound cmd_* attribute of this module is the one run
     handlers = {
         "check": cmd_check,
         "hamiltonian": cmd_hamiltonian,

@@ -28,6 +28,7 @@ psi_L then psi_R as complex128 (re, im float64 pairs).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,23 +159,24 @@ def evolve(field: SpinorField, cfg: WalkConfig, eps: float, steps: int) -> Spino
         _unitary(coin_at(jet, eps))
     nx, ny = field.shape
     spacing = cfg.spacing(eps)
-    kx, ky = (k.ravel() / spacing for k in momentum_grid(nx, ny))
+    kx, ky = (k / spacing for k in momentum_grid(nx, ny))
     psi = field.data.copy()
     for axis in (2, 1):
         np.fft.fft(psi, axis=axis, out=psi)
-    flat = psi.reshape(2, -1)  # a view; k-point j is (kx[j // ny], ky[j % ny])
-    for start in range(0, nx * ny, _K_BLOCK):
-        block = slice(start, min(start + _K_BLOCK, nx * ny))
-        j = np.arange(block.start, block.stop)
+    # tiles of whole kx rows, or of one row's ky columns when a row alone is too long
+    rows, cols = max(1, _K_BLOCK // ny), min(ny, _K_BLOCK)
+    for r0, c0 in itertools.product(range(0, nx, rows), range(0, ny, cols)):
+        tile = np.s_[r0:r0 + rows, c0:c0 + cols]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the gate
-            w = stack_power(walk_k(cfg, kx[j // ny], ky[j % ny], eps), steps)
+            # broadcast momenta: a tile takes one exponential per row and per column
+            w = stack_power(walk_k(cfg, kx[r0:r0 + rows], ky[:, c0:c0 + cols], eps), steps)
             defect = float(np.max(unitarity_defect(w)))
         if not defect <= _POWER_TOL:
             raise ValueError(f"W(k)^{steps} is not unitary to {_POWER_TOL:g} (defect "
                              f"{defect:.3e}): roundoff grows about 5e-16 a step")
-        up, down = flat[:, block]
-        flat[0, block], flat[1, block] = (w[:, 0, 0] * up + w[:, 0, 1] * down,
-                                          w[:, 1, 0] * up + w[:, 1, 1] * down)
+        up, down = psi[0][tile], psi[1][tile]
+        psi[0][tile], psi[1][tile] = (w[..., 0, 0] * up + w[..., 0, 1] * down,
+                                      w[..., 1, 0] * up + w[..., 1, 1] * down)
     for axis in (2, 1):
         np.fft.ifft(psi, axis=axis, out=psi)
     return SpinorField(psi)

@@ -10,6 +10,8 @@ import pytest
 from plasticwalk import CoinJet, WalkConfig
 
 HALF = Fraction(1, 2)
+# the exponents in (0, 1] with denominators up to 8
+FAREY_8 = sorted({Fraction(p, q) for q in range(1, 9) for p in range(1, q + 1)})
 
 
 def draw_time_compliant(rng: np.random.Generator, nu: int | None = None,

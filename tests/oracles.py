@@ -21,11 +21,14 @@ no command needs stay here, as oracles for the library's closed forms:
 * plain-function views of library results: a report's integer
   witnesses, a term's order and an assembly's derivative coefficients;
 * the Richardson fit of the PDE prefactor against the numerical limit
-  (W^2 - I)/(2 eps), which checks the closed form CALIBRATION = -1/2.
+  (W^2 - I)/(2 eps), which checks the closed form CALIBRATION = -1/2;
+* the ``terms`` listing written one dict per index tuple through
+  json.dumps, the reference for the CLI's templated rows.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -35,7 +38,7 @@ from numpy.typing import NDArray
 from plasticwalk.coins import CoinJet, WalkConfig, coin_at, walk_k
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import ID2, SY, SZ, dag, eigvals2, exp_herm, op_norm, rot, unitarity_defect
-from plasticwalk.plastic import PdeAssembly, TermIndex, _angles, gamma_hat
+from plasticwalk.plastic import PdeAssembly, TermIndex, _angles, enumerate_terms, gamma_hat
 from plasticwalk.timelimit import ConstraintReport
 from plasticwalk._util import stack_power
 
@@ -467,3 +470,24 @@ def time_symbol_matmul(terms, kx, ky) -> NDArray[np.complex128]:
         word[..., 1, 1] = np.exp(-1j * phase)
         out = out + word @ term.coeff
     return out
+
+
+# ----------------------------------------------------------------- CLI listings
+
+
+def terms_listing(a: Fraction, b: Fraction) -> tuple[str, str]:
+    """The stdout of ``terms`` as (JSON, CSV): one dict per index tuple through json.dumps.
+
+    A row is the tuple's indices, sum_l, sum_n and its group label: the nonzero
+    indices as l=v and n=v, sorted as strings and joined by "+".
+    """
+    columns = TermIndex._fields + ("sum_l", "sum_n", "group")
+    rows = []
+    for idx in enumerate_terms(a, b):
+        kinds = sorted([f"l={v}" for v in idx[:4] if v] + [f"n={v}" for v in idx[4:] if v])
+        rows.append((*idx, sum(idx[:4]), sum(idx[4:]), "+".join(kinds)))
+    doc = {"schema_version": 1, "count": len(rows),
+           "terms": [dict(zip(columns, row)) for row in rows]}
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    csv = ",".join(columns) + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+    return text, csv

@@ -18,7 +18,8 @@ from plasticwalk import convergence
 from plasticwalk.cli import main
 from plasticwalk.config import ConfigError, parse_rational
 
-from conftest import draw_plastic_compliant
+from conftest import FAREY_8, draw_plastic_compliant
+from oracles import terms_listing
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -109,6 +110,14 @@ def test_missing_config_exits_two(tmp_path):
     assert main(["--config", str(tmp_path / "nope.json"), "check"]) == 2
 
 
+def test_help_exits_zero_and_usage_errors_exit_two(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: plasticwalk" in capsys.readouterr().out
+    assert main([]) == 2
+    assert main(["--config", "cfg.json", "no-such-command"]) == 2
+    assert "usage: plasticwalk" in capsys.readouterr().err
+
+
 def test_hamiltonian_command(tmp_path, capsys):
     path = write_config(tmp_path, time_doc())
     assert main(["--config", path, "hamiltonian"]) == 0
@@ -154,6 +163,25 @@ def test_terms_csv_output(tmp_path):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0].startswith("l1x,l1y,l2x,l2y")
     assert len(lines) == 37
+
+
+def test_terms_listing_matches_the_per_row_oracle(tmp_path, capsys):
+    """Every Farey-8 pair (a, b), in both formats, byte for byte; some listings are empty."""
+    doc = plastic_doc(np.random.default_rng(6))
+    sizes = []
+    for a in FAREY_8:
+        for b in FAREY_8:
+            doc["walk"]["a"] = str(a)
+            for coin in ("coin_x", "coin_y"):
+                doc["walk"][coin]["b"] = str(b)
+            path = write_config(tmp_path, doc)
+            outs = []
+            for fmt in ("json", "csv"):
+                assert main(["--config", path, "--format", fmt, "terms"]) == 0
+                outs.append(capsys.readouterr().out)
+            assert tuple(outs) == terms_listing(a, b), (a, b)
+            sizes.append(outs[1].count("\n") - 1)
+    assert min(sizes) == 0 and max(sizes) > 1000
 
 
 def test_simulate_reports_norm_drift(tmp_path, capsys):
@@ -225,6 +253,17 @@ def test_dispersion_infinite_phases_print_as_json_writes_them(tmp_path, capsys, 
     outs = _dispersion_outputs(tmp_path, capsys, doc)
     assert outs == _dispersion_oracle(doc["run"]["eps"], 3, bands)
     assert '"phase2": -Infinity' in outs[0] and ",-inf," in outs[1]
+
+
+def test_dispersion_json_memory_stays_near_the_band_array(tmp_path):
+    """The band table is written a kx row at a time: at grid 256 (65,536 k-points) the
+    traced peak stays under 12 MiB, where one string of the whole table took 24 MiB."""
+    doc = time_doc()
+    doc["run"]["grid"] = 256
+    proc, _, peak = _run_child(tmp_path, doc, "dispersion")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.count('"kx"') == 256 ** 2
+    assert peak <= 12 * 2 ** 20
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plasticwalk import CoinJet, WalkConfig, SpinorField, lattice, walk_k
@@ -102,8 +102,14 @@ def test_step_on_plane_wave_matches_symbol(rng):
 @given(nx=st.integers(2, 12), ny=st.integers(2, 12), steps=st.integers(0, 40),
        a=st.sampled_from([None, Fraction(1, 2), Fraction(1, 3)]),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(nx=2, ny=5000, steps=3, a=None, seed=0)
+@example(nx=5000, ny=2, steps=5, a=Fraction(1, 3), seed=1)
 def test_evolve_matches_repeated_step(nx, ny, steps, a, seed):
-    """Time mode (a None), and plastic mode, where the spacing eps**a is not 1."""
+    """Time mode (a None), and plastic mode, where the spacing eps**a is not 1.
+
+    Drawn sizes fit one tile of ``lattice._K_BLOCK`` k-points; the examples take
+    several: rows longer than a tile, and a tile of many short rows with a partial last one.
+    """
     rng = np.random.default_rng(seed)
     cfg = draw_time_generic(rng) if a is None else with_exponents(draw_plastic_generic(rng), a, a)
     eps = float(rng.uniform(0.01, 0.3))
@@ -137,15 +143,17 @@ def test_evolve_rejects_a_power_past_double_precision(rng):
 
 
 def test_evolve_memory_stays_near_one_field_copy(rng):
-    f = SpinorField.random(256, 256, rng)
+    """On square lattices, and on rows longer than one tile of ``lattice._K_BLOCK``."""
     cfg = draw_time_generic(rng)
-    tracemalloc.start()
-    try:
-        evolve(f, cfg, 0.05, 1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * f.data.nbytes
+    for nx, ny in ((256, 256), (2, 2 ** 15)):
+        f = SpinorField.random(nx, ny, rng)
+        tracemalloc.start()
+        try:
+            evolve(f, cfg, 0.05, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * f.data.nbytes, (nx, ny)
 
 
 def test_dft_uniform_and_delta():

@@ -17,7 +17,7 @@ from plasticwalk.plastic import (
 )
 
 from conftest import (
-    HALF, draw_plastic_compliant, draw_plastic_generic, plastic_from_angles, with_exponents,
+    FAREY_8, HALF, draw_plastic_compliant, draw_plastic_generic, plastic_from_angles, with_exponents,
 )
 from oracles import (
     calibration_exponents, constraint_f2, cross_term_report, derivative_coefficient,
@@ -329,9 +329,6 @@ def test_spacetime_assembly_unit_exponents_is_mass_type(rng):
         quotient = (w @ w - ID2) / (2 * eps)
         return float(op_norm(quotient - asm.generator(kx, ky)))
     assert err(1e-7) <= 1e-4
-
-
-FAREY_8 = sorted({Fraction(p, q) for q in range(1, 9) for p in range(1, q + 1)})
 
 
 def test_generator_matches_walk_quotient_at_contamination_rate(rng):
