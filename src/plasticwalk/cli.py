@@ -241,11 +241,14 @@ def cmd_dispersion(args) -> int:
     return 0
 
 
-def _term_row(idx: pl.TermIndex) -> tuple:
-    """The indices of one tuple, then sum_l, sum_n and its group label."""
-    kinds = [f"l={v}" for v in (idx.l1x, idx.l1y, idx.l2x, idx.l2y) if v]
-    kinds += [f"n={v}" for v in (idx.n1x, idx.n1y, idx.n2x, idx.n2y) if v]
-    return (*idx, idx.sum_l, idx.sum_n, "+".join(sorted(kinds)))
+def _term_rows(terms: list[pl.TermIndex]) -> list[tuple]:
+    """The indices of each tuple, then sum_l, sum_n and its group label: the nonzero
+    indices as l=v and n=v, sorted as strings and joined by "+".  Every "l=" sorts
+    before every "n=", so a label joins those of its l and n halves, each made once."""
+    half = functools.cache(lambda kind, vals: "+".join(sorted([f"{kind}={v}" for v in vals if v])))
+    return [(*idx, idx.sum_l, idx.sum_n,
+             "+".join(filter(None, (half("l", idx[:4]), half("n", idx[4:])))))
+            for idx in terms]
 
 
 _TERM_COLUMNS = pl.TermIndex._fields + ("sum_l", "sum_n", "group")
@@ -262,7 +265,7 @@ _TERM_ROWS = {
 
 def cmd_terms(args) -> int:
     cfg = _load(args)
-    rows = [_term_row(idx) for idx in pl.enumerate_terms(cfg.a_exp, cfg.b_exp)]
+    rows = _term_rows(pl.enumerate_terms(cfg.a_exp, cfg.b_exp))
     columns, row, sep = _TERM_ROWS[args.format]
     pick = operator.itemgetter(*map(_TERM_COLUMNS.index, columns))
     text = sep.join([row] * len(rows)) % tuple(itertools.chain.from_iterable(map(pick, rows)))

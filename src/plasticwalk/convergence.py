@@ -19,7 +19,7 @@ from .coins import WalkConfig, walk_k
 from .mat2 import eigvals2, exp_herm, op_norm, unitarity_defect
 from .plastic import spacetime_hamiltonian
 from .timelimit import time_hamiltonian
-from ._util import stack_power
+from ._util import POWER_TOL, stack_power
 
 __all__ = [
     "ConvergenceResult",
@@ -71,9 +71,9 @@ def fit_order(samples: Sequence[tuple[float, float]]) -> tuple[float, float, flo
     return float(slope), float(intercept), float(r2)
 
 
-def _check_unitary(m: NDArray[np.complex128], what: str) -> None:
+def _check_unitary(m: NDArray[np.complex128], what: str, tol: float = _UNITARITY_TOL) -> None:
     defect = float(np.max(unitarity_defect(m)))
-    if not defect <= _UNITARITY_TOL:  # a NaN defect fails too
+    if not defect <= tol:  # a NaN defect fails too
         raise ValueError(f"{what} lost unitarity (defect {defect:.3e})")
 
 
@@ -83,14 +83,17 @@ def _converge(cfg: WalkConfig, tau: int, h: NDArray[np.complex128], kx, ky,
 
     The step count n = round(T / (tau eps)) rounds the horizon to a whole
     number of stroboscopic blocks; the induced O(eps) time mismatch is
-    absorbed into the fitted order.
+    absorbed into the fitted order.  W^(tau n) must be unitary to POWER_TOL,
+    as the walk power of ``lattice.evolve`` is.
     """
     samples = []
     for eps in sorted(eps_list, reverse=True):
         n = max(1, round(t_final / (tau * eps)))
         w = walk_k(cfg, kx, ky, eps)
         _check_unitary(w, "walk symbol")
-        walk_pow = stack_power(w, tau * n)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+            walk_pow = stack_power(w, tau * n)
+            _check_unitary(walk_pow, f"W^({tau} n) at n = {n:.3g}", POWER_TOL)
         target = exp_herm(h, tau * n * eps)
         _check_unitary(target, target_name)
         err = float(np.max(op_norm(walk_pow - target)))

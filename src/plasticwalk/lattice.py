@@ -36,7 +36,7 @@ from numpy.typing import NDArray
 
 from .coins import WalkConfig, coin_at, walk_k
 from .mat2 import unitarity_defect
-from ._util import stack_power
+from ._util import POWER_TOL, stack_power
 
 __all__ = [
     "SpinorField",
@@ -57,10 +57,6 @@ _MAGIC = b"PWFLD1\x00\x00"
 # peak traced memory of an evolution is 1.7x the field's bytes at 2**12 k-points a
 # block (3.9x at 2**14), and 512^2 x 1000 steps is no slower than with larger blocks.
 _K_BLOCK = 2 ** 12
-# Largest unitarity defect W(k)^steps may carry.  Squaring adds about 5e-16 of
-# defect per step (measured), so this admits about 2e12 steps; by 1e16 steps the
-# power is noise, and by 1e50 it overflows.
-_POWER_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ def evolve(field: SpinorField, cfg: WalkConfig, eps: float, steps: int) -> Spino
     The same map as ``steps`` calls of :func:`step`, up to FFT roundoff (up to
     about 2e-16 where stepping leaves exact zeros).  W(k) is evaluated at k / spacing,
     so each shift moves one site in plastic mode too.  Both coins must be
-    unitary to 1e-10, and W(k)^steps to ``_POWER_TOL``; ``steps == 0`` returns
+    unitary to 1e-10, and W(k)^steps to ``POWER_TOL``; ``steps == 0`` returns
     ``field`` itself.  Memory beyond one copy of the field stays small: the
     FFTs run in place, one axis at a time, and the walk power is built for at
     most ``_K_BLOCK`` k-points at once.
@@ -171,8 +167,8 @@ def evolve(field: SpinorField, cfg: WalkConfig, eps: float, steps: int) -> Spino
             # broadcast momenta: a tile takes one exponential per row and per column
             w = stack_power(walk_k(cfg, kx[r0:r0 + rows], ky[:, c0:c0 + cols], eps), steps)
             defect = float(np.max(unitarity_defect(w)))
-        if not defect <= _POWER_TOL:
-            raise ValueError(f"W(k)^{steps} is not unitary to {_POWER_TOL:g} (defect "
+        if not defect <= POWER_TOL:
+            raise ValueError(f"W(k)^{steps} is not unitary to {POWER_TOL:g} (defect "
                              f"{defect:.3e}): roundoff grows about 5e-16 a step")
         up, down = psi[0][tile], psi[1][tile]
         psi[0][tile], psi[1][tile] = (w[..., 0, 0] * up + w[..., 0, 1] * down,

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, NamedTuple
+from math import comb, factorial, gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -126,43 +126,44 @@ def _index_tuples(sum_l: int, sum_n: int):
             yield TermIndex(ls[0], ls[1], ls[2], ls[3], ns[0], ns[1], ns[2], ns[3])
 
 
-def _sum_pairs(a: Fraction, b: Fraction):
-    """All (sum_l, sum_n) with 0 < a*sum_l + b*sum_n <= 1, exact arithmetic."""
+def _pairs(a: Fraction, b: Fraction, order_one: bool) -> tuple[list[tuple[int, int]], int]:
+    """The (sum_l, sum_n) pairs of order 1 (``order_one``) or in (0, 1), and their tuple count.
+
+    Orders are integers over the common denominator d, a*sl + b*sn = (A*sl + B*sn)/d,
+    and the order-1 sl form an arithmetic progression; pairs come sl, then sn,
+    ascending.  Each sum has C(sum + 3, 3) weak compositions into four parts.
+    Raises ValueError as soon as the pairs listed so far need more than
+    TUPLE_BUDGET tuples, so a few dozen pairs are visited at any d.
+    """
     a, b = Fraction(a), Fraction(b)
-    if b <= 0:
-        raise ValueError("b must be positive")
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    if a == 0:
-        # l indices never raise the order: the pure-n sum n = 1 (order b <= 1)
-        # would admit infinitely many l tuples
-        if b <= 1:
+    if a < 0 or b <= 0:
+        raise ValueError("the exponents need a >= 0 and b > 0")
+    d = lcm(a.denominator, b.denominator)
+    A, B = int(a * d), int(b * d)
+    if A == 0:
+        # l indices never raise the order, so a pure-n pair in the set (sn = 1/b of
+        # order 1, or sn = 1 of order b < 1) admits infinitely many l tuples
+        if d % B == 0 if order_one else B < d:
             raise ValueError(
                 "a = 0 admits infinitely many index tuples; the pure "
                 "time scaling belongs to the time-limit machinery")
-        return []
-    return [(sl, sn) for sl in range(int(1 / a) + 1)
-            for sn in range(int((1 - a * sl) / b) + 1) if sl or sn]
-
-
-def _budgeted(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The (sum_l, sum_n) pairs, if their index tuples fit in TUPLE_BUDGET."""
-    count = _tuple_count(pairs)
-    if count > TUPLE_BUDGET:
-        raise ValueError(f"the exponents need {count} index tuples, over the work "
-                         f"budget of {TUPLE_BUDGET}")
-    return pairs
-
-
-def _tuple_count(pairs: list[tuple[int, int]]) -> int:
-    """Index tuples of the (sum_l, sum_n) pairs, in closed form: each sum has
-    C(sum + 3, 3) weak compositions into four parts."""
-    return sum(comb(sl + 3, 3) * comb(sn + 3, 3) for sl, sn in pairs)
-
-
-def _kept_pairs(a: Fraction, b: Fraction, keep: Callable[[Fraction], bool]):
-    """The (sum_l, sum_n) pairs of order f in (0, 1] with keep(f)."""
-    return [(sl, sn) for sl, sn in _sum_pairs(a, b) if keep(a * sl + b * sn)]
+        return [], 0
+    if order_one:  # A*sl = d (mod B): sl from the inverse of A/g modulo B/g
+        g = gcd(A, B)
+        step = B // g
+        sls = range(d // g * pow(A // g, -1, step) % step, d // A + 1, step) if d % g == 0 else ()
+        candidates = ((sl, (d - A * sl) // B) for sl in sls)
+    else:
+        candidates = ((sl, sn) for sl in range((d - 1) // A + 1)
+                      for sn in range(sl == 0, (d - 1 - A * sl) // B + 1))
+    pairs, tuples = [], 0
+    for sl, sn in candidates:
+        tuples += comb(sl + 3, 3) * comb(sn + 3, 3)
+        if tuples > TUPLE_BUDGET:
+            raise ValueError(f"the exponents need more than {TUPLE_BUDGET} index tuples "
+                             f"(the work budget)")
+        pairs.append((sl, sn))
+    return pairs, tuples
 
 
 def enumerate_terms(a: Fraction, b: Fraction) -> list[TermIndex]:
@@ -173,15 +174,7 @@ def enumerate_terms(a: Fraction, b: Fraction) -> list[TermIndex]:
     not an integer there are no solutions and the list is empty.  Raises
     ValueError past TUPLE_BUDGET tuples, before enumerating any.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0:
-        if (Fraction(1) / b).denominator != 1:
-            return []
-        raise ValueError(
-            "a = 0 admits infinitely many index tuples; the pure "
-            "time scaling belongs to the time-limit machinery")
-    return [idx for sl, sn in _budgeted(_kept_pairs(a, b, lambda f: f == 1))
-            for idx in _index_tuples(sl, sn)]
+    return [idx for sl, sn in _pairs(a, b, order_one=True)[0] for idx in _index_tuples(sl, sn)]
 
 
 def _scalar_coeff(idx: TermIndex) -> complex:
@@ -209,8 +202,8 @@ class DivergenceGroup:
 
 
 def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
-                  keep: Callable[[Fraction], bool]) -> list[DivergenceGroup]:
-    """Grouped coefficient sums over the index tuples of order f in (0, 1] with keep(f).
+                  order_one: bool) -> list[DivergenceGroup]:
+    """Grouped coefficient sums over the index tuples of order 1 (``order_one``) or in (0, 1).
 
     Terms are grouped by (f, kx power, ky power, theta1x power, theta1y
     power) because momenta and the theta1 drivers are free parameters:
@@ -218,7 +211,7 @@ def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
     TUPLE_BUDGET tuples, before summing any.
     """
     a, b = Fraction(a), Fraction(b)
-    pairs = _budgeted(_kept_pairs(a, b, keep))
+    pairs = _pairs(a, b, order_one)[0]
     gammas: dict[tuple[int, int, int, int], NDArray[np.complex128]] = {}
 
     def gam(key):
@@ -246,7 +239,7 @@ def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction) -> tuple[floa
     """
     if cfg.mode != "plastic":
         raise ValueError("divergence analysis applies to plastic-mode configs")
-    groups = _grouped_sums(cfg, a, b, lambda f: f < 1)
+    groups = _grouped_sums(cfg, a, b, order_one=False)
     return max((g.norm for g in groups), default=0.0), groups
 
 
@@ -266,7 +259,7 @@ def check_spacetime_limit(cfg: WalkConfig, a: Fraction, b: Fraction) -> Constrai
         raise ValueError("the spacetime limit is defined for tau = 2")
     a, b = Fraction(a), Fraction(b)
     # a = 0: the scaling belongs to the time-limit machinery
-    n_terms = _tuple_count(_kept_pairs(a, b, lambda f: f == 1)) if a else 0
+    n_terms = _pairs(a, b, order_one=True)[1] if a else 0
     expo = Condition("exponents_rational", n_terms > 0, 0.0 if n_terms else 1.0,
                      {"a_num": a.numerator, "a_den": a.denominator,
                       "b_num": b.numerator, "b_den": b.denominator,
@@ -348,9 +341,9 @@ def spacetime_hamiltonian(cfg: WalkConfig, a: Fraction, b: Fraction) -> PdeAssem
     terms = tuple(
         PdeTerm(g.kx_power, g.ky_power, g.thx_power, g.thy_power,
                 (-1j) ** (g.kx_power + g.ky_power) * g.matrix)
-        for g in _grouped_sums(cfg, a, b, lambda f: f == 1) if g.norm > 1e-13
+        for g in _grouped_sums(cfg, a, b, order_one=True) if g.norm > 1e-13
     )
-    # Known defect, kept until the gate rejects it (ROADMAP item 3): when every order-1
+    # Known defect, kept until the gate rejects it (ROADMAP item 2): when every order-1
     # group cancels (compliant a + b > 1) there are no terms, and the calibration reads
     # NaN, as the 0/0 of the earlier numerical fit did.
     calibration = CALIBRATION if terms else float("nan")

@@ -20,6 +20,9 @@ no command needs stay here, as oracles for the library's closed forms:
   reference for both squarings;
 * plain-function views of library results: a report's integer
   witnesses, a term's order and an assembly's derivative coefficients;
+* the (sum_l, sum_n) pairs of order 1 or in (0, 1) by an exact Fraction
+  scan of every pair of order at most 1, counted and budgeted after the
+  scan, the reference for the term engine's integer pair table;
 * the Richardson fit of the PDE prefactor against the numerical limit
   (W^2 - I)/(2 eps), which checks the closed form CALIBRATION = -1/2;
 * the ``terms`` listing written one dict per index tuple through
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +42,9 @@ from numpy.typing import NDArray
 from plasticwalk.coins import CoinJet, WalkConfig, coin_at, walk_k
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import ID2, SY, SZ, dag, eigvals2, exp_herm, op_norm, rot, unitarity_defect
-from plasticwalk.plastic import PdeAssembly, TermIndex, _angles, enumerate_terms, gamma_hat
+from plasticwalk.plastic import (
+    TUPLE_BUDGET, PdeAssembly, TermIndex, _angles, enumerate_terms, gamma_hat,
+)
 from plasticwalk.timelimit import ConstraintReport
 from plasticwalk._util import stack_power
 
@@ -358,6 +364,20 @@ def witnesses(report: ConstraintReport) -> dict[str, int]:
 def term_order(idx: TermIndex, a: Fraction, b: Fraction) -> Fraction:
     """The eps order a * sum_l + b * sum_n of one index tuple."""
     return a * idx.sum_l + b * idx.sum_n
+
+
+def sum_pairs_scan(a: Fraction, b: Fraction, order_one: bool) -> tuple[list[tuple[int, int]], int]:
+    """The (sum_l, sum_n) pairs of order exactly 1 (order_one) or in (0, 1), and their
+    index tuple count, for a > 0: every pair of order at most 1 in Fraction
+    arithmetic, sl ascending, then sn ascending.  ValueError past TUPLE_BUDGET tuples."""
+    a, b = Fraction(a), Fraction(b)
+    pairs = [(sl, sn) for sl in range(int(1 / a) + 1)
+             for sn in range(int((1 - a * sl) / b) + 1)
+             if (sl or sn) and ((a * sl + b * sn == 1) if order_one else (a * sl + b * sn < 1))]
+    count = sum(comb(sl + 3, 3) * comb(sn + 3, 3) for sl, sn in pairs)
+    if count > TUPLE_BUDGET:
+        raise ValueError(f"the exponents need {count} index tuples, over the work budget")
+    return pairs, count
 
 
 def derivative_coefficient(asm: PdeAssembly, dx: int, dy: int) -> NDArray[np.complex128]:

@@ -298,7 +298,7 @@ def test_check_without_order_one_terms_prints_strict_json(tmp_path, capsys, a, b
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="known defect, ROADMAP item 3: every order-1 group cancels at "
+                   reason="known defect, ROADMAP item 2: every order-1 group cancels at "
                           "a = b = 1, yet the gate passes and pde prints calibration NaN")
 def test_pde_without_surviving_order_one_groups_prints_strict_json(tmp_path, capsys):
     doc = plastic_doc(np.random.default_rng(9))
@@ -400,6 +400,33 @@ def test_over_the_work_budget_exits_one_before_allocating(tmp_path, edit, comman
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("a,b", [("1/1000000", "1/1000000"), ("1/2", "1/1000000"),
+                                 ("1/1000000", "1/1")])
+@pytest.mark.parametrize("command", ["check", "pde", "terms", "converge"])
+def test_tuple_budget_refuses_at_once_at_any_denominators(tmp_path, a, b, command):
+    """The pair table stops at the budget, so a denominator of 10**6 costs a few dozen pairs."""
+    doc = plastic_doc(np.random.default_rng(10))
+    doc["walk"]["a"] = a
+    doc["walk"]["coin_x"]["b"] = doc["walk"]["coin_y"]["b"] = b
+    proc, seconds, _ = _run_child(tmp_path, doc, command)
+    assert proc.returncode == 1 and proc.stdout == "" and seconds < 1.0
+    assert proc.stderr.startswith(f"{command}: ") and "work budget" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_terms_lists_the_order_one_pair_where_check_hits_the_budget(tmp_path, capsys):
+    """(2/1001, 999/1001): one order-1 pair (1, 1) of 16 tuples, and 500 pairs of order
+    below 1 with far more than the budget."""
+    doc = plastic_doc(np.random.default_rng(10))
+    doc["walk"]["a"] = "2/1001"
+    doc["walk"]["coin_x"]["b"] = doc["walk"]["coin_y"]["b"] = "999/1001"
+    path = write_config(tmp_path, doc)
+    assert main(["--config", path, "terms"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 16
+    assert main(["--config", path, "check"]) == 1
+    assert "work budget" in capsys.readouterr().err
+
+
 def _set(section, key, value):
     def edit(doc):
         doc[section][key] = value
@@ -475,6 +502,8 @@ def _fiftieths(doc):
     (_set("walk", "a", "1/2"), "converge", 2),
     (_overflowing_coin, "dispersion", 1),
     (_set("run", "eps_list", [1e308, 1e-3, 1e-4]), "converge", 1),
+    (_set("run", "eps_list", [1e-30, 1e-31, 1e-32]), "converge", 1),
+    (_plastic(_set("run", "eps_list", [1e-300, 1e-301, 1e-302])), "converge", 1),
     (_plastic(_set("run", "momenta", [[float("inf"), 0.0]])), "converge", 1),
     (_plastic(_fiftieths), "check", 1),
     (_plastic(_fiftieths), "pde", 1),
@@ -484,7 +513,7 @@ def _fiftieths(doc):
         "steps-negative",
         "initial-kx-abc", "initial-kx-inf", "t_final-inf", "t_final-huge-negative",
         "momenta-short", "run-list", "lattice-int", "seed-negative", "tau-huge", "coin-angle-huge", "delta-sum-overflow", "time-a-nonzero",
-        "coin-overflow-nan-phases", "eps_list-huge",
+        "coin-overflow-nan-phases", "eps_list-huge", "eps_list-tiny-time", "eps_list-tiny-plastic",
         "plastic-momenta-inf", "budget-check", "budget-pde", "budget-terms"])
 def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command, code):
     doc = time_doc()

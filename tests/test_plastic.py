@@ -5,6 +5,8 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plasticwalk import (
     CoinJet, WalkConfig, check_spacetime_limit, divergence_residual,
@@ -13,7 +15,7 @@ from plasticwalk import (
 from plasticwalk.config import ExperimentConfig
 from plasticwalk.mat2 import ID2, op_norm, rot
 from plasticwalk.plastic import (
-    TUPLE_BUDGET, TermIndex, _grouped_sums, gamma_hat,
+    TUPLE_BUDGET, TermIndex, _grouped_sums, _pairs, gamma_hat,
 )
 
 from conftest import (
@@ -21,7 +23,7 @@ from conftest import (
 )
 from oracles import (
     calibration_exponents, constraint_f2, cross_term_report, derivative_coefficient,
-    is_hermitian, transport_commutator, witnesses, zeroth_order_residual,
+    is_hermitian, sum_pairs_scan, transport_commutator, witnesses, zeroth_order_residual,
 )
 
 
@@ -155,6 +157,10 @@ def test_enumerate_a_zero_cases():
     assert enumerate_terms(Fraction(0), Fraction(2, 3)) == []
     with pytest.raises(ValueError):
         enumerate_terms(Fraction(0), Fraction(1, 2))
+    # below order 1 only a pure-n pair with b < 1 admits infinitely many l tuples
+    assert _pairs(Fraction(0), Fraction(1), order_one=False) == ([], 0)
+    with pytest.raises(ValueError, match="infinitely many"):
+        _pairs(Fraction(0), Fraction(2, 3), order_one=False)
 
 
 @pytest.mark.parametrize("a,b", [(HALF, HALF), (Fraction(1, 3), Fraction(2, 3)),
@@ -172,10 +178,38 @@ def test_tuple_budget_stops_enumeration_early(rng):
     with pytest.raises(ValueError, match="work budget"):
         enumerate_terms(tiny, tiny)
     with pytest.raises(ValueError, match="work budget"):
-        _grouped_sums(draw_plastic_compliant(rng), tiny, tiny, lambda f: f < 1)
+        _grouped_sums(draw_plastic_compliant(rng), tiny, tiny, order_one=False)
     assert time.perf_counter() - start < 1.0
     eighth = Fraction(1, 8)  # the largest term set at denominators up to 8 fits
     assert len(enumerate_terms(eighth, eighth)) == comb(15, 7) < TUPLE_BUDGET
+
+
+def _same_as_scan(a, b, order_one):
+    try:
+        want = sum_pairs_scan(a, b, order_one)
+    except ValueError:
+        with pytest.raises(ValueError, match="work budget"):
+            _pairs(a, b, order_one)
+    else:
+        assert _pairs(a, b, order_one) == want, (a, b, order_one)
+
+
+def test_pair_table_matches_the_scan_on_farey_8():
+    for a, b in itertools.product(FAREY_8, repeat=2):
+        for order_one in (True, False):
+            _same_as_scan(a, b, order_one)
+
+
+# the exponents in (0, 1] with denominators up to 40
+EXPONENTS_40 = st.integers(1, 40).flatmap(
+    lambda q: st.builds(Fraction, st.integers(1, q), st.just(q)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(EXPONENTS_40, EXPONENTS_40, st.booleans())
+def test_pair_table_matches_the_scan(a, b, order_one):
+    """The same pairs in the same order, the same tuple count and the same refusals."""
+    _same_as_scan(a, b, order_one)
 
 
 # ----------------------------------------------------------------- divergence
@@ -281,7 +315,7 @@ def test_partial_conditions_split_group_cancellations(rng):
     divergence conditions too."""
     cfg = draw_plastic_generic(rng)
     groups = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): g
-              for g in _grouped_sums(cfg, HALF, HALF, lambda f: f == 1)
+              for g in _grouped_sums(cfg, HALF, HALF, order_one=True)
               if g.exponent == 1}
     assert groups[(2, 0, 0, 0)].norm <= 1e-12
     assert groups[(0, 2, 0, 0)].norm <= 1e-12
@@ -401,7 +435,7 @@ def test_transport_commutator_identity_and_on_shell_vanishing(rng):
         asm_px = None
         # build Px, Py from the raw group sums (no divergence gating)
         groups = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): g.matrix
-                  for g in _grouped_sums(cfg, HALF, HALF, lambda f: f == 1)
+                  for g in _grouped_sums(cfg, HALF, HALF, order_one=True)
                   if g.exponent == 1}
         thx, thy = cfg.coin_x.theta1, cfg.coin_y.theta1
         px = 1j * (thx * groups[(1, 0, 1, 0)] + thy * groups[(1, 0, 0, 1)])
@@ -460,7 +494,7 @@ def test_cross_term_norm_matches_enumerator_group(rng):
         zx, phx, zy, phy = rng.uniform(-np.pi, np.pi, size=4)
         cfg = plastic_raw(thx0, thy0, zx, phx, zy, phy)
         groups = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): g
-                  for g in _grouped_sums(cfg, HALF, HALF, lambda f: f == 1)
+                  for g in _grouped_sums(cfg, HALF, HALF, order_one=True)
                   if g.exponent == 1}
         cross = groups[(1, 1, 0, 0)]
         rep = cross_term_report(cfg)
