@@ -12,13 +12,20 @@ multiplies the Gamma words: orders in (0, 1) must cancel group by group
 (divergence gate); order-1 groups assemble into the PDE generator.  Its
 overall prefactor is the closed form e^{2 i delta} / 2 = -1/2, because the
 delta gate puts delta at pi/2 mod pi.
+
+A Gamma word depends on the parities of its indices alone, so the engine
+forms at most 16 parity words and the products of the word pairs it meets,
+and looks each tuple's product up by its eight index parities.  Every group
+belongs to one (sum_l, sum_n) pair; a pair is summed in one numpy pass whose
+``np.add.at`` adds the terms in tuple order, so each group sum is bit for
+bit the sum of a tuple-by-tuple loop (``tests/oracles.py`` keeps that loop).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +53,8 @@ __all__ = [
 
 # Most index tuples one enumeration may visit: 15x the largest count over the
 # exponent pairs with denominators up to 8 (12,870).  On a 2-core x86 host,
-# check sums 125,970 tuples (a = b = 1/12) in about 1 s.
+# check sums the 75,581 tuples below order 1 at a = b = 1/12 in about 0.02 s,
+# and the 194,579 at a = 1/45, b = 1 in about 0.13 s.
 TUPLE_BUDGET = 200_000
 
 # Prefactor of the order-1 assembly: e^{2 i delta} / 2 with tau = 2, and delta = pi/2 mod pi.
@@ -73,19 +81,33 @@ class TermIndex(NamedTuple):
     def sum_n(self) -> int:
         return self.n1x + self.n1y + self.n2x + self.n2y
 
-    @property
-    def first(self) -> tuple[int, int, int, int]:
-        """(lx, ly, nx, ny) of the left walk factor."""
-        return (self.l1x, self.l1y, self.n1x, self.n1y)
-
-    @property
-    def second(self) -> tuple[int, int, int, int]:
-        return (self.l2x, self.l2y, self.n2x, self.n2y)
-
 
 def _angles(cfg: WalkConfig) -> tuple[float, float, float, float, float, float]:
     jx, jy = cfg.coin_x, cfg.coin_y
     return jx.zeta0, jx.theta0, jx.phi0, jy.zeta0, jy.theta0, jy.phi0
+
+
+def _rotations(cfg: WalkConfig) -> tuple[NDArray[np.complex128], ...]:
+    """Rz(zeta_x), Ry(theta0x), Rz(phi_x), Rz(zeta_y), Ry(theta0y), Rz(phi_y)."""
+    zx, thx, phx, zy, thy, phy = _angles(cfg)
+    return rot("z", zx), rot("y", thx), rot("z", phx), rot("z", zy), rot("y", thy), rot("z", phy)
+
+
+def _word(rots: tuple[NDArray[np.complex128], ...], lx: int, ly: int, nx: int,
+          ny: int) -> NDArray[np.complex128]:
+    """The word of :func:`gamma_hat` from the six :func:`_rotations`."""
+    rzx, ryx, rpx, rzy, ryy, rpy = rots
+    word = rzx
+    if lx % 2:
+        word = word @ SZ
+    if nx % 2:
+        word = word @ SY
+    word = word @ ryx @ rpx @ rzy
+    if ly % 2:
+        word = word @ SZ
+    if ny % 2:
+        word = word @ SY
+    return word @ ryy @ rpy
 
 
 def gamma_hat(cfg: WalkConfig, lx: int, ly: int, nx: int, ny: int) -> NDArray[np.complex128]:
@@ -97,18 +119,7 @@ def gamma_hat(cfg: WalkConfig, lx: int, ly: int, nx: int, ny: int) -> NDArray[np
     """
     if min(lx, ly, nx, ny) < 0:
         raise ValueError("indices must be nonnegative")
-    zx, thx, phx, zy, thy, phy = _angles(cfg)
-    word = rot("z", zx)
-    if lx % 2:
-        word = word @ SZ
-    if nx % 2:
-        word = word @ SY
-    word = word @ rot("y", thx) @ rot("z", phx) @ rot("z", zy)
-    if ly % 2:
-        word = word @ SZ
-    if ny % 2:
-        word = word @ SY
-    return word @ rot("y", thy) @ rot("z", phy)
+    return _word(_rotations(cfg), lx, ly, nx, ny)
 
 
 def _compositions4(total: int):
@@ -177,14 +188,6 @@ def enumerate_terms(a: Fraction, b: Fraction) -> list[TermIndex]:
     return [idx for sl, sn in _pairs(a, b, order_one=True)[0] for idx in _index_tuples(sl, sn)]
 
 
-def _scalar_coeff(idx: TermIndex) -> complex:
-    """nu1 nu2 with the free monomials (k and theta1 powers) stripped."""
-    denom = 1
-    for p in idx:
-        denom *= factorial(p)
-    return (1j ** idx.sum_l) * ((-0.5j) ** idx.sum_n) / denom
-
-
 @dataclass(frozen=True)
 class DivergenceGroup:
     """One coefficient group of the squared-walk expansion at order eps^exponent."""
@@ -201,6 +204,27 @@ class DivergenceGroup:
         return float(op_norm(self.matrix))
 
 
+class _Half(NamedTuple):
+    """The l (or n) half of the index tuples of one sum, one entry per composition
+    (1x, 1y, 2x, 2y) of the sum, in :func:`_compositions4` order."""
+
+    bits: NDArray[np.int64]  # parities of 1x, 1y, 2x, 2y as bits 5, 4, 1, 0 (an n half)
+    kinds: list[int]         # the distinct bits
+    x: NDArray[np.int64]     # 1x + 2x
+    den: NDArray[np.int64]   # position of the factorial denominator in dens
+    dens: list[int]          # the distinct products of the factorials of the parts
+
+
+def _half(total: int) -> _Half:
+    parts = np.array(list(_compositions4(total)))
+    bits = (parts & 1) @ np.array([32, 16, 2, 1])
+    # the denominator depends on the multiset of the parts alone
+    multiset = np.sort(parts, axis=1) @ (total + 1) ** np.arange(4)
+    _, first, den = np.unique(multiset, return_index=True, return_inverse=True)
+    return _Half(bits, np.unique(bits).tolist(), parts[:, 0] + parts[:, 2], den,
+                 [prod(map(factorial, parts[i].tolist())) for i in first])
+
+
 def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
                   order_one: bool) -> list[DivergenceGroup]:
     """Grouped coefficient sums over the index tuples of order 1 (``order_one``) or in (0, 1).
@@ -209,26 +233,42 @@ def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
     power) because momenta and the theta1 drivers are free parameters:
     a group vanishes only if its own sum cancels.  Raises ValueError past
     TUPLE_BUDGET tuples, before summing any.
+
+    A tuple's term is nu1 nu2 (without the k and theta1 monomials) times
+    gamma_hat(l1x, l1y, n1x, n1y) @ gamma_hat(l2x, l2y, n2x, n2y); the
+    scalar is evaluated once per factorial denominator of a pair.
     """
     a, b = Fraction(a), Fraction(b)
     pairs = _pairs(a, b, order_one)[0]
-    gammas: dict[tuple[int, int, int, int], NDArray[np.complex128]] = {}
+    halves = {total: _half(total) for total in set().union(*pairs)}
+    # product index 16 * left word + right word, bits l1x l1y n1x n1y l2x l2y n2x n2y:
+    # 4 * (bits of the l half) + bits of the n half
+    codes = {4 * lk + nk for sl, sn in pairs
+             for lk in halves[sl].kinds for nk in halves[sn].kinds}
+    rots = _rotations(cfg)
+    words = {w: _word(rots, w >> 3, w >> 2 & 1, w >> 1 & 1, w & 1)
+             for w in {c >> 4 for c in codes} | {c & 15 for c in codes}}
+    products = np.empty((256, 2, 2), dtype=np.complex128)
+    for c in codes:
+        products[c] = words[c >> 4] @ words[c & 15]
 
-    def gam(key):
-        if key not in gammas:
-            gammas[key] = gamma_hat(cfg, *key)
-        return gammas[key]
-
-    groups: dict[tuple, NDArray[np.complex128]] = {}
+    d = lcm(a.denominator, b.denominator)
+    groups = []
     for sl, sn in pairs:
+        ls, ns = halves[sl], halves[sn]
+        scale = (1j ** sl) * ((-0.5j) ** sn)
+        coeffs = np.array([[scale / (dl * dn) for dn in ns.dens] for dl in ls.dens])
+        terms = coeffs[ls.den[:, None], ns.den].reshape(-1, 1, 1) \
+            * products[(4 * ls.bits[:, None] + ns.bits).ravel()]
+        acc = np.zeros(((sl + 1) * (sn + 1), 2, 2), dtype=np.complex128)
+        np.add.at(acc, (ls.x[:, None] * (sn + 1) + ns.x).ravel(), terms)
         order = a * sl + b * sn
-        for idx in _index_tuples(sl, sn):
-            key = (order, idx.l1x + idx.l2x, idx.l1y + idx.l2y,
-                   idx.n1x + idx.n2x, idx.n1y + idx.n2y)
-            acc = groups.setdefault(key, np.zeros((2, 2), dtype=np.complex128))
-            acc += _scalar_coeff(idx) * (gam(idx.first) @ gam(idx.second))
-    return [DivergenceGroup(k[0], k[1], k[2], k[3], k[4], v)
-            for k, v in sorted(groups.items())]
+        level = int(order * d)
+        for g, m in enumerate(acc):
+            kx, thx = divmod(g, sn + 1)
+            groups.append(((level, kx, sl - kx, thx, sn - thx), order, m))
+    groups.sort(key=lambda group: group[0])  # the integer order d * f, then the powers
+    return [DivergenceGroup(order, *key[1:], m) for key, order, m in groups]
 
 
 def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction) -> tuple[float, list[DivergenceGroup]]:

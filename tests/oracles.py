@@ -23,6 +23,9 @@ no command needs stay here, as oracles for the library's closed forms:
 * the (sum_l, sum_n) pairs of order 1 or in (0, 1) by an exact Fraction
   scan of every pair of order at most 1, counted and budgeted after the
   scan, the reference for the term engine's integer pair table;
+* the grouped coefficient sums one index tuple at a time: a word product,
+  a scalar coefficient and an in-place add per tuple, the reference for
+  the term engine's one pass per (sum_l, sum_n) pair;
 * the Richardson fit of the PDE prefactor against the numerical limit
   (W^2 - I)/(2 eps), which checks the closed form CALIBRATION = -1/2;
 * the ``terms`` listing written one dict per index tuple through
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +46,8 @@ from plasticwalk.coins import CoinJet, WalkConfig, coin_at, walk_k
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import ID2, SY, SZ, dag, eigvals2, exp_herm, op_norm, rot, unitarity_defect
 from plasticwalk.plastic import (
-    TUPLE_BUDGET, PdeAssembly, TermIndex, _angles, enumerate_terms, gamma_hat,
+    TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles, _index_tuples, _pairs,
+    enumerate_terms, gamma_hat,
 )
 from plasticwalk.timelimit import ConstraintReport
 from plasticwalk._util import stack_power
@@ -378,6 +382,40 @@ def sum_pairs_scan(a: Fraction, b: Fraction, order_one: bool) -> tuple[list[tupl
     if count > TUPLE_BUDGET:
         raise ValueError(f"the exponents need {count} index tuples, over the work budget")
     return pairs, count
+
+
+def scalar_coeff(idx: TermIndex) -> complex:
+    """nu1 nu2 with the free monomials (k and theta1 powers) stripped."""
+    denom = 1
+    for p in idx:
+        denom *= factorial(p)
+    return (1j ** idx.sum_l) * ((-0.5j) ** idx.sum_n) / denom
+
+
+def grouped_sums_loop(cfg: WalkConfig, a: Fraction, b: Fraction,
+                      order_one: bool) -> list[DivergenceGroup]:
+    """The coefficient groups of order 1 (order_one) or in (0, 1), one tuple at a time:
+    the left word (l1x, l1y, n1x, n1y) times the right word (l2x, l2y, n2x, n2y),
+    scaled and added to its group (f, kx, ky, theta1x, theta1y powers)."""
+    a, b = Fraction(a), Fraction(b)
+    gammas: dict[tuple[int, int, int, int], NDArray[np.complex128]] = {}
+
+    def gam(key):
+        if key not in gammas:
+            gammas[key] = gamma_hat(cfg, *key)
+        return gammas[key]
+
+    groups: dict[tuple, NDArray[np.complex128]] = {}
+    for sl, sn in _pairs(a, b, order_one)[0]:
+        order = a * sl + b * sn
+        for idx in _index_tuples(sl, sn):
+            key = (order, idx.l1x + idx.l2x, idx.l1y + idx.l2y,
+                   idx.n1x + idx.n2x, idx.n1y + idx.n2y)
+            acc = groups.setdefault(key, np.zeros((2, 2), dtype=np.complex128))
+            left = gam((idx.l1x, idx.l1y, idx.n1x, idx.n1y))
+            right = gam((idx.l2x, idx.l2y, idx.n2x, idx.n2y))
+            acc += scalar_coeff(idx) * (left @ right)
+    return [DivergenceGroup(*k, v) for k, v in sorted(groups.items())]
 
 
 def derivative_coefficient(asm: PdeAssembly, dx: int, dy: int) -> NDArray[np.complex128]:

@@ -515,6 +515,7 @@ def _fiftieths(doc):
         "momenta-short", "run-list", "lattice-int", "seed-negative", "tau-huge", "coin-angle-huge", "delta-sum-overflow", "time-a-nonzero",
         "coin-overflow-nan-phases", "eps_list-huge", "eps_list-tiny-time", "eps_list-tiny-plastic",
         "plastic-momenta-inf", "budget-check", "budget-pde", "budget-terms"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command, code):
     doc = time_doc()
     edit(doc)

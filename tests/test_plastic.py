@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -23,7 +24,8 @@ from conftest import (
 )
 from oracles import (
     calibration_exponents, constraint_f2, cross_term_report, derivative_coefficient,
-    is_hermitian, sum_pairs_scan, transport_commutator, witnesses, zeroth_order_residual,
+    grouped_sums_loop, is_hermitian, sum_pairs_scan, transport_commutator, witnesses,
+    zeroth_order_residual,
 )
 
 
@@ -275,6 +277,60 @@ def test_divergence_empty_for_unit_exponents(rng):
     cfg = with_exponents(draw_plastic_compliant(rng), Fraction(1), Fraction(1))
     residual, groups = divergence_residual(cfg, Fraction(1), Fraction(1))
     assert residual == 0.0 and groups == []
+
+
+# ----------------------------------------------------------- grouped-sum engine
+
+
+def _same_as_loop(cfg, a, b, order_one):
+    """The same groups in the same order as the tuple-by-tuple oracle, to the bit."""
+    try:
+        want = grouped_sums_loop(cfg, a, b, order_one)
+    except ValueError:
+        with pytest.raises(ValueError, match="work budget"):
+            _grouped_sums(cfg, a, b, order_one)
+        return
+    got = _grouped_sums(cfg, a, b, order_one)
+    keys = [[(g.exponent, g.kx_power, g.ky_power, g.thx_power, g.thy_power) for g in groups]
+            for groups in (got, want)]
+    assert keys[0] == keys[1], (a, b, order_one)
+    assert all(g.matrix.tobytes() == w.matrix.tobytes() for g, w in zip(got, want)), \
+        (a, b, order_one)
+
+
+def test_grouped_sums_match_the_loop_on_farey_8(rng):
+    cfgs = (draw_plastic_compliant(rng), draw_plastic_generic(rng))
+    for a, b in itertools.product(FAREY_8, repeat=2):
+        for cfg, order_one in itertools.product(cfgs, (True, False)):
+            _same_as_loop(cfg, a, b, order_one)
+
+
+# the exponents in (0, 1] with denominators up to 12
+EXPONENTS_12 = st.integers(1, 12).flatmap(
+    lambda q: st.builds(Fraction, st.integers(1, q), st.just(q)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=6, max_size=6),
+       EXPONENTS_12, EXPONENTS_12, st.booleans())
+def test_grouped_sums_match_the_loop(angles, a, b, order_one):
+    _same_as_loop(plastic_raw(*angles, a=a, b=b), a, b, order_one)
+
+
+def test_grouped_sums_memory_stays_flat(rng):
+    """check and pde at a = 1/45, b = 1, the largest in-budget sum below order 1
+    (194,579 tuples), peak under 16 MiB: the tuples are summed one pair at a time."""
+    a, b = Fraction(1, 45), Fraction(1)
+    assert _pairs(a, b, order_one=False)[1] == 194_579
+    cfg = with_exponents(draw_plastic_compliant(rng), a, b)
+    tracemalloc.start()
+    try:
+        for run in (check_spacetime_limit, spacetime_hamiltonian):
+            tracemalloc.reset_peak()
+            run(cfg, a, b)
+            assert tracemalloc.get_traced_memory()[1] < 16 * 2 ** 20, run.__name__
+    finally:
+        tracemalloc.stop()
 
 
 # ------------------------------------------------------------ gates and f2
