@@ -19,11 +19,9 @@ with sorted keys, CSV floats at 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
-import operator
 import os
 import sys
 from collections.abc import Iterable
@@ -101,8 +99,7 @@ def _f17(x: float) -> str:
 
 
 def _load(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.load(args.config)
-    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
+    return ExperimentConfig.load(args.config, args.seed)
 
 
 def _within_budget(work: int, what: str) -> None:
@@ -241,38 +238,49 @@ def cmd_dispersion(args) -> int:
     return 0
 
 
-def _term_rows(terms: list[pl.TermIndex]) -> list[tuple]:
-    """The indices of each tuple, then sum_l, sum_n and its group label: the nonzero
-    indices as l=v and n=v, sorted as strings and joined by "+".  Every "l=" sorts
-    before every "n=", so a label joins those of its l and n halves, each made once."""
-    half = functools.cache(lambda kind, vals: "+".join(sorted([f"{kind}={v}" for v in vals if v])))
-    return [(*idx, idx.sum_l, idx.sum_n,
-             "+".join(filter(None, (half("l", idx[:4]), half("n", idx[4:])))))
-            for idx in terms]
-
-
-_TERM_COLUMNS = pl.TermIndex._fields + ("sum_l", "sum_n", "group")
-# (column order, row template, row separator) of the terms listing; json writes the
-# keys sorted.  A group label is made of [ln=0-9+] alone, so "%s" quotes it as json does.
+# (row, row separator, index fragment of a half) of the terms listing.  A row is filled
+# in from the l half's and the n half's index fragment (li, ni) and group label (ll, nl),
+# and the pair's sums; json writes the keys sorted.  A group label is made of [ln=0-9+]
+# alone, so it needs no json quoting.
 _TERM_ROWS = {
-    "csv": (_TERM_COLUMNS, "%d," * 10 + "%s\n", ""),
-    "json": (tuple(sorted(_TERM_COLUMNS)),
-             '    {\n      "group": "%s",\n'
-             + "".join(f'      "{c}": %d,\n' for c in sorted(_TERM_COLUMNS)[1:-1])
-             + '      "sum_n": %d\n    }', ",\n"),
+    "csv": ("{li}{ni}{sl},{sn},{ll}{nl}\n", "", "%d,%d,%d,%d,"),
+    "json": ('    {{\n      "group": "{ll}{nl}",\n{li}{ni}      "sum_l": {sl},\n'
+             '      "sum_n": {sn}\n    }}', ",\n",
+             "".join(f'      "{{k}}{c}": %d,\n' for c in ("1x", "1y", "2x", "2y"))),
 }
 
 
+def _term_half(index: str, kind: str, total: int) -> list[tuple[str, str]]:
+    """(index fragment, group label) of each composition of ``total`` into the indices
+    (1x, 1y, 2x, 2y) of the ``kind`` half: the label is the nonzero indices as
+    kind=v, sorted as strings and joined by "+"."""
+    index = index.replace("{k}", kind)
+    return [(index % tuple(parts), "+".join(sorted([f"{kind}={v}" for v in parts if v])))
+            for parts in pl._compositions4(total).tolist()]
+
+
 def cmd_terms(args) -> int:
+    """List the order-1 index tuples, pair by pair, the l half's compositions outside.
+
+    Every "l=" sorts before every "n=", so a tuple's group label joins the labels of
+    its halves; the rows of a pair are the product of the fragments of its l and n
+    halves: one template per pair holds the n halves, and each l half fills it in.
+    """
     cfg = _load(args)
-    rows = _term_rows(pl.enumerate_terms(cfg.a_exp, cfg.b_exp))
-    columns, row, sep = _TERM_ROWS[args.format]
-    pick = operator.itemgetter(*map(_TERM_COLUMNS.index, columns))
-    text = sep.join([row] * len(rows)) % tuple(itertools.chain.from_iterable(map(pick, rows)))
+    pairs, count = pl._pairs(cfg.a_exp, cfg.b_exp, order_one=True)
+    row, sep, index = _TERM_ROWS[args.format]
+    blocks = []
+    for sl, sn in pairs:
+        plus = "+" if sl and sn else ""  # both labels are non-empty
+        line = sep.join([row.format(li="\0", ni=ni, ll="\1", nl=plus + nl, sl=sl, sn=sn)
+                         for ni, nl in _term_half(index, "n", sn)])
+        blocks += [line.replace("\0", li).replace("\1", ll)
+                   for li, ll in _term_half(index, "l", sl)]
+    text = sep.join(blocks)
     if args.format == "csv":
-        _write(args, (",".join(_TERM_COLUMNS) + "\n", text))
+        _write(args, ("l1x,l1y,l2x,l2y,n1x,n1y,n2x,n2y,sum_l,sum_n,group\n", text))
     else:
-        _emit_listing(args, {"count": len(rows)}, "terms", (text,))
+        _emit_listing(args, {"count": count}, "terms", (text,))
     return 0
 
 

@@ -19,6 +19,7 @@ witnesses stay recoverable by the constraint checkers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,7 +60,7 @@ class CoinJet:
 
     def __post_init__(self):
         for name in ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"CoinJet.{name} must be finite")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
@@ -104,7 +105,7 @@ class WalkConfig:
         object.__setattr__(self, "a_exp", a)
         if not (0 <= a <= 1):
             raise ValueError(f"a_exp must lie in [0, 1], got {a}")
-        if not np.isfinite(self.delta_sum):
+        if not math.isfinite(self.delta_sum):
             raise ValueError("delta_x + delta_y must be finite")
         if self.coin_x.mode != self.coin_y.mode:
             raise ValueError("both coins must use the same jet mode")

@@ -20,9 +20,10 @@ One section per subsystem:
       "seed": <int>
     }
 
-``from_dict`` only parses; an absent key keeps its dataclass default.
-Ranges are checked in ``ExperimentConfig.__post_init__``, so a config
-changed with ``dataclasses.replace`` is checked too: nx, ny >= 2, grid >= 1,
+``from_dict`` only parses; an absent key keeps its dataclass default, and
+its ``seed`` argument (the CLI's --seed) replaces the document's seed.
+Ranges are checked in ``ExperimentConfig.__post_init__``, once per load, and
+a config changed with ``dataclasses.replace`` is checked too: nx, ny >= 2, grid >= 1,
 steps >= 0, eps > 0, at least three distinct eps_list entries, all > 0, t_final >= 0
 with t_final / eps finite, at least one momentum, tau at most 2**53,
 seed >= 0, finite initial kx and ky, and a known initial type.  Unknown
@@ -65,11 +66,6 @@ _COIN_KEYS = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
 _INITIAL_TYPES = ("plane_wave", "delta", "random")
 # the parser of each optional key; an absent key keeps the dataclass field default
 _WALK = {"tau": ("tau", int), "a": ("a_exp", parse_rational)}
-
-
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise ConfigError(message)
 
 
 def _object(value, name: str) -> dict:
@@ -125,23 +121,32 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require(min(self.nx, self.ny) >= 2,
-                 f"lattice nx and ny must be >= 2, got {self.nx}, {self.ny}")
-        _require(self.grid >= 1, f"run.grid must be >= 1, got {self.grid}")
-        _require(self.steps >= 0, f"run.steps must be >= 0, got {self.steps}")
-        _require(self.eps > 0, f"run.eps must be > 0, got {self.eps}")
-        _require(len(set(self.eps_list)) >= 3 and all(e > 0 for e in self.eps_list),
-                 f"run.eps_list needs at least 3 distinct entries, all > 0, "
-                 f"got {list(self.eps_list)}")
-        _require(self.t_final >= 0 and math.isfinite(self.t_final / min(self.eps_list)),
-                 f"run.t_final must be >= 0 with t_final / eps finite, got {self.t_final}")
-        _require(len(self.momenta) > 0, "run.momenta must not be empty")
-        _require(self.walk.tau <= 2 ** 53, "walk.tau must be at most 2**53")
-        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        _require(all(math.isfinite(self.initial.get(k, 0.0)) for k in ("kx", "ky")),
-                 f"run.initial kx and ky must be finite, got {self.initial}")
-        _require(self.initial_type in _INITIAL_TYPES,
-                 f"run.initial.type must be one of {_INITIAL_TYPES}, got {self.initial_type!r}")
+        # each message is formatted only when its check fails
+        if not min(self.nx, self.ny) >= 2:
+            raise ConfigError(f"lattice nx and ny must be >= 2, got {self.nx}, {self.ny}")
+        if not self.grid >= 1:
+            raise ConfigError(f"run.grid must be >= 1, got {self.grid}")
+        if not self.steps >= 0:
+            raise ConfigError(f"run.steps must be >= 0, got {self.steps}")
+        if not self.eps > 0:
+            raise ConfigError(f"run.eps must be > 0, got {self.eps}")
+        if not (len(set(self.eps_list)) >= 3 and all(e > 0 for e in self.eps_list)):
+            raise ConfigError(f"run.eps_list needs at least 3 distinct entries, all > 0, "
+                              f"got {list(self.eps_list)}")
+        if not (self.t_final >= 0 and math.isfinite(self.t_final / min(self.eps_list))):
+            raise ConfigError(f"run.t_final must be >= 0 with t_final / eps finite, "
+                              f"got {self.t_final}")
+        if len(self.momenta) == 0:
+            raise ConfigError("run.momenta must not be empty")
+        if not self.walk.tau <= 2 ** 53:
+            raise ConfigError("walk.tau must be at most 2**53")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not all(math.isfinite(self.initial.get(k, 0.0)) for k in ("kx", "ky")):
+            raise ConfigError(f"run.initial kx and ky must be finite, got {self.initial}")
+        if self.initial_type not in _INITIAL_TYPES:
+            raise ConfigError(f"run.initial.type must be one of {_INITIAL_TYPES}, "
+                              f"got {self.initial_type!r}")
 
     @property
     def a_exp(self) -> Fraction:
@@ -156,7 +161,8 @@ class ExperimentConfig:
         return self.initial.get("type", "plane_wave")
 
     @staticmethod
-    def from_dict(doc: dict) -> "ExperimentConfig":
+    def from_dict(doc: dict, seed: int | None = None) -> "ExperimentConfig":
+        """The config of ``doc``; ``seed``, when given, replaces the document's seed."""
         doc = _object(doc, "config root")
         sections = {name: _object(doc.get(name, {}), name) for name in _SECTIONS}
         try:
@@ -165,6 +171,8 @@ class ExperimentConfig:
                       for key, parse in parsers.items() if key in sections[name]}
             if "seed" in doc:
                 values["seed"] = int(doc["seed"])
+            if seed is not None:
+                values["seed"] = seed
         except KeyError as exc:  # only walk and coin keys are required
             raise ConfigError(f"walk section missing key {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:
@@ -172,7 +180,7 @@ class ExperimentConfig:
         return ExperimentConfig(walk=walk, **values)
 
     @staticmethod
-    def load(path) -> "ExperimentConfig":
+    def load(path, seed: int | None = None) -> "ExperimentConfig":
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -180,4 +188,4 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config: {exc}") from None
         except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        return ExperimentConfig.from_dict(doc)
+        return ExperimentConfig.from_dict(doc, seed)

@@ -14,8 +14,9 @@ overall prefactor is the closed form e^{2 i delta} / 2 = -1/2, because the
 delta gate puts delta at pi/2 mod pi.
 
 A Gamma word depends on the parities of its indices alone, so the engine
-forms at most 16 parity words and the products of the word pairs it meets,
-and looks each tuple's product up by its eight index parities.  Every group
+forms the 16 parity words in one batched pass and the products of the word
+pairs it meets in one batched matmul, and looks each tuple's product up by
+its eight index parities.  Every group
 belongs to one (sum_l, sum_n) pair; a pair is summed in one numpy pass whose
 ``np.add.at`` adds the terms in tuple order, so each group sum is bit for
 bit the sum of a tuple-by-tuple loop (``tests/oracles.py`` keeps that loop).
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 from math import comb, factorial, gcd, lcm, prod
 from typing import NamedTuple
 
@@ -93,21 +95,23 @@ def _rotations(cfg: WalkConfig) -> tuple[NDArray[np.complex128], ...]:
     return rot("z", zx), rot("y", thx), rot("z", phx), rot("z", zy), rot("y", thy), rot("z", phy)
 
 
-def _word(rots: tuple[NDArray[np.complex128], ...], lx: int, ly: int, nx: int,
-          ny: int) -> NDArray[np.complex128]:
-    """The word of :func:`gamma_hat` from the six :func:`_rotations`."""
-    rzx, ryx, rpx, rzy, ryy, rpy = rots
-    word = rzx
-    if lx % 2:
-        word = word @ SZ
-    if nx % 2:
-        word = word @ SY
-    word = word @ ryx @ rpx @ rzy
-    if ly % 2:
-        word = word @ SZ
-    if ny % 2:
-        word = word @ SY
-    return word @ ryy @ rpy
+def _words(cfg: WalkConfig) -> NDArray[np.complex128]:
+    """The 16 parity words of :func:`gamma_hat`, word 8 lx + 4 ly + 2 nx + ny, in one pass.
+
+    A sigma insertion multiplies the words whose parity bit is set, so each word
+    takes the matmuls of the one-word chain (kept in ``tests/oracles.py``) in the
+    same order, bit for bit.  The head up to Rz(zeta_y) depends on lx and nx alone.
+    """
+    rzx, ryx, rpx, rzy, ryy, rpy = _rotations(cfg)
+    head = np.empty((2, 2, 2, 2), dtype=np.complex128)  # axes lx, nx
+    head[...] = rzx
+    head[1] = head[1] @ SZ
+    head[:, 1] = head[:, 1] @ SY
+    words = np.empty((2, 2, 2, 2, 2, 2), dtype=np.complex128)  # axes lx, ly, nx, ny
+    words[...] = (head @ ryx @ rpx @ rzy)[:, None, :, None]
+    words[:, 1] = words[:, 1] @ SZ
+    words[:, :, :, 1] = words[:, :, :, 1] @ SY
+    return (words @ ryy @ rpy).reshape(16, 2, 2)
 
 
 def gamma_hat(cfg: WalkConfig, lx: int, ly: int, nx: int, ny: int) -> NDArray[np.complex128]:
@@ -119,22 +123,27 @@ def gamma_hat(cfg: WalkConfig, lx: int, ly: int, nx: int, ny: int) -> NDArray[np
     """
     if min(lx, ly, nx, ny) < 0:
         raise ValueError("indices must be nonnegative")
-    return _word(_rotations(cfg), lx, ly, nx, ny)
+    return _words(cfg)[8 * (lx % 2) + 4 * (ly % 2) + 2 * (nx % 2) + ny % 2]
 
 
-def _compositions4(total: int):
-    """Weak compositions of ``total`` into four nonnegative parts."""
-    for i in range(total + 1):
-        for j in range(total - i + 1):
-            for k in range(total - i - j + 1):
-                yield (i, j, k, total - i - j - k)
+def _compositions4(total: int) -> NDArray[np.int64]:
+    """Weak compositions of ``total`` into four nonnegative parts, one a row, in
+    lexicographic order: the gaps around three bars placed among total + 3 slots."""
+    bars = np.fromiter(chain.from_iterable(combinations(range(total + 3), 3)),
+                       dtype=np.int64).reshape(-1, 3)
+    parts = np.empty((len(bars), 4), dtype=np.int64)
+    parts[:, 0] = bars[:, 0]
+    parts[:, 1:3] = np.diff(bars, axis=1) - 1
+    parts[:, 3] = total + 2 - bars[:, 2]
+    return parts
 
 
 def _index_tuples(sum_l: int, sum_n: int):
-    for ls in _compositions4(sum_l):
-        for ns in _compositions4(sum_n):
+    n_halves = _compositions4(sum_n).tolist()
+    for ls in _compositions4(sum_l).tolist():
+        for ns in n_halves:
             # composition order: (1x, 1y, 2x, 2y)
-            yield TermIndex(ls[0], ls[1], ls[2], ls[3], ns[0], ns[1], ns[2], ns[3])
+            yield TermIndex(*ls, *ns)
 
 
 def _pairs(a: Fraction, b: Fraction, order_one: bool) -> tuple[list[tuple[int, int]], int]:
@@ -209,19 +218,20 @@ class _Half(NamedTuple):
     (1x, 1y, 2x, 2y) of the sum, in :func:`_compositions4` order."""
 
     bits: NDArray[np.int64]  # parities of 1x, 1y, 2x, 2y as bits 5, 4, 1, 0 (an n half)
-    kinds: list[int]         # the distinct bits
     x: NDArray[np.int64]     # 1x + 2x
     den: NDArray[np.int64]   # position of the factorial denominator in dens
     dens: list[int]          # the distinct products of the factorials of the parts
 
 
-def _half(total: int) -> _Half:
-    parts = np.array(list(_compositions4(total)))
-    bits = (parts & 1) @ np.array([32, 16, 2, 1])
+def _half(top: NDArray[np.int64], total: int) -> _Half:
+    """The half of ``total`` from ``top``, the compositions of a total T >= ``total``: those
+    whose last part is at least T - total, less that much, in the same order."""
+    cut = top[-1, 0] - total
+    parts = top[top[:, 3] >= cut] - [0, 0, 0, cut]
     # the denominator depends on the multiset of the parts alone
     multiset = np.sort(parts, axis=1) @ (total + 1) ** np.arange(4)
     _, first, den = np.unique(multiset, return_index=True, return_inverse=True)
-    return _Half(bits, np.unique(bits).tolist(), parts[:, 0] + parts[:, 2], den,
+    return _Half((parts & 1) @ np.array([32, 16, 2, 1]), parts[:, 0] + parts[:, 2], den,
                  [prod(map(factorial, parts[i].tolist())) for i in first])
 
 
@@ -240,30 +250,31 @@ def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
     """
     a, b = Fraction(a), Fraction(b)
     pairs = _pairs(a, b, order_one)[0]
-    halves = {total: _half(total) for total in set().union(*pairs)}
+    if not pairs:
+        return []
+    totals = set().union(*pairs)
+    top = _compositions4(max(totals))
+    halves = {total: _half(top, total) for total in totals}
     # product index 16 * left word + right word, bits l1x l1y n1x n1y l2x l2y n2x n2y:
     # 4 * (bits of the l half) + bits of the n half
-    codes = {4 * lk + nk for sl, sn in pairs
-             for lk in halves[sl].kinds for nk in halves[sn].kinds}
-    rots = _rotations(cfg)
-    words = {w: _word(rots, w >> 3, w >> 2 & 1, w >> 1 & 1, w & 1)
-             for w in {c >> 4 for c in codes} | {c & 15 for c in codes}}
+    codes = [(4 * halves[sl].bits[:, None] + halves[sn].bits).ravel() for sl, sn in pairs]
+    used = np.flatnonzero(np.bincount(np.concatenate(codes), minlength=256))
+    words = _words(cfg)
     products = np.empty((256, 2, 2), dtype=np.complex128)
-    for c in codes:
-        products[c] = words[c >> 4] @ words[c & 15]
+    products[used] = words[used >> 4] @ words[used & 15]
 
     d = lcm(a.denominator, b.denominator)
+    A, B = int(a * d), int(b * d)
     groups = []
-    for sl, sn in pairs:
+    for (sl, sn), code in zip(pairs, codes):
         ls, ns = halves[sl], halves[sn]
         scale = (1j ** sl) * ((-0.5j) ** sn)
         coeffs = np.array([[scale / (dl * dn) for dn in ns.dens] for dl in ls.dens])
-        terms = coeffs[ls.den[:, None], ns.den].reshape(-1, 1, 1) \
-            * products[(4 * ls.bits[:, None] + ns.bits).ravel()]
+        terms = coeffs[ls.den[:, None], ns.den].reshape(-1, 1, 1) * products[code]
         acc = np.zeros(((sl + 1) * (sn + 1), 2, 2), dtype=np.complex128)
         np.add.at(acc, (ls.x[:, None] * (sn + 1) + ns.x).ravel(), terms)
-        order = a * sl + b * sn
-        level = int(order * d)
+        level = A * sl + B * sn
+        order = Fraction(level, d)
         for g, m in enumerate(acc):
             kx, thx = divmod(g, sn + 1)
             groups.append(((level, kx, sl - kx, thx, sn - thx), order, m))

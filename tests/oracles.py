@@ -23,6 +23,8 @@ no command needs stay here, as oracles for the library's closed forms:
 * the (sum_l, sum_n) pairs of order 1 or in (0, 1) by an exact Fraction
   scan of every pair of order at most 1, counted and budgeted after the
   scan, the reference for the term engine's integer pair table;
+* the Gamma word one matmul at a time, the reference for the term engine's
+  batched table of the 16 parity words;
 * the grouped coefficient sums one index tuple at a time: a word product,
   a scalar coefficient and an in-place add per tuple, the reference for
   the term engine's one pass per (sum_l, sum_n) pair;
@@ -47,7 +49,7 @@ from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import ID2, SY, SZ, dag, eigvals2, exp_herm, op_norm, rot, unitarity_defect
 from plasticwalk.plastic import (
     TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles, _index_tuples, _pairs,
-    enumerate_terms, gamma_hat,
+    _rotations, enumerate_terms, gamma_hat,
 )
 from plasticwalk.timelimit import ConstraintReport
 from plasticwalk._util import stack_power
@@ -392,17 +394,35 @@ def scalar_coeff(idx: TermIndex) -> complex:
     return (1j ** idx.sum_l) * ((-0.5j) ** idx.sum_n) / denom
 
 
+def word_chain(cfg: WalkConfig, lx: int, ly: int, nx: int, ny: int) -> NDArray[np.complex128]:
+    """The word of gamma_hat one matmul at a time, left to right, inserting each sigma
+    whose index is odd: the chain the engine's batched table of 16 words reproduces."""
+    rzx, ryx, rpx, rzy, ryy, rpy = _rotations(cfg)
+    word = rzx
+    if lx % 2:
+        word = word @ SZ
+    if nx % 2:
+        word = word @ SY
+    word = word @ ryx @ rpx @ rzy
+    if ly % 2:
+        word = word @ SZ
+    if ny % 2:
+        word = word @ SY
+    return word @ ryy @ rpy
+
+
 def grouped_sums_loop(cfg: WalkConfig, a: Fraction, b: Fraction,
                       order_one: bool) -> list[DivergenceGroup]:
     """The coefficient groups of order 1 (order_one) or in (0, 1), one tuple at a time:
-    the left word (l1x, l1y, n1x, n1y) times the right word (l2x, l2y, n2x, n2y),
-    scaled and added to its group (f, kx, ky, theta1x, theta1y powers)."""
+    the left word (l1x, l1y, n1x, n1y) times the right word (l2x, l2y, n2x, n2y), each
+    from :func:`word_chain`, scaled and added to its group (f, kx, ky, theta1x, theta1y
+    powers)."""
     a, b = Fraction(a), Fraction(b)
     gammas: dict[tuple[int, int, int, int], NDArray[np.complex128]] = {}
 
     def gam(key):
         if key not in gammas:
-            gammas[key] = gamma_hat(cfg, *key)
+            gammas[key] = word_chain(cfg, *key)
         return gammas[key]
 
     groups: dict[tuple, NDArray[np.complex128]] = {}

@@ -476,38 +476,48 @@ def _fiftieths(doc):
     doc["walk"]["a"] = doc["walk"]["coin_x"]["b"] = doc["walk"]["coin_y"]["b"] = "1/50"
 
 
-@pytest.mark.parametrize("edit,command,code", [
-    (_plastic_tau, "check", 1),
-    (_set("lattice", "nx", 1), "simulate", 2),
-    (_set("lattice", "ny", 0), "simulate", 2),
-    (_set("run", "grid", 0), "dispersion", 2),
-    (_set("run", "eps", -1.0), "simulate", 2),
-    (_set("run", "eps", 0.0), "dispersion", 2),
-    (_set("run", "eps_list", [0.01, 0.005]), "converge", 2),
-    (_set("run", "eps_list", [0.01, 0.0, 0.005]), "converge", 2),
-    (_set("run", "eps_list", [0.01, 0.01, 0.01]), "converge", 2),
-    (_set("run", "momenta", []), "converge", 2),
-    (_set("run", "steps", -1), "simulate", 2),
-    (_initial_kx("abc"), "simulate", 2),
-    (_initial_kx(float("inf")), "simulate", 2),
-    (_set("run", "t_final", float("inf")), "converge", 2),
-    (_set("run", "t_final", -1e308), "converge", 2),
-    (_plastic(_set("run", "momenta", [[1.0]])), "converge", 2),
-    (_root("run", []), "check", 2),
-    (_root("lattice", 5), "simulate", 2),
-    (_root("seed", -1), "simulate", 2),
-    (_set("walk", "tau", 10 ** 400), "check", 2),
-    (_coin_angle(10 ** 400), "check", 2),
-    (_huge_deltas, "check", 2),
-    (_set("walk", "a", "1/2"), "converge", 2),
-    (_overflowing_coin, "dispersion", 1),
-    (_set("run", "eps_list", [1e308, 1e-3, 1e-4]), "converge", 1),
-    (_set("run", "eps_list", [1e-30, 1e-31, 1e-32]), "converge", 1),
-    (_plastic(_set("run", "eps_list", [1e-300, 1e-301, 1e-302])), "converge", 1),
-    (_plastic(_set("run", "momenta", [[float("inf"), 0.0]])), "converge", 1),
-    (_plastic(_fiftieths), "check", 1),
-    (_plastic(_fiftieths), "pde", 1),
-    (_plastic(_fiftieths), "terms", 1),
+# the exact stderr line of each config error: a message formatted only when its check
+# fails must read as an eagerly formatted one did
+@pytest.mark.parametrize("edit,command,code,stderr", [
+    (_plastic_tau, "check", 1, None),
+    (_set("lattice", "nx", 1), "simulate", 2, "lattice nx and ny must be >= 2, got 1, 16"),
+    (_set("lattice", "ny", 0), "simulate", 2, "lattice nx and ny must be >= 2, got 16, 0"),
+    (_set("run", "grid", 0), "dispersion", 2, "run.grid must be >= 1, got 0"),
+    (_set("run", "eps", -1.0), "simulate", 2, "run.eps must be > 0, got -1.0"),
+    (_set("run", "eps", 0.0), "dispersion", 2, "run.eps must be > 0, got 0.0"),
+    (_set("run", "eps_list", [0.01, 0.005]), "converge", 2,
+     "run.eps_list needs at least 3 distinct entries, all > 0, got [0.01, 0.005]"),
+    (_set("run", "eps_list", [0.01, 0.0, 0.005]), "converge", 2,
+     "run.eps_list needs at least 3 distinct entries, all > 0, got [0.01, 0.0, 0.005]"),
+    (_set("run", "eps_list", [0.01, 0.01, 0.01]), "converge", 2,
+     "run.eps_list needs at least 3 distinct entries, all > 0, got [0.01, 0.01, 0.01]"),
+    (_set("run", "momenta", []), "converge", 2, "run.momenta must not be empty"),
+    (_set("run", "steps", -1), "simulate", 2, "run.steps must be >= 0, got -1"),
+    (_initial_kx("abc"), "simulate", 2,
+     "bad config value: could not convert string to float: 'abc'"),
+    (_initial_kx(float("inf")), "simulate", 2,
+     "run.initial kx and ky must be finite, got {'type': 'plane_wave', 'kx': inf}"),
+    (_set("run", "t_final", float("inf")), "converge", 2,
+     "run.t_final must be >= 0 with t_final / eps finite, got inf"),
+    (_set("run", "t_final", -1e308), "converge", 2,
+     "run.t_final must be >= 0 with t_final / eps finite, got -1e+308"),
+    (_plastic(_set("run", "momenta", [[1.0]])), "converge", 2,
+     "bad config value: not enough values to unpack (expected 2, got 1)"),
+    (_root("run", []), "check", 2, "run must be a JSON object, got list"),
+    (_root("lattice", 5), "simulate", 2, "lattice must be a JSON object, got int"),
+    (_root("seed", -1), "simulate", 2, "seed must be >= 0, got -1"),
+    (_set("walk", "tau", 10 ** 400), "check", 2, "walk.tau must be at most 2**53"),
+    (_coin_angle(10 ** 400), "check", 2, "bad config value: int too large to convert to float"),
+    (_huge_deltas, "check", 2, "bad config value: delta_x + delta_y must be finite"),
+    (_set("walk", "a", "1/2"), "converge", 2, "bad config value: time mode fixes a_exp = 0"),
+    (_overflowing_coin, "dispersion", 1, None),
+    (_set("run", "eps_list", [1e308, 1e-3, 1e-4]), "converge", 1, None),
+    (_set("run", "eps_list", [1e-30, 1e-31, 1e-32]), "converge", 1, None),
+    (_plastic(_set("run", "eps_list", [1e-300, 1e-301, 1e-302])), "converge", 1, None),
+    (_plastic(_set("run", "momenta", [[float("inf"), 0.0]])), "converge", 1, None),
+    (_plastic(_fiftieths), "check", 1, None),
+    (_plastic(_fiftieths), "pde", 1, None),
+    (_plastic(_fiftieths), "terms", 1, None),
 ], ids=["plastic-tau-4", "nx-1", "ny-0", "grid-0", "eps-negative", "eps-zero",
         "eps_list-two", "eps_list-zero-entry", "eps_list-repeated", "momenta-empty",
         "steps-negative",
@@ -516,12 +526,14 @@ def _fiftieths(doc):
         "coin-overflow-nan-phases", "eps_list-huge", "eps_list-tiny-time", "eps_list-tiny-plastic",
         "plastic-momenta-inf", "budget-check", "budget-pde", "budget-terms"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command, code):
+def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command, code, stderr):
     doc = time_doc()
     edit(doc)
     assert main(["--config", write_config(tmp_path, doc), command]) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    if stderr is not None:
+        assert err == f"config error: {stderr}\n"
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):

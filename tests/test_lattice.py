@@ -237,6 +237,44 @@ def test_csv_roundtrip(tmp_path, rng):
     assert float(np.max(np.abs(back.data - f.data))) <= 1e-15
 
 
+_HEADER = "l,m,re_L,im_L,re_R,im_R\n"
+_SITES_2X2 = "0,0,1,0,0,0\n0,1,2,0,0,0\n1,0,3,0,0,0\n1,1,4,0,0,0\n"
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "field.csv"
+    path.write_text(_HEADER + text)
+    return load_csv(path)
+
+
+def test_load_csv_reads_rows_in_any_order(tmp_path):
+    back = _load_text(tmp_path, "".join(reversed(_SITES_2X2.splitlines(keepends=True))))
+    assert back.data[0].real.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [
+    _SITES_2X2 + "-1,0,5,0,0,0\n",       # a negative index, which numpy wraps onto (1, 0)
+    _SITES_2X2 + "1.5,0,5,0,0,0\n",      # a fractional index, which truncates onto (1, 0)
+    "",                                  # header only, which numpy loads with a UserWarning
+    "100000000,1,1,0,0,0\n",             # one row that would ask for a 10**8-row field
+    _SITES_2X2.replace("1,1,", "0,1,"),  # a site twice, so another is missing
+    _SITES_2X2[:-len("1,1,4,0,0,0\n")],  # a missing site, which would read as zero
+    _SITES_2X2 + "nan,1,5,0,0,0\n",
+    _SITES_2X2.replace(",0\n", "\n"),    # five columns
+], ids=["negative", "fractional", "header-only", "huge-index", "duplicate", "missing",
+        "nan-index", "short-rows"])
+def test_load_csv_refuses_a_malformed_grid(tmp_path, text):
+    """Before it allocates more than the file's own size."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            _load_text(tmp_path, text)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (64, 64)])
 def test_save_csv_matches_per_site_writer(tmp_path, rng, nx, ny):
     d = SpinorField.random(nx, ny, rng).data.copy()

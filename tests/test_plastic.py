@@ -25,7 +25,7 @@ from conftest import (
 from oracles import (
     calibration_exponents, constraint_f2, cross_term_report, derivative_coefficient,
     grouped_sums_loop, is_hermitian, sum_pairs_scan, transport_commutator, witnesses,
-    zeroth_order_residual,
+    word_chain, zeroth_order_residual,
 )
 
 
@@ -53,6 +53,22 @@ def test_gamma_hat_sigma_power_periodicity(rng):
     assert np.array_equal(base, gamma_hat(cfg, 3, 2, 1, 3))
     with pytest.raises(ValueError):
         gamma_hat(cfg, -1, 0, 0, 0)
+
+
+ANGLES = st.floats(-2 * np.pi, 2 * np.pi) | st.floats(-1e300, 1e300) \
+    | st.sampled_from([0.0, -0.0, 1e17, -3e200, 5e-324, 1.7976931348623157e308])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(ANGLES, min_size=6, max_size=6))
+def test_gamma_words_match_the_chain_bitwise(angles):
+    """All 16 parity words, at ordinary and at huge angles (where cos and sin keep
+    few good digits), byte for byte as the one-word chain multiplies them."""
+    cfg = plastic_raw(*angles)
+    for lx, ly, nx, ny in itertools.product((0, 1), repeat=4):
+        want = word_chain(cfg, lx, ly, nx, ny)
+        assert gamma_hat(cfg, lx, ly, nx, ny).tobytes() == want.tobytes(), (lx, ly, nx, ny)
+        assert gamma_hat(cfg, lx + 2, ly, nx + 4, ny).tobytes() == want.tobytes()
 
 
 def _series_walk(cfg, kx, ky, eps, max_order):
