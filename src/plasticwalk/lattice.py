@@ -19,16 +19,21 @@ Discrete momenta follow numpy's fft order: 2 pi j / N mapped to
 File formats
 ------------
 CSV: header ``l,m,re_L,im_L,re_R,im_R``, one row per site, row-major in
-(l, m), floats at 17 significant digits.
+(l, m), floats at 17 significant digits, so every double (-0.0 too) reads
+back bit for bit.
 
 Binary (little-endian): magic ``b"PWFLD1\\x00\\x00"`` (8 bytes), then Nx,
 Ny as uint32, then the payload: row-major over sites, for each site
 psi_L then psi_R as complex128 (re, im float64 pairs).
+
+Both readers hold the field they fill plus one block of ``_ROW_BLOCK`` rows
+or sites; ``save_binary`` holds one interleaved copy of the field.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -58,6 +63,11 @@ _MAGIC = b"PWFLD1\x00\x00"
 # peak traced memory of an evolution is 1.7x the field's bytes at 2**12 k-points a
 # block (3.9x at 2**14), and 512^2 x 1000 steps is no slower than with larger blocks.
 _K_BLOCK = 2 ** 12
+
+# Most CSV rows, or binary sites, a snapshot reader holds at once beside the field it
+# fills.  Measured on 512^2: parsing 2**13 rows a block is as fast as one np.loadtxt of
+# the whole file, whose table is 32 such blocks.
+_ROW_BLOCK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -204,54 +214,137 @@ def load_csv(path) -> SpinorField:
     """Read a field CSV: nx x ny sites, with nx and ny one more than the largest l and m.
 
     Raises ValueError unless every row has six columns, l and m are integers >= 0,
-    and each site of the nx x ny grid has exactly one row, in any order.
+    and each site of the nx x ny grid has exactly one row, in any order.  The rows
+    are parsed at most ``_ROW_BLOCK`` at a time.  Rows in row-major order, as
+    :func:`save_csv` writes them, fill the field in place; rows in any other
+    order are kept as a whole table and scattered.
     """
-    with warnings.catch_warnings():  # a header-only file is refused below
+    with open(path) as fh, warnings.catch_warnings():
+        # a block past the last row has no data; a header-only file is refused below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    rows = len(raw)
-    if raw.shape[1] != 6 or not rows:
+        d = _load_row_major(fh, path)
+        if d is None:
+            d = _load_any_order(fh, path)
+    return SpinorField(d)
+
+
+def _csv_blocks(fh, path):
+    """The rows after the header, at most ``_ROW_BLOCK`` a block, as (rows, 6) floats."""
+    fh.seek(0)
+    fh.readline()
+    rows = _ROW_BLOCK
+    while rows == _ROW_BLOCK:
+        block = np.loadtxt(fh, delimiter=",", max_rows=_ROW_BLOCK, ndmin=2)
+        rows = len(block)
+        if rows and block.shape[1] != 6:
+            raise ValueError(f"{path}: need rows of six columns, one a site")
+        if rows:
+            yield block
+        del block  # one block at a time, if the caller drops its reference too
+
+
+def _put(d: NDArray[np.complex128], index, block: NDArray[np.float64]) -> None:
+    """Write the psi_L, psi_R columns of ``block`` to ``d[:, index]``, part by part:
+    ``re + 1j * im`` would turn a -0.0 part into +0.0."""
+    d.real[(slice(None),) + index] = block[:, 2::2].T
+    d.imag[(slice(None),) + index] = block[:, 3::2].T
+
+
+def _load_row_major(fh, path) -> NDArray[np.complex128] | None:
+    """The (2, nx, ny) field if the rows run over the grid in row-major order, else None.
+
+    nx and ny come from the last row; the field is allocated only if the file is
+    long enough to hold that many rows, and each block is checked against the
+    sites it must hold.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    fh.buffer.seek(max(0, size - 256))
+    last = fh.buffer.read().rstrip().rsplit(b"\n", 1)[-1].split(b",")
+    try:
+        nx, ny = int(last[0]) + 1, int(last[1]) + 1
+    except (ValueError, IndexError):
+        return None
+    rows = nx * ny
+    if min(nx, ny) < 1 or 12 * rows > size:  # the shortest row is "0,0,0,0,0,0\n"
+        return None
+    d = np.empty((2, rows), dtype=np.complex128)
+    # numpy reads a file it opens by path in chunks, not line by line: a grid of one
+    # block is parsed so, with a row to spare that shows whether more rows follow
+    blocks = (_csv_blocks(fh, path) if rows > _ROW_BLOCK else
+              [np.loadtxt(path, delimiter=",", skiprows=1, max_rows=rows + 1, ndmin=2)])
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        if stop > rows or block.shape[1] != 6:
+            return None
+        l, m = np.divmod(np.arange(start, stop), ny)
+        if not (np.array_equal(block[:, 0], l) and np.array_equal(block[:, 1], m)):
+            return None
+        _put(d, (slice(start, stop),), block)
+        start = stop
+        del block
+    return d.reshape(2, nx, ny) if start == rows else None
+
+
+def _load_any_order(fh, path) -> NDArray[np.complex128]:
+    """The field from rows in any order: the whole table, then one scatter."""
+    table = list(_csv_blocks(fh, path))
+    rows = sum(map(len, table))
+    if not rows:
         raise ValueError(f"{path}: need rows of six columns, one a site")
     missing = f"{path}: need each site of the grid of l, m >= 0 once, got {rows} rows"
     # the grid has as many sites as the file has rows before it is allocated (a NaN or
-    # infinite index fails too); the other checks run after the fill, in memory it has
-    # freed: allocating the index arrays before the field raised the peak RSS of a 512^2
-    # load by 4 MiB
-    nx, ny = raw[:, 0].max() + 1, raw[:, 1].max() + 1
-    if not (min(raw[:, 0].min(), raw[:, 1].min()) >= 0 and nx * ny == rows):
+    # infinite index fails too)
+    lo = np.min([block[:, :2].min() for block in table])
+    nx, ny = np.max([block[:, :2].max(axis=0) for block in table], axis=0) + 1
+    if not (lo >= 0 and nx * ny == rows):
         raise ValueError(missing)
-    nx, ny = int(nx), int(ny)
-    d = np.zeros((2, nx, ny), dtype=np.complex128)
-    ll, mm = raw[:, 0].astype(np.int64), raw[:, 1].astype(np.int64)
-    d[0, ll, mm] = raw[:, 2] + 1j * raw[:, 3]
-    d[1, ll, mm] = raw[:, 4] + 1j * raw[:, 5]
-    seen = np.zeros((nx, ny), dtype=bool)
-    seen[ll, mm] = True
+    d = np.empty((2, int(nx), int(ny)), dtype=np.complex128)
+    seen = np.zeros(d.shape[1:], dtype=bool)
+    for block in table:
+        ll, mm = block[:, 0].astype(np.int64), block[:, 1].astype(np.int64)
+        if not (np.array_equal(ll, block[:, 0]) and np.array_equal(mm, block[:, 1])):
+            raise ValueError(f"{path}: site indices l, m must be integers")
+        _put(d, (ll, mm), block)
+        seen[ll, mm] = True
     if not seen.all():  # with nx * ny rows, a site given twice leaves another out
         raise ValueError(missing)
-    if not ((ll == raw[:, 0]).all() and (mm == raw[:, 1]).all()):
-        raise ValueError(f"{path}: site indices l, m must be integers")
-    return SpinorField(d)
+    return d
 
 
 def save_binary(field: SpinorField, path) -> None:
     nx, ny = field.shape
+    # row-major over sites, psi_L then psi_R per site: one interleaved copy, written as it is
+    payload = np.moveaxis(field.data, 0, -1).astype("<c16", order="C")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(np.array([nx, ny], dtype="<u4").tobytes())
-        # row-major over sites, psi_L then psi_R per site
-        payload = np.moveaxis(field.data, 0, -1).astype("<c16")
-        fh.write(payload.tobytes())
+        fh.write(_MAGIC + np.array([nx, ny], dtype="<u4").tobytes())
+        fh.write(payload)
 
 
 def load_binary(path) -> SpinorField:
+    """Read a field binary.
+
+    Raises ValueError on a bad magic, and unless the payload holds exactly the
+    header's nx * ny sites, which is checked against the file size before
+    anything is allocated.  The payload is read ``_ROW_BLOCK`` sites at a time.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"not a spinor-field file (bad magic {magic!r})")
-        nx, ny = np.frombuffer(fh.read(8), dtype="<u4")
-        payload = np.frombuffer(fh.read(), dtype="<c16")
-    if payload.size != 2 * nx * ny:
-        raise ValueError("truncated spinor-field file")
-    d = np.moveaxis(payload.reshape(nx, ny, 2), -1, 0).astype(np.complex128)
-    return SpinorField(d)
+        head = fh.read(16)
+        if len(head) < 16 or head[:8] != _MAGIC:
+            raise ValueError(f"not a spinor-field file (bad magic {head[:8]!r})")
+        nx, ny = (int(n) for n in np.frombuffer(head, dtype="<u4", offset=8))
+        sites, payload = nx * ny, os.fstat(fh.fileno()).st_size - 16
+        if payload % 16:
+            raise ValueError(f"{path}: a payload of {payload} bytes is not a whole number "
+                             "of 16-byte complex values")
+        if payload != 32 * sites:
+            raise ValueError(f"{path}: a {nx} x {ny} field takes {32 * sites} bytes of "
+                             f"payload, the file has {payload}")
+        d = np.empty((2, sites), dtype=np.complex128)
+        block = np.empty((min(sites, _ROW_BLOCK), 2), dtype="<c16")
+        for start in range(0, sites, _ROW_BLOCK):
+            part = block[:sites - start]
+            if fh.readinto(part) != part.nbytes:
+                raise ValueError(f"{path}: the payload ended early")
+            d[:, start:start + len(part)] = part.T
+    return SpinorField(d.reshape(2, nx, ny))

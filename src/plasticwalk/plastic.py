@@ -291,7 +291,9 @@ def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction) -> tuple[floa
     if cfg.mode != "plastic":
         raise ValueError("divergence analysis applies to plastic-mode configs")
     groups = _grouped_sums(cfg, a, b, order_one=False)
-    return max((g.norm for g in groups), default=0.0), groups
+    if not groups:
+        return 0.0, groups
+    return float(np.max(op_norm(np.stack([g.matrix for g in groups])))), groups
 
 
 def check_spacetime_limit(cfg: WalkConfig, a: Fraction, b: Fraction) -> ConstraintReport:

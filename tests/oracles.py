@@ -12,7 +12,8 @@ no command needs stay here, as oracles for the library's closed forms:
   commutator [Px, Py] of the a = b = 1/2 transport matrices and the
   cancellation of the mixed-derivative words;
 * real-space shift words, the componentwise DFT and evolution by a
-  momentum-space symbol, and the site-by-site CSV writer;
+  momentum-space symbol, the site-by-site CSV writer and the whole-table
+  CSV loader, the reference for the library's row-block loader;
 * a full 2x2 eigendecomposition, the unitarity and Hermiticity
   predicates, and the gufunc matmul forms of the elementwise 2x2
   kernels (walk symbol, squaring, operator norm, unitarity defect,
@@ -37,6 +38,7 @@ no command needs stay here, as oracles for the library's closed forms:
 from __future__ import annotations
 
 import json
+import warnings
 from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
@@ -329,6 +331,36 @@ def save_csv_per_site(field: SpinorField, path) -> None:
                 vl = field.data[0, l, m]
                 vr = field.data[1, l, m]
                 fh.write(f"{l},{m},{vl.real:.17g},{vl.imag:.17g},{vr.real:.17g},{vr.imag:.17g}\n")
+
+
+def load_csv_table(path) -> SpinorField:
+    """A field CSV parsed by one ``np.loadtxt`` of the whole file, then scattered.
+
+    The same checks as ``lattice.load_csv``; ``re + 1j * im`` turns a -0.0 real
+    part into +0.0, so it matches the library up to signed zeros.
+    """
+    with warnings.catch_warnings():  # a header-only file is refused below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows = len(raw)
+    if raw.shape[1] != 6 or not rows:
+        raise ValueError(f"{path}: need rows of six columns, one a site")
+    missing = f"{path}: need each site of the grid of l, m >= 0 once, got {rows} rows"
+    nx, ny = raw[:, 0].max() + 1, raw[:, 1].max() + 1
+    if not (min(raw[:, 0].min(), raw[:, 1].min()) >= 0 and nx * ny == rows):
+        raise ValueError(missing)
+    nx, ny = int(nx), int(ny)
+    d = np.zeros((2, nx, ny), dtype=np.complex128)
+    ll, mm = raw[:, 0].astype(np.int64), raw[:, 1].astype(np.int64)
+    d[0, ll, mm] = raw[:, 2] + 1j * raw[:, 3]
+    d[1, ll, mm] = raw[:, 4] + 1j * raw[:, 5]
+    seen = np.zeros((nx, ny), dtype=bool)
+    seen[ll, mm] = True
+    if not seen.all():  # with nx * ny rows, a site given twice leaves another out
+        raise ValueError(missing)
+    if not ((ll == raw[:, 0]).all() and (mm == raw[:, 1]).all()):
+        raise ValueError(f"{path}: site indices l, m must be integers")
+    return SpinorField(d)
 
 
 def evolve_by_symbol(field: SpinorField, symbol, t: float,

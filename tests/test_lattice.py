@@ -15,7 +15,9 @@ from plasticwalk.mat2 import ID2, SX, SZ, rot
 from plasticwalk.timelimit import time_hamiltonian
 
 from conftest import draw_plastic_generic, draw_time_compliant, draw_time_generic, with_exponents
-from oracles import apply_shift_word, dft, evolve_by_symbol, idft, save_csv_per_site
+from oracles import (
+    apply_shift_word, dft, evolve_by_symbol, idft, load_csv_table, save_csv_per_site,
+)
 
 
 def test_shift_moves_left_component_down():
@@ -275,6 +277,115 @@ def test_load_csv_refuses_a_malformed_grid(tmp_path, text):
         tracemalloc.stop()
 
 
+# rows of a 4 x 4 grid in row-major order; read three to a block, a bad row can sit
+# past the first block, inside a block, at its start or alone in the last
+_SITES_4X4 = [f"{l},{m},{4 * l + m},0,0,0\n" for l in range(4) for m in range(4)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row,bad", [
+    (7, "1,3,5,0,0\n"),       # a short row inside a block
+    (9, "2,1,5,0,0\n"),       # a short row that starts a block
+    (15, "3,3,5,0,0\n"),      # a short row alone in the last block
+    (10, "-1,2,5,0,0,0\n"),   # a negative index
+    (13, "3,0,5,0,0,0\n"),    # a site twice, so (3, 1) is missing
+    (8, "2,0.5,5,0,0,0\n"),   # a fractional index
+    (11, "nan,3,5,0,0,0\n"),
+], ids=["short-row", "short-first-row", "short-last-row", "negative", "duplicate",
+        "fractional", "nan-index"])
+def test_load_csv_refuses_a_malformed_grid_in_a_later_block(tmp_path, monkeypatch, row, bad):
+    monkeypatch.setattr(lattice, "_ROW_BLOCK", 3)
+    sites = list(_SITES_4X4)
+    sites[row] = bad
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            _load_text(tmp_path, "".join(sites))
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert _load_text(tmp_path, "".join(_SITES_4X4)).data[0].real.ravel().tolist() == list(range(16))
+
+
+@pytest.mark.parametrize("block", [2, 2 ** 13])
+@pytest.mark.parametrize("text,message", [
+    # the first line is the header even when it reads as a site of a 2 x 2 grid
+    ("1,1," + "0" * 40 + ",0,0,0\n", "six columns"),
+    # the last row (0, 1) gives a 1 x 2 grid, and the rows run on past it in row-major order
+    (_HEADER + "".join(_SITES_4X4[:2] + _SITES_4X4[4:6]) + "0,1,0,0,0,0\n", "need each site"),
+    # a whole 2 x 2 grid in row-major order, and then its last site again
+    (_HEADER + _SITES_2X2 + "1,1,5,0,0,0\n", "need each site"),
+], ids=["numeric-header-alone", "rows-past-the-last-row", "grid-then-a-repeat"])
+def test_load_csv_refuses_rows_that_disagree_with_the_last_row(tmp_path, monkeypatch, text,
+                                                                message, block):
+    """In blocks of two rows, and in the one call that reads a grid of one block."""
+    monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_csv(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(2, 9), ny=st.integers(2, 9), block=st.integers(1, 40),
+       shuffle=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_load_csv_matches_the_whole_table_oracle(tmp_path_factory, nx, ny, block, shuffle, seed):
+    """Row-major files fill the field block by block; shuffled rows take the scatter path."""
+    rng = np.random.default_rng(seed)
+    field = SpinorField.random(nx, ny, rng)
+    path = tmp_path_factory.getbasetemp() / "blocks.csv"
+    save_csv(field, path)
+    if shuffle:
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(rows[i] for i in rng.permutation(len(rows))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_ROW_BLOCK", block)
+        back = load_csv(path)
+        assert np.array_equal(back.data, load_csv_table(path).data)
+    assert back.data.tobytes() == field.data.tobytes()
+
+
+def _extreme_field(rng, nx, ny) -> SpinorField:
+    """Random values with negative zeros, subnormals and three-digit exponents."""
+    d = SpinorField.random(nx, ny, rng).data.copy()
+    d[0, 0, 0] = complex(-0.0, 5e-324)  # negative zero and the smallest subnormal
+    d[1, -1, -1] = complex(2.2250738585072014e-308 / 3, -0.0)
+    d[0, 0, -1] = complex(-0.0, -0.0)
+    d[1, 0, 0] = complex(-5e-324, 1.0)
+    d[:, nx // 2, :] *= 1e300  # three-digit exponents
+    return SpinorField(d)
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (64, 64)])
+def test_csv_roundtrip_is_bitwise_exact(tmp_path, rng, nx, ny):
+    """17 significant digits round-trip every double, -0.0 included."""
+    field = _extreme_field(rng, nx, ny)
+    save_csv(field, tmp_path / "field.csv")
+    assert load_csv(tmp_path / "field.csv").data.tobytes() == field.data.tobytes()
+
+
+def test_snapshot_io_memory_stays_near_one_field(tmp_path, rng):
+    """At 256^2, each snapshot path holds one field plus one block of rows or sites.
+
+    A block of ``lattice._ROW_BLOCK`` CSV rows and its index checks take under a
+    third of a 256^2 field; the whole-table loader took 3.6 fields, and a save or
+    load through a whole second copy 2.
+    """
+    f = SpinorField.random(256, 256, rng)
+    csv, binary = tmp_path / "field.csv", tmp_path / "field.pwf"
+    save_csv(f, csv)
+    for name, call in (("load_csv", lambda: load_csv(csv)),
+                       ("save_binary", lambda: save_binary(f, binary)),
+                       ("load_binary", lambda: load_binary(binary))):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * f.data.nbytes, (name, peak / f.data.nbytes)
+
+
 @pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (64, 64)])
 def test_save_csv_matches_per_site_writer(tmp_path, rng, nx, ny):
     d = SpinorField.random(nx, ny, rng).data.copy()
@@ -288,10 +399,42 @@ def test_save_csv_matches_per_site_writer(tmp_path, rng, nx, ny):
 
 
 def test_binary_roundtrip_exact(tmp_path, rng):
-    f = SpinorField.random(6, 4, rng)
+    f = _extreme_field(rng, 6, 4)
     path = tmp_path / "field.pwf"
     save_binary(f, path)
     back = load_binary(path)
-    assert np.array_equal(back.data, f.data)
+    assert back.data.tobytes() == f.data.tobytes()
     with pytest.raises(ValueError):
         load_binary(__file__)
+
+
+def _binary_file(tmp_path, rng, extra: bytes):
+    path = tmp_path / "field.pwf"
+    save_binary(SpinorField.random(3, 5, rng), path)
+    with open(path, "ab") as fh:
+        fh.write(extra)
+    return path
+
+
+def test_load_binary_refuses_a_header_past_the_file_size(tmp_path):
+    """65535 x 65535 sites would take 128 GiB: refused before anything is allocated."""
+    path = tmp_path / "huge.pwf"
+    path.write_bytes(lattice._MAGIC + np.array([65535, 65535], dtype="<u4").tobytes())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="65535 x 65535 field takes 137434759200 bytes "
+                                             "of payload, the file has 0"):
+            load_binary(path)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_binary_refuses_trailing_bytes(tmp_path, rng):
+    with pytest.raises(ValueError, match="3 x 5 field takes 480 bytes of payload, the file has 512"):
+        load_binary(_binary_file(tmp_path, rng, bytes(32)))
+
+
+def test_load_binary_refuses_a_partial_complex_value(tmp_path, rng):
+    with pytest.raises(ValueError, match="payload of 483 bytes is not a whole number of 16-byte"):
+        load_binary(_binary_file(tmp_path, rng, bytes(3)))
