@@ -26,8 +26,10 @@ Ranges are checked in ``ExperimentConfig.__post_init__``, once per load, and
 a config changed with ``dataclasses.replace`` is checked too: nx, ny >= 2, grid >= 1,
 steps >= 0, eps > 0, at least three distinct eps_list entries, all > 0, t_final >= 0
 with t_final / eps finite, at least one momentum, tau at most 2**53,
-seed >= 0, finite initial kx and ky, and a known initial type.  Unknown
-sections and keys, such as an "output" section, are ignored.
+seed >= 0, finite initial kx and ky, and a known initial type.  Integer keys
+(tau, nx, ny, grid, steps, seed) refuse booleans and numbers with a fractional
+part, so 2.5 is an error, not 2.  Unknown sections and keys, such as an
+"output" section, are ignored.
 
 Exponents are rationals written as "p/q" strings so the exact matching
 in the term enumerator never sees a float.
@@ -49,23 +51,32 @@ class ConfigError(ValueError):
     """Malformed configuration; maps to CLI exit code 2."""
 
 
-def parse_rational(text) -> Fraction:
-    """Parse an exact 'p/q' (or integer 'p') rational string."""
-    if isinstance(text, int):
+def parse_rational(text, key: str = "exponent") -> Fraction:
+    """Parse an exact 'p/q' (or integer 'p') rational string; errors name ``key``."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
-        raise ConfigError(f"rational exponents must be 'p/q' strings, got {text!r}")
+        raise ConfigError(f"{key} must be a 'p/q' string, got {text!r}")
     try:
-        frac = Fraction(text.strip())
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational {text!r}: {exc}") from None
-    return frac
+        raise ConfigError(f"bad rational {text!r} for {key}: {exc}") from None
+
+
+def _integer(key: str):
+    """The parser of an integer key: booleans and numbers with a fractional part are refused."""
+    def parse(value) -> int:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return parse
 
 
 _COIN_KEYS = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
 _INITIAL_TYPES = ("plane_wave", "delta", "random")
 # the parser of each optional key; an absent key keeps the dataclass field default
-_WALK = {"tau": ("tau", int), "a": ("a_exp", parse_rational)}
+_WALK = {"tau": ("tau", _integer("walk.tau")),
+         "a": ("a_exp", lambda text: parse_rational(text, "walk.a"))}
 
 
 def _object(value, name: str) -> dict:
@@ -74,19 +85,19 @@ def _object(value, name: str) -> dict:
     return value
 
 
-def _coin_from_dict(section, mode: str) -> CoinJet:
+def _coin_from_dict(section, mode: str, name: str) -> CoinJet:
     section = _object(section, "coin section")
     values = {k: float(section[k]) for k in _COIN_KEYS}
     if "b" in section:
-        values["b_exp"] = parse_rational(section["b"])
+        values["b_exp"] = parse_rational(section["b"], f"walk.{name}.b")
     return CoinJet(mode=mode, **values)
 
 
 def _walk_from_dict(section) -> WalkConfig:
     section = _object(section, "walk")
     mode = section["mode"]
-    return WalkConfig(coin_x=_coin_from_dict(section["coin_x"], mode),
-                      coin_y=_coin_from_dict(section["coin_y"], mode),
+    return WalkConfig(coin_x=_coin_from_dict(section["coin_x"], mode, "coin_x"),
+                      coin_y=_coin_from_dict(section["coin_y"], mode, "coin_y"),
                       **{name: parse(section[key]) for key, (name, parse) in _WALK.items()
                          if key in section})
 
@@ -98,8 +109,9 @@ def _initial_from_dict(section) -> dict:
 
 
 _SECTIONS = {
-    "lattice": {"nx": int, "ny": int},
-    "run": {"t_final": float, "eps": float, "grid": int, "steps": int,
+    "lattice": {"nx": _integer("lattice.nx"), "ny": _integer("lattice.ny")},
+    "run": {"t_final": float, "eps": float, "grid": _integer("run.grid"),
+            "steps": _integer("run.steps"),
             "eps_list": lambda v: tuple(float(e) for e in v),
             "momenta": lambda v: tuple((float(kx), float(ky)) for kx, ky in v),
             "initial": _initial_from_dict},
@@ -170,7 +182,7 @@ class ExperimentConfig:
             values = {key: parse(sections[name][key]) for name, parsers in _SECTIONS.items()
                       for key, parse in parsers.items() if key in sections[name]}
             if "seed" in doc:
-                values["seed"] = int(doc["seed"])
+                values["seed"] = _integer("seed")(doc["seed"])
             if seed is not None:
                 values["seed"] = seed
         except KeyError as exc:  # only walk and coin keys are required

@@ -13,21 +13,22 @@ multiplies the Gamma words: orders in (0, 1) must cancel group by group
 overall prefactor is the closed form e^{2 i delta} / 2 = -1/2, because the
 delta gate puts delta at pi/2 mod pi.
 
-A Gamma word depends on the parities of its indices alone, so the engine
-forms the 16 parity words in one batched pass and the products of the word
-pairs it meets in one batched matmul, and looks each tuple's product up by
-its eight index parities.  Every group
-belongs to one (sum_l, sum_n) pair; a pair is summed in one numpy pass whose
-``np.add.at`` adds the terms in tuple order, so each group sum is bit for
-bit the sum of a tuple-by-tuple loop (``tests/oracles.py`` keeps that loop).
+A Gamma word depends on the parities of its indices alone.  A total L splits
+between the two words as j + (L - j) with weight C(L, j) / L!, and for L > 0
+the C(L, j) of either parity of j sum to 2^(L-1).  So the group of totals
+(Lx, Ly, Nx, Ny) is i^sum_l (-i/2)^sum_n w(Lx) w(Ly) w(Nx) w(Ny), with
+w(0) = 1 and w(L) = 2^(L-1) / L!, times one of 81 class words: the sum of
+the word products that the totals' classes (zero, odd, even > 0) allow.
+The engine sums per group, not per index tuple; ``tests/oracles.py`` keeps
+the tuple-by-tuple loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
-from math import comb, factorial, gcd, lcm, prod
+from itertools import chain, combinations, product
+from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -53,10 +54,10 @@ __all__ = [
     "half_half_pde",
 ]
 
-# Most index tuples one enumeration may visit: 15x the largest count over the
-# exponent pairs with denominators up to 8 (12,870).  On a 2-core x86 host,
-# check sums the 75,581 tuples below order 1 at a = b = 1/12 in about 0.02 s,
-# and the 194,579 at a = 1/45, b = 1 in about 0.13 s.
+# Most index tuples one call may cover: 15x the largest count at denominators up to 8
+# (12,870).  check and pde sum per group, so it keeps their refusals where they were
+# and bounds the rows of terms.  On a 2-core x86 host check takes about 7 ms at a = 1/45,
+# b = 1 (194,579 tuples below order 1); terms at a = b = 1/15 (170,544 rows) 0.13 s.
 TUPLE_BUDGET = 200_000
 
 # Prefactor of the order-1 assembly: e^{2 i delta} / 2 with tau = 2, and delta = pi/2 mod pi.
@@ -213,26 +214,11 @@ class DivergenceGroup:
         return float(op_norm(self.matrix))
 
 
-class _Half(NamedTuple):
-    """The l (or n) half of the index tuples of one sum, one entry per composition
-    (1x, 1y, 2x, 2y) of the sum, in :func:`_compositions4` order."""
-
-    bits: NDArray[np.int64]  # parities of 1x, 1y, 2x, 2y as bits 5, 4, 1, 0 (an n half)
-    x: NDArray[np.int64]     # 1x + 2x
-    den: NDArray[np.int64]   # position of the factorial denominator in dens
-    dens: list[int]          # the distinct products of the factorials of the parts
-
-
-def _half(top: NDArray[np.int64], total: int) -> _Half:
-    """The half of ``total`` from ``top``, the compositions of a total T >= ``total``: those
-    whose last part is at least T - total, less that much, in the same order."""
-    cut = top[-1, 0] - total
-    parts = top[top[:, 3] >= cut] - [0, 0, 0, cut]
-    # the denominator depends on the multiset of the parts alone
-    multiset = np.sort(parts, axis=1) @ (total + 1) ** np.arange(4)
-    _, first, den = np.unique(multiset, return_index=True, return_inverse=True)
-    return _Half((parts & 1) @ np.array([32, 16, 2, 1]), parts[:, 0] + parts[:, 2], den,
-                 [prod(map(factorial, parts[i].tolist())) for i in first])
+# The (left, right) parities a total splits into, by its class s: 0 (zero) as (0, 0), 1 (odd)
+# as (0, 1) or (1, 0), 2 (even > 0) as (0, 0) or (1, 1).  Row 27 s(Lx) + 9 s(Ly) + 3 s(Nx)
+# + s(Ny) of _CLASSES marks the word products 16 * left + right that those classes allow.
+_SPLITS = np.array([[[1, 0], [0, 0]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]], dtype=np.float64)
+_CLASSES = np.einsum("aei,bfj,cgk,dhl->abcdefghijkl", *[_SPLITS] * 4).reshape(81, 256)
 
 
 def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
@@ -245,38 +231,30 @@ def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
     TUPLE_BUDGET tuples, before summing any.
 
     A tuple's term is nu1 nu2 (without the k and theta1 monomials) times
-    gamma_hat(l1x, l1y, n1x, n1y) @ gamma_hat(l2x, l2y, n2x, n2y); the
-    scalar is evaluated once per factorial denominator of a pair.
+    gamma_hat(l1x, l1y, n1x, n1y) @ gamma_hat(l2x, l2y, n2x, n2y); each group
+    is its weight times its class word (module docstring), one gather per pair.
     """
     a, b = Fraction(a), Fraction(b)
     pairs = _pairs(a, b, order_one)[0]
     if not pairs:
         return []
-    totals = set().union(*pairs)
-    top = _compositions4(max(totals))
-    halves = {total: _half(top, total) for total in totals}
-    # product index 16 * left word + right word, bits l1x l1y n1x n1y l2x l2y n2x n2y:
-    # 4 * (bits of the l half) + bits of the n half
-    codes = [(4 * halves[sl].bits[:, None] + halves[sn].bits).ravel() for sl, sn in pairs]
-    used = np.flatnonzero(np.bincount(np.concatenate(codes), minlength=256))
     words = _words(cfg)
-    products = np.empty((256, 2, 2), dtype=np.complex128)
-    products[used] = words[used >> 4] @ words[used & 15]
-
+    class_words = (_CLASSES @ (words[:, None] @ words).reshape(256, 4)).reshape(81, 2, 2)
+    totals = np.arange(max(map(max, pairs)) + 1)
+    weight = np.array([1.0] + [2 ** (n - 1) / factorial(n) for n in totals[1:].tolist()])
+    kind = np.where(totals == 0, 0, 2 - totals % 2)
     d = lcm(a.denominator, b.denominator)
     A, B = int(a * d), int(b * d)
     groups = []
-    for (sl, sn), code in zip(pairs, codes):
-        ls, ns = halves[sl], halves[sn]
+    for sl, sn in pairs:
+        x, y = totals[:sl + 1], totals[:sn + 1]  # the kx and theta1x powers
         scale = (1j ** sl) * ((-0.5j) ** sn)
-        coeffs = np.array([[scale / (dl * dn) for dn in ns.dens] for dl in ls.dens])
-        terms = coeffs[ls.den[:, None], ns.den].reshape(-1, 1, 1) * products[code]
-        acc = np.zeros(((sl + 1) * (sn + 1), 2, 2), dtype=np.complex128)
-        np.add.at(acc, (ls.x[:, None] * (sn + 1) + ns.x).ravel(), terms)
+        coeffs = np.outer(scale * weight[x] * weight[sl - x], weight[y] * weight[sn - y])
+        word = (27 * kind[x] + 9 * kind[sl - x])[:, None] + 3 * kind[y] + kind[sn - y]
         level = A * sl + B * sn
         order = Fraction(level, d)
-        for g, m in enumerate(acc):
-            kx, thx = divmod(g, sn + 1)
+        matrices = coeffs.reshape(-1, 1, 1) * class_words[word.ravel()]
+        for (kx, thx), m in zip(product(x.tolist(), y.tolist()), matrices):
             groups.append(((level, kx, sl - kx, thx, sn - thx), order, m))
     groups.sort(key=lambda group: group[0])  # the integer order d * f, then the powers
     return [DivergenceGroup(order, *key[1:], m) for key, order, m in groups]
@@ -390,11 +368,13 @@ def spacetime_hamiltonian(cfg: WalkConfig, a: Fraction, b: Fraction) -> PdeAssem
     """
     a, b = Fraction(a), Fraction(b)
     check_spacetime_limit(cfg, a, b).require("spacetime gate")
-    # the group sums carry i^sum_l, which belongs to the (i k)^d monomials of the symbol
+    # the gate leaves order-1 groups; their i^sum_l belongs to the (i k)^d monomials
+    groups = _grouped_sums(cfg, a, b, order_one=True)
+    norms = op_norm(np.stack([g.matrix for g in groups]))
     terms = tuple(
         PdeTerm(g.kx_power, g.ky_power, g.thx_power, g.thy_power,
                 (-1j) ** (g.kx_power + g.ky_power) * g.matrix)
-        for g in _grouped_sums(cfg, a, b, order_one=True) if g.norm > 1e-13
+        for g, norm in zip(groups, norms) if norm > 1e-13
     )
     # Known defect, kept until the gate rejects it (ROADMAP item 2): when every order-1
     # group cancels (compliant a + b > 1) there are no terms, and the calibration reads

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import plasticwalk
 from plasticwalk import convergence
 from plasticwalk.cli import main
-from plasticwalk.config import ConfigError, parse_rational
+from plasticwalk.config import ConfigError, ExperimentConfig, parse_rational
 
 from conftest import FAREY_8, draw_plastic_compliant
 from oracles import terms_listing
@@ -97,6 +97,18 @@ def test_check_odd_tau_exits_one(tmp_path, capsys):
     assert code == 1
     by_name = {c["name"]: c for c in out["conditions"]}
     assert by_name["tau_even"]["satisfied"] is False
+
+
+def test_integer_keys_load_integral_values_only():
+    with pytest.raises(ConfigError, match="walk.a must be a 'p/q' string, got True"):
+        parse_rational(True, "walk.a")
+    doc = time_doc(tau=4.0)
+    doc["lattice"] = {"nx": 16.0, "ny": 8}
+    doc["run"].update(grid=3.0, steps=7.0)
+    doc["seed"] = 5.0
+    cfg = ExperimentConfig.from_dict(doc)
+    values = (cfg.walk.tau, cfg.nx, cfg.ny, cfg.grid, cfg.steps, cfg.seed)
+    assert values == (4, 16, 8, 3, 7, 5) and all(type(v) is int for v in values)
 
 
 def test_malformed_rational_exits_two(tmp_path, capsys):
@@ -451,9 +463,9 @@ def _plastic(edit):
     return plastic_edit
 
 
-def _coin_angle(value):
+def _coin_x(key, value):
     def edit(doc):
-        doc["walk"]["coin_x"]["theta1"] = value
+        doc["walk"]["coin_x"][key] = value
     return edit
 
 
@@ -507,9 +519,26 @@ def _fiftieths(doc):
     (_root("lattice", 5), "simulate", 2, "lattice must be a JSON object, got int"),
     (_root("seed", -1), "simulate", 2, "seed must be >= 0, got -1"),
     (_set("walk", "tau", 10 ** 400), "check", 2, "walk.tau must be at most 2**53"),
-    (_coin_angle(10 ** 400), "check", 2, "bad config value: int too large to convert to float"),
+    (_coin_x("theta1", 10 ** 400), "check", 2, "bad config value: int too large to convert to float"),
     (_huge_deltas, "check", 2, "bad config value: delta_x + delta_y must be finite"),
     (_set("walk", "a", "1/2"), "converge", 2, "bad config value: time mode fixes a_exp = 0"),
+    (_set("walk", "tau", 2.5), "check", 2,
+     "bad config value: walk.tau must be an integer, got 2.5"),
+    (_set("walk", "tau", True), "check", 2,
+     "bad config value: walk.tau must be an integer, got True"),
+    (_set("lattice", "nx", 32.9), "simulate", 2,
+     "bad config value: lattice.nx must be an integer, got 32.9"),
+    (_set("lattice", "ny", False), "simulate", 2,
+     "bad config value: lattice.ny must be an integer, got False"),
+    (_set("run", "grid", True), "dispersion", 2,
+     "bad config value: run.grid must be an integer, got True"),
+    (_set("run", "steps", 7.9), "simulate", 2,
+     "bad config value: run.steps must be an integer, got 7.9"),
+    (_root("seed", 1.5), "simulate", 2, "bad config value: seed must be an integer, got 1.5"),
+    (_set("walk", "a", True), "check", 2,
+     "bad config value: walk.a must be a 'p/q' string, got True"),
+    (_plastic(_coin_x("b", True)), "check", 2,
+     "bad config value: walk.coin_x.b must be a 'p/q' string, got True"),
     (_overflowing_coin, "dispersion", 1, None),
     (_set("run", "eps_list", [1e308, 1e-3, 1e-4]), "converge", 1, None),
     (_set("run", "eps_list", [1e-30, 1e-31, 1e-32]), "converge", 1, None),
@@ -523,6 +552,8 @@ def _fiftieths(doc):
         "steps-negative",
         "initial-kx-abc", "initial-kx-inf", "t_final-inf", "t_final-huge-negative",
         "momenta-short", "run-list", "lattice-int", "seed-negative", "tau-huge", "coin-angle-huge", "delta-sum-overflow", "time-a-nonzero",
+        "tau-fraction", "tau-bool", "nx-fraction", "ny-bool", "grid-bool", "steps-fraction",
+        "seed-fraction", "a-bool", "b-bool",
         "coin-overflow-nan-phases", "eps_list-huge", "eps_list-tiny-time", "eps_list-tiny-plastic",
         "plastic-momenta-inf", "budget-check", "budget-pde", "budget-terms"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
