@@ -41,13 +41,12 @@ SCHEMA_VERSION = 1
 # Most k-points (grid**2 of dispersion and time-mode converge) or lattice sites (nx *
 # ny of simulate) one command may ask for; checked before anything is allocated.
 # simulate's step count is not counted: its evolution is logarithmic in it, and the
-# unitarity check of W(k)^steps stops it at about 2e12 steps (41 bits).  At the
-# limit, on a 2-core x86 host: dispersion, which writes its band table a kx row at
-# a time, takes 3.5 s and 0.34 GiB peak RSS (grid 1448, JSON or CSV), and simulate
-# of 1448^2 sites with its field CSV 5.3 s at 1 step and 6.8 s at 10**12 steps, 0.2
-# GiB both.  Time-mode converge with the default eps_list still takes 15 s and 0.92
-# GiB (grid 1448), which is why the budget stays at 2**21.  The benchmark asks for
-# at most 512^2.
+# unitarity check of W(k)^steps stops it at about 2e12 steps (41 bits).  The k-grid
+# commands hold one tile of k-points (and dispersion its 16-byte-a-point band array),
+# so time sets the budget.  At the limit, on a 2-core x86 host: time-mode converge
+# with the default eps_list takes about 7 s and 33 MiB peak RSS (grid 1448), dispersion
+# 4 to 6 s and 65 MiB, and simulate of 1448^2 sites with its field CSV about 8 s and
+# 0.19 GiB at 1 step or 10**12 steps.  The benchmark asks for at most 512^2.
 WORK_BUDGET = 2 ** 21
 
 

@@ -16,10 +16,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import WalkConfig, walk_k
-from .mat2 import eigvals2, exp_herm, op_norm, unitarity_defect
+from .mat2 import eigvals2, exp_herm, op_norm
 from .plastic import spacetime_hamiltonian
 from .timelimit import time_hamiltonian
-from ._util import POWER_TOL, stack_power
+from ._util import POWER_TOL, check_unitary, k_tiles, stack_power
 
 __all__ = [
     "ConvergenceResult",
@@ -71,33 +71,31 @@ def fit_order(samples: Sequence[tuple[float, float]]) -> tuple[float, float, flo
     return float(slope), float(intercept), float(r2)
 
 
-def _check_unitary(m: NDArray[np.complex128], what: str, tol: float = _UNITARITY_TOL) -> None:
-    defect = float(np.max(unitarity_defect(m)))
-    if not defect <= tol:  # a NaN defect fails too
-        raise ValueError(f"{what} lost unitarity (defect {defect:.3e})")
-
-
-def _converge(cfg: WalkConfig, tau: int, h: NDArray[np.complex128], kx, ky,
+def _converge(cfg: WalkConfig, tau: int, hamiltonian, kx, ky,
               t_final: float, eps_list: Sequence[float], target_name: str) -> ConvergenceResult:
-    """sup-norm distance between W^(tau n) and exp(-i H tau n eps) as eps shrinks.
+    """sup-norm distance between W^(tau n) and exp(-i H(k) tau n eps) as eps shrinks.
 
     The step count n = round(T / (tau eps)) rounds the horizon to a whole
     number of stroboscopic blocks; the induced O(eps) time mismatch is
     absorbed into the fitted order.  W^(tau n) must be unitary to POWER_TOL,
-    as the walk power of ``lattice.evolve`` is.
+    as the walk power of ``lattice.evolve`` is.  H is evaluated once a tile of
+    ``k_tiles``, every eps runs on it, and each error is the max over the tiles.
     """
-    samples = []
-    for eps in sorted(eps_list, reverse=True):
-        n = max(1, round(t_final / (tau * eps)))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-            w = walk_k(cfg, kx, ky, eps)
-            _check_unitary(w, "walk symbol")
-            walk_pow = stack_power(w, tau * n)
-            _check_unitary(walk_pow, f"W^({tau} n) at n = {n:.3g}", POWER_TOL)
-            target = exp_herm(h, tau * n * eps)
-            _check_unitary(target, target_name)
-        err = float(np.max(op_norm(walk_pow - target)))
-        samples.append((float(eps), err))
+    eps_list = [float(eps) for eps in sorted(eps_list, reverse=True)]
+    steps = [tau * max(1, round(t_final / (tau * eps))) for eps in eps_list]
+    errors = [0.0] * len(eps_list)
+    for _, kx_t, ky_t in k_tiles(kx, ky):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
+            h, t = hamiltonian(kx_t, ky_t), None
+            for i, (eps, m) in enumerate(zip(eps_list, steps)):
+                w = check_unitary(walk_k(cfg, kx_t, ky_t, eps), "walk symbol", _UNITARITY_TOL)
+                walk_pow = check_unitary(stack_power(w, m), f"W^({tau} n) at n = {m // tau:.3g}",
+                                         POWER_TOL)
+                if m * eps != t:  # eps that divide the horizon alike share one target
+                    t = m * eps
+                    target = check_unitary(exp_herm(h, t), target_name, _UNITARITY_TOL)
+                errors[i] = max(errors[i], float(np.max(op_norm(walk_pow - target))))
+    samples = list(zip(eps_list, errors))
     slope, intercept, r2 = fit_order(samples)
     return ConvergenceResult(tuple(samples), slope, intercept, r2)
 
@@ -106,10 +104,7 @@ def time_convergence(cfg: WalkConfig, t_final: float, kx, ky,
                      eps_list: Sequence[float]) -> ConvergenceResult:
     """sup-norm distance between W^(tau n) and e^{-i H T} as eps shrinks."""
     _, symbol = time_hamiltonian(cfg)  # raises on gate failure
-    kx = np.asarray(kx, dtype=np.float64)
-    ky = np.asarray(ky, dtype=np.float64)
-    return _converge(cfg, cfg.tau, symbol(kx, ky), kx, ky, t_final, eps_list,
-                     "Hamiltonian evolution")
+    return _converge(cfg, cfg.tau, symbol, kx, ky, t_final, eps_list, "Hamiltonian evolution")
 
 
 def spacetime_convergence(cfg: WalkConfig, a: Fraction, b: Fraction,
@@ -124,24 +119,22 @@ def spacetime_convergence(cfg: WalkConfig, a: Fraction, b: Fraction,
     assembly = spacetime_hamiltonian(cfg, a, b)  # raises on gate failure
     if not assembly.terms:
         raise ValueError("every order-1 coefficient group cancels: no generator to converge to")
-    kx = np.array([m[0] for m in momenta], dtype=np.float64)
-    ky = np.array([m[1] for m in momenta], dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails exp_herm's check
-        h = assembly.hamiltonian(kx, ky)
-    return _converge(cfg, 2, h, kx, ky, t_final, eps_list, "PDE evolution")
+    kx, ky = np.array(momenta, dtype=np.float64).T
+    return _converge(cfg, 2, assembly.hamiltonian, kx, ky, t_final, eps_list, "PDE evolution")
 
 
 def dispersion(cfg: WalkConfig, eps: float, kx, ky) -> NDArray[np.float64]:
-    """Eigenphases of the walk symbol over a momentum grid.
+    """Eigenphases of the walk symbol over a momentum grid, one tile of ``k_tiles`` at a time.
 
     Returns an array of shape broadcast(kx, ky) + (2,), phases in
     (-pi, pi] sorted ascending per momentum; band continuity is not
     enforced.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-        w = walk_k(cfg, kx, ky, eps)
-        _check_unitary(w, "walk symbol")
-    lam = eigvals2(w)
-    phases = np.angle(lam)
-    phases = np.where(phases <= -np.pi + 1e-15, phases + 2.0 * np.pi, phases)
-    return np.sort(phases, axis=-1)
+    bands = np.empty(np.broadcast(np.asarray(kx), np.asarray(ky)).shape + (2,))
+    for tile, kx_t, ky_t in k_tiles(kx, ky):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+            w = check_unitary(walk_k(cfg, kx_t, ky_t, eps), "walk symbol", _UNITARITY_TOL)
+        phases = np.angle(eigvals2(w))
+        phases = np.where(phases <= -np.pi + 1e-15, phases + 2.0 * np.pi, phases)
+        bands[tile] = np.sort(phases, axis=-1)
+    return bands

@@ -32,7 +32,6 @@ or sites; ``save_binary`` holds one interleaved copy of the field.
 
 from __future__ import annotations
 
-import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -41,8 +40,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import WalkConfig, coin_at, walk_k
-from .mat2 import unitarity_defect
-from ._util import POWER_TOL, stack_power
+from ._util import POWER_TOL, check_unitary, k_tiles, stack_power
 
 __all__ = [
     "SpinorField",
@@ -58,11 +56,6 @@ __all__ = [
 ]
 
 _MAGIC = b"PWFLD1\x00\x00"
-
-# Most k-points ``evolve`` holds a walk power for at once.  Measured on 256^2: the
-# peak traced memory of an evolution is 1.7x the field's bytes at 2**12 k-points a
-# block (3.9x at 2**14), and 512^2 x 1000 steps is no slower than with larger blocks.
-_K_BLOCK = 2 ** 12
 
 # Most CSV rows, or binary sites, a snapshot reader holds at once beside the field it
 # fills.  Measured on 512^2: parsing 2**13 rows a block is as fast as one np.loadtxt of
@@ -127,17 +120,9 @@ def shift(field: SpinorField, axis: str) -> SpinorField:
     return SpinorField(out)
 
 
-def _unitary(c) -> NDArray[np.complex128]:
-    """The coin as a complex array, if it is unitary to 1e-10."""
-    c = np.asarray(c, dtype=np.complex128)
-    if not float(unitarity_defect(c)) <= 1e-10:  # a NaN defect fails too
-        raise ValueError("coin must be unitary to 1e-10")
-    return c
-
-
 def apply_coin(field: SpinorField, c: NDArray[np.complex128]) -> SpinorField:
     """Left-multiply the spinor at every site by the unitary 2x2 coin."""
-    return SpinorField(np.einsum("ab,bxy->axy", _unitary(c), field.data))
+    return SpinorField(np.einsum("ab,bxy->axy", check_unitary(c, "coin", 1e-10), field.data))
 
 
 def step(field: SpinorField, cfg: WalkConfig, eps: float) -> SpinorField:
@@ -157,30 +142,23 @@ def evolve(field: SpinorField, cfg: WalkConfig, eps: float, steps: int) -> Spino
     so each shift moves one site in plastic mode too.  Both coins must be
     unitary to 1e-10, and W(k)^steps to ``POWER_TOL``; ``steps == 0`` returns
     ``field`` itself.  Memory beyond one copy of the field stays small: the
-    FFTs run in place, one axis at a time, and the walk power is built for at
-    most ``_K_BLOCK`` k-points at once.
+    FFTs run in place, one axis at a time, and the walk power is built one tile
+    of ``_util.k_tiles`` at a time.
     """
     if steps == 0:
         return field
     for jet in (cfg.coin_x, cfg.coin_y):
-        _unitary(coin_at(jet, eps))
+        check_unitary(coin_at(jet, eps), "coin", 1e-10)
     nx, ny = field.shape
     spacing = cfg.spacing(eps)
     kx, ky = (k / spacing for k in momentum_grid(nx, ny))
     psi = field.data.copy()
     for axis in (2, 1):
         np.fft.fft(psi, axis=axis, out=psi)
-    # tiles of whole kx rows, or of one row's ky columns when a row alone is too long
-    rows, cols = max(1, _K_BLOCK // ny), min(ny, _K_BLOCK)
-    for r0, c0 in itertools.product(range(0, nx, rows), range(0, ny, cols)):
-        tile = np.s_[r0:r0 + rows, c0:c0 + cols]
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the gate
-            # broadcast momenta: a tile takes one exponential per row and per column
-            w = stack_power(walk_k(cfg, kx[r0:r0 + rows], ky[:, c0:c0 + cols], eps), steps)
-            defect = float(np.max(unitarity_defect(w)))
-        if not defect <= POWER_TOL:
-            raise ValueError(f"W(k)^{steps} is not unitary to {POWER_TOL:g} (defect "
-                             f"{defect:.3e}): roundoff grows about 5e-16 a step")
+    for tile, kx_t, ky_t in k_tiles(kx, ky):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+            w = check_unitary(stack_power(walk_k(cfg, kx_t, ky_t, eps), steps),
+                              f"W(k)^{steps}", POWER_TOL)
         up, down = psi[0][tile], psi[1][tile]
         psi[0][tile], psi[1][tile] = (w[..., 0, 0] * up + w[..., 0, 1] * down,
                                       w[..., 1, 0] * up + w[..., 1, 1] * down)

@@ -14,6 +14,8 @@ no command needs stay here, as oracles for the library's closed forms:
 * real-space shift words, the componentwise DFT and evolution by a
   momentum-space symbol, the site-by-site CSV writer and the whole-table
   CSV loader, the reference for the library's row-block loader;
+* ``dispersion`` and the convergence loop over the whole momentum grid at
+  once, the references for the library's tile-at-a-time forms;
 * a full 2x2 eigendecomposition, the unitarity and Hermiticity
   predicates, and the gufunc matmul forms of the elementwise 2x2
   kernels (walk symbol, squaring, operator norm, unitarity defect,
@@ -54,7 +56,7 @@ from plasticwalk.plastic import (
     _rotations, enumerate_terms, gamma_hat,
 )
 from plasticwalk.timelimit import ConstraintReport
-from plasticwalk._util import stack_power
+from plasticwalk._util import POWER_TOL, check_unitary, stack_power
 
 
 # ----------------------------------------------------------------- 2x2 algebra
@@ -386,6 +388,34 @@ def evolve_by_symbol(field: SpinorField, symbol, t: float,
     fhat = dft(field)
     out = np.einsum("xyab,bxy->axy", u, fhat)
     return idft(out)
+
+
+# ------------------------------------------------- whole-grid k-space commands
+
+
+def dispersion_whole_grid(cfg: WalkConfig, eps: float, kx, ky) -> NDArray[np.float64]:
+    """Eigenphases of W(k), sorted per momentum, with W built over the whole grid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = check_unitary(walk_k(cfg, kx, ky, eps), "walk symbol", 1e-11)
+    phases = np.angle(eigvals2(w))
+    phases = np.where(phases <= -np.pi + 1e-15, phases + 2.0 * np.pi, phases)
+    return np.sort(phases, axis=-1)
+
+
+def converge_whole_grid(cfg: WalkConfig, tau: int, hamiltonian, kx, ky, t_final: float,
+                        eps_list) -> list[tuple[float, float]]:
+    """The (eps, error) samples of the convergence loop, eps outside, each eps over
+    the whole grid: sup-norm distance between W^(tau n) and exp(-i H tau n eps)."""
+    h = hamiltonian(np.asarray(kx, dtype=np.float64), np.asarray(ky, dtype=np.float64))
+    samples = []
+    for eps in sorted(eps_list, reverse=True):
+        n = max(1, round(t_final / (tau * eps)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = check_unitary(walk_k(cfg, kx, ky, eps), "walk symbol", 1e-11)
+            walk_pow = check_unitary(stack_power(w, tau * n), "W^(tau n)", POWER_TOL)
+            target = check_unitary(exp_herm(h, tau * n * eps), "target", 1e-11)
+        samples.append((float(eps), float(np.max(op_norm(walk_pow - target)))))
+    return samples
 
 
 # ------------------------------------------------------------ result views

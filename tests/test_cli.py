@@ -278,6 +278,17 @@ def test_dispersion_json_memory_stays_near_the_band_array(tmp_path):
     assert peak <= 12 * 2 ** 20
 
 
+def test_converge_memory_stays_near_one_tile(tmp_path):
+    """Time-mode converge walks its grid a tile at a time: at grid 512 (262,144 k-points)
+    the traced peak stays under 8 MiB, where the whole-grid loop took about 112 MiB."""
+    doc = time_doc()
+    doc["run"]["grid"] = 512
+    proc, _, peak = _run_child(tmp_path, doc, "converge")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(json.loads(proc.stdout)["samples"]) == 4
+    assert peak <= 8 * 2 ** 20
+
+
 def test_outputs_are_deterministic(tmp_path):
     path = write_config(tmp_path, time_doc())
     dir1 = tmp_path / "run1"

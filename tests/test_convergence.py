@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plasticwalk import (
     CoinJet, WalkConfig, dispersion, fit_order, spacetime_convergence,
-    time_convergence, time_hamiltonian, walk_k,
+    spacetime_hamiltonian, time_convergence, time_hamiltonian, walk_k,
 )
 from plasticwalk.mat2 import det2, exp_herm, op_norm
-from plasticwalk._util import stack_power
+from plasticwalk._util import K_BLOCK, k_tiles, stack_power
 
-from conftest import HALF, draw_plastic_compliant, draw_time_compliant
+from conftest import HALF, draw_plastic_compliant, draw_time_compliant, draw_time_generic
+from oracles import converge_whole_grid, dispersion_whole_grid
 
 
 def _kgrid(n):
@@ -235,3 +238,74 @@ def test_dispersion_phase_sum_tracks_determinant(rng):
     sum_phase = bands.sum(axis=-1)
     diff = np.exp(1j * (sum_phase - det_phase))
     assert float(np.max(np.abs(diff - 1.0))) <= 1e-10
+
+
+# grids on both sides of a tile edge (64^2 is one tile of K_BLOCK k-points), several
+# tiles of whole rows, and rows longer than a tile
+TILE_GRIDS = [(63, 63), (64, 64), (65, 65), (100, 100), (2, 5000)]
+
+
+def _factors(nx, ny):
+    return (np.linspace(-np.pi, np.pi, nx, endpoint=False)[:, None],
+            np.linspace(-np.pi, np.pi, ny, endpoint=False)[None, :])
+
+
+@pytest.mark.parametrize("nx,ny", TILE_GRIDS + [(1, 1), (3, 2 * K_BLOCK + 1), (K_BLOCK + 1, 1)])
+def test_k_tiles_cover_the_grid_once_a_tile_at_a_time(nx, ny):
+    kx, ky = _factors(nx, ny)
+    seen = np.zeros((nx, ny), dtype=int)
+    for tile, kx_t, ky_t in k_tiles(kx, ky):
+        seen[tile] += 1
+        assert kx_t.size * ky_t.size <= K_BLOCK
+        assert np.array_equal(kx_t, kx[tile[0]]) and np.array_equal(ky_t, ky[:, tile[1]])
+    assert (seen == 1).all()
+
+
+def test_k_tiles_run_other_shapes_as_one_tile():
+    momenta = np.array([0.7, 0.2, -1.0])
+    for kx, ky in ((0.3, -0.2), (momenta, momenta[::-1]), (np.ones((3, 4)), np.ones((3, 4)))):
+        [(tile, kx_t, ky_t)] = k_tiles(kx, ky)
+        assert tile is Ellipsis and np.array_equal(kx_t, kx) and np.array_equal(ky_t, ky)
+
+
+@settings(max_examples=12, deadline=None)
+@given(grid=st.sampled_from(TILE_GRIDS), generic=st.booleans(),
+       eps=st.floats(0.0, 0.3), seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=(2, 5000), generic=True, eps=0.05, seed=0)
+@example(grid=(100, 100), generic=False, eps=0.01, seed=1)
+def test_dispersion_tiles_equal_the_whole_grid_bitwise(grid, generic, eps, seed):
+    rng = np.random.default_rng(seed)
+    cfg = draw_time_generic(rng) if generic else draw_time_compliant(rng)
+    kx, ky = _factors(*grid)
+    bands = dispersion(cfg, eps, kx, ky)
+    assert bands.shape == grid + (2,)
+    assert bands.tobytes() == dispersion_whole_grid(cfg, eps, kx, ky).tobytes()
+
+
+@settings(max_examples=8, deadline=None)
+@given(grid=st.sampled_from(TILE_GRIDS), tau=st.sampled_from([2, 4]),
+       end=st.integers(8, 10), t_final=st.sampled_from([0.5, 0.3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=(2, 5000), tau=2, end=8, t_final=0.5, seed=0)
+@example(grid=(65, 65), tau=4, end=9, t_final=0.3, seed=1)
+def test_time_convergence_tiles_equal_the_whole_grid_bitwise(grid, tau, end, t_final, seed):
+    """Every (eps, error) sample, with eps in the order the CLI lists them.  At
+    t_final 0.5 every eps 2^-k divides the horizon, so all share one target; at 0.3
+    the rounded horizons differ."""
+    cfg = draw_time_compliant(np.random.default_rng(seed), tau=tau, strong_theta1=True)
+    kx, ky = _factors(*grid)
+    eps_list = [2.0 ** -k for k in range(6, end + 1)]
+    samples = time_convergence(cfg, t_final, kx, ky, eps_list[::-1]).samples
+    oracle = converge_whole_grid(cfg, tau, time_hamiltonian(cfg)[1], kx, ky, t_final, eps_list)
+    assert np.array(samples).tobytes() == np.array(oracle).tobytes()
+
+
+def test_spacetime_convergence_momentum_list_equals_the_oracle_bitwise(rng):
+    cfg = draw_plastic_compliant(rng)
+    momenta = [(0.7, -0.3), (0.23, 0.9), (-0.51, 0.42)]
+    eps_list = [2.0 ** -k for k in range(6, 10)]
+    samples = spacetime_convergence(cfg, HALF, HALF, 0.5, momenta, eps_list).samples
+    kx, ky = np.array(momenta).T
+    oracle = converge_whole_grid(cfg, 2, spacetime_hamiltonian(cfg, HALF, HALF).hamiltonian,
+                                 kx, ky, 0.5, eps_list)
+    assert np.array(samples).tobytes() == np.array(oracle).tobytes()

@@ -109,7 +109,7 @@ def test_step_on_plane_wave_matches_symbol(rng):
 def test_evolve_matches_repeated_step(nx, ny, steps, a, seed):
     """Time mode (a None), and plastic mode, where the spacing eps**a is not 1.
 
-    Drawn sizes fit one tile of ``lattice._K_BLOCK`` k-points; the examples take
+    Drawn sizes fit one tile of ``_util.K_BLOCK`` k-points; the examples take
     several: rows longer than a tile, and a tile of many short rows with a partial last one.
     """
     rng = np.random.default_rng(seed)
@@ -145,7 +145,7 @@ def test_evolve_rejects_a_power_past_double_precision(rng):
 
 
 def test_evolve_memory_stays_near_one_field_copy(rng):
-    """On square lattices, and on rows longer than one tile of ``lattice._K_BLOCK``."""
+    """On square lattices, and on rows longer than one tile of ``_util.K_BLOCK``."""
     cfg = draw_time_generic(rng)
     for nx, ny in ((256, 256), (2, 2 ** 15)):
         f = SpinorField.random(nx, ny, rng)
