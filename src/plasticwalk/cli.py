@@ -114,8 +114,8 @@ def _grid(n: int):
 
 def cmd_check(args) -> int:
     cfg = _load(args)
-    report = (tl.check_time_limit(cfg.walk) if cfg.walk.mode == "time"
-              else pl.check_spacetime_limit(cfg.walk, cfg.a_exp, cfg.b_exp))
+    gate = tl.check_time_limit if cfg.walk.mode == "time" else pl.check_spacetime_limit
+    report = gate(cfg.walk)
     _emit(args, report.to_dict())
     return 0 if report.passed else 1
 
@@ -136,7 +136,7 @@ def cmd_pde(args) -> int:
     cfg = _load(args)
     if cfg.walk.mode != "plastic":
         raise ValueError("requires a plastic-mode config")
-    assembly = pl.spacetime_hamiltonian(cfg.walk, cfg.a_exp, cfg.b_exp)
+    assembly = pl.spacetime_hamiltonian(cfg.walk)
     lam = assembly.calibration
     rendered = ["d/dt Psi = sum of the terms below (calibration folded in):"]
     for t in assembly.terms:
@@ -187,11 +187,10 @@ def cmd_simulate(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _load(args)
     if cfg.walk.mode == "time":
-        kx, ky = _grid(cfg.grid)
-        result = conv.time_convergence(cfg.walk, cfg.t_final, kx, ky, cfg.eps_list)
+        run, (kx, ky) = conv.time_convergence, _grid(cfg.grid)
     else:
-        result = conv.spacetime_convergence(cfg.walk, cfg.a_exp, cfg.b_exp,
-                                            cfg.t_final, cfg.momenta, cfg.eps_list)
+        run, (kx, ky) = conv.spacetime_convergence, np.array(cfg.momenta, dtype=np.float64).T
+    result = run(cfg.walk, cfg.t_final, kx, ky, cfg.eps_list)
     rows = ["eps,error"] + [f"{_f17(e)},{_f17(err)}" for e, err in result.samples]
     _emit(args, result.to_dict(), csv_rows=rows)
     if args.format == "csv" and args.output:
@@ -266,7 +265,7 @@ def cmd_terms(args) -> int:
     halves: one template per pair holds the n halves, and each l half fills it in.
     """
     cfg = _load(args)
-    pairs, count = pl._pairs(cfg.a_exp, cfg.b_exp, order_one=True)
+    pairs, count = pl._pairs(cfg.walk.a_exp, cfg.walk.b_exp, order_one=True)
     row, sep, index = _TERM_ROWS[args.format]
     blocks = []
     for sl, sn in pairs:

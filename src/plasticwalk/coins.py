@@ -119,6 +119,11 @@ class WalkConfig:
         return self.coin_x.mode
 
     @property
+    def b_exp(self) -> Fraction:
+        """The driving exponent b that both coins share (1 in time mode)."""
+        return self.coin_x.b_exp
+
+    @property
     def delta_sum(self) -> float:
         """Total global phase delta_x + delta_y."""
         return self.coin_x.delta + self.coin_y.delta

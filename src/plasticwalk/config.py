@@ -24,7 +24,7 @@ One section per subsystem:
 its ``seed`` argument (the CLI's --seed) replaces the document's seed.
 Ranges are checked in ``ExperimentConfig.__post_init__``, once per load, and
 a config changed with ``dataclasses.replace`` is checked too: nx, ny >= 2, grid >= 1,
-steps >= 0, eps > 0, at least three distinct eps_list entries, all > 0, t_final >= 0
+steps >= 0, eps > 0, at most 16 eps_list entries, at least 3 distinct, all > 0, t_final >= 0
 with t_final / eps finite, at least one momentum, tau at most 2**53,
 seed >= 0, finite initial kx and ky, and a known initial type.  Integer keys
 (tau, nx, ny, grid, steps, seed) refuse booleans and numbers with a fractional
@@ -72,6 +72,9 @@ def _integer(key: str):
     return parse
 
 
+# Most eps_list entries: each is a full walk power over the k-grid in time-mode converge,
+# which the k-point work budget does not count.
+MAX_EPS_LIST = 16
 _COIN_KEYS = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
 _INITIAL_TYPES = ("plane_wave", "delta", "random")
 # the parser of each optional key; an absent key keeps the dataclass field default
@@ -145,6 +148,9 @@ class ExperimentConfig:
         if not (len(set(self.eps_list)) >= 3 and all(e > 0 for e in self.eps_list)):
             raise ConfigError(f"run.eps_list needs at least 3 distinct entries, all > 0, "
                               f"got {list(self.eps_list)}")
+        if not len(self.eps_list) <= MAX_EPS_LIST:
+            raise ConfigError(f"run.eps_list may have at most {MAX_EPS_LIST} entries, "
+                              f"got {len(self.eps_list)}")
         if not (self.t_final >= 0 and math.isfinite(self.t_final / min(self.eps_list))):
             raise ConfigError(f"run.t_final must be >= 0 with t_final / eps finite, "
                               f"got {self.t_final}")
@@ -159,14 +165,6 @@ class ExperimentConfig:
         if self.initial_type not in _INITIAL_TYPES:
             raise ConfigError(f"run.initial.type must be one of {_INITIAL_TYPES}, "
                               f"got {self.initial_type!r}")
-
-    @property
-    def a_exp(self) -> Fraction:
-        return self.walk.a_exp
-
-    @property
-    def b_exp(self) -> Fraction:
-        return self.walk.coin_x.b_exp
 
     @property
     def initial_type(self) -> str:

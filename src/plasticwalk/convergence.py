@@ -9,7 +9,6 @@ should converge to.  Orders are fitted by least squares on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -71,16 +70,17 @@ def fit_order(samples: Sequence[tuple[float, float]]) -> tuple[float, float, flo
     return float(slope), float(intercept), float(r2)
 
 
-def _converge(cfg: WalkConfig, tau: int, hamiltonian, kx, ky,
-              t_final: float, eps_list: Sequence[float], target_name: str) -> ConvergenceResult:
+def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
+              eps_list: Sequence[float], what: str) -> ConvergenceResult:
     """sup-norm distance between W^(tau n) and exp(-i H(k) tau n eps) as eps shrinks.
 
-    The step count n = round(T / (tau eps)) rounds the horizon to a whole
-    number of stroboscopic blocks; the induced O(eps) time mismatch is
-    absorbed into the fitted order.  W^(tau n) must be unitary to POWER_TOL,
-    as the walk power of ``lattice.evolve`` is.  H is evaluated once a tile of
-    ``k_tiles``, every eps runs on it, and each error is the max over the tiles.
+    The step count n = round(T / (tau eps)), tau the walk's, rounds the horizon to a
+    whole number of stroboscopic blocks; the induced O(eps) time mismatch is absorbed
+    into the fitted order.  W^(tau n) must be unitary to POWER_TOL, and H, named
+    ``what`` in errors, Hermitian.  H is evaluated once a tile of ``k_tiles``, every
+    eps runs on it, and each error is the max over the tiles.
     """
+    tau = cfg.tau
     eps_list = [float(eps) for eps in sorted(eps_list, reverse=True)]
     steps = [tau * max(1, round(t_final / (tau * eps))) for eps in eps_list]
     errors = [0.0] * len(eps_list)
@@ -93,7 +93,8 @@ def _converge(cfg: WalkConfig, tau: int, hamiltonian, kx, ky,
                                          POWER_TOL)
                 if m * eps != t:  # eps that divide the horizon alike share one target
                     t = m * eps
-                    target = check_unitary(exp_herm(h, t), target_name, _UNITARITY_TOL)
+                    target = check_unitary(exp_herm(h, t, what), f"{what} evolution",
+                                           _UNITARITY_TOL)
                 errors[i] = max(errors[i], float(np.max(op_norm(walk_pow - target))))
     samples = list(zip(eps_list, errors))
     slope, intercept, r2 = fit_order(samples)
@@ -104,23 +105,21 @@ def time_convergence(cfg: WalkConfig, t_final: float, kx, ky,
                      eps_list: Sequence[float]) -> ConvergenceResult:
     """sup-norm distance between W^(tau n) and e^{-i H T} as eps shrinks."""
     _, symbol = time_hamiltonian(cfg)  # raises on gate failure
-    return _converge(cfg, cfg.tau, symbol, kx, ky, t_final, eps_list, "Hamiltonian evolution")
+    return _converge(cfg, symbol, kx, ky, t_final, eps_list, "Hamiltonian")
 
 
-def spacetime_convergence(cfg: WalkConfig, a: Fraction, b: Fraction,
-                          t_final: float, momenta: Sequence[tuple[float, float]],
+def spacetime_convergence(cfg: WalkConfig, t_final: float, kx, ky,
                           eps_list: Sequence[float]) -> ConvergenceResult:
-    """sup-norm distance between W^(2n) and the calibrated PDE evolution.
+    """sup-norm distance between W^(2n) and the calibrated PDE evolution at the walk's (a, b).
 
     Momenta are physical; the walk symbol is evaluated at lattice phase
     k eps^a internally.  The comparison generator is the calibrated
     order-1 assembly, evolved as exp(G t).
     """
-    assembly = spacetime_hamiltonian(cfg, a, b)  # raises on gate failure
+    assembly = spacetime_hamiltonian(cfg)  # raises on gate failure
     if not assembly.terms:
         raise ValueError("every order-1 coefficient group cancels: no generator to converge to")
-    kx, ky = np.array(momenta, dtype=np.float64).T
-    return _converge(cfg, 2, assembly.hamiltonian, kx, ky, t_final, eps_list, "PDE evolution")
+    return _converge(cfg, assembly.hamiltonian, kx, ky, t_final, eps_list, "PDE generator")
 
 
 def dispersion(cfg: WalkConfig, eps: float, kx, ky) -> NDArray[np.float64]:

@@ -196,7 +196,7 @@ def eigvals2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return np.stack([half_tr + disc, half_tr - disc], axis=-1)
 
 
-def exp_herm(h: NDArray[np.complex128], t) -> NDArray[np.complex128]:
+def exp_herm(h: NDArray[np.complex128], t, what: str = "exp_herm input") -> NDArray[np.complex128]:
     """exp(-i H t) for Hermitian H, via the Pauli decomposition.
 
     H = h0 I + h . sigma gives
@@ -204,15 +204,14 @@ def exp_herm(h: NDArray[np.complex128], t) -> NDArray[np.complex128]:
     with the |h| = 0 case handled by the identity branch.
 
     Accepts a (..., 2, 2) stack and scalar or broadcastable ``t``.
-    Raises ValueError if any slice deviates from Hermiticity by more
-    than 1e-10 in operator norm.
+    Raises ValueError, naming H ``what``, if any slice deviates from
+    Hermiticity by more than 1e-10 in operator norm.
     """
     h = np.asarray(h, dtype=np.complex128)
     herm_defect = op_norm(h - dag(h))
     if not np.all(herm_defect <= 1e-10):  # a NaN defect fails too
-        raise ValueError(
-            f"exp_herm requires Hermitian input; max deviation {float(np.max(herm_defect)):.3e}"
-        )
+        raise ValueError(f"{what} is not Hermitian to 1e-10 "
+                         f"(defect {float(np.max(herm_defect)):.3e})")
     t = np.asarray(t, dtype=np.float64)
     h0 = 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real
     hx = 0.5 * (h[..., 0, 1] + h[..., 1, 0]).real

@@ -274,8 +274,8 @@ def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction) -> tuple[floa
     return float(np.max(op_norm(np.stack([g.matrix for g in groups])))), groups
 
 
-def check_spacetime_limit(cfg: WalkConfig, a: Fraction, b: Fraction) -> ConstraintReport:
-    """Gate for the joint continuous-time + continuous-spacetime limit.
+def check_spacetime_limit(cfg: WalkConfig) -> ConstraintReport:
+    """Gate for the joint continuous-time + continuous-spacetime limit at the walk's (a, b).
 
     Four conditions: the theta0 branch with nu = 0 (2 pi m / 2 pi t + pi),
     the total phase quantization cos(2 pi l / tau - delta) = 0, exact
@@ -288,7 +288,7 @@ def check_spacetime_limit(cfg: WalkConfig, a: Fraction, b: Fraction) -> Constrai
         raise ValueError("check_spacetime_limit applies to plastic-mode configs")
     if cfg.tau != 2:
         raise ValueError("the spacetime limit is defined for tau = 2")
-    a, b = Fraction(a), Fraction(b)
+    a, b = cfg.a_exp, cfg.b_exp
     # a = 0: the scaling belongs to the time-limit machinery
     n_terms = _pairs(a, b, order_one=True)[1] if a else 0
     expo = Condition("exponents_rational", n_terms > 0, 0.0 if n_terms else 1.0,
@@ -359,17 +359,16 @@ class PdeAssembly:
         }
 
 
-def spacetime_hamiltonian(cfg: WalkConfig, a: Fraction, b: Fraction) -> PdeAssembly:
-    """Assemble the order-1 PDE generator with the closed-form prefactor CALIBRATION.
+def spacetime_hamiltonian(cfg: WalkConfig) -> PdeAssembly:
+    """Assemble the order-1 PDE generator at the walk's (a, b), with the prefactor CALIBRATION.
 
     Requires the spacetime gate to pass (named failing condition
     otherwise).  The terms are the order-1 coefficient groups that do not
     vanish.
     """
-    a, b = Fraction(a), Fraction(b)
-    check_spacetime_limit(cfg, a, b).require("spacetime gate")
+    check_spacetime_limit(cfg).require("spacetime gate")
     # the gate leaves order-1 groups; their i^sum_l belongs to the (i k)^d monomials
-    groups = _grouped_sums(cfg, a, b, order_one=True)
+    groups = _grouped_sums(cfg, cfg.a_exp, cfg.b_exp, order_one=True)
     norms = op_norm(np.stack([g.matrix for g in groups]))
     terms = tuple(
         PdeTerm(g.kx_power, g.ky_power, g.thx_power, g.thy_power,
@@ -393,10 +392,11 @@ def half_half_pde(cfg: WalkConfig) -> tuple[NDArray[np.complex128], NDArray[np.c
         Py = i thx sz sy Rz(-2 (phi_x + zeta_y - phi_y)) + i thy sz sy Rz(-2 u)
 
     where u = zeta_x + zeta_y + phi_x.  Both are Hermitian and, on the
-    constraint shell, commute.
+    constraint shell, commute.  A walk at other exponents raises ValueError.
     """
-    half = Fraction(1, 2)
-    check_spacetime_limit(cfg, half, half).require("a=b=1/2 gate")
+    if not cfg.a_exp == cfg.b_exp == Fraction(1, 2):
+        raise ValueError(f"half_half_pde needs a = b = 1/2, got a = {cfg.a_exp}, b = {cfg.b_exp}")
+    check_spacetime_limit(cfg).require("a=b=1/2 gate")
     zx, _, phx, zy, _, phy = _angles(cfg)
     thx, thy = cfg.coin_x.theta1, cfg.coin_y.theta1
     u = zx + zy + phx

@@ -76,23 +76,22 @@ class ConstraintReport:
         return self
 
 
-def _nearest_int(x: float) -> tuple[int, float]:
-    n = int(round(x))
-    return n, abs(x - n)
-
-
 def _theta_branch(cfg: WalkConfig, nus: tuple[int, ...]) -> Condition:
-    """theta0x = 2 pi m + nu pi, theta0y = 2 pi t + (1 - nu) pi for some nu in ``nus``."""
-    best = (np.inf, {})
-    for nu in nus:
-        m, res_m = _nearest_int((cfg.coin_x.theta0 - nu * np.pi) / (2.0 * np.pi))
-        t, res_t = _nearest_int((cfg.coin_y.theta0 - (1 - nu) * np.pi) / (2.0 * np.pi))
-        residual = 2.0 * np.pi * max(res_m, res_t)
-        if residual < best[0]:
-            best = (residual, {"nu": nu, "m": m, "t": t})
-    residual, witness = best
-    ok = residual <= ANGLE_TOL
-    return Condition("theta_branch", ok, residual, witness if ok else {})
+    """theta0x = 2 pi m + nu pi, theta0y = 2 pi t + (1 - nu) pi for some nu in ``nus``.
+
+    The residual is twice the larger of the Ry(theta0) entries the branch zeroes, as
+    ``rot`` builds them: |sin(theta0x / 2)| and |cos(theta0y / 2)| for nu = 0, swapped
+    for nu = 1: the distance in radians near a branch, and what the coins see at any angle.
+    """
+    half_x, half_y = cfg.coin_x.theta0 / 2.0, cfg.coin_y.theta0 / 2.0
+    zeroed = {0: max(abs(np.sin(half_x)), abs(np.cos(half_y))),
+              1: max(abs(np.cos(half_x)), abs(np.sin(half_y)))}
+    residual, nu = min((2.0 * float(zeroed[nu]), nu) for nu in nus)
+    if not residual <= ANGLE_TOL:
+        return Condition("theta_branch", False, residual)
+    m = round((cfg.coin_x.theta0 - nu * np.pi) / (2.0 * np.pi))
+    t = round((cfg.coin_y.theta0 - (1 - nu) * np.pi) / (2.0 * np.pi))
+    return Condition("theta_branch", True, residual, {"nu": nu, "m": m, "t": t})
 
 
 def _delta_quantization(cfg: WalkConfig) -> Condition:
@@ -108,7 +107,7 @@ def _delta_quantization(cfg: WalkConfig) -> Condition:
     c_val = abs(np.cos(phase))
     witness = {"l": l}
     if c_val <= ANGLE_TOL:
-        witness["p"] = _nearest_int(phase / (np.pi / 2.0))[0]
+        witness["p"] = round(phase / (np.pi / 2.0))
     return Condition("delta_quantization", c_val <= ANGLE_TOL, float(c_val), witness)
 
 

@@ -523,8 +523,8 @@ def calibration_exponents(a: Fraction, b: Fraction) -> list[Fraction]:
     return sorted(out)
 
 
-def fit_lambda(cfg: WalkConfig, assembly_symbol, a: Fraction, b: Fraction) -> float:
-    """Least-squares prefactor between the numerical limit and the bare sum.
+def fit_lambda(cfg: WalkConfig, assembly_symbol) -> float:
+    """Least-squares prefactor between the numerical limit and the bare sum, at the walk's (a, b).
 
     The finite-eps quotient carries contamination at known rational
     exponents; Richardson elimination over a geometric eps ladder pushes
@@ -533,7 +533,7 @@ def fit_lambda(cfg: WalkConfig, assembly_symbol, a: Fraction, b: Fraction) -> fl
     kappas = [(0.7, -0.3), (0.23, 0.9), (-0.51, 0.42), (0.5, 0.5), (-0.8, -0.15)]
     bare = np.stack([assembly_symbol(kx, ky) for kx, ky in kappas])
     denom = np.vdot(bare, bare)
-    exponents = calibration_exponents(a, b)
+    exponents = calibration_exponents(cfg.a_exp, cfg.b_exp)
     ratio = 4.0
     eps0 = 4e-2
     n_nodes = len(exponents) + 1

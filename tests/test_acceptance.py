@@ -279,12 +279,12 @@ def test_criterion_10_closed_form_pde():
     worst = 0.0
     for _ in range(20):
         cfg = draw_plastic_compliant(RNG)
-        asm = spacetime_hamiltonian(cfg, HALF, HALF)
+        asm = spacetime_hamiltonian(cfg)
         px, py = half_half_pde(cfg)
         assert float(op_norm(derivative_coefficient(asm, 1, 0) - px)) <= 1e-12
         assert float(op_norm(derivative_coefficient(asm, 0, 1) - py)) <= 1e-12
         bare = dataclasses.replace(asm, calibration=1.0).generator
-        worst = max(worst, abs(fit_lambda(cfg, bare, HALF, HALF) - CALIBRATION))
+        worst = max(worst, abs(fit_lambda(cfg, bare) - CALIBRATION))
     assert worst <= 1e-10
     report(10, f"enumerator equals closed-form (Px, Py) <= 1e-12 on 20 configs; "
                f"Richardson fit of the prefactor within {worst:.2e} <= 1e-10 of -1/2")
@@ -359,7 +359,7 @@ def test_criterion_13_spacetime_convergence():
     eps_list = [2.0 ** -k for k in range(6, 13)]
     momenta = [(0.7, -0.3), (0.23, 0.9), (-0.51, 0.42)]
     cfg = draw_plastic_compliant(RNG)
-    res = spacetime_convergence(cfg, HALF, HALF, 1.0, momenta, eps_list)
+    res = spacetime_convergence(cfg, 1.0, *np.array(momenta).T, eps_list)
     errs = [e for _, e in res.samples]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert res.slope > 0.3

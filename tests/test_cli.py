@@ -90,6 +90,16 @@ def test_check_compliant_exits_zero(tmp_path, capsys):
     assert witnesses["nu"] == 1 and witnesses["p"] == 1
 
 
+def test_check_fails_a_huge_theta0_that_leaves_the_branch(tmp_path, capsys):
+    """theta0y = 1e300 is an integer multiple of 2 pi as a float, but sin(theta0y / 2)
+    is far from 0 in the coin: the report names the branch, with no witness."""
+    path = write_config(tmp_path, time_doc(theta0y=1e300))
+    assert main(["--config", path, "check"]) == 1
+    cond = json.loads(capsys.readouterr().out)["conditions"][0]
+    assert cond["name"] == "theta_branch" and not cond["satisfied"]
+    assert cond["residual"] > 1.0 and cond["witness"] == {}
+
+
 def test_check_odd_tau_exits_one(tmp_path, capsys):
     path = write_config(tmp_path, time_doc(tau=3))
     code = main(["--config", path, "check"])
@@ -109,6 +119,13 @@ def test_integer_keys_load_integral_values_only():
     cfg = ExperimentConfig.from_dict(doc)
     values = (cfg.walk.tau, cfg.nx, cfg.ny, cfg.grid, cfg.steps, cfg.seed)
     assert values == (4, 16, 8, 3, 7, 5) and all(type(v) is int for v in values)
+
+
+def test_eps_list_of_sixteen_entries_loads():
+    """The cap is inclusive; 17 entries are refused (the exact-stderr table)."""
+    doc = time_doc()
+    doc["run"]["eps_list"] = [2.0 ** -k for k in range(16)]
+    assert len(ExperimentConfig.from_dict(doc).eps_list) == 16
 
 
 def test_malformed_rational_exits_two(tmp_path, capsys):
@@ -485,6 +502,12 @@ def _overflowing_coin(doc):
     doc["run"].update(eps=1e308, grid=3)
 
 
+def _coin_y(key, value):
+    def edit(doc):
+        doc["walk"]["coin_y"][key] = value
+    return edit
+
+
 def _root(key, value):
     def edit(doc):
         doc[key] = value
@@ -514,6 +537,8 @@ def _fiftieths(doc):
      "run.eps_list needs at least 3 distinct entries, all > 0, got [0.01, 0.0, 0.005]"),
     (_set("run", "eps_list", [0.01, 0.01, 0.01]), "converge", 2,
      "run.eps_list needs at least 3 distinct entries, all > 0, got [0.01, 0.01, 0.01]"),
+    (_set("run", "eps_list", [2.0 ** -k for k in range(17)]), "converge", 2,
+     "run.eps_list may have at most 16 entries, got 17"),
     (_set("run", "momenta", []), "converge", 2, "run.momenta must not be empty"),
     (_set("run", "steps", -1), "simulate", 2, "run.steps must be >= 0, got -1"),
     (_initial_kx("abc"), "simulate", 2,
@@ -555,18 +580,22 @@ def _fiftieths(doc):
     (_set("run", "eps_list", [1e-30, 1e-31, 1e-32]), "converge", 1, None),
     (_plastic(_set("run", "eps_list", [1e-300, 1e-301, 1e-302])), "converge", 1, None),
     (_plastic(_set("run", "momenta", [[float("inf"), 0.0]])), "converge", 1, None),
+    (_plastic(_set("run", "momenta", [[1e308, 0.0]])), "converge", 1,
+     "PDE generator is not Hermitian to 1e-10 (defect nan)"),
+    (_coin_y("theta0", 1e300), "converge", 1, "config fails the time-limit gate: theta_branch"),
     (_plastic(_fiftieths), "check", 1, None),
     (_plastic(_fiftieths), "pde", 1, None),
     (_plastic(_fiftieths), "terms", 1, None),
 ], ids=["plastic-tau-4", "nx-1", "ny-0", "grid-0", "eps-negative", "eps-zero",
-        "eps_list-two", "eps_list-zero-entry", "eps_list-repeated", "momenta-empty",
+        "eps_list-two", "eps_list-zero-entry", "eps_list-repeated", "eps_list-seventeen",
+        "momenta-empty",
         "steps-negative",
         "initial-kx-abc", "initial-kx-inf", "t_final-inf", "t_final-huge-negative",
         "momenta-short", "run-list", "lattice-int", "seed-negative", "tau-huge", "coin-angle-huge", "delta-sum-overflow", "time-a-nonzero",
         "tau-fraction", "tau-bool", "nx-fraction", "ny-bool", "grid-bool", "steps-fraction",
         "seed-fraction", "a-bool", "b-bool",
         "coin-overflow-nan-phases", "eps_list-huge", "eps_list-tiny-time", "eps_list-tiny-plastic",
-        "plastic-momenta-inf", "budget-check", "budget-pde", "budget-terms"])
+        "plastic-momenta-inf", "plastic-momenta-huge", "theta0-huge", "budget-check", "budget-pde", "budget-terms"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command, code, stderr):
     doc = time_doc()
@@ -574,8 +603,8 @@ def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command,
     assert main(["--config", write_config(tmp_path, doc), command]) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    if stderr is not None:
-        assert err == f"config error: {stderr}\n"
+    if stderr is not None:  # a config error (exit 2) or the command's own (exit 1)
+        assert err == f"{'config error' if code == 2 else command}: {stderr}\n"
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):

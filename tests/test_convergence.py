@@ -10,7 +10,7 @@ from plasticwalk import (
 from plasticwalk.mat2 import det2, exp_herm, op_norm
 from plasticwalk._util import K_BLOCK, k_tiles, stack_power
 
-from conftest import HALF, draw_plastic_compliant, draw_time_compliant, draw_time_generic
+from conftest import draw_plastic_compliant, draw_time_compliant, draw_time_generic
 from oracles import converge_whole_grid, dispersion_whole_grid
 
 
@@ -129,8 +129,7 @@ def test_odd_tau_negative_control(rng):
 def test_spacetime_convergence_decreasing_with_positive_slope(rng):
     cfg = draw_plastic_compliant(rng)
     eps_list = [2.0 ** -k for k in range(6, 13)]
-    res = spacetime_convergence(cfg, HALF, HALF, 1.0,
-                                [(0.7, -0.3), (0.23, 0.9)], eps_list)
+    res = spacetime_convergence(cfg, 1.0, [0.7, 0.23], [-0.3, 0.9], eps_list)
     errs = [e for _, e in res.samples]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert res.slope > 0.3
@@ -139,8 +138,8 @@ def test_spacetime_convergence_decreasing_with_positive_slope(rng):
 def test_spacetime_convergence_rejects_divergent(rng):
     from conftest import draw_plastic_generic
     with pytest.raises(ValueError):
-        spacetime_convergence(draw_plastic_generic(rng), HALF, HALF, 1.0,
-                              [(0.3, 0.1)], [0.01, 0.005, 0.0025])
+        spacetime_convergence(draw_plastic_generic(rng), 1.0, [0.3], [0.1],
+                              [0.01, 0.005, 0.0025])
 
 
 def test_spacetime_zero_momentum_is_exact(rng):
@@ -150,7 +149,7 @@ def test_spacetime_zero_momentum_is_exact(rng):
     agree at the roundoff floor."""
     from plasticwalk import spacetime_hamiltonian, walk_k
     cfg = draw_plastic_compliant(rng)
-    asm = spacetime_hamiltonian(cfg, HALF, HALF)
+    asm = spacetime_hamiltonian(cfg)
     assert float(op_norm(asm.generator(0.0, 0.0))) <= 1e-14
 
     def dev(eps):
@@ -170,7 +169,7 @@ def test_wavepacket_walk_matches_pde_evolution(rng):
     from oracles import evolve_by_symbol
 
     cfg = draw_plastic_compliant(rng)
-    asm = spacetime_hamiltonian(cfg, HALF, HALF)
+    asm = spacetime_hamiltonian(cfg)
 
     def run(eps, n_side, t_final):
         spacing = eps ** 0.5
@@ -304,8 +303,8 @@ def test_spacetime_convergence_momentum_list_equals_the_oracle_bitwise(rng):
     cfg = draw_plastic_compliant(rng)
     momenta = [(0.7, -0.3), (0.23, 0.9), (-0.51, 0.42)]
     eps_list = [2.0 ** -k for k in range(6, 10)]
-    samples = spacetime_convergence(cfg, HALF, HALF, 0.5, momenta, eps_list).samples
     kx, ky = np.array(momenta).T
-    oracle = converge_whole_grid(cfg, 2, spacetime_hamiltonian(cfg, HALF, HALF).hamiltonian,
+    samples = spacetime_convergence(cfg, 0.5, kx, ky, eps_list).samples
+    oracle = converge_whole_grid(cfg, 2, spacetime_hamiltonian(cfg).hamiltonian,
                                  kx, ky, 0.5, eps_list)
     assert np.array(samples).tobytes() == np.array(oracle).tobytes()

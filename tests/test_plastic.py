@@ -186,7 +186,7 @@ def test_enumerate_a_zero_cases():
                                  (Fraction(2, 3), Fraction(3, 4)), (Fraction(1), Fraction(1))])
 def test_order_one_terms_is_the_enumerated_count(rng, a, b):
     """The gate counts its order-1 tuples in closed form; the enumeration is the oracle."""
-    report = check_spacetime_limit(draw_plastic_compliant(rng), a, b)
+    report = check_spacetime_limit(with_exponents(draw_plastic_compliant(rng), a, b))
     assert report["exponents_rational"].witness["order_one_terms"] == len(enumerate_terms(a, b))
 
 
@@ -365,7 +365,7 @@ def test_grouped_sums_memory_stays_flat(rng):
     try:
         for run in (check_spacetime_limit, spacetime_hamiltonian):
             tracemalloc.reset_peak()
-            run(cfg, a, b)
+            run(cfg)
             assert tracemalloc.get_traced_memory()[1] < 2 * 2 ** 20, run.__name__
     finally:
         tracemalloc.stop()
@@ -385,7 +385,7 @@ def test_zeroth_order_gate(rng):
 
 def test_check_spacetime_limit_reports(rng):
     cfg = draw_plastic_compliant(rng)
-    rep = check_spacetime_limit(cfg, HALF, HALF)
+    rep = check_spacetime_limit(cfg)
     assert rep.passed
     assert witnesses(rep)["order_one_terms"] == 36
     names = [c.name for c in rep.conditions]
@@ -393,12 +393,12 @@ def test_check_spacetime_limit_reports(rng):
                      "no_divergence"]
 
     bad = draw_plastic_generic(rng)
-    rep = check_spacetime_limit(bad, HALF, HALF)
+    rep = check_spacetime_limit(bad)
     assert not rep.passed
     assert not rep["no_divergence"].satisfied
 
     # a = 0 is reported as a failed exponent condition, not an exception
-    rep = check_spacetime_limit(cfg, Fraction(0), Fraction(1, 2))
+    rep = check_spacetime_limit(with_exponents(cfg, Fraction(0), HALF))
     assert not rep.passed
     assert not rep["exponents_rational"].satisfied
 
@@ -422,14 +422,14 @@ def test_partial_conditions_split_group_cancellations(rng):
 
 def test_spacetime_assembly_half_half_has_only_transport_terms(rng):
     cfg = draw_plastic_compliant(rng)
-    asm = spacetime_hamiltonian(cfg, HALF, HALF)
+    asm = spacetime_hamiltonian(cfg)
     keys = {(t.dx_power, t.dy_power, t.thx_power, t.thy_power) for t in asm.terms}
     assert keys == {(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)}
 
 
 def test_spacetime_assembly_matches_walk_limit(rng):
     cfg = draw_plastic_compliant(rng)
-    asm = spacetime_hamiltonian(cfg, HALF, HALF)
+    asm = spacetime_hamiltonian(cfg)
     kx, ky = 0.9, -0.4
 
     def err(eps):
@@ -447,7 +447,7 @@ def test_spacetime_assembly_unit_exponents_is_mass_type(rng):
     the limit generator is a pure theta1 (mass) term."""
     one = Fraction(1)
     cfg = with_exponents(draw_plastic_generic(rng), one, one)
-    asm = spacetime_hamiltonian(cfg, one, one)
+    asm = spacetime_hamiltonian(cfg)
     assert all(t.dx_power == 0 and t.dy_power == 0 for t in asm.terms)
     assert len(asm.terms) >= 1
 
@@ -472,9 +472,9 @@ def test_generator_matches_walk_quotient_at_contamination_rate(rng):
         for b in FAREY_8:
             for draw in (draw_plastic_compliant, draw_plastic_generic):
                 cfg = with_exponents(draw(rng), a, b)
-                if not check_spacetime_limit(cfg, a, b).passed:
+                if not check_spacetime_limit(cfg).passed:
                     continue
-                asm = spacetime_hamiltonian(cfg, a, b)
+                asm = spacetime_hamiltonian(cfg)
                 if not asm.terms:
                     continue  # no order-1 group survives (the NaN calibration defect)
                 gen = asm.generator(kx, ky)
@@ -492,7 +492,7 @@ def test_generator_matches_walk_quotient_at_contamination_rate(rng):
 
 def test_spacetime_assembly_rejects_divergent_config(rng):
     with pytest.raises(ValueError, match="no_divergence"):
-        spacetime_hamiltonian(draw_plastic_generic(rng), HALF, HALF)
+        spacetime_hamiltonian(draw_plastic_generic(rng))
 
 
 # ---------------------------------------------------------------- closed form
@@ -501,7 +501,7 @@ def test_spacetime_assembly_rejects_divergent_config(rng):
 def test_half_half_pde_matches_enumerator(rng):
     for _ in range(5):
         cfg = draw_plastic_compliant(rng)
-        asm = spacetime_hamiltonian(cfg, HALF, HALF)
+        asm = spacetime_hamiltonian(cfg)
         px, py = half_half_pde(cfg)
         assert float(op_norm(derivative_coefficient(asm, 1, 0) - px)) <= 1e-12
         assert float(op_norm(derivative_coefficient(asm, 0, 1) - py)) <= 1e-12
@@ -517,6 +517,15 @@ def test_half_half_pde_zero_rates(rng):
 def test_half_half_pde_rejects_noncompliant(rng):
     with pytest.raises(ValueError):
         half_half_pde(draw_plastic_generic(rng))
+
+
+def test_half_half_pde_refuses_a_walk_at_other_exponents(rng):
+    """The closed form is the a = b = 1/2 limit: a walk at a = 1/3, b = 2/3 passes its
+    own gate, and half_half_pde refuses it instead of gating it at 1/2."""
+    cfg = with_exponents(draw_plastic_compliant(rng), Fraction(1, 3), Fraction(2, 3))
+    assert check_spacetime_limit(cfg).passed
+    with pytest.raises(ValueError, match="a = b = 1/2, got a = 1/3, b = 2/3"):
+        half_half_pde(cfg)
 
 
 def test_transport_commutator_identity_and_on_shell_vanishing(rng):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasticwalk import CoinJet, WalkConfig, check_time_limit, time_hamiltonian, walk_k
-from plasticwalk.mat2 import SY, op_norm
+from plasticwalk.mat2 import SY, op_norm, rot
 from plasticwalk.timelimit import anticommutator_AB
 from plasticwalk._util import stack_power
 
@@ -51,6 +51,35 @@ def test_gate_rejects_same_branch_thetas():
     rep = check_time_limit(simple_config(0.0, 0.0, -np.pi / 2, 2))
     assert not rep.passed
     assert not rep["theta_branch"].satisfied
+
+
+@pytest.mark.parametrize("theta0y", [1e300, 1e100, 2.0 ** 60 * np.pi, 4.0e16])
+def test_gate_rejects_huge_angles_whose_coins_leave_the_branch(theta0y):
+    """(theta0 - nu pi) / 2 pi rounds to an integer for every huge float, but the
+    coin uses cos and sin of theta0 / 2: the residual is read from the Ry entries."""
+    cfg = simple_config(np.pi, theta0y, -np.pi / 2, 2)
+    ry_x, ry_y = rot("y", np.pi), rot("y", theta0y)
+    # nu = 1 zeroes the cos entry of Ry(theta0x) and the sin entry of Ry(theta0y)
+    want = 2.0 * max(abs(ry_x[0, 0]), abs(ry_y[1, 0]))
+    assert want > 1e-3
+    cond = check_time_limit(cfg)["theta_branch"]
+    assert not cond.satisfied and cond.witness == {}
+    assert cond.residual == want
+    with pytest.raises(ValueError, match="theta_branch"):
+        time_hamiltonian(cfg)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-1000, 1000), st.integers(-1000, 1000), st.integers(0, 1),
+       st.floats(-1e-3, 1e-3))
+def test_theta_residual_reads_radians_near_the_branch(m, t, nu, offset):
+    """Twice the zeroed Ry entries: the offset from the branch in radians, to roundoff."""
+    theta0x = 2.0 * np.pi * m + nu * np.pi + offset
+    theta0y = 2.0 * np.pi * t + (1 - nu) * np.pi
+    cond = check_time_limit(simple_config(theta0x, theta0y, -np.pi / 2, 2))["theta_branch"]
+    assert abs(cond.residual - abs(offset)) <= 1e-9
+    if cond.satisfied:
+        assert cond.witness == {"nu": nu, "m": m, "t": t}
 
 
 def test_gate_rejects_bad_delta():
