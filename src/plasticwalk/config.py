@@ -26,13 +26,15 @@ Ranges are checked in ``ExperimentConfig.__post_init__``, once per load, and
 a config changed with ``dataclasses.replace`` is checked too: nx, ny >= 2, grid >= 1,
 steps >= 0, eps > 0, at most 16 eps_list entries, at least 3 distinct, all > 0, t_final >= 0
 with t_final / eps finite, at least one momentum, tau at most 2**53,
-seed >= 0, finite initial kx and ky, and a known initial type.  Integer keys
-(tau, nx, ny, grid, steps, seed) refuse booleans and numbers with a fractional
-part, so 2.5 is an error, not 2.  Unknown sections and keys, such as an
-"output" section, are ignored.
+seed >= 0, finite initial kx and ky, and a known initial type.  The walk
+rules (mode, tau, a, b and the jet rules of each mode) are ``WalkConfig``'s.
+Integer keys (tau, nx, ny, grid, steps, seed) refuse booleans and numbers with
+a fractional part, so 2.5 is an error, not 2; real-valued keys (t_final, eps,
+the eps_list and momenta entries, initial kx and ky, the coin angles) refuse
+booleans.  Unknown sections and keys, such as an "output" section, are ignored.
 
-Exponents are rationals written as "p/q" strings so the exact matching
-in the term enumerator never sees a float.
+Exponents are rationals written as "p/q" strings so the exact matching in the
+term enumerator never sees a float; the two coins' "b" (absent: 1) must be equal.
 """
 
 from __future__ import annotations
@@ -72,10 +74,20 @@ def _integer(key: str):
     return parse
 
 
+def _real(key: str):
+    """The parser of a real-valued key: booleans are refused, anything else goes through float."""
+    def parse(value) -> float:
+        if isinstance(value, bool):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        return float(value)
+    return parse
+
+
 # Most eps_list entries: each is a full walk power over the k-grid in time-mode converge,
 # which the k-point work budget does not count.
 MAX_EPS_LIST = 16
 _COIN_KEYS = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
+_ANGLES = {c: {k: _real(f"walk.{c}.{k}") for k in _COIN_KEYS} for c in ("coin_x", "coin_y")}
 _INITIAL_TYPES = ("plane_wave", "delta", "random")
 # the parser of each optional key; an absent key keeps the dataclass field default
 _WALK = {"tau": ("tau", _integer("walk.tau")),
@@ -88,35 +100,40 @@ def _object(value, name: str) -> dict:
     return value
 
 
-def _coin_from_dict(section, mode: str, name: str) -> CoinJet:
+def _coin_from_dict(section, name: str) -> tuple[CoinJet, Fraction]:
+    """The coin jet of walk.<name> and its driving exponent b (1 when absent)."""
     section = _object(section, "coin section")
-    values = {k: float(section[k]) for k in _COIN_KEYS}
-    if "b" in section:
-        values["b_exp"] = parse_rational(section["b"], f"walk.{name}.b")
-    return CoinJet(mode=mode, **values)
+    angles = {k: parse(section[k]) for k, parse in _ANGLES[name].items()}
+    b = parse_rational(section.get("b", 1), f"walk.{name}.b")
+    return CoinJet(**angles), b
 
 
 def _walk_from_dict(section) -> WalkConfig:
     section = _object(section, "walk")
     mode = section["mode"]
-    return WalkConfig(coin_x=_coin_from_dict(section["coin_x"], mode, "coin_x"),
-                      coin_y=_coin_from_dict(section["coin_y"], mode, "coin_y"),
+    (coin_x, b_x), (coin_y, b_y) = (_coin_from_dict(section[n], n) for n in ("coin_x", "coin_y"))
+    if b_y != b_x:  # the schema writes b per coin; the walk has one
+        raise ConfigError(f"walk.coin_y.b must equal walk.coin_x.b (one b for both coins), "
+                          f"got {b_y} and {b_x}")
+    return WalkConfig(coin_x=coin_x, coin_y=coin_y, b_exp=b_x, mode=mode,
                       **{name: parse(section[key]) for key, (name, parse) in _WALK.items()
                          if key in section})
 
 
 def _initial_from_dict(section) -> dict:
     initial = dict(_object(section, "run.initial"))
-    initial.update({k: float(initial[k]) for k in ("kx", "ky") if k in initial})
+    initial.update({k: _real(f"run.initial.{k}")(initial[k]) for k in ("kx", "ky")
+                    if k in initial})
     return initial
 
 
 _SECTIONS = {
     "lattice": {"nx": _integer("lattice.nx"), "ny": _integer("lattice.ny")},
-    "run": {"t_final": float, "eps": float, "grid": _integer("run.grid"),
-            "steps": _integer("run.steps"),
-            "eps_list": lambda v: tuple(float(e) for e in v),
-            "momenta": lambda v: tuple((float(kx), float(ky)) for kx, ky in v),
+    "run": {"t_final": _real("run.t_final"), "eps": _real("run.eps"),
+            "grid": _integer("run.grid"), "steps": _integer("run.steps"),
+            "eps_list": lambda v, real=_real("run.eps_list entry"): tuple(map(real, v)),
+            "momenta": lambda v, real=_real("run.momenta entry"):
+                tuple((real(kx), real(ky)) for kx, ky in v),
             "initial": _initial_from_dict},
 }
 

@@ -127,9 +127,10 @@ def apply_coin(field: SpinorField, c: NDArray[np.complex128]) -> SpinorField:
 
 def step(field: SpinorField, cfg: WalkConfig, eps: float) -> SpinorField:
     """One walk step W = V_x V_y (the y factor acts first)."""
-    out = apply_coin(field, coin_at(cfg.coin_y, eps))
+    s = cfg.drive(eps)
+    out = apply_coin(field, coin_at(cfg.coin_y, s))
     out = shift(out, "y")
-    out = apply_coin(out, coin_at(cfg.coin_x, eps))
+    out = apply_coin(out, coin_at(cfg.coin_x, s))
     out = shift(out, "x")
     return out
 
@@ -148,7 +149,7 @@ def evolve(field: SpinorField, cfg: WalkConfig, eps: float, steps: int) -> Spino
     if steps == 0:
         return field
     for jet in (cfg.coin_x, cfg.coin_y):
-        check_unitary(coin_at(jet, eps), "coin", 1e-10)
+        check_unitary(coin_at(jet, cfg.drive(eps)), "coin", 1e-10)
     nx, ny = field.shape
     spacing = cfg.spacing(eps)
     kx, ky = (k / spacing for k in momentum_grid(nx, ny))

@@ -33,11 +33,11 @@ def draw_time_compliant(rng: np.random.Generator, nu: int | None = None,
     jx = CoinJet(delta=float(dx), zeta0=float(rng.uniform(-np.pi, np.pi)),
                  zeta1=float(rng.uniform(-1, 1)), theta0=float(theta0x),
                  theta1=first_order(), phi0=float(rng.uniform(-np.pi, np.pi)),
-                 phi1=float(rng.uniform(-1, 1)), mode="time")
+                 phi1=float(rng.uniform(-1, 1)))
     jy = CoinJet(delta=float(delta - dx), zeta0=float(rng.uniform(-np.pi, np.pi)),
                  zeta1=float(rng.uniform(-1, 1)), theta0=float(theta0y),
                  theta1=first_order(), phi0=float(rng.uniform(-np.pi, np.pi)),
-                 phi1=float(rng.uniform(-1, 1)), mode="time")
+                 phi1=float(rng.uniform(-1, 1)))
     return WalkConfig(coin_x=jx, coin_y=jy, tau=tau)
 
 
@@ -52,13 +52,11 @@ def draw_time_generic(rng: np.random.Generator, tau: int = 2) -> WalkConfig:
     jx = CoinJet(delta=float(rng.uniform(-np.pi, np.pi)),
                  zeta0=float(rng.uniform(-np.pi, np.pi)), zeta1=float(rng.uniform(-1, 1)),
                  theta0=theta0x, theta1=float(rng.uniform(-1, 1)),
-                 phi0=float(rng.uniform(-np.pi, np.pi)), phi1=float(rng.uniform(-1, 1)),
-                 mode="time")
+                 phi0=float(rng.uniform(-np.pi, np.pi)), phi1=float(rng.uniform(-1, 1)))
     jy = CoinJet(delta=float(rng.uniform(-np.pi, np.pi)),
                  zeta0=float(rng.uniform(-np.pi, np.pi)), zeta1=float(rng.uniform(-1, 1)),
                  theta0=theta0y, theta1=float(rng.uniform(-1, 1)),
-                 phi0=float(rng.uniform(-np.pi, np.pi)), phi1=float(rng.uniform(-1, 1)),
-                 mode="time")
+                 phi0=float(rng.uniform(-np.pi, np.pi)), phi1=float(rng.uniform(-1, 1)))
     return WalkConfig(coin_x=jx, coin_y=jy, tau=tau)
 
 
@@ -77,12 +75,10 @@ def plastic_from_angles(a1: float, a2: float, rng: np.random.Generator,
     dx = float(rng.uniform(-np.pi, np.pi))
     thx = float(rng.uniform(0.3, 1.0) * rng.choice([-1, 1])) if theta1x is None else theta1x
     thy = float(rng.uniform(0.3, 1.0) * rng.choice([-1, 1])) if theta1y is None else theta1y
-    jx = CoinJet(delta=dx, zeta0=a2 - phy, theta0=2.0 * np.pi * m, theta1=thx,
-                 phi0=phx, b_exp=HALF, mode="plastic")
+    jx = CoinJet(delta=dx, zeta0=a2 - phy, theta0=2.0 * np.pi * m, theta1=thx, phi0=phx)
     jy = CoinJet(delta=-p * np.pi / 2.0 - dx, zeta0=a1 - phx,
-                 theta0=2.0 * np.pi * t + np.pi, theta1=thy,
-                 phi0=phy, b_exp=HALF, mode="plastic")
-    return WalkConfig(coin_x=jx, coin_y=jy, tau=2, a_exp=HALF)
+                 theta0=2.0 * np.pi * t + np.pi, theta1=thy, phi0=phy)
+    return WalkConfig(coin_x=jx, coin_y=jy, tau=2, a_exp=HALF, b_exp=HALF, mode="plastic")
 
 
 def draw_plastic_compliant(rng: np.random.Generator, **kw) -> WalkConfig:
@@ -103,13 +99,6 @@ def draw_plastic_generic(rng: np.random.Generator) -> WalkConfig:
         s_res = abs(np.cos((a1 + a2) / 2.0))
         if max(d_res, s_res) > 0.2:
             return plastic_from_angles(a1, a2, rng)
-
-
-def with_exponents(cfg: WalkConfig, a: Fraction, b: Fraction) -> WalkConfig:
-    """The plastic config with exponents a (spacing) and b (both coins) swapped in."""
-    return WalkConfig(coin_x=CoinJet(**{**cfg.coin_x.__dict__, "b_exp": b}),
-                      coin_y=CoinJet(**{**cfg.coin_y.__dict__, "b_exp": b}),
-                      tau=2, a_exp=a)
 
 
 @pytest.fixture

@@ -161,11 +161,9 @@ def first_order_blocks(jet: CoinJet, k) -> tuple[NDArray[np.complex128], NDArray
         A = rot('z', zeta') rot('y', theta0) rot('z', phi0)
         B = zeta1 sz A  +  theta1 sy rot('z', -2 zeta') A  +  phi1 A sz
 
-    so that S(k) C(eps) = e^{i delta} (A - i eps B / 2) + O(eps^2).
-    Time-mode jets only.  ``k`` may be an array.
+    so that S(k) C(eps) = e^{i delta} (A - i eps B / 2) + O(eps^2) when
+    the coin is driven at s = eps (time mode).  ``k`` may be an array.
     """
-    if jet.mode != "time":
-        raise ValueError("first_order_blocks applies to time-mode jets only")
     k = np.asarray(k, dtype=np.float64)
     zp = jet.zeta0 - 2.0 * k
     a = rot("z", zp) @ rot("y", jet.theta0) @ rot("z", jet.phi0)
@@ -559,9 +557,9 @@ def fit_lambda(cfg: WalkConfig, assembly_symbol) -> float:
 
 def walk_k_matmul(cfg: WalkConfig, kx, ky, eps: float) -> NDArray[np.complex128]:
     """W(k) = S_x(kx) C_x S_y(ky) C_y as a chain of matmuls over full shift matrices."""
-    spacing = cfg.spacing(eps)
-    return (shift_symbol(kx, spacing) @ coin_at(cfg.coin_x, eps)
-            @ shift_symbol(ky, spacing) @ coin_at(cfg.coin_y, eps))
+    spacing, s = cfg.spacing(eps), cfg.drive(eps)
+    return (shift_symbol(kx, spacing) @ coin_at(cfg.coin_x, s)
+            @ shift_symbol(ky, spacing) @ coin_at(cfg.coin_y, s))
 
 
 def stack_power_matmul(m: NDArray[np.complex128], n: int,

@@ -70,8 +70,8 @@ def _labeled_case(kind, rng):
 def test_criterion_01_constraint_gate():
     # the four reference configs of the criterion
     def simple(theta0x, theta0y, delta, tau):
-        jx = CoinJet(theta0=theta0x, theta1=0.5, mode="time")
-        jy = CoinJet(delta=delta, theta0=theta0y, theta1=0.5, mode="time")
+        jx = CoinJet(theta0=theta0x, theta1=0.5)
+        jy = CoinJet(delta=delta, theta0=theta0y, theta1=0.5)
         return WalkConfig(coin_x=jx, coin_y=jy, tau=tau)
 
     assert check_time_limit(simple(np.pi, 0.0, -np.pi / 2, 2)).passed
@@ -249,10 +249,9 @@ def test_criterion_09_divergence_constraints():
     for _ in range(10):
         thx0, thy0 = RNG.uniform(-2 * np.pi, 2 * np.pi, size=2)
         zx, phx, zy, phy = RNG.uniform(-np.pi, np.pi, size=4)
-        jx = CoinJet(zeta0=zx, theta0=thx0, theta1=0.8, phi0=phx, b_exp=HALF, mode="plastic")
-        jy = CoinJet(delta=-np.pi / 2, zeta0=zy, theta0=thy0, theta1=-0.5, phi0=phy,
-                     b_exp=HALF, mode="plastic")
-        cfg = WalkConfig(coin_x=jx, coin_y=jy, tau=2, a_exp=HALF)
+        jx = CoinJet(zeta0=zx, theta0=thx0, theta1=0.8, phi0=phx)
+        jy = CoinJet(delta=-np.pi / 2, zeta0=zy, theta0=thy0, theta1=-0.5, phi0=phy)
+        cfg = WalkConfig(coin_x=jx, coin_y=jy, tau=2, a_exp=HALF, b_exp=HALF, mode="plastic")
         a1, a2 = phx + zy, phy + zx
         _, groups = divergence_residual(cfg, HALF, HALF)
         by_key = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): g for g in groups}
@@ -300,10 +299,9 @@ def test_criterion_11_cross_term_cancellation():
         if RNG.integers(0, 2):
             m, n = n, m
         zx, phx, zy, phy = RNG.uniform(-np.pi, np.pi, size=4)
-        jx = CoinJet(zeta0=zx, theta0=np.pi * m, theta1=0.7, phi0=phx, b_exp=HALF, mode="plastic")
-        jy = CoinJet(delta=-np.pi / 2, zeta0=zy, theta0=np.pi * n, theta1=0.4, phi0=phy,
-                     b_exp=HALF, mode="plastic")
-        cfg = WalkConfig(coin_x=jx, coin_y=jy, tau=2, a_exp=HALF)
+        jx = CoinJet(zeta0=zx, theta0=np.pi * m, theta1=0.7, phi0=phx)
+        jy = CoinJet(delta=-np.pi / 2, zeta0=zy, theta0=np.pi * n, theta1=0.4, phi0=phy)
+        cfg = WalkConfig(coin_x=jx, coin_y=jy, tau=2, a_exp=HALF, b_exp=HALF, mode="plastic")
         rep = cross_term_report(cfg)
         assert rep["cancels"] and rep["residual"] <= 1e-12
 
@@ -317,10 +315,9 @@ def test_criterion_11_cross_term_cancellation():
                 break
         phx = float(RNG.uniform(-np.pi, np.pi))
         phy = float(RNG.uniform(-np.pi, np.pi))
-        jx = CoinJet(zeta0=a2 - phy, theta0=thx0, theta1=0.7, phi0=phx, b_exp=HALF, mode="plastic")
-        jy = CoinJet(delta=-np.pi / 2, zeta0=a1 - phx, theta0=thy0, theta1=0.4, phi0=phy,
-                     b_exp=HALF, mode="plastic")
-        cfg = WalkConfig(coin_x=jx, coin_y=jy, tau=2, a_exp=HALF)
+        jx = CoinJet(zeta0=a2 - phy, theta0=thx0, theta1=0.7, phi0=phx)
+        jy = CoinJet(delta=-np.pi / 2, zeta0=a1 - phx, theta0=thy0, theta1=0.4, phi0=phy)
+        cfg = WalkConfig(coin_x=jx, coin_y=jy, tau=2, a_exp=HALF, b_exp=HALF, mode="plastic")
         rep = cross_term_report(cfg)
         assert rep["residual"] > 1e-3
     report(11, "mixed-derivative words cancel <= 1e-12 on the integer-pi branch, "

@@ -508,6 +508,12 @@ def _coin_y(key, value):
     return edit
 
 
+def _coin_b(value):
+    def edit(doc):
+        doc["walk"]["coin_x"]["b"] = doc["walk"]["coin_y"]["b"] = value
+    return edit
+
+
 def _root(key, value):
     def edit(doc):
         doc[key] = value
@@ -575,6 +581,19 @@ def _fiftieths(doc):
      "bad config value: walk.a must be a 'p/q' string, got True"),
     (_plastic(_coin_x("b", True)), "check", 2,
      "bad config value: walk.coin_x.b must be a 'p/q' string, got True"),
+    (_plastic(_coin_y("b", "1/3")), "check", 2, "bad config value: walk.coin_y.b must equal "
+     "walk.coin_x.b (one b for both coins), got 1/3 and 1/2"),
+    (_coin_b("1/2"), "check", 2, "bad config value: time mode fixes b_exp = 1"),
+    (_set("run", "eps", True), "dispersion", 2,
+     "bad config value: run.eps must be a number, got True"),
+    (_coin_x("theta1", True), "hamiltonian", 2,
+     "bad config value: walk.coin_x.theta1 must be a number, got True"),
+    (_set("run", "eps_list", [True, 0.5, 0.25]), "converge", 2,
+     "bad config value: run.eps_list entry must be a number, got True"),
+    (_plastic(_set("run", "momenta", [[True, False]])), "converge", 2,
+     "bad config value: run.momenta entry must be a number, got True"),
+    (_initial_kx(True), "simulate", 2,
+     "bad config value: run.initial.kx must be a number, got True"),
     (_overflowing_coin, "dispersion", 1, None),
     (_set("run", "eps_list", [1e308, 1e-3, 1e-4]), "converge", 1, None),
     (_set("run", "eps_list", [1e-30, 1e-31, 1e-32]), "converge", 1, None),
@@ -593,7 +612,8 @@ def _fiftieths(doc):
         "initial-kx-abc", "initial-kx-inf", "t_final-inf", "t_final-huge-negative",
         "momenta-short", "run-list", "lattice-int", "seed-negative", "tau-huge", "coin-angle-huge", "delta-sum-overflow", "time-a-nonzero",
         "tau-fraction", "tau-bool", "nx-fraction", "ny-bool", "grid-bool", "steps-fraction",
-        "seed-fraction", "a-bool", "b-bool",
+        "seed-fraction", "a-bool", "b-bool", "coin-b-mismatch", "time-b-half", "eps-bool",
+        "theta1-bool", "eps_list-bool", "momenta-bool", "initial-kx-bool",
         "coin-overflow-nan-phases", "eps_list-huge", "eps_list-tiny-time", "eps_list-tiny-plastic",
         "plastic-momenta-inf", "plastic-momenta-huge", "theta0-huge", "budget-check", "budget-pde", "budget-terms"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")

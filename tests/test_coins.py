@@ -1,6 +1,8 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from plasticwalk import CoinJet, WalkConfig, coin_at, walk_k
 from plasticwalk.mat2 import ID2, op_norm, rot
 
-from conftest import draw_time_compliant, draw_time_generic
+from conftest import HALF, draw_time_compliant, draw_time_generic
 from oracles import first_order_blocks, is_unitary, shift_symbol, walk_power_expansion
 
 
@@ -17,21 +19,64 @@ from oracles import first_order_blocks, is_unitary, shift_symbol, walk_power_exp
        st.floats(0, 0.5))
 def test_coin_is_always_unitary(vals, eps):
     jet = CoinJet(delta=vals[0], zeta0=vals[1], zeta1=vals[2], theta0=vals[3],
-                  theta1=vals[4], phi0=vals[5], phi1=vals[6], mode="time")
+                  theta1=vals[4], phi0=vals[5], phi1=vals[6])
     assert is_unitary(coin_at(jet, eps), tol=1e-12)
 
 
 def test_coinjet_validation():
-    with pytest.raises(ValueError):
-        CoinJet(theta0=float("nan"))
-    with pytest.raises(ValueError):
-        CoinJet(b_exp=Fraction(3, 2))
-    with pytest.raises(ValueError):
-        CoinJet(b_exp=Fraction(1, 2), mode="time")
-    with pytest.raises(ValueError):
-        CoinJet(zeta1=0.5, b_exp=Fraction(1, 2), mode="plastic")
-    with pytest.raises(ValueError):
-        WalkConfig(coin_x=CoinJet(), coin_y=CoinJet(), tau=0)
+    """A coin jet is its seven angles, each finite; the jet rules are the walk's."""
+    for name in ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"CoinJet.{name} must be finite"):
+                CoinJet(**{name: bad})
+
+
+PLASTIC_WALK = WalkConfig(coin_x=CoinJet(theta1=0.6), coin_y=CoinJet(theta0=np.pi, theta1=-0.8),
+                          tau=2, a_exp=HALF, b_exp=HALF, mode="plastic")
+
+
+# one case per WalkConfig rule, each a dataclasses.replace of a valid plastic walk,
+# so replace re-runs every check
+@pytest.mark.parametrize("changes,message", [
+    ({"mode": "spacetime"}, "mode must be one of ('time', 'plastic'), got 'spacetime'"),
+    ({"tau": 0}, "tau must be >= 1, got 0"),
+    ({"a_exp": Fraction(-1, 2)}, "a_exp must lie in [0, 1], got -1/2"),
+    ({"a_exp": Fraction(3, 2)}, "a_exp must lie in [0, 1], got 3/2"),
+    ({"b_exp": 0}, "b_exp must lie in (0, 1], got 0"),
+    ({"b_exp": Fraction(3, 2)}, "b_exp must lie in (0, 1], got 3/2"),
+    ({"coin_x": CoinJet(delta=1e308), "coin_y": CoinJet(delta=1e308)},
+     "delta_x + delta_y must be finite"),
+    ({"mode": "time"}, "time mode fixes a_exp = 0"),
+    ({"mode": "time", "a_exp": 0}, "time mode fixes b_exp = 1"),
+    ({"coin_x": CoinJet(zeta1=0.5)}, "plastic mode expands theta only (zeta1 = phi1 = 0)"),
+    ({"coin_x": CoinJet(phi1=-0.5)}, "plastic mode expands theta only (zeta1 = phi1 = 0)"),
+    ({"coin_y": CoinJet(zeta1=0.5)}, "plastic mode expands theta only (zeta1 = phi1 = 0)"),
+    ({"coin_y": CoinJet(phi1=1e-300)}, "plastic mode expands theta only (zeta1 = phi1 = 0)"),
+], ids=["mode-unknown", "tau-zero", "a-negative", "a-above-one", "b-zero", "b-above-one",
+        "delta-sum-overflow", "time-a", "time-b", "plastic-zeta1-x", "plastic-phi1-x",
+        "plastic-zeta1-y", "plastic-phi1-y"])
+def test_walk_rules(changes, message):
+    with pytest.raises(ValueError) as info:
+        replace(PLASTIC_WALK, **changes)
+    assert str(info.value) == message
+
+
+def test_walk_holds_mode_and_exponents():
+    """mode, a and b are walk fields, the exponents stored as fractions; the default is time."""
+    walk = replace(PLASTIC_WALK, a_exp=0.25, b_exp=1)
+    assert (walk.mode, walk.a_exp, walk.b_exp) == ("plastic", Fraction(1, 4), Fraction(1))
+    assert all(isinstance(e, Fraction) for e in (walk.a_exp, walk.b_exp))
+    default = WalkConfig(CoinJet(), CoinJet())
+    assert (default.mode, default.tau, default.a_exp, default.b_exp) == ("time", 2, 0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_time_mode_drives_at_eps_itself(eps):
+    """s = eps**1.0 is eps bit for bit, so a time coin's angles are w0 + w1 * eps."""
+    s = WalkConfig(CoinJet(), CoinJet()).drive(eps)
+    assert np.float64(s).tobytes() == np.float64(eps).tobytes()
+    assert PLASTIC_WALK.drive(abs(eps)) == abs(eps) ** 0.5
 
 
 def test_coin_at_zero_parameters_is_identity():
@@ -49,7 +94,7 @@ def test_coin_at_matches_direct_recomposition():
     for _ in range(50):
         vals = rng.uniform(-np.pi, np.pi, size=7)
         jet = CoinJet(delta=vals[0], zeta0=vals[1], zeta1=vals[2], theta0=vals[3],
-                      theta1=vals[4], phi0=vals[5], phi1=vals[6], mode="time")
+                      theta1=vals[4], phi0=vals[5], phi1=vals[6])
         eps = 1e-3
         direct = np.exp(1j * vals[0]) * (
             rot("z", vals[1] + vals[2] * eps)
@@ -59,11 +104,11 @@ def test_coin_at_matches_direct_recomposition():
 
 
 def test_coin_at_plastic_mode_freezes_z_angles():
-    jet = CoinJet(zeta0=0.4, theta0=0.2, theta1=0.9, phi0=-0.7,
-                  b_exp=Fraction(1, 2), mode="plastic")
+    jet = CoinJet(zeta0=0.4, theta0=0.2, theta1=0.9, phi0=-0.7)
+    walk = replace(PLASTIC_WALK, coin_x=jet)
     eps = 1e-2
     expected = rot("z", 0.4) @ rot("y", 0.2 + 0.9 * np.sqrt(eps)) @ rot("z", -0.7)
-    assert float(op_norm(coin_at(jet, eps) - expected)) <= 1e-14
+    assert float(op_norm(coin_at(walk.coin_x, walk.drive(eps)) - expected)) <= 1e-14
 
 
 def test_shift_symbol_values():
@@ -93,16 +138,16 @@ def test_walk_unitary_and_periodic(rng):
 
 
 def test_first_order_blocks_zero_rates():
-    jet = CoinJet(zeta0=0.3, theta0=1.1, phi0=-0.2, mode="time")
+    jet = CoinJet(zeta0=0.3, theta0=1.1, phi0=-0.2)
     _, b = first_order_blocks(jet, 0.4)
     assert np.allclose(b, 0.0, atol=1e-16)
 
 
 def test_first_order_blocks_at_k_zero():
     jet = CoinJet(zeta0=0.3, zeta1=0.5, theta0=1.1, theta1=-0.4, phi0=-0.2,
-                  phi1=0.8, mode="time")
+                  phi1=0.8)
     a, _ = first_order_blocks(jet, 0.0)
-    base = CoinJet(zeta0=0.3, theta0=1.1, phi0=-0.2, mode="time")
+    base = CoinJet(zeta0=0.3, theta0=1.1, phi0=-0.2)
     assert np.allclose(a, coin_at(base, 0.0), atol=1e-15)
 
 
@@ -111,7 +156,7 @@ def test_first_order_blocks_richardson():
     for _ in range(10):
         vals = rng.uniform(-np.pi, np.pi, size=7)
         jet = CoinJet(delta=vals[0], zeta0=vals[1], zeta1=vals[2], theta0=vals[3],
-                      theta1=vals[4], phi0=vals[5], phi1=vals[6], mode="time")
+                      theta1=vals[4], phi0=vals[5], phi1=vals[6])
         k = rng.uniform(-np.pi, np.pi)
         a, b = first_order_blocks(jet, k)
 
@@ -138,8 +183,8 @@ def test_walk_power_expansion_tau1():
 
 
 def test_walk_power_expansion_zero_rates_gives_zero_first():
-    jx = CoinJet(zeta0=0.2, theta0=0.7, phi0=0.1, mode="time")
-    jy = CoinJet(zeta0=-0.4, theta0=-0.3, phi0=0.6, mode="time")
+    jx = CoinJet(zeta0=0.2, theta0=0.7, phi0=0.1)
+    jy = CoinJet(zeta0=-0.4, theta0=-0.3, phi0=0.6)
     cfg = WalkConfig(coin_x=jx, coin_y=jy, tau=2)
     _, first = walk_power_expansion(cfg, 0.3, 0.8)
     assert np.allclose(first, 0.0, atol=1e-15)

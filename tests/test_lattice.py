@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from plasticwalk.lattice import (
 from plasticwalk.mat2 import ID2, SX, SZ, rot
 from plasticwalk.timelimit import time_hamiltonian
 
-from conftest import draw_plastic_generic, draw_time_compliant, draw_time_generic, with_exponents
+from conftest import draw_plastic_generic, draw_time_compliant, draw_time_generic
 from oracles import (
     apply_shift_word, dft, evolve_by_symbol, idft, load_csv_table, save_csv_per_site,
 )
@@ -113,7 +114,8 @@ def test_evolve_matches_repeated_step(nx, ny, steps, a, seed):
     several: rows longer than a tile, and a tile of many short rows with a partial last one.
     """
     rng = np.random.default_rng(seed)
-    cfg = draw_time_generic(rng) if a is None else with_exponents(draw_plastic_generic(rng), a, a)
+    cfg = draw_time_generic(rng) if a is None else replace(draw_plastic_generic(rng),
+                                                           a_exp=a, b_exp=a)
     eps = float(rng.uniform(0.01, 0.3))
     f = SpinorField.random(nx, ny, rng)
     expected = f
@@ -130,7 +132,7 @@ def test_evolve_zero_steps_returns_the_input(rng):
 def test_evolve_rejects_non_unitary_coin(rng, monkeypatch):
     f = SpinorField.random(4, 4, rng)
     cfg = draw_time_generic(rng)
-    monkeypatch.setattr(lattice, "coin_at", lambda jet, eps: np.array([[1.0, 0.2], [0.0, 1.0]]))
+    monkeypatch.setattr(lattice, "coin_at", lambda jet, s: np.array([[1.0, 0.2], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="unitary"):
         evolve(f, cfg, 0.05, 3)
 

@@ -1,6 +1,7 @@
 import itertools
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -20,7 +21,7 @@ from plasticwalk.plastic import (
 )
 
 from conftest import (
-    FAREY_8, HALF, draw_plastic_compliant, draw_plastic_generic, plastic_from_angles, with_exponents,
+    FAREY_8, HALF, draw_plastic_compliant, draw_plastic_generic, plastic_from_angles,
 )
 from oracles import (
     calibration_exponents, constraint_f2, cross_term_report, derivative_coefficient,
@@ -31,11 +32,9 @@ from oracles import (
 
 def plastic_raw(theta0x, theta0y, zx, phx, zy, phy, dx=0.2, delta=-np.pi / 2,
                 thx=0.63, thy=-0.37, a=HALF, b=HALF):
-    jx = CoinJet(delta=dx, zeta0=zx, theta0=theta0x, theta1=thx, phi0=phx,
-                 b_exp=b, mode="plastic")
-    jy = CoinJet(delta=delta - dx, zeta0=zy, theta0=theta0y, theta1=thy, phi0=phy,
-                 b_exp=b, mode="plastic")
-    return WalkConfig(coin_x=jx, coin_y=jy, tau=2, a_exp=a)
+    jx = CoinJet(delta=dx, zeta0=zx, theta0=theta0x, theta1=thx, phi0=phx)
+    jy = CoinJet(delta=delta - dx, zeta0=zy, theta0=theta0y, theta1=thy, phi0=phy)
+    return WalkConfig(coin_x=jx, coin_y=jy, tau=2, a_exp=a, b_exp=b, mode="plastic")
 
 
 # ---------------------------------------------------------------- gamma words
@@ -73,7 +72,7 @@ def test_gamma_words_match_the_chain_bitwise(angles):
 
 def _series_walk(cfg, kx, ky, eps, max_order):
     """Oracle: truncated expansion of S_x C_x S_y C_y from the index series."""
-    a, b = cfg.a_exp, cfg.coin_x.b_exp
+    a, b = cfg.a_exp, cfg.b_exp
     thx, thy = cfg.coin_x.theta1, cfg.coin_y.theta1
     total = np.zeros((2, 2), dtype=complex)
     for lx, ly, nx, ny in itertools.product(range(9), repeat=4):
@@ -186,7 +185,7 @@ def test_enumerate_a_zero_cases():
                                  (Fraction(2, 3), Fraction(3, 4)), (Fraction(1), Fraction(1))])
 def test_order_one_terms_is_the_enumerated_count(rng, a, b):
     """The gate counts its order-1 tuples in closed form; the enumeration is the oracle."""
-    report = check_spacetime_limit(with_exponents(draw_plastic_compliant(rng), a, b))
+    report = check_spacetime_limit(replace(draw_plastic_compliant(rng), a_exp=a, b_exp=b))
     assert report["exponents_rational"].witness["order_one_terms"] == len(enumerate_terms(a, b))
 
 
@@ -290,7 +289,7 @@ def test_divergence_grouped_report_reproduces_the_four_conditions(rng):
 
 
 def test_divergence_empty_for_unit_exponents(rng):
-    cfg = with_exponents(draw_plastic_compliant(rng), Fraction(1), Fraction(1))
+    cfg = replace(draw_plastic_compliant(rng), a_exp=Fraction(1), b_exp=Fraction(1))
     residual, groups = divergence_residual(cfg, Fraction(1), Fraction(1))
     assert residual == 0.0 and groups == []
 
@@ -360,7 +359,7 @@ def test_grouped_sums_memory_stays_flat(rng):
     (194,579 tuples), peak under 2 MiB: the engine sums per group, not per tuple."""
     a, b = Fraction(1, 45), Fraction(1)
     assert _pairs(a, b, order_one=False)[1] == 194_579
-    cfg = with_exponents(draw_plastic_compliant(rng), a, b)
+    cfg = replace(draw_plastic_compliant(rng), a_exp=a, b_exp=b)
     tracemalloc.start()
     try:
         for run in (check_spacetime_limit, spacetime_hamiltonian):
@@ -398,7 +397,7 @@ def test_check_spacetime_limit_reports(rng):
     assert not rep["no_divergence"].satisfied
 
     # a = 0 is reported as a failed exponent condition, not an exception
-    rep = check_spacetime_limit(with_exponents(cfg, Fraction(0), HALF))
+    rep = check_spacetime_limit(replace(cfg, a_exp=Fraction(0)))
     assert not rep.passed
     assert not rep["exponents_rational"].satisfied
 
@@ -446,7 +445,7 @@ def test_spacetime_assembly_unit_exponents_is_mass_type(rng):
     """At a = b = 1 the derivative groups cancel identically on the branch;
     the limit generator is a pure theta1 (mass) term."""
     one = Fraction(1)
-    cfg = with_exponents(draw_plastic_generic(rng), one, one)
+    cfg = replace(draw_plastic_generic(rng), a_exp=one, b_exp=one)
     asm = spacetime_hamiltonian(cfg)
     assert all(t.dx_power == 0 and t.dy_power == 0 for t in asm.terms)
     assert len(asm.terms) >= 1
@@ -471,7 +470,7 @@ def test_generator_matches_walk_quotient_at_contamination_rate(rng):
     for a in FAREY_8:
         for b in FAREY_8:
             for draw in (draw_plastic_compliant, draw_plastic_generic):
-                cfg = with_exponents(draw(rng), a, b)
+                cfg = replace(draw(rng), a_exp=a, b_exp=b)
                 if not check_spacetime_limit(cfg).passed:
                     continue
                 asm = spacetime_hamiltonian(cfg)
@@ -522,7 +521,7 @@ def test_half_half_pde_rejects_noncompliant(rng):
 def test_half_half_pde_refuses_a_walk_at_other_exponents(rng):
     """The closed form is the a = b = 1/2 limit: a walk at a = 1/3, b = 2/3 passes its
     own gate, and half_half_pde refuses it instead of gating it at 1/2."""
-    cfg = with_exponents(draw_plastic_compliant(rng), Fraction(1, 3), Fraction(2, 3))
+    cfg = replace(draw_plastic_compliant(rng), a_exp=Fraction(1, 3), b_exp=Fraction(2, 3))
     assert check_spacetime_limit(cfg).passed
     with pytest.raises(ValueError, match="a = b = 1/2, got a = 1/3, b = 2/3"):
         half_half_pde(cfg)
@@ -580,10 +579,8 @@ def test_cross_terms_survive_alternative_family(rng):
             if min(abs(thx0 % np.pi), abs(thy0 % np.pi)) > 0.3:
                 break
         cfg = plastic_from_angles(a1, a2, rng)
-        cfg = WalkConfig(
-            coin_x=CoinJet(**{**cfg.coin_x.__dict__, "theta0": thx0}),
-            coin_y=CoinJet(**{**cfg.coin_y.__dict__, "theta0": thy0}),
-            tau=2, a_exp=HALF)
+        cfg = replace(cfg, coin_x=replace(cfg.coin_x, theta0=thx0),
+                      coin_y=replace(cfg.coin_y, theta0=thy0))
         rep = cross_term_report(cfg)
         assert not rep["cancels"]
         assert rep["residual"] > 1e-3

@@ -18,9 +18,9 @@ from oracles import (
 
 
 def simple_config(theta0x, theta0y, delta, tau, **kw):
-    jx = CoinJet(delta=0.0, theta0=theta0x, theta1=kw.get("theta1x", 0.5), mode="time",
+    jx = CoinJet(delta=0.0, theta0=theta0x, theta1=kw.get("theta1x", 0.5),
                  zeta0=kw.get("zeta0x", 0.0), phi0=kw.get("phi0x", 0.0))
-    jy = CoinJet(delta=delta, theta0=theta0y, theta1=kw.get("theta1y", -0.3), mode="time",
+    jy = CoinJet(delta=delta, theta0=theta0y, theta1=kw.get("theta1y", -0.3),
                  zeta0=kw.get("zeta0y", 0.0), phi0=kw.get("phi0y", 0.0))
     return WalkConfig(coin_x=jx, coin_y=jy, tau=tau)
 
