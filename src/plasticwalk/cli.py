@@ -13,7 +13,8 @@ while loading the config) or an OSError (writing the output) gives 2,
 any other ValueError gives 1, each with one line on stderr.
 
 Outputs are deterministic for a fixed config and seed: JSON is emitted
-with sorted keys, CSV floats at 17 significant digits.
+with sorted keys, byte for byte as json.dumps(sort_keys=True, indent=2)
+writes it, CSV floats at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 from collections.abc import Iterable
+from json.encoder import encode_basestring_ascii as _str_text
 
 import numpy as np
 
@@ -63,9 +64,57 @@ def _write(args, parts: Iterable[str]) -> None:
         sys.stdout.writelines(parts)
 
 
+# JSON as json.dumps(value, sort_keys=True, indent=2) writes it.  That call runs the
+# pure-Python encoder (CPython has a C encoder only for indent=None); here the layout
+# is Python and each leaf goes through the C function json uses for its type.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)  # a finite float's repr ends in a digit
+    return _NONFINITE[text] if text[-1] in "nf" else text
+
+
+# the text of a leaf of each exact type
+_LEAF = {str: _str_text, int: int.__repr__, float: _float_text,
+         bool: ("false", "true").__getitem__, type(None): lambda _: "null"}.get
+
+
+def _json(value, indent: str = "") -> str:
+    """The JSON of ``value`` nested at ``indent``, as json.dumps(sort_keys=True, indent=2).
+
+    Dict keys are strings, as in every payload; any other key raises TypeError.  A
+    container's leaves are written in its comprehension; only nested containers and
+    leaves of a subclass type recurse.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_str_text(k)}: {leaf(v) if (leaf := _LEAF(type(v))) else _json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [leaf(v) if (leaf := _LEAF(type(v))) else _json(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    leaf = _LEAF(type(value))
+    if leaf is not None:
+        return leaf(value)
+    for kind in (str, int, float):  # a subclass (np.float64, IntEnum) as json writes it
+        if isinstance(value, kind):
+            return _LEAF(kind)(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _document(payload: dict) -> dict:
+    return {"schema_version": SCHEMA_VERSION, **payload}
+
+
 def _json_text(payload: dict) -> str:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json(_document(payload)) + "\n"
 
 
 def _emit(args, payload: dict, csv_rows: list[str] | None = None) -> None:
@@ -80,11 +129,15 @@ def _emit_listing(args, payload: dict, key: str, rows: Iterable[str]) -> None:
     """Write the JSON of ``payload`` with the list under ``key`` given as formatted rows.
 
     The rows are the list items as json.dumps(indent=2) writes them, with their
-    separators; they are written in place of a placeholder in the JSON of the
-    rest of the payload, so the list is never built as Python objects.  An empty
-    listing (no rows, or an empty first row) writes [].
+    separators.  The members of the payload that sort before ``key`` are written,
+    then the rows as they come, then the members after it, so the list is never
+    built as Python objects.  An empty listing (no rows, or an empty first row)
+    writes [].
     """
-    head, tail = _json_text({**payload, key: "@rows@"}).split('"@rows@"')
+    members = sorted((k, f"{_str_text(k)}: {_json(v, '  ')}")
+                     for k, v in _document(payload).items())
+    head = "{\n" + "".join(f"  {m},\n" for k, m in members if k < key) + f"  {_str_text(key)}: "
+    tail = "".join(f",\n  {m}" for k, m in members if k > key) + "\n}\n"
     rows = iter(rows)
     first = next(rows, "")
     if first:

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _MODES = ("time", "plastic")
+_ANGLES = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,11 @@ class CoinJet:
     phi1: float = 0.0
 
     def __post_init__(self):
-        for name in ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"CoinJet.{name} must be finite")
+        angles = (self.delta, self.zeta0, self.zeta1, self.theta0, self.theta1, self.phi0,
+                  self.phi1)
+        if not all(map(math.isfinite, angles)):
+            name = next(n for n, v in zip(_ANGLES, angles) if not math.isfinite(v))
+            raise ValueError(f"CoinJet.{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -81,21 +84,27 @@ class WalkConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
-        a, b = Fraction(self.a_exp), Fraction(self.b_exp)
-        object.__setattr__(self, "a_exp", a)
-        object.__setattr__(self, "b_exp", b)
-        if not (0 <= a <= 1):
+        a, b = self.a_exp, self.b_exp
+        if not isinstance(a, Fraction):  # a Fraction is kept as it is
+            a = Fraction(a)
+            object.__setattr__(self, "a_exp", a)
+        if not isinstance(b, Fraction):
+            b = Fraction(b)
+            object.__setattr__(self, "b_exp", b)
+        # a Fraction's denominator is positive: 0 <= a <= 1 is 0 <= p <= q, in integers
+        if not (0 <= a.numerator <= a.denominator):
             raise ValueError(f"a_exp must lie in [0, 1], got {a}")
-        if not (0 < b <= 1):
+        if not (0 < b.numerator <= b.denominator):
             raise ValueError(f"b_exp must lie in (0, 1], got {b}")
         if not math.isfinite(self.delta_sum):
             raise ValueError("delta_x + delta_y must be finite")
-        if self.mode == "time" and a != 0:
+        if self.mode == "time" and a.numerator != 0:
             raise ValueError("time mode fixes a_exp = 0")
-        if self.mode == "time" and b != 1:
+        if self.mode == "time" and b.numerator != b.denominator:
             raise ValueError("time mode fixes b_exp = 1")
-        if self.mode == "plastic" and any(jet.zeta1 != 0.0 or jet.phi1 != 0.0
-                                          for jet in (self.coin_x, self.coin_y)):
+        x, y = self.coin_x, self.coin_y
+        if self.mode == "plastic" and (x.zeta1 != 0.0 or x.phi1 != 0.0
+                                       or y.zeta1 != 0.0 or y.phi1 != 0.0):
             raise ValueError("plastic mode expands theta only (zeta1 = phi1 = 0)")
 
     @property
@@ -111,7 +120,13 @@ class WalkConfig:
         return 1.0
 
     def drive(self, eps: float) -> float:
-        """The driving step s = eps**b of both coins' angle jets (eps itself in time mode)."""
+        """The driving step s = eps**b of both coins' angle jets (eps itself in time mode).
+
+        A negative eps has no real power eps**b at a fractional b.
+        """
+        if eps < 0 and self.b_exp.denominator != 1:
+            raise ValueError(f"eps must be >= 0 when the coins are driven at eps**b with "
+                             f"a fractional b, got eps = {eps}, b = {self.b_exp}")
         return float(eps) ** float(self.b_exp)
 
 

@@ -87,7 +87,9 @@ def _real(key: str):
 # which the k-point work budget does not count.
 MAX_EPS_LIST = 16
 _COIN_KEYS = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
-_ANGLES = {c: {k: _real(f"walk.{c}.{k}") for k in _COIN_KEYS} for c in ("coin_x", "coin_y")}
+# per coin: the parser of each angle, in CoinJet field order, and the name of its b
+_COINS = {c: ([(k, _real(f"walk.{c}.{k}")) for k in _COIN_KEYS], f"walk.{c}.b")
+          for c in ("coin_x", "coin_y")}
 _INITIAL_TYPES = ("plane_wave", "delta", "random")
 # the parser of each optional key; an absent key keeps the dataclass field default
 _WALK = {"tau": ("tau", _integer("walk.tau")),
@@ -103,15 +105,17 @@ def _object(value, name: str) -> dict:
 def _coin_from_dict(section, name: str) -> tuple[CoinJet, Fraction]:
     """The coin jet of walk.<name> and its driving exponent b (1 when absent)."""
     section = _object(section, "coin section")
-    angles = {k: parse(section[k]) for k, parse in _ANGLES[name].items()}
-    b = parse_rational(section.get("b", 1), f"walk.{name}.b")
-    return CoinJet(**angles), b
+    parsers, b_key = _COINS[name]
+    angles = [parse(section[k]) for k, parse in parsers]
+    b = parse_rational(section.get("b", 1), b_key)
+    return CoinJet(*angles), b
 
 
 def _walk_from_dict(section) -> WalkConfig:
     section = _object(section, "walk")
     mode = section["mode"]
-    (coin_x, b_x), (coin_y, b_y) = (_coin_from_dict(section[n], n) for n in ("coin_x", "coin_y"))
+    coin_x, b_x = _coin_from_dict(section["coin_x"], "coin_x")
+    coin_y, b_y = _coin_from_dict(section["coin_y"], "coin_y")
     if b_y != b_x:  # the schema writes b per coin; the walk has one
         raise ConfigError(f"walk.coin_y.b must equal walk.coin_x.b (one b for both coins), "
                           f"got {b_y} and {b_x}")
@@ -136,6 +140,7 @@ _SECTIONS = {
                 tuple((real(kx), real(ky)) for kx, ky in v),
             "initial": _initial_from_dict},
 }
+_SEED = _integer("seed")
 
 
 @dataclass(frozen=True)
@@ -191,13 +196,14 @@ class ExperimentConfig:
     def from_dict(doc: dict, seed: int | None = None) -> "ExperimentConfig":
         """The config of ``doc``; ``seed``, when given, replaces the document's seed."""
         doc = _object(doc, "config root")
-        sections = {name: _object(doc.get(name, {}), name) for name in _SECTIONS}
+        sections = [(_object(doc.get(name, {}), name), parsers)
+                    for name, parsers in _SECTIONS.items()]
         try:
             walk = _walk_from_dict(doc.get("walk"))
-            values = {key: parse(sections[name][key]) for name, parsers in _SECTIONS.items()
-                      for key, parse in parsers.items() if key in sections[name]}
+            values = {key: parse(section[key]) for section, parsers in sections
+                      for key, parse in parsers.items() if key in section}
             if "seed" in doc:
-                values["seed"] = _integer("seed")(doc["seed"])
+                values["seed"] = _SEED(doc["seed"])
             if seed is not None:
                 values["seed"] = seed
         except KeyError as exc:  # only walk and coin keys are required

@@ -34,7 +34,9 @@ no command needs stay here, as oracles for the library's closed forms:
 * the Richardson fit of the PDE prefactor against the numerical limit
   (W^2 - I)/(2 eps), which checks the closed form CALIBRATION = -1/2;
 * the ``terms`` listing written one dict per index tuple through
-  json.dumps, the reference for the CLI's templated rows.
+  json.dumps, the reference for the CLI's templated rows;
+* json.dumps(sort_keys=True, indent=2), the reference for the CLI's JSON
+  writer.
 """
 
 from __future__ import annotations
@@ -626,6 +628,11 @@ def terms_listing(a: Fraction, b: Fraction) -> tuple[str, str]:
         rows.append((*idx, sum(idx[:4]), sum(idx[4:]), "+".join(kinds)))
     doc = {"schema_version": 1, "count": len(rows),
            "terms": [dict(zip(columns, row)) for row in rows]}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json_text(doc) + "\n"
     csv = ",".join(columns) + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
     return text, csv
+
+
+def json_text(value) -> str:
+    """``value`` as json.dumps(sort_keys=True, indent=2) writes it: the CLI's JSON layout."""
+    return json.dumps(value, sort_keys=True, indent=2)

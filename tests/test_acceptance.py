@@ -56,14 +56,13 @@ def _labeled_case(kind, rng):
         return draw_time_compliant(rng, tau=tau), False
     if kind == "same_branch":
         cfg = draw_time_compliant(rng, nu=0)
-        bad_y = CoinJet(**{**cfg.coin_y.__dict__,
-                           "theta0": cfg.coin_y.theta0 + np.pi})  # both even now
-        return WalkConfig(coin_x=cfg.coin_x, coin_y=bad_y, tau=cfg.tau), False
+        bad_y = dataclasses.replace(cfg.coin_y, theta0=cfg.coin_y.theta0 + np.pi)  # both even now
+        return dataclasses.replace(cfg, coin_y=bad_y), False
     if kind == "bad_delta":
         cfg = draw_time_compliant(rng)
         off = float(rng.uniform(0.2, 1.2))
-        bad_y = CoinJet(**{**cfg.coin_y.__dict__, "delta": cfg.coin_y.delta + off})
-        return WalkConfig(coin_x=cfg.coin_x, coin_y=bad_y, tau=cfg.tau), False
+        bad_y = dataclasses.replace(cfg.coin_y, delta=cfg.coin_y.delta + off)
+        return dataclasses.replace(cfg, coin_y=bad_y), False
     return draw_time_generic(rng), False
 
 
@@ -112,9 +111,9 @@ def test_criterion_03_first_order_expansion():
     for _ in range(20):
         cfg = draw_time_generic(RNG)
         # make sure the second-order remainder is not degenerate
-        jx = CoinJet(**{**cfg.coin_x.__dict__, "theta1": float(RNG.uniform(0.4, 1.0))})
-        jy = CoinJet(**{**cfg.coin_y.__dict__, "theta1": float(-RNG.uniform(0.4, 1.0))})
-        cfg = WalkConfig(coin_x=jx, coin_y=jy, tau=2)
+        jx = dataclasses.replace(cfg.coin_x, theta1=float(RNG.uniform(0.4, 1.0)))
+        jy = dataclasses.replace(cfg.coin_y, theta1=float(-RNG.uniform(0.4, 1.0)))
+        cfg = dataclasses.replace(cfg, coin_x=jx, coin_y=jy, tau=2)
         kx, ky = RNG.uniform(-np.pi, np.pi, size=2)
         ax, bx = first_order_blocks(cfg.coin_x, kx)
         ay, by = first_order_blocks(cfg.coin_y, ky)

@@ -228,3 +228,15 @@ def test_quadratic_jet_terms_do_not_move_first_order(rng):
         base = (walk_tau(eps, 0.0) - walk_tau(0.0, 0.0)) / eps
         pert = (walk_tau(eps, c_quad) - walk_tau(0.0, c_quad)) / eps
         assert float(op_norm(base - pert)) <= 4.0 * c_quad * eps
+
+
+def test_drive_refuses_a_negative_eps_at_a_fractional_b():
+    """eps**b has no real value for eps < 0 and b = 1/2: a named ValueError, not a complex
+    step that fails later in the coin's rotations."""
+    walk = replace(PLASTIC_WALK, a_exp=0)
+    for call in (lambda: walk.drive(-0.01), lambda: walk_k(walk, 0.3, -0.2, -0.01)):
+        with pytest.raises(ValueError, match=r"eps must be >= 0 .* fractional b, "
+                                             r"got eps = -0.01, b = 1/2"):
+            call()
+    assert walk.drive(0.0) == 0.0
+    assert replace(walk, b_exp=1).drive(-0.01) == -0.01

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -73,10 +75,8 @@ def test_time_convergence_zero_rates_degenerate(rng):
     every eps, so W^2 = I exactly and the distance to the (H = 0) target
     sits at the accumulation floor of roundoff, not at O(eps)."""
     cfg = draw_time_compliant(rng)
-    cfg = WalkConfig(
-        coin_x=CoinJet(**{**cfg.coin_x.__dict__, "theta1": 0.0}),
-        coin_y=CoinJet(**{**cfg.coin_y.__dict__, "theta1": 0.0}),
-        tau=2)
+    cfg = replace(cfg, coin_x=replace(cfg.coin_x, theta1=0.0),
+                  coin_y=replace(cfg.coin_y, theta1=0.0), tau=2)
     kx, ky = _kgrid(5)
     res = time_convergence(cfg, 1.0, kx, ky, [2.0 ** -k for k in range(6, 12)])
     assert max(err for _, err in res.samples) <= 1e-11
@@ -84,7 +84,7 @@ def test_time_convergence_zero_rates_degenerate(rng):
 
 def test_time_convergence_tau_independent_target(rng):
     cfg2 = draw_time_compliant(rng, tau=2, strong_theta1=True)
-    cfg4 = WalkConfig(coin_x=cfg2.coin_x, coin_y=cfg2.coin_y, tau=4)
+    cfg4 = replace(cfg2, tau=4)
     _, sym2 = time_hamiltonian(cfg2)
     _, sym4 = time_hamiltonian(cfg4)
     kx, ky = _kgrid(7)
@@ -114,7 +114,7 @@ def test_odd_tau_negative_control(rng):
     evolution: at step counts with odd n the distance stays O(1)."""
     cfg2 = draw_time_compliant(rng, tau=2, strong_theta1=True)
     _, symbol = time_hamiltonian(cfg2)
-    cfg3 = WalkConfig(coin_x=cfg2.coin_x, coin_y=cfg2.coin_y, tau=3)
+    cfg3 = replace(cfg2, tau=3)
     kx, ky = _kgrid(8)
     h = symbol(kx, ky)
     for n_blocks in (21, 43, 85):  # odd block counts

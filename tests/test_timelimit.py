@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,9 +92,7 @@ def test_gate_rejects_bad_delta():
 def test_witness_gauge_covariance(rng):
     cfg = draw_time_compliant(rng)
     rep = check_time_limit(cfg)
-    shifted = WalkConfig(
-        coin_x=CoinJet(**{**cfg.coin_x.__dict__, "theta0": cfg.coin_x.theta0 + 4 * np.pi}),
-        coin_y=cfg.coin_y, tau=cfg.tau)
+    shifted = replace(cfg, coin_x=replace(cfg.coin_x, theta0=cfg.coin_x.theta0 + 4 * np.pi))
     rep2 = check_time_limit(shifted)
     assert rep2.passed == rep.passed
     assert witnesses(rep2)["m"] == witnesses(rep)["m"] + 2
@@ -176,8 +175,7 @@ def test_delta_gate_finds_the_root_of_unity_index(tau, nu, j, noise, seed):
     delta on the pi / tau grid and off it."""
     cfg = draw_time_compliant(np.random.default_rng(seed), nu=nu, tau=tau)
     delta_y = j * np.pi / tau + noise - cfg.coin_x.delta
-    coin_y = CoinJet(**{**cfg.coin_y.__dict__, "delta": delta_y})
-    cfg = WalkConfig(coin_x=cfg.coin_x, coin_y=coin_y, tau=tau)
+    cfg = replace(cfg, coin_y=replace(cfg.coin_y, delta=delta_y), tau=tau)
     ks = np.linspace(-np.pi, np.pi, 7)
     satisfied = check_time_limit(cfg)["delta_quantization"].satisfied
     assert satisfied == (roots_of_unity_residual(cfg, ks[:, None], ks[None, :]) <= 1e-9)
@@ -197,10 +195,8 @@ def test_odd_tau_gap_and_odd_power_reduction(rng):
 
 def test_anticommutator_zero_rates(rng):
     cfg = draw_time_compliant(rng)
-    cfg = WalkConfig(
-        coin_x=CoinJet(**{**cfg.coin_x.__dict__, "theta1": 0.0}),
-        coin_y=CoinJet(**{**cfg.coin_y.__dict__, "theta1": 0.0}),
-        tau=cfg.tau)
+    cfg = replace(cfg, coin_x=replace(cfg.coin_x, theta1=0.0),
+                  coin_y=replace(cfg.coin_y, theta1=0.0))
     ab = anticommutator_AB(cfg, 0.4, -0.7)
     assert float(op_norm(ab)) <= 1e-15
 
@@ -281,19 +277,15 @@ def test_branch_symmetry_relation(rng):
     phi0x -> -phi0x](kx, -ky)."""
     cfg0 = draw_time_compliant(rng, nu=0)
     jx, jy = cfg0.coin_x, cfg0.coin_y
-    cfg1 = WalkConfig(
-        coin_x=CoinJet(**{**jx.__dict__, "theta0": jx.theta0 + np.pi}),
-        coin_y=CoinJet(**{**jy.__dict__, "theta0": jy.theta0 - np.pi}),
-        tau=cfg0.tau)
+    cfg1 = replace(cfg0, coin_x=replace(jx, theta0=jx.theta0 + np.pi),
+                   coin_y=replace(jy, theta0=jy.theta0 - np.pi))
     terms0 = {(t.px, t.py) for t in time_hamiltonian(cfg0)[0]}
     terms1 = {(t.px, t.py) for t in time_hamiltonian(cfg1)[0]}
     assert terms0 == {(2, 0), (0, 2), (0, 0), (2, 2)}
     assert terms1 == {(2, 0), (0, -2), (0, 0), (2, -2)}
 
-    cfg0_flip = WalkConfig(
-        coin_x=CoinJet(**{**jx.__dict__, "phi0": -jx.phi0}),
-        coin_y=CoinJet(**{**jy.__dict__, "zeta0": -jy.zeta0}),
-        tau=cfg0.tau)
+    cfg0_flip = replace(cfg0, coin_x=replace(jx, phi0=-jx.phi0),
+                        coin_y=replace(jy, zeta0=-jy.zeta0))
     _, sym1 = time_hamiltonian(cfg1)
     _, sym0f = time_hamiltonian(cfg0_flip)
     ks = np.linspace(-np.pi, np.pi, 9)
