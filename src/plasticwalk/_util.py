@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -12,9 +14,10 @@ from .mat2 import _power, unitarity_defect
 # power is noise, and by 1e50 it overflows.
 POWER_TOL = 1e-3
 
-# Most k-points a k-grid command holds its 2x2 stacks for at once.  Measured on 256^2:
-# the peak traced memory of an evolution is 1.7x the field's bytes at 2**12 k-points a
-# tile (3.9x at 2**14), and 512^2 x 1000 steps is no slower than with larger tiles.
+# Most k-points a k-grid command holds its 2x2 stacks, or dispersion its CSV rows, for
+# at once.  Measured on 256^2: the peak traced memory of an evolution is 1.7x the
+# field's bytes at 2**12 k-points a tile (3.9x at 2**14), and 512^2 x 1000 steps is no
+# slower than with larger tiles.
 K_BLOCK = 2 ** 12
 
 
@@ -58,3 +61,140 @@ def stack_power(m: NDArray[np.complex128], n: int) -> NDArray[np.complex128]:
 def flat2(m: NDArray[np.complex128]) -> list[float]:
     """A 2x2 matrix as row-major (re, im) float pairs, the JSON matrix layout."""
     return [float(x) for entry in np.asarray(m).reshape(-1) for x in (entry.real, entry.imag)]
+
+
+@functools.cache
+def _g17_tables():
+    """The lookup tables of :func:`g17_cells`, built on its first call, not at import.
+
+    10^p for p <= 300 as a double-double hi + lo and hi's Dekker halves (complex pairs, so
+    one gather fetches both); the ASCII digits of each 4-digit group as uint32 words, in
+    full and then with trailing zeros NUL; for each X from -300 to 16, the prefix code
+    (-X for fixed notation with X < 0, else 0) and the tail word ("e-05" of scientific
+    notation, X < -4); and the head word of each prefix code, first digit, point and
+    sign ("-0.00" and so on).
+    """
+    hi = [float(10 ** p) for p in range(301)]
+    lo = [float(10 ** p - int(h)) for p, h in enumerate(hi)]  # hi is a whole number
+    hi = np.array(hi)
+    c = hi * 134217729.0  # 2**27 + 1
+    hh = c - (c - hi)
+    full = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    kept = np.logical_or.accumulate(full[:, ::-1] != 48, axis=1)[:, ::-1]
+    digits = np.concatenate((full, full * kept)).view(np.uint32).ravel()
+    exponents = range(-300, 17)
+    prefix = np.array([-x if -4 <= x < 0 else 0 for x in exponents])
+    tail = b"".join((b"e-%02d" % -x if x < -4 else b"").ljust(8, b"\0") for x in exponents)
+    head = b"".join(sign + (b"0." + b"0" * (z - 1) if z else b"").ljust(5, b"\0")
+                    + b"%d" % d0 + (b"." if point and not z else b"\0")
+                    for z in range(5) for d0 in range(10) for point in (0, 1)
+                    for sign in (b"\0", b"-"))
+    return (hi + 1j * np.array(lo), hh + 1j * (hi - hh), digits, prefix,
+            np.frombuffer(tail, np.uint64), np.frombuffer(head, np.uint64))
+
+
+def g17_cells(values) -> NDArray[np.uint8]:
+    """``'%.17g' % x`` of each float64 x of ``values``, as ASCII cells of 32 bytes.
+
+    Returns a ``values.shape + (32,)`` uint8 array.  A cell holds the text of its
+    value with NUL bytes among it; deleting every NUL gives ``'%.17g' % x`` byte for
+    byte.  The last byte of every cell is NUL, so a caller may put a separator there.
+
+    Fast path, for finite x with 1e-270 <= |x| < 1e16 and for +-0: X = floor(log10|x|),
+    and y = |x| 10^(16 - X) is formed as a double-double, a Dekker TwoProduct against
+    the table's 10^(16 - X) = hi + lo.  TwoProduct is exact, hi + lo is within 2^-106
+    of 10^p (lo = 0 for p <= 22), and y < 2^57, so the error in the fraction of y is
+    below 2^-47.  N = round(y) is then the 17 significant digits of x whenever
+    10^16 < floor(y) and N < 10^17 (X is right and the rounding does not carry) and
+    the fraction of y is more than 2^-40 from 1/2 (the rounding is not a tie, nor
+    near enough to one to be misjudged).  Every other value -- those, and
+    non-finite, subnormal or out-of-range ones -- is formatted by Python's
+    ``'%.17g'`` one at a time, so no value is ever approximated.
+
+    Cell layout: a word of sign, fixed-notation prefix ("0.", "0.0", ...), the first
+    digit and the point; two words of the 16 other digits, the last nonzero 4-digit
+    group and the groups after it with their trailing zeros NUL; a word of exponent
+    ("e-05") and the free byte.  Fixed notation with X >= 1, where the point falls
+    among the digits, is laid out again for its rows alone.
+    """
+    pow10, split10, digits, prefix, tail, head = _g17_tables()
+    x = np.asarray(values, dtype=np.float64)
+    flat = x.ravel()
+    ax = np.abs(flat)
+    fast = (ax >= 1e-270) & (ax < 1e16)
+    a = np.where(fast, ax, 1.0)
+    X = np.floor(np.log10(a)).astype(np.int64)
+    p = 16 - X  # within the table: 10^-271 < a < 10^16
+    hi, hh = pow10.take(p), split10.take(p)
+    c = a * 134217729.0
+    ah = c - (c - a)
+    al = a - ah
+    y = a * hi.real  # y = a hi + a lo = y + err + r, with err exact
+    err = ah * hh.real - y
+    err += ah * hh.imag
+    err += al * hh.real
+    err += al * hh.imag
+    r = a * hi.imag
+    r += err
+    whole = np.floor(r)
+    r -= whole  # the fraction of y
+    below = y.astype(np.int64) + whole.astype(np.int64)  # floor(y)
+    N = below + (r > 0.5)
+    ok = np.abs(r - 0.5) > 2.0 ** -40
+    ok &= fast & (below > 10 ** 16) & (N < 10 ** 17)
+    zero = ax == 0
+    ok |= zero
+    N[zero] = 0
+    X[zero] = 0
+    top = N // 10 ** 8
+    low = (N - top * 10 ** 8).astype(np.int32)  # int32 divides faster than int64
+    top = top.astype(np.int32)
+    d0 = top // 10 ** 8
+    mid = top - d0 * 10 ** 8
+    g1 = mid // 10 ** 4
+    g3 = low // 10 ** 4
+    groups = (g1, mid - g1 * 10 ** 4, g3, low - g3 * 10 ** 4)
+    cells = np.empty(flat.shape + (4,), dtype=np.uint64)
+    words, chars = cells.view(np.uint32), cells.view(np.uint8)
+    fraction = np.zeros(flat.shape, dtype=bool)  # a nonzero digit after this group
+    for col, g in zip((5, 4, 3, 2), groups[::-1]):
+        words[:, col] = digits.take(g + 10000 * ~fraction)
+        fraction |= g != 0
+    row = X + 300
+    cells[:, 3] = tail.take(row)
+    cells[:, 0] = head.take(((prefix.take(row) * 10 + d0) * 2 + fraction) * 2 + np.signbit(flat))
+    wide = np.flatnonzero(ok & (X > 0))
+    if wide.size:
+        chars[wide] = _g17_point_inside(chars[wide], X[wide])
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        chars[slow] = _g17_exact(flat[slow])
+    return chars.reshape(x.shape + (32,))
+
+
+def _g17_exact(values: NDArray[np.float64]) -> NDArray[np.uint8]:
+    """The cells of the values the fast path leaves, by Python's ``'%.17g'``, one at a time."""
+    text = [b"%.17g" % v for v in values.tolist()]
+    return np.array(text, dtype="S32").view(np.uint8).reshape(-1, 32)
+
+
+def cells_text(cells) -> bytes:
+    """The bytes of an array of :func:`g17_cells` cells (and other NUL-padded text), in
+    order, with every NUL deleted."""
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _g17_point_inside(chars: NDArray[np.uint8], X: NDArray[np.int64]) -> NDArray[np.uint8]:
+    """Fast-path cells of fixed notation with X >= 1, laid out again: the sign, the digits
+    through 10^0 (stripped zeros among them restored), then the point and the fraction
+    digits, if any."""
+    digits = np.zeros((len(X), 18), dtype=np.uint8)
+    digits[:, :17] = chars[:, np.r_[6, 8:24]]
+    j, X = np.arange(18), X[:, None]
+    digits[(j <= X) & (digits == 0)] = ord("0")
+    point = (digits * (j > X)).any(axis=1, keepdims=True) * np.uint8(ord("."))
+    out = np.zeros_like(chars)
+    out[:, 0] = chars[:, 0]
+    after = np.where(j == X + 1, point, np.roll(digits, 1, axis=1))  # the digits move one on
+    out[:, 1:19] = np.where(j <= X, digits, after)
+    return out

@@ -33,6 +33,7 @@ from . import convergence as conv
 from . import lattice as lat
 from . import plastic as pl
 from . import timelimit as tl
+from ._util import K_BLOCK, cells_text, g17_cells
 from .config import ConfigError, ExperimentConfig
 
 __all__ = ["main"]
@@ -46,8 +47,8 @@ SCHEMA_VERSION = 1
 # commands hold one tile of k-points (and dispersion its 16-byte-a-point band array),
 # so time sets the budget.  At the limit, on a 2-core x86 host: time-mode converge
 # with the default eps_list takes about 7 s and 33 MiB peak RSS (grid 1448), dispersion
-# 4 to 6 s and 65 MiB, and simulate of 1448^2 sites with its field CSV about 8 s and
-# 0.19 GiB at 1 step or 10**12 steps.  The benchmark asks for at most 512^2.
+# 2 s (CSV) to 5 s (JSON) and 65 MiB, and simulate of 1448^2 sites with its field CSV
+# 3 to 4.5 s and 0.19 GiB at 1 to 10**12 steps.  The benchmark asks for at most 512^2.
 WORK_BUDGET = 2 ** 21
 
 
@@ -252,35 +253,53 @@ def cmd_converge(args) -> int:
     return 0
 
 
-# (float format, row template, row separator) of the band table; the row's kx and ky
-# are filled in by str.format, its phases by %.  %r is float.__repr__, as json writes it.
-_BAND_ROWS = {
-    "csv": ("%.17g", "{},{},%.17g,%.17g\n", ""),
-    "json": ("%r", '    {{\n      "kx": {},\n      "ky": {},\n'
-                   '      "phase1": %r,\n      "phase2": %r\n    }}', ",\n"),
-}
+# A JSON row of the band table: its kx and ky are filled in by str.format, its phases
+# by %.  %r is float.__repr__, as json writes it.
+_BAND_ROW = ('    {{\n      "kx": {},\n      "ky": {},\n'
+             '      "phase1": %r,\n      "phase2": %r\n    }}')
 
 
-def _band_rows(fmt: str, kx, ky, bands):
-    """Yield the rows of the band table over the grid kx (n, 1) x ky (1, n), one kx at a time.
+def _band_rows(kx, ky, bands):
+    """Yield the JSON rows of the band table over the grid kx (n, 1) x ky (1, n), one kx
+    at a time.
 
     The rows of one kx come from one template, built once with each ky formatted
     in; each kx fills in its own kx and phases.
     """
-    spec, row, sep = _BAND_ROWS[fmt]
-    line = sep.join([row.format("\0", spec % y) for y in ky.ravel().tolist()])
+    line = ",\n".join([_BAND_ROW.format("\0", "%r" % y) for y in ky.ravel().tolist()])
     for i, (x, phases) in enumerate(zip(kx.ravel().tolist(), bands)):
-        yield (sep if i else "") + line.replace("\0", spec % x) % tuple(phases.ravel().tolist())
+        yield (",\n" if i else "") + line.replace("\0", "%r" % x) % tuple(phases.ravel().tolist())
+
+
+def _band_csv(kx, ky, bands):
+    """Yield the CSV rows of the band table over the grid kx (n, 1) x ky (1, n), a block
+    of kx rows (at most ``K_BLOCK`` k-points) at a time.
+
+    The cells of each kx and ky are formatted once; each block's phases are formatted
+    by one ``g17_cells`` call.
+    """
+    kx_cells, ky_cells = g17_cells(kx.ravel()), g17_cells(ky.ravel())
+    kx_cells[:, -1] = ky_cells[:, -1] = ord(",")
+    step = max(1, K_BLOCK // len(ky_cells))
+    for start in range(0, len(kx_cells), step):
+        phases = bands[start:start + step]
+        rows = np.empty(phases.shape[:2] + (4, 32), dtype=np.uint8)
+        rows[:, :, 0] = kx_cells[start:start + step, None]
+        rows[:, :, 1] = ky_cells
+        rows[:, :, 2:] = g17_cells(phases)
+        rows[:, :, 2, -1] = ord(",")
+        rows[:, :, 3, -1] = ord("\n")
+        yield cells_text(rows).decode("ascii")
 
 
 def cmd_dispersion(args) -> int:
     cfg = _load(args)
     kx, ky = _grid(cfg.grid)
     bands = conv.dispersion(cfg.walk, cfg.eps, kx, ky)
-    rows = _band_rows(args.format, kx, ky, bands)
     if args.format == "csv":
-        _write(args, itertools.chain(("kx,ky,phase1,phase2\n",), rows))
+        _write(args, itertools.chain(("kx,ky,phase1,phase2\n",), _band_csv(kx, ky, bands)))
         return 0
+    rows = _band_rows(kx, ky, bands)
     if not np.isfinite(bands).all():
         # %r writes nan, inf and -inf where json writes NaN, Infinity and -Infinity;
         # neither the row template nor a finite grid momentum contains "nan" or "inf"

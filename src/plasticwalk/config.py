@@ -215,8 +215,8 @@ class ExperimentConfig:
     @staticmethod
     def load(path, seed: int | None = None) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
+            with open(path, "rb") as fh:  # json detects UTF-8 (with or without a BOM), -16, -32
+                doc = json.loads(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plasticwalk
-from plasticwalk import convergence
+from plasticwalk import cli, convergence
 from plasticwalk.cli import main
 from plasticwalk.config import ConfigError, ExperimentConfig, parse_rational
 
@@ -284,6 +284,21 @@ def test_dispersion_infinite_phases_print_as_json_writes_them(tmp_path, capsys, 
     assert '"phase2": -Infinity' in outs[0] and ",-inf," in outs[1]
 
 
+@pytest.mark.parametrize("grid,block", [(150, None), (5, 12)])
+def test_dispersion_blocks_match_the_oracle(tmp_path, capsys, monkeypatch, grid, block):
+    """The CSV band table is formatted a block of kx rows at a time: at grid 150, blocks
+    of 27 rows (4,050 of the ``K_BLOCK`` 4,096 k-points) and a last one of 15; at grid
+    5 with a block of 12 k-points, blocks of 2, 2 and 1 rows."""
+    if block is not None:
+        monkeypatch.setattr(cli, "K_BLOCK", block)
+    doc = time_doc()
+    doc["run"]["grid"] = grid
+    cfg = ExperimentConfig.from_dict(doc)
+    ks = np.linspace(-np.pi, np.pi, grid, endpoint=False)
+    bands = convergence.dispersion(cfg.walk, cfg.eps, ks[:, None], ks[None, :])
+    assert _dispersion_outputs(tmp_path, capsys, doc) == _dispersion_oracle(cfg.eps, grid, bands)
+
+
 def test_dispersion_json_memory_stays_near_the_band_array(tmp_path):
     """The band table is written a kx row at a time: at grid 256 (65,536 k-points) the
     traced peak stays under 12 MiB, where one string of the whole table took 24 MiB."""
@@ -292,6 +307,17 @@ def test_dispersion_json_memory_stays_near_the_band_array(tmp_path):
     proc, _, peak = _run_child(tmp_path, doc, "dispersion")
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.count('"kx"') == 256 ** 2
+    assert peak <= 12 * 2 ** 20
+
+
+def test_dispersion_csv_memory_stays_near_the_band_array(tmp_path):
+    """The CSV band table is formatted a block of kx rows at a time: at grid 256 the
+    traced peak stays under the same 12 MiB as the JSON table."""
+    doc = time_doc()
+    doc["run"]["grid"] = 256
+    proc, _, peak = _run_child(tmp_path, doc, "dispersion", "--format", "csv")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 256 ** 2 + 1
     assert peak <= 12 * 2 ** 20
 
 
@@ -371,10 +397,10 @@ def test_gate_finds_the_root_of_unity_index(tmp_path, capsys):
     assert 0.85 <= json.loads(capsys.readouterr().out)["slope"] <= 1.15
 
 
-def _run_child(tmp_path, doc, command):
-    """``main`` on ``doc`` in a child process, so that a slow run fails on the timeout
-    instead of hanging the suite.  Returns the process, the seconds ``main`` took and
-    the peak memory it traced."""
+def _run_child(tmp_path, doc, command, *flags):
+    """``main`` on ``doc`` (and ``flags``) in a child process, so that a slow run fails
+    on the timeout instead of hanging the suite.  Returns the process, the seconds
+    ``main`` took and the peak memory it traced."""
     child = ("import sys, time, tracemalloc\n"
              "from plasticwalk.cli import main\n"
              "tracemalloc.start()\n"
@@ -388,7 +414,7 @@ def _run_child(tmp_path, doc, command):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(plasticwalk.__file__))}
     measured = tmp_path / "measured.txt"
     proc = subprocess.run([sys.executable, "-c", child, str(measured), "--config",
-                           write_config(tmp_path, doc), command],
+                           write_config(tmp_path, doc), *flags, command],
                           env=env, capture_output=True, text=True, timeout=30)
     seconds, peak = measured.read_text().split()
     return proc, float(seconds), int(peak)
@@ -625,6 +651,16 @@ def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command,
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     if stderr is not None:  # a config error (exit 2) or the command's own (exit 1)
         assert err == f"{'config error' if code == 2 else command}: {stderr}\n"
+
+
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    text = json.dumps(time_doc()).encode()
+    at = text.index(b'"time"') + 2
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+    assert main(["--config", str(path), "check"]) == 2
+    assert capsys.readouterr().err == ("config error: config is not valid JSON: 'utf-8' codec "
+                                       f"can't decode byte 0xff in position {at}: invalid start byte\n")
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):

@@ -27,9 +27,11 @@ CASES = [(name, command) for name in CONFIGS for command in COMMANDS]
 CSV_CASES = [(name, command) for name in CONFIGS for command in CSV_COMMANDS]
 
 
-def run(name: str, command: str, fmt: str = "json") -> str:
+def run(name: str, command: str, fmt: str = "json", config: str | None = None) -> str:
+    """The golden text of ``command`` on config ``name``, or on the file ``config``."""
     out, err = io.StringIO(), io.StringIO()
-    argv = ["--config", os.path.join(GOLDEN, name, "config.json"), "--format", fmt, command]
+    argv = ["--config", config or os.path.join(GOLDEN, name, "config.json"), "--format", fmt,
+            command]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return f"exit {code}\n--- stderr\n{err.getvalue()}--- stdout\n{out.getvalue()}"
@@ -53,6 +55,19 @@ def test_cli_output_matches_golden(name, command):
 @pytest.mark.parametrize("name,command", CSV_CASES)
 def test_cli_csv_output_matches_golden(name, command):
     assert run(name, command, "csv") == read_golden(name, command, "csv")
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+def test_config_with_a_byte_order_mark_matches_golden(tmp_path, encoding):
+    """A config saved with a byte order mark -- UTF-8, as some Windows editors write
+    it, or UTF-16 or UTF-32 -- loads, whatever the locale, and gives the golden output."""
+    with open(os.path.join(GOLDEN, "time_compliant", "config.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    config = tmp_path / "config.json"
+    config.write_bytes(text.encode(encoding))
+    for command in COMMANDS:
+        assert run("time_compliant", command, config=str(config)) == read_golden(
+            "time_compliant", command)
 
 
 if __name__ == "__main__":

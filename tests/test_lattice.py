@@ -371,12 +371,14 @@ def test_snapshot_io_memory_stays_near_one_field(tmp_path, rng):
 
     A block of ``lattice._ROW_BLOCK`` CSV rows and its index checks take under a
     third of a 256^2 field; the whole-table loader took 3.6 fields, and a save or
-    load through a whole second copy 2.
+    load through a whole second copy 2.  ``save_csv`` formats ``lattice._SITE_BLOCK``
+    sites at a time.
     """
     f = SpinorField.random(256, 256, rng)
     csv, binary = tmp_path / "field.csv", tmp_path / "field.pwf"
     save_csv(f, csv)
-    for name, call in (("load_csv", lambda: load_csv(csv)),
+    for name, call in (("save_csv", lambda: save_csv(f, csv)),
+                       ("load_csv", lambda: load_csv(csv)),
                        ("save_binary", lambda: save_binary(f, binary)),
                        ("load_binary", lambda: load_binary(binary))):
         tracemalloc.start()
@@ -398,6 +400,19 @@ def test_save_csv_matches_per_site_writer(tmp_path, rng, nx, ny):
     save_csv(field, tmp_path / "rows.csv")
     save_csv_per_site(field, tmp_path / "sites.csv")
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "sites.csv").read_bytes()
+
+
+def test_save_csv_blocks_match_per_site_writer(tmp_path, rng, monkeypatch):
+    """Blocks of 3 sites, which split the rows of a 4 x 5 field, write the same bytes."""
+    d = SpinorField.random(4, 5, rng).data.copy()
+    d[0, 0, :] = 0.0
+    d[1, 1, :] = complex(-0.0, 5e-324)
+    d[0, 2, 1:4] = complex(2.2250738585072014e-308 / 3, -0.0)
+    d[1, 3, 4] = complex(np.nan, 1.0)
+    monkeypatch.setattr(lattice, "_SITE_BLOCK", 3)
+    save_csv(SpinorField(d), tmp_path / "blocks.csv")
+    save_csv_per_site(SpinorField(d), tmp_path / "sites.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "sites.csv").read_bytes()
 
 
 def test_binary_roundtrip_exact(tmp_path, rng):
