@@ -69,7 +69,7 @@ def _g17_tables():
 
     10^p for p <= 300 as a double-double hi + lo and hi's Dekker halves (complex pairs, so
     one gather fetches both); the ASCII digits of each 4-digit group as uint32 words, in
-    full and then with trailing zeros NUL; for each X from -300 to 16, the prefix code
+    full and then with trailing zeros NUL; for each X from -300 to 0, the prefix code
     (-X for fixed notation with X < 0, else 0) and the tail word ("e-05" of scientific
     notation, X < -4); and the head word of each prefix code, first digit, point and
     sign ("-0.00" and so on).
@@ -82,7 +82,7 @@ def _g17_tables():
     full = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
     kept = np.logical_or.accumulate(full[:, ::-1] != 48, axis=1)[:, ::-1]
     digits = np.concatenate((full, full * kept)).view(np.uint32).ravel()
-    exponents = range(-300, 17)
+    exponents = range(-300, 1)
     prefix = np.array([-x if -4 <= x < 0 else 0 for x in exponents])
     tail = b"".join((b"e-%02d" % -x if x < -4 else b"").ljust(8, b"\0") for x in exponents)
     head = b"".join(sign + (b"0." + b"0" * (z - 1) if z else b"").ljust(5, b"\0")
@@ -100,7 +100,7 @@ def g17_cells(values) -> NDArray[np.uint8]:
     value with NUL bytes among it; deleting every NUL gives ``'%.17g' % x`` byte for
     byte.  The last byte of every cell is NUL, so a caller may put a separator there.
 
-    Fast path, for finite x with 1e-270 <= |x| < 1e16 and for +-0: X = floor(log10|x|),
+    Fast path, for finite x with 1e-270 <= |x| < 10 and for +-0: X = floor(log10|x|),
     and y = |x| 10^(16 - X) is formed as a double-double, a Dekker TwoProduct against
     the table's 10^(16 - X) = hi + lo.  TwoProduct is exact, hi + lo is within 2^-106
     of 10^p (lo = 0 for p <= 22), and y < 2^57, so the error in the fraction of y is
@@ -109,22 +109,22 @@ def g17_cells(values) -> NDArray[np.uint8]:
     the fraction of y is more than 2^-40 from 1/2 (the rounding is not a tie, nor
     near enough to one to be misjudged).  Every other value -- those, and
     non-finite, subnormal or out-of-range ones -- is formatted by Python's
-    ``'%.17g'`` one at a time, so no value is ever approximated.
+    ``'%.17g'`` one at a time, so no value is ever approximated.  A normalised field
+    (|x| <= 1) and a band's momenta and phases (|x| <= pi) lie within the fast path.
 
     Cell layout: a word of sign, fixed-notation prefix ("0.", "0.0", ...), the first
     digit and the point; two words of the 16 other digits, the last nonzero 4-digit
     group and the groups after it with their trailing zeros NUL; a word of exponent
-    ("e-05") and the free byte.  Fixed notation with X >= 1, where the point falls
-    among the digits, is laid out again for its rows alone.
+    ("e-05") and the free byte.
     """
     pow10, split10, digits, prefix, tail, head = _g17_tables()
     x = np.asarray(values, dtype=np.float64)
     flat = x.ravel()
     ax = np.abs(flat)
-    fast = (ax >= 1e-270) & (ax < 1e16)
+    fast = (ax >= 1e-270) & (ax < 10.0)
     a = np.where(fast, ax, 1.0)
     X = np.floor(np.log10(a)).astype(np.int64)
-    p = 16 - X  # within the table: 10^-271 < a < 10^16
+    p = 16 - X  # within the table: 10^-271 < a < 10
     hi, hh = pow10.take(p), split10.take(p)
     c = a * 134217729.0
     ah = c - (c - a)
@@ -142,10 +142,12 @@ def g17_cells(values) -> NDArray[np.uint8]:
     N = below + (r > 0.5)
     ok = np.abs(r - 0.5) > 2.0 ** -40
     ok &= fast & (below > 10 ** 16) & (N < 10 ** 17)
-    zero = ax == 0
-    ok |= zero
-    N[zero] = 0
-    X[zero] = 0
+    # the values left to the fallback, and zero, are laid out as 0: every gather below
+    # stays within its table whatever log10 returned
+    slow = ~ok
+    N[slow] = 0
+    X[slow] = 0
+    slow &= ax != 0
     top = N // 10 ** 8
     low = (N - top * 10 ** 8).astype(np.int32)  # int32 divides faster than int64
     top = top.astype(np.int32)
@@ -163,10 +165,7 @@ def g17_cells(values) -> NDArray[np.uint8]:
     row = X + 300
     cells[:, 3] = tail.take(row)
     cells[:, 0] = head.take(((prefix.take(row) * 10 + d0) * 2 + fraction) * 2 + np.signbit(flat))
-    wide = np.flatnonzero(ok & (X > 0))
-    if wide.size:
-        chars[wide] = _g17_point_inside(chars[wide], X[wide])
-    slow = np.flatnonzero(~ok)
+    slow = np.flatnonzero(slow)
     if slow.size:
         chars[slow] = _g17_exact(flat[slow])
     return chars.reshape(x.shape + (32,))
@@ -182,19 +181,3 @@ def cells_text(cells) -> bytes:
     """The bytes of an array of :func:`g17_cells` cells (and other NUL-padded text), in
     order, with every NUL deleted."""
     return cells.tobytes().translate(None, b"\0")
-
-
-def _g17_point_inside(chars: NDArray[np.uint8], X: NDArray[np.int64]) -> NDArray[np.uint8]:
-    """Fast-path cells of fixed notation with X >= 1, laid out again: the sign, the digits
-    through 10^0 (stripped zeros among them restored), then the point and the fraction
-    digits, if any."""
-    digits = np.zeros((len(X), 18), dtype=np.uint8)
-    digits[:, :17] = chars[:, np.r_[6, 8:24]]
-    j, X = np.arange(18), X[:, None]
-    digits[(j <= X) & (digits == 0)] = ord("0")
-    point = (digits * (j > X)).any(axis=1, keepdims=True) * np.uint8(ord("."))
-    out = np.zeros_like(chars)
-    out[:, 0] = chars[:, 0]
-    after = np.where(j == X + 1, point, np.roll(digits, 1, axis=1))  # the digits move one on
-    out[:, 1:19] = np.where(j <= X, digits, after)
-    return out

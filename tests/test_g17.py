@@ -55,10 +55,11 @@ PINNED = [
     0.0, -0.0, math.nan, math.inf, -math.inf,
     5e-324, math.nextafter(SMALLEST_NORMAL, 0),  # the smallest and the largest subnormal
     1e-4, math.nextafter(1e-4, 0),  # the switch from fixed to scientific notation
-    1e16, math.nextafter(1e16, 0),  # the end of the fast path
+    10.0, math.nextafter(10.0, 0),  # the end of the fast path
+    1e16, math.nextafter(1e16, 0),  # the switch from fixed to scientific notation above
     math.nextafter(1.0, 0),  # N = 99999999999999989, just under 10**17
     1e-14,  # just below 10**-14, and 17 digits round it up to it: a carry
-    math.nextafter(1e-5, 0), math.nextafter(1e-100, 0),  # log10 rounds up to the power of ten
+    math.nextafter(1e-5, 0), math.nextafter(1e-100, 0),  # log10 may round up to the power
     math.nextafter(1e-270, 0), 1e-271,  # below the fast path
     *TIES, -TIES[1], 0.5, -2.0, 100.0, 120.5, 1.0, 0.1,
 ]
@@ -73,12 +74,27 @@ def test_pinned_values_match_and_take_the_exact_fallback(monkeypatch):
 
     monkeypatch.setattr(_util, "_g17_exact", recording)
     assert _texts(np.array(PINNED)) == _expected(PINNED)
-    # non-finite, subnormal, out of range, a tie, a carry and a misjudged exponent
-    for x in (math.inf, -math.inf, 5e-324, math.nextafter(SMALLEST_NORMAL, 0), 1e16,
-              1e-271, *TIES, -TIES[1], 1e-14, math.nextafter(1e-5, 0)):
+    # non-finite, subnormal, out of range, a tie and a carry; the values whose path
+    # depends on how log10 rounds are only checked to match
+    for x in (math.inf, -math.inf, 5e-324, math.nextafter(SMALLEST_NORMAL, 0), 10.0, 1e16,
+              math.nextafter(1e16, 0), 1e-271, *TIES, -TIES[1], 1e-14, 100.0, 120.5):
         assert x in exact, x
     assert any(math.isnan(x) for x in exact)
-    assert 0.0 not in exact and 0.5 not in exact and 120.5 not in exact
+    assert 0.0 not in exact and 0.5 not in exact and -2.0 not in exact
+
+
+# values at and around powers of ten, where a log10 one unit in the last place off
+# puts X one off: the fast path must hand them on, not index past its tables
+NEAR_POWERS = [s * v for k in range(-8, 1) for p in (10.0 ** k,)
+               for v in (p, math.nextafter(p, 0), math.nextafter(p, 1), 1.5 * p)
+               for s in (1, -1)]
+
+
+@pytest.mark.parametrize("toward", [-math.inf, math.inf])
+def test_cells_match_when_log10_is_one_ulp_off(monkeypatch, toward):
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+    assert _texts(np.array(NEAR_POWERS)) == _expected(NEAR_POWERS)
 
 
 @pytest.mark.parametrize("shape", [(0,), (3,), (2, 5), (4, 1, 2)])
