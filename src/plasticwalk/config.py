@@ -31,7 +31,8 @@ rules (mode, tau, a, b and the jet rules of each mode) are ``WalkConfig``'s.
 Integer keys (tau, nx, ny, grid, steps, seed) refuse booleans and numbers with
 a fractional part, so 2.5 is an error, not 2; real-valued keys (t_final, eps,
 the eps_list and momenta entries, initial kx and ky, the coin angles) refuse
-booleans.  Unknown sections and keys, such as an "output" section, are ignored.
+booleans.  eps_list and momenta must be JSON arrays, and each momentum an array
+[kx, ky].  Unknown sections and keys, such as an "output" section, are ignored.
 
 Exponents are rationals written as "p/q" strings so the exact matching in the
 term enumerator never sees a float; the two coins' "b" (absent: 1) must be equal.
@@ -102,6 +103,14 @@ def _object(value, name: str) -> dict:
     return value
 
 
+def _array(value, name: str, length: int | None = None) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON array, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{name} must have {length} entries, got {len(value)}")
+    return value
+
+
 def _coin_from_dict(section, name: str) -> tuple[CoinJet, Fraction]:
     """The coin jet of walk.<name> and its driving exponent b (1 when absent)."""
     section = _object(section, "coin section")
@@ -135,9 +144,11 @@ _SECTIONS = {
     "lattice": {"nx": _integer("lattice.nx"), "ny": _integer("lattice.ny")},
     "run": {"t_final": _real("run.t_final"), "eps": _real("run.eps"),
             "grid": _integer("run.grid"), "steps": _integer("run.steps"),
-            "eps_list": lambda v, real=_real("run.eps_list entry"): tuple(map(real, v)),
+            "eps_list": lambda v, real=_real("run.eps_list entry"):
+                tuple(map(real, _array(v, "run.eps_list"))),
             "momenta": lambda v, real=_real("run.momenta entry"):
-                tuple((real(kx), real(ky)) for kx, ky in v),
+                tuple(tuple(map(real, _array(k, "run.momenta entry", 2)))
+                      for k in _array(v, "run.momenta")),
             "initial": _initial_from_dict},
 }
 _SEED = _integer("seed")

@@ -18,10 +18,11 @@ Discrete momenta follow numpy's fft order: 2 pi j / N mapped to
 
 File formats
 ------------
-CSV: header ``l,m,re_L,im_L,re_R,im_R``, one row per site, row-major in
-(l, m), floats as ``'%.17g' % x`` writes them, so every double (-0.0 too)
-reads back bit for bit.  ``save_csv`` formats them an array at a time
-(``_util.g17_cells``) and writes in binary mode: LF line ends on every platform.
+CSV: a header line, then one row ``l,m,re_L,im_L,re_R,im_R`` per site in row-major
+order, the only order ``load_csv`` reads; nx and ny are one more than the last row's
+l and m.  Floats are as ``'%.17g' % x`` writes them, so every double (-0.0 too) reads
+back bit for bit.  ``save_csv`` formats them an array at a time (``_util.g17_cells``)
+and writes in binary mode: LF line ends on every platform.
 
 Binary (little-endian): magic ``b"PWFLD1\\x00\\x00"`` (8 bytes), then Nx,
 Ny as uint32, then the payload: row-major over sites, for each site
@@ -215,105 +216,58 @@ def _index_cells(n: int) -> NDArray[np.uint32]:
 
 
 def load_csv(path) -> SpinorField:
-    """Read a field CSV: nx x ny sites, with nx and ny one more than the largest l and m.
+    """Read a field CSV in the one format :func:`save_csv` writes (module docstring).
 
-    Raises ValueError unless every row has six columns, l and m are integers >= 0,
-    and each site of the nx x ny grid has exactly one row, in any order.  The rows
-    are parsed at most ``_ROW_BLOCK`` at a time.  Rows in row-major order, as
-    :func:`save_csv` writes them, fill the field in place; rows in any other
-    order are kept as a whole table and scattered.
+    The grid is checked against the file size before the field is allocated, and each
+    block of parsed rows against the sites it must hold.  Any other file raises ValueError.
     """
     with open(path) as fh, warnings.catch_warnings():
-        # a block past the last row has no data; a header-only file is refused below
+        # the row to spare, or a block past the last row, may find no data
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        d = _load_row_major(fh, path)
-        if d is None:
-            d = _load_any_order(fh, path)
-    return SpinorField(d)
+        size = os.fstat(fh.fileno()).st_size
+        fh.buffer.seek(max(0, size - 256))
+        last = fh.buffer.read().rstrip().rsplit(b"\n", 1)[-1].split(b",")
+        try:
+            nx, ny = int(last[0]) + 1, int(last[1]) + 1
+            rows = nx * ny
+            if min(nx, ny) < 1 or 12 * rows > size:  # the shortest row is "0,0,0,0,0,0\n"
+                raise ValueError(f"the last row asks for {nx} x {ny} sites")
+            d = np.empty((2, rows), dtype=np.complex128)
+            # numpy reads a file it opens by path in chunks, not line by line: a grid of
+            # one block is parsed so, with a row to spare that shows whether more follow
+            blocks = (_csv_blocks(fh) if rows > _ROW_BLOCK else
+                      [np.loadtxt(path, delimiter=",", skiprows=1, max_rows=rows + 1, ndmin=2)])
+            start = 0
+            for block in blocks:
+                stop = start + len(block)
+                l, m = np.divmod(np.arange(start, stop), ny)
+                if stop > rows or not (block.shape[1] == 6 and np.array_equal(block[:, 0], l)
+                                       and np.array_equal(block[:, 1], m)):
+                    raise ValueError(f"rows {start + 1} to {stop} are not the next sites")
+                # part by part: re + 1j * im would turn a -0.0 part into +0.0
+                d.real[:, start:stop] = block[:, 2::2].T
+                d.imag[:, start:stop] = block[:, 3::2].T
+                start = stop
+                del block  # one block at a time
+            if start != rows:
+                raise ValueError(f"{start} rows for {rows} sites")
+            return SpinorField(d.reshape(2, nx, ny))
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path}: need a header line, then a row l,m,re_L,im_L,re_R,im_R "
+                             "for each site in row-major order, as save_csv writes them") from exc
 
 
-def _csv_blocks(fh, path):
-    """The rows after the header, at most ``_ROW_BLOCK`` a block, as (rows, 6) floats."""
+def _csv_blocks(fh):
+    """The rows after the header, ``_ROW_BLOCK`` at a time, until a block comes short."""
     fh.seek(0)
     fh.readline()
     rows = _ROW_BLOCK
     while rows == _ROW_BLOCK:
         block = np.loadtxt(fh, delimiter=",", max_rows=_ROW_BLOCK, ndmin=2)
         rows = len(block)
-        if rows and block.shape[1] != 6:
-            raise ValueError(f"{path}: need rows of six columns, one a site")
-        if rows:
+        if rows:  # not the empty read after a full last block
             yield block
         del block  # one block at a time, if the caller drops its reference too
-
-
-def _put(d: NDArray[np.complex128], index, block: NDArray[np.float64]) -> None:
-    """Write the psi_L, psi_R columns of ``block`` to ``d[:, index]``, part by part:
-    ``re + 1j * im`` would turn a -0.0 part into +0.0."""
-    d.real[(slice(None),) + index] = block[:, 2::2].T
-    d.imag[(slice(None),) + index] = block[:, 3::2].T
-
-
-def _load_row_major(fh, path) -> NDArray[np.complex128] | None:
-    """The (2, nx, ny) field if the rows run over the grid in row-major order, else None.
-
-    nx and ny come from the last row; the field is allocated only if the file is
-    long enough to hold that many rows, and each block is checked against the
-    sites it must hold.
-    """
-    size = os.fstat(fh.fileno()).st_size
-    fh.buffer.seek(max(0, size - 256))
-    last = fh.buffer.read().rstrip().rsplit(b"\n", 1)[-1].split(b",")
-    try:
-        nx, ny = int(last[0]) + 1, int(last[1]) + 1
-    except (ValueError, IndexError):
-        return None
-    rows = nx * ny
-    if min(nx, ny) < 1 or 12 * rows > size:  # the shortest row is "0,0,0,0,0,0\n"
-        return None
-    d = np.empty((2, rows), dtype=np.complex128)
-    # numpy reads a file it opens by path in chunks, not line by line: a grid of one
-    # block is parsed so, with a row to spare that shows whether more rows follow
-    blocks = (_csv_blocks(fh, path) if rows > _ROW_BLOCK else
-              [np.loadtxt(path, delimiter=",", skiprows=1, max_rows=rows + 1, ndmin=2)])
-    start = 0
-    for block in blocks:
-        stop = start + len(block)
-        if stop > rows or block.shape[1] != 6:
-            return None
-        l, m = np.divmod(np.arange(start, stop), ny)
-        if not (np.array_equal(block[:, 0], l) and np.array_equal(block[:, 1], m)):
-            return None
-        _put(d, (slice(start, stop),), block)
-        start = stop
-        del block
-    return d.reshape(2, nx, ny) if start == rows else None
-
-
-def _load_any_order(fh, path) -> NDArray[np.complex128]:
-    """The field from rows in any order: the whole table, then one scatter."""
-    table = list(_csv_blocks(fh, path))
-    rows = sum(map(len, table))
-    if not rows:
-        raise ValueError(f"{path}: need rows of six columns, one a site")
-    missing = f"{path}: need each site of the grid of l, m >= 0 once, got {rows} rows"
-    # the grid has as many sites as the file has rows before it is allocated (a NaN or
-    # infinite index fails too)
-    lo = np.min([block[:, :2].min() for block in table])
-    nx, ny = np.max([block[:, :2].max(axis=0) for block in table], axis=0) + 1
-    if not (lo >= 0 and nx * ny == rows):
-        raise ValueError(missing)
-    d = np.empty((2, int(nx), int(ny)), dtype=np.complex128)
-    seen = np.zeros(d.shape[1:], dtype=bool)
-    for block in table:
-        ll, mm = block[:, 0].astype(np.int64), block[:, 1].astype(np.int64)
-        if not (np.array_equal(ll, block[:, 0]) and np.array_equal(mm, block[:, 1])):
-            raise ValueError(f"{path}: site indices l, m must be integers")
-        _put(d, (ll, mm), block)
-        seen[ll, mm] = True
-    if not seen.all():  # with nx * ny rows, a site given twice leaves another out
-        raise ValueError(missing)
-    return d
 
 
 def save_binary(field: SpinorField, path) -> None:

@@ -338,8 +338,10 @@ def save_csv_per_site(field: SpinorField, path) -> None:
 def load_csv_table(path) -> SpinorField:
     """A field CSV parsed by one ``np.loadtxt`` of the whole file, then scattered.
 
-    The same checks as ``lattice.load_csv``; ``re + 1j * im`` turns a -0.0 real
-    part into +0.0, so it matches the library up to signed zeros.
+    Rows may come in any order here; ``lattice.load_csv`` reads row-major rows
+    only, as ``save_csv`` writes them, so the two agree on ``save_csv`` files and
+    the oracle also reads the shuffled files the library refuses.  ``re + 1j * im``
+    turns a -0.0 real part into +0.0, so it matches the library up to signed zeros.
     """
     with warnings.catch_warnings():  # a header-only file is refused below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)

@@ -582,7 +582,7 @@ def _fiftieths(doc):
     (_set("run", "t_final", -1e308), "converge", 2,
      "run.t_final must be >= 0 with t_final / eps finite, got -1e+308"),
     (_plastic(_set("run", "momenta", [[1.0]])), "converge", 2,
-     "bad config value: not enough values to unpack (expected 2, got 1)"),
+     "bad config value: run.momenta entry must have 2 entries, got 1"),
     (_root("run", []), "check", 2, "run must be a JSON object, got list"),
     (_root("lattice", 5), "simulate", 2, "lattice must be a JSON object, got int"),
     (_root("seed", -1), "simulate", 2, "seed must be >= 0, got -1"),
@@ -620,6 +620,16 @@ def _fiftieths(doc):
      "bad config value: run.momenta entry must be a number, got True"),
     (_initial_kx(True), "simulate", 2,
      "bad config value: run.initial.kx must be a number, got True"),
+    (_set("run", "eps_list", "123"), "converge", 2,
+     "bad config value: run.eps_list must be a JSON array, got str"),
+    (_set("run", "eps_list", {"0.1": 1, "0.2": 2, "0.3": 3}), "converge", 2,
+     "bad config value: run.eps_list must be a JSON array, got dict"),
+    (_plastic(_set("run", "momenta", ["12", "34"])), "converge", 2,
+     "bad config value: run.momenta entry must be a JSON array, got str"),
+    (_plastic(_set("run", "momenta", {"0.7": -0.3})), "converge", 2,
+     "bad config value: run.momenta must be a JSON array, got dict"),
+    (_plastic(_set("run", "momenta", [[0.7, -0.3, 0.1]])), "converge", 2,
+     "bad config value: run.momenta entry must have 2 entries, got 3"),
     (_overflowing_coin, "dispersion", 1, None),
     (_set("run", "eps_list", [1e308, 1e-3, 1e-4]), "converge", 1, None),
     (_set("run", "eps_list", [1e-30, 1e-31, 1e-32]), "converge", 1, None),
@@ -640,6 +650,8 @@ def _fiftieths(doc):
         "tau-fraction", "tau-bool", "nx-fraction", "ny-bool", "grid-bool", "steps-fraction",
         "seed-fraction", "a-bool", "b-bool", "coin-b-mismatch", "time-b-half", "eps-bool",
         "theta1-bool", "eps_list-bool", "momenta-bool", "initial-kx-bool",
+        "eps_list-string", "eps_list-object", "momenta-strings", "momenta-object",
+        "momenta-long",
         "coin-overflow-nan-phases", "eps_list-huge", "eps_list-tiny-time", "eps_list-tiny-plastic",
         "plastic-momenta-inf", "plastic-momenta-huge", "theta0-huge", "budget-check", "budget-pde", "budget-terms"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")

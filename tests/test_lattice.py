@@ -242,6 +242,8 @@ def test_csv_roundtrip(tmp_path, rng):
 
 
 _HEADER = "l,m,re_L,im_L,re_R,im_R\n"
+# the end of the one message ``load_csv`` refuses a file with
+_CONTRACT = "in row-major order, as save_csv writes them"
 _SITES_2X2 = "0,0,1,0,0,0\n0,1,2,0,0,0\n1,0,3,0,0,0\n1,1,4,0,0,0\n"
 
 
@@ -249,11 +251,6 @@ def _load_text(tmp_path, text):
     path = tmp_path / "field.csv"
     path.write_text(_HEADER + text)
     return load_csv(path)
-
-
-def test_load_csv_reads_rows_in_any_order(tmp_path):
-    back = _load_text(tmp_path, "".join(reversed(_SITES_2X2.splitlines(keepends=True))))
-    assert back.data[0].real.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 @pytest.mark.filterwarnings("error")
@@ -272,7 +269,7 @@ def test_load_csv_refuses_a_malformed_grid(tmp_path, text):
     """Before it allocates more than the file's own size."""
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=_CONTRACT):
             _load_text(tmp_path, text)
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
@@ -301,7 +298,7 @@ def test_load_csv_refuses_a_malformed_grid_in_a_later_block(tmp_path, monkeypatc
     sites[row] = bad
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=_CONTRACT):
             _load_text(tmp_path, "".join(sites))
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
@@ -309,42 +306,114 @@ def test_load_csv_refuses_a_malformed_grid_in_a_later_block(tmp_path, monkeypatc
     assert _load_text(tmp_path, "".join(_SITES_4X4)).data[0].real.ravel().tolist() == list(range(16))
 
 
+def _shuffled_rows(tmp_path) -> str:
+    """The rows of a 4 x 5 field as ``save_csv`` writes them, in a fixed shuffled order."""
+    save_csv(SpinorField.random(4, 5, np.random.default_rng(3)), tmp_path / "field.csv")
+    rows = (tmp_path / "field.csv").read_text().splitlines(keepends=True)[1:]
+    order = np.random.default_rng(4).permutation(len(rows))
+    assert (order != np.arange(len(rows))).any()
+    return "".join(rows[i] for i in order)
+
+
+def _swapped_in_a_later_block(tmp_path) -> str:
+    """The rows of a 4 x 4 grid with rows 7 and 8, inside the third block of three, swapped."""
+    sites = list(_SITES_4X4)
+    sites[7], sites[8] = sites[8], sites[7]
+    return "".join(sites)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows,block", [
+    (lambda tmp_path: "".join(reversed(_SITES_2X2.splitlines(keepends=True))), 2 ** 13),
+    (_swapped_in_a_later_block, 3),
+    (_shuffled_rows, 2 ** 13),
+], ids=["reversed-2x2", "swap-in-a-later-block", "shuffled"])
+def test_load_csv_refuses_rows_out_of_row_major_order(tmp_path, monkeypatch, rows, block):
+    """Rows in any order but row-major are refused, before more than the file is allocated."""
+    monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
+    text = rows(tmp_path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=_CONTRACT):
+            _load_text(tmp_path, text)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("block", [2, 2 ** 13])
-@pytest.mark.parametrize("text,message", [
+@pytest.mark.parametrize("text", [
     # the first line is the header even when it reads as a site of a 2 x 2 grid
-    ("1,1," + "0" * 40 + ",0,0,0\n", "six columns"),
+    "1,1," + "0" * 40 + ",0,0,0\n",
     # the last row (0, 1) gives a 1 x 2 grid, and the rows run on past it in row-major order
-    (_HEADER + "".join(_SITES_4X4[:2] + _SITES_4X4[4:6]) + "0,1,0,0,0,0\n", "need each site"),
+    _HEADER + "".join(_SITES_4X4[:2] + _SITES_4X4[4:6]) + "0,1,0,0,0,0\n",
     # a whole 2 x 2 grid in row-major order, and then its last site again
-    (_HEADER + _SITES_2X2 + "1,1,5,0,0,0\n", "need each site"),
+    _HEADER + _SITES_2X2 + "1,1,5,0,0,0\n",
 ], ids=["numeric-header-alone", "rows-past-the-last-row", "grid-then-a-repeat"])
 def test_load_csv_refuses_rows_that_disagree_with_the_last_row(tmp_path, monkeypatch, text,
-                                                                message, block):
+                                                                block):
     """In blocks of two rows, and in the one call that reads a grid of one block."""
     monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
     path = tmp_path / "field.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=_CONTRACT):
         load_csv(path)
+
+
+# B = _ROW_BLOCK: grids of k B - 1, k B and k B + 1 rows, read in blocks of B rows or, for a
+# grid of at most B rows, in one call with a row to spare
+@pytest.mark.parametrize("nx,ny,block", [
+    (3, 5, 4), (4, 4, 4), (3, 3, 4),     # 4 B - 1, 4 B, 2 B + 1
+    (3, 5, 8), (4, 4, 8), (2, 2, 3),     # 2 B - 1, 2 B, B + 1
+    (3, 5, 16), (4, 4, 16), (2, 2, 4),   # B - 1 and B, in one call
+])
+def test_load_csv_round_trips_at_block_edges(tmp_path, rng, monkeypatch, nx, ny, block):
+    monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
+    field = SpinorField.random(nx, ny, rng)
+    path = tmp_path / "field.csv"
+    save_csv(field, path)
+    back = load_csv(path)
+    assert back.data.tobytes() == field.data.tobytes() == load_csv_table(path).data.tobytes()
+
+
+@pytest.mark.parametrize("block", [2, 4, 16])
+@pytest.mark.parametrize("extra", ["3,3,1,0,0,0\n", "4,0,1,0,0,0\n"], ids=["last-site-again",
+                                                                             "next-site"])
+def test_load_csv_refuses_a_row_after_a_full_last_block(tmp_path, rng, monkeypatch, block,
+                                                        extra):
+    """16 sites fill the last block of 2, 4 or 16 rows; one row more is refused."""
+    monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
+    path = tmp_path / "field.csv"
+    save_csv(SpinorField.random(4, 4, rng), path)
+    with open(path, "a") as fh:
+        fh.write(extra)
+    with pytest.raises(ValueError, match=_CONTRACT):
+        load_csv(path)
+    with pytest.raises(ValueError):
+        load_csv_table(path)
 
 
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(2, 9), ny=st.integers(2, 9), block=st.integers(1, 40),
        shuffle=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_load_csv_matches_the_whole_table_oracle(tmp_path_factory, nx, ny, block, shuffle, seed):
-    """Row-major files fill the field block by block; shuffled rows take the scatter path."""
+    """Row-major files fill the field block by block; shuffled rows are refused."""
     rng = np.random.default_rng(seed)
     field = SpinorField.random(nx, ny, rng)
     path = tmp_path_factory.getbasetemp() / "blocks.csv"
     save_csv(field, path)
+    order = rng.permutation(nx * ny) if shuffle else np.arange(nx * ny)
     if shuffle:
         header, *rows = path.read_text().splitlines(keepends=True)
-        path.write_text(header + "".join(rows[i] for i in rng.permutation(len(rows))))
+        path.write_text(header + "".join(rows[i] for i in order))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_ROW_BLOCK", block)
+        if (order != np.arange(nx * ny)).any():
+            with pytest.raises(ValueError, match=_CONTRACT):
+                load_csv(path)
+            return
         back = load_csv(path)
-        assert np.array_equal(back.data, load_csv_table(path).data)
-    assert back.data.tobytes() == field.data.tobytes()
+    assert back.data.tobytes() == field.data.tobytes() == load_csv_table(path).data.tobytes()
 
 
 def _extreme_field(rng, nx, ny) -> SpinorField:
