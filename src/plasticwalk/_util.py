@@ -177,6 +177,169 @@ def _g17_exact(values: NDArray[np.float64]) -> NDArray[np.uint8]:
     return np.array(text, dtype="S32").view(np.uint8).reshape(-1, 32)
 
 
+_ASCII_0 = 0x3030303030303030  # '0' in every byte of a word
+
+
+@functools.cache
+def _parse_tables():
+    """The lookup tables of the parsers below, built on their first call, not at import:
+    for k = 0 .. 8, the bytes of a little-endian word that hold its last k characters; for
+    k = 0 .. 24 digits that end a window of three words, the bytes of each word they fill;
+    and 10^k for k = 0 .. 16."""
+    last = ~(np.uint64(2 ** 64 - 1) >> np.arange(0, 72, 8, dtype=np.uint64))
+    window = last[np.clip(np.arange(25) - np.array([[16], [8], [0]]), 0, 8)]
+    return last, window, 10 ** np.arange(17, dtype=np.int64)
+
+
+def _word_view(buf):
+    """The 8 bytes at each offset of the uint8 array ``buf``, as overlapping <u8 words."""
+    return np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+
+
+def _digits(words, keep):
+    """The values of the digits in the ``keep`` bytes of each word, the first in the lowest
+    byte, computed in place in ``words``; and whether any kept byte is not a digit."""
+    words ^= _ASCII_0  # a digit byte becomes its value: 0x30 .. 0x39 are 0 .. 9
+    words &= keep
+    bad = words + 0x7676767676767676  # a byte above 9 sets its high bit (a carry comes from one)
+    bad |= words
+    bad = bool(np.bitwise_or.reduce(bad, axis=None) & 0x8080808080808080)
+    # SWAR: 10 a + b of each byte pair, then 100 ab + cd of each pair of pairs, then all eight
+    words *= 10 << 8 | 1
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 100 << 16 | 1
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 10000 << 32 | 1
+    words >>= 32
+    return words, bad
+
+
+def digits_parse(buf, starts, ends):
+    """The value of each cell ``buf[starts:ends]`` of 1 to 8 ASCII digits, as int64, or None
+    if a cell is anything else.  ``buf`` holds 8 bytes before the first cell."""
+    count = ends - starts
+    value, bad = _digits(_word_view(buf)[ends - 8], _parse_tables()[0].take(count, mode="clip"))
+    if bad or count.min() < 1 or count.max() > 8:
+        return None
+    return value.view(np.int64)
+
+
+def g17_parse(buf, starts, ends):
+    """The float64 value of each text cell ``buf[starts:ends]``, bit for bit what ``float``
+    of its text gives, or None if a cell is outside the fast grammar.
+
+    ``buf`` is a uint8 array with 24 bytes before the first cell and 8 after the last; the
+    cells are in order.  The grammar holds what :func:`g17_cells` writes on its fast path,
+    and integers: an optional ``-``, then a digit, a point and up to 24 digits (``1.5``,
+    ``0.00012``), or up to 24 digits and no point; then optionally ``e-`` and 1 to 3 digits.
+
+    Exact scaling (Clinger, PLDI 1990): N, the k digits after the point as one integer plus
+    the digit before it times 10^k, is below 10^17, and the value is N / 10^q with q = k
+    plus the exponent, q <= 290 (so r 2^-93 below stays far above the smallest subnormal,
+    1e-318 or more).  The quotient is formed as r0 = N / hi, corrected by the
+    exact remainder N - r0 (hi + lo) against the table's double-double 10^q = hi + lo
+    (Dekker's TwoProduct), and rounded to r.  Its error is below 2^-100 r, so r is the
+    correctly rounded value whenever the corrected quotient moved by r 2^-93 (about 2^-40
+    units in the last place) either way still rounds to r: the exact value is then not at
+    or near a rounding midpoint.  Every other value of the grammar -- 18 or more
+    significant digits, q > 290, or near a midpoint -- is read by ``float`` one at a time,
+    so no value is ever approximated.
+
+    Layout: the last 8 bytes of a cell show whether it ends with an exponent; the 24 bytes
+    before the exponent (or the cell's end) hold all of its digits, and are read as three
+    words of 8 digits, the bytes before the digits counted as zeros (SWAR: Lemire,
+    Software: Practice and Experience 2021).  Every temporary has one element a cell, and
+    each is deleted once spent: their peak sets the block size of ``lattice._ROW_BLOCK``.
+    """
+    pow10, split10 = _g17_tables()[:2]
+    last, window, powers = _parse_tables()
+    words = _word_view(buf)
+    # not a search for "e": its positions, a small array sized by the text, stay in numpy's
+    # cache of small buffers and can keep the heap above a freed field from shrinking
+    tail = words[ends - 8]
+    count = np.zeros(len(ends), dtype=np.int64)  # the digits of an exponent
+    span = ends - starts
+    for k in (1, 2, 3):  # "e-" at bytes 6 - k and 7 - k of the tail, inside the cell
+        count[((tail >> 8 * (6 - k)) & 0xFFFF == 0x2D65) & (span >= k + 3)] = k
+    del span
+    exponent, bad = _digits(tail, last.take(count, mode="clip"))
+    if bad:
+        return None
+    mend = ends - count
+    mend -= 2 * (count > 0)
+    del tail, count
+    neg = buf[starts] == 45
+    first = starts + neg
+    lead = buf[first] - 48  # uint8: every byte but a digit wraps above 9
+    point = buf[first + 1] == 46
+    k = mend - first - 2 * point  # the digits after the point, or all of them
+    del first
+    # the 24 bytes before the digits end, a word at a time: digits 17-24, 9-16 and 1-8
+    top, bad = _digits(words[mend - 24], window[0].take(k, mode="clip"))
+    mid, wrong = _digits(words[mend - 16], window[1].take(k, mode="clip"))
+    bad |= wrong
+    n, wrong = _digits(words[mend - 8], window[2].take(k, mode="clip"))
+    del mend
+    if bad or wrong or not ((lead <= 9) & (k <= 24)).all():
+        return None
+    lead *= point
+    q = k * point
+    q += exponent.view(np.int64)
+    slow = (top >= 10) | ((lead > 0) & (k > 16)) | (q > 290)  # N >= 10^17
+    mid *= 10 ** 8
+    n += mid
+    top *= 10 ** 16
+    n += top
+    n = n.view(np.int64)
+    n += lead * powers.take(k, mode="clip")
+    del top, mid, exponent, k, lead, point
+    n[slow] = 0
+    q[slow] = 0
+    nh = n.astype(np.float64)
+    n -= nh.astype(np.int64)
+    nl = n.astype(np.float64)  # N = nh + nl exactly
+    del n
+    hi = pow10.real.take(q)
+    r0 = nh / hi
+    c = r0 * 134217729.0  # Dekker's split of r0, for r0 hi = p + pe exactly
+    c -= c - r0
+    rl = r0 - c
+    p = r0 * hi
+    nh -= p  # exact: p is within an ulp of nh
+    nh += nl
+    del nl
+    hh, hl = split10.real.take(q), split10.imag.take(q)
+    pe = c * hh
+    pe -= p
+    del p
+    pe += c * hl
+    pe += rl * hh
+    pe += rl * hl
+    del c, rl, hh, hl
+    nh -= pe
+    del pe
+    nh -= r0 * pow10.imag.take(q)
+    nh /= hi
+    corr = nh  # N / 10^q - r0, to about 2^-50 of itself
+    del q, hi
+    r = r0 + corr
+    nudge = r * 2.0 ** -93
+    slow |= r0 + (corr + nudge) != r
+    slow |= r0 + (corr - nudge) != r
+    np.copysign(r, 0.5 - neg, out=r)
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        r[slow] = _parse_exact(buf, starts[slow], ends[slow])
+    return r
+
+
+def _parse_exact(buf, starts, ends) -> list[float]:
+    """The values of the cells the fast path leaves, by Python's ``float``, one at a time."""
+    return [float(buf[s:e].tobytes()) for s, e in zip(starts.tolist(), ends.tolist())]
+
+
 def cells_text(cells) -> bytes:
     """The bytes of an array of :func:`g17_cells` cells (and other NUL-padded text), in
     order, with every NUL deleted."""

@@ -339,9 +339,9 @@ def load_csv_table(path) -> SpinorField:
     """A field CSV parsed by one ``np.loadtxt`` of the whole file, then scattered.
 
     Rows may come in any order here; ``lattice.load_csv`` reads row-major rows
-    only, as ``save_csv`` writes them, so the two agree on ``save_csv`` files and
-    the oracle also reads the shuffled files the library refuses.  ``re + 1j * im``
-    turns a -0.0 real part into +0.0, so it matches the library up to signed zeros.
+    only, as ``save_csv`` writes them, so the two agree bit for bit on ``save_csv``
+    files (signed zeros too: the real and imaginary parts are set one at a time) and
+    the oracle also reads the shuffled files the library refuses.
     """
     with warnings.catch_warnings():  # a header-only file is refused below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -356,8 +356,9 @@ def load_csv_table(path) -> SpinorField:
     nx, ny = int(nx), int(ny)
     d = np.zeros((2, nx, ny), dtype=np.complex128)
     ll, mm = raw[:, 0].astype(np.int64), raw[:, 1].astype(np.int64)
-    d[0, ll, mm] = raw[:, 2] + 1j * raw[:, 3]
-    d[1, ll, mm] = raw[:, 4] + 1j * raw[:, 5]
+    for spin in range(2):
+        d[spin].real[ll, mm] = raw[:, 2 + 2 * spin]
+        d[spin].imag[ll, mm] = raw[:, 3 + 2 * spin]
     seen = np.zeros((nx, ny), dtype=bool)
     seen[ll, mm] = True
     if not seen.all():  # with nx * ny rows, a site given twice leaves another out

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -352,7 +353,7 @@ def test_load_csv_refuses_rows_out_of_row_major_order(tmp_path, monkeypatch, row
 ], ids=["numeric-header-alone", "rows-past-the-last-row", "grid-then-a-repeat"])
 def test_load_csv_refuses_rows_that_disagree_with_the_last_row(tmp_path, monkeypatch, text,
                                                                 block):
-    """In blocks of two rows, and in the one call that reads a grid of one block."""
+    """In blocks of about two rows, and in one block that holds the whole file."""
     monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
     path = tmp_path / "field.csv"
     path.write_text(text)
@@ -360,12 +361,12 @@ def test_load_csv_refuses_rows_that_disagree_with_the_last_row(tmp_path, monkeyp
         load_csv(path)
 
 
-# B = _ROW_BLOCK: grids of k B - 1, k B and k B + 1 rows, read in blocks of B rows or, for a
-# grid of at most B rows, in one call with a row to spare
+# B = _ROW_BLOCK: grids of k B - 1, k B and k B + 1 rows, read in blocks of B times the
+# mean row length in bytes, to the end of a line: about B rows, or the whole file
 @pytest.mark.parametrize("nx,ny,block", [
     (3, 5, 4), (4, 4, 4), (3, 3, 4),     # 4 B - 1, 4 B, 2 B + 1
     (3, 5, 8), (4, 4, 8), (2, 2, 3),     # 2 B - 1, 2 B, B + 1
-    (3, 5, 16), (4, 4, 16), (2, 2, 4),   # B - 1 and B, in one call
+    (3, 5, 16), (4, 4, 16), (2, 2, 4),   # B - 1 and B, in one block
 ])
 def test_load_csv_round_trips_at_block_edges(tmp_path, rng, monkeypatch, nx, ny, block):
     monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
@@ -416,6 +417,120 @@ def test_load_csv_matches_the_whole_table_oracle(tmp_path_factory, nx, ny, block
     assert back.data.tobytes() == field.data.tobytes() == load_csv_table(path).data.tobytes()
 
 
+def _same_bits(a, b) -> bool:
+    """Bit for bit equal, any NaN equal to any NaN."""
+    a, b = (np.asarray(x).view(np.float64) for x in (a, b))
+    return a.shape == b.shape and bool(
+        ((a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))).all())
+
+
+_ANY_DOUBLE = st.one_of(  # field-like values, which the byte-level parse reads, and any other
+    st.floats(-1.0, 1.0), st.floats(),
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(_ANY_DOUBLE, min_size=24, max_size=24), block=st.integers(1, 4))
+def test_load_csv_reads_any_doubles_as_the_table_oracle(tmp_path_factory, values, block):
+    """Blocks of about ``block`` rows, some parsed as bytes and some by np.loadtxt."""
+    field = SpinorField(np.array(values).view(np.complex128).reshape(2, 3, 2))
+    path = tmp_path_factory.getbasetemp() / "doubles.csv"
+    save_csv(field, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_ROW_BLOCK", block)
+        back = load_csv(path)
+    assert _same_bits(back.data, load_csv_table(path).data)
+    assert _same_bits(back.data, field.data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(st.tuples(st.floats(-1e40, 1e40) | st.sampled_from([math.inf, -math.inf]),
+                                st.sampled_from(["%r", "%.17g", "%e", "%.3f"])),
+                      min_size=16, max_size=16),
+       block=st.integers(1, 4))
+def test_load_csv_reads_each_cell_as_float_does(tmp_path_factory, cells, block):
+    """Floats as %r, %.17g, %e and %.3f write them, in blocks of about ``block`` rows.
+
+    Below 1e40 in magnitude, so the last row fits the 256 bytes ``load_csv`` reads it from.
+    """
+    texts = [fmt % x for x, fmt in cells]
+    rows = [f"{site // 2},{site % 2}," + ",".join(texts[4 * site:4 * site + 4]) + "\n"
+            for site in range(4)]
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    path.write_text(_HEADER + "".join(rows))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_ROW_BLOCK", block)
+        data = load_csv(path).data.reshape(2, 4)
+    parts = np.stack([data[0].real, data[0].imag, data[1].real, data[1].imag], axis=1)
+    assert parts.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+
+def _rows_with(row: int, col: int, cell: str) -> str:
+    """The rows of _SITES_4X4 with one cell replaced."""
+    sites = list(_SITES_4X4)
+    cells = sites[row].split(",")
+    cells[col] = cell + ("\n" if col == 5 else "")
+    sites[row] = ",".join(cells)
+    return "".join(sites)
+
+
+# files np.loadtxt reads, which load_csv reads as np.loadtxt does: each a variant of the
+# 4 x 4 grid, the odd text in its third block of two rows or in every row
+_LOADING = {
+    "crlf": "".join(_SITES_4X4).replace("\n", "\r\n"),
+    "no-final-lf": "".join(_SITES_4X4)[:-1],
+    "comma-space": "".join(_SITES_4X4).replace(",", ", "),
+    "plus": _rows_with(5, 2, "+5"),
+    "capital-e": _rows_with(5, 3, "4E0"),
+    "inf": _rows_with(5, 4, "inf"),
+    "minus-nan": _rows_with(5, 5, "-nan"),
+    "fraction-index": _rows_with(5, 0, "1.0"),
+    "blank-inside": "".join(_SITES_4X4[:5] + ["\n"] + _SITES_4X4[5:]),
+    "blank-after": "".join(_SITES_4X4) + "\n\n",
+    "comment-inside": "".join(_SITES_4X4[:5] + ["# a comment\n"] + _SITES_4X4[5:]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("block", [2, 2 ** 10])
+@pytest.mark.parametrize("name", list(_LOADING))
+def test_load_csv_reads_what_loadtxt_reads_without_a_warning(tmp_path, monkeypatch, name, block):
+    monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
+    path = tmp_path / "field.csv"
+    path.write_bytes((_HEADER + _LOADING[name]).encode())
+    assert _same_bits(load_csv(path).data, load_csv_table(path).data)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("block", [2, 2 ** 10])
+@pytest.mark.parametrize("text", [
+    "".join(_SITES_4X4) + "# a comment\n",  # the last line is not a site
+    _rows_with(5, 2, "4_0"),
+    _rows_with(15, 0, "3.0"),  # the last row's index, which gives the grid, is not an integer
+    _rows_with(5, 5, "0\n0").replace(",0\n0\n", "\n0\n", 1),  # a row over two lines
+], ids=["comment-last", "underscore", "fraction-index-last", "row-over-two-lines"])
+def test_load_csv_refuses_what_it_refused(tmp_path, monkeypatch, text, block):
+    monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
+    with pytest.raises(ValueError, match=_CONTRACT):
+        _load_text(tmp_path, text)
+
+
+@pytest.mark.parametrize("block", [2, 2 ** 10])
+@pytest.mark.parametrize("final_lf", [True, False])
+def test_save_csv_files_parse_as_bytes(tmp_path, rng, monkeypatch, block, final_lf):
+    """No block of what save_csv writes (with or without its last LF) reaches np.loadtxt."""
+    d = SpinorField.random(5, 7, rng).data.copy()
+    d[0, 0, 0] = complex(-0.0, 0.0)
+    d[1, 2, 3] = complex(1e-5, -2.5e-200)
+    path = tmp_path / "field.csv"
+    save_csv(SpinorField(d), path)
+    if not final_lf:
+        path.write_bytes(path.read_bytes()[:-1])
+    monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
+    monkeypatch.setattr(np, "loadtxt", None)
+    assert load_csv(path).data.tobytes() == d.tobytes()
+
+
 def _extreme_field(rng, nx, ny) -> SpinorField:
     """Random values with negative zeros, subnormals and three-digit exponents."""
     d = SpinorField.random(nx, ny, rng).data.copy()
@@ -438,10 +553,10 @@ def test_csv_roundtrip_is_bitwise_exact(tmp_path, rng, nx, ny):
 def test_snapshot_io_memory_stays_near_one_field(tmp_path, rng):
     """At 256^2, each snapshot path holds one field plus one block of rows or sites.
 
-    A block of ``lattice._ROW_BLOCK`` CSV rows and its index checks take under a
-    third of a 256^2 field; the whole-table loader took 3.6 fields, and a save or
-    load through a whole second copy 2.  ``save_csv`` formats ``lattice._SITE_BLOCK``
-    sites at a time.
+    A block of about ``lattice._ROW_BLOCK`` CSV rows, its bytes and the temporaries of
+    their parse, takes about 0.3 of a 256^2 field; the whole-table loader took 3.6
+    fields, and a save or load through a whole second copy 2.  ``save_csv`` formats
+    ``lattice._SITE_BLOCK`` sites at a time.
     """
     f = SpinorField.random(256, 256, rng)
     csv, binary = tmp_path / "field.csv", tmp_path / "field.pwf"
