@@ -178,6 +178,7 @@ def _g17_exact(values: NDArray[np.float64]) -> NDArray[np.uint8]:
 
 
 _ASCII_0 = 0x3030303030303030  # '0' in every byte of a word
+_HIGH_BITS = 0x8080808080808080  # the high bit of every byte of a word
 
 
 @functools.cache
@@ -198,12 +199,12 @@ def _word_view(buf):
 
 def _digits(words, keep):
     """The values of the digits in the ``keep`` bytes of each word, the first in the lowest
-    byte, computed in place in ``words``; and whether any kept byte is not a digit."""
+    byte, computed in place in ``words``; and a word for each whose ``_HIGH_BITS`` are set
+    where a kept byte is not a digit (the value is then of no use)."""
     words ^= _ASCII_0  # a digit byte becomes its value: 0x30 .. 0x39 are 0 .. 9
     words &= keep
     bad = words + 0x7676767676767676  # a byte above 9 sets its high bit (a carry comes from one)
     bad |= words
-    bad = bool(np.bitwise_or.reduce(bad, axis=None) & 0x8080808080808080)
     # SWAR: 10 a + b of each byte pair, then 100 ab + cd of each pair of pairs, then all eight
     words *= 10 << 8 | 1
     words >>= 8
@@ -217,23 +218,24 @@ def _digits(words, keep):
 
 
 def digits_parse(buf, starts, ends):
-    """The value of each cell ``buf[starts:ends]`` of 1 to 8 ASCII digits, as int64, or None
-    if a cell is anything else.  ``buf`` holds 8 bytes before the first cell."""
+    """The value of each cell ``buf[starts:ends]`` of 1 to 8 ASCII digits, as int64; raises
+    ValueError if a cell is anything else.  ``buf`` holds 8 bytes before the first cell."""
     count = ends - starts
     value, bad = _digits(_word_view(buf)[ends - 8], _parse_tables()[0].take(count, mode="clip"))
-    if bad or count.min() < 1 or count.max() > 8:
-        return None
+    if np.bitwise_or.reduce(bad, axis=None) & _HIGH_BITS or count.min() < 1 or count.max() > 8:
+        raise ValueError("a cell is not 1 to 8 digits")
     return value.view(np.int64)
 
 
 def g17_parse(buf, starts, ends):
     """The float64 value of each text cell ``buf[starts:ends]``, bit for bit what ``float``
-    of its text gives, or None if a cell is outside the fast grammar.
+    of its text gives; raises ValueError if ``float`` refuses a cell, or it holds ``_``.
 
     ``buf`` is a uint8 array with 24 bytes before the first cell and 8 after the last; the
-    cells are in order.  The grammar holds what :func:`g17_cells` writes on its fast path,
-    and integers: an optional ``-``, then a digit, a point and up to 24 digits (``1.5``,
-    ``0.00012``), or up to 24 digits and no point; then optionally ``e-`` and 1 to 3 digits.
+    cells are in order.  The fast grammar holds what :func:`g17_cells` writes on its fast
+    path, and integers: an optional ``-``, then a digit, a point and up to 24 digits
+    (``1.5``, ``0.00012``), or up to 24 digits and no point; then optionally ``e-`` and 1 to
+    3 digits.  A cell outside it (``inf``, ``nan``, ``12.5``, ``1e+17``) is read by ``float``.
 
     Exact scaling (Clinger, PLDI 1990): N, the k digits after the point as one integer plus
     the digit before it times 10^k, is below 10^17, and the value is N / 10^q with q = k
@@ -244,8 +246,8 @@ def g17_parse(buf, starts, ends):
     correctly rounded value whenever the corrected quotient moved by r 2^-93 (about 2^-40
     units in the last place) either way still rounds to r: the exact value is then not at
     or near a rounding midpoint.  Every other value of the grammar -- 18 or more
-    significant digits, q > 290, or near a midpoint -- is read by ``float`` one at a time,
-    so no value is ever approximated.
+    significant digits, q > 290, or near a midpoint -- is read by ``float`` too, one cell at
+    a time, so no value is ever approximated.
 
     Layout: the last 8 bytes of a cell show whether it ends with an exponent; the 24 bytes
     before the exponent (or the cell's end) hold all of its digits, and are read as three
@@ -265,8 +267,6 @@ def g17_parse(buf, starts, ends):
         count[((tail >> 8 * (6 - k)) & 0xFFFF == 0x2D65) & (span >= k + 3)] = k
     del span
     exponent, bad = _digits(tail, last.take(count, mode="clip"))
-    if bad:
-        return None
     mend = ends - count
     mend -= 2 * (count > 0)
     del tail, count
@@ -277,17 +277,19 @@ def g17_parse(buf, starts, ends):
     k = mend - first - 2 * point  # the digits after the point, or all of them
     del first
     # the 24 bytes before the digits end, a word at a time: digits 17-24, 9-16 and 1-8
-    top, bad = _digits(words[mend - 24], window[0].take(k, mode="clip"))
+    top, wrong = _digits(words[mend - 24], window[0].take(k, mode="clip"))
+    bad |= wrong
     mid, wrong = _digits(words[mend - 16], window[1].take(k, mode="clip"))
     bad |= wrong
     n, wrong = _digits(words[mend - 8], window[2].take(k, mode="clip"))
-    del mend
-    if bad or wrong or not ((lead <= 9) & (k <= 24)).all():
-        return None
+    bad |= wrong
+    del mend, wrong
+    slow = ((bad & _HIGH_BITS) != 0) | (lead > 9) | (k > 24)  # outside the grammar
+    del bad
     lead *= point
     q = k * point
     q += exponent.view(np.int64)
-    slow = (top >= 10) | ((lead > 0) & (k > 16)) | (q > 290)  # N >= 10^17
+    slow |= (top >= 10) | ((lead > 0) & (k > 16)) | (q > 290)  # N >= 10^17
     mid *= 10 ** 8
     n += mid
     top *= 10 ** 16
@@ -336,8 +338,13 @@ def g17_parse(buf, starts, ends):
 
 
 def _parse_exact(buf, starts, ends) -> list[float]:
-    """The values of the cells the fast path leaves, by Python's ``float``, one at a time."""
-    return [float(buf[s:e].tobytes()) for s, e in zip(starts.tolist(), ends.tolist())]
+    """The values of the cells the fast path leaves, by Python's ``float``, one at a time;
+    ValueError if ``float`` refuses a cell, or it holds ``_`` (which ``float`` reads)."""
+    text = buf.tobytes()
+    cells = [text[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+    if b"_" in b"".join(cells):
+        raise ValueError("an underscore in a cell")
+    return list(map(float, cells))
 
 
 def cells_text(cells) -> bytes:

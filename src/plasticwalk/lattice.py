@@ -18,15 +18,17 @@ Discrete momenta follow numpy's fft order: 2 pi j / N mapped to
 
 File formats
 ------------
-CSV: a header line, then one row ``l,m,re_L,im_L,re_R,im_R`` per site in row-major
-order, the only order ``load_csv`` reads; nx and ny are one more than the last row's
-l and m.  Floats are as ``'%.17g' % x`` writes them, so every double (-0.0 too) reads
-back bit for bit.  ``save_csv`` formats them an array at a time (``_util.g17_cells``)
-and writes in binary mode: LF line ends on every platform.  ``load_csv`` reads the
-bytes a block of rows at a time and parses them an array at a time too: indices of
-plain digits, and floats exactly, by ``_util.g17_parse``.  A block that holds anything
-else (CRLF line ends, blank lines, spaces, ``+4``, ``4E0``, ``inf``) is parsed by
-``np.loadtxt``, so it loads, or is refused, as ``np.loadtxt`` reads it.
+CSV: the header line ``l,m,re_L,im_L,re_R,im_R``, then one row of six cells per site
+in row-major order, the only order ``load_csv`` reads; nx and ny are one more than the
+last row's l and m.  Floats are as ``'%.17g' % x`` writes them, so every double (-0.0
+too) reads back bit for bit.  ``save_csv`` formats them an array at a time
+(``_util.g17_cells``) and writes in binary mode: LF line ends on every platform.
+``load_csv`` reads the bytes a block of rows at a time and parses them an array at a
+time too: indices of plain digits, and floats exactly, by ``_util.g17_parse``, which
+hands each cell outside its fast grammar (``inf``, ``nan``, ``12.5``) to ``float``.
+It reads what ``save_csv`` writes and nothing else: cells separated by ``,``, rows
+ended by LF (the last may have none) and at most 256 bytes long, no byte below ``-``
+but ``+``, and float cells ``float`` reads, without ``_``.
 
 Binary (little-endian): magic ``b"PWFLD1\\x00\\x00"`` (8 bytes), then Nx,
 Ny as uint32, then the payload: row-major over sites, for each site
@@ -40,9 +42,7 @@ interleaved copy of the field.
 
 from __future__ import annotations
 
-import io
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 _MAGIC = b"PWFLD1\x00\x00"
+_HEADER = b"l,m,re_L,im_L,re_R,im_R\n"
 _ROW_SEPARATORS = np.frombuffer(b",,,,,\n", dtype=np.uint8)
 
 # About the CSV rows, or exactly the binary sites, a snapshot reader holds at once beside
@@ -208,7 +209,7 @@ def save_csv(field: SpinorField, path) -> None:
     l_cells, m_cells = _index_cells(nx), _index_cells(ny)
     sites = field.data.reshape(2, nx * ny)
     with open(path, "wb") as fh:
-        fh.write(b"l,m,re_L,im_L,re_R,im_R\n")
+        fh.write(_HEADER)
         for start in range(0, nx * ny, _SITE_BLOCK):
             l, m = np.divmod(np.arange(start, min(start + _SITE_BLOCK, nx * ny)), ny)
             # psi_L then psi_R of each site, as (re, im) pairs
@@ -233,11 +234,9 @@ def load_csv(path) -> SpinorField:
     The grid is checked against the file size before the field is allocated, and each
     block of parsed rows against the sites it must hold.  Any other file raises ValueError.
     """
-    with open(path, "rb") as fh, warnings.catch_warnings():
-        # a block of blank lines, or of comments, holds no data
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+    with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        fh.seek(max(0, size - 256))
+        fh.seek(max(0, size - 256))  # the last row: no row is longer
         last = fh.read().rstrip().rsplit(b"\n", 1)[-1].split(b",")
         try:
             nx, ny = int(last[0]) + 1, int(last[1]) + 1
@@ -246,14 +245,15 @@ def load_csv(path) -> SpinorField:
                 raise ValueError(f"the last row asks for {nx} x {ny} sites")
             d = np.empty((2, rows), dtype=np.complex128)
             fh.seek(0)
-            io.TextIOWrapper(io.BytesIO(fh.readline())).read()  # the header decodes as text
+            if fh.readline(len(_HEADER)) != _HEADER:
+                raise ValueError("the header is not save_csv's")
             start = 0
             # a save_csv row takes at most 128 bytes: a file of longer rows is not one, and
             # its blocks stay as small
             for block in _csv_blocks(fh, _ROW_BLOCK * min(size // rows, 128)):
                 stop = start + len(block)
                 l, m = np.divmod(np.arange(start, stop), ny)
-                if stop > rows or not (block.shape[1] == 6 and np.array_equal(block[:, 0], l)
+                if stop > rows or not (np.array_equal(block[:, 0], l)
                                        and np.array_equal(block[:, 1], m)):
                     raise ValueError(f"rows {start + 1} to {stop} are not the next sites")
                 # part by part: re + 1j * im would turn a -0.0 part into +0.0
@@ -270,54 +270,43 @@ def load_csv(path) -> SpinorField:
 
 
 def _csv_blocks(fh, size):
-    """The rows after the header as tables of six columns, ``size`` bytes at a time and
-    then to the end of the line; a block holding no row is skipped.
-
-    A block of rows as ``save_csv`` writes them is parsed as bytes (:func:`_parse_rows`);
-    any other block is read by ``np.loadtxt`` as text mode decodes it.
-    """
-    buf = np.zeros(24 + size + 256, dtype=np.uint8)  # the kernels read 24 bytes before a cell
+    """The rows after the header as (rows, 6) tables (:func:`_parse_rows`), ``size`` bytes
+    at a time and then to the end of the line.  That rest is read 256 bytes at most, so a
+    longer row is refused without being read whole."""
+    # the kernels read 24 bytes before a cell and 8 after; a last line may need its LF
+    buf = np.zeros(24 + size + 256 + 1 + 8, dtype=np.uint8)
     while n := fh.readinto(buf[24:24 + size]):
-        line = np.frombuffer(fh.readline(), dtype=np.uint8)  # the rest of the last line
-        if 24 + n + len(line) + 9 > len(buf):  # a line longer than the room left
-            buf = np.concatenate((buf[:24 + n], line, np.zeros(9, dtype=np.uint8)))
-        else:
-            buf[24 + n:24 + n + len(line)] = line
-        n += len(line)
-        block = _parse_rows(buf, n)
-        if block is None:
-            text = io.TextIOWrapper(io.BytesIO(buf[24:24 + n].tobytes()))
-            block = np.loadtxt(text, delimiter=",", ndmin=2)
-        if len(block):
-            yield block
-        del block  # one block at a time, if the caller drops its reference too
+        line = fh.readline(256)
+        buf[24 + n:24 + n + len(line)] = np.frombuffer(line, dtype=np.uint8)
+        yield _parse_rows(buf, n + len(line))
 
 
 def _parse_rows(buf, n: int):
     """The rows ``l,m,re_L,im_L,re_R,im_R`` in the ``n`` bytes from ``buf[24]`` as a (rows, 6)
-    table, or None unless each row is six cells and LF: indices of 1 to 8 digits
-    (``_util.digits_parse``), then floats in the grammar of ``_util.g17_parse``."""
+    table.  Raises ValueError unless each row is six cells separated by ``,`` and ended by LF,
+    256 bytes at most: indices of 1 to 8 digits (``_util.digits_parse``), then floats
+    (``_util.g17_parse``)."""
     if buf[24 + n - 1] != 10:  # the last line of the file may have no LF
         buf[24 + n] = 10
         n += 1
     ends = np.flatnonzero(buf[24:24 + n] <= 44)  # separators, and any other byte below '-'
     ends += 24
+    ends = ends[buf[ends] != 43]  # but a '+' is inside its cell
     if len(ends) % 6 or (buf[ends].reshape(-1, 6) != _ROW_SEPARATORS).any():
-        return None
+        raise ValueError("a row is not six cells separated by ',' and ended by LF")
     ends = ends.reshape(-1, 6)
     starts = np.empty_like(ends)  # a cell starts one past the separator before it
     starts[0, 0] = 24
     starts[1:, 0] = ends[:-1, 5] + 1
     starts[:, 1:] = ends[:, :5] + 1
+    if (ends[:, 5] - starts[:, 0] >= 256).any():  # more than 256 bytes with its LF
+        raise ValueError("a row is longer than 256 bytes")
     sites = digits_parse(buf, starts[:, :2], ends[:, :2])
     floats = starts[:, 2:].ravel(), ends[:, 2:].ravel()
     del starts, ends
-    values = None if sites is None else g17_parse(buf, *floats)
-    if values is None:
-        return None
     table = np.empty((len(sites), 6))
     table[:, :2] = sites
-    table[:, 2:] = values.reshape(-1, 4)
+    table[:, 2:] = g17_parse(buf, *floats).reshape(-1, 4)
     return table
 
 

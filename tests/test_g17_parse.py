@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from plasticwalk import _util
 from plasticwalk._util import digits_parse, g17_parse
 
-# what g17_parse reads itself; any other cell sends its whole block elsewhere
+# what g17_parse reads itself; it hands any other cell to float, one cell at a time
 GRAMMAR = re.compile(r"-?(?:[0-9]\.[0-9]{0,24}|[0-9]{1,24})(?:e-[0-9]{1,3})?")
 
 
@@ -41,13 +41,9 @@ FORMATS = ["%r", "%.17g", "%e", "%.3f"]
 @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                           st.sampled_from(FORMATS)), min_size=1, max_size=30))
 def test_cells_read_as_float_reads_them(drawn):
-    """Cells of the grammar read bit for bit as ``float``; any other cell refuses the lot."""
+    """Cells of the grammar and outside it read bit for bit as ``float``, in one block."""
     texts = [fmt % x for x, fmt in drawn]
-    values = _parse(texts)
-    if all(GRAMMAR.fullmatch(t) for t in texts):
-        assert _bits(values) == _bits([float(t) for t in texts])
-    else:
-        assert values is None
+    assert _bits(_parse(texts)) == _bits([float(t) for t in texts])
 
 
 @settings(max_examples=300, deadline=None)
@@ -124,9 +120,22 @@ def test_pinned_cells_read_as_float_and_take_the_exact_fallback(monkeypatch):
 @pytest.mark.parametrize("text", [
     "inf", "-inf", "nan", "-nan", "+4", "4E0", "1e+05", "1E-05", "12.5", " 1", "1 ", "",
     "-", ".5", "-.5", "1.2.3", "0x10", "1e-1234", "1e-", "1e5", "1_0", "1" * 25, "١",
+    "1" + "0" * 24,  # 25 digits: the last 24 alone read as 0
+    "1e-1x",  # not an exponent of digits
 ])
 def test_cells_outside_the_grammar_refuse_the_block(text):
-    assert _parse(["0.5", text, "1"]) is None
+    """Only where ``float`` refuses the cell's bytes, or they hold ``_``: any other cell outside
+    the grammar reads bit for bit as ``float`` reads it, and its neighbours as before."""
+    cell = text.encode()
+    try:
+        value = float(cell) if b"_" not in cell else None
+    except ValueError:
+        value = None
+    if value is None:
+        with pytest.raises(ValueError):
+            _parse(["0.5", text, "1"])
+    else:
+        assert _bits(_parse(["0.5", text, "1"])) == _bits([0.5, value, 1.0])
 
 
 @pytest.mark.parametrize("texts,expected", [
@@ -134,5 +143,9 @@ def test_cells_outside_the_grammar_refuse_the_block(text):
     (["123456789"], None), ([""], None), (["-1"], None), (["1.0"], None), ([" 1"], None),
 ])
 def test_index_cells_are_plain_digits(texts, expected):
-    values = digits_parse(*_cells(texts))
-    assert (values if values is None else values.tolist()) == expected
+    """Any other cell (expected None) raises ValueError."""
+    if expected is None:
+        with pytest.raises(ValueError):
+            digits_parse(*_cells(texts))
+    else:
+        assert digits_parse(*_cells(texts)).tolist() == expected

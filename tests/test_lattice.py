@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plasticwalk import CoinJet, WalkConfig, SpinorField, lattice, walk_k
+from plasticwalk import CoinJet, WalkConfig, SpinorField, _util, lattice, walk_k
 from plasticwalk.lattice import (
     apply_coin, evolve, load_binary, load_csv, momentum_grid, save_binary, save_csv, shift,
     step,
@@ -20,6 +20,7 @@ from conftest import draw_plastic_generic, draw_time_compliant, draw_time_generi
 from oracles import (
     apply_shift_word, dft, evolve_by_symbol, idft, load_csv_table, save_csv_per_site,
 )
+from test_g17_parse import GRAMMAR
 
 
 def test_shift_moves_left_component_down():
@@ -424,7 +425,7 @@ def _same_bits(a, b) -> bool:
         ((a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))).all())
 
 
-_ANY_DOUBLE = st.one_of(  # field-like values, which the byte-level parse reads, and any other
+_ANY_DOUBLE = st.one_of(  # field-like values, which the kernel reads itself, and any other
     st.floats(-1.0, 1.0), st.floats(),
     st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))))
 
@@ -432,7 +433,7 @@ _ANY_DOUBLE = st.one_of(  # field-like values, which the byte-level parse reads,
 @settings(max_examples=80, deadline=None)
 @given(values=st.lists(_ANY_DOUBLE, min_size=24, max_size=24), block=st.integers(1, 4))
 def test_load_csv_reads_any_doubles_as_the_table_oracle(tmp_path_factory, values, block):
-    """Blocks of about ``block`` rows, some parsed as bytes and some by np.loadtxt."""
+    """Blocks of about ``block`` rows, each cell outside the kernel's grammar read by float."""
     field = SpinorField(np.array(values).view(np.complex128).reshape(2, 3, 2))
     path = tmp_path_factory.getbasetemp() / "doubles.csv"
     save_csv(field, path)
@@ -451,7 +452,7 @@ def test_load_csv_reads_any_doubles_as_the_table_oracle(tmp_path_factory, values
 def test_load_csv_reads_each_cell_as_float_does(tmp_path_factory, cells, block):
     """Floats as %r, %.17g, %e and %.3f write them, in blocks of about ``block`` rows.
 
-    Below 1e40 in magnitude, so the last row fits the 256 bytes ``load_csv`` reads it from.
+    Below 1e40 in magnitude, so every row fits the 256 bytes a row may take.
     """
     texts = [fmt % x for x, fmt in cells]
     rows = [f"{site // 2},{site % 2}," + ",".join(texts[4 * site:4 * site + 4]) + "\n"
@@ -474,16 +475,19 @@ def _rows_with(row: int, col: int, cell: str) -> str:
     return "".join(sites)
 
 
-# files np.loadtxt reads, which load_csv reads as np.loadtxt does: each a variant of the
-# 4 x 4 grid, the odd text in its third block of two rows or in every row
+# files np.loadtxt reads, each a variant of the 4 x 4 grid, the odd text in its third
+# block of two rows or in every row: those in the format save_csv writes load as
+# np.loadtxt reads them, and the others are refused
 _LOADING = {
-    "crlf": "".join(_SITES_4X4).replace("\n", "\r\n"),
     "no-final-lf": "".join(_SITES_4X4)[:-1],
-    "comma-space": "".join(_SITES_4X4).replace(",", ", "),
     "plus": _rows_with(5, 2, "+5"),
     "capital-e": _rows_with(5, 3, "4E0"),
     "inf": _rows_with(5, 4, "inf"),
     "minus-nan": _rows_with(5, 5, "-nan"),
+}
+_REFUSED = {
+    "crlf": "".join(_SITES_4X4).replace("\n", "\r\n"),
+    "comma-space": "".join(_SITES_4X4).replace(",", ", "),
     "fraction-index": _rows_with(5, 0, "1.0"),
     "blank-inside": "".join(_SITES_4X4[:5] + ["\n"] + _SITES_4X4[5:]),
     "blank-after": "".join(_SITES_4X4) + "\n\n",
@@ -493,12 +497,17 @@ _LOADING = {
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("block", [2, 2 ** 10])
-@pytest.mark.parametrize("name", list(_LOADING))
+@pytest.mark.parametrize("name", [*_LOADING, *_REFUSED])
 def test_load_csv_reads_what_loadtxt_reads_without_a_warning(tmp_path, monkeypatch, name, block):
     monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
     path = tmp_path / "field.csv"
-    path.write_bytes((_HEADER + _LOADING[name]).encode())
-    assert _same_bits(load_csv(path).data, load_csv_table(path).data)
+    path.write_bytes((_HEADER + {**_LOADING, **_REFUSED}[name]).encode())
+    table = load_csv_table(path).data
+    if name in _LOADING:
+        assert _same_bits(load_csv(path).data, table)
+    else:
+        with pytest.raises(ValueError, match=_CONTRACT):
+            load_csv(path)
 
 
 @pytest.mark.filterwarnings("error")
@@ -515,10 +524,58 @@ def test_load_csv_refuses_what_it_refused(tmp_path, monkeypatch, text, block):
         _load_text(tmp_path, text)
 
 
+@pytest.mark.parametrize("header", [
+    _HEADER.replace("\n", "\r\n"), _HEADER.upper(), _HEADER.replace("\n", ",\n"), "\n",
+], ids=["crlf", "upper-case", "seven-names", "blank"])
+def test_load_csv_refuses_any_other_header(tmp_path, header):
+    path = tmp_path / "field.csv"
+    path.write_bytes((header + _SITES_2X2).encode())
+    with pytest.raises(ValueError, match=_CONTRACT):
+        load_csv(path)
+
+
+def _long_row(row: int, length: int) -> str:
+    """The rows of _SITES_4X4, one of them ``length`` bytes long: its re_L cell zero-padded."""
+    sites = list(_SITES_4X4)
+    l, m, re_l, rest = sites[row].split(",", 3)
+    sites[row] = f"{l},{m},{re_l.zfill(length - len(sites[row]) + len(re_l))},{rest}"
+    assert len(sites[row]) == length
+    return "".join(sites)
+
+
+@pytest.mark.parametrize("block", [3, 2 ** 10])
+@pytest.mark.parametrize("row", [0, 8, 15], ids=["first", "middle", "last"])
+def test_load_csv_refuses_rows_longer_than_256_bytes(tmp_path, monkeypatch, row, block):
+    """Wherever the row sits (first, middle or last), in small blocks and in one."""
+    monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
+    back = _load_text(tmp_path, _long_row(row, 256))
+    assert back.data.tobytes() == load_csv_table(tmp_path / "field.csv").data.tobytes()
+    with pytest.raises(ValueError, match=_CONTRACT):
+        _load_text(tmp_path, _long_row(row, 257))
+
+
+def test_load_csv_refuses_a_long_line_in_bounded_memory(tmp_path):
+    """A 20 MiB row of a 1 x 2 grid is refused without being read whole."""
+    path = tmp_path / "field.csv"
+    path.write_bytes((_HEADER + "0,0," + "0" * 20 * 2 ** 20 + ",0,0,0\n0,1,0,0,0,0\n").encode())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=_CONTRACT):
+            load_csv(path)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def _raise(*args):
+    raise AssertionError("a cell reached float")
+
+
 @pytest.mark.parametrize("block", [2, 2 ** 10])
 @pytest.mark.parametrize("final_lf", [True, False])
 def test_save_csv_files_parse_as_bytes(tmp_path, rng, monkeypatch, block, final_lf):
-    """No block of what save_csv writes (with or without its last LF) reaches np.loadtxt."""
+    """No cell save_csv writes for a normalised field (with or without its last LF) reaches
+    float: the kernel reads each itself."""
     d = SpinorField.random(5, 7, rng).data.copy()
     d[0, 0, 0] = complex(-0.0, 0.0)
     d[1, 2, 3] = complex(1e-5, -2.5e-200)
@@ -527,8 +584,42 @@ def test_save_csv_files_parse_as_bytes(tmp_path, rng, monkeypatch, block, final_
     if not final_lf:
         path.write_bytes(path.read_bytes()[:-1])
     monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
-    monkeypatch.setattr(np, "loadtxt", None)
+    monkeypatch.setattr(_util, "_parse_exact", _raise)
     assert load_csv(path).data.tobytes() == d.tobytes()
+
+
+def _scale(text: str) -> int:
+    """q of a cell of the grammar, its value N / 10^q: the digits after its point plus its
+    exponent."""
+    mantissa, _, exponent = text.partition("e-")
+    return len(mantissa.partition(".")[2]) + int(exponent or 0)
+
+
+@pytest.mark.parametrize("block", [2, 2 ** 10])
+def test_load_csv_hands_float_each_cell_outside_the_grammar(tmp_path, rng, monkeypatch, block):
+    """One cell at a time, not its block: every cell the grammar rejects, and the cells of the
+    grammar past the kernel's scale (q > 290), reach ``float``, and no other."""
+    d = SpinorField.random(4, 4, rng).data.copy()
+    d[0, 1] = [complex(12.5, -1e17), complex(1e300, -1e-300), complex(np.inf, -np.inf),
+               complex(np.nan, -0.0)]
+    d[1, 2] = [complex(5e-324, -2.2250738585072014e-308 / 3), complex(-123.456, 10.0),
+               complex(-1e-310, 2 ** 70), complex(-0.0, 0.0)]
+    field = SpinorField(d)
+    path = tmp_path / "field.csv"
+    save_csv(field, path)
+    seen, fallback = [], _util._parse_exact
+
+    def counting(buf, starts, ends):
+        seen.extend(bytes(buf[s:e]).decode() for s, e in zip(starts, ends))
+        return fallback(buf, starts, ends)
+
+    monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
+    monkeypatch.setattr(_util, "_parse_exact", counting)
+    back = load_csv(path)
+    assert back.data.tobytes() == field.data.tobytes() == load_csv_table(path).data.tobytes()
+    cells = [cell for row in path.read_text().splitlines()[1:] for cell in row.split(",")[2:]]
+    slow = [t for t in cells if not GRAMMAR.fullmatch(t) or _scale(t) > 290]
+    assert sorted(seen) == sorted(slow) and len(slow) == 12  # all set above but +-0 and 10
 
 
 def _extreme_field(rng, nx, ny) -> SpinorField:
