@@ -93,33 +93,23 @@ def _g17_tables():
             np.frombuffer(tail, np.uint64), np.frombuffer(head, np.uint64))
 
 
-def g17_cells(values) -> NDArray[np.uint8]:
-    """``'%.17g' % x`` of each float64 x of ``values``, as ASCII cells of 32 bytes.
+# How far a quantity of the kernels below, in units of y (their docstrings), must lie
+# from a bound it is compared with for the comparison to be trusted
+_MARGIN = 2.0 ** -40
 
-    Returns a ``values.shape + (32,)`` uint8 array.  A cell holds the text of its
-    value with NUL bytes among it; deleting every NUL gives ``'%.17g' % x`` byte for
-    byte.  The last byte of every cell is NUL, so a caller may put a separator there.
 
-    Fast path, for finite x with 1e-270 <= |x| < 10 and for +-0: X = floor(log10|x|),
-    and y = |x| 10^(16 - X) is formed as a double-double, a Dekker TwoProduct against
-    the table's 10^(16 - X) = hi + lo.  TwoProduct is exact, hi + lo is within 2^-106
-    of 10^p (lo = 0 for p <= 22), and y < 2^57, so the error in the fraction of y is
-    below 2^-47.  N = round(y) is then the 17 significant digits of x whenever
-    10^16 < floor(y) and N < 10^17 (X is right and the rounding does not carry) and
-    the fraction of y is more than 2^-40 from 1/2 (the rounding is not a tie, nor
-    near enough to one to be misjudged).  Every other value -- those, and
-    non-finite, subnormal or out-of-range ones -- is formatted by Python's
-    ``'%.17g'`` one at a time, so no value is ever approximated.  A normalised field
-    (|x| <= 1) and a band's momenta and phases (|x| <= pi) lie within the fast path.
+def _decimal_core(flat):
+    """The 17-digit decimal of each float64 of the 1-D ``flat``, as the kernels below share it.
 
-    Cell layout: a word of sign, fixed-notation prefix ("0.", "0.0", ...), the first
-    digit and the point; two words of the 16 other digits, the last nonzero 4-digit
-    group and the groups after it with their trailing zeros NUL; a word of exponent
-    ("e-05") and the free byte.
+    Returns (a, hi, X, below, r, ok).  For finite x with 1e-270 <= |x| < 10, a = |x|
+    (1 elsewhere), X = floor(log10 a), hi the table's 10^(16 - X), and y = a 10^(16 - X)
+    is formed as a double-double, a Dekker TwoProduct against the table's 10^(16 - X) =
+    hi + lo.  TwoProduct is exact, hi + lo is within 2^-106 of 10^p (lo = 0 for p <= 22),
+    and y < 2^57, so the error in r, the fraction of y, is below 2^-47; below = floor(y).
+    ``ok`` marks the values in that range whose X is right as far as below shows,
+    10^16 < below; a kernel adds its own conditions on the rounding.
     """
-    pow10, split10, digits, prefix, tail, head = _g17_tables()
-    x = np.asarray(values, dtype=np.float64)
-    flat = x.ravel()
+    pow10, split10 = _g17_tables()[:2]
     ax = np.abs(flat)
     fast = (ax >= 1e-270) & (ax < 10.0)
     a = np.where(fast, ax, 1.0)
@@ -139,15 +129,25 @@ def g17_cells(values) -> NDArray[np.uint8]:
     whole = np.floor(r)
     r -= whole  # the fraction of y
     below = y.astype(np.int64) + whole.astype(np.int64)  # floor(y)
-    N = below + (r > 0.5)
-    ok = np.abs(r - 0.5) > 2.0 ** -40
-    ok &= fast & (below > 10 ** 16) & (N < 10 ** 17)
-    # the values left to the fallback, and zero, are laid out as 0: every gather below
-    # stays within its table whatever log10 returned
-    slow = ~ok
-    N[slow] = 0
-    X[slow] = 0
-    slow &= ax != 0
+    return a, hi.real, X, below, r, fast & (below > 10 ** 16)
+
+
+def _layout(flat, N, X, ok, slow, exact):
+    """The cells of the 17 digits N (10^16 <= N < 10^17, trailing zeros NUL) at exponent X
+    of each value of ``flat`` that ``ok`` marks, laid out as ``'%.17g'`` does; the cells
+    marked ``slow`` are formatted by ``exact``, one at a time.  Any other value is laid out
+    as 0, with its sign.
+
+    Layout: a word of sign, fixed-notation prefix ("0.", "0.0", ...), the first digit and
+    the point; two words of the 16 other digits, the last nonzero 4-digit group and the
+    groups after it with their trailing zeros NUL; a word of exponent ("e-05") and the
+    free byte.
+    """
+    digits, prefix, tail, head = _g17_tables()[2:]
+    # the values not laid out here are laid out as 0: every gather below stays within
+    # its table whatever log10 returned
+    N[~ok] = 0
+    X[~ok] = 0
     top = N // 10 ** 8
     low = (N - top * 10 ** 8).astype(np.int32)  # int32 divides faster than int64
     top = top.astype(np.int32)
@@ -167,13 +167,108 @@ def g17_cells(values) -> NDArray[np.uint8]:
     cells[:, 0] = head.take(((prefix.take(row) * 10 + d0) * 2 + fraction) * 2 + np.signbit(flat))
     slow = np.flatnonzero(slow)
     if slow.size:
-        chars[slow] = _g17_exact(flat[slow])
+        chars[slow] = exact(flat[slow])
+    return chars
+
+
+def g17_cells(values) -> NDArray[np.uint8]:
+    """``'%.17g' % x`` of each float64 x of ``values``, as ASCII cells of 32 bytes.
+
+    Returns a ``values.shape + (32,)`` uint8 array.  A cell holds the text of its
+    value with NUL bytes among it; deleting every NUL gives ``'%.17g' % x`` byte for
+    byte.  The last byte of every cell is NUL, so a caller may put a separator there.
+
+    Fast path, for finite x with 1e-270 <= |x| < 10 and for +-0: y = |x| 10^(16 - X) to
+    within 2^-47 (:func:`_decimal_core`).  N = round(y) is then the 17 significant
+    digits of x whenever 10^16 < floor(y) and N < 10^17 (X is right and the rounding
+    does not carry) and the fraction of y is more than 2^-40 from 1/2 (the rounding is
+    not a tie, nor near enough to one to be misjudged).  Every other value -- those,
+    and non-finite, subnormal or out-of-range ones -- is formatted by Python's
+    ``'%.17g'`` one at a time, so no value is ever approximated.  A normalised field
+    (|x| <= 1) and a band's momenta and phases (|x| <= pi) lie within the fast path.
+    The layout is :func:`_layout`'s.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    flat = x.ravel()
+    _, _, X, below, r, ok = _decimal_core(flat)
+    N = below + (r > 0.5)
+    ok &= np.abs(r - 0.5) > _MARGIN
+    ok &= N < 10 ** 17
+    chars = _layout(flat, N, X, ok, ~ok & (flat != 0), _g17_exact)
     return chars.reshape(x.shape + (32,))
 
 
 def _g17_exact(values: NDArray[np.float64]) -> NDArray[np.uint8]:
     """The cells of the values the fast path leaves, by Python's ``'%.17g'``, one at a time."""
     text = [b"%.17g" % v for v in values.tolist()]
+    return np.array(text, dtype="S32").view(np.uint8).reshape(-1, 32)
+
+
+# The JSON text of each non-finite float's repr, as json writes it
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def repr_cells(values) -> NDArray[np.uint8]:
+    """Each float64 x of ``values`` as ``json.dumps`` writes it, in :func:`g17_cells`'s cells.
+
+    A cell's text, its NUL bytes deleted, is ``float.__repr__(x)`` for finite x and
+    ``NaN``, ``Infinity`` or ``-Infinity`` otherwise.  repr(x) is the shortest decimal
+    that reads back as x, and of those the nearest to x (Steele & White, PLDI 1990; Ryu,
+    Adams, PLDI 2018).
+
+    Fast path, within :func:`g17_cells`'s (1e-270 <= |x| < 10): with y = |x| 10^(16 - X)
+    known to 2^-47 (:func:`_decimal_core`) and below = floor(y), the candidate of p
+    digits, p = 17 - k, is y rounded to a multiple of 10^k: t = (below mod 10^k) + r
+    rounded to D_p = 0 or 1 step of 10^k.  It reads back as x iff its distance to y,
+    |D_p 10^k - t|, is below H, half the gap between x and its neighbours in units of y:
+    with |x| = m 2^e, m in [0.5, 1), H = 2^(e - 54) 10^(16 - X).  As 10^X <= |x| < 2^e,
+    0.555 < 2^-54 10^16 < H < 2^-53 10^17 < 11.1, so the 17-digit candidate always reads
+    back; the text is then the ``'%.17g'`` layout of N' = D_p 10^(17 - p) for the least p
+    of 15, 16 and 17 whose candidate reads back.  t, the distances and H are each within
+    2^-42 of their exact values (t < 1000 is a sum of an integer and r; H is a table
+    value times a power of two), so every decision is exact when the quantity it
+    compares is more than 2^-40 from H or from a rounding midpoint.  A midpoint matters
+    for p = 17 and 16 only: for p <= 15 it lies 50 or more from both candidates, and
+    neither reads back.
+
+    Left to ``float.__repr__``, one value at a time: what g17_cells leaves; +-0 (``0.0``);
+    powers of two, whose gap below is half the gap above; values whose 14-digit
+    candidate reads back (then their shortest form may be shorter still, and an integral
+    one needs ``.0``); and values with any of those quantities within 2^-40 of a bound.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    flat = x.ravel()
+    a, hi, X, below, r, ok = _decimal_core(flat)
+    m, e = np.frexp(a)
+    ok &= m != 0.5
+    H = np.ldexp(hi, e - 54)
+    N = below + (r > 0.5)
+    ok &= np.abs(r - 0.5) > _MARGIN
+    low = below % 1000
+    for k in (1, 2, 3):  # p = 16, 15, 14: a shorter candidate that reads back wins
+        unit = 10 ** k
+        rest = low % unit
+        d = rest + r
+        d -= unit / 2  # from the midpoint between the candidates below and above y
+        up = d > 0
+        np.abs(d, out=d)
+        if k == 1:
+            ok &= d > _MARGIN
+        d += H - unit / 2  # H less the distance from y to the nearer candidate
+        reads = d > 0
+        ok &= np.abs(d, out=d) > _MARGIN
+        if k < 3:
+            np.copyto(N, below - rest + unit * up, where=reads)
+        else:
+            ok &= ~reads
+    ok &= N < 10 ** 17
+    chars = _layout(flat, N, X, ok, ~ok, _repr_exact)
+    return chars.reshape(x.shape + (32,))
+
+
+def _repr_exact(values: NDArray[np.float64]) -> NDArray[np.uint8]:
+    """The cells of the values the fast path leaves, by ``float.__repr__``, one at a time."""
+    text = [_NONFINITE.get(t, t) for t in map(float.__repr__, values.tolist())]
     return np.array(text, dtype="S32").view(np.uint8).reshape(-1, 32)
 
 

@@ -33,7 +33,7 @@ from . import convergence as conv
 from . import lattice as lat
 from . import plastic as pl
 from . import timelimit as tl
-from ._util import K_BLOCK, cells_text, g17_cells
+from ._util import _NONFINITE, K_BLOCK, cells_text, g17_cells, repr_cells
 from .config import ConfigError, ExperimentConfig
 
 __all__ = ["main"]
@@ -47,8 +47,9 @@ SCHEMA_VERSION = 1
 # commands hold one tile of k-points (and dispersion its 16-byte-a-point band array),
 # so time sets the budget.  At the limit, on a 2-core x86 host: time-mode converge
 # with the default eps_list takes about 7 s and 33 MiB peak RSS (grid 1448), dispersion
-# 2 s (CSV) to 5 s (JSON) and 65 MiB, and simulate of 1448^2 sites with its field CSV
-# 3 to 4.5 s and 0.19 GiB at 1 to 10**12 steps.  The benchmark asks for at most 512^2.
+# 1.4 to 1.6 s (CSV) or 2.0 to 2.7 s (JSON) and 65 MiB, and simulate of 1448^2 sites with
+# its field CSV 3 to 4.5 s and 0.19 GiB at 1 to 10**12 steps.  The benchmark asks for at
+# most 512^2.
 WORK_BUDGET = 2 ** 21
 
 
@@ -68,9 +69,6 @@ def _write(args, parts: Iterable[str]) -> None:
 # JSON as json.dumps(value, sort_keys=True, indent=2) writes it.  That call runs the
 # pure-Python encoder (CPython has a C encoder only for indent=None); here the layout
 # is Python and each leaf goes through the C function json uses for its type.
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _float_text(x: float) -> str:
     text = float.__repr__(x)  # a finite float's repr ends in a digit
     return _NONFINITE[text] if text[-1] in "nf" else text
@@ -145,10 +143,6 @@ def _emit_listing(args, payload: dict, key: str, rows: Iterable[str]) -> None:
         _write(args, itertools.chain((head, "[\n", first), rows, ("\n  ]", tail)))
     else:
         _write(args, (head, "[]", tail))
-
-
-def _f17(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _load(args) -> ExperimentConfig:
@@ -245,7 +239,11 @@ def cmd_converge(args) -> int:
     else:
         run, (kx, ky) = conv.spacetime_convergence, np.array(cfg.momenta, dtype=np.float64).T
     result = run(cfg.walk, cfg.t_final, kx, ky, cfg.eps_list)
-    rows = ["eps,error"] + [f"{_f17(e)},{_f17(err)}" for e, err in result.samples]
+    rows = None
+    if args.format == "csv":
+        cells = g17_cells(np.array(result.samples, dtype=np.float64).reshape(-1, 2))
+        cells[:, 0, -1] = ord(",")
+        rows = ["eps,error"] + [cells_text(row).decode("ascii") for row in cells]
     _emit(args, result.to_dict(), csv_rows=rows)
     if args.format == "csv" and args.output:
         with open(args.output + ".json", "w") as fh:
@@ -253,22 +251,42 @@ def cmd_converge(args) -> int:
     return 0
 
 
-# A JSON row of the band table: its kx and ky are filled in by str.format, its phases
-# by %.  %r is float.__repr__, as json writes it.
-_BAND_ROW = ('    {{\n      "kx": {},\n      "ky": {},\n'
-             '      "phase1": %r,\n      "phase2": %r\n    }}')
+# The JSON text of a row of the band table before its kx, ky, phase1 and phase2, and
+# after them; a row ends with the ",\n" that separates it from the row after
+_BAND_JSON = (b'    {\n      "kx": ', b',\n      "ky": ', b',\n      "phase1": ',
+              b',\n      "phase2": ', b"\n    },\n")
 
 
 def _band_rows(kx, ky, bands):
-    """Yield the JSON rows of the band table over the grid kx (n, 1) x ky (1, n), one kx
-    at a time.
+    """Yield the JSON rows of the band table over the grid kx (n, 1) x ky (1, n), with
+    the separators between them, a block of kx rows (at most ``K_BLOCK / 2`` k-points,
+    as a JSON row is about twice a CSV row) at a time.
 
-    The rows of one kx come from one template, built once with each ky formatted
-    in; each kx fills in its own kx and phases.
+    A row is the text of ``_BAND_JSON`` with a 32-byte cell for each value between its
+    parts, in a block buffer that holds the literal text and the ky cells from the
+    start.  The cells of each kx are formatted once; each block's phases are formatted
+    by one ``repr_cells`` call.
     """
-    line = ",\n".join([_BAND_ROW.format("\0", "%r" % y) for y in ky.ravel().tolist()])
-    for i, (x, phases) in enumerate(zip(kx.ravel().tolist(), bands)):
-        yield (",\n" if i else "") + line.replace("\0", "%r" % x) % tuple(phases.ravel().tolist())
+    kx_cells, ky_cells = repr_cells(kx.ravel()), repr_cells(ky.ravel())
+    step = max(1, K_BLOCK // 2 // len(ky_cells))
+    width = sum(map(len, _BAND_JSON)) + 4 * 32
+    buf = np.empty((min(step, len(kx_cells)), len(ky_cells), width), dtype=np.uint8)
+    slots, at = [], 0
+    for text in _BAND_JSON:  # the literal, then the slot of the value after it
+        buf[..., at:at + len(text)] = np.frombuffer(text, dtype=np.uint8)
+        at += len(text) + 32
+        slots.append(buf[..., at - 32:at])
+    kx_slot, ky_slot, phase1, phase2 = slots[:4]
+    ky_slot[:] = ky_cells
+    for start in range(0, len(kx_cells), step):
+        phases = repr_cells(bands[start:start + step])
+        n = len(phases)
+        kx_slot[:n] = kx_cells[start:start + n, None]
+        phase1[:n] = phases[:, :, 0]
+        phase2[:n] = phases[:, :, 1]
+        if start + n == len(kx_cells):
+            buf[n - 1, -1, -2:] = 0  # no separator after the last row: its NULs are deleted
+        yield cells_text(buf[:n]).decode("ascii")
 
 
 def _band_csv(kx, ky, bands):
@@ -299,12 +317,7 @@ def cmd_dispersion(args) -> int:
     if args.format == "csv":
         _write(args, itertools.chain(("kx,ky,phase1,phase2\n",), _band_csv(kx, ky, bands)))
         return 0
-    rows = _band_rows(kx, ky, bands)
-    if not np.isfinite(bands).all():
-        # %r writes nan, inf and -inf where json writes NaN, Infinity and -Infinity;
-        # neither the row template nor a finite grid momentum contains "nan" or "inf"
-        rows = (r.replace("nan", "NaN").replace("inf", "Infinity") for r in rows)
-    _emit_listing(args, {"eps": cfg.eps}, "bands", rows)
+    _emit_listing(args, {"eps": cfg.eps}, "bands", _band_rows(kx, ky, bands))
     return 0
 
 

@@ -286,22 +286,32 @@ def test_dispersion_infinite_phases_print_as_json_writes_them(tmp_path, capsys, 
 
 @pytest.mark.parametrize("grid,block", [(150, None), (5, 12)])
 def test_dispersion_blocks_match_the_oracle(tmp_path, capsys, monkeypatch, grid, block):
-    """The CSV band table is formatted a block of kx rows at a time: at grid 150, blocks
-    of 27 rows (4,050 of the ``K_BLOCK`` 4,096 k-points) and a last one of 15; at grid
-    5 with a block of 12 k-points, blocks of 2, 2 and 1 rows."""
+    """The CSV and the JSON band tables are each formatted a block of kx rows at a time,
+    the JSON one in blocks of half as many k-points: at grid 150, CSV blocks of 27 rows
+    (4,050 of the ``K_BLOCK`` 4,096 k-points) and a last one of 15, and JSON blocks of
+    13 rows and a last one of 7; at grid 5 with a block of 12 k-points, CSV blocks of
+    2, 2 and 1 rows and JSON blocks of one row, so the ",\n" seams between JSON blocks
+    are compared with json.dumps too."""
     if block is not None:
         monkeypatch.setattr(cli, "K_BLOCK", block)
+    calls = []
+    for name in ("g17_cells", "repr_cells"):
+        kernel = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda v, k=kernel, n=name: calls.append(n) or k(v))
     doc = time_doc()
     doc["run"]["grid"] = grid
     cfg = ExperimentConfig.from_dict(doc)
     ks = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     bands = convergence.dispersion(cfg.walk, cfg.eps, ks[:, None], ks[None, :])
     assert _dispersion_outputs(tmp_path, capsys, doc) == _dispersion_oracle(cfg.eps, grid, bands)
+    # a call for the kx cells, one for the ky cells, then one a block
+    assert (calls.count("g17_cells"), calls.count("repr_cells")) == {150: (8, 14), 5: (5, 7)}[grid]
 
 
 def test_dispersion_json_memory_stays_near_the_band_array(tmp_path):
-    """The band table is written a kx row at a time: at grid 256 (65,536 k-points) the
-    traced peak stays under 12 MiB, where one string of the whole table took 24 MiB."""
+    """The band table is written a block of kx rows at a time: at grid 256 (65,536
+    k-points) the traced peak stays under 12 MiB, where one string of the whole table
+    took 24 MiB."""
     doc = time_doc()
     doc["run"]["grid"] = 256
     proc, _, peak = _run_child(tmp_path, doc, "dispersion")
