@@ -7,7 +7,7 @@ import functools
 import numpy as np
 from numpy.typing import NDArray
 
-from .mat2 import _power, unitarity_defect
+from .mat2 import _defect, _entries, _from_entries, _power
 
 # Largest unitarity defect a walk power W^n may carry.  Squaring adds about 5e-16 of
 # defect per step (measured), so this admits about 2e12 steps; by 1e16 steps the
@@ -37,10 +37,11 @@ def k_tiles(kx, ky):
             for c in (slice(j, j + cols) for j in range(0, ny, cols)))
 
 
-def check_unitary(m, what: str, tol: float) -> NDArray[np.complex128]:
-    """``m`` as a complex array, if every 2x2 slice is unitary to ``tol``."""
-    m = np.asarray(m, dtype=np.complex128)
-    defect = float(np.max(unitarity_defect(m)))
+def check_unitary(m, what: str, tol: float):
+    """``m``, if every 2x2 matrix in it is unitary to ``tol``: a stack, returned as a
+    complex array, or the tuple (a, b, c, d) of its entry planes, returned as it is."""
+    x = m if isinstance(m, tuple) else _entries(m := np.asarray(m, dtype=np.complex128))
+    defect = float(np.max(_defect(x)))
     if not defect <= tol:  # a NaN defect fails too
         raise ValueError(f"{what} is not unitary to {tol:g} (defect {defect:.3e})")
     return m
@@ -53,9 +54,7 @@ def stack_power(m: NDArray[np.complex128], n: int) -> NDArray[np.complex128]:
     beta n.sigma): against an extended-precision reference the closed form is
     about five times less accurate at every n.
     """
-    if n < 0:
-        raise ValueError("negative powers not supported")
-    return _power(m, n)
+    return _from_entries(*_power(_entries(m), n))
 
 
 def flat2(m: NDArray[np.complex128]) -> list[float]:

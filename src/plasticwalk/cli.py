@@ -216,7 +216,7 @@ def cmd_simulate(args) -> int:
         state = lat.SpinorField.random(cfg.nx, cfg.ny, rng)
     norm0 = state.norm()
     state = lat.evolve(state, cfg.walk, cfg.eps, cfg.steps)
-    drift = abs(state.norm() - norm0)
+    norm1 = state.norm()
     field_file = None
     if args.output:
         lat.save_csv(state, args.output + ".field.csv")
@@ -225,8 +225,8 @@ def cmd_simulate(args) -> int:
         "steps": cfg.steps,
         "eps": cfg.eps,
         "norm_initial": norm0,
-        "norm_final": state.norm(),
-        "norm_drift": drift,
+        "norm_final": norm1,
+        "norm_drift": abs(norm1 - norm0),
         "field_file": field_file,
     })
     return 0

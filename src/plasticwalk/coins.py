@@ -25,12 +25,14 @@ from fractions import Fraction
 import numpy as np
 from numpy.typing import NDArray
 
-from .mat2 import diag_mul, mul2, rot
+from .mat2 import _entries, _from_entries, _mul, rot
 
 __all__ = [
     "CoinJet",
     "WalkConfig",
     "coin_at",
+    "coin_pair",
+    "walk_entries",
     "walk_k",
 ]
 
@@ -137,14 +139,27 @@ def coin_at(jet: CoinJet, s: float) -> NDArray[np.complex128]:
                                      @ rot("z", jet.phi0 + jet.phi1 * s))
 
 
+def coin_pair(cfg: WalkConfig, eps: float) -> tuple:
+    """(spacing, C_x, C_y) at eps, coins as entry tuples: all that W(k) takes from eps."""
+    spacing, s = cfg.spacing(eps), cfg.drive(eps)
+    return spacing, _entries(coin_at(cfg.coin_x, s)), _entries(coin_at(cfg.coin_y, s))
+
+
+def walk_entries(pair: tuple, kx, ky) -> tuple:
+    """The entries (a, b, c, d) of W(k) (see :func:`walk_k`) for a :func:`coin_pair`."""
+    factors = []
+    for k, coin in zip((kx, ky), pair[1:]):
+        e = np.exp(1j * np.asarray(k, dtype=np.float64) * pair[0])
+        # diag(e, conj(e)) C, an entry a ufunc call as in mat2.diag_mul, for a scalar e too
+        factors.append(tuple(map(np.multiply, (e, e, e.conj(), e.conj()), coin)))
+    return _mul(*factors)
+
+
 def walk_k(cfg: WalkConfig, kx, ky, eps: float) -> NDArray[np.complex128]:
     """One-step walk symbol W(k) = S_x(kx) C_x(eps) S_y(ky) C_y(eps).
 
     kx, ky broadcast; in plastic mode they are physical momenta and the
     shift phase is k * eps**a.
     """
-    spacing, s = cfg.spacing(eps), cfg.drive(eps)
-    sx = np.exp(1j * np.asarray(kx, dtype=np.float64) * spacing)
-    sy = np.exp(1j * np.asarray(ky, dtype=np.float64) * spacing)
-    return mul2(diag_mul(sx, coin_at(cfg.coin_x, s)), diag_mul(sy, coin_at(cfg.coin_y, s)))
+    return _from_entries(*walk_entries(coin_pair(cfg, eps), kx, ky))
 

@@ -14,11 +14,11 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import WalkConfig, walk_k
-from .mat2 import eigvals2, exp_herm, op_norm
+from .coins import WalkConfig, coin_pair, walk_entries
+from .mat2 import _eig, _entries, _norm, _power, exp_herm
 from .plastic import spacetime_hamiltonian
 from .timelimit import time_hamiltonian
-from ._util import POWER_TOL, check_unitary, k_tiles, stack_power
+from ._util import POWER_TOL, check_unitary, k_tiles
 
 __all__ = [
     "ConvergenceResult",
@@ -77,25 +77,27 @@ def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
     The step count n = round(T / (tau eps)), tau the walk's, rounds the horizon to a
     whole number of stroboscopic blocks; the induced O(eps) time mismatch is absorbed
     into the fitted order.  W^(tau n) must be unitary to POWER_TOL, and H, named
-    ``what`` in errors, Hermitian.  H is evaluated once a tile of ``k_tiles``, every
-    eps runs on it, and each error is the max over the tiles.
+    ``what`` in errors, Hermitian.  The coin pair is built once an eps, H once a tile of
+    ``k_tiles``; each error is the max over the tiles, kept as ``mat2`` entry planes.
     """
     tau = cfg.tau
     eps_list = [float(eps) for eps in sorted(eps_list, reverse=True)]
     steps = [tau * max(1, round(t_final / (tau * eps))) for eps in eps_list]
     errors = [0.0] * len(eps_list)
-    for _, kx_t, ky_t in k_tiles(kx, ky):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
+        pairs = [coin_pair(cfg, eps) for eps in eps_list]
+        for _, kx_t, ky_t in k_tiles(kx, ky):
             h, t = hamiltonian(kx_t, ky_t), None
-            for i, (eps, m) in enumerate(zip(eps_list, steps)):
-                w = check_unitary(walk_k(cfg, kx_t, ky_t, eps), "walk symbol", _UNITARITY_TOL)
-                walk_pow = check_unitary(stack_power(w, m), f"W^({tau} n) at n = {m // tau:.3g}",
+            for i, (eps, m, pair) in enumerate(zip(eps_list, steps, pairs)):
+                w = check_unitary(walk_entries(pair, kx_t, ky_t), "walk symbol", _UNITARITY_TOL)
+                walk_pow = check_unitary(_power(w, m), f"W^({tau} n) at n = {m // tau:.3g}",
                                          POWER_TOL)
                 if m * eps != t:  # eps that divide the horizon alike share one target
                     t = m * eps
-                    target = check_unitary(exp_herm(h, t, what), f"{what} evolution",
-                                           _UNITARITY_TOL)
-                errors[i] = max(errors[i], float(np.max(op_norm(walk_pow - target))))
+                    target = _entries(check_unitary(exp_herm(h, t, what), f"{what} evolution",
+                                                    _UNITARITY_TOL))
+                diff = [p - q for p, q in zip(walk_pow, target)]
+                errors[i] = max(errors[i], float(np.max(_norm(diff))))
     samples = list(zip(eps_list, errors))
     slope, intercept, r2 = fit_order(samples)
     return ConvergenceResult(tuple(samples), slope, intercept, r2)
@@ -130,10 +132,12 @@ def dispersion(cfg: WalkConfig, eps: float, kx, ky) -> NDArray[np.float64]:
     enforced.
     """
     bands = np.empty(np.broadcast(np.asarray(kx), np.asarray(ky)).shape + (2,))
-    for tile, kx_t, ky_t in k_tiles(kx, ky):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-            w = check_unitary(walk_k(cfg, kx_t, ky_t, eps), "walk symbol", _UNITARITY_TOL)
-        phases = np.angle(eigvals2(w))
-        phases = np.where(phases <= -np.pi + 1e-15, phases + 2.0 * np.pi, phases)
-        bands[tile] = np.sort(phases, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+        pair = coin_pair(cfg, eps)
+        for tile, kx_t, ky_t in k_tiles(kx, ky):
+            w = check_unitary(walk_entries(pair, kx_t, ky_t), "walk symbol", _UNITARITY_TOL)
+            p1, p2 = (np.angle(lam) for lam in _eig(*map(np.asarray, w)))  # as eigvals2
+            p1, p2 = (np.where(p <= -np.pi + 1e-15, p + 2.0 * np.pi, p) for p in (p1, p2))
+            # as np.sort orders a tie (0.0, -0.0): both return their second argument
+            bands[tile][..., 0], bands[tile][..., 1] = np.minimum(p2, p1), np.maximum(p1, p2)
     return bands

@@ -48,10 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import WalkConfig, coin_at, walk_k
+from .coins import WalkConfig, coin_at, coin_pair, walk_entries
+from .mat2 import _power
 from ._util import (
     POWER_TOL, cells_text, check_unitary, digits_parse, g17_cells, g17_parse, k_tiles,
-    stack_power,
 )
 
 __all__ = [
@@ -169,21 +169,21 @@ def evolve(field: SpinorField, cfg: WalkConfig, eps: float, steps: int) -> Spino
     """
     if steps == 0:
         return field
-    for jet in (cfg.coin_x, cfg.coin_y):
-        check_unitary(coin_at(jet, cfg.drive(eps)), "coin", 1e-10)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
+        pair = coin_pair(cfg, eps)
+        for coin in pair[1:]:
+            check_unitary(coin, "coin", 1e-10)
     nx, ny = field.shape
-    spacing = cfg.spacing(eps)
-    kx, ky = (k / spacing for k in momentum_grid(nx, ny))
+    kx, ky = (k / pair[0] for k in momentum_grid(nx, ny))
     psi = field.data.copy()
     for axis in (2, 1):
         np.fft.fft(psi, axis=axis, out=psi)
     for tile, kx_t, ky_t in k_tiles(kx, ky):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-            w = check_unitary(stack_power(walk_k(cfg, kx_t, ky_t, eps), steps),
-                              f"W(k)^{steps}", POWER_TOL)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b, c, d = check_unitary(_power(walk_entries(pair, kx_t, ky_t), steps),
+                                       f"W(k)^{steps}", POWER_TOL)
         up, down = psi[0][tile], psi[1][tile]
-        psi[0][tile], psi[1][tile] = (w[..., 0, 0] * up + w[..., 0, 1] * down,
-                                      w[..., 1, 0] * up + w[..., 1, 1] * down)
+        psi[0][tile], psi[1][tile] = a * up + b * down, c * up + d * down
     for axis in (2, 1):
         np.fft.ifft(psi, axis=axis, out=psi)
     return SpinorField(psi)

@@ -9,6 +9,11 @@ whole arrays: numpy's gufunc matmul on a stack of 2x2 matrices costs
 about ten times as much.  A single (2, 2) matrix goes through the same
 formulas on Python complex scalars, which skips numpy's per-call cost.
 
+Entry planes: the private kernels (``_mul``, ``_power``, ``_norm``, ``_defect``,
+``_eig``) take a matrix [[a, b], [c, d]] as the tuple (a, b, c, d) of four arrays
+that broadcast.  The k-space tile loops keep W(k) and its power so, and build no
+(..., 2, 2) stack; the stack functions run the same kernels, bit for bit.
+
 Rotation convention, fixed once for the whole package:
 
     rot(m, w) = exp(-i w sigma_m / 2)
@@ -123,10 +128,11 @@ def mul2(x, y) -> NDArray[np.complex128]:
     return _from_entries(*_mul(_entries(x), _entries(y)))
 
 
-def _power(m, n: int) -> NDArray[np.complex128]:
-    """m^n over the trailing (2, 2) axes for n >= 0, by repeated squaring."""
-    m = np.asarray(m, dtype=np.complex128)
-    out, base = None, _entries(m)
+def _power(x: tuple, n: int) -> tuple:
+    """Entries of M^n for n >= 0, M given by its entries x, by repeated squaring."""
+    if n < 0:
+        raise ValueError("negative powers not supported")
+    out, base = None, x
     while n > 0:
         if n & 1:
             out = base if out is None else _mul(out, base)
@@ -134,8 +140,9 @@ def _power(m, n: int) -> NDArray[np.complex128]:
         if n:
             base = _mul(base, base)
     if out is None:
-        return np.broadcast_to(ID2, m.shape).copy()
-    return _from_entries(*out)
+        one = np.ones(np.broadcast(*x).shape, dtype=np.complex128)
+        return one, 0 * one, 0 * one, one
+    return out
 
 
 def diag_mul(e, m) -> NDArray[np.complex128]:
@@ -162,6 +169,26 @@ def _radius(p, r, q):
     return (h * h + q.real * q.real + q.imag * q.imag) ** 0.5
 
 
+def _norm(x: tuple):
+    """Largest singular value of the matrix with entries x (see :func:`op_norm`)."""
+    p, r, q = _gram(*x)
+    lam = 0.5 * (p + r) + _radius(p, r, q)
+    return np.sqrt(np.maximum(lam, 0.0))
+
+
+def _defect(x: tuple):
+    """||M^dag M - I|| of the matrix with entries x (see :func:`unitarity_defect`)."""
+    p, r, q = _gram(*x)
+    return abs(0.5 * (p + r) - 1.0) + _radius(p, r, q)
+
+
+def _eig(a, b, c, d) -> tuple:
+    """The eigenvalues half-trace +- sqrt(half-trace^2 - (ad - bc)) of [[a, b], [c, d]]."""
+    half_tr = 0.5 * (a + d)
+    disc = np.sqrt(half_tr * half_tr - (a * d - b * c) + 0j)
+    return half_tr + disc, half_tr - disc
+
+
 def op_norm(m: NDArray[np.complex128]) -> NDArray[np.float64]:
     """Largest singular value, via the closed-form 2x2 SVD.
 
@@ -170,9 +197,7 @@ def op_norm(m: NDArray[np.complex128]) -> NDArray[np.float64]:
     a sum of nonnegative terms (no cancellation when the two singular
     values are close).
     """
-    p, r, q = _gram(*_entries(m))
-    lam = 0.5 * (p + r) + _radius(p, r, q)
-    return np.sqrt(np.maximum(lam, 0.0))
+    return _norm(_entries(m))
 
 
 def unitarity_defect(m: NDArray[np.complex128]) -> NDArray[np.float64]:
@@ -181,19 +206,16 @@ def unitarity_defect(m: NDArray[np.complex128]) -> NDArray[np.float64]:
     M^dag M - I is Hermitian, so its norm is its largest eigenvalue in
     modulus: |(p + r)/2 - 1| + sqrt(((p - r)/2)^2 + |q|^2).
     """
-    p, r, q = _gram(*_entries(m))
-    return abs(0.5 * (p + r) - 1.0) + _radius(p, r, q)
+    return _defect(_entries(m))
 
 
 def eigvals2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     """Both eigenvalues of a (..., 2, 2) stack, by the quadratic formula.
 
-    Returns shape (..., 2).  No eigenvectors.
+    Returns shape (..., 2).  No eigenvectors.  A single matrix runs as 0-d arrays.
     """
     m = np.asarray(m, dtype=np.complex128)
-    half_tr = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
-    disc = np.sqrt(half_tr * half_tr - det2(m) + 0j)
-    return np.stack([half_tr + disc, half_tr - disc], axis=-1)
+    return np.stack(_eig(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]), axis=-1)
 
 
 def exp_herm(h: NDArray[np.complex128], t, what: str = "exp_herm input") -> NDArray[np.complex128]:

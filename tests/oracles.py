@@ -14,8 +14,11 @@ no command needs stay here, as oracles for the library's closed forms:
 * real-space shift words, the componentwise DFT and evolution by a
   momentum-space symbol, the site-by-site CSV writer and the whole-table
   CSV loader, the reference for the library's row-block loader;
-* ``dispersion`` and the convergence loop over the whole momentum grid at
-  once, the references for the library's tile-at-a-time forms;
+* the walk symbol W(k), its power and ``evolve`` as (..., 2, 2) stacks over
+  the whole momentum grid at once (the shift-coin factors through
+  ``diag_mul`` and ``mul2``, the power by ``mul2`` squarings), and
+  ``dispersion`` and the convergence loop on them: the references for the
+  library's tile-at-a-time loops on entry planes;
 * a full 2x2 eigendecomposition, the unitarity and Hermiticity
   predicates, and the gufunc matmul forms of the elementwise 2x2
   kernels (walk symbol, squaring, operator norm, unitarity defect,
@@ -52,7 +55,9 @@ from numpy.typing import NDArray
 
 from plasticwalk.coins import CoinJet, WalkConfig, coin_at, walk_k
 from plasticwalk.lattice import SpinorField, momentum_grid
-from plasticwalk.mat2 import ID2, SY, SZ, dag, eigvals2, exp_herm, op_norm, rot, unitarity_defect
+from plasticwalk.mat2 import (
+    ID2, SY, SZ, dag, diag_mul, eigvals2, exp_herm, mul2, op_norm, rot, unitarity_defect,
+)
 from plasticwalk.plastic import (
     TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles, _index_tuples, _pairs,
     _rotations, enumerate_terms, gamma_hat,
@@ -396,10 +401,47 @@ def evolve_by_symbol(field: SpinorField, symbol, t: float,
 # ------------------------------------------------- whole-grid k-space commands
 
 
+def walk_k_stack(cfg: WalkConfig, kx, ky, eps: float) -> NDArray[np.complex128]:
+    """W(k) = S_x(kx) C_x S_y(ky) C_y as a stack: diag_mul each coin by its shift phase,
+    then mul2 the two factors."""
+    spacing, s = cfg.spacing(eps), cfg.drive(eps)
+    sx = np.exp(1j * np.asarray(kx, dtype=np.float64) * spacing)
+    sy = np.exp(1j * np.asarray(ky, dtype=np.float64) * spacing)
+    return mul2(diag_mul(sx, coin_at(cfg.coin_x, s)), diag_mul(sy, coin_at(cfg.coin_y, s)))
+
+
+def power_stack(m: NDArray[np.complex128], n: int) -> NDArray[np.complex128]:
+    """m^n for n >= 0 by repeated squaring, each product a mul2 of two stacks."""
+    out, base = None, m
+    while n > 0:
+        if n & 1:
+            out = base if out is None else mul2(out, base)
+        n >>= 1
+        if n:
+            base = mul2(base, base)
+    return np.broadcast_to(ID2, np.shape(m)).copy() if out is None else out
+
+
+def evolve_whole_grid(field: SpinorField, cfg: WalkConfig, eps: float,
+                      steps: int) -> NDArray[np.complex128]:
+    """The data of ``steps`` walk steps on the FFT of ``field``, W(k)^steps one stack
+    over the whole grid, with the FFTs of ``lattice.evolve`` in its axis order."""
+    kx, ky = (k / cfg.spacing(eps) for k in momentum_grid(*field.shape))
+    psi = field.data.copy()
+    for axis in (2, 1):
+        psi = np.fft.fft(psi, axis=axis)
+    w = power_stack(walk_k_stack(cfg, kx, ky, eps), steps)
+    psi = np.stack([w[..., 0, 0] * psi[0] + w[..., 0, 1] * psi[1],
+                    w[..., 1, 0] * psi[0] + w[..., 1, 1] * psi[1]])
+    for axis in (2, 1):
+        psi = np.fft.ifft(psi, axis=axis)
+    return psi
+
+
 def dispersion_whole_grid(cfg: WalkConfig, eps: float, kx, ky) -> NDArray[np.float64]:
     """Eigenphases of W(k), sorted per momentum, with W built over the whole grid."""
     with np.errstate(over="ignore", invalid="ignore"):
-        w = check_unitary(walk_k(cfg, kx, ky, eps), "walk symbol", 1e-11)
+        w = check_unitary(walk_k_stack(cfg, kx, ky, eps), "walk symbol", 1e-11)
     phases = np.angle(eigvals2(w))
     phases = np.where(phases <= -np.pi + 1e-15, phases + 2.0 * np.pi, phases)
     return np.sort(phases, axis=-1)
@@ -414,8 +456,8 @@ def converge_whole_grid(cfg: WalkConfig, tau: int, hamiltonian, kx, ky, t_final:
     for eps in sorted(eps_list, reverse=True):
         n = max(1, round(t_final / (tau * eps)))
         with np.errstate(over="ignore", invalid="ignore"):
-            w = check_unitary(walk_k(cfg, kx, ky, eps), "walk symbol", 1e-11)
-            walk_pow = check_unitary(stack_power(w, tau * n), "W^(tau n)", POWER_TOL)
+            w = check_unitary(walk_k_stack(cfg, kx, ky, eps), "walk symbol", 1e-11)
+            walk_pow = check_unitary(power_stack(w, tau * n), "W^(tau n)", POWER_TOL)
             target = check_unitary(exp_herm(h, tau * n * eps), "target", 1e-11)
         samples.append((float(eps), float(np.max(op_norm(walk_pow - target)))))
     return samples

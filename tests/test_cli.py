@@ -641,6 +641,7 @@ def _fiftieths(doc):
     (_plastic(_set("run", "momenta", [[0.7, -0.3, 0.1]])), "converge", 2,
      "bad config value: run.momenta entry must have 2 entries, got 3"),
     (_overflowing_coin, "dispersion", 1, None),
+    (_overflowing_coin, "simulate", 1, "coin is not unitary to 1e-10 (defect nan)"),
     (_set("run", "eps_list", [1e308, 1e-3, 1e-4]), "converge", 1, None),
     (_set("run", "eps_list", [1e-30, 1e-31, 1e-32]), "converge", 1, None),
     (_plastic(_set("run", "eps_list", [1e-300, 1e-301, 1e-302])), "converge", 1, None),
@@ -662,7 +663,7 @@ def _fiftieths(doc):
         "theta1-bool", "eps_list-bool", "momenta-bool", "initial-kx-bool",
         "eps_list-string", "eps_list-object", "momenta-strings", "momenta-object",
         "momenta-long",
-        "coin-overflow-nan-phases", "eps_list-huge", "eps_list-tiny-time", "eps_list-tiny-plastic",
+        "coin-overflow-nan-phases", "coin-overflow-simulate", "eps_list-huge", "eps_list-tiny-time", "eps_list-tiny-plastic",
         "plastic-momenta-inf", "plastic-momenta-huge", "theta0-huge", "budget-check", "budget-pde", "budget-terms"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command, code, stderr):

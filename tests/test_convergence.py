@@ -9,11 +9,17 @@ from plasticwalk import (
     CoinJet, WalkConfig, dispersion, fit_order, spacetime_convergence,
     spacetime_hamiltonian, time_convergence, time_hamiltonian, walk_k,
 )
-from plasticwalk.mat2 import det2, exp_herm, op_norm
+from plasticwalk.coins import coin_pair, walk_entries
+from plasticwalk.lattice import SpinorField, evolve
+from plasticwalk.mat2 import _power, det2, exp_herm, op_norm
 from plasticwalk._util import K_BLOCK, k_tiles, stack_power
 
-from conftest import draw_plastic_compliant, draw_time_compliant, draw_time_generic
-from oracles import converge_whole_grid, dispersion_whole_grid
+from conftest import (
+    draw_plastic_compliant, draw_plastic_generic, draw_time_compliant, draw_time_generic,
+)
+from oracles import (
+    converge_whole_grid, dispersion_whole_grid, evolve_whole_grid, power_stack, walk_k_stack,
+)
 
 
 def _kgrid(n):
@@ -265,6 +271,37 @@ def test_k_tiles_run_other_shapes_as_one_tile():
     for kx, ky in ((0.3, -0.2), (momenta, momenta[::-1]), (np.ones((3, 4)), np.ones((3, 4)))):
         [(tile, kx_t, ky_t)] = k_tiles(kx, ky)
         assert tile is Ellipsis and np.array_equal(kx_t, kx) and np.array_equal(ky_t, ky)
+
+
+@settings(max_examples=12, deadline=None)
+@given(grid=st.sampled_from(TILE_GRIDS), plastic=st.booleans(),
+       eps=st.just(0.0) | st.floats(1e-4, 0.3),
+       steps=st.sampled_from([0, 1]) | st.integers(0, 2 ** 20).map(lambda n: 2 * n + 1),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=(2, 5000), plastic=True, eps=0.0, steps=1, seed=0)
+@example(grid=(65, 65), plastic=False, eps=0.05, steps=0, seed=1)
+@example(grid=(64, 64), plastic=True, eps=0.01, steps=1001, seed=2)
+def test_entry_planes_equal_the_stack_oracles_bitwise(grid, plastic, eps, steps, seed):
+    """W(k) and W(k)^steps as entry planes, the stack APIs on them, and evolve (its tiles
+    on entry planes) against (..., 2, 2) stacks over the whole grid, bit for bit."""
+    rng = np.random.default_rng(seed)
+    cfg = draw_plastic_generic(rng) if plastic else draw_time_generic(rng)
+    if eps == 0.0:
+        cfg = replace(cfg, a_exp=0)  # a spacing eps**a needs eps > 0
+    kx, ky = _factors(*grid)
+    w = walk_k_stack(cfg, kx, ky, eps)
+    entries = walk_entries(coin_pair(cfg, eps), kx, ky)
+    assert np.stack(entries, axis=-1).tobytes() == w.reshape(grid + (4,)).tobytes()
+    assert walk_k(cfg, kx, ky, eps).tobytes() == w.tobytes()
+    w_n = power_stack(w, steps)
+    assert np.stack(_power(entries, steps), axis=-1).tobytes() == w_n.reshape(grid + (4,)).tobytes()
+    assert stack_power(w, steps).tobytes() == w_n.tobytes()
+    field = SpinorField.random(*grid, rng)
+    if steps == 0:
+        assert evolve(field, cfg, eps, steps) is field
+    else:
+        assert evolve(field, cfg, eps, steps).data.tobytes() \
+            == evolve_whole_grid(field, cfg, eps, steps).tobytes()
 
 
 @settings(max_examples=12, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plasticwalk import CoinJet, WalkConfig, SpinorField, _util, lattice, walk_k
+from plasticwalk import CoinJet, WalkConfig, SpinorField, _util, coins, lattice, walk_k
 from plasticwalk.lattice import (
     apply_coin, evolve, load_binary, load_csv, momentum_grid, save_binary, save_csv, shift,
     step,
@@ -134,8 +134,9 @@ def test_evolve_zero_steps_returns_the_input(rng):
 def test_evolve_rejects_non_unitary_coin(rng, monkeypatch):
     f = SpinorField.random(4, 4, rng)
     cfg = draw_time_generic(rng)
-    monkeypatch.setattr(lattice, "coin_at", lambda jet, s: np.array([[1.0, 0.2], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="unitary"):
+    # evolve builds its coins once, by coins.coin_pair
+    monkeypatch.setattr(coins, "coin_at", lambda jet, s: np.array([[1.0, 0.2], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="coin is not unitary"):
         evolve(f, cfg, 0.05, 3)
 
 
