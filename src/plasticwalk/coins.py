@@ -25,14 +25,14 @@ from fractions import Fraction
 import numpy as np
 from numpy.typing import NDArray
 
-from .mat2 import _entries, _from_entries, _mul, rot
+from .mat2 import _entries_su2, _from_entries, _mul_su2, rot
 
 __all__ = [
     "CoinJet",
     "WalkConfig",
     "coin_at",
     "coin_pair",
-    "walk_entries",
+    "walk_planes",
     "walk_k",
 ]
 
@@ -139,20 +139,38 @@ def coin_at(jet: CoinJet, s: float) -> NDArray[np.complex128]:
                                      @ rot("z", jet.phi0 + jet.phi1 * s))
 
 
+def _coin_su2(jet: CoinJet, s: float) -> tuple:
+    """The coin at the driving step s in the two-plane form (e^{i delta}, a, b) of ``mat2``:
+    a = cos(theta/2) e^{-i(zeta + phi)/2} and b = -sin(theta/2) e^{-i(zeta - phi)/2}.
+
+    Each is computed in np.longdouble (a 64-bit mantissa on x86-64) from the float64
+    angles and rounded once: the coin's roundoff is the seed of every long power's.
+    """
+    zeta, theta, phi = (np.longdouble(w0 + w1 * s) / 2 for w0, w1 in (
+        (jet.zeta0, jet.zeta1), (jet.theta0, jet.theta1), (jet.phi0, jet.phi1)))
+    return tuple(np.complex128(x) for x in (
+        np.exp(1j * np.longdouble(jet.delta)), np.cos(theta) * np.exp(-1j * (zeta + phi)),
+        -np.sin(theta) * np.exp(-1j * (zeta - phi))))
+
+
 def coin_pair(cfg: WalkConfig, eps: float) -> tuple:
-    """(spacing, C_x, C_y) at eps, coins as entry tuples: all that W(k) takes from eps."""
+    """(spacing, C_x, C_y) at eps, the coins in the two-plane form: all that W(k) takes
+    from eps."""
     spacing, s = cfg.spacing(eps), cfg.drive(eps)
-    return spacing, _entries(coin_at(cfg.coin_x, s)), _entries(coin_at(cfg.coin_y, s))
+    return spacing, _coin_su2(cfg.coin_x, s), _coin_su2(cfg.coin_y, s)
 
 
-def walk_entries(pair: tuple, kx, ky) -> tuple:
-    """The entries (a, b, c, d) of W(k) (see :func:`walk_k`) for a :func:`coin_pair`."""
+def walk_planes(pair: tuple, kx, ky) -> tuple:
+    """W(k) (see :func:`walk_k`) for a :func:`coin_pair`, in the two-plane form (g, a, b).
+
+    diag(e, e*) C is (g, e a, e b) for a coin C = (g, a, b), so W(k) is the two-plane
+    product of (S_x C_x) and (S_y C_y), and g = e^{i(delta_x + delta_y)}.
+    """
     factors = []
-    for k, coin in zip((kx, ky), pair[1:]):
+    for k, (g, a, b) in zip((kx, ky), pair[1:]):
         e = np.exp(1j * np.asarray(k, dtype=np.float64) * pair[0])
-        # diag(e, conj(e)) C, an entry a ufunc call as in mat2.diag_mul, for a scalar e too
-        factors.append(tuple(map(np.multiply, (e, e, e.conj(), e.conj()), coin)))
-    return _mul(*factors)
+        factors.append((g, e * a, e * b))
+    return _mul_su2(*factors)
 
 
 def walk_k(cfg: WalkConfig, kx, ky, eps: float) -> NDArray[np.complex128]:
@@ -161,5 +179,5 @@ def walk_k(cfg: WalkConfig, kx, ky, eps: float) -> NDArray[np.complex128]:
     kx, ky broadcast; in plastic mode they are physical momenta and the
     shift phase is k * eps**a.
     """
-    return _from_entries(*walk_entries(coin_pair(cfg, eps), kx, ky))
+    return _from_entries(*_entries_su2(walk_planes(coin_pair(cfg, eps), kx, ky)))
 

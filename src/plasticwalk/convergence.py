@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import WalkConfig, coin_pair, walk_entries
-from .mat2 import _eig, _entries, _norm, _power, exp_herm
+from .coins import WalkConfig, coin_pair, walk_planes
+from .mat2 import _entries, _entries_su2, _norm, _phases_su2, _power, exp_herm
 from .plastic import spacetime_hamiltonian
 from .timelimit import time_hamiltonian
 from ._util import POWER_TOL, check_unitary, k_tiles
@@ -78,7 +78,8 @@ def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
     whole number of stroboscopic blocks; the induced O(eps) time mismatch is absorbed
     into the fitted order.  W^(tau n) must be unitary to POWER_TOL, and H, named
     ``what`` in errors, Hermitian.  The coin pair is built once an eps, H once a tile of
-    ``k_tiles``; each error is the max over the tiles, kept as ``mat2`` entry planes.
+    ``k_tiles``; each error is the max over the tiles.  W and W^(tau n) stay in the
+    two-plane form of ``mat2``, and W^(tau n) meets the target as four entry planes.
     """
     tau = cfg.tau
     eps_list = [float(eps) for eps in sorted(eps_list, reverse=True)]
@@ -89,9 +90,9 @@ def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
         for _, kx_t, ky_t in k_tiles(kx, ky):
             h, t = hamiltonian(kx_t, ky_t), None
             for i, (eps, m, pair) in enumerate(zip(eps_list, steps, pairs)):
-                w = check_unitary(walk_entries(pair, kx_t, ky_t), "walk symbol", _UNITARITY_TOL)
-                walk_pow = check_unitary(_power(w, m), f"W^({tau} n) at n = {m // tau:.3g}",
-                                         POWER_TOL)
+                w = check_unitary(walk_planes(pair, kx_t, ky_t), "walk symbol", _UNITARITY_TOL)
+                walk_pow = _entries_su2(check_unitary(
+                    _power(w, m), f"W^({tau} n) at n = {m // tau:.3g}", POWER_TOL))
                 if m * eps != t:  # eps that divide the horizon alike share one target
                     t = m * eps
                     target = _entries(check_unitary(exp_herm(h, t, what), f"{what} evolution",
@@ -135,9 +136,6 @@ def dispersion(cfg: WalkConfig, eps: float, kx, ky) -> NDArray[np.float64]:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
         pair = coin_pair(cfg, eps)
         for tile, kx_t, ky_t in k_tiles(kx, ky):
-            w = check_unitary(walk_entries(pair, kx_t, ky_t), "walk symbol", _UNITARITY_TOL)
-            p1, p2 = (np.angle(lam) for lam in _eig(*map(np.asarray, w)))  # as eigvals2
-            p1, p2 = (np.where(p <= -np.pi + 1e-15, p + 2.0 * np.pi, p) for p in (p1, p2))
-            # as np.sort orders a tie (0.0, -0.0): both return their second argument
-            bands[tile][..., 0], bands[tile][..., 1] = np.minimum(p2, p1), np.maximum(p1, p2)
+            w = check_unitary(walk_planes(pair, kx_t, ky_t), "walk symbol", _UNITARITY_TOL)
+            bands[tile][..., 0], bands[tile][..., 1] = _phases_su2(w)
     return bands

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import WalkConfig, coin_at, coin_pair, walk_entries
-from .mat2 import _power
+from .coins import WalkConfig, coin_at, coin_pair, walk_planes
+from .mat2 import _entries_su2, _power
 from ._util import (
     POWER_TOL, cells_text, check_unitary, digits_parse, g17_cells, g17_parse, k_tiles,
 )
@@ -180,8 +180,8 @@ def evolve(field: SpinorField, cfg: WalkConfig, eps: float, steps: int) -> Spino
         np.fft.fft(psi, axis=axis, out=psi)
     for tile, kx_t, ky_t in k_tiles(kx, ky):
         with np.errstate(over="ignore", invalid="ignore"):
-            a, b, c, d = check_unitary(_power(walk_entries(pair, kx_t, ky_t), steps),
-                                       f"W(k)^{steps}", POWER_TOL)
+            a, b, c, d = _entries_su2(check_unitary(_power(walk_planes(pair, kx_t, ky_t), steps),
+                                                    f"W(k)^{steps}", POWER_TOL))
         up, down = psi[0][tile], psi[1][tile]
         psi[0][tile], psi[1][tile] = a * up + b * down, c * up + d * down
     for axis in (2, 1):

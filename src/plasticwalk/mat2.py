@@ -9,10 +9,19 @@ whole arrays: numpy's gufunc matmul on a stack of 2x2 matrices costs
 about ten times as much.  A single (2, 2) matrix goes through the same
 formulas on Python complex scalars, which skips numpy's per-call cost.
 
-Entry planes: the private kernels (``_mul``, ``_power``, ``_norm``, ``_defect``,
-``_eig``) take a matrix [[a, b], [c, d]] as the tuple (a, b, c, d) of four arrays
-that broadcast.  The k-space tile loops keep W(k) and its power so, and build no
-(..., 2, 2) stack; the stack functions run the same kernels, bit for bit.
+Entry planes: the private kernels (``_mul``, ``_power``, ``_norm``, ``_defect``)
+take a matrix [[a, b], [c, d]] as the tuple (a, b, c, d) of four arrays that
+broadcast; the stack functions run the same kernels, bit for bit.
+
+Two-plane form: a matrix g [[a, b], [-b*, a*]], a scalar phase g times an SU(2)
+part, is the tuple (g, a, b).  Every coin e^{i delta} R_z R_y R_z, every shift
+diag(e^{ik}, e^{-ik}) times a coin, and so the walk symbol W(k) and its powers
+have this form, and products keep it.  The k-space tile loops carry W(k) so:
+``_mul_su2``, the squaring (a^2 - |b|^2, 2 Re(a) b) in ``_power``, the defect
+``_defect`` (M^dag M = |g|^2 (|a|^2 + |b|^2) I exactly, so
+||M^dag M - I|| = ||g|^2 (|a|^2 + |b|^2) - 1|) and the eigenphases
+``_phases_su2`` work on half the arrays of four entry planes, and
+``_entries_su2`` expands the four entries where a general matrix meets them.
 
 Rotation convention, fixed once for the whole package:
 
@@ -23,6 +32,8 @@ All tolerances are absolute; default 1e-12 for algebraic identities and
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.typing import NDArray
@@ -128,21 +139,54 @@ def mul2(x, y) -> NDArray[np.complex128]:
     return _from_entries(*_mul(_entries(x), _entries(y)))
 
 
+def _mul_su2(x: tuple, y: tuple) -> tuple:
+    """The two-plane form of the product of two matrices in the two-plane form."""
+    g, a, b = x
+    h, e, f = y
+    p = a * e
+    p -= b * f.conjugate()
+    q = a * f
+    q += b * e.conjugate()
+    return g * h, p, q
+
+
+def _square_su2(x: tuple) -> tuple:
+    """The two-plane form (g^2, a^2 - |b|^2, 2 Re(a) b) of the square of x = (g, a, b)."""
+    g, a, b = x
+    twice_re = a.conjugate()
+    twice_re += a
+    twice_re *= b
+    norm_b = b.conjugate()
+    norm_b *= b
+    square = a * a
+    square -= norm_b
+    return g * g, square, twice_re
+
+
 def _power(x: tuple, n: int) -> tuple:
-    """Entries of M^n for n >= 0, M given by its entries x, by repeated squaring."""
+    """M^n for n >= 0 by repeated squaring, M given by its four entries x or in the
+    two-plane form x = (g, a, b); M^n comes in the same form."""
     if n < 0:
         raise ValueError("negative powers not supported")
+    su2 = len(x) == 3
+    mul, square = (_mul_su2, _square_su2) if su2 else (_mul, lambda m: _mul(m, m))
     out, base = None, x
     while n > 0:
         if n & 1:
-            out = base if out is None else _mul(out, base)
+            out = base if out is None else mul(out, base)
         n >>= 1
         if n:
-            base = _mul(base, base)
+            base = square(base)
     if out is None:
         one = np.ones(np.broadcast(*x).shape, dtype=np.complex128)
-        return one, 0 * one, 0 * one, one
+        return (1.0 + 0j, one, 0 * one) if su2 else (one, 0 * one, 0 * one, one)
     return out
+
+
+def _entries_su2(x: tuple) -> tuple:
+    """The four entries (g a, g b, -g b*, g a*) of the matrix x = (g, a, b)."""
+    g, a, b = x
+    return g * a, g * b, -g * b.conjugate(), g * a.conjugate()
 
 
 def diag_mul(e, m) -> NDArray[np.complex128]:
@@ -177,16 +221,45 @@ def _norm(x: tuple):
 
 
 def _defect(x: tuple):
-    """||M^dag M - I|| of the matrix with entries x (see :func:`unitarity_defect`)."""
-    p, r, q = _gram(*x)
-    return abs(0.5 * (p + r) - 1.0) + _radius(p, r, q)
+    """||M^dag M - I|| of the matrix given by its four entries x (see
+    :func:`unitarity_defect`), or in the two-plane form x = (g, a, b):
+    ||g|^2 (|a|^2 + |b|^2) - 1|."""
+    if len(x) == 4:
+        p, r, q = _gram(*x)
+        return abs(0.5 * (p + r) - 1.0) + _radius(p, r, q)
+    g, a, b = x
+    s = a.real * a.real
+    s += a.imag * a.imag
+    s += b.real * b.real
+    s += b.imag * b.imag
+    s *= g.real * g.real + g.imag * g.imag
+    s -= 1.0
+    return abs(s)
 
 
-def _eig(a, b, c, d) -> tuple:
-    """The eigenvalues half-trace +- sqrt(half-trace^2 - (ad - bc)) of [[a, b], [c, d]]."""
-    half_tr = 0.5 * (a + d)
-    disc = np.sqrt(half_tr * half_tr - (a * d - b * c) + 0j)
-    return half_tr + disc, half_tr - disc
+def _wrap(p):
+    """The phases of the float array p, in [-2 pi, 2 pi], as the same angles in (-pi, pi],
+    in place; every phase within 1e-15 of -pi becomes pi exactly.  Each shift by 2 pi
+    is exact."""
+    p = np.asarray(p)
+    np.subtract(p, 2.0 * np.pi, out=p, where=p > np.pi)
+    np.add(p, 2.0 * np.pi, out=p, where=p < -np.pi - 1e-15)
+    np.copyto(p, np.pi, where=p <= -np.pi + 1e-15)
+    return p
+
+
+def _phases_su2(x: tuple) -> tuple:
+    """The eigenphases (lower, upper) of the matrix x = (g, a, b), in (-pi, pi].
+
+    Its eigenvalues are g (Re a +- i sqrt(Im(a)^2 + |b|^2)) when |a|^2 + |b|^2 = 1, so
+    the phases are arg g +- atan2(sqrt(Im(a)^2 + |b|^2), Re a), each wrapped by
+    :func:`_wrap`.
+    """
+    g, a, b = x
+    half_gap = np.arctan2(np.sqrt(a.imag * a.imag + b.real * b.real + b.imag * b.imag), a.real)
+    arg = math.atan2(g.imag, g.real)
+    p1, p2 = _wrap(arg + half_gap), _wrap(arg - half_gap)
+    return np.minimum(p1, p2), np.maximum(p1, p2)
 
 
 def op_norm(m: NDArray[np.complex128]) -> NDArray[np.float64]:
@@ -215,7 +288,10 @@ def eigvals2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     Returns shape (..., 2).  No eigenvectors.  A single matrix runs as 0-d arrays.
     """
     m = np.asarray(m, dtype=np.complex128)
-    return np.stack(_eig(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]), axis=-1)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    half_tr = 0.5 * (a + d)
+    disc = np.sqrt(half_tr * half_tr - (a * d - b * c) + 0j)
+    return np.stack((half_tr + disc, half_tr - disc), axis=-1)
 
 
 def exp_herm(h: NDArray[np.complex128], t, what: str = "exp_herm input") -> NDArray[np.complex128]:

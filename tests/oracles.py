@@ -17,8 +17,12 @@ no command needs stay here, as oracles for the library's closed forms:
 * the walk symbol W(k), its power and ``evolve`` as (..., 2, 2) stacks over
   the whole momentum grid at once (the shift-coin factors through
   ``diag_mul`` and ``mul2``, the power by ``mul2`` squarings), and
-  ``dispersion`` and the convergence loop on them: the references for the
-  library's tile-at-a-time loops on entry planes;
+  ``dispersion`` and the convergence loop on them: the four-entry references
+  for the library's tile-at-a-time loops on the two-plane form;
+* the same whole-grid commands on the library's two-plane kernels (W(k)^n by
+  ``walk_planes`` and the two-plane squaring, the bands by ``_phases_su2``):
+  the references the tile loops equal bit for bit;
+* W(k) and its power in extended precision, from the walk's float64 angles;
 * a full 2x2 eigendecomposition, the unitarity and Hermiticity
   predicates, and the gufunc matmul forms of the elementwise 2x2
   kernels (walk symbol, squaring, operator norm, unitarity defect,
@@ -53,10 +57,11 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from plasticwalk.coins import CoinJet, WalkConfig, coin_at, walk_k
+from plasticwalk.coins import CoinJet, WalkConfig, coin_at, coin_pair, walk_k, walk_planes
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import (
-    ID2, SY, SZ, dag, diag_mul, eigvals2, exp_herm, mul2, op_norm, rot, unitarity_defect,
+    ID2, SY, SZ, _entries_su2, _from_entries, _phases_su2, _power, dag, diag_mul, eigvals2,
+    exp_herm, mul2, op_norm, rot, unitarity_defect,
 )
 from plasticwalk.plastic import (
     TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles, _index_tuples, _pairs,
@@ -422,15 +427,45 @@ def power_stack(m: NDArray[np.complex128], n: int) -> NDArray[np.complex128]:
     return np.broadcast_to(ID2, np.shape(m)).copy() if out is None else out
 
 
-def evolve_whole_grid(field: SpinorField, cfg: WalkConfig, eps: float,
-                      steps: int) -> NDArray[np.complex128]:
+def walk_power_stack(cfg: WalkConfig, kx, ky, eps: float, n: int) -> NDArray[np.complex128]:
+    """W(k)^n over the whole grid, four entries a matrix: power_stack of walk_k_stack."""
+    return power_stack(walk_k_stack(cfg, kx, ky, eps), n)
+
+
+def walk_power_planes(cfg: WalkConfig, kx, ky, eps: float, n: int) -> NDArray[np.complex128]:
+    """W(k)^n over the whole grid in the library's two-plane form (walk_planes, then the
+    squarings of mat2._power), expanded to a stack."""
+    return _from_entries(*_entries_su2(_power(walk_planes(coin_pair(cfg, eps), kx, ky), n)))
+
+
+def walk_power_extended(cfg: WalkConfig, kx, ky, eps: float, n: int) -> NDArray[np.clongdouble]:
+    """W(k)^n in np.clongdouble (64-bit mantissa on x86-64): each coin e^{i delta}
+    R_z(zeta) R_y(theta) R_z(phi) and shift phase k * spacing taken as the library's
+    float64 values, every function of them and every product in extended precision."""
+    spacing, s = cfg.spacing(eps), cfg.drive(eps)
+    factors = []
+    for k, jet in ((kx, cfg.coin_x), (ky, cfg.coin_y)):
+        zeta, theta, phi = (np.longdouble(w0 + w1 * s) / 2 for w0, w1 in (
+            (jet.zeta0, jet.zeta1), (jet.theta0, jet.theta1), (jet.phi0, jet.phi1)))
+        z, p = np.exp(-1j * np.clongdouble(zeta)), np.exp(-1j * np.clongdouble(phi))
+        coin = np.exp(1j * np.clongdouble(jet.delta)) * np.array(
+            [[np.cos(theta) * z * p, -np.sin(theta) * z / p],
+             [np.sin(theta) / z * p, np.cos(theta) / z / p]])
+        e = np.exp(1j * (np.asarray(k, dtype=np.float64) * spacing).astype(np.clongdouble))
+        factors.append(np.stack([e, 1 / e], axis=-1)[..., None] * coin)
+    return stack_power_matmul(factors[0] @ factors[1], n, dtype=np.clongdouble)
+
+
+def evolve_whole_grid(field: SpinorField, cfg: WalkConfig, eps: float, steps: int,
+                      walk_power=walk_power_stack) -> NDArray[np.complex128]:
     """The data of ``steps`` walk steps on the FFT of ``field``, W(k)^steps one stack
-    over the whole grid, with the FFTs of ``lattice.evolve`` in its axis order."""
+    over the whole grid by ``walk_power``, with the FFTs of ``lattice.evolve`` in its
+    axis order."""
     kx, ky = (k / cfg.spacing(eps) for k in momentum_grid(*field.shape))
     psi = field.data.copy()
     for axis in (2, 1):
         psi = np.fft.fft(psi, axis=axis)
-    w = power_stack(walk_k_stack(cfg, kx, ky, eps), steps)
+    w = walk_power(cfg, kx, ky, eps, steps)
     psi = np.stack([w[..., 0, 0] * psi[0] + w[..., 0, 1] * psi[1],
                     w[..., 1, 0] * psi[0] + w[..., 1, 1] * psi[1]])
     for axis in (2, 1):
@@ -447,17 +482,24 @@ def dispersion_whole_grid(cfg: WalkConfig, eps: float, kx, ky) -> NDArray[np.flo
     return np.sort(phases, axis=-1)
 
 
+def dispersion_planes_whole_grid(cfg: WalkConfig, eps: float, kx, ky) -> NDArray[np.float64]:
+    """The eigenphases of W(k) by mat2._phases_su2, with W built over the whole grid."""
+    return np.stack(_phases_su2(walk_planes(coin_pair(cfg, eps), kx, ky)), axis=-1)
+
+
 def converge_whole_grid(cfg: WalkConfig, tau: int, hamiltonian, kx, ky, t_final: float,
-                        eps_list) -> list[tuple[float, float]]:
+                        eps_list, walk_power=walk_power_stack) -> list[tuple[float, float]]:
     """The (eps, error) samples of the convergence loop, eps outside, each eps over
-    the whole grid: sup-norm distance between W^(tau n) and exp(-i H tau n eps)."""
+    the whole grid: sup-norm distance between W^(tau n), by ``walk_power``, and
+    exp(-i H tau n eps)."""
     h = hamiltonian(np.asarray(kx, dtype=np.float64), np.asarray(ky, dtype=np.float64))
     samples = []
     for eps in sorted(eps_list, reverse=True):
         n = max(1, round(t_final / (tau * eps)))
         with np.errstate(over="ignore", invalid="ignore"):
-            w = check_unitary(walk_k_stack(cfg, kx, ky, eps), "walk symbol", 1e-11)
-            walk_pow = check_unitary(power_stack(w, tau * n), "W^(tau n)", POWER_TOL)
+            check_unitary(walk_power(cfg, kx, ky, eps, 1), "walk symbol", 1e-11)
+            walk_pow = check_unitary(walk_power(cfg, kx, ky, eps, tau * n), "W^(tau n)",
+                                     POWER_TOL)
             target = check_unitary(exp_herm(h, tau * n * eps), "target", 1e-11)
         samples.append((float(eps), float(np.max(op_norm(walk_pow - target)))))
     return samples

@@ -9,16 +9,17 @@ from plasticwalk import (
     CoinJet, WalkConfig, dispersion, fit_order, spacetime_convergence,
     spacetime_hamiltonian, time_convergence, time_hamiltonian, walk_k,
 )
-from plasticwalk.coins import coin_pair, walk_entries
+from plasticwalk.coins import coin_pair, walk_planes
 from plasticwalk.lattice import SpinorField, evolve
-from plasticwalk.mat2 import _power, det2, exp_herm, op_norm
+from plasticwalk.mat2 import _entries_su2, _power, det2, exp_herm, op_norm
 from plasticwalk._util import K_BLOCK, k_tiles, stack_power
 
 from conftest import (
     draw_plastic_compliant, draw_plastic_generic, draw_time_compliant, draw_time_generic,
 )
 from oracles import (
-    converge_whole_grid, dispersion_whole_grid, evolve_whole_grid, power_stack, walk_k_stack,
+    converge_whole_grid, dispersion_planes_whole_grid, dispersion_whole_grid, evolve_whole_grid,
+    power_stack, walk_k_stack, walk_power_planes, walk_power_stack,
 )
 
 
@@ -205,6 +206,56 @@ def test_wavepacket_walk_matches_pde_evolution(rng):
     assert 1.6 <= e1 / e2 <= 2.4  # sqrt of the eps ratio
 
 
+def _bands_of_eigvals(cfg, eps, kx, ky):
+    """The phases of np.linalg.eigvals of the four-entry W(k), in (-pi, pi], sorted."""
+    phases = np.angle(np.linalg.eigvals(walk_k_stack(cfg, kx, ky, eps)))
+    return np.sort(np.where(phases <= -np.pi + 1e-15, np.pi, phases), axis=-1)
+
+
+_IDENTITY = WalkConfig(coin_x=CoinJet(), coin_y=CoinJet())
+_MINUS = replace(_IDENTITY, coin_x=CoinJet(delta=np.pi))  # g = -1
+_Q = np.pi / 4
+
+
+@pytest.mark.parametrize("cfg,kx,ky,eps,expected", [
+    (_IDENTITY, 0.0, 0.0, 0.0, (0.0, 0.0)),  # W = I
+    (_MINUS, 0.0, 0.0, 0.0, (np.pi, np.pi)),  # W = -I
+    (_IDENTITY, _Q, _Q, 0.0, (-np.pi / 2, np.pi / 2)),  # W = i sigma_z
+    (_IDENTITY, -_Q, -_Q, 0.0, (-np.pi / 2, np.pi / 2)),  # W = -i sigma_z
+    (replace(_IDENTITY, coin_x=CoinJet(zeta0=-np.pi)), 0.0, 0.0, 0.0,
+     (-np.pi / 2, np.pi / 2)),  # i sigma_z from the coin
+    (_MINUS, _Q, _Q, 0.0, (-np.pi / 2, np.pi / 2)),  # -i sigma_z = g (i sigma_z)
+], ids=["I", "minus-I", "i-sigma-z", "minus-i-sigma-z", "coin-i-sigma-z", "g-minus-i-sigma-z"])
+def test_dispersion_at_degenerate_walks(cfg, kx, ky, eps, expected):
+    bands = dispersion(cfg, eps, np.array(kx), np.array(ky))
+    assert np.abs(bands - np.array(expected)).max() <= 1e-12
+    assert np.abs(bands - _bands_of_eigvals(cfg, eps, kx, ky)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [_IDENTITY, _MINUS], ids=["g=1", "g=-1"])
+def test_dispersion_band_touchings(cfg):
+    """Identity coins: bands +-(kx + ky) (shifted by pi when g = -1), touching at
+    omega = 0 and omega = pi, crossed at and one to a few ulps beside each touching."""
+    near = np.array([-1e-8, -1e-15, -0.0, 0.0, 1e-15, 1e-8])
+    ks = np.concatenate([near, np.pi / 2 + near, -np.pi / 2 + near])
+    kx, ky = ks[:, None], ks[None, :]
+    bands = dispersion(cfg, 0.0, kx, ky)
+    assert np.abs(bands - _bands_of_eigvals(cfg, 0.0, kx, ky)).max() <= 1e-12
+    assert ((bands > -np.pi) & (bands <= np.pi)).all()
+    assert (bands[..., 0] <= bands[..., 1]).all()
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-8, 1e-12, 1e-300, 0.0])
+def test_dispersion_as_eps_vanishes(eps):
+    for seed, draw in enumerate((draw_time_compliant, draw_time_generic)):
+        cfg = draw(np.random.default_rng(seed))
+        kx, ky = _kgrid(12)
+        bands = dispersion(cfg, eps, kx, ky)
+        assert np.abs(bands - _bands_of_eigvals(cfg, eps, kx, ky)).max() <= 1e-12
+        assert ((bands > -np.pi) & (bands <= np.pi)).all()
+        assert (bands[..., 0] <= bands[..., 1]).all()
+
+
 def test_dispersion_identity_coins_exact():
     cfg = WalkConfig(coin_x=CoinJet(), coin_y=CoinJet())
     ks = np.array([0.0, 0.4, -1.0, 2.2])
@@ -282,26 +333,62 @@ def test_k_tiles_run_other_shapes_as_one_tile():
 @example(grid=(65, 65), plastic=False, eps=0.05, steps=0, seed=1)
 @example(grid=(64, 64), plastic=True, eps=0.01, steps=1001, seed=2)
 def test_entry_planes_equal_the_stack_oracles_bitwise(grid, plastic, eps, steps, seed):
-    """W(k) and W(k)^steps as entry planes, the stack APIs on them, and evolve (its tiles
-    on entry planes) against (..., 2, 2) stacks over the whole grid, bit for bit."""
+    """W(k) and W(k)^steps in the two-plane form, walk_k on it, and evolve (its tiles in
+    that form) against the two-plane formulas over the whole grid, bit for bit; and
+    stack_power, four entries a matrix, against mul2 squarings."""
     rng = np.random.default_rng(seed)
     cfg = draw_plastic_generic(rng) if plastic else draw_time_generic(rng)
     if eps == 0.0:
         cfg = replace(cfg, a_exp=0)  # a spacing eps**a needs eps > 0
     kx, ky = _factors(*grid)
-    w = walk_k_stack(cfg, kx, ky, eps)
-    entries = walk_entries(coin_pair(cfg, eps), kx, ky)
-    assert np.stack(entries, axis=-1).tobytes() == w.reshape(grid + (4,)).tobytes()
+    planes = walk_planes(coin_pair(cfg, eps), kx, ky)
+    w = walk_power_planes(cfg, kx, ky, eps, 1)
+    assert np.stack(_entries_su2(planes), axis=-1).tobytes() == w.reshape(grid + (4,)).tobytes()
     assert walk_k(cfg, kx, ky, eps).tobytes() == w.tobytes()
-    w_n = power_stack(w, steps)
-    assert np.stack(_power(entries, steps), axis=-1).tobytes() == w_n.reshape(grid + (4,)).tobytes()
-    assert stack_power(w, steps).tobytes() == w_n.tobytes()
+    w_n = walk_power_planes(cfg, kx, ky, eps, steps)
+    assert np.stack(_entries_su2(_power(planes, steps)), axis=-1).tobytes() \
+        == w_n.reshape(grid + (4,)).tobytes()
+    assert stack_power(w, steps).tobytes() == power_stack(w, steps).tobytes()
     field = SpinorField.random(*grid, rng)
     if steps == 0:
         assert evolve(field, cfg, eps, steps) is field
     else:
         assert evolve(field, cfg, eps, steps).data.tobytes() \
-            == evolve_whole_grid(field, cfg, eps, steps).tobytes()
+            == evolve_whole_grid(field, cfg, eps, steps, walk_power_planes).tobytes()
+
+
+def _circular(x, y) -> float:
+    """Largest distance between the phases x and y on the circle."""
+    return float(np.max(np.abs(np.angle(np.exp(1j * (np.asarray(x) - np.asarray(y)))))))
+
+
+@settings(max_examples=12, deadline=None)
+@given(grid=st.sampled_from(TILE_GRIDS), plastic=st.booleans(),
+       eps=st.just(0.0) | st.floats(1e-4, 0.3),
+       steps=st.sampled_from([0, 1]) | st.integers(0, 500).map(lambda n: 2 * n + 1),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=(2, 5000), plastic=True, eps=0.0, steps=1001, seed=0)
+@example(grid=(64, 64), plastic=False, eps=0.01, steps=1001, seed=2)
+def test_two_plane_walk_matches_the_four_entry_oracles(grid, plastic, eps, steps, seed):
+    """W(k), W(k)^steps, evolve and the bands against four entries a matrix (mul2
+    products and squarings, eigvals2), at 1e-12 and fields at 1e-10.  The roundoff of
+    either squaring grows about 3e-16 a step, so up to 1001 steps; longer powers are
+    held against an extended-precision power (test_kernels)."""
+    rng = np.random.default_rng(seed)
+    cfg = draw_plastic_generic(rng) if plastic else draw_time_generic(rng)
+    if eps == 0.0:
+        cfg = replace(cfg, a_exp=0)
+    kx, ky = _factors(*grid)
+    assert float(np.max(np.abs(walk_k(cfg, kx, ky, eps) - walk_k_stack(cfg, kx, ky, eps)))) \
+        <= 1e-12
+    assert float(np.max(np.abs(walk_power_planes(cfg, kx, ky, eps, steps)
+                               - walk_power_stack(cfg, kx, ky, eps, steps)))) <= 1e-12
+    field = SpinorField.random(*grid, rng)
+    assert float(np.max(np.abs(evolve(field, cfg, eps, steps).data
+                               - evolve_whole_grid(field, cfg, eps, steps)))) <= 1e-10
+    if not plastic:  # plastic momenta are physical: the bands are of the time walk
+        assert _circular(dispersion(cfg, eps, kx, ky), dispersion_whole_grid(cfg, eps, kx, ky)) \
+            <= 1e-12
 
 
 @settings(max_examples=12, deadline=None)
@@ -315,7 +402,8 @@ def test_dispersion_tiles_equal_the_whole_grid_bitwise(grid, generic, eps, seed)
     kx, ky = _factors(*grid)
     bands = dispersion(cfg, eps, kx, ky)
     assert bands.shape == grid + (2,)
-    assert bands.tobytes() == dispersion_whole_grid(cfg, eps, kx, ky).tobytes()
+    assert bands.tobytes() == dispersion_planes_whole_grid(cfg, eps, kx, ky).tobytes()
+    assert _circular(bands, dispersion_whole_grid(cfg, eps, kx, ky)) <= 1e-12
 
 
 @settings(max_examples=8, deadline=None)
@@ -332,8 +420,11 @@ def test_time_convergence_tiles_equal_the_whole_grid_bitwise(grid, tau, end, t_f
     kx, ky = _factors(*grid)
     eps_list = [2.0 ** -k for k in range(6, end + 1)]
     samples = time_convergence(cfg, t_final, kx, ky, eps_list[::-1]).samples
-    oracle = converge_whole_grid(cfg, tau, time_hamiltonian(cfg)[1], kx, ky, t_final, eps_list)
+    h = time_hamiltonian(cfg)[1]
+    oracle = converge_whole_grid(cfg, tau, h, kx, ky, t_final, eps_list, walk_power_planes)
     assert np.array(samples).tobytes() == np.array(oracle).tobytes()
+    four = converge_whole_grid(cfg, tau, h, kx, ky, t_final, eps_list)
+    assert float(np.max(np.abs(np.array(samples) - np.array(four)))) <= 1e-12
 
 
 def test_spacetime_convergence_momentum_list_equals_the_oracle_bitwise(rng):
@@ -342,6 +433,8 @@ def test_spacetime_convergence_momentum_list_equals_the_oracle_bitwise(rng):
     eps_list = [2.0 ** -k for k in range(6, 10)]
     kx, ky = np.array(momenta).T
     samples = spacetime_convergence(cfg, 0.5, kx, ky, eps_list).samples
-    oracle = converge_whole_grid(cfg, 2, spacetime_hamiltonian(cfg).hamiltonian,
-                                 kx, ky, 0.5, eps_list)
+    h = spacetime_hamiltonian(cfg).hamiltonian
+    oracle = converge_whole_grid(cfg, 2, h, kx, ky, 0.5, eps_list, walk_power_planes)
     assert np.array(samples).tobytes() == np.array(oracle).tobytes()
+    four = converge_whole_grid(cfg, 2, h, kx, ky, 0.5, eps_list)
+    assert float(np.max(np.abs(np.array(samples) - np.array(four)))) <= 1e-12

@@ -2,8 +2,12 @@
 
 Each kernel is compared with its oracle in ``oracles.py`` at the package
 tolerances: 1e-12 for algebra, 1e-11 for unitarity.  The squaring in
-``stack_power`` is also held against an extended-precision power.
+``stack_power``, and the two-plane power of the k-space tile loops, are also
+held against an extended-precision power.
 """
+
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasticwalk import lattice, walk_k
-from plasticwalk.mat2 import mul2, op_norm, rot, unitarity_defect
+from plasticwalk.config import ExperimentConfig
+from plasticwalk.mat2 import (
+    _defect, _entries_su2, _from_entries, _phases_su2, _power, mul2, op_norm, rot,
+    unitarity_defect,
+)
 from plasticwalk.timelimit import time_hamiltonian
 from plasticwalk._util import stack_power
 
 from conftest import draw_plastic_compliant, draw_time_compliant, draw_time_generic
 from oracles import (
     is_hermitian, is_unitary, op_norm_matmul, stack_power_matmul, time_symbol_matmul,
-    unitarity_defect_matmul, walk_k_matmul,
+    unitarity_defect_matmul, walk_k_matmul, walk_power_extended, walk_power_planes,
+    walk_power_stack,
 )
 
 ALGEBRA_TOL = 1e-12
@@ -112,6 +121,32 @@ def test_apply_coin_rejects_overflowing_coin(m):
         lattice.apply_coin(field, m)
 
 
+def random_two_plane(rng, shape, log_noise):
+    """(g, a, b): a phase g and an SU(2) pair (a, b), each off its unit modulus by about
+    10^log_noise."""
+    g = np.exp(1j * rng.uniform(-np.pi, np.pi)) * (1.0 + 10.0 ** log_noise * rng.normal())
+    u = random_u2(rng, shape) + 10.0 ** log_noise * random_stack(rng, shape)
+    return g, u[..., 0, 0], u[..., 0, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.floats(-14, -2), st.integers(0, 64))
+def test_two_plane_kernels_match_matmul(seed, log_noise, n):
+    """The two-plane power, defect identity and eigenphases of g [[a, b], [-b*, a*]]
+    against matmul on its four entries, np.linalg.eigvals and the matmul defect."""
+    rng = np.random.default_rng(seed)
+    x = random_two_plane(rng, (7,), log_noise)
+    m = _from_entries(*_entries_su2(x))
+    assert max_err(_from_entries(*_entries_su2(_power(x, n))), stack_power_matmul(m, n)) \
+        <= ALGEBRA_TOL * max(1.0, float(np.max(op_norm(m)))) ** n
+    assert max_err(_defect(x), unitarity_defect_matmul(m)) <= ALGEBRA_TOL
+    # the pair of phases, in either order, as the sum and product of their unit phasors
+    got = np.exp(1j * np.stack(_phases_su2(x), axis=-1))
+    ref = np.exp(1j * np.angle(np.linalg.eigvals(m)))
+    assert max_err(got.sum(-1), ref.sum(-1)) <= ALGEBRA_TOL
+    assert max_err(got.prod(-1), ref.prod(-1)) <= ALGEBRA_TOL
+
+
 @settings(max_examples=60, deadline=None)
 @given(SEEDS, st.sampled_from(["time", "generic", "plastic"]), st.floats(1e-4, 0.3))
 def test_walk_k_matches_matmul_chain(seed, family, eps):
@@ -146,6 +181,33 @@ def test_stack_power_against_extended_precision(seed, n, near):
     m = (near_identity if near else random_u2)(rng, (16,))
     ref = stack_power_matmul(m, n, dtype=np.clongdouble)
     assert float(np.max(np.abs(stack_power(m, n) - ref))) <= ALGEBRA_TOL
+
+
+def _golden_walk(name):
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", name, "config.json")
+    return ExperimentConfig.load(path).walk
+
+
+@pytest.mark.parametrize("n,eps", [(1000, 0.05), (8192, 2.0 ** -13), (2 ** 20, 2.0 ** -20)])
+def test_two_plane_power_against_extended_precision(n, eps):
+    """W(k)^n in the two-plane form, against np.clongdouble from the same angles, on a
+    32^2 grid: its largest error, summed over the time-mode golden walks and one with
+    |delta_x + delta_y| about 10 (so g^n turns), stays within 10% of the four-entry
+    squaring's.  Either error grows about as n 1e-16, seeded by the roundoff of W(k)."""
+    base = _golden_walk("time_compliant")
+    walks = [base, _golden_walk("time_generic"), _golden_walk("time_tau4_delta0"),
+             replace(base, coin_x=replace(base.coin_x, delta=base.coin_x.delta + 4.0),
+                     coin_y=replace(base.coin_y, delta=base.coin_y.delta + 4.5))]
+    assert abs(walks[-1].delta_sum) > 10.0
+    k = np.linspace(-np.pi, np.pi, 32, endpoint=False)
+    kx, ky = k[:, None], k[None, :]
+    two_plane = four_entry = 0.0
+    for cfg in walks:
+        ref = walk_power_extended(cfg, kx, ky, eps, n)
+        two_plane += max_err(walk_power_planes(cfg, kx, ky, eps, n), ref)
+        four_entry += max_err(walk_power_stack(cfg, kx, ky, eps, n), ref)
+    assert two_plane <= 1.1 * four_entry
+    assert two_plane <= n * 4e-15  # the growth a step, with room
 
 
 def test_stack_power_edge_cases():

@@ -134,14 +134,14 @@ def test_evolve_zero_steps_returns_the_input(rng):
 def test_evolve_rejects_non_unitary_coin(rng, monkeypatch):
     f = SpinorField.random(4, 4, rng)
     cfg = draw_time_generic(rng)
-    # evolve builds its coins once, by coins.coin_pair
-    monkeypatch.setattr(coins, "coin_at", lambda jet, s: np.array([[1.0, 0.2], [0.0, 1.0]]))
+    # evolve builds its coins once, by coins.coin_pair, in the two-plane form (g, a, b)
+    monkeypatch.setattr(coins, "_coin_su2", lambda jet, s: (1.0 + 0j, 1.0 + 0j, 0.2 + 0j))
     with pytest.raises(ValueError, match="coin is not unitary"):
         evolve(f, cfg, 0.05, 3)
 
 
 def test_evolve_rejects_a_power_past_double_precision(rng):
-    """Squaring adds about 5e-16 of unitarity defect a step: 1e18 steps is noise."""
+    """Squaring adds about 6e-16 of unitarity defect a step: 1e18 steps is noise."""
     f = SpinorField.random(4, 4, rng)
     cfg = draw_time_generic(rng)
     assert abs(evolve(f, cfg, 0.05, 10 ** 12).norm() - f.norm()) <= 1e-3

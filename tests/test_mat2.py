@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plasticwalk.mat2 import ID2, SY, SZ, dag, det2, exp_herm, op_norm, rot
+from plasticwalk.mat2 import ID2, SY, SZ, _wrap, dag, det2, exp_herm, op_norm, rot
 
 from oracles import eig2, is_hermitian, is_unitary
 
@@ -190,3 +190,16 @@ def test_finite_entries_preserved():
     chain = m @ dag(m) @ m
     assert np.all(np.isfinite(chain.real)) and np.all(np.isfinite(chain.imag))
     assert is_hermitian(m @ dag(m), tol=1e-12)
+
+
+def test_wrap_maps_phases_into_the_half_open_circle():
+    """Within 1e-15 of -pi is pi exactly: one or two ulps above -pi plus 2 pi would lie
+    above pi.  Every shift by 2 pi is exact."""
+    up = np.nextafter(-np.pi, 0.0)
+    assert _wrap(up) == np.pi
+    near = np.array([-np.pi, up, np.nextafter(up, 0.0), np.nextafter(-np.pi, -4.0), -np.pi + 1e-15])
+    assert (_wrap(near) == np.pi).all()
+    p = np.array([np.pi, np.nextafter(np.pi, 4.0), 2 * np.pi, -2 * np.pi, 3.5, -3.5, 0.25, -0.0])
+    got = _wrap(p.copy())
+    assert got.tolist() == [np.pi, np.pi, 0.0, 0.0, 3.5 - 2 * np.pi, 2 * np.pi - 3.5, 0.25, -0.0]
+    assert ((got > -np.pi) & (got <= np.pi)).all()
