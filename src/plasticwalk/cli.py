@@ -116,12 +116,10 @@ def _json_text(payload: dict) -> str:
     return _json(_document(payload)) + "\n"
 
 
-def _emit(args, payload: dict, csv_rows: list[str] | None = None) -> None:
-    """Write JSON (always available) or CSV (when rows are provided)."""
-    if args.format == "csv" and csv_rows is not None:
-        _write(args, ("\n".join(csv_rows) + "\n",))
-    else:
-        _write(args, (_json_text(payload),))
+def _emit(args, payload: dict) -> None:
+    """Write the JSON document of ``payload``, the output of every command without a CSV
+    table, whatever --format asks."""
+    _write(args, (_json_text(payload),))
 
 
 def _emit_listing(args, payload: dict, key: str, rows: Iterable[str]) -> None:
@@ -160,6 +158,16 @@ def _grid(n: int):
     return ks[:, None], ks[None, :]
 
 
+def _rounded(coeff) -> list:
+    """The 2x2 matrix ``coeff`` as nested lists, each entry rounded to 12 decimals as
+    np.round rounds it, or kept as it is where that rounding overflows (np.round scales
+    by 1e12 first, which passes the largest float above about 1.8e296)."""
+    coeff = np.asarray(coeff, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rounded = np.round(coeff, 12)
+    return np.where(np.isfinite(rounded), rounded, coeff).tolist()
+
+
 def cmd_check(args) -> int:
     cfg = _load(args)
     gate = tl.check_time_limit if cfg.walk.mode == "time" else pl.check_spacetime_limit
@@ -175,7 +183,7 @@ def cmd_hamiltonian(args) -> int:
     terms, _ = tl.time_hamiltonian(cfg.walk)
     summary = [f"H = sum of {len(terms)} shift-word terms, prefactor included in matrices:"]
     for t in terms:
-        summary.append(f"  S_x^{t.px} S_y^{t.py} x {np.round(t.coeff, 12).tolist()}")
+        summary.append(f"  S_x^{t.px} S_y^{t.py} x {_rounded(t.coeff)}")
     _emit(args, {"terms": [t.to_dict() for t in terms], "rendered": summary})
     return 0
 
@@ -197,8 +205,7 @@ def cmd_pde(args) -> int:
             mono.append(f"d/dx^{t.dx_power}")
         if t.dy_power:
             mono.append(f"d/dy^{t.dy_power}")
-        coeff = np.round(lam * t.coeff, 12).tolist()
-        rendered.append(f"  [{coeff}] " + " ".join(mono))
+        rendered.append(f"  [{_rounded(lam * t.coeff)}] " + " ".join(mono))
     _emit(args, {**assembly.to_dict(), "rendered": rendered})
     return 0
 
@@ -239,85 +246,70 @@ def cmd_converge(args) -> int:
     else:
         run, (kx, ky) = conv.spacetime_convergence, np.array(cfg.momenta, dtype=np.float64).T
     result = run(cfg.walk, cfg.t_final, kx, ky, cfg.eps_list)
-    rows = None
-    if args.format == "csv":
-        cells = g17_cells(np.array(result.samples, dtype=np.float64).reshape(-1, 2))
-        cells[:, 0, -1] = ord(",")
-        rows = ["eps,error"] + [cells_text(row).decode("ascii") for row in cells]
-    _emit(args, result.to_dict(), csv_rows=rows)
-    if args.format == "csv" and args.output:
+    if args.format != "csv":
+        _emit(args, result.to_dict())
+        return 0
+    cells = g17_cells(np.array(result.samples, dtype=np.float64).reshape(-1, 2))
+    cells[:, 0, -1] = ord(",")
+    cells[:, 1, -1] = ord("\n")
+    _write(args, ("eps,error\n", cells_text(cells).decode("ascii")))
+    if args.output:
         with open(args.output + ".json", "w") as fh:
             fh.write(_json_text(result.to_dict()))
     return 0
 
 
-# The JSON text of a row of the band table before its kx, ky, phase1 and phase2, and
-# after them; a row ends with the ",\n" that separates it from the row after
+# The text of a row of the band table before its kx, ky, phase1 and phase2 cells, and
+# after them, in each format; a JSON row ends with the ",\n" that separates it from the
+# row after
+_BAND_CSV = (b"", b",", b",", b",", b"\n")
 _BAND_JSON = (b'    {\n      "kx": ', b',\n      "ky": ', b',\n      "phase1": ',
               b',\n      "phase2": ', b"\n    },\n")
 
 
-def _band_rows(kx, ky, bands):
-    """Yield the JSON rows of the band table over the grid kx (n, 1) x ky (1, n), with
-    the separators between them, a block of kx rows (at most ``K_BLOCK / 2`` k-points,
-    as a JSON row is about twice a CSV row) at a time.
+def _band_rows(kx, ky, bands, fmt: str):
+    """Yield the rows of the band table over the grid kx (n, 1) x ky (1, n) in the format
+    ``fmt``, a block of kx rows at a time: at most ``K_BLOCK`` k-points a CSV block, and
+    half as many a JSON one (a JSON row is about twice a CSV row).
 
-    A row is the text of ``_BAND_JSON`` with a 32-byte cell for each value between its
-    parts, in a block buffer that holds the literal text and the ky cells from the
-    start.  The cells of each kx are formatted once; each block's phases are formatted
-    by one ``repr_cells`` call.
+    A row is the text of ``_BAND_CSV`` or ``_BAND_JSON`` with a 32-byte cell for each
+    value between its parts, in a block buffer that holds the literal text and the ky
+    cells from the start.  The cells of each kx are formatted once, and each block's
+    phases by one call of the format's kernel: ``g17_cells`` ('%.17g') for CSV,
+    ``repr_cells`` (as json writes a float) for JSON.
     """
-    kx_cells, ky_cells = repr_cells(kx.ravel()), repr_cells(ky.ravel())
-    step = max(1, K_BLOCK // 2 // len(ky_cells))
-    width = sum(map(len, _BAND_JSON)) + 4 * 32
+    csv = fmt == "csv"
+    parts, cells = (_BAND_CSV, g17_cells) if csv else (_BAND_JSON, repr_cells)
+    kx_cells, ky_cells = cells(kx.ravel()), cells(ky.ravel())
+    step = max(1, K_BLOCK // (1 if csv else 2) // len(ky_cells))
+    width = sum(map(len, parts)) + 4 * 32
     buf = np.empty((min(step, len(kx_cells)), len(ky_cells), width), dtype=np.uint8)
     slots, at = [], 0
-    for text in _BAND_JSON:  # the literal, then the slot of the value after it
+    for text in parts:  # the literal, then the slot of the value after it
         buf[..., at:at + len(text)] = np.frombuffer(text, dtype=np.uint8)
         at += len(text) + 32
         slots.append(buf[..., at - 32:at])
     kx_slot, ky_slot, phase1, phase2 = slots[:4]
     ky_slot[:] = ky_cells
     for start in range(0, len(kx_cells), step):
-        phases = repr_cells(bands[start:start + step])
+        phases = cells(bands[start:start + step])
         n = len(phases)
         kx_slot[:n] = kx_cells[start:start + n, None]
         phase1[:n] = phases[:, :, 0]
         phase2[:n] = phases[:, :, 1]
-        if start + n == len(kx_cells):
+        if not csv and start + n == len(kx_cells):
             buf[n - 1, -1, -2:] = 0  # no separator after the last row: its NULs are deleted
         yield cells_text(buf[:n]).decode("ascii")
-
-
-def _band_csv(kx, ky, bands):
-    """Yield the CSV rows of the band table over the grid kx (n, 1) x ky (1, n), a block
-    of kx rows (at most ``K_BLOCK`` k-points) at a time.
-
-    The cells of each kx and ky are formatted once; each block's phases are formatted
-    by one ``g17_cells`` call.
-    """
-    kx_cells, ky_cells = g17_cells(kx.ravel()), g17_cells(ky.ravel())
-    kx_cells[:, -1] = ky_cells[:, -1] = ord(",")
-    step = max(1, K_BLOCK // len(ky_cells))
-    for start in range(0, len(kx_cells), step):
-        phases = bands[start:start + step]
-        rows = np.empty(phases.shape[:2] + (4, 32), dtype=np.uint8)
-        rows[:, :, 0] = kx_cells[start:start + step, None]
-        rows[:, :, 1] = ky_cells
-        rows[:, :, 2:] = g17_cells(phases)
-        rows[:, :, 2, -1] = ord(",")
-        rows[:, :, 3, -1] = ord("\n")
-        yield cells_text(rows).decode("ascii")
 
 
 def cmd_dispersion(args) -> int:
     cfg = _load(args)
     kx, ky = _grid(cfg.grid)
-    bands = conv.dispersion(cfg.walk, cfg.eps, kx, ky)
+    rows = _band_rows(kx, ky, conv.dispersion(cfg.walk, cfg.eps, kx, ky), args.format)
     if args.format == "csv":
-        _write(args, itertools.chain(("kx,ky,phase1,phase2\n",), _band_csv(kx, ky, bands)))
-        return 0
-    _emit_listing(args, {"eps": cfg.eps}, "bands", _band_rows(kx, ky, bands))
+        _write(args, itertools.chain(("kx,ky,phase1,phase2\n",), rows))
+    else:
+        _emit_listing(args, {"eps": cfg.eps}, "bands", rows)
     return 0
 
 

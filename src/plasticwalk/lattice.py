@@ -49,7 +49,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import WalkConfig, coin_at, coin_pair, walk_planes
-from .mat2 import _entries_su2, _power
+from .mat2 import _entries_su2, _power, _wrap
 from ._util import (
     POWER_TOL, cells_text, check_unitary, digits_parse, g17_cells, g17_parse, k_tiles,
 )
@@ -191,10 +191,7 @@ def evolve(field: SpinorField, cfg: WalkConfig, eps: float, steps: int) -> Spino
 
 def momentum_grid(nx: int, ny: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Discrete momenta 2 pi j / N mapped to (-pi, pi], as broadcastable grids."""
-    kx = 2.0 * np.pi * np.fft.fftfreq(nx)
-    ky = 2.0 * np.pi * np.fft.fftfreq(ny)
-    kx = np.where(kx <= -np.pi + 1e-15, kx + 2.0 * np.pi, kx)
-    ky = np.where(ky <= -np.pi + 1e-15, ky + 2.0 * np.pi, ky)
+    kx, ky = (_wrap(2.0 * np.pi * np.fft.fftfreq(n)) for n in (nx, ny))
     return kx[:, None], ky[None, :]
 
 

@@ -6,8 +6,7 @@ matrices.  This module provides the shared primitives as broadcast-aware
 closed forms over numpy arrays of shape (..., 2, 2), so k-grid sweeps
 stay vectorized.  Products and norms are written as entry formulas on
 whole arrays: numpy's gufunc matmul on a stack of 2x2 matrices costs
-about ten times as much.  A single (2, 2) matrix goes through the same
-formulas on Python complex scalars, which skips numpy's per-call cost.
+about ten times as much.
 
 Entry planes: the private kernels (``_mul``, ``_power``, ``_norm``, ``_defect``)
 take a matrix [[a, b], [c, d]] as the tuple (a, b, c, d) of four arrays that
@@ -45,11 +44,8 @@ __all__ = [
     "SZ",
     "rot",
     "dag",
-    "det2",
-    "mul2",
     "diag_mul",
     "op_norm",
-    "unitarity_defect",
     "eigvals2",
     "exp_herm",
 ]
@@ -97,22 +93,9 @@ def dag(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
-def det2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Determinant of a (..., 2, 2) stack."""
-    m = np.asarray(m)
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
 def _entries(m):
-    """The four entries (m00, m01, m10, m11) of a (..., 2, 2) stack.
-
-    A single (2, 2) matrix gives Python complex scalars, a stack gives
-    array views.
-    """
+    """The four entries (m00, m01, m10, m11) of a (..., 2, 2) stack, as array views."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim == 2:
-        (a, b), (c, d) = m.tolist()
-        return a, b, c, d
     return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
 
 
@@ -132,11 +115,6 @@ def _mul(x: tuple, y: tuple) -> tuple:
     a, b, c, d = x
     e, f, g, h = y
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-
-
-def mul2(x, y) -> NDArray[np.complex128]:
-    """Matrix product x @ y of two broadcastable (..., 2, 2) stacks."""
-    return _from_entries(*_mul(_entries(x), _entries(y)))
 
 
 def _mul_su2(x: tuple, y: tuple) -> tuple:
@@ -221,9 +199,9 @@ def _norm(x: tuple):
 
 
 def _defect(x: tuple):
-    """||M^dag M - I|| of the matrix given by its four entries x (see
-    :func:`unitarity_defect`), or in the two-plane form x = (g, a, b):
-    ||g|^2 (|a|^2 + |b|^2) - 1|."""
+    """||M^dag M - I|| of the matrix given by its four entries x, |(p + r)/2 - 1| +
+    sqrt(((p - r)/2)^2 + |q|^2) for M^dag M = [[p, q], [q*, r]] (the norm of a Hermitian
+    matrix), or in the two-plane form x = (g, a, b): ||g|^2 (|a|^2 + |b|^2) - 1|."""
     if len(x) == 4:
         p, r, q = _gram(*x)
         return abs(0.5 * (p + r) - 1.0) + _radius(p, r, q)
@@ -271,15 +249,6 @@ def op_norm(m: NDArray[np.complex128]) -> NDArray[np.float64]:
     values are close).
     """
     return _norm(_entries(m))
-
-
-def unitarity_defect(m: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """||M^dag M - I||, the distance of each slice from U(2).
-
-    M^dag M - I is Hermitian, so its norm is its largest eigenvalue in
-    modulus: |(p + r)/2 - 1| + sqrt(((p - r)/2)^2 + |q|^2).
-    """
-    return _defect(_entries(m))
 
 
 def eigvals2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:

@@ -23,6 +23,8 @@ no command needs stay here, as oracles for the library's closed forms:
   ``walk_planes`` and the two-plane squaring, the bands by ``_phases_su2``):
   the references the tile loops equal bit for bit;
 * W(k) and its power in extended precision, from the walk's float64 angles;
+* the stack product ``mul2`` and ``unitarity_defect`` on the library's entry
+  kernels, and the determinant ``det2``;
 * a full 2x2 eigendecomposition, the unitarity and Hermiticity
   predicates, and the gufunc matmul forms of the elementwise 2x2
   kernels (walk symbol, squaring, operator norm, unitarity defect,
@@ -60,8 +62,8 @@ from numpy.typing import NDArray
 from plasticwalk.coins import CoinJet, WalkConfig, coin_at, coin_pair, walk_k, walk_planes
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import (
-    ID2, SY, SZ, _entries_su2, _from_entries, _phases_su2, _power, dag, diag_mul, eigvals2,
-    exp_herm, mul2, op_norm, rot, unitarity_defect,
+    ID2, SY, SZ, _defect, _entries, _entries_su2, _from_entries, _mul, _phases_su2, _power,
+    dag, diag_mul, eigvals2, exp_herm, op_norm, rot,
 )
 from plasticwalk.plastic import (
     TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles, _index_tuples, _pairs,
@@ -72,6 +74,22 @@ from plasticwalk._util import POWER_TOL, check_unitary, stack_power
 
 
 # ----------------------------------------------------------------- 2x2 algebra
+
+
+def mul2(x, y) -> NDArray[np.complex128]:
+    """Matrix product x @ y of two broadcastable (..., 2, 2) stacks, by ``mat2._mul``."""
+    return _from_entries(*_mul(_entries(x), _entries(y)))
+
+
+def det2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Determinant of a (..., 2, 2) stack."""
+    m = np.asarray(m)
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def unitarity_defect(m: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """||M^dag M - I||, the distance of each slice from U(2), by ``mat2._defect``."""
+    return _defect(_entries(m))
 
 
 def is_unitary(m: NDArray[np.complex128], tol: float = 1e-10) -> bool:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import io
@@ -284,14 +285,20 @@ def test_dispersion_infinite_phases_print_as_json_writes_them(tmp_path, capsys, 
     assert '"phase2": -Infinity' in outs[0] and ",-inf," in outs[1]
 
 
-@pytest.mark.parametrize("grid,block", [(150, None), (5, 12)])
+# the (g17_cells, repr_cells) calls of each (grid, K_BLOCK or None for the default)
+_BAND_CALLS = {(150, None): (8, 14), (5, 12): (5, 7), (1, None): (3, 3), (5, 4): (7, 7)}
+
+
+@pytest.mark.parametrize("grid,block", list(_BAND_CALLS))
 def test_dispersion_blocks_match_the_oracle(tmp_path, capsys, monkeypatch, grid, block):
-    """The CSV and the JSON band tables are each formatted a block of kx rows at a time,
-    the JSON one in blocks of half as many k-points: at grid 150, CSV blocks of 27 rows
-    (4,050 of the ``K_BLOCK`` 4,096 k-points) and a last one of 15, and JSON blocks of
-    13 rows and a last one of 7; at grid 5 with a block of 12 k-points, CSV blocks of
-    2, 2 and 1 rows and JSON blocks of one row, so the ",\n" seams between JSON blocks
-    are compared with json.dumps too."""
+    """Both band tables run through one writer, a block of kx rows at a time, the JSON
+    one in blocks of half as many k-points: at grid 150, CSV blocks of 27 rows (4,050
+    of the ``K_BLOCK`` 4,096 k-points) and a last one of 15, and JSON blocks of 13 rows
+    and a last one of 7; at grid 5 with a block of 12 k-points, CSV blocks of 2, 2 and
+    1 rows and JSON blocks of one row, so the ",\n" seams between JSON blocks are
+    compared with json.dumps too; at grid 1, one block of one row, the last, in each
+    format; and at grid 5 with a block of 4 k-points, less than one kx row, one row a
+    block in each format."""
     if block is not None:
         monkeypatch.setattr(cli, "K_BLOCK", block)
     calls = []
@@ -305,7 +312,7 @@ def test_dispersion_blocks_match_the_oracle(tmp_path, capsys, monkeypatch, grid,
     bands = convergence.dispersion(cfg.walk, cfg.eps, ks[:, None], ks[None, :])
     assert _dispersion_outputs(tmp_path, capsys, doc) == _dispersion_oracle(cfg.eps, grid, bands)
     # a call for the kx cells, one for the ky cells, then one a block
-    assert (calls.count("g17_cells"), calls.count("repr_cells")) == {150: (8, 14), 5: (5, 7)}[grid]
+    assert (calls.count("g17_cells"), calls.count("repr_cells")) == _BAND_CALLS[grid, block]
 
 
 def test_dispersion_json_memory_stays_near_the_band_array(tmp_path):
@@ -674,6 +681,28 @@ def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command,
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     if stderr is not None:  # a config error (exit 2) or the command's own (exit 1)
         assert err == f"{'config error' if code == 2 else command}: {stderr}\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hamiltonian_renders_coefficients_whose_rounding_overflows(tmp_path, capsys):
+    """At coin_x.theta1 = 1e300 two term matrices of the time_compliant walk hold entries
+    near 2.5e299, past the about 1.8e296 where rounding to 12 decimals overflows: each
+    rendered coefficient is its terms matrix entry, rounded only where that stays finite."""
+    with open(os.path.join(os.path.dirname(__file__), "golden", "time_compliant",
+                           "config.json")) as fh:
+        doc = json.load(fh)
+    doc["walk"]["coin_x"]["theta1"] = 1e300
+    assert main(["--config", write_config(tmp_path, doc), "hamiltonian"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out)
+    largest = 0.0
+    for line, term in zip(payload["rendered"][1:], payload["terms"], strict=True):
+        rendered = np.array(ast.literal_eval(line.split(" x ", 1)[1])).ravel()
+        matrix = np.array(term["matrix"]).view(np.complex128)
+        assert np.all(np.abs(rendered - matrix) <= 1e-12), line
+        largest = max(largest, float(np.max(np.abs(matrix))))
+    assert largest > 1e299
 
 
 def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):

@@ -11,15 +11,15 @@ from plasticwalk import (
 )
 from plasticwalk.coins import coin_pair, walk_planes
 from plasticwalk.lattice import SpinorField, evolve
-from plasticwalk.mat2 import _entries_su2, _power, det2, exp_herm, op_norm
+from plasticwalk.mat2 import _entries_su2, _power, exp_herm, op_norm
 from plasticwalk._util import K_BLOCK, k_tiles, stack_power
 
 from conftest import (
     draw_plastic_compliant, draw_plastic_generic, draw_time_compliant, draw_time_generic,
 )
 from oracles import (
-    converge_whole_grid, dispersion_planes_whole_grid, dispersion_whole_grid, evolve_whole_grid,
-    power_stack, walk_k_stack, walk_power_planes, walk_power_stack,
+    converge_whole_grid, det2, dispersion_planes_whole_grid, dispersion_whole_grid,
+    evolve_whole_grid, power_stack, walk_k_stack, walk_power_planes, walk_power_stack,
 )
 
 

@@ -16,18 +16,15 @@ from hypothesis import strategies as st
 
 from plasticwalk import lattice, walk_k
 from plasticwalk.config import ExperimentConfig
-from plasticwalk.mat2 import (
-    _defect, _entries_su2, _from_entries, _phases_su2, _power, mul2, op_norm, rot,
-    unitarity_defect,
-)
+from plasticwalk.mat2 import _defect, _entries_su2, _from_entries, _phases_su2, _power, op_norm, rot
 from plasticwalk.timelimit import time_hamiltonian
 from plasticwalk._util import stack_power
 
 from conftest import draw_plastic_compliant, draw_time_compliant, draw_time_generic
 from oracles import (
-    is_hermitian, is_unitary, op_norm_matmul, stack_power_matmul, time_symbol_matmul,
-    unitarity_defect_matmul, walk_k_matmul, walk_power_extended, walk_power_planes,
-    walk_power_stack,
+    is_hermitian, is_unitary, mul2, op_norm_matmul, stack_power_matmul, time_symbol_matmul,
+    unitarity_defect, unitarity_defect_matmul, walk_k_matmul, walk_power_extended,
+    walk_power_planes, walk_power_stack,
 )
 
 ALGEBRA_TOL = 1e-12

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plasticwalk.mat2 import ID2, SY, SZ, _wrap, dag, det2, exp_herm, op_norm, rot
+from plasticwalk.mat2 import ID2, SY, SZ, _wrap, dag, exp_herm, op_norm, rot
 
-from oracles import eig2, is_hermitian, is_unitary
+from oracles import det2, eig2, is_hermitian, is_unitary
 
 
 def random_unitary(rng):
