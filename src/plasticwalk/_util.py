@@ -7,7 +7,7 @@ import functools
 import numpy as np
 from numpy.typing import NDArray
 
-from .mat2 import _defect, _entries, _from_entries, _power
+from .mat2 import _defect, _entries
 
 # Largest unitarity defect a walk power W^n may carry.  The two-plane squaring adds
 # 6e-16 to 7e-16 of defect per step (measured on the time_compliant, time_generic and
@@ -39,9 +39,10 @@ def k_tiles(kx, ky):
 
 
 def check_unitary(m, what: str, tol: float):
-    """``m``, if every 2x2 matrix in it is unitary to ``tol``: a stack, returned as a
-    complex array, or a tuple of ``mat2`` planes, returned as it is: the entries
-    (a, b, c, d) or the two-plane form (g, a, b)."""
+    """``m``, if every 2x2 matrix in it is unitary to ``tol``: a product, power or
+    evolution in the two-plane form (g, a, b) of ``mat2``, returned as it is, or a general
+    matrix as a (..., 2, 2) stack, returned as a complex array and checked on its entry
+    planes."""
     x = m if isinstance(m, tuple) else _entries(m := np.asarray(m, dtype=np.complex128))
     defect = float(np.max(_defect(x)))
     if not defect <= tol:  # a NaN defect fails too
@@ -50,13 +51,17 @@ def check_unitary(m, what: str, tol: float):
 
 
 def stack_power(m: NDArray[np.complex128], n: int) -> NDArray[np.complex128]:
-    """n-th matrix power over the trailing (2, 2) axes, n >= 0, by squaring.
+    """n-th matrix power over the trailing (2, 2) axes, n >= 0, as a new array, by
+    numpy's matmul squaring.  The k-space tile loops take their powers in the two-plane
+    form instead (``mat2._power``).
 
     Squaring, not the closed-form U(2) power e^{in alpha}(cos n beta - i sin n
     beta n.sigma): against an extended-precision reference the closed form is
     about five times less accurate at every n.
     """
-    return _from_entries(*_power(_entries(m), n))
+    if n < 0:
+        raise ValueError("negative powers not supported")
+    return np.linalg.matrix_power(np.array(m, dtype=np.complex128), n)
 
 
 def flat2(m: NDArray[np.complex128]) -> list[float]:

@@ -46,10 +46,10 @@ SCHEMA_VERSION = 1
 # unitarity check of W(k)^steps stops it at about 2e12 steps (41 bits).  The k-grid
 # commands hold one tile of k-points (and dispersion its 16-byte-a-point band array),
 # so time sets the budget.  At the limit, on a 2-core x86 host: time-mode converge
-# with the default eps_list takes about 7 s and 33 MiB peak RSS (grid 1448), dispersion
-# 1.4 to 1.6 s (CSV) or 2.0 to 2.7 s (JSON) and 65 MiB, and simulate of 1448^2 sites with
-# its field CSV 3 to 4.5 s and 0.19 GiB at 1 to 10**12 steps.  The benchmark asks for at
-# most 512^2.
+# with the default eps_list takes 2.7 s and 34 MiB peak RSS (grid 1448), dispersion
+# 0.76 to 0.77 s (CSV) or 1.35 to 1.39 s (JSON) and 65 MiB, and simulate of 1448^2 sites
+# with its field CSV 1.8 to 2.3 s and 0.19 GiB at 1 to 10**12 steps.  The benchmark asks
+# for at most 512^2.
 WORK_BUDGET = 2 ** 21
 
 

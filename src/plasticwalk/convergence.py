@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import WalkConfig, coin_pair, walk_planes
-from .mat2 import _entries, _entries_su2, _norm, _phases_su2, _power, exp_herm
+from .mat2 import _entries_su2, _norm, _phases_su2, _power, exp_herm
 from .plastic import spacetime_hamiltonian
 from .timelimit import time_hamiltonian
 from ._util import POWER_TOL, check_unitary, k_tiles
@@ -78,8 +78,9 @@ def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
     whole number of stroboscopic blocks; the induced O(eps) time mismatch is absorbed
     into the fitted order.  W^(tau n) must be unitary to POWER_TOL, and H, named
     ``what`` in errors, Hermitian.  The coin pair is built once an eps, H once a tile of
-    ``k_tiles``; each error is the max over the tiles.  W and W^(tau n) stay in the
-    two-plane form of ``mat2``, and W^(tau n) meets the target as four entry planes.
+    ``k_tiles``; each error is the max over the tiles.  W, W^(tau n) and the target are
+    in the two-plane form of ``mat2``, checked there, and expanded to four entry planes
+    only for the norm of their difference.
     """
     tau = cfg.tau
     eps_list = [float(eps) for eps in sorted(eps_list, reverse=True)]
@@ -95,8 +96,8 @@ def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
                     _power(w, m), f"W^({tau} n) at n = {m // tau:.3g}", POWER_TOL))
                 if m * eps != t:  # eps that divide the horizon alike share one target
                     t = m * eps
-                    target = _entries(check_unitary(exp_herm(h, t, what), f"{what} evolution",
-                                                    _UNITARITY_TOL))
+                    target = _entries_su2(check_unitary(exp_herm(h, t, what),
+                                                        f"{what} evolution", _UNITARITY_TOL))
                 diff = [p - q for p, q in zip(walk_pow, target)]
                 errors[i] = max(errors[i], float(np.max(_norm(diff))))
     samples = list(zip(eps_list, errors))

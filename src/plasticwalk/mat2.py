@@ -8,19 +8,22 @@ stay vectorized.  Products and norms are written as entry formulas on
 whole arrays: numpy's gufunc matmul on a stack of 2x2 matrices costs
 about ten times as much.
 
-Entry planes: the private kernels (``_mul``, ``_power``, ``_norm``, ``_defect``)
-take a matrix [[a, b], [c, d]] as the tuple (a, b, c, d) of four arrays that
-broadcast; the stack functions run the same kernels, bit for bit.
-
 Two-plane form: a matrix g [[a, b], [-b*, a*]], a scalar phase g times an SU(2)
 part, is the tuple (g, a, b).  Every coin e^{i delta} R_z R_y R_z, every shift
-diag(e^{ik}, e^{-ik}) times a coin, and so the walk symbol W(k) and its powers
-have this form, and products keep it.  The k-space tile loops carry W(k) so:
-``_mul_su2``, the squaring (a^2 - |b|^2, 2 Re(a) b) in ``_power``, the defect
-``_defect`` (M^dag M = |g|^2 (|a|^2 + |b|^2) I exactly, so
-||M^dag M - I|| = ||g|^2 (|a|^2 + |b|^2) - 1|) and the eigenphases
-``_phases_su2`` work on half the arrays of four entry planes, and
-``_entries_su2`` expands the four entries where a general matrix meets them.
+diag(e^{ik}, e^{-ik}) times a coin, and so the walk symbol W(k), its powers and
+the evolution e^{-iHt} of a Hermitian H have this form, and products keep it.
+Products and powers are taken only in it: ``_mul_su2`` and the squaring
+(a^2 - |b|^2, 2 Re(a) b) of ``_power``, on half the arrays of four entry planes.
+``exp_herm`` returns its result so, and the k-space tile loops carry W(k) and
+its powers so, with the defect ``_defect`` (M^dag M = |g|^2 (|a|^2 + |b|^2) I
+exactly, so ||M^dag M - I|| = ||g|^2 (|a|^2 + |b|^2) - 1|) and the eigenphases
+``_phases_su2``.
+
+Entry planes: a general matrix [[a, b], [c, d]] is the tuple (a, b, c, d) of
+four arrays that broadcast.  Norms and unitarity checks of general matrices run
+on them (``_norm``, ``_defect``); ``_entries`` views a (..., 2, 2) stack so,
+and ``_entries_su2`` expands the two-plane form where a general matrix, such as
+the difference of two evolutions, meets it.
 
 Rotation convention, fixed once for the whole package:
 
@@ -110,13 +113,6 @@ def _from_entries(a, b, c, d) -> NDArray[np.complex128]:
     return out
 
 
-def _mul(x: tuple, y: tuple) -> tuple:
-    """Entries of the product of two matrices given by their entries."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-
-
 def _mul_su2(x: tuple, y: tuple) -> tuple:
     """The two-plane form of the product of two matrices in the two-plane form."""
     g, a, b = x
@@ -142,22 +138,19 @@ def _square_su2(x: tuple) -> tuple:
 
 
 def _power(x: tuple, n: int) -> tuple:
-    """M^n for n >= 0 by repeated squaring, M given by its four entries x or in the
-    two-plane form x = (g, a, b); M^n comes in the same form."""
+    """M^n for n >= 0 by repeated squaring, M and M^n in the two-plane form (g, a, b)."""
     if n < 0:
         raise ValueError("negative powers not supported")
-    su2 = len(x) == 3
-    mul, square = (_mul_su2, _square_su2) if su2 else (_mul, lambda m: _mul(m, m))
     out, base = None, x
     while n > 0:
         if n & 1:
-            out = base if out is None else mul(out, base)
+            out = base if out is None else _mul_su2(out, base)
         n >>= 1
         if n:
-            base = square(base)
+            base = _square_su2(base)
     if out is None:
         one = np.ones(np.broadcast(*x).shape, dtype=np.complex128)
-        return (1.0 + 0j, one, 0 * one) if su2 else (one, 0 * one, 0 * one, one)
+        return 1.0 + 0j, one, 0 * one
     return out
 
 
@@ -263,12 +256,13 @@ def eigvals2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return np.stack((half_tr + disc, half_tr - disc), axis=-1)
 
 
-def exp_herm(h: NDArray[np.complex128], t, what: str = "exp_herm input") -> NDArray[np.complex128]:
-    """exp(-i H t) for Hermitian H, via the Pauli decomposition.
+def exp_herm(h: NDArray[np.complex128], t, what: str = "exp_herm input") -> tuple:
+    """exp(-i H t) for Hermitian H, via the Pauli decomposition, in the two-plane form.
 
     H = h0 I + h . sigma gives
     exp(-i H t) = e^{-i h0 t} (cos(|h| t) I - i sin(|h| t) hhat . sigma),
-    with the |h| = 0 case handled by the identity branch.
+    returned as the tuple (e^{-i h0 t}, cos(|h| t) - i sinc hz, -i sinc (hx - i hy))
+    with sinc = sin(|h| t)/|h|, which is t at |h| = 0.
 
     Accepts a (..., 2, 2) stack and scalar or broadcastable ``t``.
     Raises ValueError, naming H ``what``, if any slice deviates from
@@ -285,16 +279,6 @@ def exp_herm(h: NDArray[np.complex128], t, what: str = "exp_herm input") -> NDAr
     hy = 0.5 * (h[..., 1, 0] - h[..., 0, 1]).imag
     hz = 0.5 * (h[..., 0, 0] - h[..., 1, 1]).real
     r = np.sqrt(hx * hx + hy * hy + hz * hz)
-
-    phase = np.exp(-1j * h0 * t)
-    c = np.cos(r * t)
     # sin(r t)/r, finite at r = 0
     sinc = np.where(r > 0.0, np.sin(r * t) / np.where(r > 0.0, r, 1.0), t)
-
-    out = np.zeros(np.broadcast(phase, c).shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = phase * (c - 1j * sinc * hz)
-    out[..., 1, 1] = phase * (c + 1j * sinc * hz)
-    out[..., 0, 1] = phase * (-1j * sinc * (hx - 1j * hy))
-    out[..., 1, 0] = phase * (-1j * sinc * (hx + 1j * hy))
-    return out
-
+    return np.exp(-1j * h0 * t), np.cos(r * t) - 1j * sinc * hz, -1j * sinc * (hx - 1j * hy)

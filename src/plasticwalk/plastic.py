@@ -209,10 +209,6 @@ class DivergenceGroup:
     thy_power: int
     matrix: NDArray[np.complex128]
 
-    @property
-    def norm(self) -> float:
-        return float(op_norm(self.matrix))
-
 
 # The (left, right) parities a total splits into, by its class s: 0 (zero) as (0, 0), 1 (odd)
 # as (0, 1) or (1, 0), 2 (even > 0) as (0, 0) or (1, 1).  Row 27 s(Lx) + 9 s(Ly) + 3 s(Nx)
@@ -375,7 +371,7 @@ def spacetime_hamiltonian(cfg: WalkConfig) -> PdeAssembly:
                 (-1j) ** (g.kx_power + g.ky_power) * g.matrix)
         for g, norm in zip(groups, norms) if norm > 1e-13
     )
-    # Known defect, kept until the gate rejects it (ROADMAP item 2): when every order-1
+    # Known defect, kept until the gate rejects it (ROADMAP item 1): when every order-1
     # group cancels (compliant a + b > 1) there are no terms, and the calibration reads
     # NaN, as the 0/0 of the earlier numerical fit did.
     calibration = CALIBRATION if terms else float("nan")

@@ -23,8 +23,8 @@ no command needs stay here, as oracles for the library's closed forms:
   ``walk_planes`` and the two-plane squaring, the bands by ``_phases_su2``):
   the references the tile loops equal bit for bit;
 * W(k) and its power in extended precision, from the walk's float64 angles;
-* the stack product ``mul2`` and ``unitarity_defect`` on the library's entry
-  kernels, and the determinant ``det2``;
+* the stack product ``mul2`` by the entry formulas, ``unitarity_defect`` on the
+  library's entry kernels, and the determinant ``det2``;
 * a full 2x2 eigendecomposition, the unitarity and Hermiticity
   predicates, and the gufunc matmul forms of the elementwise 2x2
   kernels (walk symbol, squaring, operator norm, unitarity defect,
@@ -62,7 +62,7 @@ from numpy.typing import NDArray
 from plasticwalk.coins import CoinJet, WalkConfig, coin_at, coin_pair, walk_k, walk_planes
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import (
-    ID2, SY, SZ, _defect, _entries, _entries_su2, _from_entries, _mul, _phases_su2, _power,
+    ID2, SY, SZ, _defect, _entries, _entries_su2, _from_entries, _phases_su2, _power,
     dag, diag_mul, eigvals2, exp_herm, op_norm, rot,
 )
 from plasticwalk.plastic import (
@@ -77,8 +77,10 @@ from plasticwalk._util import POWER_TOL, check_unitary, stack_power
 
 
 def mul2(x, y) -> NDArray[np.complex128]:
-    """Matrix product x @ y of two broadcastable (..., 2, 2) stacks, by ``mat2._mul``."""
-    return _from_entries(*_mul(_entries(x), _entries(y)))
+    """Matrix product x @ y of two broadcastable (..., 2, 2) stacks, by the entry formulas."""
+    a, b, c, d = _entries(x)
+    e, f, g, h = _entries(y)
+    return _from_entries(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def det2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -415,7 +417,7 @@ def evolve_by_symbol(field: SpinorField, symbol, t: float,
         h = 1j * sym  # anti-Hermitian G => Hermitian iG, e^{G t} = e^{-i (iG) t}
     else:
         h = sym
-    u = exp_herm(h, t)
+    u = _from_entries(*_entries_su2(exp_herm(h, t)))
     fhat = dft(field)
     out = np.einsum("xyab,bxy->axy", u, fhat)
     return idft(out)
@@ -518,7 +520,8 @@ def converge_whole_grid(cfg: WalkConfig, tau: int, hamiltonian, kx, ky, t_final:
             check_unitary(walk_power(cfg, kx, ky, eps, 1), "walk symbol", 1e-11)
             walk_pow = check_unitary(walk_power(cfg, kx, ky, eps, tau * n), "W^(tau n)",
                                      POWER_TOL)
-            target = check_unitary(exp_herm(h, tau * n * eps), "target", 1e-11)
+            target = _from_entries(*_entries_su2(
+                check_unitary(exp_herm(h, tau * n * eps), "target", 1e-11)))
         samples.append((float(eps), float(np.max(op_norm(walk_pow - target)))))
     return samples
 

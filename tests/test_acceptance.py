@@ -253,7 +253,8 @@ def test_criterion_09_divergence_constraints():
         cfg = WalkConfig(coin_x=jx, coin_y=jy, tau=2, a_exp=HALF, b_exp=HALF, mode="plastic")
         a1, a2 = phx + zy, phy + zx
         _, groups = divergence_residual(cfg, HALF, HALF)
-        by_key = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): g for g in groups}
+        norm = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): float(op_norm(g.matrix))
+                for g in groups}
         conds = {
             (1, 0, 0, 0): (1.0, rot("y", thx0) @ rot("z", a1) @ rot("y", thy0)
                            + rot("y", -thx0) @ rot("z", a1) @ rot("y", -thy0)),
@@ -265,7 +266,7 @@ def test_criterion_09_divergence_constraints():
                            + rot("z", -a2) @ rot("y", thx0) @ rot("z", -a1)),
         }
         for key, (scale, expr) in conds.items():
-            assert abs(scale * by_key[key].norm - float(op_norm(expr))) <= 1e-12
+            assert abs(scale * norm[key] - float(op_norm(expr))) <= 1e-12
     report(9, "divergence residual <= 1e-12 (20 compliant), >= 0.1 (20 generic); "
               "grouped report reproduces the four conditions")
 

@@ -11,7 +11,7 @@ from plasticwalk import (
 )
 from plasticwalk.coins import coin_pair, walk_planes
 from plasticwalk.lattice import SpinorField, evolve
-from plasticwalk.mat2 import _entries_su2, _power, exp_herm, op_norm
+from plasticwalk.mat2 import _entries_su2, _from_entries, _power, exp_herm, op_norm
 from plasticwalk._util import K_BLOCK, k_tiles, stack_power
 
 from conftest import (
@@ -19,7 +19,7 @@ from conftest import (
 )
 from oracles import (
     converge_whole_grid, det2, dispersion_planes_whole_grid, dispersion_whole_grid,
-    evolve_whole_grid, power_stack, walk_k_stack, walk_power_planes, walk_power_stack,
+    evolve_whole_grid, walk_k_stack, walk_power_planes, walk_power_stack,
 )
 
 
@@ -128,7 +128,7 @@ def test_odd_tau_negative_control(rng):
         eps = 1.0 / (3 * n_blocks)
         w = walk_k(cfg3, kx, ky, eps)
         walk_pow = stack_power(w, 3 * n_blocks)
-        target = exp_herm(h, 3 * n_blocks * eps)
+        target = _from_entries(*_entries_su2(exp_herm(h, 3 * n_blocks * eps)))
         err = float(np.max(op_norm(walk_pow - target)))
         assert err >= 1.0
 
@@ -334,8 +334,7 @@ def test_k_tiles_run_other_shapes_as_one_tile():
 @example(grid=(64, 64), plastic=True, eps=0.01, steps=1001, seed=2)
 def test_entry_planes_equal_the_stack_oracles_bitwise(grid, plastic, eps, steps, seed):
     """W(k) and W(k)^steps in the two-plane form, walk_k on it, and evolve (its tiles in
-    that form) against the two-plane formulas over the whole grid, bit for bit; and
-    stack_power, four entries a matrix, against mul2 squarings."""
+    that form) against the two-plane formulas over the whole grid, bit for bit."""
     rng = np.random.default_rng(seed)
     cfg = draw_plastic_generic(rng) if plastic else draw_time_generic(rng)
     if eps == 0.0:
@@ -348,7 +347,6 @@ def test_entry_planes_equal_the_stack_oracles_bitwise(grid, plastic, eps, steps,
     w_n = walk_power_planes(cfg, kx, ky, eps, steps)
     assert np.stack(_entries_su2(_power(planes, steps)), axis=-1).tobytes() \
         == w_n.reshape(grid + (4,)).tobytes()
-    assert stack_power(w, steps).tobytes() == power_stack(w, steps).tobytes()
     field = SpinorField.random(*grid, rng)
     if steps == 0:
         assert evolve(field, cfg, eps, steps) is field

@@ -1,8 +1,8 @@
 """The elementwise 2x2 kernels against the gufunc-matmul forms they replace.
 
 Each kernel is compared with its oracle in ``oracles.py`` at the package
-tolerances: 1e-12 for algebra, 1e-11 for unitarity.  The squaring in
-``stack_power``, and the two-plane power of the k-space tile loops, are also
+tolerances: 1e-12 for algebra, 1e-11 for unitarity.  ``stack_power`` (numpy's
+matmul squaring) and the two-plane power of the k-space tile loops are also
 held against an extended-precision power.
 """
 

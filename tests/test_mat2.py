@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plasticwalk.mat2 import ID2, SY, SZ, _wrap, dag, exp_herm, op_norm, rot
+from plasticwalk.mat2 import (
+    ID2, SY, SZ, _entries_su2, _from_entries, _wrap, dag, exp_herm, op_norm, rot,
+)
 
 from oracles import det2, eig2, is_hermitian, is_unitary
 
@@ -128,9 +130,14 @@ def _expm_series(m, order=40):
     return acc
 
 
+def _exp(h, t):
+    """exp_herm's two-plane form expanded to a stack."""
+    return _from_entries(*_entries_su2(exp_herm(h, t)))
+
+
 def test_exp_herm_trivial_cases():
-    assert np.allclose(exp_herm(np.zeros((2, 2)), 0.7), ID2, atol=1e-15)
-    got = exp_herm(SZ, np.pi / 2)
+    assert np.allclose(_exp(np.zeros((2, 2)), 0.7), ID2, atol=1e-15)
+    got = _exp(SZ, np.pi / 2)
     assert np.allclose(got, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]), atol=1e-14)
 
 
@@ -140,7 +147,7 @@ def test_exp_herm_matches_series_oracle():
         h = random_hermitian(rng)
         t = 0.7
         expected = _expm_series(-1j * h * t)
-        assert float(op_norm(exp_herm(h, t) - expected)) <= 1e-12
+        assert float(op_norm(_exp(h, t) - expected)) <= 1e-12
 
 
 def test_exp_herm_group_property():
@@ -148,8 +155,8 @@ def test_exp_herm_group_property():
     for _ in range(100):
         h = random_hermitian(rng)
         t1, t2 = rng.uniform(-2, 2, size=2)
-        lhs = exp_herm(h, t1) @ exp_herm(h, t2)
-        assert float(op_norm(lhs - exp_herm(h, t1 + t2))) <= 1e-11
+        lhs = _exp(h, t1) @ _exp(h, t2)
+        assert float(op_norm(lhs - _exp(h, t1 + t2))) <= 1e-11
 
 
 def test_exp_herm_rejects_non_hermitian():
