@@ -158,14 +158,15 @@ def _grid(n: int):
     return ks[:, None], ks[None, :]
 
 
-def _rounded(coeff) -> list:
-    """The 2x2 matrix ``coeff`` as nested lists, each entry rounded to 12 decimals as
-    np.round rounds it, or kept as it is where that rounding overflows (np.round scales
-    by 1e12 first, which passes the largest float above about 1.8e296)."""
-    coeff = np.asarray(coeff, dtype=np.complex128)
+def _rounded(coeffs) -> list:
+    """The 2x2 matrices ``coeffs`` (a stack, or a sequence that may be empty) as a list of
+    nested lists, each entry rounded to 12 decimals as np.round rounds it, in one call, or
+    kept as it is where that rounding overflows (np.round scales by 1e12 first, which
+    passes the largest float above about 1.8e296)."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 2, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        rounded = np.round(coeff, 12)
-    return np.where(np.isfinite(rounded), rounded, coeff).tolist()
+        rounded = np.round(coeffs, 12)
+    return np.where(np.isfinite(rounded), rounded, coeffs).tolist()
 
 
 def cmd_check(args) -> int:
@@ -182,8 +183,8 @@ def cmd_hamiltonian(args) -> int:
         raise ValueError("requires a time-mode config")
     terms, _ = tl.time_hamiltonian(cfg.walk)
     summary = [f"H = sum of {len(terms)} shift-word terms, prefactor included in matrices:"]
-    for t in terms:
-        summary.append(f"  S_x^{t.px} S_y^{t.py} x {_rounded(t.coeff)}")
+    for t, coeff in zip(terms, _rounded([t.coeff for t in terms])):
+        summary.append(f"  S_x^{t.px} S_y^{t.py} x {coeff}")
     _emit(args, {"terms": [t.to_dict() for t in terms], "rendered": summary})
     return 0
 
@@ -195,7 +196,8 @@ def cmd_pde(args) -> int:
     assembly = pl.spacetime_hamiltonian(cfg.walk)
     lam = assembly.calibration
     rendered = ["d/dt Psi = sum of the terms below (calibration folded in):"]
-    for t in assembly.terms:
+    coeffs = _rounded(lam * np.array([t.coeff for t in assembly.terms], dtype=np.complex128))
+    for t, coeff in zip(assembly.terms, coeffs):
         mono = []
         if t.thx_power:
             mono.append(f"theta1x^{t.thx_power}")
@@ -205,7 +207,7 @@ def cmd_pde(args) -> int:
             mono.append(f"d/dx^{t.dx_power}")
         if t.dy_power:
             mono.append(f"d/dy^{t.dy_power}")
-        rendered.append(f"  [{_rounded(lam * t.coeff)}] " + " ".join(mono))
+        rendered.append(f"  [{coeff}] " + " ".join(mono))
     _emit(args, {**assembly.to_dict(), "rendered": rendered})
     return 0
 

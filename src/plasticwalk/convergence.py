@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import WalkConfig, coin_pair, walk_planes
-from .mat2 import _entries_su2, _norm, _phases_su2, _power, exp_herm
+from .mat2 import _entries_su2, _norm_diff, _phases_su2, _power, exp_herm
 from .plastic import spacetime_hamiltonian
 from .timelimit import time_hamiltonian
 from ._util import POWER_TOL, check_unitary, k_tiles
@@ -79,8 +79,9 @@ def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
     into the fitted order.  W^(tau n) must be unitary to POWER_TOL, and H, named
     ``what`` in errors, Hermitian.  The coin pair is built once an eps, H once a tile of
     ``k_tiles``; each error is the max over the tiles.  W, W^(tau n) and the target are
-    in the two-plane form of ``mat2``, checked there, and expanded to four entry planes
-    only for the norm of their difference.
+    in the two-plane form of ``mat2`` and checked there; the target is expanded to four
+    entry planes once a tile and horizon, and ``_norm_diff`` forms the entries of
+    W^(tau n) minus it in place for the norm.
     """
     tau = cfg.tau
     eps_list = [float(eps) for eps in sorted(eps_list, reverse=True)]
@@ -92,14 +93,13 @@ def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
             h, t = hamiltonian(kx_t, ky_t), None
             for i, (eps, m, pair) in enumerate(zip(eps_list, steps, pairs)):
                 w = check_unitary(walk_planes(pair, kx_t, ky_t), "walk symbol", _UNITARITY_TOL)
-                walk_pow = _entries_su2(check_unitary(
-                    _power(w, m), f"W^({tau} n) at n = {m // tau:.3g}", POWER_TOL))
+                walk_pow = check_unitary(_power(w, m), f"W^({tau} n) at n = {m // tau:.3g}",
+                                         POWER_TOL)
                 if m * eps != t:  # eps that divide the horizon alike share one target
                     t = m * eps
                     target = _entries_su2(check_unitary(exp_herm(h, t, what),
                                                         f"{what} evolution", _UNITARITY_TOL))
-                diff = [p - q for p, q in zip(walk_pow, target)]
-                errors[i] = max(errors[i], float(np.max(_norm(diff))))
+                errors[i] = max(errors[i], float(_norm_diff(walk_pow, target).max()))
     samples = list(zip(eps_list, errors))
     slope, intercept, r2 = fit_order(samples)
     return ConvergenceResult(tuple(samples), slope, intercept, r2)

@@ -20,10 +20,13 @@ exactly, so ||M^dag M - I|| = ||g|^2 (|a|^2 + |b|^2) - 1|) and the eigenphases
 ``_phases_su2``.
 
 Entry planes: a general matrix [[a, b], [c, d]] is the tuple (a, b, c, d) of
-four arrays that broadcast.  Norms and unitarity checks of general matrices run
-on them (``_norm``, ``_defect``); ``_entries`` views a (..., 2, 2) stack so,
-and ``_entries_su2`` expands the two-plane form where a general matrix, such as
-the difference of two evolutions, meets it.
+four arrays of one shape.  Norms and unitarity checks of general matrices run
+on them (``_norm``, ``_defect``, their Gram sums taken in place); ``_entries``
+views a (..., 2, 2) stack so, and ``_entries_su2`` expands the two-plane form to
+them, as ``converge`` does its target e^{-iHt} once a tile and horizon.  The
+difference of two evolutions is formed where it is normed: ``_norm_diff`` takes
+W^n in the two-plane form and the target's entry planes and forms the four
+entries of W^n - target in place, so W^n is never expanded.
 
 Rotation convention, fixed once for the whole package:
 
@@ -47,7 +50,6 @@ __all__ = [
     "SZ",
     "rot",
     "dag",
-    "diag_mul",
     "op_norm",
     "eigvals2",
     "exp_herm",
@@ -160,35 +162,50 @@ def _entries_su2(x: tuple) -> tuple:
     return g * a, g * b, -g * b.conjugate(), g * a.conjugate()
 
 
-def diag_mul(e, m) -> NDArray[np.complex128]:
-    """diag(e, conj(e)) @ m, the form of every shift symbol and shift word.
-
-    The diagonal only scales the rows of m; ``e`` broadcasts against the
-    stack axes of m.
-    """
-    e = np.asarray(e, dtype=np.complex128)
-    return np.stack([e, e.conj()], axis=-1)[..., None] * m
+def _squares(*parts):
+    """parts[0]^2 + parts[1]^2 + ..., summed left to right in place."""
+    total = parts[0] * parts[0]
+    for x in parts[1:]:
+        total += x * x
+    return total
 
 
 def _gram(a, b, c, d):
-    """(p, r, q): the entries [[p, q], [q*, r]] of M^dag M for M = [[a, b], [c, d]]."""
-    p = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
-    r = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
-    q = a.conjugate() * b + c.conjugate() * d
-    return p, r, q
+    """(p, r, q): the entries [[p, q], [q*, r]] of M^dag M for M = [[a, b], [c, d]], the
+    four planes of one shape."""
+    q = a.conjugate()
+    q *= b
+    q += c.conjugate() * d
+    return _squares(a.real, a.imag, c.real, c.imag), _squares(b.real, b.imag, d.real, d.imag), q
 
 
 def _radius(p, r, q):
     """sqrt(((p - r)/2)^2 + |q|^2): half the eigenvalue gap of [[p, q], [q*, r]]."""
-    h = 0.5 * (p - r)
-    return (h * h + q.real * q.real + q.imag * q.imag) ** 0.5
+    h = p - r
+    h *= 0.5
+    h = _squares(h, q.real, q.imag)
+    h **= 0.5
+    return h
 
 
-def _norm(x: tuple):
+def _norm(x):
     """Largest singular value of the matrix with entries x (see :func:`op_norm`)."""
     p, r, q = _gram(*x)
-    lam = 0.5 * (p + r) + _radius(p, r, q)
-    return np.sqrt(np.maximum(lam, 0.0))
+    radius = _radius(p, r, q)
+    p += r
+    p *= 0.5
+    p += radius
+    return np.sqrt(np.maximum(p, 0.0))
+
+
+def _norm_diff(x: tuple, target: tuple):
+    """||M - T|| for M = (g, a, b) in the two-plane form and T by its four entry planes,
+    which broadcast against those of M: the entries of M (:func:`_entries_su2`) less
+    those of T, in place."""
+    diff = list(_entries_su2(x))
+    for i, t in enumerate(target):
+        diff[i] -= t
+    return _norm(diff)
 
 
 def _defect(x: tuple):
@@ -199,10 +216,7 @@ def _defect(x: tuple):
         p, r, q = _gram(*x)
         return abs(0.5 * (p + r) - 1.0) + _radius(p, r, q)
     g, a, b = x
-    s = a.real * a.real
-    s += a.imag * a.imag
-    s += b.real * b.real
-    s += b.imag * b.imag
+    s = _squares(a.real, a.imag, b.real, b.imag)
     s *= g.real * g.real + g.imag * g.imag
     s -= 1.0
     return abs(s)
@@ -227,7 +241,7 @@ def _phases_su2(x: tuple) -> tuple:
     :func:`_wrap`.
     """
     g, a, b = x
-    half_gap = np.arctan2(np.sqrt(a.imag * a.imag + b.real * b.real + b.imag * b.imag), a.real)
+    half_gap = np.arctan2(np.sqrt(_squares(a.imag, b.real, b.imag)), a.real)
     arg = math.atan2(g.imag, g.real)
     p1, p2 = _wrap(arg + half_gap), _wrap(arg - half_gap)
     return np.minimum(p1, p2), np.maximum(p1, p2)

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import WalkConfig
-from .mat2 import SY, diag_mul, rot
+from .mat2 import SY, _from_entries, rot
 from ._util import flat2
 
 __all__ = [
@@ -169,6 +169,11 @@ def time_hamiltonian(cfg: WalkConfig):
     H(k) obtained by substituting e^{i(px kx + py ky) sigma_z} for the
     shift words.  H(k) is Hermitian and equals -{A,B}(k)/4, the limit
     i (W^tau - I)/(tau eps).
+
+    The symbol is built on four entry planes: each term's phase e = e^{i(px kx + py ky)}
+    is taken on the kx or ky factor alone where the other power is 0, its rows are
+    e and e* times the term's coefficient entries, and the planes are summed term by
+    term, then stacked once.
     """
     nu = _require_branch(check_time_limit(cfg).require("time-limit gate"))
     s = 1 if nu == 0 else -1
@@ -182,10 +187,20 @@ def time_hamiltonian(cfg: WalkConfig):
         HamiltonianTerm(2, 2 * s, 0.25 * jy.theta1
                         * rot("z", 2.0 * jx.zeta0 + 2.0 * s * jx.phi0 + 2.0 * s * jy.zeta0) @ SY),
     ]
+    entries = [[complex(c) for c in t.coeff.reshape(-1)] for t in terms]
 
     def symbol(kx, ky) -> NDArray[np.complex128]:
         kx = np.asarray(kx, dtype=np.float64)
         ky = np.asarray(ky, dtype=np.float64)
-        return sum(diag_mul(np.exp(1j * (t.px * kx + t.py * ky)), t.coeff) for t in terms)
+        planes = [0, 0, 0, 0]  # from 0, as a sum of stacks: a -0.0 first term gives +0.0
+        for t, coeff in zip(terms, entries):
+            phase = (t.px * kx + t.py * ky if t.px and t.py
+                     else t.px * kx if t.px else t.py * ky)
+            e = np.exp(1j * phase)
+            e_conj = e.conjugate()
+            # the ufunc at 0-d momenta too: numpy's scalar product can round differently
+            planes = [p + np.multiply(row, c)
+                      for p, row, c in zip(planes, (e, e, e_conj, e_conj), coeff)]
+        return _from_entries(*planes)
 
     return terms, symbol

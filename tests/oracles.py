@@ -25,6 +25,10 @@ no command needs stay here, as oracles for the library's closed forms:
 * W(k) and its power in extended precision, from the walk's float64 angles;
 * the stack product ``mul2`` by the entry formulas, ``unitarity_defect`` on the
   library's entry kernels, and the determinant ``det2``;
+* the shift-word row scaling ``diag_mul`` and the Hamiltonian symbol as a sum of
+  its stacks (``time_symbol_stack``), the reference for the library's symbol on
+  entry planes, and the Gram entries and half-gap radius of ``mat2._norm`` as whole
+  expressions (``gram_sums``, ``radius_sums``), the references for its in-place sums;
 * a full 2x2 eigendecomposition, the unitarity and Hermiticity
   predicates, and the gufunc matmul forms of the elementwise 2x2
   kernels (walk symbol, squaring, operator norm, unitarity defect,
@@ -63,7 +67,7 @@ from plasticwalk.coins import CoinJet, WalkConfig, coin_at, coin_pair, walk_k, w
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import (
     ID2, SY, SZ, _defect, _entries, _entries_su2, _from_entries, _phases_su2, _power,
-    dag, diag_mul, eigvals2, exp_herm, op_norm, rot,
+    dag, eigvals2, exp_herm, op_norm, rot,
 )
 from plasticwalk.plastic import (
     TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles, _index_tuples, _pairs,
@@ -83,6 +87,16 @@ def mul2(x, y) -> NDArray[np.complex128]:
     return _from_entries(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
+def diag_mul(e, m) -> NDArray[np.complex128]:
+    """diag(e, conj(e)) @ m, the form of every shift symbol and shift word.
+
+    The diagonal only scales the rows of m; ``e`` broadcasts against the
+    stack axes of m.
+    """
+    e = np.asarray(e, dtype=np.complex128)
+    return np.stack([e, e.conj()], axis=-1)[..., None] * m
+
+
 def det2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     """Determinant of a (..., 2, 2) stack."""
     m = np.asarray(m)
@@ -92,6 +106,21 @@ def det2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
 def unitarity_defect(m: NDArray[np.complex128]) -> NDArray[np.float64]:
     """||M^dag M - I||, the distance of each slice from U(2), by ``mat2._defect``."""
     return _defect(_entries(m))
+
+
+def gram_sums(a, b, c, d):
+    """(p, r, q) of M^dag M = [[p, q], [q*, r]] for M = [[a, b], [c, d]], each entry one
+    expression over the four planes."""
+    p = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+    r = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+    q = a.conjugate() * b + c.conjugate() * d
+    return p, r, q
+
+
+def radius_sums(p, r, q):
+    """sqrt(((p - r)/2)^2 + |q|^2) as one expression."""
+    h = 0.5 * (p - r)
+    return (h * h + q.real * q.real + q.imag * q.imag) ** 0.5
 
 
 def is_unitary(m: NDArray[np.complex128], tol: float = 1e-10) -> bool:
@@ -703,6 +732,15 @@ def unitarity_defect_matmul(m: NDArray[np.complex128]) -> NDArray[np.float64]:
     """||M^dag M - I|| with the product and the norm both through matmul."""
     m = np.asarray(m, dtype=np.complex128)
     return op_norm_matmul(dag(m) @ m - ID2)
+
+
+def time_symbol_stack(terms, kx, ky) -> NDArray[np.complex128]:
+    """H(k) as the sum of one (..., 2, 2) stack a term, each the term matrix scaled by
+    diag_mul with its phase e^{i(px kx + py ky)} over the whole momentum grid: the
+    reference the library's entry-plane symbol equals bit for bit."""
+    kx = np.asarray(kx, dtype=np.float64)
+    ky = np.asarray(ky, dtype=np.float64)
+    return sum(diag_mul(np.exp(1j * (t.px * kx + t.py * ky)), t.coeff) for t in terms)
 
 
 def time_symbol_matmul(terms, kx, ky) -> NDArray[np.complex128]:

@@ -393,6 +393,19 @@ def test_pde_without_surviving_order_one_groups_prints_strict_json(tmp_path, cap
     json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
 
 
+def test_pde_without_surviving_order_one_groups_renders_no_terms(tmp_path, capsys):
+    """The known defect above, as it stands: pde at a = b = 1 exits 0 with no terms and a
+    NaN calibration, its rendering (every coefficient rounded in one call, here none) only
+    the header line."""
+    doc = plastic_doc(np.random.default_rng(9))
+    doc["walk"]["a"] = doc["walk"]["coin_x"]["b"] = doc["walk"]["coin_y"]["b"] = "1/1"
+    assert main(["--config", write_config(tmp_path, doc), "pde"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert err == "" and payload["terms"] == [] and math.isnan(payload["calibration"])
+    assert payload["rendered"] == ["d/dt Psi = sum of the terms below (calibration folded in):"]
+
+
 def test_converge_without_surviving_order_one_groups_names_the_cause(tmp_path, capsys):
     doc = plastic_doc(np.random.default_rng(9))
     doc["walk"]["a"] = doc["walk"]["coin_x"]["b"] = doc["walk"]["coin_y"]["b"] = "1/1"

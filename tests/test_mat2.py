@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasticwalk.mat2 import (
-    ID2, SY, SZ, _entries_su2, _from_entries, _wrap, dag, exp_herm, op_norm, rot,
+    ID2, SY, SZ, _entries, _entries_su2, _from_entries, _gram, _norm, _norm_diff, _radius,
+    _wrap, dag, exp_herm, op_norm, rot,
 )
 
-from oracles import det2, eig2, is_hermitian, is_unitary
+from oracles import det2, eig2, gram_sums, is_hermitian, is_unitary, radius_sums
 
 
 def random_unitary(rng):
@@ -210,3 +211,74 @@ def test_wrap_maps_phases_into_the_half_open_circle():
     got = _wrap(p.copy())
     assert got.tolist() == [np.pi, np.pi, 0.0, 0.0, 3.5 - 2 * np.pi, 2 * np.pi - 3.5, 0.25, -0.0]
     assert ((got > -np.pi) & (got <= np.pi)).all()
+
+
+# shapes of a stack of planes, each with shapes that broadcast into it
+PLANE_SHAPES = {(): [()], (6,): [(6,), (1,), ()], (3, 5): [(3, 5), (3, 1), (1, 5), ()]}
+SPECIAL = np.array([0.0, -0.0, 1e200, -1e-200, 5e-324, np.inf, -np.inf, np.nan])
+
+
+def random_plane(rng, shape, special=False):
+    """A complex plane of ``shape``: all zeros (either sign), or normal draws at a random
+    scale, a few entries replaced by zeros, huge, tiny, infinite or NaN values when
+    ``special``.  A () plane is a numpy scalar, as the tile loops make at scalar momenta."""
+    if rng.integers(0, 4) == 0:
+        z = np.full(shape, complex(*rng.choice([0.0, -0.0], 2)))
+    else:
+        z = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(-3, 3)
+    if special:
+        z = np.array(z, dtype=np.complex128)
+        for part in (z.real, z.imag):
+            hit = rng.random(shape) < 0.2
+            part[hit] = rng.choice(SPECIAL, size=shape)[hit]
+    return np.complex128(z) if shape == () else z
+
+
+def _bits(values) -> list[bytes]:
+    return [np.asarray(v).tobytes() for v in values]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(list(PLANE_SHAPES)), special=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_norm_diff_equals_the_norm_of_the_expanded_difference_bitwise(shape, special, seed):
+    """||M - T|| for M = (g, a, b), formed in place, against _norm of the _entries_su2
+    entries minus T: |g| off 1 or 0, zero planes, g and the target planes broadcasting."""
+    rng = np.random.default_rng(seed)
+    fits = PLANE_SHAPES[shape]
+    g = np.complex128(rng.choice([0.0, rng.uniform(0.5, 2.0)]) * np.exp(1j * rng.uniform(-4, 4)))
+    if shape and rng.integers(0, 2):  # a plane of phases, as the exp_herm target has
+        g = random_plane(rng, fits[rng.integers(0, len(fits))])
+    x = (g, random_plane(rng, shape, special), random_plane(rng, shape, special))
+    target = tuple(random_plane(rng, fits[rng.integers(0, len(fits))], special)
+                   for _ in range(4))
+    with np.errstate(all="ignore"):  # the special values overflow and make NaNs
+        ref = _norm(tuple(p - q for p, q in zip(_entries_su2(x), target)))
+        got = _norm_diff(x, target)
+    assert np.shape(got) == np.shape(ref) == shape
+    assert _bits([got]) == _bits([ref])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(list(PLANE_SHAPES) + ["view"]), special=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gram_and_radius_in_place_equal_the_whole_expressions_bitwise(shape, special, seed):
+    """The in-place sums of _gram, _radius and _norm against the expressions they replace
+    (left to right), on numpy scalars, planes and the 0-d views of one (2, 2) matrix;
+    the inputs of each are left as they were."""
+    rng = np.random.default_rng(seed)
+    if shape == "view":
+        x = _entries(_from_entries(*(random_plane(rng, (), special) for _ in range(4))))
+    else:
+        x = tuple(random_plane(rng, shape, special) for _ in range(4))
+    before = _bits(x)
+    with np.errstate(all="ignore"):  # the special values overflow and make NaNs
+        ref = gram_sums(*x)
+        assert _bits(_gram(*x)) == _bits(ref)
+        grams = _bits(ref)
+        assert _bits([_radius(*ref)]) == _bits([radius_sums(*ref)])
+        assert _bits(ref) == grams
+        p, r, q = ref
+        norm = np.sqrt(np.maximum(0.5 * (p + r) + radius_sums(p, r, q), 0.0))
+        assert _bits([_norm(x)]) == _bits([norm])
+    assert _bits(x) == before

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from plasticwalk import CoinJet, WalkConfig, check_time_limit, time_hamiltonian, walk_k
 from plasticwalk.mat2 import SY, op_norm, rot
 from plasticwalk.timelimit import anticommutator_AB
-from plasticwalk._util import stack_power
+from plasticwalk._util import K_BLOCK, k_tiles, stack_power
 
 from conftest import draw_time_compliant, draw_time_generic
 from oracles import (
     constraint_f, first_order_blocks, is_hermitian, odd_tau_gap, roots_of_unity_residual,
-    walk_block, witnesses,
+    time_symbol_stack, walk_block, witnesses,
 )
 
 
@@ -243,6 +243,40 @@ def test_hamiltonian_symbol_is_quarter_anticommutator(rng):
         h = symbol(kx, ky)
         ab = anticommutator_AB(cfg, kx, ky)
         assert float(np.max(op_norm(h + 0.25 * ab))) <= 1e-12
+
+
+def _symbol_momenta(rng, kind):
+    """Momenta of one of the forms the symbol is called with: scalars, 1-D lists (the
+    plastic momenta form), kx (n, 1) x ky (1, m) factor grids, and the (1, 1) x (1, m)
+    column tiles ``k_tiles`` cuts from a row longer than K_BLOCK."""
+    if kind == "scalar":
+        pool = [0.0, -0.0, np.pi, -np.pi, 0.4] if rng.integers(0, 2) else rng.uniform(-4, 4, 2)
+        return tuple(float(k) for k in rng.choice(pool, 2))
+    if kind == "list":
+        n = int(rng.integers(1, 7))
+        return rng.uniform(-np.pi, np.pi, n), rng.uniform(-np.pi, np.pi, n)
+    if kind == "grid":
+        ks = np.linspace(-np.pi, np.pi, int(rng.integers(1, 12)), endpoint=False)
+        return ks[:, None], -ks[None, :int(rng.integers(1, len(ks) + 1))]
+    ks = np.linspace(-np.pi, np.pi, K_BLOCK + int(rng.integers(1, 40)), endpoint=False)
+    tiles = list(k_tiles(ks[:1, None], ks[None, :]))
+    _, kx, ky = tiles[int(rng.integers(0, len(tiles)))]
+    return kx, ky
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(nu=st.integers(0, 1), tau=st.sampled_from([2, 4]),
+       kind=st.sampled_from(["scalar", "list", "grid", "column"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_symbol_on_entry_planes_equals_the_stack_sum_bitwise(nu, tau, kind, seed):
+    """The symbol's per-axis phases and entry planes give the bits of the sum of one
+    diag_mul stack a term, on both theta branches (S_y powers 2s, s = +-1)."""
+    rng = np.random.default_rng(seed)
+    terms, symbol = time_hamiltonian(draw_time_compliant(rng, nu=nu, tau=tau))
+    assert {t.py for t in terms} == {0, 2 * (1 - 2 * nu)}
+    kx, ky = _symbol_momenta(rng, kind)
+    h, ref = symbol(kx, ky), time_symbol_stack(terms, kx, ky)
+    assert h.shape == ref.shape == np.broadcast(np.asarray(kx), np.asarray(ky)).shape + (2, 2)
+    assert h.tobytes() == ref.tobytes()
 
 
 def test_hamiltonian_hermitian_on_grid(rng):
