@@ -1,20 +1,23 @@
 """Command-line front end.
 
-Subcommands: check, hamiltonian, pde, simulate, converge, dispersion,
-terms.  Every command reads one JSON config (--config), writes CSV or
-JSON (--format / --output), and uses the exit-code contract
+``COMMANDS`` names the subcommands, argparse's choices.  ``main`` loads the
+config once and runs the command ``name`` as the module attribute
+``cmd_<name>``, looked up at call time.  Every command reads one JSON config
+(--config) and writes JSON, or CSV where --format asks for it (converge,
+dispersion, terms), to stdout or --output.  ``main`` alone turns exceptions
+into the exit-code contract
 
     0  success / constraints satisfied
     1  domain failure (constraint gate rejected, non-convergence input)
     2  usage or config parse error
 
-``main`` alone turns exceptions into these codes: a ConfigError (raised
-while loading the config) or an OSError (writing the output) gives 2,
-any other ValueError gives 1, each with one line on stderr.
+a ConfigError (raised while loading the config) or an OSError (writing the
+output) gives 2, any other ValueError gives 1, each with one line on stderr.
 
 Outputs are deterministic for a fixed config and seed: JSON is emitted
 with sorted keys, byte for byte as json.dumps(sort_keys=True, indent=2)
-writes it, CSV floats at 17 significant digits.
+writes it, its ``schema_version`` stamped by ``_document`` alone; CSV
+floats at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from .config import ConfigError, ExperimentConfig
 __all__ = ["main"]
 
 SCHEMA_VERSION = 1
+
+COMMANDS = ("check", "hamiltonian", "pde", "simulate", "converge", "dispersion", "terms")
 
 # Most k-points (grid**2 of dispersion and time-mode converge) or lattice sites (nx *
 # ny of simulate) one command may ask for; checked before anything is allocated.
@@ -74,9 +79,15 @@ def _float_text(x: float) -> str:
     return _NONFINITE[text] if text[-1] in "nf" else text
 
 
+class _Listing:
+    """The leaf ``_emit_listing`` puts where its list goes.  ``_json`` writes it as NUL,
+    a character that it writes in a string only as \\u0000."""
+
+
 # the text of a leaf of each exact type
 _LEAF = {str: _str_text, int: int.__repr__, float: _float_text,
-         bool: ("false", "true").__getitem__, type(None): lambda _: "null"}.get
+         bool: ("false", "true").__getitem__, type(None): lambda _: "null",
+         _Listing: lambda _: "\0"}.get
 
 
 def _json(value, indent: str = "") -> str:
@@ -109,7 +120,7 @@ def _json(value, indent: str = "") -> str:
 
 
 def _document(payload: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **payload}
+    return {**payload, "schema_version": SCHEMA_VERSION}
 
 
 def _json_text(payload: dict) -> str:
@@ -126,25 +137,17 @@ def _emit_listing(args, payload: dict, key: str, rows: Iterable[str]) -> None:
     """Write the JSON of ``payload`` with the list under ``key`` given as formatted rows.
 
     The rows are the list items as json.dumps(indent=2) writes them, with their
-    separators.  The members of the payload that sort before ``key`` are written,
-    then the rows as they come, then the members after it, so the list is never
-    built as Python objects.  An empty listing (no rows, or an empty first row)
-    writes [].
+    separators.  The document is written with a ``_Listing`` leaf under ``key`` and
+    split there, and the rows go in between as they come, so the list is never built
+    as Python objects.  An empty listing (no rows, or an empty first row) writes [].
     """
-    members = sorted((k, f"{_str_text(k)}: {_json(v, '  ')}")
-                     for k, v in _document(payload).items())
-    head = "{\n" + "".join(f"  {m},\n" for k, m in members if k < key) + f"  {_str_text(key)}: "
-    tail = "".join(f",\n  {m}" for k, m in members if k > key) + "\n}\n"
+    head, tail = _json_text({**payload, key: _Listing()}).split("\0")
     rows = iter(rows)
     first = next(rows, "")
     if first:
         _write(args, itertools.chain((head, "[\n", first), rows, ("\n  ]", tail)))
     else:
         _write(args, (head, "[]", tail))
-
-
-def _load(args) -> ExperimentConfig:
-    return ExperimentConfig.load(args.config, args.seed)
 
 
 def _within_budget(work: int, what: str) -> None:
@@ -169,16 +172,14 @@ def _rounded(coeffs) -> list:
     return np.where(np.isfinite(rounded), rounded, coeffs).tolist()
 
 
-def cmd_check(args) -> int:
-    cfg = _load(args)
+def cmd_check(args, cfg: ExperimentConfig) -> int:
     gate = tl.check_time_limit if cfg.walk.mode == "time" else pl.check_spacetime_limit
     report = gate(cfg.walk)
     _emit(args, report.to_dict())
     return 0 if report.passed else 1
 
 
-def cmd_hamiltonian(args) -> int:
-    cfg = _load(args)
+def cmd_hamiltonian(args, cfg: ExperimentConfig) -> int:
     if cfg.walk.mode != "time":
         raise ValueError("requires a time-mode config")
     terms, _ = tl.time_hamiltonian(cfg.walk)
@@ -189,8 +190,7 @@ def cmd_hamiltonian(args) -> int:
     return 0
 
 
-def cmd_pde(args) -> int:
-    cfg = _load(args)
+def cmd_pde(args, cfg: ExperimentConfig) -> int:
     if cfg.walk.mode != "plastic":
         raise ValueError("requires a plastic-mode config")
     assembly = pl.spacetime_hamiltonian(cfg.walk)
@@ -212,8 +212,7 @@ def cmd_pde(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
+def cmd_simulate(args, cfg: ExperimentConfig) -> int:
     _within_budget(cfg.nx * cfg.ny, f"a {cfg.nx}x{cfg.ny} lattice has nx * ny sites")
     rng = np.random.default_rng(cfg.seed)
     if cfg.initial_type == "plane_wave":
@@ -241,8 +240,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_converge(args) -> int:
-    cfg = _load(args)
+def cmd_converge(args, cfg: ExperimentConfig) -> int:
     if cfg.walk.mode == "time":
         run, (kx, ky) = conv.time_convergence, _grid(cfg.grid)
     else:
@@ -304,8 +302,7 @@ def _band_rows(kx, ky, bands, fmt: str):
         yield cells_text(buf[:n]).decode("ascii")
 
 
-def cmd_dispersion(args) -> int:
-    cfg = _load(args)
+def cmd_dispersion(args, cfg: ExperimentConfig) -> int:
     kx, ky = _grid(cfg.grid)
     rows = _band_rows(kx, ky, conv.dispersion(cfg.walk, cfg.eps, kx, ky), args.format)
     if args.format == "csv":
@@ -336,14 +333,13 @@ def _term_half(index: str, kind: str, total: int) -> list[tuple[str, str]]:
             for parts in pl._compositions4(total).tolist()]
 
 
-def cmd_terms(args) -> int:
+def cmd_terms(args, cfg: ExperimentConfig) -> int:
     """List the order-1 index tuples, pair by pair, the l half's compositions outside.
 
     Every "l=" sorts before every "n=", so a tuple's group label joins the labels of
     its halves; the rows of a pair are the product of the fragments of its l and n
     halves: one template per pair holds the n halves, and each l half fills it in.
     """
-    cfg = _load(args)
     pairs, count = pl._pairs(cfg.walk.a_exp, cfg.walk.b_exp, order_one=True)
     row, sep, index = _TERM_ROWS[args.format]
     blocks = []
@@ -373,9 +369,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("command",
-                        choices=("check", "hamiltonian", "pde", "simulate",
-                                 "converge", "dispersion", "terms"))
+    parser.add_argument("command", choices=COMMANDS)
     return parser
 
 
@@ -385,19 +379,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # 0 after --help, 2 on a usage error
         return exc.code
 
-    # looked up on each call, so a rebound cmd_* attribute of this module is the one run
-    handlers = {
-        "check": cmd_check,
-        "hamiltonian": cmd_hamiltonian,
-        "pde": cmd_pde,
-        "simulate": cmd_simulate,
-        "converge": cmd_converge,
-        "dispersion": cmd_dispersion,
-        "terms": cmd_terms,
-    }
     # the one map from exceptions to exit codes; any other exception is a defect and escapes
     try:
-        return handlers[args.command](args)
+        cfg = ExperimentConfig.load(args.config, args.seed)
+        # looked up on each call, so a rebound cmd_* attribute of this module is the one run
+        return globals()[f"cmd_{args.command}"](args, cfg)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

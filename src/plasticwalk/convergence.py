@@ -40,7 +40,6 @@ class ConvergenceResult:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "samples": [{"eps": e, "error": err} for e, err in self.samples],
             "slope": self.slope,
             "intercept": self.intercept,

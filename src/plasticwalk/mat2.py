@@ -44,8 +44,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
-    "ID2",
-    "SX",
     "SY",
     "SZ",
     "rot",
@@ -55,24 +53,23 @@ __all__ = [
     "exp_herm",
 ]
 
-ID2 = np.eye(2, dtype=np.complex128)
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
 def rot(axis: str, angle) -> NDArray[np.complex128]:
-    """SU(2) rotation exp(-i angle sigma_axis / 2).
+    """SU(2) rotation exp(-i angle sigma_axis / 2) about the y or the z axis, the two
+    axes of every coin.
 
     Parameters
     ----------
-    axis : {'x', 'y', 'z'}
+    axis : {'y', 'z'}
     angle : float or array_like
         Rotation angle(s) in radians; broadcasts to output shape
         ``angle.shape + (2, 2)``.
     """
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
+    if axis not in ("y", "z"):
+        raise ValueError(f"axis must be 'y' or 'z', got {axis!r}")
     w = np.asarray(angle, dtype=np.float64)
     c = np.cos(w / 2.0).astype(np.complex128)
     s = np.sin(w / 2.0).astype(np.complex128)
@@ -80,15 +77,10 @@ def rot(axis: str, angle) -> NDArray[np.complex128]:
     if axis == "z":
         out[..., 0, 0] = c - 1j * s
         out[..., 1, 1] = c + 1j * s
-    elif axis == "y":
+    else:
         out[..., 0, 0] = c
         out[..., 0, 1] = -s
         out[..., 1, 0] = s
-        out[..., 1, 1] = c
-    else:
-        out[..., 0, 0] = c
-        out[..., 0, 1] = -1j * s
-        out[..., 1, 0] = -1j * s
         out[..., 1, 1] = c
     return out
 

@@ -349,7 +349,6 @@ class PdeAssembly:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "calibration": self.calibration,
             "terms": [t.to_dict() for t in self.terms],
         }

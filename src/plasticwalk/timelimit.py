@@ -63,7 +63,6 @@ class ConstraintReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "passed": bool(self.passed),
             "conditions": [c.to_dict() for c in self.conditions],
         }

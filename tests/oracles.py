@@ -23,6 +23,8 @@ no command needs stay here, as oracles for the library's closed forms:
   ``walk_planes`` and the two-plane squaring, the bands by ``_phases_su2``):
   the references the tile loops equal bit for bit;
 * W(k) and its power in extended precision, from the walk's float64 angles;
+* the identity ``ID2``, the Pauli matrix ``SX`` and the x-axis rotation
+  ``rot_x``, which no coin needs;
 * the stack product ``mul2`` by the entry formulas, ``unitarity_defect`` on the
   library's entry kernels, and the determinant ``det2``;
 * the shift-word row scaling ``diag_mul`` and the Hamiltonian symbol as a sum of
@@ -66,7 +68,7 @@ from numpy.typing import NDArray
 from plasticwalk.coins import CoinJet, WalkConfig, coin_at, coin_pair, walk_k, walk_planes
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import (
-    ID2, SY, SZ, _defect, _entries, _entries_su2, _from_entries, _phases_su2, _power,
+    SY, SZ, _defect, _entries, _entries_su2, _from_entries, _phases_su2, _power,
     dag, eigvals2, exp_herm, op_norm, rot,
 )
 from plasticwalk.plastic import (
@@ -78,6 +80,17 @@ from plasticwalk._util import POWER_TOL, check_unitary, stack_power
 
 
 # ----------------------------------------------------------------- 2x2 algebra
+
+ID2 = np.eye(2, dtype=np.complex128)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+
+
+def rot_x(angle) -> NDArray[np.complex128]:
+    """exp(-i angle sigma_x / 2): the rotation about the x axis, which no coin has
+    (``mat2.rot`` turns about y and z only)."""
+    w = np.asarray(angle, dtype=np.float64)
+    c, s = np.cos(w / 2.0), np.sin(w / 2.0)
+    return _from_entries(c, -1j * s, -1j * s, c)
 
 
 def mul2(x, y) -> NDArray[np.complex128]:

@@ -148,6 +148,31 @@ def test_help_exits_zero_and_usage_errors_exit_two(capsys):
     assert "usage: plasticwalk" in capsys.readouterr().err
 
 
+def test_commands_are_the_cmd_attributes_main_looks_up(tmp_path, monkeypatch):
+    """argparse takes exactly the names of COMMANDS, each has a cmd_ handler, and main
+    runs the module attribute at call time: the benchmark's tracer rebinds them."""
+    choices = {a.dest: a.choices for a in cli._parser()._actions}["command"]
+    assert tuple(choices) == cli.COMMANDS
+    assert {n[len("cmd_"):] for n in vars(cli) if n.startswith("cmd_")} == set(cli.COMMANDS)
+    calls = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args, cfg: calls.append(cfg) or 7)
+    assert main(["--config", write_config(tmp_path, time_doc()), "check"]) == 7
+    assert [type(cfg) for cfg in calls] == [ExperimentConfig]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_command_loads_the_config_once(tmp_path, monkeypatch, command):
+    """Counted through the class attribute, where the benchmark's tracer counts it."""
+    load, calls = ExperimentConfig.load, []
+    monkeypatch.setattr(ExperimentConfig, "load",
+                        staticmethod(lambda *args: calls.append(args) or load(*args)))
+    time_mode = command not in ("pde", "terms")
+    doc = time_doc() if time_mode else plastic_doc(np.random.default_rng(5))
+    out = str(tmp_path / "out")
+    assert main(["--config", write_config(tmp_path, doc), "--output", out, command]) == 0
+    assert len(calls) == 1
+
+
 def test_hamiltonian_command(tmp_path, capsys):
     path = write_config(tmp_path, time_doc())
     assert main(["--config", path, "hamiltonian"]) == 0

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasticwalk import CoinJet, WalkConfig, coin_at, walk_k
-from plasticwalk.mat2 import ID2, op_norm, rot
+from plasticwalk.mat2 import op_norm, rot
 
 from conftest import HALF, draw_time_compliant, draw_time_generic
-from oracles import first_order_blocks, is_unitary, shift_symbol, walk_power_expansion
+from oracles import ID2, first_order_blocks, is_unitary, shift_symbol, walk_power_expansion
 
 
 @settings(max_examples=150, deadline=None)

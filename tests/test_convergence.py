@@ -356,11 +356,17 @@ def test_entry_planes_equal_the_stack_oracles_bitwise(grid, plastic, eps, steps,
 
 
 def _circular(x, y) -> float:
-    """Largest distance between the phases x and y on the circle."""
-    return float(np.max(np.abs(np.angle(np.exp(1j * (np.asarray(x) - np.asarray(y)))))))
+    """Largest distance on the circle between the phase pairs x and y (..., 2), each pair
+    matched in its closer order: a band at +-pi wraps to either end of its sorted pair."""
+    x, y = np.asarray(x), np.asarray(y)
+
+    def apart(u, v):
+        return np.max(np.abs(np.angle(np.exp(1j * (u - v)))), axis=-1)
+
+    return float(np.max(np.minimum(apart(x, y), apart(x, y[..., ::-1]))))
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, derandomize=True)
 @given(grid=st.sampled_from(TILE_GRIDS), plastic=st.booleans(),
        eps=st.just(0.0) | st.floats(1e-4, 0.3),
        steps=st.sampled_from([0, 1]) | st.integers(0, 500).map(lambda n: 2 * n + 1),
@@ -389,11 +395,12 @@ def test_two_plane_walk_matches_the_four_entry_oracles(grid, plastic, eps, steps
             <= 1e-12
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, derandomize=True)
 @given(grid=st.sampled_from(TILE_GRIDS), generic=st.booleans(),
        eps=st.floats(0.0, 0.3), seed=st.integers(0, 2 ** 32 - 1))
 @example(grid=(2, 5000), generic=True, eps=0.05, seed=0)
 @example(grid=(100, 100), generic=False, eps=0.01, seed=1)
+@example(grid=(63, 63), generic=False, eps=0.0, seed=47709)  # a band at +-pi
 def test_dispersion_tiles_equal_the_whole_grid_bitwise(grid, generic, eps, seed):
     rng = np.random.default_rng(seed)
     cfg = draw_time_generic(rng) if generic else draw_time_compliant(rng)

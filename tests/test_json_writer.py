@@ -83,11 +83,20 @@ def test_writer_refuses_keys_that_are_not_strings(payload):
         cli._json(payload)
 
 
+_PLAIN = {"b": [1, {"c": None}], "n": 0.25}
+
+
 @pytest.mark.parametrize("key", ["a", "m", "z"], ids=["first", "middle", "last"])
-@pytest.mark.parametrize("items", [[], [{"x": 1.5, "y": [2]}, None, "s"]], ids=["empty", "rows"])
-def test_listing_streams_rows_where_the_key_sorts(capsys, key, items):
-    """The rows go in at the key's sorted place among the payload's members."""
-    payload = {"b": [1, {"c": None}], "n": 0.25}
+@pytest.mark.parametrize("items,payload", [
+    ([], _PLAIN),
+    ([{"x": 1.5, "y": [2]}, None, "s"], _PLAIN),
+    (["\0", {"\0\"": 'a "q"'}], {"\0": 'a "NUL" \0', "b": ["caf\u00e9 \U0001f600"],
+                                 "n": {"\0\"": "\u00e9"}}),
+], ids=["empty", "rows", "nul-quote-non-ascii"])
+def test_listing_streams_rows_where_the_key_sorts(capsys, key, items, payload):
+    """The rows go in at the key's sorted place among the payload's members.  The
+    document is split at the NUL of its listing leaf: a NUL in a string of the payload
+    is written as \\u0000 and splits nothing."""
     rows = [("    " if i == 0 else ",\n    ") + cli._json(item, "    ")
             for i, item in enumerate(items)]
     args = argparse.Namespace(output=None)

@@ -22,9 +22,9 @@ from plasticwalk._util import stack_power
 
 from conftest import draw_plastic_compliant, draw_time_compliant, draw_time_generic
 from oracles import (
-    is_hermitian, is_unitary, mul2, op_norm_matmul, stack_power_matmul, time_symbol_matmul,
-    unitarity_defect, unitarity_defect_matmul, walk_k_matmul, walk_power_extended,
-    walk_power_planes, walk_power_stack,
+    is_hermitian, is_unitary, mul2, op_norm_matmul, rot_x, stack_power_matmul,
+    time_symbol_matmul, unitarity_defect, unitarity_defect_matmul, walk_k_matmul,
+    walk_power_extended, walk_power_planes, walk_power_stack,
 )
 
 ALGEBRA_TOL = 1e-12
@@ -51,7 +51,7 @@ def near_identity(rng, shape):
     """+-exp(-i h.sigma/2) with |h| between 1e-12 and 1e-4."""
     h = rng.uniform(-1, 1, size=shape + (3,)) * 10.0 ** rng.uniform(-12, -4, size=shape + (1,))
     sign = rng.choice([-1.0, 1.0], size=shape)[..., None, None]
-    return sign * (rot("x", h[..., 0]) @ rot("y", h[..., 1]) @ rot("z", h[..., 2]))
+    return sign * (rot_x(h[..., 0]) @ rot("y", h[..., 1]) @ rot("z", h[..., 2]))
 
 
 def max_err(x, y) -> float:

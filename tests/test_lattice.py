@@ -13,12 +13,12 @@ from plasticwalk.lattice import (
     apply_coin, evolve, load_binary, load_csv, momentum_grid, save_binary, save_csv, shift,
     step,
 )
-from plasticwalk.mat2 import ID2, SX, SZ, rot
+from plasticwalk.mat2 import SZ, rot
 from plasticwalk.timelimit import time_hamiltonian
 
 from conftest import draw_plastic_generic, draw_time_compliant, draw_time_generic
 from oracles import (
-    apply_shift_word, dft, evolve_by_symbol, idft, load_csv_table, save_csv_per_site,
+    ID2, SX, apply_shift_word, dft, evolve_by_symbol, idft, load_csv_table, save_csv_per_site,
 )
 from test_g17_parse import GRAMMAR
 

@@ -15,7 +15,7 @@ from plasticwalk import (
     enumerate_terms, fit_order, half_half_pde, spacetime_hamiltonian, walk_k,
 )
 from plasticwalk.config import ExperimentConfig
-from plasticwalk.mat2 import ID2, op_norm, rot
+from plasticwalk.mat2 import op_norm, rot
 from plasticwalk.plastic import (
     TUPLE_BUDGET, TermIndex, _grouped_sums, _pairs, gamma_hat,
 )
@@ -24,7 +24,7 @@ from conftest import (
     FAREY_8, HALF, draw_plastic_compliant, draw_plastic_generic, plastic_from_angles,
 )
 from oracles import (
-    calibration_exponents, constraint_f2, cross_term_report, derivative_coefficient,
+    ID2, calibration_exponents, constraint_f2, cross_term_report, derivative_coefficient,
     grouped_sums_loop, is_hermitian, sum_pairs_scan, transport_commutator, witnesses,
     word_chain, zeroth_order_residual,
 )
