@@ -327,10 +327,11 @@ _TERM_ROWS = {
 def _term_half(index: str, kind: str, total: int) -> list[tuple[str, str]]:
     """(index fragment, group label) of each composition of ``total`` into the indices
     (1x, 1y, 2x, 2y) of the ``kind`` half: the label is the nonzero indices as
-    kind=v, sorted as strings and joined by "+"."""
+    kind=v, sorted as strings and joined by "+", each kind=v made once."""
     index = index.replace("{k}", kind)
-    return [(index % tuple(parts), "+".join(sorted([f"{kind}={v}" for v in parts if v])))
-            for parts in pl._compositions4(total).tolist()]
+    label = [f"{kind}={v}" for v in range(total + 1)]
+    return [(index % parts, "+".join(sorted([label[v] for v in parts if v])))
+            for parts in pl._compositions4(total)]
 
 
 def cmd_terms(args, cfg: ExperimentConfig) -> int:

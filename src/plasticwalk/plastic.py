@@ -7,9 +7,10 @@ The squared walk expands as
 
 where each Gamma is a rotation word with sigma_z / sigma_y insertions and
 each nu carries (i k)^l (-i theta1 / 2)^n / (l! n!) factors.  Exponent
-matching is exact rational arithmetic.  One engine, :func:`_grouped_sums`,
-multiplies the Gamma words: orders in (0, 1) must cancel group by group
-(divergence gate); order-1 groups assemble into the PDE generator.  Its
+matching is exact rational arithmetic.  One engine, :func:`_group_table`,
+builds one table of the coefficient groups of the Gamma words: orders in
+(0, 1) must cancel group by group (divergence gate); order-1 groups assemble
+into the PDE generator.  Its
 overall prefactor is the closed form e^{2 i delta} / 2 = -1/2, because the
 delta gate puts delta at pi/2 mod pi.
 
@@ -19,15 +20,17 @@ the C(L, j) of either parity of j sum to 2^(L-1).  So the group of totals
 (Lx, Ly, Nx, Ny) is i^sum_l (-i/2)^sum_n w(Lx) w(Ly) w(Nx) w(Ny), with
 w(0) = 1 and w(L) = 2^(L-1) / L!, times one of 81 class words: the sum of
 the word products that the totals' classes (zero, odd, even > 0) allow.
-The engine sums per group, not per index tuple; ``tests/oracles.py`` keeps
-the tuple-by-tuple loop.
+The engine sums per group, not per index tuple: the groups of every
+(sum_l, sum_n) pair are rows of one array table, and the 81 class words are one
+complex product of the 256 word products.  ``tests/oracles.py`` keeps the
+tuple-by-tuple loop and the pair-by-pair sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import combinations
 from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
@@ -127,21 +130,16 @@ def gamma_hat(cfg: WalkConfig, lx: int, ly: int, nx: int, ny: int) -> NDArray[np
     return _words(cfg)[8 * (lx % 2) + 4 * (ly % 2) + 2 * (nx % 2) + ny % 2]
 
 
-def _compositions4(total: int) -> NDArray[np.int64]:
-    """Weak compositions of ``total`` into four nonnegative parts, one a row, in
-    lexicographic order: the gaps around three bars placed among total + 3 slots."""
-    bars = np.fromiter(chain.from_iterable(combinations(range(total + 3), 3)),
-                       dtype=np.int64).reshape(-1, 3)
-    parts = np.empty((len(bars), 4), dtype=np.int64)
-    parts[:, 0] = bars[:, 0]
-    parts[:, 1:3] = np.diff(bars, axis=1) - 1
-    parts[:, 3] = total + 2 - bars[:, 2]
-    return parts
+def _compositions4(total: int) -> list[tuple[int, int, int, int]]:
+    """Weak compositions of ``total`` into four nonnegative parts, in lexicographic
+    order: the gaps around three bars placed among total + 3 slots."""
+    return [(i, j - i - 1, k - j - 1, total + 2 - k)
+            for i, j, k in combinations(range(total + 3), 3)]
 
 
 def _index_tuples(sum_l: int, sum_n: int):
-    n_halves = _compositions4(sum_n).tolist()
-    for ls in _compositions4(sum_l).tolist():
+    n_halves = _compositions4(sum_n)
+    for ls in _compositions4(sum_l):
         for ns in n_halves:
             # composition order: (1x, 1y, 2x, 2y)
             yield TermIndex(*ls, *ns)
@@ -213,61 +211,75 @@ class DivergenceGroup:
 # The (left, right) parities a total splits into, by its class s: 0 (zero) as (0, 0), 1 (odd)
 # as (0, 1) or (1, 0), 2 (even > 0) as (0, 0) or (1, 1).  Row 27 s(Lx) + 9 s(Ly) + 3 s(Nx)
 # + s(Ny) of _CLASSES marks the word products 16 * left + right that those classes allow.
+# It is complex, so the class product is one zgemm with no cast of the matrix per call.
 _SPLITS = np.array([[[1, 0], [0, 0]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]], dtype=np.float64)
-_CLASSES = np.einsum("aei,bfj,cgk,dhl->abcdefghijkl", *[_SPLITS] * 4).reshape(81, 256)
+_CLASSES = np.einsum("aei,bfj,cgk,dhl->abcdefghijkl", *[_SPLITS] * 4).reshape(81, 256) + 0j
+
+
+def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool
+                 ) -> tuple[list[list[int]], int, NDArray[np.complex128]]:
+    """All coefficient groups of order 1 (``order_one``) or in (0, 1) as one table: the
+    integer key [d * f, kx, ky, theta1x, theta1y powers] of each group, ascending, the
+    common denominator d of the exponents, and the (G, 2, 2) stack of group matrices.
+
+    Terms are grouped by these keys because momenta and the theta1 drivers are free
+    parameters: a group vanishes only if its own sum cancels.  A tuple's term is
+    nu1 nu2 (without the k and theta1 monomials) times gamma_hat(l1x, l1y, n1x, n1y) @
+    gamma_hat(l2x, l2y, n2x, n2y); each group is its weight times its class word (module
+    docstring).  The groups of every (sum_l, sum_n) pair are gathered at once, a row
+    each, and ordered by one lexsort.  Raises ValueError past TUPLE_BUDGET tuples,
+    before summing any.
+    """
+    a, b = Fraction(a), Fraction(b)
+    pairs = _pairs(a, b, order_one)[0]
+    d = lcm(a.denominator, b.denominator)
+    if not pairs:
+        return [], d, np.empty((0, 2, 2), dtype=np.complex128)
+    words = _words(cfg)
+    class_words = (_CLASSES @ (words[:, None] @ words).reshape(256, 4)).reshape(81, 2, 2)
+    scale = np.array([(1j ** sl) * ((-0.5j) ** sn) for sl, sn in pairs])
+    sl, sn = np.array(pairs).T
+    totals = np.arange(max(map(max, pairs)) + 1)
+    weight = np.array([1.0] + [2 ** (n - 1) / factorial(n) for n in totals[1:].tolist()])
+    kind = np.where(totals == 0, 0, 2 - totals % 2)
+    size = (sl + 1) * (sn + 1)  # a pair's groups, kx then theta1x ascending
+    pair = np.repeat(np.arange(len(pairs)), size)
+    row = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # within its pair
+    kx, thx = np.divmod(row, sn[pair] + 1)
+    ky, thy = sl[pair] - kx, sn[pair] - thx
+    level = (int(a * d) * sl + int(b * d) * sn)[pair]
+    coeffs = scale[pair] * weight[kx] * weight[ky] * (weight[thx] * weight[thy])
+    word = 27 * kind[kx] + 9 * kind[ky] + 3 * kind[thx] + kind[thy]
+    rows = np.lexsort((thy, thx, ky, kx, level))  # the integer order d * f, then the powers
+    keys = np.stack([level, kx, ky, thx, thy], axis=1)[rows].tolist()
+    return keys, d, coeffs[rows, None, None] * class_words[word[rows]]
+
+
+def _groups(keys: list[list[int]], d: int,
+            matrices: NDArray[np.complex128]) -> list[DivergenceGroup]:
+    """The rows of a group table as DivergenceGroups, one Fraction per order."""
+    orders = {level: Fraction(level, d) for level in {key[0] for key in keys}}
+    return [DivergenceGroup(orders[level], *powers, m)
+            for (level, *powers), m in zip(keys, matrices)]
 
 
 def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
                   order_one: bool) -> list[DivergenceGroup]:
-    """Grouped coefficient sums over the index tuples of order 1 (``order_one``) or in (0, 1).
-
-    Terms are grouped by (f, kx power, ky power, theta1x power, theta1y
-    power) because momenta and the theta1 drivers are free parameters:
-    a group vanishes only if its own sum cancels.  Raises ValueError past
-    TUPLE_BUDGET tuples, before summing any.
-
-    A tuple's term is nu1 nu2 (without the k and theta1 monomials) times
-    gamma_hat(l1x, l1y, n1x, n1y) @ gamma_hat(l2x, l2y, n2x, n2y); each group
-    is its weight times its class word (module docstring), one gather per pair.
-    """
-    a, b = Fraction(a), Fraction(b)
-    pairs = _pairs(a, b, order_one)[0]
-    if not pairs:
-        return []
-    words = _words(cfg)
-    class_words = (_CLASSES @ (words[:, None] @ words).reshape(256, 4)).reshape(81, 2, 2)
-    totals = np.arange(max(map(max, pairs)) + 1)
-    weight = np.array([1.0] + [2 ** (n - 1) / factorial(n) for n in totals[1:].tolist()])
-    kind = np.where(totals == 0, 0, 2 - totals % 2)
-    d = lcm(a.denominator, b.denominator)
-    A, B = int(a * d), int(b * d)
-    groups = []
-    for sl, sn in pairs:
-        x, y = totals[:sl + 1], totals[:sn + 1]  # the kx and theta1x powers
-        scale = (1j ** sl) * ((-0.5j) ** sn)
-        coeffs = np.outer(scale * weight[x] * weight[sl - x], weight[y] * weight[sn - y])
-        word = (27 * kind[x] + 9 * kind[sl - x])[:, None] + 3 * kind[y] + kind[sn - y]
-        level = A * sl + B * sn
-        order = Fraction(level, d)
-        matrices = coeffs.reshape(-1, 1, 1) * class_words[word.ravel()]
-        for (kx, thx), m in zip(product(x.tolist(), y.tolist()), matrices):
-            groups.append(((level, kx, sl - kx, thx, sn - thx), order, m))
-    groups.sort(key=lambda group: group[0])  # the integer order d * f, then the powers
-    return [DivergenceGroup(order, *key[1:], m) for key, order, m in groups]
+    """The coefficient groups of :func:`_group_table`, as DivergenceGroups."""
+    return _groups(*_group_table(cfg, a, b, order_one))
 
 
 def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction) -> tuple[float, list[DivergenceGroup]]:
     """Max norm over the coefficient groups of orders eps^f with 0 < f < 1, and the groups.
 
     The limit exists only if every group cancels on its own; zero means
-    no divergence.
+    no divergence.  The norm is taken of the group table's stack at once.
     """
     if cfg.mode != "plastic":
         raise ValueError("divergence analysis applies to plastic-mode configs")
-    groups = _grouped_sums(cfg, a, b, order_one=False)
-    if not groups:
-        return 0.0, groups
-    return float(np.max(op_norm(np.stack([g.matrix for g in groups])))), groups
+    keys, d, matrices = _group_table(cfg, a, b, order_one=False)
+    groups = _groups(keys, d, matrices)
+    return (float(np.max(op_norm(matrices))) if groups else 0.0), groups
 
 
 def check_spacetime_limit(cfg: WalkConfig) -> ConstraintReport:
@@ -363,13 +375,10 @@ def spacetime_hamiltonian(cfg: WalkConfig) -> PdeAssembly:
     """
     check_spacetime_limit(cfg).require("spacetime gate")
     # the gate leaves order-1 groups; their i^sum_l belongs to the (i k)^d monomials
-    groups = _grouped_sums(cfg, cfg.a_exp, cfg.b_exp, order_one=True)
-    norms = op_norm(np.stack([g.matrix for g in groups]))
-    terms = tuple(
-        PdeTerm(g.kx_power, g.ky_power, g.thx_power, g.thy_power,
-                (-1j) ** (g.kx_power + g.ky_power) * g.matrix)
-        for g, norm in zip(groups, norms) if norm > 1e-13
-    )
+    keys, _, matrices = _group_table(cfg, cfg.a_exp, cfg.b_exp, order_one=True)
+    terms = tuple(PdeTerm(kx, ky, thx, thy, (-1j) ** (kx + ky) * m)
+                  for (_, kx, ky, thx, thy), m, norm in zip(keys, matrices, op_norm(matrices))
+                  if norm > 1e-13)
     # Known defect, kept until the gate rejects it (ROADMAP item 1): when every order-1
     # group cancels (compliant a + b > 1) there are no terms, and the calibration reads
     # NaN, as the 0/0 of the earlier numerical fit did.

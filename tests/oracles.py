@@ -45,7 +45,10 @@ no command needs stay here, as oracles for the library's closed forms:
   batched table of the 16 parity words;
 * the grouped coefficient sums one index tuple at a time: a word product,
   a scalar coefficient and an in-place add per tuple, the reference for
-  the term engine's one pass per (sum_l, sum_n) pair;
+  the term engine's class-word sums;
+* the same grouped sums one (sum_l, sum_n) pair at a time, from a float64
+  class matrix, the reference the engine's one table of all groups equals bit
+  for bit;
 * the Richardson fit of the PDE prefactor against the numerical limit
   (W^2 - I)/(2 eps), which checks the closed form CALIBRATION = -1/2;
 * the ``terms`` listing written one dict per index tuple through
@@ -59,7 +62,8 @@ from __future__ import annotations
 import json
 import warnings
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -72,8 +76,8 @@ from plasticwalk.mat2 import (
     dag, eigvals2, exp_herm, op_norm, rot,
 )
 from plasticwalk.plastic import (
-    TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles, _index_tuples, _pairs,
-    _rotations, enumerate_terms, gamma_hat,
+    _SPLITS, TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles, _index_tuples,
+    _pairs, _rotations, _words, enumerate_terms, gamma_hat,
 )
 from plasticwalk.timelimit import ConstraintReport
 from plasticwalk._util import POWER_TOL, check_unitary, stack_power
@@ -648,6 +652,40 @@ def grouped_sums_loop(cfg: WalkConfig, a: Fraction, b: Fraction,
             right = gam((idx.l2x, idx.l2y, idx.n2x, idx.n2y))
             acc += scalar_coeff(idx) * (left @ right)
     return [DivergenceGroup(*k, v) for k, v in sorted(groups.items())]
+
+
+def grouped_sums_per_pair(cfg: WalkConfig, a: Fraction, b: Fraction,
+                          order_one: bool) -> list[DivergenceGroup]:
+    """The coefficient groups of order 1 (order_one) or in (0, 1), one (sum_l, sum_n)
+    pair at a time: each pair's groups are its weights times a gather of class words
+    from a float64 class matrix, a key tuple a group, then one sort of all groups.  The
+    reference for the term engine's one table of all groups, which equals it bit for bit.
+    """
+    a, b = Fraction(a), Fraction(b)
+    pairs = _pairs(a, b, order_one)[0]
+    if not pairs:
+        return []
+    classes = np.einsum("aei,bfj,cgk,dhl->abcdefghijkl", *[_SPLITS] * 4).reshape(81, 256)
+    words = _words(cfg)
+    class_words = (classes @ (words[:, None] @ words).reshape(256, 4)).reshape(81, 2, 2)
+    totals = np.arange(max(map(max, pairs)) + 1)
+    weight = np.array([1.0] + [2 ** (n - 1) / factorial(n) for n in totals[1:].tolist()])
+    kind = np.where(totals == 0, 0, 2 - totals % 2)
+    d = lcm(a.denominator, b.denominator)
+    A, B = int(a * d), int(b * d)
+    groups = []
+    for sl, sn in pairs:
+        x, y = totals[:sl + 1], totals[:sn + 1]  # the kx and theta1x powers
+        scale = (1j ** sl) * ((-0.5j) ** sn)
+        coeffs = np.outer(scale * weight[x] * weight[sl - x], weight[y] * weight[sn - y])
+        word = (27 * kind[x] + 9 * kind[sl - x])[:, None] + 3 * kind[y] + kind[sn - y]
+        level = A * sl + B * sn
+        order = Fraction(level, d)
+        matrices = coeffs.reshape(-1, 1, 1) * class_words[word.ravel()]
+        for (kx, thx), m in zip(product(x.tolist(), y.tolist()), matrices):
+            groups.append(((level, kx, sl - kx, thx, sn - thx), order, m))
+    groups.sort(key=lambda group: group[0])  # the integer order d * f, then the powers
+    return [DivergenceGroup(order, *key[1:], m) for key, order, m in groups]
 
 
 def derivative_coefficient(asm: PdeAssembly, dx: int, dy: int) -> NDArray[np.complex128]:

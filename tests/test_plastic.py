@@ -4,20 +4,23 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plasticwalk import (
     CoinJet, WalkConfig, check_spacetime_limit, divergence_residual,
     enumerate_terms, fit_order, half_half_pde, spacetime_hamiltonian, walk_k,
 )
+from plasticwalk import plastic
 from plasticwalk.config import ExperimentConfig
 from plasticwalk.mat2 import op_norm, rot
 from plasticwalk.plastic import (
-    TUPLE_BUDGET, TermIndex, _grouped_sums, _pairs, gamma_hat,
+    TUPLE_BUDGET, TermIndex, _compositions4, _group_table, _grouped_sums, _index_tuples,
+    _pairs, gamma_hat,
 )
 
 from conftest import (
@@ -25,8 +28,8 @@ from conftest import (
 )
 from oracles import (
     ID2, calibration_exponents, constraint_f2, cross_term_report, derivative_coefficient,
-    grouped_sums_loop, is_hermitian, sum_pairs_scan, transport_commutator, witnesses,
-    word_chain, zeroth_order_residual,
+    grouped_sums_loop, grouped_sums_per_pair, is_hermitian, sum_pairs_scan,
+    transport_commutator, witnesses, word_chain, zeroth_order_residual,
 )
 
 
@@ -178,6 +181,25 @@ def test_enumerate_a_zero_cases():
     assert _pairs(Fraction(0), Fraction(1), order_one=False) == ([], 0)
     with pytest.raises(ValueError, match="infinitely many"):
         _pairs(Fraction(0), Fraction(2, 3), order_one=False)
+
+
+def _weak_compositions(total):
+    """Every 4-tuple of nonnegative ints summing to ``total``, in lexicographic order."""
+    return [t for t in itertools.product(range(total + 1), repeat=4) if sum(t) == total]
+
+
+def test_compositions4_is_the_brute_force_enumeration():
+    """Tuples of ints, in lexicographic order; the index tuples of a pair are its l
+    compositions outside and its n compositions inside, the order of the terms listing."""
+    for total in range(16):
+        got = _compositions4(total)
+        assert got == _weak_compositions(total), total
+        assert all(type(parts) is tuple and all(type(v) is int for v in parts)
+                   for parts in got), total
+    for sl, sn in itertools.product(range(5), repeat=2):
+        want = [TermIndex(*ls, *ns) for ls in _weak_compositions(sl)
+                for ns in _weak_compositions(sn)]
+        assert list(_index_tuples(sl, sn)) == want, (sl, sn)
 
 
 @pytest.mark.parametrize("a,b", [(HALF, HALF), (Fraction(1, 3), Fraction(2, 3)),
@@ -332,6 +354,54 @@ EXPONENTS_12 = st.integers(1, 12).flatmap(
        EXPONENTS_12, EXPONENTS_12, st.booleans())
 def test_grouped_sums_match_the_loop(angles, a, b, order_one):
     _same_as_loop(plastic_raw(*angles, a=a, b=b), a, b, order_one)
+
+
+def _bitwise_as_per_pair(cfg, a, b, order_one):
+    """The group table against the per-pair oracle: the same keys in the same order, the
+    same matrix bytes, and the gate residual and the pde term norms op_norm of the
+    oracle's stack, bit for bit."""
+    try:
+        want = grouped_sums_per_pair(cfg, a, b, order_one)
+    except ValueError:
+        with pytest.raises(ValueError, match="work budget"):
+            _group_table(cfg, a, b, order_one)
+        return
+    keys, d, matrices = _group_table(cfg, a, b, order_one)
+    got = _grouped_sums(cfg, a, b, order_one)
+    want_keys = [(g.exponent, g.kx_power, g.ky_power, g.thx_power, g.thy_power) for g in want]
+    assert [(Fraction(level, d), *powers) for level, *powers in keys] == want_keys
+    assert [(g.exponent, g.kx_power, g.ky_power, g.thx_power, g.thy_power)
+            for g in got] == want_keys
+    stack = np.stack([g.matrix for g in want]) if want else np.empty((0, 2, 2), complex)
+    assert matrices.tobytes() == stack.tobytes()
+    assert all(g.matrix.tobytes() == w.matrix.tobytes() for g, w in zip(got, want))
+    norms = op_norm(stack) if want else np.empty(0)
+    if not order_one:
+        residual, groups = divergence_residual(cfg, a, b)
+        assert np.float64(residual).tobytes() == np.max(norms, initial=0.0).tobytes()
+        assert len(groups) == len(want)
+    elif check_spacetime_limit(cfg).passed:
+        seen = []
+        with patch.object(plastic, "op_norm", lambda m: seen.append(op_norm(m)) or seen[-1]):
+            terms = spacetime_hamiltonian(cfg).terms
+        assert seen[-1].tobytes() == norms.tobytes()
+        assert [(t.dx_power, t.dy_power, t.thx_power, t.thy_power, t.coeff.tobytes())
+                for t in terms] == \
+            [(w.kx_power, w.ky_power, w.thx_power, w.thy_power,
+              ((-1j) ** (w.kx_power + w.ky_power) * w.matrix).tobytes())
+             for w, norm in zip(want, norms) if norm > 1e-13]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([draw_plastic_compliant,
+                                                     draw_plastic_generic]),
+       EXPONENTS_12, EXPONENTS_12, st.booleans())
+@example(0, draw_plastic_compliant, Fraction(1, 50), Fraction(1, 50), False)  # the budget
+@example(0, draw_plastic_compliant, Fraction(1), Fraction(1), False)  # no pair below order 1
+@example(0, draw_plastic_generic, Fraction(2, 3), Fraction(2, 3), True)  # no order-1 pair
+def test_group_table_is_the_per_pair_sums_bitwise(seed, draw, a, b, order_one):
+    cfg = replace(draw(np.random.default_rng(seed)), a_exp=a, b_exp=b)
+    _bitwise_as_per_pair(cfg, a, b, order_one)
 
 
 FAREY_12 = sorted({Fraction(p, q) for q in range(1, 13) for p in range(1, q + 1)})
