@@ -66,7 +66,7 @@ def stack_power(m: NDArray[np.complex128], n: int) -> NDArray[np.complex128]:
 
 def flat2(m: NDArray[np.complex128]) -> list[float]:
     """A 2x2 matrix as row-major (re, im) float pairs, the JSON matrix layout."""
-    return [float(x) for entry in np.asarray(m).reshape(-1) for x in (entry.real, entry.imag)]
+    return np.asarray(m, dtype=np.complex128).ravel().view(np.float64).tolist()
 
 
 @functools.cache

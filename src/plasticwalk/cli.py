@@ -163,12 +163,13 @@ def _grid(n: int):
 
 def _rounded(coeffs) -> list:
     """The 2x2 matrices ``coeffs`` (a stack, or a sequence that may be empty) as a list of
-    nested lists, each entry rounded to 12 decimals as np.round rounds it, in one call, or
-    kept as it is where that rounding overflows (np.round scales by 1e12 first, which
-    passes the largest float above about 1.8e296)."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 2, 2)
+    nested lists, each entry rounded to 12 decimals as np.round rounds it, or kept as it is
+    where that rounding overflows (np.round scales by 1e12 first, which passes the largest
+    float above about 1.8e296).  np.round takes the real and imaginary parts as floats:
+    times 1e12, rint, over 1e12; here that runs once on the float view of the stack."""
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128).reshape(-1, 2, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        rounded = np.round(coeffs, 12)
+        rounded = (np.rint(coeffs.view(np.float64) * 1e12) / 1e12).view(np.complex128)
     return np.where(np.isfinite(rounded), rounded, coeffs).tolist()
 
 

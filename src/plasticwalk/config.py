@@ -44,6 +44,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import gt
 
 from .coins import CoinJet, WalkConfig
 
@@ -60,7 +62,10 @@ def parse_rational(text, key: str = "exponent") -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise ConfigError(f"{key} must be a 'p/q' string, got {text!r}")
+    num, slash, den = text.partition("/")
     try:
+        if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+            return Fraction(int(num), int(den))  # what Fraction(text) reads, without its regex
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad rational {text!r} for {key}: {exc}") from None
@@ -115,7 +120,8 @@ def _coin_from_dict(section, name: str) -> tuple[CoinJet, Fraction]:
     """The coin jet of walk.<name> and its driving exponent b (1 when absent)."""
     section = _object(section, "coin section")
     parsers, b_key = _COINS[name]
-    angles = [parse(section[k]) for k, parse in parsers]
+    # a float is what its parser would return; anything else goes through the parser
+    angles = [v if type(v := section[k]) is float else parse(v) for k, parse in parsers]
     b = parse_rational(section.get("b", 1), b_key)
     return CoinJet(*angles), b
 
@@ -178,7 +184,7 @@ class ExperimentConfig:
             raise ConfigError(f"run.steps must be >= 0, got {self.steps}")
         if not self.eps > 0:
             raise ConfigError(f"run.eps must be > 0, got {self.eps}")
-        if not (len(set(self.eps_list)) >= 3 and all(e > 0 for e in self.eps_list)):
+        if not (len(set(self.eps_list)) >= 3 and all(map(gt, self.eps_list, repeat(0)))):
             raise ConfigError(f"run.eps_list needs at least 3 distinct entries, all > 0, "
                               f"got {list(self.eps_list)}")
         if not len(self.eps_list) <= MAX_EPS_LIST:
@@ -193,7 +199,8 @@ class ExperimentConfig:
             raise ConfigError("walk.tau must be at most 2**53")
         if not self.seed >= 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not all(math.isfinite(self.initial.get(k, 0.0)) for k in ("kx", "ky")):
+        if not (math.isfinite(self.initial.get("kx", 0.0))
+                and math.isfinite(self.initial.get("ky", 0.0))):
             raise ConfigError(f"run.initial kx and ky must be finite, got {self.initial}")
         if self.initial_type not in _INITIAL_TYPES:
             raise ConfigError(f"run.initial.type must be one of {_INITIAL_TYPES}, "
@@ -207,8 +214,8 @@ class ExperimentConfig:
     def from_dict(doc: dict, seed: int | None = None) -> "ExperimentConfig":
         """The config of ``doc``; ``seed``, when given, replaces the document's seed."""
         doc = _object(doc, "config root")
-        sections = [(_object(doc.get(name, {}), name), parsers)
-                    for name, parsers in _SECTIONS.items()]
+        sections = [(_object(doc[name], name), parsers)
+                    for name, parsers in _SECTIONS.items() if name in doc]
         try:
             walk = _walk_from_dict(doc.get("walk"))
             values = {key: parse(section[key]) for section, parsers in sections
@@ -226,8 +233,10 @@ class ExperimentConfig:
     @staticmethod
     def load(path, seed: int | None = None) -> "ExperimentConfig":
         try:
-            with open(path, "rb") as fh:  # json detects UTF-8 (with or without a BOM), -16, -32
-                doc = json.loads(fh.read())
+            # unbuffered: one read of the whole file, with no buffer of its own to allocate;
+            # json detects UTF-8 (with or without a BOM), -16 and -32
+            with open(path, "rb", buffering=0) as fh:
+                doc = json.loads(fh.readall())
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit

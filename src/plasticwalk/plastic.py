@@ -22,7 +22,8 @@ w(0) = 1 and w(L) = 2^(L-1) / L!, times one of 81 class words: the sum of
 the word products that the totals' classes (zero, odd, even > 0) allow.
 The engine sums per group, not per index tuple: the groups of every
 (sum_l, sum_n) pair are rows of one array table, and the 81 class words are one
-complex product of the 256 word products.  ``tests/oracles.py`` keeps the
+complex product of the 256 word products, built once a call: ``pde`` hands the
+same class words to its gate and its assembly.  ``tests/oracles.py`` keeps the
 tuple-by-tuple loop and the pair-by-pair sums.
 """
 
@@ -216,7 +217,14 @@ _SPLITS = np.array([[[1, 0], [0, 0]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]], dtype
 _CLASSES = np.einsum("aei,bfj,cgk,dhl->abcdefghijkl", *[_SPLITS] * 4).reshape(81, 256) + 0j
 
 
-def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool
+def _class_words(cfg: WalkConfig) -> NDArray[np.complex128]:
+    """The (81, 2, 2) class words of the walk: one complex product of its 256 word products."""
+    words = _words(cfg)
+    return (_CLASSES @ (words[:, None] @ words).reshape(256, 4)).reshape(81, 2, 2)
+
+
+def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool,
+                 class_words: NDArray[np.complex128] | None = None
                  ) -> tuple[list[list[int]], int, NDArray[np.complex128]]:
     """All coefficient groups of order 1 (``order_one``) or in (0, 1) as one table: the
     integer key [d * f, kx, ky, theta1x, theta1y powers] of each group, ascending, the
@@ -226,8 +234,9 @@ def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool
     parameters: a group vanishes only if its own sum cancels.  A tuple's term is
     nu1 nu2 (without the k and theta1 monomials) times gamma_hat(l1x, l1y, n1x, n1y) @
     gamma_hat(l2x, l2y, n2x, n2y); each group is its weight times its class word (module
-    docstring).  The groups of every (sum_l, sum_n) pair are gathered at once, a row
-    each, and ordered by one lexsort.  Raises ValueError past TUPLE_BUDGET tuples,
+    docstring), taken from ``class_words`` when given, else from :func:`_class_words`
+    once a group exists.  The groups of every (sum_l, sum_n) pair are gathered at once,
+    a row each, and ordered by one lexsort.  Raises ValueError past TUPLE_BUDGET tuples,
     before summing any.
     """
     a, b = Fraction(a), Fraction(b)
@@ -235,8 +244,8 @@ def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool
     d = lcm(a.denominator, b.denominator)
     if not pairs:
         return [], d, np.empty((0, 2, 2), dtype=np.complex128)
-    words = _words(cfg)
-    class_words = (_CLASSES @ (words[:, None] @ words).reshape(256, 4)).reshape(81, 2, 2)
+    if class_words is None:
+        class_words = _class_words(cfg)
     scale = np.array([(1j ** sl) * ((-0.5j) ** sn) for sl, sn in pairs])
     sl, sn = np.array(pairs).T
     totals = np.arange(max(map(max, pairs)) + 1)
@@ -269,20 +278,24 @@ def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
     return _groups(*_group_table(cfg, a, b, order_one))
 
 
-def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction) -> tuple[float, list[DivergenceGroup]]:
+def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction, *,
+                        class_words: NDArray[np.complex128] | None = None
+                        ) -> tuple[float, list[DivergenceGroup]]:
     """Max norm over the coefficient groups of orders eps^f with 0 < f < 1, and the groups.
 
     The limit exists only if every group cancels on its own; zero means
     no divergence.  The norm is taken of the group table's stack at once.
+    ``class_words`` are the walk's :func:`_class_words` when the caller has built them.
     """
     if cfg.mode != "plastic":
         raise ValueError("divergence analysis applies to plastic-mode configs")
-    keys, d, matrices = _group_table(cfg, a, b, order_one=False)
+    keys, d, matrices = _group_table(cfg, a, b, False, class_words)
     groups = _groups(keys, d, matrices)
     return (float(np.max(op_norm(matrices))) if groups else 0.0), groups
 
 
-def check_spacetime_limit(cfg: WalkConfig) -> ConstraintReport:
+def check_spacetime_limit(cfg: WalkConfig, *,
+                          class_words: NDArray[np.complex128] | None = None) -> ConstraintReport:
     """Gate for the joint continuous-time + continuous-spacetime limit at the walk's (a, b).
 
     Four conditions: the theta0 branch with nu = 0 (2 pi m / 2 pi t + pi),
@@ -290,7 +303,8 @@ def check_spacetime_limit(cfg: WalkConfig) -> ConstraintReport:
     rational exponents with a usable order-1 term set, and cancellation of
     every fractional-order coefficient group.  Without order-1 terms the
     last condition is not evaluated and reads unsatisfied with residual
-    1.0, as exponents_rational does.
+    1.0, as exponents_rational does.  ``class_words`` go to
+    :func:`divergence_residual`.
     """
     if cfg.mode != "plastic":
         raise ValueError("check_spacetime_limit applies to plastic-mode configs")
@@ -303,7 +317,7 @@ def check_spacetime_limit(cfg: WalkConfig) -> ConstraintReport:
                      {"a_num": a.numerator, "a_den": a.denominator,
                       "b_num": b.numerator, "b_den": b.denominator,
                       "order_one_terms": n_terms})
-    residual = divergence_residual(cfg, a, b)[0] if n_terms else 1.0
+    residual = divergence_residual(cfg, a, b, class_words=class_words)[0] if n_terms else 1.0
     conds = (_theta_branch(cfg, (0,)), _delta_quantization(cfg), expo,
              Condition("no_divergence", residual <= 1e-10, residual))
     return ConstraintReport(all(c.satisfied for c in conds), conds)
@@ -371,11 +385,12 @@ def spacetime_hamiltonian(cfg: WalkConfig) -> PdeAssembly:
 
     Requires the spacetime gate to pass (named failing condition
     otherwise).  The terms are the order-1 coefficient groups that do not
-    vanish.
+    vanish.  The class words are built once, for the gate and the terms.
     """
-    check_spacetime_limit(cfg).require("spacetime gate")
+    class_words = _class_words(cfg)
+    check_spacetime_limit(cfg, class_words=class_words).require("spacetime gate")
     # the gate leaves order-1 groups; their i^sum_l belongs to the (i k)^d monomials
-    keys, _, matrices = _group_table(cfg, cfg.a_exp, cfg.b_exp, order_one=True)
+    keys, _, matrices = _group_table(cfg, cfg.a_exp, cfg.b_exp, True, class_words)
     terms = tuple(PdeTerm(kx, ky, thx, thy, (-1j) ** (kx + ky) * m)
                   for (_, kx, ky, thx, thy), m, norm in zip(keys, matrices, op_norm(matrices))
                   if norm > 1e-13)

@@ -1,0 +1,123 @@
+"""One sha256 line per CLI call, to show that two checkouts write the same bytes.
+
+    PYTHONPATH=src python tests/cli_digest.py > digest.txt
+
+Each line is the sha256 of a call's exit code, stdout, stderr, escaped
+exception and every file it wrote, then the call's label.  The calls run
+``plasticwalk.cli.main`` in-process:
+
+* the matrix: every config under ``tests/golden`` at its own grid and at
+  grids 1, 7 and 64, x the seven commands x {JSON, CSV} x {stdout,
+  ``--output`` with its side files}, plus ``--help``, no arguments, an
+  unknown command and a missing config (788 calls);
+* every ``spacetime_scan`` and ``kspace_time`` operation that
+  ``perfbench/workloads.py`` builds at seeds 11 and 9001, with the argv it
+  builds (the module is imported, not changed).
+
+``plasticwalk`` is imported from ``PYTHONPATH``, so pointing it at the
+``src/`` of another checkout digests that checkout with the same calls.
+The calls run in a temporary directory under relative paths, so the
+output does not depend on where it is run; running it twice must give
+the same lines (the determinism contract).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+COMMANDS = ("check", "hamiltonian", "pde", "simulate", "converge", "dispersion", "terms")
+GRIDS = (None, 1, 7, 64)  # None: the config's own grid
+SEEDS = (11, 9001)
+WORKLOADS = ("spacetime_scan", "kspace_time")
+
+
+def _digest(code, stdout: str, stderr: str, error: str | None, files: dict[str, bytes]) -> str:
+    h = hashlib.sha256(repr((code, stdout, stderr, error)).encode())
+    for name in sorted(files):
+        h.update(f"\0{name}\0{len(files[name])}\0".encode())
+        h.update(files[name])
+    return h.hexdigest()
+
+
+def _call(main, argv: list[str], outdir: str | None = None) -> str:
+    """The digest of ``main(argv)``, with every file it wrote under ``outdir``."""
+    out, err = io.StringIO(), io.StringIO()
+    code, error = None, None
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:  # an escaping exception is part of what is compared
+        error = traceback.format_exception_only(type(exc), exc)[-1].strip()
+    files = {}
+    if outdir is not None:
+        for name in sorted(os.listdir(outdir)):
+            path = os.path.join(outdir, name)
+            with open(path, "rb") as fh:
+                files[name] = fh.read()
+            os.remove(path)
+    return _digest(code, out.getvalue(), err.getvalue(), error, files)
+
+
+def matrix(main):
+    """(label, digest) of the 788 calls on the golden configs."""
+    os.makedirs("out", exist_ok=True)
+    for config in sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file()):
+        doc = json.loads((GOLDEN / config / "config.json").read_text())
+        for grid in GRIDS:
+            if grid is not None:
+                doc.setdefault("run", {})["grid"] = grid
+            with open("config.json", "w") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+            for command in COMMANDS:
+                for fmt in ("json", "csv"):
+                    argv = ["--config", "config.json", "--format", fmt]
+                    label = f"{config} grid={grid or 'own'} {command} {fmt}"
+                    yield f"{label} stdout", _call(main, argv + [command])
+                    yield f"{label} --output", _call(
+                        main, argv + ["--output", "out/result", command], "out")
+    for label, argv in (("--help", ["--help"]), ("no arguments", []),
+                        ("unknown command", ["--config", "config.json", "bogus"]),
+                        ("missing config", ["--config", "no-such-config.json", "check"])):
+        yield label, _call(main, argv)
+
+
+def workload_ops(main, builders):
+    """(label, digest) of every operation of the benchmark's CLI workloads."""
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            workdir = f"{workload}-{seed}"
+            os.makedirs(workdir)
+            for i, op in enumerate(builders[workload](seed, workdir)):
+                outcome = op.call()
+                yield (f"{workload} seed={seed} #{i} {op.label}",
+                       _digest(outcome.code, outcome.stdout, outcome.stderr, outcome.error, {}))
+
+
+def main() -> None:
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help and usage text to the terminal
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    if not any(Path(p, "plasticwalk").is_dir() for p in sys.path if p):
+        sys.path.insert(0, str(ROOT / "src"))
+    from plasticwalk import cli
+    from workloads import BUILDERS
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for label, digest in itertools.chain(matrix(cli.main), workload_ops(cli.main, BUILDERS)):
+            print(f"{digest}  {label}")
+        os.chdir(ROOT)
+
+
+if __name__ == "__main__":
+    main()

@@ -54,12 +54,20 @@ no command needs stay here, as oracles for the library's closed forms:
 * the ``terms`` listing written one dict per index tuple through
   json.dumps, the reference for the CLI's templated rows;
 * json.dumps(sort_keys=True, indent=2), the reference for the CLI's JSON
-  writer.
+  writer;
+* the config loader as it was before its fast paths (each angle through its
+  key's parser, each exponent through Fraction's string parser, the range
+  checks as generator expressions, the config built without its own checks),
+  and the ``pde`` and ``hamiltonian`` text from np.round on the complex stack
+  and matrices flattened one numpy scalar at a time: the references for the
+  CLI's loader and renderers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -70,6 +78,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from plasticwalk.coins import CoinJet, WalkConfig, coin_at, coin_pair, walk_k, walk_planes
+from plasticwalk.config import ConfigError, ExperimentConfig
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import (
     SY, SZ, _defect, _entries, _entries_su2, _from_entries, _phases_su2, _power,
@@ -77,9 +86,9 @@ from plasticwalk.mat2 import (
 )
 from plasticwalk.plastic import (
     _SPLITS, TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles, _index_tuples,
-    _pairs, _rotations, _words, enumerate_terms, gamma_hat,
+    _pairs, _rotations, _words, enumerate_terms, gamma_hat, spacetime_hamiltonian,
 )
-from plasticwalk.timelimit import ConstraintReport
+from plasticwalk.timelimit import ConstraintReport, time_hamiltonian
 from plasticwalk._util import POWER_TOL, check_unitary, stack_power
 
 
@@ -833,3 +842,212 @@ def terms_listing(a: Fraction, b: Fraction) -> tuple[str, str]:
 def json_text(value) -> str:
     """``value`` as json.dumps(sort_keys=True, indent=2) writes it: the CLI's JSON layout."""
     return json.dumps(value, sort_keys=True, indent=2)
+
+
+# ------------------------------------------------------ config load and rendering
+# The loader and the coefficient renderers as the CLI had them before their fast paths:
+# every angle through its key's parser, every exponent through Fraction's string parser,
+# every section looked up with a default, the range checks as generator expressions; each
+# matrix flattened one numpy scalar at a time, and np.round on the complex stack.
+
+
+def _ref_integer(key: str):
+    def parse(value) -> int:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return parse
+
+
+def _ref_real(key: str):
+    def parse(value) -> float:
+        if isinstance(value, bool):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        return float(value)
+    return parse
+
+
+def ref_parse_rational(text, key: str = "exponent") -> Fraction:
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if not isinstance(text, str):
+        raise ConfigError(f"{key} must be a 'p/q' string, got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad rational {text!r} for {key}: {exc}") from None
+
+
+def _ref_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _ref_array(value, name: str, length: int | None = None) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON array, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{name} must have {length} entries, got {len(value)}")
+    return value
+
+
+_REF_ANGLES = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
+
+
+def _ref_coin(section, name: str) -> tuple[CoinJet, Fraction]:
+    section = _ref_object(section, "coin section")
+    angles = [_ref_real(f"walk.{name}.{k}")(section[k]) for k in _REF_ANGLES]
+    b = ref_parse_rational(section.get("b", 1), f"walk.{name}.b")
+    return CoinJet(*angles), b
+
+
+def _ref_walk(section) -> WalkConfig:
+    section = _ref_object(section, "walk")
+    mode = section["mode"]
+    coin_x, b_x = _ref_coin(section["coin_x"], "coin_x")
+    coin_y, b_y = _ref_coin(section["coin_y"], "coin_y")
+    if b_y != b_x:
+        raise ConfigError(f"walk.coin_y.b must equal walk.coin_x.b (one b for both coins), "
+                          f"got {b_y} and {b_x}")
+    optional = {"tau": ("tau", _ref_integer("walk.tau")),
+                "a": ("a_exp", lambda text: ref_parse_rational(text, "walk.a"))}
+    return WalkConfig(coin_x=coin_x, coin_y=coin_y, b_exp=b_x, mode=mode,
+                      **{name: parse(section[key]) for key, (name, parse) in optional.items()
+                         if key in section})
+
+
+def _ref_initial(section) -> dict:
+    initial = dict(_ref_object(section, "run.initial"))
+    initial.update({k: _ref_real(f"run.initial.{k}")(initial[k]) for k in ("kx", "ky")
+                    if k in initial})
+    return initial
+
+
+_REF_SECTIONS = {
+    "lattice": {"nx": _ref_integer("lattice.nx"), "ny": _ref_integer("lattice.ny")},
+    "run": {"t_final": _ref_real("run.t_final"), "eps": _ref_real("run.eps"),
+            "grid": _ref_integer("run.grid"), "steps": _ref_integer("run.steps"),
+            "eps_list": lambda v, real=_ref_real("run.eps_list entry"):
+                tuple(map(real, _ref_array(v, "run.eps_list"))),
+            "momenta": lambda v, real=_ref_real("run.momenta entry"):
+                tuple(tuple(map(real, _ref_array(k, "run.momenta entry", 2)))
+                      for k in _ref_array(v, "run.momenta")),
+            "initial": _ref_initial},
+}
+
+
+def _ref_checks(c) -> None:
+    """The range checks of ExperimentConfig, on the object ``c`` of its fields, in order."""
+    if not min(c.nx, c.ny) >= 2:
+        raise ConfigError(f"lattice nx and ny must be >= 2, got {c.nx}, {c.ny}")
+    if not c.grid >= 1:
+        raise ConfigError(f"run.grid must be >= 1, got {c.grid}")
+    if not c.steps >= 0:
+        raise ConfigError(f"run.steps must be >= 0, got {c.steps}")
+    if not c.eps > 0:
+        raise ConfigError(f"run.eps must be > 0, got {c.eps}")
+    if not (len(set(c.eps_list)) >= 3 and all(e > 0 for e in c.eps_list)):
+        raise ConfigError(f"run.eps_list needs at least 3 distinct entries, all > 0, "
+                          f"got {list(c.eps_list)}")
+    if not len(c.eps_list) <= 16:
+        raise ConfigError(f"run.eps_list may have at most 16 entries, got {len(c.eps_list)}")
+    if not (c.t_final >= 0 and math.isfinite(c.t_final / min(c.eps_list))):
+        raise ConfigError(f"run.t_final must be >= 0 with t_final / eps finite, "
+                          f"got {c.t_final}")
+    if len(c.momenta) == 0:
+        raise ConfigError("run.momenta must not be empty")
+    if not c.walk.tau <= 2 ** 53:
+        raise ConfigError("walk.tau must be at most 2**53")
+    if not c.seed >= 0:
+        raise ConfigError(f"seed must be >= 0, got {c.seed}")
+    if not all(math.isfinite(c.initial.get(k, 0.0)) for k in ("kx", "ky")):
+        raise ConfigError(f"run.initial kx and ky must be finite, got {c.initial}")
+    kind = c.initial.get("type", "plane_wave")
+    if kind not in ("plane_wave", "delta", "random"):
+        raise ConfigError(f"run.initial.type must be one of ('plane_wave', 'delta', 'random'), "
+                          f"got {kind!r}")
+
+
+def config_from_dict(doc, seed: int | None = None) -> ExperimentConfig:
+    """ExperimentConfig.from_dict as the loader had it: the config is built field by field
+    without its own __post_init__, and checked by the checks above."""
+    doc = _ref_object(doc, "config root")
+    sections = [(_ref_object(doc.get(name, {}), name), parsers)
+                for name, parsers in _REF_SECTIONS.items()]
+    try:
+        walk = _ref_walk(doc.get("walk"))
+        values = {key: parse(section[key]) for section, parsers in sections
+                  for key, parse in parsers.items() if key in section}
+        if "seed" in doc:
+            values["seed"] = _ref_integer("seed")(doc["seed"])
+        if seed is not None:
+            values["seed"] = seed
+    except KeyError as exc:
+        raise ConfigError(f"walk section missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from None
+    config = object.__new__(ExperimentConfig)
+    for f in dataclasses.fields(ExperimentConfig):
+        default = (f.default if f.default_factory is dataclasses.MISSING
+                   else f.default_factory())
+        object.__setattr__(config, f.name, walk if f.name == "walk" else values.get(f.name, default))
+    _ref_checks(config)
+    return config
+
+
+def config_load(path, seed: int | None = None) -> ExperimentConfig:
+    """ExperimentConfig.load as the loader had it: open(path, "rb").read(), json.loads."""
+    try:
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    return config_from_dict(doc, seed)
+
+
+def flat2_scalars(m) -> list[float]:
+    """A 2x2 matrix as row-major (re, im) float pairs, one numpy scalar at a time."""
+    return [float(x) for entry in np.asarray(m).reshape(-1) for x in (entry.real, entry.imag)]
+
+
+def rounded_np(coeffs) -> list:
+    """The 2x2 matrices ``coeffs`` rounded by np.round(coeffs, 12) on the complex stack, each
+    entry kept as it is where that rounding is not finite."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 2, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rounded = np.round(coeffs, 12)
+    return np.where(np.isfinite(rounded), rounded, coeffs).tolist()
+
+
+def pde_text(walk: WalkConfig) -> str:
+    """The stdout of ``pde`` on ``walk``, rendered by rounded_np and flat2_scalars and
+    written by json.dumps."""
+    assembly = spacetime_hamiltonian(walk)
+    coeffs = rounded_np(assembly.calibration
+                        * np.array([t.coeff for t in assembly.terms], dtype=np.complex128))
+    rendered = ["d/dt Psi = sum of the terms below (calibration folded in):"]
+    for t, coeff in zip(assembly.terms, coeffs):
+        mono = [f"{name}^{power}" for name, power in
+                (("theta1x", t.thx_power), ("theta1y", t.thy_power),
+                 ("d/dx", t.dx_power), ("d/dy", t.dy_power)) if power]
+        rendered.append(f"  [{coeff}] " + " ".join(mono))
+    terms = [{"dx_power": t.dx_power, "dy_power": t.dy_power, "thx_power": t.thx_power,
+              "thy_power": t.thy_power, "matrix": flat2_scalars(t.coeff)}
+             for t in assembly.terms]
+    return json_text({"calibration": assembly.calibration, "terms": terms,
+                      "rendered": rendered, "schema_version": 1}) + "\n"
+
+
+def hamiltonian_text(walk: WalkConfig) -> str:
+    """The stdout of ``hamiltonian`` on ``walk``, rendered by rounded_np and flat2_scalars
+    and written by json.dumps."""
+    terms, _ = time_hamiltonian(walk)
+    rendered = [f"H = sum of {len(terms)} shift-word terms, prefactor included in matrices:"]
+    for t, coeff in zip(terms, rounded_np([t.coeff for t in terms])):
+        rendered.append(f"  S_x^{t.px} S_y^{t.py} x {coeff}")
+    return json_text({"terms": [{"px": t.px, "py": t.py, "matrix": flat2_scalars(t.coeff)}
+                                for t in terms],
+                      "rendered": rendered, "schema_version": 1}) + "\n"

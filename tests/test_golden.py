@@ -12,11 +12,13 @@ an intended output change, and name it in CHANGES.md:
 
 import contextlib
 import io
+import json
 import os
 import sys
 
 import pytest
 
+from plasticwalk import plastic
 from plasticwalk.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -55,6 +57,23 @@ def test_cli_output_matches_golden(name, command):
 @pytest.mark.parametrize("name,command", CSV_CASES)
 def test_cli_csv_output_matches_golden(name, command):
     assert run(name, command, "csv") == read_golden(name, command, "csv")
+
+
+@pytest.mark.parametrize("name", [name for name in CONFIGS if name.startswith("plastic_")])
+def test_pde_and_check_build_the_parity_words_once(monkeypatch, name):
+    """A pde call builds the 16 parity words, their products and the class words once, for
+    its gate and its assembly, and writes the golden bytes; check builds them once where
+    the walk has order-1 terms (the gate then sums the groups below order 1), else never."""
+    words, calls = plastic._words, []
+    monkeypatch.setattr(plastic, "_words", lambda cfg: calls.append(cfg) or words(cfg))
+    assert run(name, "pde") == read_golden(name, "pde")
+    assert len(calls) == 1
+    calls.clear()
+    check = run(name, "check")
+    assert check == read_golden(name, "check")
+    report = json.loads(check.split("--- stdout\n", 1)[1])
+    expo = next(c for c in report["conditions"] if c["name"] == "exponents_rational")
+    assert len(calls) == (1 if expo["witness"]["order_one_terms"] else 0)
 
 
 @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])

@@ -188,23 +188,30 @@ def _golden_walk(name):
 @pytest.mark.parametrize("n,eps", [(1000, 0.05), (8192, 2.0 ** -13), (2 ** 20, 2.0 ** -20)])
 def test_two_plane_power_against_extended_precision(n, eps):
     """W(k)^n in the two-plane form, against np.clongdouble from the same angles, on a
-    32^2 grid: its largest error, summed over the time-mode golden walks and one with
-    |delta_x + delta_y| about 10 (so g^n turns), stays within 10% of the four-entry
-    squaring's.  Either error grows about as n 1e-16, seeded by the roundoff of W(k)."""
+    32^2 grid: over the time-mode golden walks, one with |delta_x + delta_y| about 10 (so
+    g^n turns) and 124 drawn compliant walks (tau 2 or 4), the mean of each walk's largest
+    error over the four-entry squaring's stays within 10%, and no walk's error passes
+    n 4e-15.  Either error grows about as n 1e-16, seeded by the roundoff of W(k).
+
+    Walk by walk the ratio spreads from about 0.5 to 2 (standard deviation about 0.27
+    around a mean of 1.0), so a bound on one walk, or on a sum over a few, can fail
+    with no loss of accuracy; the mean of 128 varies by about 0.02."""
     base = _golden_walk("time_compliant")
     walks = [base, _golden_walk("time_generic"), _golden_walk("time_tau4_delta0"),
              replace(base, coin_x=replace(base.coin_x, delta=base.coin_x.delta + 4.0),
                      coin_y=replace(base.coin_y, delta=base.coin_y.delta + 4.5))]
-    assert abs(walks[-1].delta_sum) > 10.0
+    assert abs(walks[3].delta_sum) > 10.0
+    rng = np.random.default_rng(20240811)
+    walks += [draw_time_compliant(rng, tau=int(rng.choice([2, 4]))) for _ in range(124)]
     k = np.linspace(-np.pi, np.pi, 32, endpoint=False)
     kx, ky = k[:, None], k[None, :]
-    two_plane = four_entry = 0.0
+    two_plane, ratios = [], []
     for cfg in walks:
         ref = walk_power_extended(cfg, kx, ky, eps, n)
-        two_plane += max_err(walk_power_planes(cfg, kx, ky, eps, n), ref)
-        four_entry += max_err(walk_power_stack(cfg, kx, ky, eps, n), ref)
-    assert two_plane <= 1.1 * four_entry
-    assert two_plane <= n * 4e-15  # the growth a step, with room
+        two_plane.append(max_err(walk_power_planes(cfg, kx, ky, eps, n), ref))
+        ratios.append(two_plane[-1] / max_err(walk_power_stack(cfg, kx, ky, eps, n), ref))
+    assert np.mean(ratios) <= 1.1
+    assert max(two_plane) <= n * 4e-15  # the growth a step, with room
 
 
 def test_stack_power_edge_cases():
