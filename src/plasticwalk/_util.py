@@ -15,10 +15,10 @@ from .mat2 import _defect, _entries
 # steps; by 1e16 steps the power is noise, and by 1e50 it overflows.
 POWER_TOL = 1e-3
 
-# Most k-points a k-grid command holds its 2x2 stacks, or dispersion its CSV rows, for
-# at once.  Measured on 256^2: the peak traced memory of an evolution is 1.7x the
-# field's bytes at 2**12 k-points a tile (3.9x at 2**14), and 512^2 x 1000 steps is no
-# slower than with larger tiles.
+# Most k-points a k-grid command holds its 2x2 stacks, or dispersion its band-table rows
+# in either format (8,192 phases a kernel call), for at once.  Measured on 256^2: the
+# peak traced memory of an evolution is 1.7x the field's bytes at 2**12 k-points a tile
+# (3.9x at 2**14), and 512^2 x 1000 steps is no slower than with larger tiles.
 K_BLOCK = 2 ** 12
 
 
@@ -77,8 +77,8 @@ def _g17_tables():
     one gather fetches both); the ASCII digits of each 4-digit group as uint32 words, in
     full and then with trailing zeros NUL; for each X from -300 to 0, the prefix code
     (-X for fixed notation with X < 0, else 0) and the tail word ("e-05" of scientific
-    notation, X < -4); and the head word of each prefix code, first digit, point and
-    sign ("-0.00" and so on).
+    notation, X < -4); and the head word of each point (first with it, then without),
+    prefix code, first digit and sign ("-0.00" and so on).
     """
     hi = [float(10 ** p) for p in range(301)]
     lo = [float(10 ** p - int(h)) for p, h in enumerate(hi)]  # hi is a whole number
@@ -93,7 +93,7 @@ def _g17_tables():
     tail = b"".join((b"e-%02d" % -x if x < -4 else b"").ljust(8, b"\0") for x in exponents)
     head = b"".join(sign + (b"0." + b"0" * (z - 1) if z else b"").ljust(5, b"\0")
                     + b"%d" % d0 + (b"." if point and not z else b"\0")
-                    for z in range(5) for d0 in range(10) for point in (0, 1)
+                    for point in (1, 0) for z in range(5) for d0 in range(10)
                     for sign in (b"\0", b"-"))
     return (hi + 1j * np.array(lo), hh + 1j * (hi - hh), digits, prefix,
             np.frombuffer(tail, np.uint64), np.frombuffer(head, np.uint64))
@@ -152,8 +152,8 @@ def _layout(flat, N, X, ok, slow, exact):
     digits, prefix, tail, head = _g17_tables()[2:]
     # the values not laid out here are laid out as 0: every gather below stays within
     # its table whatever log10 returned
-    N[~ok] = 0
-    X[~ok] = 0
+    N *= ok
+    X *= ok
     top = N // 10 ** 8
     low = (N - top * 10 ** 8).astype(np.int32)  # int32 divides faster than int64
     top = top.astype(np.int32)
@@ -164,13 +164,15 @@ def _layout(flat, N, X, ok, slow, exact):
     groups = (g1, mid - g1 * 10 ** 4, g3, low - g3 * 10 ** 4)
     cells = np.empty(flat.shape + (4,), dtype=np.uint64)
     words, chars = cells.view(np.uint32), cells.view(np.uint8)
-    fraction = np.zeros(flat.shape, dtype=bool)  # a nonzero digit after this group
+    # 10000, the offset of the digit words with trailing zeros NUL, until a nonzero group
+    offset = np.full(flat.shape, 10000, dtype=np.int32)
     for col, g in zip((5, 4, 3, 2), groups[::-1]):
-        words[:, col] = digits.take(g + 10000 * ~fraction)
-        fraction |= g != 0
+        words[:, col] = digits.take(g + offset)
+        offset *= g == 0
     row = X + 300
     cells[:, 3] = tail.take(row)
-    cells[:, 0] = head.take(((prefix.take(row) * 10 + d0) * 2 + fraction) * 2 + np.signbit(flat))
+    # offset // 100 is 0 where a nonzero digit follows the first (the head has a point)
+    cells[:, 0] = head.take(offset // 100 + (prefix.take(row) * 10 + d0) * 2 + np.signbit(flat))
     slow = np.flatnonzero(slow)
     if slow.size:
         chars[slow] = exact(flat[slow])
@@ -248,12 +250,12 @@ def repr_cells(values) -> NDArray[np.uint8]:
     m, e = np.frexp(a)
     ok &= m != 0.5
     H = np.ldexp(hi, e - 54)
-    N = below + (r > 0.5)
     ok &= np.abs(r - 0.5) > _MARGIN
-    low = below % 1000
+    low = (below - below // 1000 * 1000).astype(np.float64)  # below mod 1000, exactly
+    shift = (r > 0.5).astype(np.float64)  # N - below: a whole number, -99 to 100
     for k in (1, 2, 3):  # p = 16, 15, 14: a shorter candidate that reads back wins
-        unit = 10 ** k
-        rest = low % unit
+        unit = 10.0 ** k
+        rest = low - np.floor(low / unit) * unit if k < 3 else low  # below mod 10^k
         d = rest + r
         d -= unit / 2  # from the midpoint between the candidates below and above y
         up = d > 0
@@ -264,9 +266,10 @@ def repr_cells(values) -> NDArray[np.uint8]:
         reads = d > 0
         ok &= np.abs(d, out=d) > _MARGIN
         if k < 3:
-            np.copyto(N, below - rest + unit * up, where=reads)
+            shift = np.where(reads, unit * up - rest, shift)
         else:
             ok &= ~reads
+    N = below + shift.astype(np.int64)
     ok &= N < 10 ** 17
     chars = _layout(flat, N, X, ok, ~ok, _repr_exact)
     return chars.reshape(x.shape + (32,))

@@ -52,9 +52,9 @@ COMMANDS = ("check", "hamiltonian", "pde", "simulate", "converge", "dispersion",
 # commands hold one tile of k-points (and dispersion its 16-byte-a-point band array),
 # so time sets the budget.  At the limit, on a 2-core x86 host: time-mode converge
 # with the default eps_list takes 2.7 s and 34 MiB peak RSS (grid 1448), dispersion
-# 0.76 to 0.77 s (CSV) or 1.35 to 1.39 s (JSON) and 65 MiB, and simulate of 1448^2 sites
-# with its field CSV 1.8 to 2.3 s and 0.19 GiB at 1 to 10**12 steps.  The benchmark asks
-# for at most 512^2.
+# 0.47 to 0.53 s (CSV) or 1.01 to 1.03 s (JSON) in main, to a file, and 67 MiB, and
+# simulate of 1448^2 sites with its field CSV 1.8 to 2.3 s and 0.19 GiB at 1 to 10**12
+# steps.  The benchmark asks for at most 512^2.
 WORK_BUDGET = 2 ** 21
 
 
@@ -270,37 +270,46 @@ _BAND_JSON = (b'    {\n      "kx": ', b',\n      "ky": ', b',\n      "phase1": '
 
 def _band_rows(kx, ky, bands, fmt: str):
     """Yield the rows of the band table over the grid kx (n, 1) x ky (1, n) in the format
-    ``fmt``, a block of kx rows at a time: at most ``K_BLOCK`` k-points a CSV block, and
-    half as many a JSON one (a JSON row is about twice a CSV row).
+    ``fmt``, a block of at most ``K_BLOCK`` k-points (whole kx rows, or one) at a time.
 
-    A row is the text of ``_BAND_CSV`` or ``_BAND_JSON`` with a 32-byte cell for each
-    value between its parts, in a block buffer that holds the literal text and the ky
-    cells from the start.  The cells of each kx are formatted once, and each block's
-    phases by one call of the format's kernel: ``g17_cells`` ('%.17g') for CSV,
-    ``repr_cells`` (as json writes a float) for JSON.
+    A row is the text of ``_BAND_CSV`` or ``_BAND_JSON`` with the text of each value
+    between its parts, in a block buffer that holds the literal text and the ky values
+    from the start; ``cells_text`` deletes the NULs of each block.  The kx and ky values
+    are formatted once, their NULs deleted, into slots as wide as their longest text
+    (21 bytes at grid 256, against a kernel's 32-byte cell), and each block's phases by
+    one call of the format's kernel: ``g17_cells`` ('%.17g') for CSV, ``repr_cells`` (as
+    json writes a float) for JSON.
     """
     csv = fmt == "csv"
     parts, cells = (_BAND_CSV, g17_cells) if csv else (_BAND_JSON, repr_cells)
-    kx_cells, ky_cells = cells(kx.ravel()), cells(ky.ravel())
-    step = max(1, K_BLOCK // (1 if csv else 2) // len(ky_cells))
-    width = sum(map(len, parts)) + 4 * 32
-    buf = np.empty((min(step, len(kx_cells)), len(ky_cells), width), dtype=np.uint8)
+    kx_text, ky_text = _narrow(cells(kx.ravel())), _narrow(cells(ky.ravel()))
+    step = max(1, K_BLOCK // len(ky_text))
+    widths = (kx_text.shape[1], ky_text.shape[1], 32, 32, 0)
+    buf = np.empty((min(step, len(kx_text)), len(ky_text), sum(map(len, parts)) + sum(widths)),
+                   dtype=np.uint8)
     slots, at = [], 0
-    for text in parts:  # the literal, then the slot of the value after it
+    for text, width in zip(parts, widths):  # the literal, then the slot of the value after it
         buf[..., at:at + len(text)] = np.frombuffer(text, dtype=np.uint8)
-        at += len(text) + 32
-        slots.append(buf[..., at - 32:at])
+        at += len(text) + width
+        slots.append(buf[..., at - width:at])
     kx_slot, ky_slot, phase1, phase2 = slots[:4]
-    ky_slot[:] = ky_cells
-    for start in range(0, len(kx_cells), step):
+    ky_slot[:] = ky_text
+    for start in range(0, len(kx_text), step):
         phases = cells(bands[start:start + step])
         n = len(phases)
-        kx_slot[:n] = kx_cells[start:start + n, None]
+        kx_slot[:n] = kx_text[start:start + n, None]
         phase1[:n] = phases[:, :, 0]
         phase2[:n] = phases[:, :, 1]
-        if not csv and start + n == len(kx_cells):
+        if not csv and start + n == len(kx_text):
             buf[n - 1, -1, -2:] = 0  # no separator after the last row: its NULs are deleted
         yield cells_text(buf[:n]).decode("ascii")
+
+
+def _narrow(cells):
+    """The text of each of the kernel cells ``cells``, NULs deleted, left-aligned in a cell
+    as wide as the longest text and padded with NULs."""
+    cells[:, -1] = ord("\n")  # the free last byte: one split parts the texts
+    return np.array(cells_text(cells).split(b"\n")[:-1]).view(np.uint8).reshape(len(cells), -1)
 
 
 def cmd_dispersion(args, cfg: ExperimentConfig) -> int:

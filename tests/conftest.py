@@ -1,7 +1,8 @@
-"""Shared draw helpers for compliant and non-compliant walk families."""
+"""Shared draw helpers: walk families, compliant and not, and floats a few ulps apart."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,13 @@ from plasticwalk import CoinJet, WalkConfig
 HALF = Fraction(1, 2)
 # the exponents in (0, 1] with denominators up to 8
 FAREY_8 = sorted({Fraction(p, q) for q in range(1, 9) for p in range(1, q + 1)})
+
+
+def nudged(x: float, n: int) -> float:
+    """x moved n units in the last place (toward +inf for n > 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
 
 
 def draw_time_compliant(rng: np.random.Generator, nu: int | None = None,

@@ -278,17 +278,22 @@ def test_dispersion_command(tmp_path, capsys):
     assert len(out["bands"]) == 25
 
 
+def _band_oracle(kxs, kys, bands):
+    """The band table over kxs x kys, one k-point at a time: its rows as json.dumps takes
+    them, and as CSV text with %.17g floats."""
+    rows = [(x, y, p1, p2) for (x, y), (p1, p2)
+            in zip([(x, y) for x in kxs for y in kys], bands.reshape(-1, 2).tolist())]
+    return ([{"kx": x, "ky": y, "phase1": p1, "phase2": p2} for x, y, p1, p2 in rows],
+            "".join(f"{x:.17g},{y:.17g},{p1:.17g},{p2:.17g}\n" for x, y, p1, p2 in rows))
+
+
 def _dispersion_oracle(eps, n, bands):
     """The band table as json.dumps and %.17g write it, one k-point at a time."""
     ks = np.linspace(-np.pi, np.pi, n, endpoint=False).tolist()
-    rows = [(x, y, p1, p2) for (x, y), (p1, p2)
-            in zip([(x, y) for x in ks for y in ks], bands.reshape(-1, 2).tolist())]
-    text = json.dumps({"schema_version": 1, "eps": eps, "bands": [
-        {"kx": x, "ky": y, "phase1": p1, "phase2": p2} for x, y, p1, p2 in rows]},
-        sort_keys=True, indent=2) + "\n"
-    csv = "kx,ky,phase1,phase2\n" + "".join(
-        f"{x:.17g},{y:.17g},{p1:.17g},{p2:.17g}\n" for x, y, p1, p2 in rows)
-    return text, csv
+    listing, csv = _band_oracle(ks, ks, bands)
+    text = json.dumps({"schema_version": 1, "eps": eps, "bands": listing},
+                      sort_keys=True, indent=2) + "\n"
+    return text, "kx,ky,phase1,phase2\n" + csv
 
 
 def _dispersion_outputs(tmp_path, capsys, doc):
@@ -311,19 +316,17 @@ def test_dispersion_infinite_phases_print_as_json_writes_them(tmp_path, capsys, 
 
 
 # the (g17_cells, repr_cells) calls of each (grid, K_BLOCK or None for the default)
-_BAND_CALLS = {(150, None): (8, 14), (5, 12): (5, 7), (1, None): (3, 3), (5, 4): (7, 7)}
+_BAND_CALLS = {(150, None): (8, 8), (5, 12): (5, 5), (1, None): (3, 3), (5, 4): (7, 7)}
 
 
 @pytest.mark.parametrize("grid,block", list(_BAND_CALLS))
 def test_dispersion_blocks_match_the_oracle(tmp_path, capsys, monkeypatch, grid, block):
-    """Both band tables run through one writer, a block of kx rows at a time, the JSON
-    one in blocks of half as many k-points: at grid 150, CSV blocks of 27 rows (4,050
-    of the ``K_BLOCK`` 4,096 k-points) and a last one of 15, and JSON blocks of 13 rows
-    and a last one of 7; at grid 5 with a block of 12 k-points, CSV blocks of 2, 2 and
-    1 rows and JSON blocks of one row, so the ",\n" seams between JSON blocks are
-    compared with json.dumps too; at grid 1, one block of one row, the last, in each
-    format; and at grid 5 with a block of 4 k-points, less than one kx row, one row a
-    block in each format."""
+    """Both band tables run through one writer, in blocks of the same kx rows: at grid
+    150, blocks of 27 rows (4,050 of the ``K_BLOCK`` 4,096 k-points) and a last one of
+    15; at grid 5 with a block of 12 k-points, blocks of 2, 2 and 1 rows, so the ",\n"
+    seams between JSON blocks are compared with json.dumps too; at grid 1, one block
+    of one row, the last; and at grid 5 with a block of 4 k-points, less than one kx
+    row, one row a block."""
     if block is not None:
         monkeypatch.setattr(cli, "K_BLOCK", block)
     calls = []
@@ -338,6 +341,40 @@ def test_dispersion_blocks_match_the_oracle(tmp_path, capsys, monkeypatch, grid,
     assert _dispersion_outputs(tmp_path, capsys, doc) == _dispersion_oracle(cfg.eps, grid, bands)
     # a call for the kx cells, one for the ky cells, then one a block
     assert (calls.count("g17_cells"), calls.count("repr_cells")) == _BAND_CALLS[grid, block]
+
+
+# a momentum of each text length the kernels write, in '%.17g' and as json writes it:
+# +-0, the exact fallback (5e-324), scientific and fixed notation, the longest texts
+MOMENTA = [0.0, -0.0, 5e-324, 1e-05, -0.00012, 0.1, -3.141592653589793,
+           -1.2345678901234567e-100]
+
+
+@pytest.mark.parametrize("kernel,text", [(cli.g17_cells, "%.17g".__mod__),
+                                         (cli.repr_cells, json.dumps)])
+def test_momentum_texts_are_as_wide_as_the_longest(kernel, text):
+    texts = [text(x).encode() for x in MOMENTA]
+    width = max(map(len, texts))
+    assert width == len(text(MOMENTA[-1])) < 32
+    narrow = cli._narrow(kernel(np.array(MOMENTA)))
+    assert narrow.shape == (len(MOMENTA), width)
+    assert narrow.tobytes() == b"".join(t.ljust(width, b"\0") for t in texts)
+
+
+@pytest.mark.parametrize("block", [None, 16])
+@pytest.mark.parametrize("kxs,kys", [(MOMENTA, MOMENTA[::-1]), (MOMENTA[:2], MOMENTA),
+                                     (MOMENTA, [0.1, -0.0])])
+def test_band_rows_in_narrow_momentum_slots_match_the_oracle(monkeypatch, kxs, kys, block):
+    """kx and ky slots of different widths (4 and 24 bytes in JSON, 2 and 24 in CSV);
+    with a block of 16 k-points, blocks of 2 kx rows and the seams between them."""
+    if block is not None:
+        monkeypatch.setattr(cli, "K_BLOCK", block)
+    bands = np.random.default_rng(5).uniform(-np.pi, np.pi, (len(kxs), len(kys), 2))
+    listing, csv = _band_oracle(kxs, kys, bands)
+    kx, ky = np.array(kxs)[:, None], np.array(kys)[None, :]
+    rows = "".join(cli._band_rows(kx, ky, bands, "json"))
+    assert '{\n  "bands": [\n' + rows + "\n  ]\n}" == json.dumps({"bands": listing},
+                                                             sort_keys=True, indent=2)
+    assert "".join(cli._band_rows(kx, ky, bands, "csv")) == csv
 
 
 def test_dispersion_json_memory_stays_near_the_band_array(tmp_path):

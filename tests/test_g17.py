@@ -1,6 +1,7 @@
 """The array-at-once %.17g kernel against Python's '%.17g', value by value."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from plasticwalk import _util
 from plasticwalk._util import cells_text, g17_cells
+
+from conftest import nudged
 
 
 def _texts(values) -> list[str]:
@@ -45,6 +48,39 @@ def test_cells_match_percent_g17_on_field_like_blocks(seed, scale):
     values[0] = np.round(values[0], int(rng.integers(0, 4)))
     values[1] = rng.integers(-1000, 1000, 50) / 8
     assert _texts(values) == _expected(values)
+
+
+def _tie(X: int, u: float) -> float:
+    """An exact tie of the 17-digit rounding in the decade of 10^X (-8 <= X <= 0), picked
+    by u in [0, 1): x = m 2^(X - 17) with m odd makes y = x 10^(16 - X) = m 5^(16 - X) / 2
+    an odd multiple of 1/2."""
+    lo = math.ceil(Fraction(10) ** X * 2 ** (17 - X))
+    hi = math.ceil(Fraction(10) ** (X + 1) * 2 ** (17 - X))  # m < hi
+    m = (lo + int(u * (hi - lo))) | 1
+    return math.ldexp(m if m < hi else m - 2, X - 17)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-8, 0), st.floats(0, 1, exclude_max=True),
+                          st.integers(-3, 3), st.booleans()), min_size=1, max_size=40))
+def test_cells_match_percent_g17_near_ties(draws):
+    """Exact ties of the 17-digit rounding, which '%.17g' rounds to the even digit and the
+    kernel leaves to the fallback, and values n units in the last place from them."""
+    ties = [_tie(X, u) * (-1) ** neg for X, u, _, neg in draws]
+    values = [nudged(x, n) for x, (_, _, n, _) in zip(ties, draws)]
+    left, fallback = [], _util._g17_exact
+
+    def recording(cells):
+        left.extend(cells.tolist())
+        return fallback(cells)
+
+    _util._g17_exact = recording
+    try:
+        assert _texts(np.array(values)) == _expected(values)
+    finally:
+        _util._g17_exact = fallback
+    # an exact tie is never rounded on the fast path
+    assert all(x in left for x, (_, _, n, _) in zip(ties, draws) if n == 0)
 
 
 SMALLEST_NORMAL = 2.2250738585072014e-308

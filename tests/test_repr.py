@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from plasticwalk import _util, cli
 from plasticwalk._util import cells_text, repr_cells
 
+from conftest import nudged
+
 
 def _texts(values) -> list[str]:
     cells = repr_cells(values)
@@ -59,6 +61,41 @@ def test_cells_match_json_on_band_like_blocks(seed, scale):
     values[0] = np.round(values[0], int(rng.integers(1, 16)))
     values[1] = rng.integers(-1000, 1000, 50) / 8
     assert _texts(values) == _expected(values)
+
+
+def _fallback(values) -> list[float]:
+    """The values repr_cells leaves to float.__repr__."""
+    seen, fallback = [], _util._repr_exact
+
+    def recording(left):
+        seen.extend(left.tolist())
+        return fallback(left)
+
+    _util._repr_exact = recording
+    try:
+        repr_cells(values)
+    finally:
+        _util._repr_exact = fallback
+    return seen
+
+
+def _significant(x: float) -> int:
+    """The significant digits of repr(x)."""
+    return len(repr(abs(x)).split("e")[0].replace(".", "").strip("0"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(1e-20, 10, exclude_max=True), st.sampled_from([14, 15, 16]),
+                          st.integers(-4, 4), st.booleans()), min_size=1, max_size=40))
+def test_cells_match_json_a_few_ulps_from_short_roundings(draws):
+    """Values n units in the last place from their 14-, 15- and 16-digit roundings, where
+    the distances of the shortest-digit loop lie near H (half the gap to a neighbour) and
+    the 14-digit candidate reads back at n = 0: every value with 14 significant digits or
+    fewer is left to the fallback."""
+    values = [nudged(float(f"{x:.{k - 1}e}"), n) * (-1) ** neg for x, k, n, neg in draws]
+    assert _texts(np.array(values)) == _expected(values)
+    left = _fallback(np.array(values))
+    assert all(x in left for x in values if _significant(x) <= 14)
 
 
 # values whose shortest form has 17, 16 and 15 digits: the kernel writes them itself
