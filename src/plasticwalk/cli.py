@@ -27,7 +27,7 @@ import functools
 import itertools
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from json.encoder import encode_basestring_ascii as _str_text
 
 import numpy as np
@@ -322,26 +322,47 @@ def cmd_dispersion(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-# (row, row separator, index fragment of a half) of the terms listing.  A row is filled
-# in from the l half's and the n half's index fragment (li, ni) and group label (ll, nl),
-# and the pair's sums; json writes the keys sorted.  A group label is made of [ln=0-9+]
-# alone, so it needs no json quoting.
+# (row, row separator, index slot) of the terms listing.  A row holds the pair's sums
+# (%d), the n half's group label and index fragment ({0}, {1}), and the markers \1 and \0
+# where the l half's label and fragment go; json writes the keys sorted.  An index slot
+# is the text of index {} before its value and after it.  A group label is made of
+# [ln=0-9+] alone, so it needs no json quoting.
 _TERM_ROWS = {
-    "csv": ("{li}{ni}{sl},{sn},{ll}{nl}\n", "", "%d,%d,%d,%d,"),
-    "json": ('    {{\n      "group": "{ll}{nl}",\n{li}{ni}      "sum_l": {sl},\n'
-             '      "sum_n": {sn}\n    }}', ",\n",
-             "".join(f'      "{{k}}{c}": %d,\n' for c in ("1x", "1y", "2x", "2y"))),
+    "csv": ("\0{1}%d,%d,\1{0}\n", "", ("", ",")),
+    "json": ('    {{\n      "group": "\1{0}",\n\0{1}      "sum_l": %d,\n'
+             '      "sum_n": %d\n    }}', ",\n", ('      "{}": ', ",\n")),
 }
 
 
-def _term_half(index: str, kind: str, total: int) -> list[tuple[str, str]]:
-    """(index fragment, group label) of each composition of ``total`` into the indices
-    (1x, 1y, 2x, 2y) of the ``kind`` half: the label is the nonzero indices as
-    kind=v, sorted as strings and joined by "+", each kind=v made once."""
-    index = index.replace("{k}", kind)
-    label = [f"{kind}={v}" for v in range(total + 1)]
-    return [(index % parts, "+".join(sorted([label[v] for v in parts if v])))
-            for parts in pl._compositions4(total)]
+def _term_half(kind: str, top: int,
+               slot: tuple[str, str]) -> Callable[[int], list[tuple[str, str]]]:
+    """The function from a total up to ``top`` to the (index fragment, group label) of each
+    of its compositions into the indices (1x, 1y, 2x, 2y) of the ``kind`` half.
+
+    A fragment joins four lines from the per-slot line tables of the values 0..top, made
+    here once a call.  A label is the nonzero indices as kind=v, sorted as strings and
+    joined by "+", so it depends on the multiset of the parts alone: it is made once a
+    call for each, under the sum of 5**v over the nonzero parts (a value occurs at most
+    four times, so the sum names the multiset).
+    """
+    head, tail = slot
+    values = [f"{v}{tail}" for v in range(top + 1)]
+    t0, t1, t2, t3 = ([head.format(kind + c) + text for text in values]
+                      for c in ("1x", "1y", "2x", "2y"))
+    names = [f"{kind}={v}" for v in range(top + 1)]
+    weight = [0] + [5 ** v for v in range(1, top + 1)]
+    labels = {}
+
+    def half(total: int) -> list[tuple[str, str]]:
+        out = []
+        for p0, p1, p2, p3 in pl._compositions4(total):
+            key = weight[p0] + weight[p1] + weight[p2] + weight[p3]
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = "+".join(sorted([names[v] for v in (p0, p1, p2, p3) if v]))
+            out.append((t0[p0] + t1[p1] + t2[p2] + t3[p3], label))
+        return out
+    return half
 
 
 def cmd_terms(args, cfg: ExperimentConfig) -> int:
@@ -349,17 +370,20 @@ def cmd_terms(args, cfg: ExperimentConfig) -> int:
 
     Every "l=" sorts before every "n=", so a tuple's group label joins the labels of
     its halves; the rows of a pair are the product of the fragments of its l and n
-    halves: one template per pair holds the n halves, and each l half fills it in.
+    halves.  A pair's rows of the n halves are one line, split at the l label's marker
+    once; each l half joins the pieces with its label and puts its fragment in with one
+    replace.  The halves come from :func:`_term_half`, one for each kind a call.
     """
     pairs, count = pl._pairs(cfg.walk.a_exp, cfg.walk.b_exp, order_one=True)
-    row, sep, index = _TERM_ROWS[args.format]
+    row, sep, slot = _TERM_ROWS[args.format]
+    l_half = _term_half("l", max([sl for sl, _ in pairs], default=0), slot)
+    n_half = _term_half("n", max([sn for _, sn in pairs], default=0), slot)
     blocks = []
     for sl, sn in pairs:
         plus = "+" if sl and sn else ""  # both labels are non-empty
-        line = sep.join([row.format(li="\0", ni=ni, ll="\1", nl=plus + nl, sl=sl, sn=sn)
-                         for ni, nl in _term_half(index, "n", sn)])
-        blocks += [line.replace("\0", li).replace("\1", ll)
-                   for li, ll in _term_half(index, "l", sl)]
+        cell = (row % (sl, sn)).format
+        pieces = sep.join([cell(plus + nl, ni) for ni, nl in n_half(sn)]).split("\1")
+        blocks += [ll.join(pieces).replace("\0", li) for li, ll in l_half(sl)]
     text = sep.join(blocks)
     if args.format == "csv":
         _write(args, ("l1x,l1y,l2x,l2y,n1x,n1y,n2x,n2y,sum_l,sum_n,group\n", text))

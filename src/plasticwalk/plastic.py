@@ -61,7 +61,8 @@ __all__ = [
 # Most index tuples one call may cover: 15x the largest count at denominators up to 8
 # (12,870).  check and pde sum per group, so it keeps their refusals where they were
 # and bounds the rows of terms.  On a 2-core x86 host check takes about 7 ms at a = 1/45,
-# b = 1 (194,579 tuples below order 1); terms at a = b = 1/15 (170,544 rows) 0.13 s.
+# b = 1 (194,579 tuples below order 1); terms at a = b = 1/15 (170,544 rows) about
+# 0.05 s as JSON and 0.012 s as CSV, to a file.
 TUPLE_BUDGET = 200_000
 
 # Prefactor of the order-1 assembly: e^{2 i delta} / 2 with tau = 2, and delta = pi/2 mod pi.
@@ -197,8 +198,7 @@ def enumerate_terms(a: Fraction, b: Fraction) -> list[TermIndex]:
     return [idx for sl, sn in _pairs(a, b, order_one=True)[0] for idx in _index_tuples(sl, sn)]
 
 
-@dataclass(frozen=True)
-class DivergenceGroup:
+class DivergenceGroup(NamedTuple):
     """One coefficient group of the squared-walk expansion at order eps^exponent."""
 
     exponent: Fraction
@@ -266,10 +266,13 @@ def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool,
 
 def _groups(keys: list[list[int]], d: int,
             matrices: NDArray[np.complex128]) -> list[DivergenceGroup]:
-    """The rows of a group table as DivergenceGroups, one Fraction per order."""
-    orders = {level: Fraction(level, d) for level in {key[0] for key in keys}}
-    return [DivergenceGroup(orders[level], *powers, m)
-            for (level, *powers), m in zip(keys, matrices)]
+    """The rows of a group table as DivergenceGroups, one Fraction per order: the columns
+    of the keys zipped with the matrices, each row a tuple for ``_make``."""
+    if not keys:
+        return []
+    levels, *powers = zip(*keys)
+    orders = {level: Fraction(level, d) for level in set(levels)}
+    return list(map(DivergenceGroup._make, zip(map(orders.__getitem__, levels), *powers, matrices)))
 
 
 def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,

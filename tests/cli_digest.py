@@ -10,6 +10,9 @@ exception and every file it wrote, then the call's label.  The calls run
   grids 1, 7 and 64, x the seven commands x {JSON, CSV} x {stdout,
   ``--output`` with its side files}, plus ``--help``, no arguments, an
   unknown command and a missing config (788 calls);
+* ``terms``, ``check`` and ``pde`` on the plastic_half_compliant config at
+  the exponent pairs of ``PAIRS``, x {JSON, CSV} (24 calls): index totals
+  of 10 to 13, so the group labels hold two-digit indices;
 * every ``spacetime_scan`` and ``kspace_time`` operation that
   ``perfbench/workloads.py`` builds at seeds 11 and 9001, with the argv it
   builds (the module is imported, not changed).
@@ -39,6 +42,8 @@ GOLDEN = ROOT / "tests" / "golden"
 COMMANDS = ("check", "hamiltonian", "pde", "simulate", "converge", "dispersion", "terms")
 GRIDS = (None, 1, 7, 64)  # None: the config's own grid
 SEEDS = (11, 9001)
+# (a, b) with index totals of 10 to 13: 19,448, 459, 368 and 924 order-1 tuples
+PAIRS = (("1/10", "1/10"), ("1/12", "1"), ("1", "1/11"), ("1/11", "1/13"))
 WORKLOADS = ("spacetime_scan", "kspace_time")
 
 
@@ -92,6 +97,20 @@ def matrix(main):
         yield label, _call(main, argv)
 
 
+def exponent_pairs(main):
+    """(label, digest) of the 24 plastic calls at the exponent pairs of ``PAIRS``."""
+    doc = json.loads((GOLDEN / "plastic_half_compliant" / "config.json").read_text())
+    for a, b in PAIRS:
+        doc["walk"]["a"] = a
+        doc["walk"]["coin_x"]["b"] = doc["walk"]["coin_y"]["b"] = b
+        with open("config.json", "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+        for command in ("terms", "check", "pde"):
+            for fmt in ("json", "csv"):
+                yield (f"plastic_half_compliant a={a} b={b} {command} {fmt} stdout",
+                       _call(main, ["--config", "config.json", "--format", fmt, command]))
+
+
 def workload_ops(main, builders):
     """(label, digest) of every operation of the benchmark's CLI workloads."""
     for workload in WORKLOADS:
@@ -114,7 +133,8 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for label, digest in itertools.chain(matrix(cli.main), workload_ops(cli.main, BUILDERS)):
+        for label, digest in itertools.chain(matrix(cli.main), exponent_pairs(cli.main),
+                                         workload_ops(cli.main, BUILDERS)):
             print(f"{digest}  {label}")
         os.chdir(ROOT)
 

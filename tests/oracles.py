@@ -9,8 +9,9 @@ no command needs stay here, as oracles for the library's closed forms:
   function, the eigenvalues of the zeroth-order block, the odd-tau
   obstruction);
 * the zeroth-order constraint functions of the plastic walk, the
-  commutator [Px, Py] of the a = b = 1/2 transport matrices and the
-  cancellation of the mixed-derivative words;
+  commutator [Px, Py] of the a = b = 1/2 transport matrices, the
+  cancellation of the mixed-derivative words, and the spacetime gate in
+  closed form;
 * real-space shift words, the componentwise DFT and evolution by a
   momentum-space symbol, the site-by-site CSV writer and the whole-table
   CSV loader, the reference for the library's row-block loader;
@@ -88,7 +89,7 @@ from plasticwalk.plastic import (
     _SPLITS, TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles, _index_tuples,
     _pairs, _rotations, _words, enumerate_terms, gamma_hat, spacetime_hamiltonian,
 )
-from plasticwalk.timelimit import ConstraintReport, time_hamiltonian
+from plasticwalk.timelimit import ANGLE_TOL, ConstraintReport, time_hamiltonian
 from plasticwalk._util import POWER_TOL, check_unitary, stack_power
 
 
@@ -386,6 +387,27 @@ def cross_term_report(cfg: WalkConfig) -> dict:
              + j_word(0, 1, 1, 0) + j_word(0, 0, 1, 1))
     residual = float(op_norm(total))
     return {"cancels": residual <= 1e-12, "residual": residual}
+
+
+def closed_form_gate(cfg: WalkConfig) -> bool:
+    """The spacetime gate at the walk's (a, b) in closed form: the theta0 branch nu = 0,
+    the delta quantization, order-1 terms, a + b >= 1, and b = 1 or the shell.
+
+    Below order 1 the pure-l groups always cancel, the pure-n groups (there are some iff
+    b < 1) cancel on the shell alone, and the mixed groups (some iff a + b < 1) never
+    cancel.  The shell is cos((a1 - a2) / 2) = cos((a1 + a2) / 2) = 0 with a1 = zeta0y +
+    phi0x and a2 = zeta0x + phi0y: a1 and a2 in pi Z with an odd sum.  With tau = 2 the
+    delta quantization is cos(delta_x + delta_y) = 0.
+    """
+    jx, jy = cfg.coin_x, cfg.coin_y
+    a, b = cfg.a_exp, cfg.b_exp
+    a1, a2 = jy.zeta0 + jx.phi0, jx.zeta0 + jy.phi0
+    theta = max(abs(np.sin(jx.theta0 / 2.0)), abs(np.cos(jy.theta0 / 2.0))) <= ANGLE_TOL / 2
+    delta = abs(np.cos(cfg.delta_sum)) <= ANGLE_TOL
+    # a * sl + b * sn = 1 in nonnegative integers: sn = (1 - a * sl) / b for some sl
+    order_one = a > 0 and any(((1 - a * sl) / b).denominator == 1 for sl in range(int(1 / a) + 1))
+    shell = max(abs(np.cos((a1 - a2) / 2.0)), abs(np.cos((a1 + a2) / 2.0))) <= ANGLE_TOL
+    return bool(theta and delta and order_one and a + b >= 1 and (b == 1 or shell))
 
 
 # ----------------------------------------------------------------- real space

@@ -239,6 +239,31 @@ def test_terms_listing_matches_the_per_row_oracle(tmp_path, capsys):
     assert min(sizes) == 0 and max(sizes) > 1000
 
 
+@pytest.mark.parametrize("a, b, rows, unlike_numeric", [
+    ("1/10", "1/10", 19448, None),
+    ("1/12", "1", 459, "l=10+l=2"),
+    ("1", "1/11", 368, None),
+    ("1/11", "1/13", 924, "n=10+n=3"),
+])
+def test_terms_listing_with_two_digit_indices(tmp_path, capsys, a, b, rows, unlike_numeric):
+    """Index totals of 10 to 13, in both formats, byte for byte.  A group label sorts its
+    parts as strings, so l=10 comes before l=2: a label sorted by number would differ on
+    the pairs that list such a label, and no Farey-8 pair does."""
+    doc = plastic_doc(np.random.default_rng(6))
+    doc["walk"]["a"] = a
+    for coin in ("coin_x", "coin_y"):
+        doc["walk"][coin]["b"] = b
+    path = write_config(tmp_path, doc)
+    outs = []
+    for fmt in ("json", "csv"):
+        assert main(["--config", path, "--format", fmt, "terms"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert tuple(outs) == terms_listing(parse_rational(a), parse_rational(b))
+    assert outs[1].count("\n") - 1 == json.loads(outs[0])["count"] == rows
+    if unlike_numeric:
+        assert f',{unlike_numeric}\n' in outs[1]
+
+
 def test_simulate_reports_norm_drift(tmp_path, capsys):
     path = write_config(tmp_path, time_doc())
     assert main(["--config", path, "simulate"]) == 0

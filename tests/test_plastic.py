@@ -19,15 +19,15 @@ from plasticwalk import plastic
 from plasticwalk.config import ExperimentConfig
 from plasticwalk.mat2 import op_norm, rot
 from plasticwalk.plastic import (
-    TUPLE_BUDGET, TermIndex, _compositions4, _group_table, _grouped_sums, _index_tuples,
-    _pairs, gamma_hat,
+    TUPLE_BUDGET, DivergenceGroup, TermIndex, _compositions4, _group_table, _grouped_sums,
+    _index_tuples, _pairs, gamma_hat,
 )
 
 from conftest import (
     FAREY_8, HALF, draw_plastic_compliant, draw_plastic_generic, plastic_from_angles,
 )
 from oracles import (
-    ID2, calibration_exponents, constraint_f2, cross_term_report, derivative_coefficient,
+    ID2, calibration_exponents, closed_form_gate, constraint_f2, cross_term_report, derivative_coefficient,
     grouped_sums_loop, grouped_sums_per_pair, is_hermitian, sum_pairs_scan,
     transport_commutator, witnesses, word_chain, zeroth_order_residual,
 )
@@ -402,6 +402,54 @@ def _bitwise_as_per_pair(cfg, a, b, order_one):
 def test_group_table_is_the_per_pair_sums_bitwise(seed, draw, a, b, order_one):
     cfg = replace(draw(np.random.default_rng(seed)), a_exp=a, b_exp=b)
     _bitwise_as_per_pair(cfg, a, b, order_one)
+
+
+def test_divergence_group_is_a_named_tuple(rng):
+    """The fields in their order, read-only, built positionally as tests/oracles.py builds
+    them; divergence_residual's groups are the per-pair oracle's, field by field, with the
+    same field types and matrix bytes."""
+    assert DivergenceGroup._fields == ("exponent", "kx_power", "ky_power", "thx_power",
+                                       "thy_power", "matrix")
+    matrix = np.arange(4, dtype=np.complex128).reshape(2, 2)
+    group = DivergenceGroup(HALF, 1, 0, 2, 3, matrix)
+    assert group[:5] == (group.exponent, group.kx_power, group.ky_power, group.thx_power,
+                         group.thy_power) == (HALF, 1, 0, 2, 3)
+    assert group.matrix is matrix
+    with pytest.raises(AttributeError):
+        group.kx_power = 4
+    for cfg in (draw_plastic_compliant(rng), draw_plastic_generic(rng)):
+        for a, b in ((HALF, HALF), (Fraction(1, 3), HALF), (Fraction(1, 5), Fraction(3, 7)),
+                     (Fraction(1, 8), Fraction(1, 8))):
+            groups = divergence_residual(cfg, a, b)[1]
+            want = grouped_sums_per_pair(cfg, a, b, order_one=False)
+            assert len(groups) == len(want) > 0
+            for g, w in zip(groups, want):
+                assert type(g) is DivergenceGroup
+                assert [(type(x), x) for x in g[:5]] == [(type(x), x) for x in w[:5]]
+                assert g.matrix.tobytes() == w.matrix.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([draw_plastic_compliant,
+                                                     draw_plastic_generic]),
+       EXPONENTS_12, EXPONENTS_12, st.sampled_from(["", "theta", "delta"]))
+@example(0, draw_plastic_generic, HALF, Fraction(1), "")  # b = 1 off the shell passes
+@example(0, draw_plastic_compliant, Fraction(1, 3), Fraction(2, 3), "")  # a + b = 1 passes
+@example(0, draw_plastic_compliant, Fraction(1, 3), HALF, "")  # mixed groups below order 1
+@example(0, draw_plastic_generic, HALF, HALF, "")  # pure-n groups off the shell
+@example(0, draw_plastic_compliant, Fraction(2, 3), Fraction(2, 3), "")  # no order-1 term
+@example(0, draw_plastic_compliant, HALF, HALF, "theta")
+@example(0, draw_plastic_compliant, HALF, HALF, "delta")
+def test_gate_is_the_closed_form(seed, draw, a, b, off):
+    """check_spacetime_limit passes iff the closed form does (ROADMAP item 2), on walks of
+    both classes at exponents with denominators up to 12, some moved off the theta0
+    branch or the delta quantization."""
+    cfg = replace(draw(np.random.default_rng(seed)), a_exp=a, b_exp=b)
+    if off == "theta":
+        cfg = replace(cfg, coin_x=replace(cfg.coin_x, theta0=cfg.coin_x.theta0 + 0.5))
+    elif off == "delta":
+        cfg = replace(cfg, coin_x=replace(cfg.coin_x, delta=cfg.coin_x.delta + 0.5))
+    assert check_spacetime_limit(cfg).passed == closed_form_gate(cfg)
 
 
 FAREY_12 = sorted({Fraction(p, q) for q in range(1, 13) for p in range(1, q + 1)})
