@@ -15,24 +15,32 @@ from .mat2 import _defect, _entries
 # steps; by 1e16 steps the power is noise, and by 1e50 it overflows.
 POWER_TOL = 1e-3
 
-# Most k-points a k-grid command holds its 2x2 stacks, or dispersion its band-table rows
-# in either format (8,192 phases a kernel call), for at once.  Measured on 256^2: the
+# Most k-points the tiles of evolve and dispersion, and the band-table rows of dispersion
+# in either format (8,192 phases a kernel call), hold at once.  Measured on 256^2: the
 # peak traced memory of an evolution is 1.7x the field's bytes at 2**12 k-points a tile
 # (3.9x at 2**14), and 512^2 x 1000 steps is no slower than with larger tiles.
 K_BLOCK = 2 ** 12
 
+# Most k-points a tile of converge holds.  Each tile makes about 80 numpy calls an eps
+# and 8 a squaring whatever its size, so larger tiles spend less on call overhead: the
+# benchmark's grids of 80^2 and 96^2 run as one tile, not two or three of K_BLOCK.  Its
+# memory is a fixed number of 2x2 stacks of the tile, about 5.7 MiB traced at grid 512.
+# A complex plane of 2**14 points is 256 KiB, the size from which numpy reuses
+# temporaries; the two-plane kernels give the same bits either side of it (mat2._mul_su2).
+CONVERGE_BLOCK = 2 ** 14
 
-def k_tiles(kx, ky):
+
+def k_tiles(kx, ky, block: int = K_BLOCK):
     """(index into the grid, kx tile, ky tile) for each tile of the momentum grid kx x ky.
 
-    Factors kx (nx, 1) and ky (1, ny) are sliced along their own axes into tiles of whole
-    kx rows, or of one row's ky columns when a row alone is longer than ``K_BLOCK``.  Any
-    other shape (scalars, 1-D momentum lists) is one tile."""
+    Factors kx (nx, 1) and ky (1, ny) are sliced along their own axes into tiles of at
+    most ``block`` k-points: whole kx rows, or one row's ky columns when a row alone is
+    longer than ``block``.  Any other shape (scalars, 1-D momentum lists) is one tile."""
     kx, ky = np.asarray(kx, dtype=np.float64), np.asarray(ky, dtype=np.float64)
     if not (kx.ndim == ky.ndim == 2 and kx.shape[1] == ky.shape[0] == 1):
         return [(..., kx, ky)]
     nx, ny = kx.shape[0], ky.shape[1]
-    rows, cols = max(1, K_BLOCK // ny), min(ny, K_BLOCK)
+    rows, cols = max(1, block // ny), min(ny, block)
     return (((r, c), kx[r], ky[:, c])
             for r in (slice(i, i + rows) for i in range(0, nx, rows))
             for c in (slice(j, j + cols) for j in range(0, ny, cols)))

@@ -49,12 +49,13 @@ COMMANDS = ("check", "hamiltonian", "pde", "simulate", "converge", "dispersion",
 # ny of simulate) one command may ask for; checked before anything is allocated.
 # simulate's step count is not counted: its evolution is logarithmic in it, and the
 # unitarity check of W(k)^steps stops it at about 2e12 steps (41 bits).  The k-grid
-# commands hold one tile of k-points (and dispersion its 16-byte-a-point band array),
-# so time sets the budget.  At the limit, on a 2-core x86 host: time-mode converge
-# with the default eps_list takes 2.7 s and 34 MiB peak RSS (grid 1448), dispersion
-# 0.47 to 0.53 s (CSV) or 1.01 to 1.03 s (JSON) in main, to a file, and 67 MiB, and
-# simulate of 1448^2 sites with its field CSV 1.8 to 2.3 s and 0.19 GiB at 1 to 10**12
-# steps.  The benchmark asks for at most 512^2.
+# commands hold one tile of k-points (_util.CONVERGE_BLOCK for converge, K_BLOCK for
+# dispersion, with its 16-byte-a-point band array), so time sets the budget.  At the
+# limit, on a 2-core x86 host, in main, to a file: time-mode converge with the default
+# eps_list takes 0.74 to 0.77 s and 39 MiB peak RSS (grid 1448), dispersion 0.47 to
+# 0.57 s (CSV) or 0.94 to 1.07 s (JSON) and 67 MiB, and simulate of 1448^2 sites with
+# its field CSV 1.3 to 1.7 s and 0.19 GiB at 1 to 10**12 steps.  The benchmark asks
+# for at most 512^2.
 WORK_BUDGET = 2 ** 21
 
 

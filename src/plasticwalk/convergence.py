@@ -18,7 +18,7 @@ from .coins import WalkConfig, coin_pair, walk_planes
 from .mat2 import _entries_su2, _norm_diff, _phases_su2, _power, exp_herm
 from .plastic import spacetime_hamiltonian
 from .timelimit import time_hamiltonian
-from ._util import POWER_TOL, check_unitary, k_tiles
+from ._util import CONVERGE_BLOCK, POWER_TOL, check_unitary, k_tiles
 
 __all__ = [
     "ConvergenceResult",
@@ -77,10 +77,12 @@ def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
     whole number of stroboscopic blocks; the induced O(eps) time mismatch is absorbed
     into the fitted order.  W^(tau n) must be unitary to POWER_TOL, and H, named
     ``what`` in errors, Hermitian.  The coin pair is built once an eps, H once a tile of
-    ``k_tiles``; each error is the max over the tiles.  W, W^(tau n) and the target are
-    in the two-plane form of ``mat2`` and checked there; the target is expanded to four
-    entry planes once a tile and horizon, and ``_norm_diff`` forms the entries of
-    W^(tau n) minus it in place for the norm.
+    ``k_tiles`` at ``CONVERGE_BLOCK`` k-points (a grid of 128^2 is one tile); each error
+    is the max over the tiles, and every kernel is elementwise and gives the same bits at
+    any array size, so the samples do not depend on the tile size.  W, W^(tau n) and the
+    target are in the two-plane form of ``mat2`` and checked there; the target is
+    expanded to four entry planes once a tile and horizon, and ``_norm_diff`` forms the
+    entries of W^(tau n) minus it in place for the norm.
     """
     tau = cfg.tau
     eps_list = [float(eps) for eps in sorted(eps_list, reverse=True)]
@@ -88,7 +90,7 @@ def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
     errors = [0.0] * len(eps_list)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
         pairs = [coin_pair(cfg, eps) for eps in eps_list]
-        for _, kx_t, ky_t in k_tiles(kx, ky):
+        for _, kx_t, ky_t in k_tiles(kx, ky, CONVERGE_BLOCK):
             h, t = hamiltonian(kx_t, ky_t), None
             for i, (eps, m, pair) in enumerate(zip(eps_list, steps, pairs)):
                 w = check_unitary(walk_planes(pair, kx_t, ky_t), "walk symbol", _UNITARITY_TOL)

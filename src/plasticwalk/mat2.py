@@ -108,13 +108,18 @@ def _from_entries(a, b, c, d) -> NDArray[np.complex128]:
 
 
 def _mul_su2(x: tuple, y: tuple) -> tuple:
-    """The two-plane form of the product of two matrices in the two-plane form."""
+    """The two-plane form of the product of two matrices in the two-plane form.
+
+    A complex product whose right operand is a temporary is taken by ``np.multiply``:
+    numpy evaluates ``x * temporary`` of 256 KiB or more (2**14 complex points) as
+    ``temporary *= x``, and its complex product is not commutative bit for bit, so the
+    operator would make the last bits depend on the array size."""
     g, a, b = x
     h, e, f = y
     p = a * e
-    p -= b * f.conjugate()
+    p -= np.multiply(b, f.conjugate())
     q = a * f
-    q += b * e.conjugate()
+    q += np.multiply(b, e.conjugate())
     return g * h, p, q
 
 
@@ -149,9 +154,10 @@ def _power(x: tuple, n: int) -> tuple:
 
 
 def _entries_su2(x: tuple) -> tuple:
-    """The four entries (g a, g b, -g b*, g a*) of the matrix x = (g, a, b)."""
+    """The four entries (g a, g b, -g b*, g a*) of the matrix x = (g, a, b); the products
+    with a conjugate are taken by ``np.multiply``, as in :func:`_mul_su2`."""
     g, a, b = x
-    return g * a, g * b, -g * b.conjugate(), g * a.conjugate()
+    return g * a, g * b, np.multiply(-g, b.conjugate()), np.multiply(g, a.conjugate())
 
 
 def _squares(*parts):

@@ -169,24 +169,23 @@ def time_hamiltonian(cfg: WalkConfig):
     shift words.  H(k) is Hermitian and equals -{A,B}(k)/4, the limit
     i (W^tau - I)/(tau eps).
 
-    The symbol is built on four entry planes: each term's phase e = e^{i(px kx + py ky)}
-    is taken on the kx or ky factor alone where the other power is 0, its rows are
-    e and e* times the term's coefficient entries, and the planes are summed term by
-    term, then stacked once.
+    The four coefficients (0.25 theta1 Rz(angle)) @ sy are built as one (4, 2, 2) stack,
+    each term's matrix a view of it.  The symbol is built on four entry planes: each
+    term's phase e = e^{i(px kx + py ky)} is taken on the kx or ky factor alone where the
+    other power is 0, its rows are e and e* times the term's coefficient entries, and the
+    planes are summed term by term, then stacked once.
     """
     nu = _require_branch(check_time_limit(cfg).require("time-limit gate"))
     s = 1 if nu == 0 else -1
     jx, jy = cfg.coin_x, cfg.coin_y
 
-    terms = [
-        HamiltonianTerm(2, 0, 0.25 * jx.theta1 * rot("z", 2.0 * jx.zeta0) @ SY),
-        HamiltonianTerm(0, 2 * s, 0.25 * jx.theta1
-                        * rot("z", 2.0 * s * jy.zeta0 + 2.0 * s * jx.phi0 - 2.0 * jy.phi0) @ SY),
-        HamiltonianTerm(0, 0, 0.25 * jy.theta1 * rot("z", -2.0 * jy.phi0) @ SY),
-        HamiltonianTerm(2, 2 * s, 0.25 * jy.theta1
-                        * rot("z", 2.0 * jx.zeta0 + 2.0 * s * jx.phi0 + 2.0 * s * jy.zeta0) @ SY),
-    ]
-    entries = [[complex(c) for c in t.coeff.reshape(-1)] for t in terms]
+    scale = np.array([0.25 * jx.theta1, 0.25 * jx.theta1, 0.25 * jy.theta1, 0.25 * jy.theta1])
+    angles = [2.0 * jx.zeta0, 2.0 * s * jy.zeta0 + 2.0 * s * jx.phi0 - 2.0 * jy.phi0,
+              -2.0 * jy.phi0, 2.0 * jx.zeta0 + 2.0 * s * jx.phi0 + 2.0 * s * jy.zeta0]
+    coeffs = (scale[:, None, None] * rot("z", angles)) @ SY
+    terms = [HamiltonianTerm(px, py, c)
+             for (px, py), c in zip(((2, 0), (0, 2 * s), (0, 0), (2, 2 * s)), coeffs)]
+    entries = coeffs.reshape(4, 4).tolist()
 
     def symbol(kx, ky) -> NDArray[np.complex128]:
         kx = np.asarray(kx, dtype=np.float64)

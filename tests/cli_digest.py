@@ -13,6 +13,15 @@ exception and every file it wrote, then the call's label.  The calls run
 * ``terms``, ``check`` and ``pde`` on the plastic_half_compliant config at
   the exponent pairs of ``PAIRS``, x {JSON, CSV} (24 calls): index totals
   of 10 to 13, so the group labels hold two-digit indices;
+* time-mode ``converge`` on the time_compliant and time_tau4_delta0 configs
+  at the grids of ``CONVERGE_GRIDS``, x t_final {own (0.5), 0.3} x {JSON,
+  CSV} (32 calls): one, two, three and four tiles of
+  ``_util.CONVERGE_BLOCK`` k-points, the last a tile of exactly 2**14
+  points, with step counts of powers of two (squarings alone) and not;
+* ``hamiltonian`` on the time_compliant config on its theta0 branch and
+  with the two theta0 swapped (the other branch), with theta1 = 1e300 on
+  both coins, and with every zeta0 and phi0 0.0, then -0.0 (6 calls): the
+  coefficient stack at the edge of the float range and at signed zeros;
 * every ``spacetime_scan`` and ``kspace_time`` operation that
   ``perfbench/workloads.py`` builds at seeds 11 and 9001, with the argv it
   builds (the module is imported, not changed).
@@ -45,6 +54,8 @@ SEEDS = (11, 9001)
 # (a, b) with index totals of 10 to 13: 19,448, 459, 368 and 924 order-1 tuples
 PAIRS = (("1/10", "1/10"), ("1/12", "1"), ("1", "1/11"), ("1/11", "1/13"))
 WORKLOADS = ("spacetime_scan", "kspace_time")
+TIME_CONFIGS = ("time_compliant", "time_tau4_delta0")
+CONVERGE_GRIDS = (128, 129, 200, 256)  # 16,384, 16,641, 40,000 and 65,536 k-points
 
 
 def _digest(code, stdout: str, stderr: str, error: str | None, files: dict[str, bytes]) -> str:
@@ -111,6 +122,36 @@ def exponent_pairs(main):
                        _call(main, ["--config", "config.json", "--format", fmt, command]))
 
 
+def time_edges(main):
+    """(label, digest) of the 38 time-mode calls at converge's tile edges and at the
+    extreme and signed-zero angles of ``hamiltonian``."""
+    for config, grid, t_final in itertools.product(TIME_CONFIGS, CONVERGE_GRIDS, (None, 0.3)):
+        doc = json.loads((GOLDEN / config / "config.json").read_text())
+        doc["run"]["grid"] = grid
+        if t_final is not None:
+            doc["run"]["t_final"] = t_final
+        with open("config.json", "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+        for fmt in ("json", "csv"):
+            yield (f"{config} grid={grid} t_final={t_final or 'own'} converge {fmt} stdout",
+                   _call(main, ["--config", "config.json", "--format", fmt, "converge"]))
+    doc = json.loads((GOLDEN / "time_compliant" / "config.json").read_text())
+    coins = doc["walk"]["coin_x"], doc["walk"]["coin_y"]
+    for branch in ("own", "swapped"):
+        if branch == "swapped":
+            coins[0]["theta0"], coins[1]["theta0"] = coins[1]["theta0"], coins[0]["theta0"]
+        for label, keys, value in (("theta1=1e300", ("theta1",), 1e300),
+                                   ("zeta0=phi0=0.0", ("zeta0", "phi0"), 0.0),
+                                   ("zeta0=phi0=-0.0", ("zeta0", "phi0"), -0.0)):
+            changed = json.loads(json.dumps(doc))
+            for coin in ("coin_x", "coin_y"):
+                changed["walk"][coin].update(dict.fromkeys(keys, value))
+            with open("config.json", "w") as fh:
+                json.dump(changed, fh, indent=2, sort_keys=True)
+            yield (f"time_compliant theta0 {branch} {label} hamiltonian stdout",
+                   _call(main, ["--config", "config.json", "hamiltonian"]))
+
+
 def workload_ops(main, builders):
     """(label, digest) of every operation of the benchmark's CLI workloads."""
     for workload in WORKLOADS:
@@ -134,7 +175,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for label, digest in itertools.chain(matrix(cli.main), exponent_pairs(cli.main),
-                                         workload_ops(cli.main, BUILDERS)):
+                                             time_edges(cli.main),
+                                             workload_ops(cli.main, BUILDERS)):
             print(f"{digest}  {label}")
         os.chdir(ROOT)
 

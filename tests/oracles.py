@@ -10,8 +10,8 @@ no command needs stay here, as oracles for the library's closed forms:
   obstruction);
 * the zeroth-order constraint functions of the plastic walk, the
   commutator [Px, Py] of the a = b = 1/2 transport matrices, the
-  cancellation of the mixed-derivative words, and the spacetime gate in
-  closed form;
+  cancellation of the mixed-derivative words, and the spacetime gate and
+  generator in closed form;
 * real-space shift words, the componentwise DFT and evolution by a
   momentum-space symbol, the site-by-site CSV writer and the whole-table
   CSV loader, the reference for the library's row-block loader;
@@ -28,6 +28,8 @@ no command needs stay here, as oracles for the library's closed forms:
   ``rot_x``, which no coin needs;
 * the stack product ``mul2`` by the entry formulas, ``unitarity_defect`` on the
   library's entry kernels, and the determinant ``det2``;
+* the four Hamiltonian terms of the time limit built one coefficient at a time
+  (``time_terms_per_term``), the reference for the library's one stack of them;
 * the shift-word row scaling ``diag_mul`` and the Hamiltonian symbol as a sum of
   its stacks (``time_symbol_stack``), the reference for the library's symbol on
   entry planes, and the Gram entries and half-gap radius of ``mat2._norm`` as whole
@@ -86,10 +88,14 @@ from plasticwalk.mat2 import (
     dag, eigvals2, exp_herm, op_norm, rot,
 )
 from plasticwalk.plastic import (
-    _SPLITS, TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles, _index_tuples,
-    _pairs, _rotations, _words, enumerate_terms, gamma_hat, spacetime_hamiltonian,
+    _SPLITS, CALIBRATION, TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles,
+    _index_tuples, _pairs, _rotations, _words, enumerate_terms, gamma_hat, half_half_pde,
+    spacetime_hamiltonian,
 )
-from plasticwalk.timelimit import ANGLE_TOL, ConstraintReport, time_hamiltonian
+from plasticwalk.timelimit import (
+    ANGLE_TOL, ConstraintReport, HamiltonianTerm, _require_branch, check_time_limit,
+    time_hamiltonian,
+)
 from plasticwalk._util import POWER_TOL, check_unitary, stack_power
 
 
@@ -389,6 +395,14 @@ def cross_term_report(cfg: WalkConfig) -> dict:
     return {"cancels": residual <= 1e-12, "residual": residual}
 
 
+def _on_shell(cfg: WalkConfig) -> bool:
+    """cos((a1 - a2) / 2) = cos((a1 + a2) / 2) = 0 to ANGLE_TOL, with a1 = zeta0y + phi0x and
+    a2 = zeta0x + phi0y: a1 and a2 in pi Z with an odd sum."""
+    a1 = cfg.coin_y.zeta0 + cfg.coin_x.phi0
+    a2 = cfg.coin_x.zeta0 + cfg.coin_y.phi0
+    return max(abs(np.cos((a1 - a2) / 2.0)), abs(np.cos((a1 + a2) / 2.0))) <= ANGLE_TOL
+
+
 def closed_form_gate(cfg: WalkConfig) -> bool:
     """The spacetime gate at the walk's (a, b) in closed form: the theta0 branch nu = 0,
     the delta quantization, order-1 terms, a + b >= 1, and b = 1 or the shell.
@@ -401,13 +415,44 @@ def closed_form_gate(cfg: WalkConfig) -> bool:
     """
     jx, jy = cfg.coin_x, cfg.coin_y
     a, b = cfg.a_exp, cfg.b_exp
-    a1, a2 = jy.zeta0 + jx.phi0, jx.zeta0 + jy.phi0
     theta = max(abs(np.sin(jx.theta0 / 2.0)), abs(np.cos(jy.theta0 / 2.0))) <= ANGLE_TOL / 2
     delta = abs(np.cos(cfg.delta_sum)) <= ANGLE_TOL
     # a * sl + b * sn = 1 in nonnegative integers: sn = (1 - a * sl) / b for some sl
     order_one = a > 0 and any(((1 - a * sl) / b).denominator == 1 for sl in range(int(1 / a) + 1))
-    shell = max(abs(np.cos((a1 - a2) / 2.0)), abs(np.cos((a1 + a2) / 2.0))) <= ANGLE_TOL
-    return bool(theta and delta and order_one and a + b >= 1 and (b == 1 or shell))
+    return bool(theta and delta and order_one and a + b >= 1 and (b == 1 or _on_shell(cfg)))
+
+
+def closed_form_generator(cfg: WalkConfig):
+    """The d/dt generator G(k) of the spacetime limit in closed form, for a walk that
+    passes the gate: a function of the momenta (kx, ky) to (..., 2, 2) stacks, or None
+    where every order-1 group cancels (a + b > 1 on the shell).
+
+    On the shell with a + b = 1 it is Px d/dx + Py d/dy, d/dx = i kx, with the (Px, Py) of
+    ``half_half_pde``, along the whole line.  At b = 1 off the shell it is
+    (-i/2)(theta1x {W0, W_nx} + theta1y {W0, W_ny}), no derivatives, with W0, W_nx and W_ny
+    the words with no sigma insertion, with sy after Rz(zeta_x) and with sy after
+    Rz(zeta_y).  Both carry the prefactor CALIBRATION.
+    """
+    thx, thy = cfg.coin_x.theta1, cfg.coin_y.theta1
+    if _on_shell(cfg):
+        if cfg.a_exp + cfg.b_exp != 1:
+            return None
+        px, py = half_half_pde(dataclasses.replace(cfg, a_exp=Fraction(1, 2), b_exp=Fraction(1, 2)))
+
+        def transport(kx, ky):
+            kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=np.float64),
+                                         np.asarray(ky, dtype=np.float64))
+            return CALIBRATION * (1j * kx[..., None, None] * px + 1j * ky[..., None, None] * py)
+
+        return transport
+    w0, w_nx, w_ny = (word_chain(cfg, 0, 0, nx, ny) for nx, ny in ((0, 0), (1, 0), (0, 1)))
+    m = -0.5j * (thx * (w0 @ w_nx + w_nx @ w0) + thy * (w0 @ w_ny + w_ny @ w0))
+
+    def constant(kx, ky):
+        shape = np.broadcast(np.asarray(kx), np.asarray(ky)).shape
+        return np.broadcast_to(CALIBRATION * m, shape + (2, 2))
+
+    return constant
 
 
 # ----------------------------------------------------------------- real space
@@ -814,6 +859,23 @@ def unitarity_defect_matmul(m: NDArray[np.complex128]) -> NDArray[np.float64]:
     """||M^dag M - I|| with the product and the norm both through matmul."""
     m = np.asarray(m, dtype=np.complex128)
     return op_norm_matmul(dag(m) @ m - ID2)
+
+
+def time_terms_per_term(cfg: WalkConfig) -> list[HamiltonianTerm]:
+    """The four terms of ``time_hamiltonian``, each coefficient built on its own: one
+    ``rot``, one scaling by 0.25 theta1 and one product with sy a term, the reference the
+    library's one (4, 2, 2) stack equals bit for bit."""
+    nu = _require_branch(check_time_limit(cfg).require("time-limit gate"))
+    s = 1 if nu == 0 else -1
+    jx, jy = cfg.coin_x, cfg.coin_y
+    return [
+        HamiltonianTerm(2, 0, 0.25 * jx.theta1 * rot("z", 2.0 * jx.zeta0) @ SY),
+        HamiltonianTerm(0, 2 * s, 0.25 * jx.theta1
+                        * rot("z", 2.0 * s * jy.zeta0 + 2.0 * s * jx.phi0 - 2.0 * jy.phi0) @ SY),
+        HamiltonianTerm(0, 0, 0.25 * jy.theta1 * rot("z", -2.0 * jy.phi0) @ SY),
+        HamiltonianTerm(2, 2 * s, 0.25 * jy.theta1
+                        * rot("z", 2.0 * jx.zeta0 + 2.0 * s * jx.phi0 + 2.0 * s * jy.zeta0) @ SY),
+    ]
 
 
 def time_symbol_stack(terms, kx, ky) -> NDArray[np.complex128]:

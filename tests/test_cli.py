@@ -426,8 +426,9 @@ def test_dispersion_csv_memory_stays_near_the_band_array(tmp_path):
 
 
 def test_converge_memory_stays_near_one_tile(tmp_path):
-    """Time-mode converge walks its grid a tile at a time: at grid 512 (262,144 k-points)
-    the traced peak stays under 8 MiB, where the whole-grid loop took about 112 MiB."""
+    """Time-mode converge walks its grid a tile of CONVERGE_BLOCK k-points at a time: at
+    grid 512 (262,144 k-points, 16 tiles) the traced peak stays under 8 MiB (about
+    5.7 MiB), where the whole-grid loop took about 112 MiB."""
     doc = time_doc()
     doc["run"]["grid"] = 512
     proc, _, peak = _run_child(tmp_path, doc, "converge")

@@ -12,7 +12,7 @@ from plasticwalk import (
 from plasticwalk.coins import coin_pair, walk_planes
 from plasticwalk.lattice import SpinorField, evolve
 from plasticwalk.mat2 import _entries_su2, _from_entries, _power, exp_herm, op_norm
-from plasticwalk._util import K_BLOCK, k_tiles, stack_power
+from plasticwalk._util import CONVERGE_BLOCK, K_BLOCK, k_tiles, stack_power
 
 from conftest import (
     draw_plastic_compliant, draw_plastic_generic, draw_time_compliant, draw_time_generic,
@@ -299,6 +299,9 @@ def test_dispersion_phase_sum_tracks_determinant(rng):
 # grids on both sides of a tile edge (64^2 is one tile of K_BLOCK k-points), several
 # tiles of whole rows, and rows longer than a tile
 TILE_GRIDS = [(63, 63), (64, 64), (65, 65), (100, 100), (2, 5000)]
+# the same for converge's tiles of CONVERGE_BLOCK k-points, which hold each grid above
+# whole: 128^2 is one tile, 129^2 two of whole rows, a row of 16,391 two of columns
+CONVERGE_TILE_GRIDS = [(128, 128), (129, 129), (2, CONVERGE_BLOCK + 7)]
 
 
 def _factors(nx, ny):
@@ -306,15 +309,25 @@ def _factors(nx, ny):
             np.linspace(-np.pi, np.pi, ny, endpoint=False)[None, :])
 
 
-@pytest.mark.parametrize("nx,ny", TILE_GRIDS + [(1, 1), (3, 2 * K_BLOCK + 1), (K_BLOCK + 1, 1)])
+@pytest.mark.parametrize("nx,ny", TILE_GRIDS + [(1, 1), (3, 2 * K_BLOCK + 1), (K_BLOCK + 1, 1)]
+                         + CONVERGE_TILE_GRIDS
+                         + [(3, 2 * CONVERGE_BLOCK + 1), (CONVERGE_BLOCK + 1, 1)])
 def test_k_tiles_cover_the_grid_once_a_tile_at_a_time(nx, ny):
+    """At both block sizes, K_BLOCK the default; whole rows, or columns of one row."""
     kx, ky = _factors(nx, ny)
-    seen = np.zeros((nx, ny), dtype=int)
-    for tile, kx_t, ky_t in k_tiles(kx, ky):
-        seen[tile] += 1
-        assert kx_t.size * ky_t.size <= K_BLOCK
-        assert np.array_equal(kx_t, kx[tile[0]]) and np.array_equal(ky_t, ky[:, tile[1]])
-    assert (seen == 1).all()
+    for block in (K_BLOCK, CONVERGE_BLOCK):
+        tiles = list(k_tiles(kx, ky, block))
+        seen = np.zeros((nx, ny), dtype=int)
+        for tile, kx_t, ky_t in tiles:
+            seen[tile] += 1
+            assert kx_t.size * ky_t.size <= block
+            assert kx_t.size == 1 or ky_t.size == ny
+            assert np.array_equal(kx_t, kx[tile[0]]) and np.array_equal(ky_t, ky[:, tile[1]])
+        assert (seen == 1).all()
+        rows = max(1, block // ny)
+        assert len(tiles) == -(-nx // rows) * -(-ny // min(ny, block))
+    assert [tile for tile, _, _ in k_tiles(kx, ky)] \
+        == [tile for tile, _, _ in k_tiles(kx, ky, K_BLOCK)]
 
 
 def test_k_tiles_run_other_shapes_as_one_tile():
@@ -412,15 +425,19 @@ def test_dispersion_tiles_equal_the_whole_grid_bitwise(grid, generic, eps, seed)
 
 
 @settings(max_examples=8, deadline=None)
-@given(grid=st.sampled_from(TILE_GRIDS), tau=st.sampled_from([2, 4]),
+@given(grid=st.sampled_from(TILE_GRIDS + CONVERGE_TILE_GRIDS), tau=st.sampled_from([2, 4]),
        end=st.integers(8, 10), t_final=st.sampled_from([0.5, 0.3]),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(grid=(2, 5000), tau=2, end=8, t_final=0.5, seed=0)
 @example(grid=(65, 65), tau=4, end=9, t_final=0.3, seed=1)
+@example(grid=(128, 128), tau=2, end=10, t_final=0.3, seed=2)
+@example(grid=(129, 129), tau=4, end=8, t_final=0.5, seed=3)
+@example(grid=(129, 129), tau=2, end=8, t_final=0.3, seed=0)  # a whole grid past 256 KiB
+@example(grid=(2, CONVERGE_BLOCK + 7), tau=2, end=9, t_final=0.3, seed=4)
 def test_time_convergence_tiles_equal_the_whole_grid_bitwise(grid, tau, end, t_final, seed):
-    """Every (eps, error) sample, with eps in the order the CLI lists them.  At
-    t_final 0.5 every eps 2^-k divides the horizon, so all share one target; at 0.3
-    the rounded horizons differ."""
+    """Every (eps, error) sample, with eps in the order the CLI lists them, on grids of
+    one and of several tiles of either block size.  At t_final 0.5 every eps 2^-k
+    divides the horizon, so all share one target; at 0.3 the rounded horizons differ."""
     cfg = draw_time_compliant(np.random.default_rng(seed), tau=tau, strong_theta1=True)
     kx, ky = _factors(*grid)
     eps_list = [2.0 ** -k for k in range(6, end + 1)]

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasticwalk.mat2 import (
-    SY, SZ, _entries, _entries_su2, _from_entries, _gram, _norm, _norm_diff, _radius,
-    _wrap, dag, exp_herm, op_norm, rot,
+    SY, SZ, _entries, _entries_su2, _from_entries, _gram, _mul_su2, _norm, _norm_diff,
+    _power, _radius, _wrap, dag, exp_herm, op_norm, rot,
 )
 
 from oracles import ID2, det2, eig2, gram_sums, is_hermitian, is_unitary, radius_sums, rot_x
@@ -287,3 +287,34 @@ def test_gram_and_radius_in_place_equal_the_whole_expressions_bitwise(shape, spe
         norm = np.sqrt(np.maximum(0.5 * (p + r) + radius_sums(p, r, q), 0.0))
         assert _bits([_norm(x)]) == _bits([norm])
     assert _bits(x) == before
+
+
+@pytest.mark.parametrize("scalar_phase", [True, False])
+def test_two_plane_kernels_do_not_depend_on_the_array_size(scalar_phase):
+    """_mul_su2, _power (squarings and products), _entries_su2 and _norm_diff on planes of
+    2**14 + 3 complex points, past the 256 KiB at which numpy evaluates ``x * temporary``
+    as ``temporary *= x``, equal the same kernels on slices of 1,000 points bit for bit:
+    a converge tile gives the same bits at any tile size."""
+    rng = np.random.default_rng(7)
+    n = 2 ** 14 + 3
+
+    def planes():
+        return tuple(rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3))
+
+    x, y, t = planes(), planes(), rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    if scalar_phase:  # the walk's g is one complex number, the target's a plane
+        x, y = (complex(x[0][0]),) + x[1:], (complex(y[0][0]),) + y[1:]
+
+    def part(p, s):
+        return p[s] if np.ndim(p) else p
+
+    kernels = (lambda x, y, t: _mul_su2(x, y), lambda x, y, t: _power(x, 23),
+               lambda x, y, t: _entries_su2(x), lambda x, y, t: (_norm_diff(x, t),))
+    for kernel in kernels:
+        whole = [np.broadcast_to(p, (n,)) for p in kernel(x, y, t)]
+        pieces = [kernel(*(tuple(part(p, s) for p in z) for z in (x, y, t)))
+                  for s in (slice(i, i + 1000) for i in range(0, n, 1000))]
+        for i, w in enumerate(whole):
+            tiled = np.concatenate([np.broadcast_to(p[i], (min(1000, n - k * 1000),))
+                                    for k, p in enumerate(pieces)])
+            assert w.tobytes() == tiled.tobytes()

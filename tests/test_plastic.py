@@ -8,12 +8,13 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plasticwalk import (
     CoinJet, WalkConfig, check_spacetime_limit, divergence_residual,
-    enumerate_terms, fit_order, half_half_pde, spacetime_hamiltonian, walk_k,
+    enumerate_terms, fit_order, half_half_pde, spacetime_convergence, spacetime_hamiltonian,
+    walk_k,
 )
 from plasticwalk import plastic
 from plasticwalk.config import ExperimentConfig
@@ -27,7 +28,8 @@ from conftest import (
     FAREY_8, HALF, draw_plastic_compliant, draw_plastic_generic, plastic_from_angles,
 )
 from oracles import (
-    ID2, calibration_exponents, closed_form_gate, constraint_f2, cross_term_report, derivative_coefficient,
+    ID2, calibration_exponents, closed_form_gate, closed_form_generator, constraint_f2,
+    cross_term_report, derivative_coefficient,
     grouped_sums_loop, grouped_sums_per_pair, is_hermitian, sum_pairs_scan,
     transport_commutator, witnesses, word_chain, zeroth_order_residual,
 )
@@ -450,6 +452,49 @@ def test_gate_is_the_closed_form(seed, draw, a, b, off):
     elif off == "delta":
         cfg = replace(cfg, coin_x=replace(cfg.coin_x, delta=cfg.coin_x.delta + 0.5))
     assert check_spacetime_limit(cfg).passed == closed_form_gate(cfg)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([draw_plastic_compliant,
+                                                     draw_plastic_generic]),
+       EXPONENTS_12, st.one_of(st.just("1 - a"), st.just("1 - a"), st.just("1"), EXPONENTS_12))
+@example(0, draw_plastic_compliant, Fraction(1, 3), "1 - a")  # the shell line off a = b
+@example(0, draw_plastic_generic, Fraction(5, 12), "1")  # b = 1 off the shell
+@example(0, draw_plastic_compliant, HALF, "1")  # on the shell past the line: no generator
+def test_generator_is_the_closed_form(seed, draw, a, b):
+    """spacetime_hamiltonian's generator against the closed form at 1e-12 wherever the
+    gate passes, on walks of both classes, b = 1 - a, 1 or drawn, denominators up to 12;
+    where the closed form vanishes (a + b > 1 on the shell) the assembly has no terms."""
+    b = 1 - a if b == "1 - a" else Fraction(1) if b == "1" else b
+    assume(b > 0)
+    cfg = replace(draw(np.random.default_rng(seed)), a_exp=a, b_exp=b)
+    if not closed_form_gate(cfg):
+        with pytest.raises(ValueError):
+            spacetime_hamiltonian(cfg)
+        return
+    assembly, generator = spacetime_hamiltonian(cfg), closed_form_generator(cfg)
+    if generator is None:
+        assert assembly.terms == ()
+        return
+    assert assembly.calibration == plastic.CALIBRATION
+    ks = np.linspace(-np.pi, np.pi, 6, endpoint=False)
+    for kx, ky in ((ks[:, None], ks[None, ::-1]), (0.0, 0.0), (0.4, -2.9)):
+        got, want = assembly.generator(kx, ky), generator(kx, ky)
+        assert got.shape == want.shape
+        assert float(np.max(op_norm(got - want))) <= 1e-12
+
+
+@pytest.mark.parametrize("draw,a,b", [(draw_plastic_compliant, Fraction(1, 3), Fraction(2, 3)),
+                                      (draw_plastic_generic, HALF, Fraction(1))])
+def test_walk_converges_to_the_closed_form_generator(rng, draw, a, b):
+    """The walk's own backing of both closed forms: W^(2n) approaches the evolution of the
+    generator as eps shrinks, on the shell line a + b = 1 and at b = 1 off the shell (the
+    fitted order reads about a)."""
+    cfg = replace(draw(rng), a_exp=a, b_exp=b)
+    assert closed_form_generator(cfg) is not None
+    kx, ky = np.array([(0.7, -0.3), (0.23, 0.9), (-0.51, 0.42)]).T
+    result = spacetime_convergence(cfg, 0.5, kx, ky, [2.0 ** -k for k in range(6, 11)])
+    assert result.slope > 0.25 and result.r_squared > 0.99
 
 
 FAREY_12 = sorted({Fraction(p, q) for q in range(1, 13) for p in range(1, q + 1)})

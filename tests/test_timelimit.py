@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from plasticwalk import CoinJet, WalkConfig, check_time_limit, time_hamiltonian, walk_k
 from plasticwalk.mat2 import SY, op_norm, rot
 from plasticwalk.timelimit import anticommutator_AB
-from plasticwalk._util import K_BLOCK, k_tiles, stack_power
+from plasticwalk._util import CONVERGE_BLOCK, K_BLOCK, k_tiles, stack_power
 
 from conftest import draw_time_compliant, draw_time_generic
 from oracles import (
     constraint_f, first_order_blocks, is_hermitian, odd_tau_gap, roots_of_unity_residual,
-    time_symbol_stack, walk_block, witnesses,
+    time_symbol_stack, time_terms_per_term, walk_block, witnesses,
 )
 
 
@@ -247,7 +247,8 @@ def test_hamiltonian_symbol_is_quarter_anticommutator(rng):
 def _symbol_momenta(rng, kind):
     """Momenta of one of the forms the symbol is called with: scalars, 1-D lists (the
     plastic momenta form), kx (n, 1) x ky (1, m) factor grids, and the (1, 1) x (1, m)
-    column tiles ``k_tiles`` cuts from a row longer than K_BLOCK."""
+    column tiles ``k_tiles`` cuts from a row longer than a block, K_BLOCK or converge's
+    CONVERGE_BLOCK."""
     if kind == "scalar":
         pool = [0.0, -0.0, np.pi, -np.pi, 0.4] if rng.integers(0, 2) else rng.uniform(-4, 4, 2)
         return tuple(float(k) for k in rng.choice(pool, 2))
@@ -257,8 +258,9 @@ def _symbol_momenta(rng, kind):
     if kind == "grid":
         ks = np.linspace(-np.pi, np.pi, int(rng.integers(1, 12)), endpoint=False)
         return ks[:, None], -ks[None, :int(rng.integers(1, len(ks) + 1))]
-    ks = np.linspace(-np.pi, np.pi, K_BLOCK + int(rng.integers(1, 40)), endpoint=False)
-    tiles = list(k_tiles(ks[:1, None], ks[None, :]))
+    block = (K_BLOCK, CONVERGE_BLOCK)[int(rng.integers(0, 2))]
+    ks = np.linspace(-np.pi, np.pi, block + int(rng.integers(1, 40)), endpoint=False)
+    tiles = list(k_tiles(ks[:1, None], ks[None, :], block))
     _, kx, ky = tiles[int(rng.integers(0, len(tiles)))]
     return kx, ky
 
@@ -276,6 +278,34 @@ def test_symbol_on_entry_planes_equals_the_stack_sum_bitwise(nu, tau, kind, seed
     h, ref = symbol(kx, ky), time_symbol_stack(terms, kx, ky)
     assert h.shape == ref.shape == np.broadcast(np.asarray(kx), np.asarray(ky)).shape + (2, 2)
     assert h.tobytes() == ref.tobytes()
+
+
+ANGLES = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+THETA1 = st.sampled_from([0.0, -0.0, 1e300, -1e300]) | st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(nu=st.integers(0, 1), tau=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1),
+       zeta0=st.tuples(ANGLES, ANGLES), phi0=st.tuples(ANGLES, ANGLES),
+       theta1=st.tuples(THETA1, THETA1))
+def test_stacked_terms_equal_the_per_term_build_bitwise(nu, tau, seed, zeta0, phi0, theta1):
+    """time_hamiltonian's one (4, 2, 2) coefficient stack against one rot, scaling and
+    product a term: each term's shift powers and coefficient bytes, and the symbol's
+    bytes on a factor grid and at 0-d momenta, on both theta0 branches, theta1 up to
+    1e300 and signed zero angles."""
+    rng = np.random.default_rng(seed)
+    cfg = draw_time_compliant(rng, nu=nu, tau=tau)
+    cfg = replace(cfg, **{name: replace(coin, zeta0=z, phi0=p, theta1=t)
+                          for name, coin, z, p, t in zip(("coin_x", "coin_y"),
+                                                         (cfg.coin_x, cfg.coin_y),
+                                                         zeta0, phi0, theta1)})
+    terms, symbol = time_hamiltonian(cfg)
+    want = time_terms_per_term(cfg)
+    assert [(t.px, t.py, t.coeff.shape, t.coeff.tobytes()) for t in terms] \
+        == [(t.px, t.py, t.coeff.shape, t.coeff.tobytes()) for t in want]
+    ks = np.linspace(-np.pi, np.pi, 7, endpoint=False)
+    for kx, ky in ((ks[:, None], -ks[None, :5]), (0.0, -0.0), (float(ks[1]), float(ks[4]))):
+        assert symbol(kx, ky).tobytes() == time_symbol_stack(want, kx, ky).tobytes()
 
 
 def test_hamiltonian_hermitian_on_grid(rng):
