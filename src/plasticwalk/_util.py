@@ -7,7 +7,7 @@ import functools
 import numpy as np
 from numpy.typing import NDArray
 
-from .mat2 import _defect, _entries
+from .mat2 import _defect
 
 # Largest unitarity defect a walk power W^n may carry.  The two-plane squaring adds
 # 6e-16 to 7e-16 of defect per step (measured on the time_compliant, time_generic and
@@ -46,13 +46,10 @@ def k_tiles(kx, ky, block: int = K_BLOCK):
             for c in (slice(j, j + cols) for j in range(0, ny, cols)))
 
 
-def check_unitary(m, what: str, tol: float):
-    """``m``, if every 2x2 matrix in it is unitary to ``tol``: a product, power or
-    evolution in the two-plane form (g, a, b) of ``mat2``, returned as it is, or a general
-    matrix as a (..., 2, 2) stack, returned as a complex array and checked on its entry
-    planes."""
-    x = m if isinstance(m, tuple) else _entries(m := np.asarray(m, dtype=np.complex128))
-    defect = float(np.max(_defect(x)))
+def check_unitary(m: tuple, what: str, tol: float) -> tuple:
+    """``m``, a coin, product, power or evolution in the two-plane form (g, a, b) of
+    ``mat2``, returned as it is if every matrix in it is unitary to ``tol``."""
+    defect = float(np.max(_defect(m)))
     if not defect <= tol:  # a NaN defect fails too
         raise ValueError(f"{what} is not unitary to {tol:g} (defect {defect:.3e})")
     return m

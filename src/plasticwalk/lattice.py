@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import WalkConfig, coin_at, coin_pair, walk_planes
+from .coins import WalkConfig, _coin_su2, coin_pair, walk_planes
 from .mat2 import _entries_su2, _power, _wrap
 from ._util import (
     POWER_TOL, cells_text, check_unitary, digits_parse, g17_cells, g17_parse, k_tiles,
@@ -56,8 +56,6 @@ from ._util import (
 
 __all__ = [
     "SpinorField",
-    "shift",
-    "apply_coin",
     "step",
     "evolve",
     "momentum_grid",
@@ -130,30 +128,20 @@ class SpinorField:
         return SpinorField(d / np.linalg.norm(d))
 
 
-def shift(field: SpinorField, axis: str) -> SpinorField:
-    """Spin-dependent shift along 'x' or 'y'; an exact permutation."""
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    ax = 0 if axis == "x" else 1
-    out = np.empty_like(field.data)
-    out[0] = np.roll(field.data[0], -1, axis=ax)  # L at l reads input at l+1
-    out[1] = np.roll(field.data[1], +1, axis=ax)  # R at l reads input at l-1
-    return SpinorField(out)
-
-
-def apply_coin(field: SpinorField, c: NDArray[np.complex128]) -> SpinorField:
-    """Left-multiply the spinor at every site by the unitary 2x2 coin."""
-    return SpinorField(np.einsum("ab,bxy->axy", check_unitary(c, "coin", 1e-10), field.data))
-
-
 def step(field: SpinorField, cfg: WalkConfig, eps: float) -> SpinorField:
-    """One walk step W = V_x V_y (the y factor acts first)."""
+    """One walk step W = V_x V_y, the y factor first: each coin, in the two-plane form and
+    checked as in :func:`evolve`, mixes (psi_L, psi_R) at every site, then L rolls one
+    site against the axis and R one along it.  Unlike ``evolve``, it takes eps = 0 at any a.
+    """
     s = cfg.drive(eps)
-    out = apply_coin(field, coin_at(cfg.coin_y, s))
-    out = shift(out, "y")
-    out = apply_coin(out, coin_at(cfg.coin_x, s))
-    out = shift(out, "x")
-    return out
+    psi = field.data
+    for jet, axis in ((cfg.coin_y, 1), (cfg.coin_x, 0)):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+            a, b, c, d = _entries_su2(check_unitary(_coin_su2(jet, s), "coin", 1e-10))
+        up, down = psi
+        psi = np.stack([np.roll(a * up + b * down, -1, axis=axis),
+                        np.roll(c * up + d * down, +1, axis=axis)])
+    return SpinorField(psi)
 
 
 def evolve(field: SpinorField, cfg: WalkConfig, eps: float, steps: int) -> SpinorField:

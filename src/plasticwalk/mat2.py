@@ -17,13 +17,13 @@ Products and powers are taken only in it: ``_mul_su2`` and the squaring
 ``exp_herm`` returns its result so, and the k-space tile loops carry W(k) and
 its powers so, with the defect ``_defect`` (M^dag M = |g|^2 (|a|^2 + |b|^2) I
 exactly, so ||M^dag M - I|| = ||g|^2 (|a|^2 + |b|^2) - 1|) and the eigenphases
-``_phases_su2``.
+``_phases_su2``.  Every unitarity check of the package takes this form.
 
 Entry planes: a general matrix [[a, b], [c, d]] is the tuple (a, b, c, d) of
-four arrays of one shape.  Norms and unitarity checks of general matrices run
-on them (``_norm``, ``_defect``, their Gram sums taken in place); ``_entries``
-views a (..., 2, 2) stack so, and ``_entries_su2`` expands the two-plane form to
-them, as ``converge`` does its target e^{-iHt} once a tile and horizon.  The
+four arrays of one shape.  Norms of general matrices run on them (``_norm``,
+its Gram sums taken in place); ``_entries`` views a (..., 2, 2) stack so, and
+``_entries_su2`` expands the two-plane form to them, as ``converge`` does its
+target e^{-iHt} once a tile and horizon and ``lattice.step`` its coins.  The
 difference of two evolutions is formed where it is normed: ``_norm_diff`` takes
 W^n in the two-plane form and the target's entry planes and forms the four
 entries of W^n - target in place, so W^n is never expanded.
@@ -207,12 +207,8 @@ def _norm_diff(x: tuple, target: tuple):
 
 
 def _defect(x: tuple):
-    """||M^dag M - I|| of the matrix given by its four entries x, |(p + r)/2 - 1| +
-    sqrt(((p - r)/2)^2 + |q|^2) for M^dag M = [[p, q], [q*, r]] (the norm of a Hermitian
-    matrix), or in the two-plane form x = (g, a, b): ||g|^2 (|a|^2 + |b|^2) - 1|."""
-    if len(x) == 4:
-        p, r, q = _gram(*x)
-        return abs(0.5 * (p + r) - 1.0) + _radius(p, r, q)
+    """||M^dag M - I|| of the matrix x = (g, a, b) in the two-plane form: M^dag M =
+    |g|^2 (|a|^2 + |b|^2) I exactly, so it is ||g|^2 (|a|^2 + |b|^2) - 1|."""
     g, a, b = x
     s = _squares(a.real, a.imag, b.real, b.imag)
     s *= g.real * g.real + g.imag * g.imag

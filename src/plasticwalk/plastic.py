@@ -275,12 +275,6 @@ def _groups(keys: list[list[int]], d: int,
     return list(map(DivergenceGroup._make, zip(map(orders.__getitem__, levels), *powers, matrices)))
 
 
-def _grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
-                  order_one: bool) -> list[DivergenceGroup]:
-    """The coefficient groups of :func:`_group_table`, as DivergenceGroups."""
-    return _groups(*_group_table(cfg, a, b, order_one))
-
-
 def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction, *,
                         class_words: NDArray[np.complex128] | None = None
                         ) -> tuple[float, list[DivergenceGroup]]:

@@ -12,7 +12,9 @@ no command needs stay here, as oracles for the library's closed forms:
   commutator [Px, Py] of the a = b = 1/2 transport matrices, the
   cancellation of the mixed-derivative words, and the spacetime gate and
   generator in closed form;
-* real-space shift words, the componentwise DFT and evolution by a
+* the real-space shift, the coin applied to every site as a (2, 2) matrix
+  and one walk step chained from them (``step_chain``, the reference for
+  ``lattice.step``), shift words, the componentwise DFT and evolution by a
   momentum-space symbol, the site-by-site CSV writer and the whole-table
   CSV loader, the reference for the library's row-block loader;
 * the walk symbol W(k), its power and ``evolve`` as (..., 2, 2) stacks over
@@ -26,8 +28,10 @@ no command needs stay here, as oracles for the library's closed forms:
 * W(k) and its power in extended precision, from the walk's float64 angles;
 * the identity ``ID2``, the Pauli matrix ``SX`` and the x-axis rotation
   ``rot_x``, which no coin needs;
-* the stack product ``mul2`` by the entry formulas, ``unitarity_defect`` on the
-  library's entry kernels, and the determinant ``det2``;
+* the stack product ``mul2`` by the entry formulas, ``unitarity_defect`` of a
+  stack on ``gram_sums`` and ``radius_sums`` and the check ``check_unitary_stack``
+  built on it (the library checks only the two-plane form), and the determinant
+  ``det2``;
 * the four Hamiltonian terms of the time limit built one coefficient at a time
   (``time_terms_per_term``), the reference for the library's one stack of them;
 * the shift-word row scaling ``diag_mul`` and the Hamiltonian symbol as a sum of
@@ -51,7 +55,9 @@ no command needs stay here, as oracles for the library's closed forms:
   the term engine's class-word sums;
 * the same grouped sums one (sum_l, sum_n) pair at a time, from a float64
   class matrix, the reference the engine's one table of all groups equals bit
-  for bit;
+  for bit, and that table as DivergenceGroups (``grouped_sums``);
+* the smallest live order of a rejected plastic walk in closed form
+  (``divergence_order``);
 * the Richardson fit of the PDE prefactor against the numerical limit
   (W^2 - I)/(2 eps), which checks the closed form CALIBRATION = -1/2;
 * the ``terms`` listing written one dict per index tuple through
@@ -84,13 +90,13 @@ from plasticwalk.coins import CoinJet, WalkConfig, coin_at, coin_pair, walk_k, w
 from plasticwalk.config import ConfigError, ExperimentConfig
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import (
-    SY, SZ, _defect, _entries, _entries_su2, _from_entries, _phases_su2, _power,
+    SY, SZ, _entries, _entries_su2, _from_entries, _phases_su2, _power,
     dag, eigvals2, exp_herm, op_norm, rot,
 )
 from plasticwalk.plastic import (
     _SPLITS, CALIBRATION, TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles,
-    _index_tuples, _pairs, _rotations, _words, enumerate_terms, gamma_hat, half_half_pde,
-    spacetime_hamiltonian,
+    _group_table, _groups, _index_tuples, _pairs, _rotations, _words, enumerate_terms,
+    gamma_hat, half_half_pde, spacetime_hamiltonian,
 )
 from plasticwalk.timelimit import (
     ANGLE_TOL, ConstraintReport, HamiltonianTerm, _require_branch, check_time_limit,
@@ -137,8 +143,21 @@ def det2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
 
 
 def unitarity_defect(m: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """||M^dag M - I||, the distance of each slice from U(2), by ``mat2._defect``."""
-    return _defect(_entries(m))
+    """||M^dag M - I||, the distance of each slice from U(2): |(p + r)/2 - 1| plus the
+    half-gap radius of M^dag M = [[p, q], [q*, r]] (the norm of a Hermitian matrix), by
+    :func:`gram_sums` and :func:`radius_sums`."""
+    p, r, q = gram_sums(*_entries(m))
+    return abs(0.5 * (p + r) - 1.0) + radius_sums(p, r, q)
+
+
+def check_unitary_stack(m, what: str, tol: float) -> NDArray[np.complex128]:
+    """``m`` as a complex (..., 2, 2) array, if every slice is unitary to ``tol`` by
+    :func:`unitarity_defect`; the stack form of ``_util.check_unitary``."""
+    m = np.asarray(m, dtype=np.complex128)
+    defect = float(np.max(unitarity_defect(m)))
+    if not defect <= tol:  # a NaN defect fails too
+        raise ValueError(f"{what} is not unitary to {tol:g} (defect {defect:.3e})")
+    return m
 
 
 def gram_sums(a, b, c, d):
@@ -458,6 +477,33 @@ def closed_form_generator(cfg: WalkConfig):
 # ----------------------------------------------------------------- real space
 
 
+def shift(field: SpinorField, axis: str) -> SpinorField:
+    """Spin-dependent shift along 'x' or 'y'; an exact permutation."""
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    ax = 0 if axis == "x" else 1
+    out = np.empty_like(field.data)
+    out[0] = np.roll(field.data[0], -1, axis=ax)  # L at l reads input at l+1
+    out[1] = np.roll(field.data[1], +1, axis=ax)  # R at l reads input at l-1
+    return SpinorField(out)
+
+
+def apply_coin(field: SpinorField, c: NDArray[np.complex128]) -> SpinorField:
+    """Left-multiply the spinor at every site by the unitary 2x2 coin."""
+    return SpinorField(np.einsum("ab,bxy->axy", check_unitary_stack(c, "coin", 1e-10),
+                                 field.data))
+
+
+def step_chain(field: SpinorField, cfg: WalkConfig, eps: float) -> SpinorField:
+    """One walk step W = V_x V_y (the y factor acts first) as the chain coin_at ->
+    apply_coin -> shift: the reference for ``lattice.step``."""
+    s = cfg.drive(eps)
+    out = apply_coin(field, coin_at(cfg.coin_y, s))
+    out = shift(out, "y")
+    out = apply_coin(out, coin_at(cfg.coin_x, s))
+    return shift(out, "x")
+
+
 def apply_shift_word(field: SpinorField, px: int, py: int) -> SpinorField:
     """Apply the shift word S_x^px S_y^py (negative powers are inverses)."""
     l_part = np.roll(np.roll(field.data[0], -px, axis=0), -py, axis=1)
@@ -618,7 +664,7 @@ def evolve_whole_grid(field: SpinorField, cfg: WalkConfig, eps: float, steps: in
 def dispersion_whole_grid(cfg: WalkConfig, eps: float, kx, ky) -> NDArray[np.float64]:
     """Eigenphases of W(k), sorted per momentum, with W built over the whole grid."""
     with np.errstate(over="ignore", invalid="ignore"):
-        w = check_unitary(walk_k_stack(cfg, kx, ky, eps), "walk symbol", 1e-11)
+        w = check_unitary_stack(walk_k_stack(cfg, kx, ky, eps), "walk symbol", 1e-11)
     phases = np.angle(eigvals2(w))
     phases = np.where(phases <= -np.pi + 1e-15, phases + 2.0 * np.pi, phases)
     return np.sort(phases, axis=-1)
@@ -639,9 +685,9 @@ def converge_whole_grid(cfg: WalkConfig, tau: int, hamiltonian, kx, ky, t_final:
     for eps in sorted(eps_list, reverse=True):
         n = max(1, round(t_final / (tau * eps)))
         with np.errstate(over="ignore", invalid="ignore"):
-            check_unitary(walk_power(cfg, kx, ky, eps, 1), "walk symbol", 1e-11)
-            walk_pow = check_unitary(walk_power(cfg, kx, ky, eps, tau * n), "W^(tau n)",
-                                     POWER_TOL)
+            check_unitary_stack(walk_power(cfg, kx, ky, eps, 1), "walk symbol", 1e-11)
+            walk_pow = check_unitary_stack(walk_power(cfg, kx, ky, eps, tau * n), "W^(tau n)",
+                                           POWER_TOL)
             target = _from_entries(*_entries_su2(
                 check_unitary(exp_herm(h, tau * n * eps), "target", 1e-11)))
         samples.append((float(eps), float(np.max(op_norm(walk_pow - target)))))
@@ -762,6 +808,25 @@ def grouped_sums_per_pair(cfg: WalkConfig, a: Fraction, b: Fraction,
             groups.append(((level, kx, sl - kx, thx, sn - thx), order, m))
     groups.sort(key=lambda group: group[0])  # the integer order d * f, then the powers
     return [DivergenceGroup(order, *key[1:], m) for key, order, m in groups]
+
+
+def grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
+                 order_one: bool) -> list[DivergenceGroup]:
+    """The coefficient groups of ``plastic._group_table``, as DivergenceGroups."""
+    return _groups(*_group_table(cfg, a, b, order_one))
+
+
+def divergence_order(cfg: WalkConfig) -> Fraction | None:
+    """The smallest order f_min of a live coefficient group of a plastic walk that the
+    gate rejects at its (a, b), in closed form; None where no group below order 1 lives.
+
+    Below order 1 the pure-l groups always cancel, the pure-n groups (lowest order b, some
+    iff b < 1) cancel on the shell alone, and the mixed groups (lowest order a + b, some
+    iff a + b < 1) never cancel (:func:`closed_form_gate`).
+    """
+    a, b = cfg.a_exp, cfg.b_exp
+    live = ([b] if b < 1 and not _on_shell(cfg) else []) + ([a + b] if a + b < 1 else [])
+    return min(live, default=None)
 
 
 def derivative_coefficient(asm: PdeAssembly, dx: int, dy: int) -> NDArray[np.complex128]:

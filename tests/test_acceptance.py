@@ -18,7 +18,7 @@ from plasticwalk import (
 )
 from plasticwalk.lattice import momentum_grid, step
 from plasticwalk.mat2 import dag, op_norm, rot
-from plasticwalk.plastic import CALIBRATION, _grouped_sums
+from plasticwalk.plastic import CALIBRATION
 from plasticwalk.timelimit import anticommutator_AB
 from plasticwalk._util import stack_power
 
@@ -28,7 +28,7 @@ from conftest import (
 )
 from oracles import (
     apply_shift_word, cross_term_report, derivative_coefficient, dft, first_order_blocks,
-    fit_lambda, idft, odd_tau_gap, roots_of_unity_residual, term_order,
+    fit_lambda, grouped_sums, idft, odd_tau_gap, roots_of_unity_residual, term_order,
 )
 
 RNG = np.random.default_rng(777)
@@ -366,7 +366,7 @@ def test_criterion_13_spacetime_convergence():
     residual, _ = divergence_residual(bad, HALF, HALF)
     assert residual > 0.1
     groups = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): g.matrix
-              for g in _grouped_sums(bad, HALF, HALF, order_one=True)
+              for g in grouped_sums(bad, HALF, HALF, order_one=True)
               if g.exponent == 1}
     thx, thy = bad.coin_x.theta1, bad.coin_y.theta1
 

@@ -16,10 +16,13 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from plasticwalk import plastic
+from plasticwalk import SpinorField, _util, plastic
 from plasticwalk.cli import main
+from plasticwalk.config import ExperimentConfig
+from plasticwalk.lattice import step
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 COMMANDS = ("check", "hamiltonian", "pde", "simulate", "converge", "dispersion", "terms")
@@ -74,6 +77,32 @@ def test_pde_and_check_build_the_parity_words_once(monkeypatch, name):
     report = json.loads(check.split("--- stdout\n", 1)[1])
     expo = next(c for c in report["conditions"] if c["name"] == "exponents_rational")
     assert len(calls) == (1 if expo["witness"]["order_one_terms"] else 0)
+
+
+def test_every_unitarity_check_takes_the_two_plane_form(monkeypatch):
+    """No caller in the package passes ``check_unitary`` a (..., 2, 2) stack: on every
+    golden config each of the seven commands, in each of its formats, and ``lattice.step``
+    hand it the tuple (g, a, b) and still write the golden bytes."""
+    original, checked = _util.check_unitary, []
+
+    def two_plane_only(m, what, tol):
+        assert isinstance(m, tuple) and len(m) == 3, what
+        checked.append(what)
+        return original(m, what, tol)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("plasticwalk") and \
+                getattr(module, "check_unitary", None) is original:
+            monkeypatch.setattr(module, "check_unitary", two_plane_only)
+    for name, command in CASES:
+        assert run(name, command) == read_golden(name, command)
+    for name, command in CSV_CASES:
+        assert run(name, command, "csv") == read_golden(name, command, "csv")
+    assert {"coin", "walk symbol"} <= set(checked)
+    cfg = ExperimentConfig.load(os.path.join(GOLDEN, "time_generic", "config.json"))
+    checked.clear()
+    step(SpinorField.random(cfg.nx, cfg.ny, np.random.default_rng(0)), cfg.walk, cfg.eps)
+    assert checked == ["coin", "coin"]
 
 
 @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])

@@ -22,7 +22,7 @@ from plasticwalk._util import stack_power
 
 from conftest import draw_plastic_compliant, draw_time_compliant, draw_time_generic
 from oracles import (
-    is_hermitian, is_unitary, mul2, op_norm_matmul, rot_x, stack_power_matmul,
+    apply_coin, is_hermitian, is_unitary, mul2, op_norm_matmul, rot_x, stack_power_matmul,
     time_symbol_matmul, unitarity_defect, unitarity_defect_matmul, walk_k_matmul,
     walk_power_extended, walk_power_planes, walk_power_stack,
 )
@@ -86,7 +86,7 @@ def test_unitarity_defect_matches_matmul_oracle(seed, log_noise):
     m = random_u2(rng, (6,)) + 10.0 ** log_noise * random_stack(rng, (6,))
     got = unitarity_defect(m)
     assert max_err(got, unitarity_defect_matmul(m)) <= ALGEBRA_TOL
-    # one matrix takes the scalar path; it must agree with the stack path
+    # one matrix runs as 0-d entry views; it must agree with the stack
     assert abs(float(unitarity_defect(m[0])) - float(got[0])) <= ALGEBRA_TOL
     clear = np.abs(unitarity_defect_matmul(m) - UNITARITY_TOL) > 1e-13
     for i in np.flatnonzero(clear):
@@ -113,9 +113,11 @@ def test_overflowing_entries_follow_numpy(m):
 
 @pytest.mark.parametrize("m", OVERFLOWING, ids=OVERFLOWING_IDS)
 def test_apply_coin_rejects_overflowing_coin(m):
+    """The oracles' stack check of a coin; ``lattice.step``'s own check of the two-plane
+    coin is held at an overflowing angle in ``test_step_rejects_overflowing_coin``."""
     field = lattice.SpinorField.random(4, 4, np.random.default_rng(0))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="unitary"):
-        lattice.apply_coin(field, m)
+        apply_coin(field, m)
 
 
 def random_two_plane(rng, shape, log_noise):

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from plasticwalk import CoinJet, WalkConfig, SpinorField, _util, coins, lattice, walk_k
 from plasticwalk.lattice import (
-    apply_coin, evolve, load_binary, load_csv, momentum_grid, save_binary, save_csv, shift,
-    step,
+    evolve, load_binary, load_csv, momentum_grid, save_binary, save_csv, step,
 )
 from plasticwalk.mat2 import SZ, rot
 from plasticwalk.timelimit import time_hamiltonian
 
 from conftest import draw_plastic_generic, draw_time_compliant, draw_time_generic
 from oracles import (
-    ID2, SX, apply_shift_word, dft, evolve_by_symbol, idft, load_csv_table, save_csv_per_site,
+    ID2, SX, apply_coin, apply_shift_word, dft, evolve_by_symbol, idft, load_csv_table,
+    save_csv_per_site, shift, step_chain,
 )
 from test_g17_parse import GRAMMAR
 
@@ -101,6 +101,50 @@ def test_step_on_plane_wave_matches_symbol(rng):
     expected = SpinorField.plane_wave(nx, ny, kx, ky, expected_spinor)
     # plane_wave normalizes the spinor; expected_spinor is unit already
     assert float(np.max(np.abs(stepped.data - expected.data))) <= 1e-10
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(["time", "plastic"]),
+       tau=st.sampled_from([2, 4]), eps=st.sampled_from([0.0, 0.01, 0.2]),
+       a=st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+       b=st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1)]),
+       nx=st.integers(3, 9), ny=st.integers(3, 9), steps=st.integers(1, 5))
+@example(seed=0, mode="plastic", tau=2, eps=0.0, a=Fraction(1, 2), b=Fraction(1, 2),
+         nx=3, ny=4, steps=3)
+@example(seed=1, mode="time", tau=4, eps=0.2, a=Fraction(1), b=Fraction(1), nx=5, ny=3,
+         steps=4)
+def test_step_matches_the_chain_and_evolve(seed, mode, tau, eps, a, b, nx, ny, steps):
+    """``step`` on the two-plane coins against the oracles' coin_at -> apply_coin -> shift
+    chain at 1e-12 a step, and its steps against ``evolve`` at 1e-10, on time walks and
+    plastic walks at (a, b).  Grids of 3 sites or more tell a roll by +1 from one by -1.
+    At eps = 0 a plastic walk's spacing eps**a is 0: ``evolve`` refuses it, ``step`` does
+    not need it."""
+    rng = np.random.default_rng(seed)
+    cfg = (draw_time_generic(rng, tau) if mode == "time"
+           else replace(draw_plastic_generic(rng), tau=tau, a_exp=a, b_exp=b))
+    f = SpinorField.random(nx, ny, rng)
+    stepped = f
+    for _ in range(steps):
+        nxt = step(stepped, cfg, eps)
+        assert float(np.max(np.abs(nxt.data - step_chain(stepped, cfg, eps).data))) <= 1e-12
+        stepped = nxt
+    if eps > 0 or cfg.a_exp == 0:
+        assert float(np.max(np.abs(evolve(f, cfg, eps, steps).data - stepped.data))) <= 1e-10
+    else:
+        with pytest.raises(ValueError, match="eps must be positive"):
+            evolve(f, cfg, eps, steps)
+
+
+@pytest.mark.parametrize("coin", ["coin_x", "coin_y"])
+def test_step_rejects_overflowing_coin(rng, coin):
+    """A driven angle theta0 + theta1 s past the float range gives a NaN coin: ``step``
+    raises ValueError naming the coin, as ``evolve`` does."""
+    cfg = draw_time_generic(rng)
+    cfg = replace(cfg, **{coin: replace(getattr(cfg, coin), theta1=1e300)})
+    f = SpinorField.random(4, 4, rng)
+    assert abs(step(f, cfg, 1.0).norm() - f.norm()) <= 1e-13  # theta1 s = 1e300 is finite
+    with pytest.raises(ValueError, match="coin is not unitary"):
+        step(f, cfg, 1e10)
 
 
 @settings(max_examples=80, deadline=None)

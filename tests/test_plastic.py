@@ -20,7 +20,7 @@ from plasticwalk import plastic
 from plasticwalk.config import ExperimentConfig
 from plasticwalk.mat2 import op_norm, rot
 from plasticwalk.plastic import (
-    TUPLE_BUDGET, DivergenceGroup, TermIndex, _compositions4, _group_table, _grouped_sums,
+    TUPLE_BUDGET, DivergenceGroup, TermIndex, _compositions4, _group_table,
     _index_tuples, _pairs, gamma_hat,
 )
 
@@ -29,7 +29,7 @@ from conftest import (
 )
 from oracles import (
     ID2, calibration_exponents, closed_form_gate, closed_form_generator, constraint_f2,
-    cross_term_report, derivative_coefficient,
+    cross_term_report, derivative_coefficient, divergence_order, grouped_sums,
     grouped_sums_loop, grouped_sums_per_pair, is_hermitian, sum_pairs_scan,
     transport_commutator, witnesses, word_chain, zeroth_order_residual,
 )
@@ -219,7 +219,7 @@ def test_tuple_budget_stops_enumeration_early(rng):
     with pytest.raises(ValueError, match="work budget"):
         enumerate_terms(tiny, tiny)
     with pytest.raises(ValueError, match="work budget"):
-        _grouped_sums(draw_plastic_compliant(rng), tiny, tiny, order_one=False)
+        grouped_sums(draw_plastic_compliant(rng), tiny, tiny, order_one=False)
     assert time.perf_counter() - start < 1.0
     eighth = Fraction(1, 8)  # the largest term set at denominators up to 8 fits
     assert len(enumerate_terms(eighth, eighth)) == comb(15, 7) < TUPLE_BUDGET
@@ -329,9 +329,9 @@ def _same_as_loop(cfg, a, b, order_one):
         want = grouped_sums_loop(cfg, a, b, order_one)
     except ValueError:
         with pytest.raises(ValueError, match="work budget"):
-            _grouped_sums(cfg, a, b, order_one)
+            grouped_sums(cfg, a, b, order_one)
         return
-    got = _grouped_sums(cfg, a, b, order_one)
+    got = grouped_sums(cfg, a, b, order_one)
     keys = [[(g.exponent, g.kx_power, g.ky_power, g.thx_power, g.thy_power) for g in groups]
             for groups in (got, want)]
     assert keys[0] == keys[1], (a, b, order_one)
@@ -369,7 +369,7 @@ def _bitwise_as_per_pair(cfg, a, b, order_one):
             _group_table(cfg, a, b, order_one)
         return
     keys, d, matrices = _group_table(cfg, a, b, order_one)
-    got = _grouped_sums(cfg, a, b, order_one)
+    got = grouped_sums(cfg, a, b, order_one)
     want_keys = [(g.exponent, g.kx_power, g.ky_power, g.thx_power, g.thy_power) for g in want]
     assert [(Fraction(level, d), *powers) for level, *powers in keys] == want_keys
     assert [(g.exponent, g.kx_power, g.ky_power, g.thx_power, g.thy_power)
@@ -484,6 +484,27 @@ def test_generator_is_the_closed_form(seed, draw, a, b):
         assert float(np.max(op_norm(got - want))) <= 1e-12
 
 
+def test_divergence_order_is_the_smallest_live_group_order(rng):
+    """On every Farey-8 (a, b) of both classes with order-1 terms, the closed-form f_min
+    is the smallest order below 1 of a group of the engine's table whose norm exceeds
+    1e-10 (a live group), and the gate rejects the walk exactly where one lives."""
+    rejected = 0
+    for a, b in itertools.product(FAREY_8, repeat=2):
+        for draw in (draw_plastic_compliant, draw_plastic_generic):
+            cfg = replace(draw(rng), a_exp=a, b_exp=b)
+            report = check_spacetime_limit(cfg)
+            if not report["exponents_rational"].satisfied:
+                continue
+            keys, d, matrices = _group_table(cfg, a, b, False)
+            live = [Fraction(key[0], d) for key, norm in zip(keys, op_norm(matrices).tolist())
+                    if norm > 1e-10]
+            case = (str(a), str(b), draw.__name__)
+            assert divergence_order(cfg) == min(live, default=None), case
+            assert report.passed == (not live), case
+            rejected += not report.passed
+    assert rejected == 458
+
+
 @pytest.mark.parametrize("draw,a,b", [(draw_plastic_compliant, Fraction(1, 3), Fraction(2, 3)),
                                       (draw_plastic_generic, HALF, Fraction(1))])
 def test_walk_converges_to_the_closed_form_generator(rng, draw, a, b):
@@ -508,7 +529,7 @@ def test_groups_vanish_by_pair_kind(rng, draw):
     for (a, b), order_one in itertools.product(itertools.product(FAREY_12, repeat=2),
                                                (True, False)):
         largest = {}
-        for g in _grouped_sums(draw(rng), a, b, order_one):
+        for g in grouped_sums(draw(rng), a, b, order_one):
             pair = (g.kx_power + g.ky_power, g.thx_power + g.thy_power)
             largest[pair] = max(largest.get(pair, 0.0), float(op_norm(g.matrix)))
         for (sl, sn), norm in largest.items():
@@ -572,7 +593,7 @@ def test_partial_conditions_split_group_cancellations(rng):
     divergence conditions too."""
     cfg = draw_plastic_generic(rng)
     norm = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): float(op_norm(g.matrix))
-            for g in _grouped_sums(cfg, HALF, HALF, order_one=True)
+            for g in grouped_sums(cfg, HALF, HALF, order_one=True)
             if g.exponent == 1}
     assert norm[(2, 0, 0, 0)] <= 1e-12
     assert norm[(0, 2, 0, 0)] <= 1e-12
@@ -701,7 +722,7 @@ def test_transport_commutator_identity_and_on_shell_vanishing(rng):
         asm_px = None
         # build Px, Py from the raw group sums (no divergence gating)
         groups = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): g.matrix
-                  for g in _grouped_sums(cfg, HALF, HALF, order_one=True)
+                  for g in grouped_sums(cfg, HALF, HALF, order_one=True)
                   if g.exponent == 1}
         thx, thy = cfg.coin_x.theta1, cfg.coin_y.theta1
         px = 1j * (thx * groups[(1, 0, 1, 0)] + thy * groups[(1, 0, 0, 1)])
@@ -758,7 +779,7 @@ def test_cross_term_norm_matches_enumerator_group(rng):
         zx, phx, zy, phy = rng.uniform(-np.pi, np.pi, size=4)
         cfg = plastic_raw(thx0, thy0, zx, phx, zy, phy)
         groups = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): g
-                  for g in _grouped_sums(cfg, HALF, HALF, order_one=True)
+                  for g in grouped_sums(cfg, HALF, HALF, order_one=True)
                   if g.exponent == 1}
         cross = groups[(1, 1, 0, 0)]
         rep = cross_term_report(cfg)

@@ -13,7 +13,7 @@ from plasticwalk._util import CONVERGE_BLOCK, K_BLOCK, k_tiles, stack_power
 
 from conftest import draw_time_compliant, draw_time_generic
 from oracles import (
-    constraint_f, first_order_blocks, is_hermitian, odd_tau_gap, roots_of_unity_residual,
+    ID2, constraint_f, first_order_blocks, is_hermitian, odd_tau_gap, roots_of_unity_residual,
     time_symbol_stack, time_terms_per_term, walk_block, witnesses,
 )
 
@@ -355,6 +355,33 @@ def test_branch_symmetry_relation(rng):
     h1 = sym1(ks[:, None], ks[None, :])
     h0 = sym0f(ks[:, None], -ks[None, :])
     assert float(np.max(op_norm(h1 - h0))) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), broken=st.sampled_from(["generic", "delta", "theta"]),
+       tau=st.sampled_from([2, 4]))
+def test_rejected_walk_diverges_as_one_over_eps(seed, broken, tau):
+    """Every walk the time gate rejects -- generic, or a compliant walk with its delta or
+    theta0 moved -- has ||(W^tau - I)/(tau eps)|| growing as 1/eps, since W0^tau - I stays:
+    over eps = 1e-4 ... 1e-7 the slope of the log of its largest value at three momenta
+    against log eps is -1 within 1e-3.  (At one momentum alone, ||W0^tau - I|| can be as
+    small as 3e-4 on a moved theta0, and the slope there reads -1.03 by eps = 1e-4.)"""
+    rng = np.random.default_rng(seed)
+    if broken == "generic":
+        cfg = draw_time_generic(rng, tau)
+    else:
+        cfg = draw_time_compliant(rng, tau=tau)
+        angle = "delta" if broken == "delta" else "theta0"
+        kick = float(rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0]))
+        moved = replace(cfg.coin_y, **{angle: getattr(cfg.coin_y, angle) + kick})
+        cfg = replace(cfg, coin_y=moved)
+    assert not check_time_limit(cfg).passed
+    eps = np.array([1e-4, 1e-5, 1e-6, 1e-7])
+    kx, ky = np.array([0.7, -1.3, 2.6]), np.array([-0.3, 0.9, -2.2])
+    quotients = [np.max(op_norm((np.linalg.matrix_power(walk_k(cfg, kx, ky, e), tau) - ID2)
+                                / (tau * e))) for e in eps]
+    slope = np.polyfit(np.log(eps), np.log(quotients), 1)[0]
+    assert abs(slope + 1.0) <= 1e-3, slope
 
 
 def test_hamiltonian_rejects_noncompliant(rng):
