@@ -48,7 +48,10 @@ def k_tiles(kx, ky, block: int = K_BLOCK):
 
 def check_unitary(m: tuple, what: str, tol: float) -> tuple:
     """``m``, a coin, product, power or evolution in the two-plane form (g, a, b) of
-    ``mat2``, returned as it is if every matrix in it is unitary to ``tol``."""
+    ``mat2``, returned as it is if every matrix in it is unitary to ``tol``.  Anything
+    but a tuple of three (a (3, 2, 2) stack, say) raises TypeError."""
+    if not (isinstance(m, tuple) and len(m) == 3):
+        raise TypeError(f"{what}: expected the two-plane form (g, a, b), got {type(m).__name__}")
     defect = float(np.max(_defect(m)))
     if not defect <= tol:  # a NaN defect fails too
         raise ValueError(f"{what} is not unitary to {tol:g} (defect {defect:.3e})")

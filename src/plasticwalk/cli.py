@@ -1,11 +1,14 @@
 """Command-line front end.
 
-``COMMANDS`` names the subcommands, argparse's choices.  ``main`` loads the
-config once and runs the command ``name`` as the module attribute
-``cmd_<name>``, looked up at call time.  Every command reads one JSON config
-(--config) and writes JSON, or CSV where --format asks for it (converge,
-dispersion, terms), to stdout or --output.  ``main`` alone turns exceptions
-into the exit-code contract
+``COMMANDS`` names the subcommands.  ``main`` reads the documented argv
+itself (``_args``) and hands every other argv (--help, --opt=value,
+abbreviations, repeats, usage errors) to argparse (``_parser``, imported and
+built only then), so help, usage errors and their exit codes are argparse's.
+It loads the config once and runs the command ``name`` as the module
+attribute ``cmd_<name>``, looked up at call time.  Every command reads one
+JSON config (--config) and writes JSON, or CSV where --format asks for it
+(converge, dispersion, terms), to stdout or --output.  ``main`` alone turns
+exceptions into the exit-code contract
 
     0  success / constraints satisfied
     1  domain failure (constraint gate rejected, non-convergence input)
@@ -22,13 +25,13 @@ floats at 17 significant digits.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import os
 import sys
 from collections.abc import Callable, Iterable
 from json.encoder import encode_basestring_ascii as _str_text
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -393,27 +396,69 @@ def cmd_terms(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
+_OPTIONS = ("--config", "--output", "--format", "--seed")
+_FORMATS = ("csv", "json")
+
+
+def _args(argv: list[str]) -> SimpleNamespace | None:
+    """``_parser().parse_args(argv)`` read directly, or None for argparse to parse.
+
+    Read directly: one word of ``COMMANDS`` and --config V, --output V, --format
+    csv|json and --seed N, each at most once, in any order, with --config present, no
+    value starting with "-" and N of ASCII digits.  Anything else (--help, --opt=value,
+    abbreviations, repeats, --, a signed seed, missing or unknown words) is argparse's.
+    """
+    values, commands = {}, []
+    words = iter(argv)
+    for word in words:
+        if word in _OPTIONS:
+            value = next(words, None)
+            if value is None or value.startswith("-") or word in values:
+                return None
+            values[word] = value
+        elif word in COMMANDS:
+            commands.append(word)
+        else:
+            return None
+    fmt, seed = values.get("--format", "json"), values.get("--seed")
+    if (len(commands) != 1 or "--config" not in values or fmt not in _FORMATS
+            or seed is not None and not (seed.isascii() and seed.isdigit())):
+        return None
+    try:
+        seed = None if seed is None else int(seed)
+    except ValueError:  # more digits than int() reads (sys.set_int_max_str_digits)
+        return None
+    return SimpleNamespace(config=values["--config"], output=values.get("--output"),
+                           format=fmt, seed=seed, command=commands[0])
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The one argument parser, built on the first call of ``main``, not at import:
-    the first parser a process builds imports ``locale`` (about 1 ms)."""
+    """The argument parser of every argv that ``_args`` does not read: built, and
+    argparse imported, on the first such call of ``main``, not at import (the first
+    parser a process builds imports ``locale``, about 1 ms)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="plasticwalk",
         description="2D+1 quantum-walk continuum limits: constraint checks, "
                     "Hamiltonian/PDE emission, simulations, convergence runs.")
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--output", default=None, help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="json")
+    parser.add_argument("--format", choices=_FORMATS, default="json")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("command", choices=COMMANDS)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:  # 0 after --help, 2 on a usage error
-        return exc.code
+    argv = sys.argv[1:] if argv is None else argv
+    args = _args(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:  # 0 after --help, 2 on a usage error
+            return exc.code
 
     # the one map from exceptions to exit codes; any other exception is a defect and escapes
     try:

@@ -9,7 +9,10 @@ exception and every file it wrote, then the call's label.  The calls run
 * the matrix: every config under ``tests/golden`` at its own grid and at
   grids 1, 7 and 64, x the seven commands x {JSON, CSV} x {stdout,
   ``--output`` with its side files}, plus ``--help``, no arguments, an
-  unknown command and a missing config (788 calls);
+  unknown command, a missing config, the command first, and seven argvs
+  that ``cli.main`` leaves to argparse: ``--config=``, ``--conf``,
+  ``--seed -1``, an Arabic-Indic seed digit, ``--format`` twice,
+  ``--format xml`` and the command twice (796 calls);
 * ``terms``, ``check`` and ``pde`` on the plastic_half_compliant config at
   the exponent pairs of ``PAIRS``, x {JSON, CSV} (24 calls): index totals
   of 10 to 13, so the group labels hold two-digit indices;
@@ -86,7 +89,7 @@ def _call(main, argv: list[str], outdir: str | None = None) -> str:
 
 
 def matrix(main):
-    """(label, digest) of the 788 calls on the golden configs."""
+    """(label, digest) of the 796 calls on the golden configs."""
     os.makedirs("out", exist_ok=True)
     for config in sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file()):
         doc = json.loads((GOLDEN / config / "config.json").read_text())
@@ -102,9 +105,20 @@ def matrix(main):
                     yield f"{label} stdout", _call(main, argv + [command])
                     yield f"{label} --output", _call(
                         main, argv + ["--output", "out/result", command], "out")
-    for label, argv in (("--help", ["--help"]), ("no arguments", []),
-                        ("unknown command", ["--config", "config.json", "bogus"]),
-                        ("missing config", ["--config", "no-such-config.json", "check"])):
+    usage = (("--help", ["--help"]), ("no arguments", []),
+             ("unknown command", ["--config", "config.json", "bogus"]),
+             ("missing config", ["--config", "no-such-config.json", "check"]),
+             ("command first", ["check", "--config", "config.json"]))
+    # argvs that cli._args leaves to argparse, with what argparse makes of them
+    fallback = (("--config=", ["--config=config.json", "check"]),
+                ("abbreviated --conf", ["--conf", "config.json", "check"]),
+                ("--seed -1", ["--config", "config.json", "--seed", "-1", "check"]),
+                ("--seed Arabic-Indic 3", ["--config", "config.json", "--seed", "\u0663", "check"]),
+                ("--format twice", ["--config", "config.json", "--format", "csv", "--format",
+                                    "json", "check"]),
+                ("--format xml", ["--config", "config.json", "--format", "xml", "check"]),
+                ("command twice", ["--config", "config.json", "check", "check"]))
+    for label, argv in usage + fallback:
         yield label, _call(main, argv)
 
 

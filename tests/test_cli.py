@@ -160,6 +160,96 @@ def test_commands_are_the_cmd_attributes_main_looks_up(tmp_path, monkeypatch):
     assert [type(cfg) for cfg in calls] == [ExperimentConfig]
 
 
+# argv words: the four options, argparse-only forms (help, --opt=value, abbreviation, --,
+# a bare -), seeds argparse reads and _args does not (-1, +5, the Arabic-Indic 3), a seed
+# with a leading zero, formats good and bad, every command, an unknown word and ""
+ARGV_WORDS = ("--config", "--output", "--format", "--seed", "--config=x", "--conf", "-h",
+              "--help", "--", "-", "-1", "+5", "\u0663", "07", "csv", "json", "xml",
+              *cli.COMMANDS, "bogus", "")
+
+
+@st.composite
+def argvs(draw):
+    """0-9 words of ARGV_WORDS: --config, a command and any of the other three options,
+    each option with a value from ARGV_WORDS (for --format and --seed, half the time one
+    of the words next to their grammar), in any order; then, half the time, one or two
+    edits: a word inserted, replaced or deleted, or an option repeated with a new value."""
+    word = st.sampled_from(ARGV_WORDS)
+    near = {"--format": ("csv", "json", "xml"), "--seed": ("07", "-1", "+5", "\u0663")}
+    value = {o: st.one_of(st.sampled_from(near.get(o, ARGV_WORDS)), word) for o in cli._OPTIONS}
+    options = ["--config", *draw(st.lists(st.sampled_from(cli._OPTIONS[1:]), unique=True))]
+    units = [(o, draw(value[o])) for o in options] + [(draw(st.sampled_from(cli.COMMANDS)),)]
+    argv = [w for unit in draw(st.permutations(units)) for w in unit]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete", "repeat")))
+        if edit == "repeat":
+            option = draw(st.sampled_from(options))
+            argv[i:i] = [option, draw(value[option])]
+        else:
+            argv[i:i + (edit != "insert")] = [] if edit == "delete" else [draw(word)]
+    return argv[:9]
+
+
+def _argparse_vars(argv):
+    """vars of ``_parser().parse_args(argv)``, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(st.sampled_from(ARGV_WORDS), max_size=9), argvs()))
+def test_direct_parse_reads_what_argparse_reads(argv):
+    """``main``'s direct parse either leaves an argv to argparse or reads it as argparse
+    does: same names, values and defaults."""
+    args = cli._args(argv)
+    assert args is None or vars(args) == _argparse_vars(argv)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.permutations(("--config", "--seed", "--format", "--output", "command")), st.booleans(),
+       st.sampled_from(cli.COMMANDS), st.sampled_from(cli._FORMATS),
+       st.integers(0, 2 ** 63).map(str), st.text(min_size=1).filter(lambda v: v[0] != "-"))
+def test_the_benchmark_argv_shape_is_always_read_directly(order, output, command, fmt, seed,
+                                                          path):
+    """--config p --seed s --format f [--output o] command, in any order: the shape of
+    every benchmark operation, always read without argparse."""
+    values = {"--config": path, "--seed": seed, "--format": fmt, "--output": path + ".out"}
+    argv = []
+    for unit in order:
+        if unit == "command":
+            argv.append(command)
+        elif output or unit != "--output":
+            argv += [unit, values[unit]]
+    args = cli._args(argv)
+    assert args is not None
+    assert vars(args) == _argparse_vars(argv)
+
+
+def test_documented_argv_never_builds_argparse(tmp_path, capsys):
+    """Each command on a golden config runs without building the parser; --help builds it,
+    and importing the CLI does not import argparse."""
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    cli._parser.cache_clear()
+    for command in cli.COMMANDS:
+        config = "plastic_half_compliant" if command in ("pde", "terms") else "time_compliant"
+        argv = ["--config", os.path.join(golden, config, "config.json"), "--seed", "3",
+                "--format", "csv", "--output", str(tmp_path / "out"), command]
+        assert main(argv) == 0
+    assert cli._parser.cache_info().misses == 0
+    assert main(["--help"]) == 0
+    assert "usage: plasticwalk" in capsys.readouterr().out
+    assert cli._parser.cache_info().misses == 1
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(plasticwalk.__file__))}
+    proc = subprocess.run([sys.executable, "-c", "import sys, plasticwalk.cli; "
+                           "print(sorted({'argparse', 'locale'} & set(sys.modules)))"],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_each_command_loads_the_config_once(tmp_path, monkeypatch, command):
     """Counted through the class attribute, where the benchmark's tracer counts it."""

@@ -18,7 +18,7 @@ from plasticwalk import lattice, walk_k
 from plasticwalk.config import ExperimentConfig
 from plasticwalk.mat2 import _defect, _entries_su2, _from_entries, _phases_su2, _power, op_norm, rot
 from plasticwalk.timelimit import time_hamiltonian
-from plasticwalk._util import stack_power
+from plasticwalk._util import check_unitary, stack_power
 
 from conftest import draw_plastic_compliant, draw_time_compliant, draw_time_generic
 from oracles import (
@@ -118,6 +118,19 @@ def test_apply_coin_rejects_overflowing_coin(m):
     field = lattice.SpinorField.random(4, 4, np.random.default_rng(0))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="unitary"):
         apply_coin(field, m)
+
+
+def test_check_unitary_takes_only_the_two_plane_tuple():
+    """The non-unitary (3, 2, 2) stack [ones, ones/sqrt 2, ones/sqrt 2] is refused; read as
+    the planes (g, a, b) it is four unitary matrices, with defect 0."""
+    ones = np.ones((2, 2), dtype=np.complex128)
+    stack = np.stack([ones, ones / np.sqrt(2), ones / np.sqrt(2)])
+    assert not is_unitary(stack)
+    for m in (stack, list(stack), tuple(stack[:2])):
+        with pytest.raises(TypeError, match="two-plane form"):
+            check_unitary(m, "stack", UNITARITY_TOL)
+    planes = tuple(stack)
+    assert check_unitary(planes, "planes", UNITARITY_TOL) is planes
 
 
 def random_two_plane(rng, shape, log_noise):
