@@ -96,9 +96,15 @@ def _angles(cfg: WalkConfig) -> tuple[float, float, float, float, float, float]:
 
 
 def _rotations(cfg: WalkConfig) -> tuple[NDArray[np.complex128], ...]:
-    """Rz(zeta_x), Ry(theta0x), Rz(phi_x), Rz(zeta_y), Ry(theta0y), Rz(phi_y)."""
+    """Rz(zeta_x), Ry(theta0x), Rz(phi_x), Rz(zeta_y), Ry(theta0y), Rz(phi_y).
+
+    Two calls of ``rot`` on angle tuples, the four z angles and the two y angles; each
+    rotation is a view of one stack, byte for byte the scalar call's matrix.
+    """
     zx, thx, phx, zy, thy, phy = _angles(cfg)
-    return rot("z", zx), rot("y", thx), rot("z", phx), rot("z", zy), rot("y", thy), rot("z", phy)
+    rzx, rpx, rzy, rpy = rot("z", (zx, phx, zy, phy))
+    ryx, ryy = rot("y", (thx, thy))
+    return rzx, ryx, rpx, rzy, ryy, rpy
 
 
 def _words(cfg: WalkConfig) -> NDArray[np.complex128]:
@@ -147,20 +153,31 @@ def _index_tuples(sum_l: int, sum_n: int):
             yield TermIndex(*ls, *ns)
 
 
+def _integer_orders(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(A, B, d): the exponents as integers over their common denominator d, a = A/d and
+    b = B/d, from their numerators and denominators.  An argument that is not a Fraction
+    is converted first."""
+    if not isinstance(a, Fraction):
+        a = Fraction(a)
+    if not isinstance(b, Fraction):
+        b = Fraction(b)
+    d = lcm(a.denominator, b.denominator)
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+
+
 def _pairs(a: Fraction, b: Fraction, order_one: bool) -> tuple[list[tuple[int, int]], int]:
     """The (sum_l, sum_n) pairs of order 1 (``order_one``) or in (0, 1), and their tuple count.
 
     Orders are integers over the common denominator d, a*sl + b*sn = (A*sl + B*sn)/d,
-    and the order-1 sl form an arithmetic progression; pairs come sl, then sn,
-    ascending.  Each sum has C(sum + 3, 3) weak compositions into four parts.
-    Raises ValueError as soon as the pairs listed so far need more than
-    TUPLE_BUDGET tuples, so a few dozen pairs are visited at any d.
+    with A and B from :func:`_integer_orders` (no Fraction arithmetic), and the order-1
+    sl form an arithmetic progression; pairs come sl, then sn, ascending.  Each sum has
+    C(sum + 3, 3) weak compositions into four parts.  Raises ValueError as soon as the
+    pairs listed so far need more than TUPLE_BUDGET tuples, so a few dozen pairs are
+    visited at any d.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a < 0 or b <= 0:
+    A, B, d = _integer_orders(a, b)
+    if A < 0 or B <= 0:  # d > 0, so A and B carry the signs of a and b
         raise ValueError("the exponents need a >= 0 and b > 0")
-    d = lcm(a.denominator, b.denominator)
-    A, B = int(a * d), int(b * d)
     if A == 0:
         # l indices never raise the order, so a pure-n pair in the set (sn = 1/b of
         # order 1, or sn = 1 of order b < 1) admits infinitely many l tuples
@@ -229,6 +246,8 @@ def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool,
     """All coefficient groups of order 1 (``order_one``) or in (0, 1) as one table: the
     integer key [d * f, kx, ky, theta1x, theta1y powers] of each group, ascending, the
     common denominator d of the exponents, and the (G, 2, 2) stack of group matrices.
+    The level d * f = A * sum_l + B * sum_n is integer arithmetic on the A and B of
+    :func:`_integer_orders`.
 
     Terms are grouped by these keys because momenta and the theta1 drivers are free
     parameters: a group vanishes only if its own sum cancels.  A tuple's term is
@@ -239,9 +258,8 @@ def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool,
     a row each, and ordered by one lexsort.  Raises ValueError past TUPLE_BUDGET tuples,
     before summing any.
     """
-    a, b = Fraction(a), Fraction(b)
     pairs = _pairs(a, b, order_one)[0]
-    d = lcm(a.denominator, b.denominator)
+    A, B, d = _integer_orders(a, b)
     if not pairs:
         return [], d, np.empty((0, 2, 2), dtype=np.complex128)
     if class_words is None:
@@ -256,7 +274,7 @@ def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool,
     row = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # within its pair
     kx, thx = np.divmod(row, sn[pair] + 1)
     ky, thy = sl[pair] - kx, sn[pair] - thx
-    level = (int(a * d) * sl + int(b * d) * sn)[pair]
+    level = (A * sl + B * sn)[pair]
     coeffs = scale[pair] * weight[kx] * weight[ky] * (weight[thx] * weight[thy])
     word = 27 * kind[kx] + 9 * kind[ky] + 3 * kind[thx] + kind[thy]
     rows = np.lexsort((thy, thx, ky, kx, level))  # the integer order d * f, then the powers

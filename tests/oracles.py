@@ -47,9 +47,12 @@ no command needs stay here, as oracles for the library's closed forms:
   witnesses, a term's order and an assembly's derivative coefficients;
 * the (sum_l, sum_n) pairs of order 1 or in (0, 1) by an exact Fraction
   scan of every pair of order at most 1, counted and budgeted after the
-  scan, the reference for the term engine's integer pair table;
-* the Gamma word one matmul at a time, the reference for the term engine's
-  batched table of the 16 parity words;
+  scan, with the a = 0 refusal from the pure-n pairs, the reference for the
+  term engine's integer pair table;
+* the six coin rotations of the Gamma words, one scalar ``rot`` call each, and
+  the Gamma word one matmul at a time from them, the references for the term
+  engine's two stacked ``rot`` calls and its batched table of the 16 parity
+  words;
 * the grouped coefficient sums one index tuple at a time: a word product,
   a scalar coefficient and an in-place add per tuple, the reference for
   the term engine's class-word sums;
@@ -95,7 +98,7 @@ from plasticwalk.mat2 import (
 )
 from plasticwalk.plastic import (
     _SPLITS, CALIBRATION, TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles,
-    _group_table, _groups, _index_tuples, _pairs, _rotations, _words, enumerate_terms,
+    _group_table, _groups, _index_tuples, _pairs, _words, enumerate_terms,
     gamma_hat, half_half_pde, spacetime_hamiltonian,
 )
 from plasticwalk.timelimit import (
@@ -712,9 +715,14 @@ def term_order(idx: TermIndex, a: Fraction, b: Fraction) -> Fraction:
 
 def sum_pairs_scan(a: Fraction, b: Fraction, order_one: bool) -> tuple[list[tuple[int, int]], int]:
     """The (sum_l, sum_n) pairs of order exactly 1 (order_one) or in (0, 1), and their
-    index tuple count, for a > 0: every pair of order at most 1 in Fraction
-    arithmetic, sl ascending, then sn ascending.  ValueError past TUPLE_BUDGET tuples."""
+    index tuple count: every pair of order at most 1 in Fraction arithmetic, sl
+    ascending, then sn ascending.  ValueError past TUPLE_BUDGET tuples, and at a = 0
+    if a pure-n pair is in the set (l indices then never raise the order)."""
     a, b = Fraction(a), Fraction(b)
+    if a == 0:
+        if any(b * sn == 1 if order_one else b * sn < 1 for sn in range(1, int(1 / b) + 1)):
+            raise ValueError("a = 0 admits infinitely many index tuples")
+        return [], 0
     pairs = [(sl, sn) for sl in range(int(1 / a) + 1)
              for sn in range(int((1 - a * sl) / b) + 1)
              if (sl or sn) and ((a * sl + b * sn == 1) if order_one else (a * sl + b * sn < 1))]
@@ -732,10 +740,19 @@ def scalar_coeff(idx: TermIndex) -> complex:
     return (1j ** idx.sum_l) * ((-0.5j) ** idx.sum_n) / denom
 
 
+def rotations_scalar(cfg: WalkConfig) -> tuple[NDArray[np.complex128], ...]:
+    """Rz(zeta_x), Ry(theta0x), Rz(phi_x), Rz(zeta_y), Ry(theta0y), Rz(phi_y), one
+    scalar ``rot`` call each: what the engine's two stacked calls reproduce."""
+    jx, jy = cfg.coin_x, cfg.coin_y
+    return (rot("z", jx.zeta0), rot("y", jx.theta0), rot("z", jx.phi0),
+            rot("z", jy.zeta0), rot("y", jy.theta0), rot("z", jy.phi0))
+
+
 def word_chain(cfg: WalkConfig, lx: int, ly: int, nx: int, ny: int) -> NDArray[np.complex128]:
     """The word of gamma_hat one matmul at a time, left to right, inserting each sigma
-    whose index is odd: the chain the engine's batched table of 16 words reproduces."""
-    rzx, ryx, rpx, rzy, ryy, rpy = _rotations(cfg)
+    whose index is odd, on the rotations of :func:`rotations_scalar`: the chain the
+    engine's batched table of 16 words reproduces."""
+    rzx, ryx, rpx, rzy, ryy, rpy = rotations_scalar(cfg)
     word = rzx
     if lx % 2:
         word = word @ SZ

@@ -3,7 +3,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from unittest.mock import patch
 
 import numpy as np
@@ -31,7 +31,7 @@ from oracles import (
     ID2, calibration_exponents, closed_form_gate, closed_form_generator, constraint_f2,
     cross_term_report, derivative_coefficient, divergence_order, grouped_sums,
     grouped_sums_loop, grouped_sums_per_pair, is_hermitian, sum_pairs_scan,
-    transport_commutator, witnesses, word_chain, zeroth_order_residual,
+    rotations_scalar, transport_commutator, witnesses, word_chain, zeroth_order_residual,
 )
 
 
@@ -73,6 +73,27 @@ def test_gamma_words_match_the_chain_bitwise(angles):
         want = word_chain(cfg, lx, ly, nx, ny)
         assert gamma_hat(cfg, lx, ly, nx, ny).tobytes() == want.tobytes(), (lx, ly, nx, ny)
         assert gamma_hat(cfg, lx + 2, ly, nx + 4, ny).tobytes() == want.tobytes()
+
+
+# the edge angles of a rotation: signed zeros, pi, multiples of 2 pi, huge angles and the
+# smallest subnormal
+EDGE_ANGLES = st.sampled_from([0.0, -0.0, np.pi, -np.pi, 1e300, -1e300, 5e-324, -5e-324]) \
+    | st.integers(-50, 50).map(lambda m: 2 * np.pi * m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(ANGLES | EDGE_ANGLES, min_size=6, max_size=6))
+@example([0.0, -0.0, 2 * np.pi, np.pi, 1e300, -1e300])
+@example([5e-324, -5e-324, -0.0, 0.0, -2 * np.pi, -np.pi])
+def test_rotations_match_six_scalar_rot_calls_bitwise(angles):
+    """The engine's two stacked rot calls give each of the six rotations byte for byte
+    as its own scalar call (the chain oracle of the words takes the scalar calls)."""
+    cfg = plastic_raw(*angles)
+    got, want = plastic._rotations(cfg), rotations_scalar(cfg)
+    assert len(got) == len(want) == 6
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape == (2, 2) and g.dtype == w.dtype, i
+        assert g.tobytes() == w.tobytes(), (i, angles)
 
 
 def _series_walk(cfg, kx, ky, eps, max_order):
@@ -225,14 +246,32 @@ def test_tuple_budget_stops_enumeration_early(rng):
     assert len(enumerate_terms(eighth, eighth)) == comb(15, 7) < TUPLE_BUDGET
 
 
+BUDGET_REFUSAL = f"the exponents need more than {TUPLE_BUDGET} index tuples (the work budget)"
+A_ZERO_REFUSAL = ("a = 0 admits infinitely many index tuples; the pure time scaling belongs "
+                  "to the time-limit machinery")
+LEVELS_CFG = plastic_raw(0.7, -1.1, 0.3, 0.2, -0.4, 0.9)
+
+
 def _same_as_scan(a, b, order_one):
+    """The same pairs in the same order, the same tuple count and the same refusal, word
+    for word, from ``_pairs`` and the group table; and each group's integer level is
+    d * (a * sum_l + b * sum_n), computed in Fraction."""
+    engines = (lambda: _pairs(a, b, order_one),
+               lambda: _group_table(LEVELS_CFG, a, b, order_one))
     try:
         want = sum_pairs_scan(a, b, order_one)
     except ValueError:
-        with pytest.raises(ValueError, match="work budget"):
-            _pairs(a, b, order_one)
-    else:
-        assert _pairs(a, b, order_one) == want, (a, b, order_one)
+        for engine in engines:
+            with pytest.raises(ValueError) as refusal:
+                engine()
+            assert str(refusal.value) == (A_ZERO_REFUSAL if a == 0 else BUDGET_REFUSAL)
+        return
+    assert _pairs(a, b, order_one) == want, (a, b, order_one)
+    keys, d, _ = _group_table(LEVELS_CFG, a, b, order_one)
+    assert d == lcm(Fraction(a).denominator, Fraction(b).denominator)
+    assert len(keys) == sum((sl + 1) * (sn + 1) for sl, sn in want[0])
+    assert all(level == d * (a * (kx + ky) + b * (thx + thy))
+               for level, kx, ky, thx, thy in keys), (a, b, order_one)
 
 
 def test_pair_table_matches_the_scan_on_farey_8():
@@ -241,16 +280,27 @@ def test_pair_table_matches_the_scan_on_farey_8():
             _same_as_scan(a, b, order_one)
 
 
-# the exponents in (0, 1] with denominators up to 40
-EXPONENTS_40 = st.integers(1, 40).flatmap(
-    lambda q: st.builds(Fraction, st.integers(1, q), st.just(q)))
+def _exponents_60(low):
+    """The exponents p/q with low <= p <= q and denominators q up to 60."""
+    return st.integers(1, 60).flatmap(
+        lambda q: st.builds(Fraction, st.integers(low, q), st.just(q)))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(EXPONENTS_40, EXPONENTS_40, st.booleans())
-def test_pair_table_matches_the_scan(a, b, order_one):
-    """The same pairs in the same order, the same tuple count and the same refusals."""
-    _same_as_scan(a, b, order_one)
+@given(_exponents_60(0), _exponents_60(1))
+@example(Fraction(0), Fraction(1, 2))  # a = 0 with a pure-n pair of order 1 and below it
+@example(Fraction(0), Fraction(2, 3))  # a = 0: no order-1 pair, one below order 1
+@example(Fraction(0), Fraction(1))  # a = 0: an order-1 pair, none below
+@example(Fraction(1), Fraction(1))
+@example(Fraction(1, 45), Fraction(1))  # 194,579 tuples below order 1: under the budget
+@example(Fraction(1, 46), Fraction(1))  # 211,875 below order 1: over it
+@example(Fraction(1, 15), Fraction(1, 15))  # 170,544 of order 1, under; 319,769 below, over
+@example(Fraction(1, 16), Fraction(1, 16))  # 245,157 of order 1: over
+def test_pair_table_matches_the_scan(a, b):
+    """Past Farey-8, in both modes: a in [0, 1] and b in (0, 1] with denominators up to
+    60, the a = 0 refusals and both sides of TUPLE_BUDGET."""
+    for order_one in (True, False):
+        _same_as_scan(a, b, order_one)
 
 
 # ----------------------------------------------------------------- divergence
