@@ -124,13 +124,16 @@ def _mul_su2(x: tuple, y: tuple) -> tuple:
 
 
 def _square_su2(x: tuple) -> tuple:
-    """The two-plane form (g^2, a^2 - |b|^2, 2 Re(a) b) of the square of x = (g, a, b)."""
+    """The two-plane form (g^2, a^2 - |b|^2, 2 Re(a) b) of the square of x = (g, a, b).
+
+    |b|^2 is taken by ``np.multiply``, not in place: numpy evaluates ``b* *= b`` of a
+    one-element array on a scalar path that leaves its imaginary part exactly 0, where
+    its loop leaves about 1e-17, so a one-point tile would differ from a longer one."""
     g, a, b = x
     twice_re = a.conjugate()
     twice_re += a
     twice_re *= b
-    norm_b = b.conjugate()
-    norm_b *= b
+    norm_b = np.multiply(b.conjugate(), b)
     square = a * a
     square -= norm_b
     return g * g, square, twice_re

@@ -21,9 +21,10 @@ the C(L, j) of either parity of j sum to 2^(L-1).  So the group of totals
 w(0) = 1 and w(L) = 2^(L-1) / L!, times one of 81 class words: the sum of
 the word products that the totals' classes (zero, odd, even > 0) allow.
 The engine sums per group, not per index tuple: the groups of every
-(sum_l, sum_n) pair are rows of one array table, and the 81 class words are one
-complex product of the 256 word products, built once a call: ``pde`` hands the
-same class words to its gate and its assembly.  ``tests/oracles.py`` keeps the
+(sum_l, sum_n) pair are rows of one table, built in plain Python and sorted by
+their integer keys, and the 81 class words are one complex product of the 256
+word products, built once a call: ``pde`` hands the same class words to its gate
+and its assembly.  ``tests/oracles.py`` keeps the
 tuple-by-tuple loop and the pair-by-pair sums.
 """
 
@@ -254,9 +255,13 @@ def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool,
     nu1 nu2 (without the k and theta1 monomials) times gamma_hat(l1x, l1y, n1x, n1y) @
     gamma_hat(l2x, l2y, n2x, n2y); each group is its weight times its class word (module
     docstring), taken from ``class_words`` when given, else from :func:`_class_words`
-    once a group exists.  The groups of every (sum_l, sum_n) pair are gathered at once,
-    a row each, and ordered by one lexsort.  Raises ValueError past TUPLE_BUDGET tuples,
-    before summing any.
+    once a group exists.  Keys, weights and class-word indices are plain Python, a row
+    per group, pair by pair and kx by kx: a Farey-8 scan's tables have a dozen rows at
+    the median, too few to pay numpy's fixed cost a call.  A weight is ((scale * w(kx)) *
+    w(ky)) * (w(theta1x) * w(theta1y)), each complex times float the bits of numpy's
+    loop.  The rows are sorted by their keys, which are unique, and numpy takes only the
+    product of the weights and the gathered class words.  Raises ValueError past
+    TUPLE_BUDGET tuples, before summing any.
     """
     pairs = _pairs(a, b, order_one)[0]
     A, B, d = _integer_orders(a, b)
@@ -264,22 +269,24 @@ def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool,
         return [], d, np.empty((0, 2, 2), dtype=np.complex128)
     if class_words is None:
         class_words = _class_words(cfg)
-    scale = np.array([(1j ** sl) * ((-0.5j) ** sn) for sl, sn in pairs])
-    sl, sn = np.array(pairs).T
-    totals = np.arange(max(map(max, pairs)) + 1)
-    weight = np.array([1.0] + [2 ** (n - 1) / factorial(n) for n in totals[1:].tolist()])
-    kind = np.where(totals == 0, 0, 2 - totals % 2)
-    size = (sl + 1) * (sn + 1)  # a pair's groups, kx then theta1x ascending
-    pair = np.repeat(np.arange(len(pairs)), size)
-    row = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # within its pair
-    kx, thx = np.divmod(row, sn[pair] + 1)
-    ky, thy = sl[pair] - kx, sn[pair] - thx
-    level = (A * sl + B * sn)[pair]
-    coeffs = scale[pair] * weight[kx] * weight[ky] * (weight[thx] * weight[thy])
-    word = 27 * kind[kx] + 9 * kind[ky] + 3 * kind[thx] + kind[thy]
-    rows = np.lexsort((thy, thx, ky, kx, level))  # the integer order d * f, then the powers
-    keys = np.stack([level, kx, ky, thx, thy], axis=1)[rows].tolist()
-    return keys, d, coeffs[rows, None, None] * class_words[word[rows]]
+    top = max(map(max, pairs))
+    weight = [1.0] + [2 ** (n - 1) / factorial(n) for n in range(1, top + 1)]
+    kind = [0] + [2 - n % 2 for n in range(1, top + 1)]  # zero, odd, even > 0
+    # the theta1 powers of each sum_n: (theta1x, theta1y, weight, class digits)
+    thetas = [[(thx, sn - thx, weight[thx] * weight[sn - thx], 3 * kind[thx] + kind[sn - thx])
+               for thx in range(sn + 1)] for sn in range(max(sn for _, sn in pairs) + 1)]
+    rows = []
+    for sl, sn in pairs:
+        level, scale = A * sl + B * sn, (1j ** sl) * ((-0.5j) ** sn)
+        heads = [(kx, sl - kx, scale * weight[kx] * weight[sl - kx],
+                  27 * kind[kx] + 9 * kind[sl - kx]) for kx in range(sl + 1)]
+        rows += [([level, kx, ky, thx, thy], head * w, high + low)
+                 for kx, ky, head, high in heads for thx, thy, w, low in thetas[sn]]
+    rows.sort()  # by the integer order d * f, then the powers: no two keys are equal
+    keys, coeffs, words = zip(*rows)
+    n = len(rows)
+    return list(keys), d, np.multiply(np.fromiter(coeffs, np.complex128, n)[:, None, None],
+                                      class_words[np.fromiter(words, np.intp, n)])
 
 
 def _groups(keys: list[list[int]], d: int,

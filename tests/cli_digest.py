@@ -14,11 +14,14 @@ exception and every file it wrote, then the call's label.  The calls run
   ``--seed -1``, an Arabic-Indic seed digit, ``--format`` twice,
   ``--format xml`` and the command twice (796 calls);
 * ``terms``, ``check`` and ``pde`` on the plastic_half_compliant config at
-  the exponent pairs of ``PAIRS``, x {JSON, CSV} (42 calls): index totals
+  the exponent pairs of ``PAIRS``, x {JSON, CSV} (54 calls): index totals
   of 10 to 13, so the group labels hold two-digit indices, then the
   integer orders at their edges: a = 1/45, b = 1 (194,579 tuples below
   order 1, just under ``TUPLE_BUDGET``), a = b = 1/50 (past it, exit 1)
-  and a = 0, b = 1/2 (the "infinitely many" refusal of ``terms``);
+  and a = 0, b = 1/2 (the "infinitely many" refusal of ``terms``), then
+  the largest group tables: a = 1/15, b = 1/12 (2,272 groups below order
+  1, the most the budget admits) and a = 1/30, b = 29/30 (a gate table
+  of 466 groups and 35 order-1 groups);
 * time-mode ``converge`` on the time_compliant and time_tau4_delta0 configs
   at the grids of ``CONVERGE_GRIDS``, x t_final {own (0.5), 0.3} x {JSON,
   CSV} (32 calls): one, two, three and four tiles of
@@ -58,9 +61,10 @@ COMMANDS = ("check", "hamiltonian", "pde", "simulate", "converge", "dispersion",
 GRIDS = (None, 1, 7, 64)  # None: the config's own grid
 SEEDS = (11, 9001)
 # (a, b) with index totals of 10 to 13: 19,448, 459, 368 and 924 order-1 tuples; then the
-# budget edge, the budget refusal and a = 0 with a pure-n pair of order 1
+# budget edge, the budget refusal and a = 0 with a pure-n pair of order 1; then the largest
+# group tables below order 1 and of a gate-passing walk
 PAIRS = (("1/10", "1/10"), ("1/12", "1"), ("1", "1/11"), ("1/11", "1/13"),
-         ("1/45", "1"), ("1/50", "1/50"), ("0", "1/2"))
+         ("1/45", "1"), ("1/50", "1/50"), ("0", "1/2"), ("1/15", "1/12"), ("1/30", "29/30"))
 WORKLOADS = ("spacetime_scan", "kspace_time")
 TIME_CONFIGS = ("time_compliant", "time_tau4_delta0")
 CONVERGE_GRIDS = (128, 129, 200, 256)  # 16,384, 16,641, 40,000 and 65,536 k-points
@@ -128,7 +132,7 @@ def matrix(main):
 
 
 def exponent_pairs(main):
-    """(label, digest) of the 42 plastic calls at the exponent pairs of ``PAIRS``."""
+    """(label, digest) of the 54 plastic calls at the exponent pairs of ``PAIRS``."""
     doc = json.loads((GOLDEN / "plastic_half_compliant" / "config.json").read_text())
     for a, b in PAIRS:
         doc["walk"]["a"] = a

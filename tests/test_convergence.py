@@ -110,6 +110,17 @@ def test_time_convergence_grid_independence(rng):
         assert abs(ea - eb) <= 0.1 * max(ea, eb)
 
 
+def test_time_convergence_at_one_k_point_is_that_k_point_given_twice(rng):
+    """The errors at one k-point (grid 1: one-element planes) equal, bit for bit, those
+    of the same k-point given twice: every kernel is elementwise at any array size."""
+    cfg = draw_time_compliant(rng, strong_theta1=True)
+    eps_list = [2.0 ** -k for k in range(6, 10)]
+    for kx, ky in ((0.7, -0.4), (np.pi, np.pi), (0.0, 0.0)):
+        once = time_convergence(cfg, 0.5, np.array([kx]), np.array([ky]), eps_list)
+        twice = time_convergence(cfg, 0.5, np.array([kx, kx]), np.array([ky, ky]), eps_list)
+        assert once.samples == twice.samples, (kx, ky)
+
+
 def test_time_convergence_rejects_noncompliant(rng):
     cfg = draw_time_compliant(rng, tau=3)
     with pytest.raises(ValueError):

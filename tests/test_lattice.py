@@ -170,6 +170,20 @@ def test_evolve_matches_repeated_step(nx, ny, steps, a, seed):
     assert float(np.max(np.abs(evolve(f, cfg, eps, steps).data - expected.data))) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_evolve_gives_the_same_bits_at_any_tile_size(seed, monkeypatch):
+    """A 2 x 4097 lattice at K_BLOCK k-points a tile leaves a one-column tile a row; with
+    tiles of 2 * K_BLOCK each row is one tile.  Both give the same field bit for bit."""
+    rng = np.random.default_rng(seed)
+    cases = [(draw(rng), steps) for draw in (draw_time_compliant, draw_time_generic)
+             for steps in (2, 7, 64)]
+    f = SpinorField.random(2, _util.K_BLOCK + 1, rng)
+    tiled = [evolve(f, cfg, 0.05, steps).data.tobytes() for cfg, steps in cases]
+    monkeypatch.setattr(lattice, "k_tiles",
+                        lambda kx, ky: _util.k_tiles(kx, ky, 2 * _util.K_BLOCK))
+    assert [evolve(f, cfg, 0.05, steps).data.tobytes() for cfg, steps in cases] == tiled
+
+
 def test_evolve_zero_steps_returns_the_input(rng):
     f = SpinorField.random(5, 3, rng)
     assert evolve(f, draw_time_generic(rng), 0.05, 0).data is f.data

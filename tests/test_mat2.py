@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from plasticwalk.mat2 import (
     SY, SZ, _entries, _entries_su2, _from_entries, _gram, _mul_su2, _norm, _norm_diff,
-    _power, _radius, _wrap, dag, exp_herm, op_norm, rot,
+    _power, _radius, _square_su2, _wrap, dag, exp_herm, op_norm, rot,
 )
 
 from oracles import ID2, det2, eig2, gram_sums, is_hermitian, is_unitary, radius_sums, rot_x
@@ -318,3 +318,19 @@ def test_two_plane_kernels_do_not_depend_on_the_array_size(scalar_phase):
             tiled = np.concatenate([np.broadcast_to(p[i], (min(1000, n - k * 1000),))
                                     for k, p in enumerate(pieces)])
             assert w.tobytes() == tiled.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_square_su2_of_one_element_is_that_element_of_a_longer_plane(seed):
+    """_square_su2 of each element alone, as a one-element plane and as a 0-d array,
+    equals that element of the square of a plane of 64 points bit for bit: numpy takes
+    an in-place product of a one-element array on a scalar path whose |b|^2 has an
+    imaginary part of exactly 0, where its loop leaves about 1e-17."""
+    rng = np.random.default_rng(seed)
+    x = tuple(rng.normal(size=64) + 1j * rng.normal(size=64) for _ in range(3))
+    whole = _square_su2(x)
+    for i in range(64):
+        for alone in (tuple(p[i:i + 1] for p in x), tuple(np.asarray(p[i]) for p in x)):
+            square = _square_su2(alone)
+            assert [np.ravel(p).tobytes() for p in square] == \
+                [p[i:i + 1].tobytes() for p in whole], i

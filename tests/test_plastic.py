@@ -409,9 +409,9 @@ def test_grouped_sums_match_the_loop(angles, a, b, order_one):
 
 
 def _bitwise_as_per_pair(cfg, a, b, order_one):
-    """The group table against the per-pair oracle: the same keys in the same order, the
-    same matrix bytes, and the gate residual and the pde term norms op_norm of the
-    oracle's stack, bit for bit."""
+    """The group table against the per-pair oracle: the same keys in the same order, each
+    a list of Python ints, the same matrix bytes, and the gate residual and the pde term
+    norms op_norm of the oracle's stack, bit for bit."""
     try:
         want = grouped_sums_per_pair(cfg, a, b, order_one)
     except ValueError:
@@ -419,6 +419,7 @@ def _bitwise_as_per_pair(cfg, a, b, order_one):
             _group_table(cfg, a, b, order_one)
         return
     keys, d, matrices = _group_table(cfg, a, b, order_one)
+    assert all(type(key) is list and all(type(v) is int for v in key) for key in keys)
     got = grouped_sums(cfg, a, b, order_one)
     want_keys = [(g.exponent, g.kx_power, g.ky_power, g.thx_power, g.thy_power) for g in want]
     assert [(Fraction(level, d), *powers) for level, *powers in keys] == want_keys
@@ -451,6 +452,13 @@ def _bitwise_as_per_pair(cfg, a, b, order_one):
 @example(0, draw_plastic_compliant, Fraction(1, 50), Fraction(1, 50), False)  # the budget
 @example(0, draw_plastic_compliant, Fraction(1), Fraction(1), False)  # no pair below order 1
 @example(0, draw_plastic_generic, Fraction(2, 3), Fraction(2, 3), True)  # no order-1 pair
+# the largest table the budget admits: 2,272 groups, 189,104 tuples below order 1
+@example(0, draw_plastic_compliant, Fraction(1, 15), Fraction(1, 12), False)
+# (2, 0) and (0, 1) share level 2, (3, 0) and (1, 1) level 3: their rows interleave
+@example(0, draw_plastic_generic, Fraction(1, 4), Fraction(1, 2), False)
+# a gate-passing walk: a gate table of 466 groups and an order-1 table of 35
+@example(0, draw_plastic_compliant, Fraction(1, 30), Fraction(29, 30), False)
+@example(0, draw_plastic_compliant, Fraction(1, 30), Fraction(29, 30), True)
 def test_group_table_is_the_per_pair_sums_bitwise(seed, draw, a, b, order_one):
     cfg = replace(draw(np.random.default_rng(seed)), a_exp=a, b_exp=b)
     _bitwise_as_per_pair(cfg, a, b, order_one)
