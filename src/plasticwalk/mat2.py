@@ -19,14 +19,14 @@ its powers so, with the defect ``_defect`` (M^dag M = |g|^2 (|a|^2 + |b|^2) I
 exactly, so ||M^dag M - I|| = ||g|^2 (|a|^2 + |b|^2) - 1|) and the eigenphases
 ``_phases_su2``.  Every unitarity check of the package takes this form.
 
-Entry planes: a general matrix [[a, b], [c, d]] is the tuple (a, b, c, d) of
-four arrays of one shape.  Norms of general matrices run on them (``_norm``,
-its Gram sums taken in place); ``_entries`` views a (..., 2, 2) stack so, and
-``_entries_su2`` expands the two-plane form to them, as ``converge`` does its
-target e^{-iHt} once a tile and horizon and ``lattice.step`` its coins.  The
-difference of two evolutions is formed where it is normed: ``_norm_diff`` takes
-W^n in the two-plane form and the target's entry planes and forms the four
-entries of W^n - target in place, so W^n is never expanded.
+Entry planes: a general matrix [[a, b], [c, d]] is the tuple (a, b, c, d) of four arrays
+of one shape.  Norms of general matrices run on them (``_norm``, its Gram sums taken in
+place); ``_entries``, the one reader of a stack's entries, views a (..., 2, 2) stack so
+(``exp_herm`` checks Hermiticity on its planes), and ``_entries_su2`` expands the
+two-plane form to them, as ``converge`` does its target e^{-iHt} once a tile and horizon
+and ``lattice.step`` its coins.  The difference of two evolutions is formed where it is
+normed: ``_norm_diff`` takes W^n in the two-plane form and the target's entry planes and
+forms the four entries of W^n - target in place, so W^n is never expanded.
 
 Rotation convention, fixed once for the whole package:
 
@@ -47,7 +47,6 @@ __all__ = [
     "SY",
     "SZ",
     "rot",
-    "dag",
     "op_norm",
     "eigvals2",
     "exp_herm",
@@ -83,11 +82,6 @@ def rot(axis: str, angle) -> NDArray[np.complex128]:
         out[..., 1, 0] = s
         out[..., 1, 1] = c
     return out
-
-
-def dag(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Conjugate transpose over the trailing two axes."""
-    return np.conj(np.swapaxes(m, -1, -2))
 
 
 def _entries(m):
@@ -260,8 +254,7 @@ def eigvals2(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
 
     Returns shape (..., 2).  No eigenvectors.  A single matrix runs as 0-d arrays.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    a, b, c, d = _entries(m)
     half_tr = 0.5 * (a + d)
     disc = np.sqrt(half_tr * half_tr - (a * d - b * c) + 0j)
     return np.stack((half_tr + disc, half_tr - disc), axis=-1)
@@ -276,19 +269,20 @@ def exp_herm(h: NDArray[np.complex128], t, what: str = "exp_herm input") -> tupl
     with sinc = sin(|h| t)/|h|, which is t at |h| = 0.
 
     Accepts a (..., 2, 2) stack and scalar or broadcastable ``t``.
-    Raises ValueError, naming H ``what``, if any slice deviates from
-    Hermiticity by more than 1e-10 in operator norm.
+    Raises ValueError, naming H ``what``, if any slice deviates from Hermiticity by
+    more than 1e-10 in operator norm, ``_norm`` of the entry planes of H - H^dag.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    herm_defect = op_norm(h - dag(h))
+    h00, h01, h10, h11 = _entries(h)
+    herm_defect = _norm((h00 - h00.conjugate(), h01 - h10.conjugate(),
+                         h10 - h01.conjugate(), h11 - h11.conjugate()))
     if not np.all(herm_defect <= 1e-10):  # a NaN defect fails too
         raise ValueError(f"{what} is not Hermitian to 1e-10 "
                          f"(defect {float(np.max(herm_defect)):.3e})")
     t = np.asarray(t, dtype=np.float64)
-    h0 = 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real
-    hx = 0.5 * (h[..., 0, 1] + h[..., 1, 0]).real
-    hy = 0.5 * (h[..., 1, 0] - h[..., 0, 1]).imag
-    hz = 0.5 * (h[..., 0, 0] - h[..., 1, 1]).real
+    h0 = 0.5 * (h00 + h11).real
+    hx = 0.5 * (h01 + h10).real
+    hy = 0.5 * (h10 - h01).imag
+    hz = 0.5 * (h00 - h11).real
     r = np.sqrt(hx * hx + hy * hy + hz * hz)
     # sin(r t)/r, finite at r = 0
     sinc = np.where(r > 0.0, np.sin(r * t) / np.where(r > 0.0, r, 1.0), t)

@@ -342,7 +342,7 @@ def check_spacetime_limit(cfg: WalkConfig, *,
     residual = divergence_residual(cfg, a, b, class_words=class_words)[0] if n_terms else 1.0
     conds = (_theta_branch(cfg, (0,)), _delta_quantization(cfg), expo,
              Condition("no_divergence", residual <= 1e-10, residual))
-    return ConstraintReport(all(c.satisfied for c in conds), conds)
+    return ConstraintReport(conds)
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,14 @@ class Condition:
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    """Pass/fail summary with integer witnesses and numeric residuals."""
+    """Pass/fail summary with integer witnesses and numeric residuals; it passes when
+    every condition is satisfied."""
 
-    passed: bool
     conditions: tuple[Condition, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.satisfied for c in self.conditions)
 
     def __getitem__(self, name: str) -> Condition:
         for c in self.conditions:
@@ -63,7 +67,7 @@ class ConstraintReport:
 
     def to_dict(self) -> dict:
         return {
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "conditions": [c.to_dict() for c in self.conditions],
         }
 
@@ -116,7 +120,7 @@ def check_time_limit(cfg: WalkConfig) -> ConstraintReport:
         raise ValueError("check_time_limit applies to time-mode configs")
     conds = (_theta_branch(cfg, (0, 1)), _delta_quantization(cfg),
              Condition("tau_even", cfg.tau % 2 == 0, float(cfg.tau % 2)))
-    return ConstraintReport(all(c.satisfied for c in conds), conds)
+    return ConstraintReport(conds)
 
 
 def _require_branch(report: ConstraintReport) -> int:

@@ -27,7 +27,10 @@ no command needs stay here, as oracles for the library's closed forms:
   the references the tile loops equal bit for bit;
 * W(k) and its power in extended precision, from the walk's float64 angles;
 * the identity ``ID2``, the Pauli matrix ``SX`` and the x-axis rotation
-  ``rot_x``, which no coin needs;
+  ``rot_x``, which no coin needs, the conjugate transpose ``dag`` of a stack, and
+  the Hermiticity defect ||H - H^dag|| on a second stack
+  (``hermiticity_defect_stack``) and ``exp_herm`` on it (``exp_herm_stack``), the
+  references for ``exp_herm``'s check on entry planes;
 * the stack product ``mul2`` by the entry formulas, ``unitarity_defect`` of a
   stack on ``gram_sums`` and ``radius_sums`` and the check ``check_unitary_stack``
   built on it (the library checks only the two-plane form), and the determinant
@@ -94,7 +97,7 @@ from plasticwalk.config import ConfigError, ExperimentConfig
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import (
     SY, SZ, _entries, _entries_su2, _from_entries, _phases_su2, _power,
-    dag, eigvals2, exp_herm, op_norm, rot,
+    eigvals2, exp_herm, op_norm, rot,
 )
 from plasticwalk.plastic import (
     _SPLITS, CALIBRATION, TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles,
@@ -120,6 +123,37 @@ def rot_x(angle) -> NDArray[np.complex128]:
     w = np.asarray(angle, dtype=np.float64)
     c, s = np.cos(w / 2.0), np.sin(w / 2.0)
     return _from_entries(c, -1j * s, -1j * s, c)
+
+
+def dag(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Conjugate transpose over the trailing two axes."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def hermiticity_defect_stack(h) -> NDArray[np.float64]:
+    """||H - H^dag|| of each slice, with H - H^dag formed as a second (..., 2, 2) stack:
+    the reference for the check ``exp_herm`` takes on its entry planes."""
+    h = np.asarray(h, dtype=np.complex128)
+    return op_norm(h - dag(h))
+
+
+def exp_herm_stack(h, t, what: str = "exp_herm input") -> tuple:
+    """``exp_herm`` with its Hermiticity check on a second stack
+    (:func:`hermiticity_defect_stack`) and the Pauli parts read by ``[..., i, j]``
+    subscripts of the stack."""
+    h = np.asarray(h, dtype=np.complex128)
+    herm_defect = hermiticity_defect_stack(h)
+    if not np.all(herm_defect <= 1e-10):
+        raise ValueError(f"{what} is not Hermitian to 1e-10 "
+                         f"(defect {float(np.max(herm_defect)):.3e})")
+    t = np.asarray(t, dtype=np.float64)
+    h0 = 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real
+    hx = 0.5 * (h[..., 0, 1] + h[..., 1, 0]).real
+    hy = 0.5 * (h[..., 1, 0] - h[..., 0, 1]).imag
+    hz = 0.5 * (h[..., 0, 0] - h[..., 1, 1]).real
+    r = np.sqrt(hx * hx + hy * hy + hz * hz)
+    sinc = np.where(r > 0.0, np.sin(r * t) / np.where(r > 0.0, r, 1.0), t)
+    return np.exp(-1j * h0 * t), np.cos(r * t) - 1j * sinc * hz, -1j * sinc * (hx - 1j * hy)
 
 
 def mul2(x, y) -> NDArray[np.complex128]:
@@ -185,8 +219,7 @@ def is_unitary(m: NDArray[np.complex128], tol: float = 1e-10) -> bool:
 
 def is_hermitian(m: NDArray[np.complex128], tol: float = 1e-10) -> bool:
     """True when every slice satisfies M = M^dag within tol."""
-    m = np.asarray(m, dtype=np.complex128)
-    return bool(np.all(op_norm(m - dag(m)) <= tol))
+    return bool(np.all(hermiticity_defect_stack(m) <= tol))
 
 
 class Eig2Result(NamedTuple):

@@ -17,7 +17,7 @@ from plasticwalk import (
     spacetime_hamiltonian, time_convergence, time_hamiltonian, walk_k,
 )
 from plasticwalk.lattice import momentum_grid, step
-from plasticwalk.mat2 import dag, op_norm, rot
+from plasticwalk.mat2 import op_norm, rot
 from plasticwalk.plastic import CALIBRATION
 from plasticwalk.timelimit import anticommutator_AB
 from plasticwalk._util import stack_power
@@ -27,7 +27,7 @@ from conftest import (
     draw_time_generic, plastic_from_angles,
 )
 from oracles import (
-    apply_shift_word, cross_term_report, derivative_coefficient, dft, first_order_blocks,
+    apply_shift_word, cross_term_report, dag, derivative_coefficient, dft, first_order_blocks,
     fit_lambda, grouped_sums, idft, odd_tau_gap, roots_of_unity_residual, term_order,
 )
 

@@ -1,14 +1,22 @@
+import ast
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plasticwalk import mat2
 from plasticwalk.mat2 import (
     SY, SZ, _entries, _entries_su2, _from_entries, _gram, _mul_su2, _norm, _norm_diff,
-    _power, _radius, _square_su2, _wrap, dag, exp_herm, op_norm, rot,
+    _power, _radius, _square_su2, _wrap, exp_herm, op_norm, rot,
 )
 
-from oracles import ID2, det2, eig2, gram_sums, is_hermitian, is_unitary, radius_sums, rot_x
+from oracles import (
+    ID2, dag, det2, eig2, exp_herm_stack, gram_sums, hermiticity_defect_stack, is_hermitian,
+    is_unitary, radius_sums, rot_x,
+)
 
 
 def rotation(axis, w):
@@ -334,3 +342,117 @@ def test_square_su2_of_one_element_is_that_element_of_a_longer_plane(seed):
             square = _square_su2(alone)
             assert [np.ravel(p).tobytes() for p in square] == \
                 [p[i:i + 1].tobytes() for p in whole], i
+
+
+HERM_SHAPES = [(), (1,), (5,), (3, 4)]
+HERM_KINDS = ["hermitian", "below", "above", "non_hermitian", "special"]
+
+
+def random_stack(rng, shape, kind):
+    """A (..., 2, 2) stack of ``kind``: Hermitian (0.5 (Z + Z^dag), exactly), off
+    Hermitian in one entry of each slice by a defect just below or just over 1e-10,
+    clearly non-Hermitian, or a Hermitian stack with NaN, infinite and 1e308 parts."""
+    z = (rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))) \
+        * 10.0 ** rng.uniform(-3, 2)
+    if kind == "non_hermitian":
+        return z
+    h = 0.5 * (z + dag(z))
+    if kind in ("below", "above"):
+        # one entry off per slice: h01 + e or h10 + e has defect |e|, h00 + i e 2|e|
+        size = 1e-10 * (rng.uniform(0.9, 0.999) if kind == "below" else rng.uniform(1.001, 1.1))
+        e = size * np.exp(1j * rng.uniform(-np.pi, np.pi, size=shape))
+        entry = rng.integers(0, 3)
+        if entry == 2:
+            h[..., 0, 0] += 0.5j * abs(e)
+        else:
+            h[..., entry, 1 - entry] += e
+    if kind == "special":
+        for part in (h.real, h.imag):
+            hit = rng.random(part.shape) < 0.2
+            part[hit] = rng.choice([np.nan, np.inf, -np.inf, 1e308, -1e308], size=part.shape)[hit]
+    return h
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(HERM_SHAPES), kind=st.sampled_from(HERM_KINDS),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_exp_herm_checks_hermiticity_on_entry_planes_as_on_the_stack(shape, kind, seed):
+    """exp_herm's defect on the entry planes of H - H^dag against ||H - H^dag|| of the
+    stack (oracles.exp_herm_stack): equal bits where the stack's is finite, NaN where it
+    is NaN, the same ValueError text, and where both pass the same two-plane tuple."""
+    rng = np.random.default_rng(seed)
+    h = random_stack(rng, shape, kind)
+    t = rng.uniform(-3, 3)
+    defects = []
+
+    def recording(x):
+        defects.append(norm(x))
+        return defects[-1]
+
+    norm = mat2._norm
+    with np.errstate(all="ignore"):  # the special values overflow and make NaNs
+        ref_defect = hermiticity_defect_stack(h)
+        ref = _outcome(lambda: exp_herm_stack(h, t, "H"))
+        with mock.patch.object(mat2, "_norm", recording):
+            got = _outcome(lambda: exp_herm(h, t, "H"))
+    (defect,) = defects
+    assert np.shape(defect) == np.shape(ref_defect) == shape
+    finite = np.isfinite(ref_defect)
+    assert (np.isnan(defect) == np.isnan(ref_defect)).all()
+    assert defect[finite].tobytes() == ref_defect[finite].tobytes()
+    if kind in ("hermitian", "below"):
+        assert not isinstance(got, str)
+    if kind in ("above", "non_hermitian"):
+        assert isinstance(got, str)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert _bits(got) == _bits(ref)
+
+
+def _stack_subscripts(tree: ast.AST):
+    """(function, line) of every ``x[..., i, j]`` with integer i and j, by the qualified
+    name of the function it is in."""
+    def integer(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+            parts = node.slice.elts
+            if len(parts) == 3 and isinstance(parts[0], ast.Constant) \
+                    and parts[0].value is Ellipsis and integer(parts[1]) and integer(parts[2]):
+                yield scope, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    yield from visit(tree, "")
+
+
+def test_only_entries_reads_the_entries_of_a_stack():
+    """No ``[..., i, j]`` subscript in the package outside mat2._entries, which reads a
+    stack, mat2._from_entries, which writes one, and mat2.rot, which writes its own; and
+    no ``dag``: the Hermiticity check runs on entry planes."""
+    src = Path(mat2.__file__).parent
+    allowed = {"mat2._entries", "mat2._from_entries", "mat2.rot"}
+    found, dags = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(f"{path.stem}{scope}", line) for scope, line in _stack_subscripts(tree)
+                  if f"{path.stem}{scope}" not in allowed]
+        dags += [(path.stem, node.lineno) for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "dag"
+                 or isinstance(node, ast.Name) and node.id == "dag"]
+    assert found == []
+    assert dags == []
+    assert "dag" not in mat2.__all__ and not hasattr(mat2, "dag")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from plasticwalk import CoinJet, WalkConfig, check_time_limit, time_hamiltonian, walk_k
 from plasticwalk.mat2 import SY, op_norm, rot
-from plasticwalk.timelimit import anticommutator_AB
+from plasticwalk.timelimit import Condition, ConstraintReport, anticommutator_AB
 from plasticwalk._util import CONVERGE_BLOCK, K_BLOCK, k_tiles, stack_power
 
 from conftest import draw_time_compliant, draw_time_generic
@@ -106,6 +106,19 @@ def test_report_serializes_with_stable_keys(rng):
     assert set(doc) == {"passed", "conditions"}  # the CLI stamps schema_version
     for cond in doc["conditions"]:
         assert set(cond) == {"name", "satisfied", "residual", "witness"}
+
+
+def test_report_passes_only_when_every_condition_holds():
+    """``passed`` is read from the conditions: one unsatisfied condition fails the report,
+    in its dict too, and ``require`` names that condition alone."""
+    held = Condition("theta_branch", True, 0.0, {"nu": 0})
+    failed = Condition("tau_even", False, 1.0)
+    assert ConstraintReport((held,)).passed
+    rep = ConstraintReport((held, failed))
+    assert not rep.passed and rep.to_dict()["passed"] is False
+    with pytest.raises(ValueError, match=r"^config fails the time-limit gate: tau_even$"):
+        rep.require("time-limit gate")
+    assert ConstraintReport((held,)).require("time-limit gate").passed
 
 
 def test_constraint_f_zero_on_compliant_configs(rng):
