@@ -98,21 +98,27 @@ def _json(value, indent: str = "") -> str:
     """The JSON of ``value`` nested at ``indent``, as json.dumps(sort_keys=True, indent=2).
 
     Dict keys are strings, as in every payload; any other key raises TypeError.  A
-    container's leaves are written in its comprehension; only nested containers and
-    leaves of a subclass type recurse.
+    container's leaves are written in its loop; only nested containers and leaves of a
+    subclass type recurse.
     """
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = indent + "  "
-        items = [f"{_str_text(k)}: {leaf(v) if (leaf := _LEAF(type(v))) else _json(v, inner)}"
-                 for k, v in sorted(value.items())]
+        items = []
+        for k in sorted(value):
+            v = value[k]
+            leaf = _LEAF(type(v))
+            items.append(f"{_str_text(k)}: {leaf(v) if leaf else _json(v, inner)}")
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = indent + "  "
-        items = [leaf(v) if (leaf := _LEAF(type(v))) else _json(v, inner) for v in value]
+        items = []
+        for v in value:
+            leaf = _LEAF(type(v))
+            items.append(leaf(v) if leaf else _json(v, inner))
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     leaf = _LEAF(type(value))
     if leaf is not None:
@@ -179,9 +185,9 @@ def _rounded(coeffs) -> list:
 
 def cmd_check(args, cfg: ExperimentConfig) -> int:
     gate = tl.check_time_limit if cfg.walk.mode == "time" else pl.check_spacetime_limit
-    report = gate(cfg.walk)
-    _emit(args, report.to_dict())
-    return 0 if report.passed else 1
+    report = gate(cfg.walk).to_dict()
+    _emit(args, report)
+    return 0 if report["passed"] else 1
 
 
 def cmd_hamiltonian(args, cfg: ExperimentConfig) -> int:

@@ -36,12 +36,19 @@ booleans.  eps_list and momenta must be JSON arrays, and each momentum an array
 
 Exponents are rationals written as "p/q" strings so the exact matching in the
 term enumerator never sees a float; the two coins' "b" (absent: 1) must be equal.
+Each exponent text is parsed once: a coin_y b written as coin_x's (the same type and
+value) is coin_x's Fraction, and any other is parsed and compared.
+
+``load`` reads the file through its descriptor (``os.open``, then ``os.read`` to the
+end), with no file object, and hands the bytes to ``json.loads``; a path that cannot be
+read, a directory included, is a ConfigError that names it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -92,14 +99,14 @@ def _real(key: str):
 # Most eps_list entries: each is a full walk power over the k-grid in time-mode converge,
 # which the k-point work budget does not count.
 MAX_EPS_LIST = 16
+# bytes asked of each read of a config file: one read holds any config of this schema
+# that lists fewer than about 1,500 momenta, and the next read finds the end
+_READ_SIZE = 1 << 16
 _COIN_KEYS = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
-# per coin: the parser of each angle, in CoinJet field order, and the name of its b
-_COINS = {c: ([(k, _real(f"walk.{c}.{k}")) for k in _COIN_KEYS], f"walk.{c}.b")
-          for c in ("coin_x", "coin_y")}
+# per coin: the parser of each angle, in CoinJet field order
+_COINS = {c: [(k, _real(f"walk.{c}.{k}")) for k in _COIN_KEYS] for c in ("coin_x", "coin_y")}
+_TAU = _integer("walk.tau")
 _INITIAL_TYPES = ("plane_wave", "delta", "random")
-# the parser of each optional key; an absent key keeps the dataclass field default
-_WALK = {"tau": ("tau", _integer("walk.tau")),
-         "a": ("a_exp", lambda text: parse_rational(text, "walk.a"))}
 
 
 def _object(value, name: str) -> dict:
@@ -116,27 +123,32 @@ def _array(value, name: str, length: int | None = None) -> list:
     return value
 
 
-def _coin_from_dict(section, name: str) -> tuple[CoinJet, Fraction]:
-    """The coin jet of walk.<name> and its driving exponent b (1 when absent)."""
+def _coin_from_dict(section, name: str) -> tuple[CoinJet, object]:
+    """The coin jet of walk.<name> and the value of its b as written (1 when absent)."""
     section = _object(section, "coin section")
-    parsers, b_key = _COINS[name]
     # a float is what its parser would return; anything else goes through the parser
-    angles = [v if type(v := section[k]) is float else parse(v) for k, parse in parsers]
-    b = parse_rational(section.get("b", 1), b_key)
-    return CoinJet(*angles), b
+    angles = [v if type(v := section[k]) is float else parse(v) for k, parse in _COINS[name]]
+    return CoinJet(*angles), section.get("b", 1)
 
 
 def _walk_from_dict(section) -> WalkConfig:
     section = _object(section, "walk")
     mode = section["mode"]
-    coin_x, b_x = _coin_from_dict(section["coin_x"], "coin_x")
-    coin_y, b_y = _coin_from_dict(section["coin_y"], "coin_y")
-    if b_y != b_x:  # the schema writes b per coin; the walk has one
-        raise ConfigError(f"walk.coin_y.b must equal walk.coin_x.b (one b for both coins), "
-                          f"got {b_y} and {b_x}")
-    return WalkConfig(coin_x=coin_x, coin_y=coin_y, b_exp=b_x, mode=mode,
-                      **{name: parse(section[key]) for key, (name, parse) in _WALK.items()
-                         if key in section})
+    coin_x, written_x = _coin_from_dict(section["coin_x"], "coin_x")
+    b = parse_rational(written_x, "walk.coin_x.b")
+    coin_y, written_y = _coin_from_dict(section["coin_y"], "coin_y")
+    # the schema writes b per coin and the walk has one: the same value as written is the
+    # same b, and any other is parsed and compared
+    if type(written_y) is not type(written_x) or written_y != written_x:
+        b_y = parse_rational(written_y, "walk.coin_y.b")
+        if b_y != b:
+            raise ConfigError(f"walk.coin_y.b must equal walk.coin_x.b (one b for both coins), "
+                              f"got {b_y} and {b}")
+    # an absent tau or a keeps the dataclass default
+    return WalkConfig(coin_x=coin_x, coin_y=coin_y, mode=mode, b_exp=b,
+                      tau=_TAU(section["tau"]) if "tau" in section else WalkConfig.tau,
+                      a_exp=(parse_rational(section["a"], "walk.a") if "a" in section
+                             else WalkConfig.a_exp))
 
 
 def _initial_from_dict(section) -> dict:
@@ -232,11 +244,20 @@ class ExperimentConfig:
 
     @staticmethod
     def load(path, seed: int | None = None) -> "ExperimentConfig":
+        """The config in the file at ``path`` (a str, bytes or path-like); ``seed`` as in
+        :meth:`from_dict`."""
         try:
-            # unbuffered: one read of the whole file, with no buffer of its own to allocate;
-            # json detects UTF-8 (with or without a BOM), -16 and -32
-            with open(path, "rb", buffering=0) as fh:
-                doc = json.loads(fh.readall())
+            # read to the end (a pipe's reads can come back short) through the descriptor,
+            # with no file object; json detects UTF-8 (with or without a BOM), -16 and -32
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                data = b"".join(iter(lambda: os.read(fd, _READ_SIZE), b""))
+            except IsADirectoryError as exc:  # Linux opens a directory, and its read names no path
+                exc.filename = os.fspath(path)
+                raise
+            finally:
+                os.close(fd)
+            doc = json.loads(data)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit

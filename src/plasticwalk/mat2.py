@@ -167,10 +167,11 @@ def _squares(*parts):
 
 def _gram(a, b, c, d):
     """(p, r, q): the entries [[p, q], [q*, r]] of M^dag M for M = [[a, b], [c, d]], the
-    four planes of one shape."""
-    q = a.conjugate()
-    q *= b
-    q += c.conjugate() * d
+    four planes of one shape.  Its complex products are ufunc calls, the loop numpy runs
+    at any size: a matrix alone (0-d planes, whose conjugates are numpy scalars) would
+    otherwise take numpy's scalar ``*``, which can round them differently."""
+    q = np.multiply(a.conjugate(), b)
+    q += np.multiply(c.conjugate(), d)
     return _squares(a.real, a.imag, c.real, c.imag), _squares(b.real, b.imag, d.real, d.imag), q
 
 

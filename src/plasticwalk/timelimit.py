@@ -11,6 +11,7 @@ blocks; in real space it is a four-term spin-dependent shift stencil.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,15 +86,18 @@ def _theta_branch(cfg: WalkConfig, nus: tuple[int, ...]) -> Condition:
     The residual is twice the larger of the Ry(theta0) entries the branch zeroes, as
     ``rot`` builds them: |sin(theta0x / 2)| and |cos(theta0y / 2)| for nu = 0, swapped
     for nu = 1: the distance in radians near a branch, and what the coins see at any angle.
+    Computed with ``math`` on floats, whose sin and cos give numpy's bits on the host
+    (``tests/test_timelimit.py`` holds them to it).
     """
     half_x, half_y = cfg.coin_x.theta0 / 2.0, cfg.coin_y.theta0 / 2.0
-    zeroed = {0: max(abs(np.sin(half_x)), abs(np.cos(half_y))),
-              1: max(abs(np.cos(half_x)), abs(np.sin(half_y)))}
-    residual, nu = min((2.0 * float(zeroed[nu]), nu) for nu in nus)
+    zeroed = (max(abs(math.sin(half_x)), abs(math.cos(half_y))),
+              max(abs(math.cos(half_x)), abs(math.sin(half_y))))
+    nu = min(nus, key=zeroed.__getitem__)  # the first of equal residuals, as nus lists them
+    residual = 2.0 * zeroed[nu]
     if not residual <= ANGLE_TOL:
         return Condition("theta_branch", False, residual)
-    m = round((cfg.coin_x.theta0 - nu * np.pi) / (2.0 * np.pi))
-    t = round((cfg.coin_y.theta0 - (1 - nu) * np.pi) / (2.0 * np.pi))
+    m = round((cfg.coin_x.theta0 - nu * math.pi) / (2.0 * math.pi))
+    t = round((cfg.coin_y.theta0 - (1 - nu) * math.pi) / (2.0 * math.pi))
     return Condition("theta_branch", True, residual, {"nu": nu, "m": m, "t": t})
 
 
@@ -102,16 +106,17 @@ def _delta_quantization(cfg: WalkConfig) -> Condition:
 
     That l has 2 pi l / tau = delta + pi/2 (mod pi).
     Witnesses: l, and the odd multiple p of pi/2 that 2 pi l / tau - delta is.
+    Computed with ``math`` on floats, as :func:`_theta_branch` is.
     """
-    r = (cfg.delta_sum + np.pi / 2.0) % np.pi  # reduced mod pi before tau scales it
-    x = int(round(cfg.tau * r / np.pi)) % cfg.tau  # 2 l = x (mod tau)
+    r = (cfg.delta_sum + math.pi / 2.0) % math.pi  # reduced mod pi before tau scales it
+    x = int(round(cfg.tau * r / math.pi)) % cfg.tau  # 2 l = x (mod tau)
     l = (x + cfg.tau) // 2 if x % 2 and cfg.tau % 2 else x // 2
-    phase = 2.0 * np.pi * l / cfg.tau - cfg.delta_sum
-    c_val = abs(np.cos(phase))
+    phase = 2.0 * math.pi * l / cfg.tau - cfg.delta_sum
+    c_val = abs(math.cos(phase))
     witness = {"l": l}
     if c_val <= ANGLE_TOL:
-        witness["p"] = round(phase / (np.pi / 2.0))
-    return Condition("delta_quantization", c_val <= ANGLE_TOL, float(c_val), witness)
+        witness["p"] = round(phase / (math.pi / 2.0))
+    return Condition("delta_quantization", c_val <= ANGLE_TOL, c_val, witness)
 
 
 def check_time_limit(cfg: WalkConfig) -> ConstraintReport:

@@ -199,10 +199,12 @@ def check_unitary_stack(m, what: str, tol: float) -> NDArray[np.complex128]:
 
 def gram_sums(a, b, c, d):
     """(p, r, q) of M^dag M = [[p, q], [q*, r]] for M = [[a, b], [c, d]], each entry one
-    expression over the four planes."""
+    expression over the four planes.  The complex products are ufunc calls, the loop numpy
+    runs on arrays of any size: ``*`` on numpy scalars takes numpy's scalar math, which can
+    round a complex product differently."""
     p = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
     r = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
-    q = a.conjugate() * b + c.conjugate() * d
+    q = np.multiply(a.conjugate(), b) + np.multiply(c.conjugate(), d)
     return p, r, q
 
 

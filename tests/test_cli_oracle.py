@@ -6,6 +6,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import threading
+import time
 from argparse import Namespace
 from dataclasses import replace
 
@@ -109,6 +112,12 @@ def _same(got, want) -> None:
 @example(TIME, [(("run", "initial", "ky"), float("inf"))], None)
 @example(TIME, [(("run", "initial"), {"type": "delta", "kx": float("nan")})], None)
 @example(TIME, [(("lattice",), DELETE), (("run",), DELETE)], 5)
+# the two coins' b: the same text is parsed once, any other pair parsed and compared
+@example(PLASTIC, [(("walk", "coin_x", "b"), "1/2"), (("walk", "coin_y", "b"), "2/4")], None)
+@example(TIME, [(("walk", "coin_x", "b"), 1), (("walk", "coin_y", "b"), "1/1")], None)
+@example(TIME, [(("walk", "coin_x", "b"), 1), (("walk", "coin_y", "b"), True)], None)
+@example(TIME, [(("walk", "coin_x", "b"), DELETE)], None)
+@example(PLASTIC, [(("walk", "coin_x", "b"), " 1/2 "), (("walk", "coin_y", "b"), "1/2")], None)
 def test_from_dict_is_the_reference(base, edits, seed):
     """from_dict gives the reference's config, or raises the same error with the same
     text, on documents edited at every key with values that reach each refusal."""
@@ -136,6 +145,39 @@ def test_load_is_the_reference(tmp_path_factory, base, edits, how):
             data = data[:len(data) // 2]
         path.write_bytes(data)
     _same(_outcome(ExperimentConfig.load, path, 3), _outcome(config_load, path, 3))
+
+
+def test_load_reads_to_the_end(tmp_path):
+    """load reads a file of several reads (5,000 momenta, about 190 KB), and a pipe whose
+    reads come back short, whole, as the reference reads the same text."""
+    doc = copy.deepcopy(TIME)
+    doc["run"]["momenta"] = np.random.default_rng(5).uniform(-3, 3, (5000, 2)).tolist()
+    data = json.dumps(doc).encode()
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert len(data) > 2 * 2 ** 16
+    want = config_load(path, 3)
+    assert ExperimentConfig.load(path, 3) == want
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=_write_slowly, args=(write_end, data))
+    writer.start()
+    try:
+        got = ExperimentConfig.load(f"/dev/fd/{read_end}", 3)
+    finally:
+        writer.join(timeout=60)
+        os.close(read_end)
+    assert not writer.is_alive()
+    assert got == want
+
+
+def _write_slowly(fd: int, data: bytes) -> None:
+    """Write ``data`` to the pipe ``fd`` in pieces of 4,000 bytes, then close it."""
+    try:
+        for start in range(0, len(data), 4000):
+            os.write(fd, data[start:start + 4000])
+            time.sleep(0.0005)
+    finally:
+        os.close(fd)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -221,6 +221,25 @@ def test_evolve_memory_stays_near_one_field_copy(rng):
         assert peak <= 3 * f.data.nbytes, (nx, ny)
 
 
+@pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (64, 64), (7, lattice._SITE_BLOCK + 3),
+                                    (2, 2 ** 15)])
+def test_random_field_is_one_draw_of_the_whole_field(nx, ny):
+    """SpinorField.random, drawn a block of rows at a time, gives the bits of one normal
+    draw of every real part and one of every imaginary part, over their norm, and holds
+    nothing but the field and one block of draws."""
+    f = SpinorField.random(nx, ny, np.random.default_rng(nx * ny))
+    rng = np.random.default_rng(nx * ny)
+    d = rng.normal(size=(2, nx, ny)) + 1j * rng.normal(size=(2, nx, ny))
+    assert f.data.tobytes() == (d / np.linalg.norm(d)).tobytes()
+    tracemalloc.start()
+    try:
+        SpinorField.random(nx, ny, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= f.data.nbytes + 8 * max(ny, lattice._SITE_BLOCK) + 4096, peak
+
+
 def test_dft_uniform_and_delta():
     f = SpinorField(np.stack([np.ones((4, 4), dtype=complex),
                               np.zeros((4, 4), dtype=complex)]))

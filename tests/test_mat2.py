@@ -344,6 +344,20 @@ def test_square_su2_of_one_element_is_that_element_of_a_longer_plane(seed):
                 [p[i:i + 1].tobytes() for p in whole], i
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_op_norm_of_one_matrix_is_that_matrix_of_a_stack(seed):
+    """op_norm of each matrix alone, as a (2, 2) array and as a (1, 2, 2) stack, equals
+    that matrix's entry of op_norm of a 256-matrix stack bit for bit: ``_gram`` takes its
+    complex products by ufunc calls, where numpy's scalar path for one element could round
+    them differently (a one-group plastic table, a one-point converge tile)."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(256, 2, 2)) + 1j * rng.normal(size=(256, 2, 2))
+    whole = op_norm(stack)
+    for i, m in enumerate(stack):
+        for alone in (m, stack[i:i + 1]):
+            assert np.ravel(op_norm(alone)).tobytes() == whole[i:i + 1].tobytes(), i
+
+
 HERM_SHAPES = [(), (1,), (5,), (3, 4)]
 HERM_KINDS = ["hermitian", "below", "above", "non_hermitian", "special"]
 

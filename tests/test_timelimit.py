@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,37 @@ def test_theta_residual_reads_radians_near_the_branch(m, t, nu, offset):
     assert abs(cond.residual - abs(offset)) <= 1e-9
     if cond.satisfied:
         assert cond.witness == {"nu": nu, "m": m, "t": t}
+
+
+def _ulps_from(x: float, ulps: int) -> float:
+    """The float ``ulps`` steps above ``x`` (below it for negative ``ulps``)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _near_multiple(unit: float):
+    """Floats a few ulps either side of the multiples k * unit, |k| <= 80."""
+    return st.builds(lambda k, ulps: _ulps_from(k * unit, ulps),
+                     st.integers(-80, 80), st.integers(-4, 4))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(theta0=st.one_of(st.floats(-1e3, 1e3), st.floats(-10.0, 10.0), _near_multiple(math.pi),
+                        st.sampled_from([1e300, -1e300, 2.0 ** 60 * math.pi, 4.0e16])),
+       delta=st.one_of(st.floats(-1e3, 1e3), _near_multiple(math.pi / 2.0),
+                       st.sampled_from([1e300, -1e300])),
+       tau=st.sampled_from([1, 2, 3, 4, 6, 8, 2 ** 20 + 1, 2 ** 53]),
+       l=st.integers(0, 2 ** 53))
+def test_math_sin_and_cos_are_numpys_on_the_gate_arguments(theta0, delta, tau, l):
+    """The time gate's sin and cos are ``math``'s, where they were numpy's: on each
+    argument they take, theta0 / 2 and the delta phase 2 pi l / tau - delta, both give
+    the same bits.  numpy's own loops depend on the CPU, so a host where they differ
+    fails here."""
+    phase = 2.0 * math.pi * (l % tau) / tau - delta
+    for x in (theta0 / 2.0, phase):
+        for ours, theirs in ((math.sin, np.sin), (math.cos, np.cos)):
+            assert np.float64(ours(x)).tobytes() == np.float64(theirs(x)).tobytes(), (ours, x)
 
 
 def test_gate_rejects_bad_delta():
