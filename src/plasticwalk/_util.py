@@ -35,8 +35,13 @@ def k_tiles(kx, ky, block: int = K_BLOCK):
 
     Factors kx (nx, 1) and ky (1, ny) are sliced along their own axes into tiles of at
     most ``block`` k-points: whole kx rows, or one row's ky columns when a row alone is
-    longer than ``block``.  Any other shape (scalars, 1-D momentum lists) is one tile."""
+    longer than ``block``.  Momentum lists kx and ky, 1-D and of equal length, are
+    sliced together into tiles of ``block`` momenta.  Any other shape (scalars) is one
+    tile."""
     kx, ky = np.asarray(kx, dtype=np.float64), np.asarray(ky, dtype=np.float64)
+    if kx.ndim == ky.ndim == 1 and kx.shape == ky.shape:
+        return ((s, kx[s], ky[s]) for s in (slice(i, i + block)
+                                            for i in range(0, len(kx), block)))
     if not (kx.ndim == ky.ndim == 2 and kx.shape[1] == ky.shape[0] == 1):
         return [(..., kx, ky)]
     nx, ny = kx.shape[0], ky.shape[1]

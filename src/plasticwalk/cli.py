@@ -48,17 +48,19 @@ SCHEMA_VERSION = 1
 
 COMMANDS = ("check", "hamiltonian", "pde", "simulate", "converge", "dispersion", "terms")
 
-# Most k-points (grid**2 of dispersion and time-mode converge) or lattice sites (nx *
-# ny of simulate) one command may ask for; checked before anything is allocated.
-# simulate's step count is not counted: its evolution is logarithmic in it, and the
-# unitarity check of W(k)^steps stops it at about 2e12 steps (41 bits).  The k-grid
-# commands hold one tile of k-points (_util.CONVERGE_BLOCK for converge, K_BLOCK for
-# dispersion, with its 16-byte-a-point band array), so time sets the budget.  At the
-# limit, on a 2-core x86 host, in main, to a file: time-mode converge with the default
-# eps_list takes 0.74 to 0.77 s and 39 MiB peak RSS (grid 1448), dispersion 0.47 to
-# 0.57 s (CSV) or 0.94 to 1.07 s (JSON) and 67 MiB, and simulate of 1448^2 sites with
-# its field CSV 1.3 to 1.7 s and 0.19 GiB at 1 to 10**12 steps.  The benchmark asks
-# for at most 512^2.
+# Most k-points (grid**2 of dispersion and time-mode converge, the momenta of plastic
+# converge) or lattice sites (nx * ny of simulate) one command may ask for; checked
+# before anything is allocated.  simulate's step count is not counted: its evolution is
+# logarithmic in it, and the unitarity check of W(k)^steps stops it at about 2e12 steps
+# (41 bits).  The k-point commands hold one tile of k-points (_util.CONVERGE_BLOCK for
+# converge, K_BLOCK for dispersion, with its 16-byte-a-point band array), so time sets
+# the budget.  At the limit, on a 2-core x86 host, in main, to a file: time-mode
+# converge with the default eps_list takes 0.74 to 0.77 s and 39 MiB peak RSS (grid
+# 1448), dispersion 0.47 to 0.57 s (CSV) or 0.94 to 1.07 s (JSON) and 67 MiB, simulate
+# of 1448^2 sites with its field CSV 1.3 to 1.7 s and 0.19 GiB at 1 to 10**12 steps,
+# and plastic converge of 2**21 momenta 6.8 to 6.9 s and 0.58 GiB, of which loading
+# its 85 MB config takes 4.4 s and all of the memory.  The benchmark asks for at most
+# 512^2.
 WORK_BUDGET = 2 ** 21
 
 
@@ -255,6 +257,7 @@ def cmd_converge(args, cfg: ExperimentConfig) -> int:
     if cfg.walk.mode == "time":
         run, (kx, ky) = conv.time_convergence, _grid(cfg.grid)
     else:
+        _within_budget(len(cfg.momenta), "run.momenta has len(run.momenta) momenta")
         run, (kx, ky) = conv.spacetime_convergence, np.array(cfg.momenta, dtype=np.float64).T
     result = run(cfg.walk, cfg.t_final, kx, ky, cfg.eps_list)
     if args.format != "csv":

@@ -41,11 +41,13 @@ value) is coin_x's Fraction, and any other is parsed and compared.
 
 ``load`` reads the file through its descriptor (``os.open``, then ``os.read`` to the
 end), with no file object, and hands the bytes to ``json.loads``; a path that cannot be
-read, a directory included, is a ConfigError that names it.
+read, a directory included, is a ConfigError that names it, and so is one longer than
+``MAX_CONFIG_BYTES``, refused as the read passes it: an endless input ends too.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -102,6 +104,9 @@ MAX_EPS_LIST = 16
 # bytes asked of each read of a config file: one read holds any config of this schema
 # that lists fewer than about 1,500 momenta, and the next read finds the end
 _READ_SIZE = 1 << 16
+# Longest input load reads before it refuses it: above the largest config the work
+# budget admits, 2**21 momenta, about 94 MB written compactly at full precision
+MAX_CONFIG_BYTES = 2 ** 27
 _COIN_KEYS = ("delta", "zeta0", "zeta1", "theta0", "theta1", "phi0", "phi1")
 # per coin: the parser of each angle, in CoinJet field order
 _COINS = {c: [(k, _real(f"walk.{c}.{k}")) for k in _COIN_KEYS] for c in ("coin_x", "coin_y")}
@@ -251,13 +256,18 @@ class ExperimentConfig:
             # with no file object; json detects UTF-8 (with or without a BOM), -16 and -32
             fd = os.open(path, os.O_RDONLY)
             try:
-                data = b"".join(iter(lambda: os.read(fd, _READ_SIZE), b""))
+                chunks, size = [], 0
+                while chunk := os.read(fd, _READ_SIZE):
+                    size += len(chunk)
+                    if size > MAX_CONFIG_BYTES:
+                        raise OSError(errno.EFBIG, f"longer than {MAX_CONFIG_BYTES} bytes", path)
+                    chunks.append(chunk)
             except IsADirectoryError as exc:  # Linux opens a directory, and its read names no path
                 exc.filename = os.fspath(path)
                 raise
             finally:
                 os.close(fd)
-            doc = json.loads(data)
+            doc = json.loads(b"".join(chunks))
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit

@@ -77,13 +77,13 @@ def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
     whole number of stroboscopic blocks; the induced O(eps) time mismatch is absorbed
     into the fitted order.  W^(tau n) must be unitary to POWER_TOL, and H, named
     ``what`` in errors, Hermitian.  The coin pair is built once an eps, H once a tile of
-    ``k_tiles`` at ``CONVERGE_BLOCK`` k-points (a grid of 128^2 is one tile); each error
-    is the max over the tiles, and every kernel is elementwise and gives the same bits at
-    any array size, a one-point tile too (``mat2._mul_su2``, ``mat2._square_su2``), so
-    the samples do not depend on the tile size.  W, W^(tau n) and the
-    target are in the two-plane form of ``mat2`` and checked there; the target is
-    expanded to four entry planes once a tile and horizon, and ``_norm_diff`` forms the
-    entries of W^(tau n) minus it in place for the norm.
+    ``k_tiles`` at ``CONVERGE_BLOCK`` k-points (a grid of 128^2 is one tile, as is a
+    list of 16,384 momenta); each error is the max over the tiles, and every kernel is
+    elementwise and gives the same bits at any array size, a one-point tile too
+    (``mat2._mul_su2``, ``mat2._square_su2``), so the samples do not depend on the tile
+    size.  W, W^(tau n) and the target are in the two-plane form of ``mat2`` and checked
+    there; the target is expanded to four entry planes once a tile and horizon, and
+    ``_norm_diff`` forms the entries of W^(tau n) minus it in place for the norm.
     """
     tau = cfg.tau
     eps_list = [float(eps) for eps in sorted(eps_list, reverse=True)]

@@ -8,11 +8,11 @@ The squared walk expands as
 where each Gamma is a rotation word with sigma_z / sigma_y insertions and
 each nu carries (i k)^l (-i theta1 / 2)^n / (l! n!) factors.  Exponent
 matching is exact rational arithmetic.  One engine, :func:`_group_table`,
-builds one table of the coefficient groups of the Gamma words: orders in
-(0, 1) must cancel group by group (divergence gate); order-1 groups assemble
-into the PDE generator.  Its
-overall prefactor is the closed form e^{2 i delta} / 2 = -1/2, because the
-delta gate puts delta at pi/2 mod pi.
+builds one table of the coefficient groups of the Gamma words, integer keys
+and a (G, 2, 2) stack, one row a group: orders in (0, 1) must cancel group by
+group (divergence gate, the norm of the stack); order-1 groups assemble into
+the PDE generator.  Its overall prefactor is the closed form
+e^{2 i delta} / 2 = -1/2, because the delta gate puts delta at pi/2 mod pi.
 
 A Gamma word depends on the parities of its indices alone.  A total L splits
 between the two words as j + (L - j) with weight C(L, j) / L!, and for L > 0
@@ -25,7 +25,8 @@ The engine sums per group, not per index tuple: the groups of every
 their integer keys, and the 81 class words are one complex product of the 256
 word products, built once a call: ``pde`` hands the same class words to its gate
 and its assembly.  ``tests/oracles.py`` keeps the
-tuple-by-tuple loop and the pair-by-pair sums.
+tuple-by-tuple loop, the pair-by-pair sums and the table's rows as
+``DivergenceGroup`` records.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "TermIndex",
     "PdeTerm",
     "PdeAssembly",
-    "DivergenceGroup",
     "gamma_hat",
     "enumerate_terms",
     "divergence_residual",
@@ -216,17 +216,6 @@ def enumerate_terms(a: Fraction, b: Fraction) -> list[TermIndex]:
     return [idx for sl, sn in _pairs(a, b, order_one=True)[0] for idx in _index_tuples(sl, sn)]
 
 
-class DivergenceGroup(NamedTuple):
-    """One coefficient group of the squared-walk expansion at order eps^exponent."""
-
-    exponent: Fraction
-    kx_power: int
-    ky_power: int
-    thx_power: int
-    thy_power: int
-    matrix: NDArray[np.complex128]
-
-
 # The (left, right) parities a total splits into, by its class s: 0 (zero) as (0, 0), 1 (odd)
 # as (0, 1) or (1, 0), 2 (even > 0) as (0, 0) or (1, 1).  Row 27 s(Lx) + 9 s(Ly) + 3 s(Nx)
 # + s(Ny) of _CLASSES marks the word products 16 * left + right that those classes allow.
@@ -243,11 +232,11 @@ def _class_words(cfg: WalkConfig) -> NDArray[np.complex128]:
 
 def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool,
                  class_words: NDArray[np.complex128] | None = None
-                 ) -> tuple[list[list[int]], int, NDArray[np.complex128]]:
+                 ) -> tuple[list[list[int]], NDArray[np.complex128]]:
     """All coefficient groups of order 1 (``order_one``) or in (0, 1) as one table: the
-    integer key [d * f, kx, ky, theta1x, theta1y powers] of each group, ascending, the
-    common denominator d of the exponents, and the (G, 2, 2) stack of group matrices.
-    The level d * f = A * sum_l + B * sum_n is integer arithmetic on the A and B of
+    integer key [d * f, kx, ky, theta1x, theta1y powers] of each group, ascending, and
+    the (G, 2, 2) stack of group matrices, a row per key.  The level d * f = A * sum_l +
+    B * sum_n is integer arithmetic on the A, B and common denominator d of
     :func:`_integer_orders`.
 
     Terms are grouped by these keys because momenta and the theta1 drivers are free
@@ -264,11 +253,11 @@ def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool,
     TUPLE_BUDGET tuples, before summing any.
     """
     pairs = _pairs(a, b, order_one)[0]
-    A, B, d = _integer_orders(a, b)
     if not pairs:
-        return [], d, np.empty((0, 2, 2), dtype=np.complex128)
+        return [], np.empty((0, 2, 2), dtype=np.complex128)
     if class_words is None:
         class_words = _class_words(cfg)
+    A, B, _ = _integer_orders(a, b)
     top = max(map(max, pairs))
     weight = [1.0] + [2 ** (n - 1) / factorial(n) for n in range(1, top + 1)]
     kind = [0] + [2 - n % 2 for n in range(1, top + 1)]  # zero, odd, even > 0
@@ -285,35 +274,24 @@ def _group_table(cfg: WalkConfig, a: Fraction, b: Fraction, order_one: bool,
     rows.sort()  # by the integer order d * f, then the powers: no two keys are equal
     keys, coeffs, words = zip(*rows)
     n = len(rows)
-    return list(keys), d, np.multiply(np.fromiter(coeffs, np.complex128, n)[:, None, None],
-                                      class_words[np.fromiter(words, np.intp, n)])
-
-
-def _groups(keys: list[list[int]], d: int,
-            matrices: NDArray[np.complex128]) -> list[DivergenceGroup]:
-    """The rows of a group table as DivergenceGroups, one Fraction per order: the columns
-    of the keys zipped with the matrices, each row a tuple for ``_make``."""
-    if not keys:
-        return []
-    levels, *powers = zip(*keys)
-    orders = {level: Fraction(level, d) for level in set(levels)}
-    return list(map(DivergenceGroup._make, zip(map(orders.__getitem__, levels), *powers, matrices)))
+    return list(keys), np.multiply(np.fromiter(coeffs, np.complex128, n)[:, None, None],
+                                   class_words[np.fromiter(words, np.intp, n)])
 
 
 def divergence_residual(cfg: WalkConfig, a: Fraction, b: Fraction, *,
                         class_words: NDArray[np.complex128] | None = None
-                        ) -> tuple[float, list[DivergenceGroup]]:
-    """Max norm over the coefficient groups of orders eps^f with 0 < f < 1, and the groups.
+                        ) -> tuple[float, NDArray[np.complex128]]:
+    """Max norm over the coefficient groups of orders eps^f with 0 < f < 1, and the
+    (G, 2, 2) stack of those groups, in the key order of :func:`_group_table`.
 
-    The limit exists only if every group cancels on its own; zero means
-    no divergence.  The norm is taken of the group table's stack at once.
+    The limit exists only if every group cancels on its own; zero means no divergence,
+    and an empty stack (G = 0) reads 0.0.  The norm is taken of the stack at once.
     ``class_words`` are the walk's :func:`_class_words` when the caller has built them.
     """
     if cfg.mode != "plastic":
         raise ValueError("divergence analysis applies to plastic-mode configs")
-    keys, d, matrices = _group_table(cfg, a, b, False, class_words)
-    groups = _groups(keys, d, matrices)
-    return (float(np.max(op_norm(matrices))) if groups else 0.0), groups
+    matrices = _group_table(cfg, a, b, False, class_words)[1]
+    return (float(np.max(op_norm(matrices))) if len(matrices) else 0.0), matrices
 
 
 def check_spacetime_limit(cfg: WalkConfig, *,
@@ -412,7 +390,7 @@ def spacetime_hamiltonian(cfg: WalkConfig) -> PdeAssembly:
     class_words = _class_words(cfg)
     check_spacetime_limit(cfg, class_words=class_words).require("spacetime gate")
     # the gate leaves order-1 groups; their i^sum_l belongs to the (i k)^d monomials
-    keys, _, matrices = _group_table(cfg, cfg.a_exp, cfg.b_exp, True, class_words)
+    keys, matrices = _group_table(cfg, cfg.a_exp, cfg.b_exp, True, class_words)
     terms = tuple(PdeTerm(kx, ky, thx, thy, (-1j) ** (kx + ky) * m)
                   for (_, kx, ky, thx, thy), m, norm in zip(keys, matrices, op_norm(matrices))
                   if norm > 1e-13)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -13,6 +16,17 @@ from plasticwalk import CoinJet, WalkConfig
 HALF = Fraction(1, 2)
 # the exponents in (0, 1] with denominators up to 8
 FAREY_8 = sorted({Fraction(p, q) for q in range(1, 9) for p in range(1, q + 1)})
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_tracer() -> ModuleType:
+    """The benchmark's ``perfbench/tracer.py``, loaded by its path and left unchanged."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def nudged(x: float, n: int) -> float:

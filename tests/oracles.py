@@ -100,9 +100,9 @@ from plasticwalk.mat2 import (
     eigvals2, exp_herm, op_norm, rot,
 )
 from plasticwalk.plastic import (
-    _SPLITS, CALIBRATION, TUPLE_BUDGET, DivergenceGroup, PdeAssembly, TermIndex, _angles,
-    _group_table, _groups, _index_tuples, _pairs, _words, enumerate_terms,
-    gamma_hat, half_half_pde, spacetime_hamiltonian,
+    _SPLITS, CALIBRATION, TUPLE_BUDGET, PdeAssembly, TermIndex, _angles, _group_table,
+    _index_tuples, _integer_orders, _pairs, _words, enumerate_terms, gamma_hat,
+    half_half_pde, spacetime_hamiltonian,
 )
 from plasticwalk.timelimit import (
     ANGLE_TOL, ConstraintReport, HamiltonianTerm, _require_branch, check_time_limit,
@@ -801,6 +801,17 @@ def word_chain(cfg: WalkConfig, lx: int, ly: int, nx: int, ny: int) -> NDArray[n
     return word @ ryy @ rpy
 
 
+class DivergenceGroup(NamedTuple):
+    """One coefficient group of the squared-walk expansion at order eps^exponent."""
+
+    exponent: Fraction
+    kx_power: int
+    ky_power: int
+    thx_power: int
+    thy_power: int
+    matrix: NDArray[np.complex128]
+
+
 def grouped_sums_loop(cfg: WalkConfig, a: Fraction, b: Fraction,
                       order_one: bool) -> list[DivergenceGroup]:
     """The coefficient groups of order 1 (order_one) or in (0, 1), one tuple at a time:
@@ -862,10 +873,23 @@ def grouped_sums_per_pair(cfg: WalkConfig, a: Fraction, b: Fraction,
     return [DivergenceGroup(order, *key[1:], m) for key, order, m in groups]
 
 
+def _groups(keys: list[list[int]], d: int,
+            matrices: NDArray[np.complex128]) -> list[DivergenceGroup]:
+    """The rows of a group table as DivergenceGroups, one Fraction per order: the columns
+    of the keys zipped with the matrices, each row a tuple for ``_make``."""
+    if not keys:
+        return []
+    levels, *powers = zip(*keys)
+    orders = {level: Fraction(level, d) for level in set(levels)}
+    return list(map(DivergenceGroup._make, zip(map(orders.__getitem__, levels), *powers, matrices)))
+
+
 def grouped_sums(cfg: WalkConfig, a: Fraction, b: Fraction,
                  order_one: bool) -> list[DivergenceGroup]:
-    """The coefficient groups of ``plastic._group_table``, as DivergenceGroups."""
-    return _groups(*_group_table(cfg, a, b, order_one))
+    """The coefficient groups of ``plastic._group_table``, as DivergenceGroups whose
+    orders are the table's integer levels over the exponents' common denominator."""
+    keys, matrices = _group_table(cfg, a, b, order_one)
+    return _groups(keys, _integer_orders(a, b)[2], matrices)
 
 
 def divergence_order(cfg: WalkConfig) -> Fraction | None:

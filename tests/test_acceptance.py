@@ -252,9 +252,8 @@ def test_criterion_09_divergence_constraints():
         jy = CoinJet(delta=-np.pi / 2, zeta0=zy, theta0=thy0, theta1=-0.5, phi0=phy)
         cfg = WalkConfig(coin_x=jx, coin_y=jy, tau=2, a_exp=HALF, b_exp=HALF, mode="plastic")
         a1, a2 = phx + zy, phy + zx
-        _, groups = divergence_residual(cfg, HALF, HALF)
         norm = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): float(op_norm(g.matrix))
-                for g in groups}
+                for g in grouped_sums(cfg, HALF, HALF, order_one=False)}
         conds = {
             (1, 0, 0, 0): (1.0, rot("y", thx0) @ rot("z", a1) @ rot("y", thy0)
                            + rot("y", -thx0) @ rot("z", a1) @ rot("y", -thy0)),

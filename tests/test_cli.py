@@ -674,6 +674,26 @@ def test_over_the_work_budget_exits_one_before_allocating(tmp_path, edit, comman
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_plastic_converge_counts_its_momenta_against_the_work_budget(
+        tmp_path, monkeypatch, capsys):
+    """Plastic converge counts its momenta as time-mode converge counts grid**2: with the
+    budget lowered to 1, two momenta exit 1 before the gate, with one stderr line, and at
+    a budget of 2 they converge."""
+    doc = plastic_doc(np.random.default_rng(10))
+    assert len(doc["run"]["momenta"]) == 2
+    path = write_config(tmp_path, doc)
+    monkeypatch.setattr(cli, "WORK_BUDGET", 1)
+    monkeypatch.setattr(convergence, "spacetime_convergence", None)  # never reached
+    assert main(["--config", path, "converge"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("converge: run.momenta has len(run.momenta) momenta: 2, "
+                                 "over the work budget of 1\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "WORK_BUDGET", 2)
+    assert main(["--config", path, "converge"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["samples"]) == len(doc["run"]["eps_list"])
+
+
 @pytest.mark.parametrize("a,b", [("1/1000000", "1/1000000"), ("1/2", "1/1000000"),
                                  ("1/1000000", "1/1")])
 @pytest.mark.parametrize("command", ["check", "pde", "terms", "converge"])

@@ -13,12 +13,13 @@ from argparse import Namespace
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plasticwalk import cli
+from plasticwalk import cli, config
 from plasticwalk._util import flat2
-from plasticwalk.config import ExperimentConfig, parse_rational
+from plasticwalk.config import ConfigError, ExperimentConfig, parse_rational
 
 from conftest import FAREY_8, draw_plastic_compliant, draw_plastic_generic, draw_time_compliant
 from oracles import (
@@ -168,6 +169,47 @@ def test_load_reads_to_the_end(tmp_path):
         os.close(read_end)
     assert not writer.is_alive()
     assert got == want
+
+
+def test_load_refuses_an_input_past_the_byte_bound(tmp_path, monkeypatch):
+    """With the bound lowered to 1 MiB, /dev/zero and a pipe that is never closed exit 2
+    at once, with one stderr line that names the path; a file of exactly the bound loads,
+    and one byte more is refused."""
+    monkeypatch.setattr(config, "MAX_CONFIG_BYTES", 2 ** 20)
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=_write_forever, args=(write_end,))
+    writer.start()
+    try:
+        for path in ("/dev/zero", f"/dev/fd/{read_end}"):
+            stderr = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stderr(stderr):
+                assert cli.main(["--config", path, "check"]) == 2
+            assert time.perf_counter() - start < 5.0
+            assert stderr.getvalue() == (f"config error: cannot read config: [Errno 27] longer "
+                                         f"than {2 ** 20} bytes: {path!r}\n")
+    finally:
+        os.close(read_end)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    text = json.dumps(TIME).encode()
+    path = tmp_path / "config.json"
+    path.write_bytes(text + b" " * (2 ** 20 - len(text)))
+    assert ExperimentConfig.load(path) == config_load(path)
+    path.write_bytes(text + b" " * (2 ** 20 + 1 - len(text)))
+    with pytest.raises(ConfigError, match="longer than 1048576 bytes"):
+        ExperimentConfig.load(path)
+
+
+def _write_forever(fd: int) -> None:
+    """Write zeros to the pipe ``fd`` until its read end is closed, then close it."""
+    try:
+        while True:
+            os.write(fd, bytes(2 ** 16))
+    except BrokenPipeError:
+        pass
+    finally:
+        os.close(fd)
 
 
 def _write_slowly(fd: int, data: bytes) -> None:

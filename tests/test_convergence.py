@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -342,10 +343,49 @@ def test_k_tiles_cover_the_grid_once_a_tile_at_a_time(nx, ny):
 
 
 def test_k_tiles_run_other_shapes_as_one_tile():
-    momenta = np.array([0.7, 0.2, -1.0])
-    for kx, ky in ((0.3, -0.2), (momenta, momenta[::-1]), (np.ones((3, 4)), np.ones((3, 4)))):
+    for kx, ky in ((0.3, -0.2), (np.ones((3, 4)), np.ones((3, 4)))):
         [(tile, kx_t, ky_t)] = k_tiles(kx, ky)
         assert tile is Ellipsis and np.array_equal(kx_t, kx) and np.array_equal(ky_t, ky)
+
+
+@pytest.mark.parametrize("n", [1, 3, K_BLOCK, K_BLOCK + 1, 3 * K_BLOCK - 1])
+def test_k_tiles_slice_momentum_lists(n):
+    """Equal-length 1-D momentum lists go in tiles of ``block`` momenta, in order, each
+    momentum once, the last tile the remainder."""
+    kx, ky = np.random.default_rng(n).uniform(-3, 3, (2, n))
+    tiles = list(k_tiles(kx, ky, K_BLOCK))
+    assert len(tiles) == -(-n // K_BLOCK)
+    assert all(kx_t.size == ky_t.size == K_BLOCK for _, kx_t, ky_t in tiles[:-1])
+    assert np.concatenate([kx[tile] for tile, _, _ in tiles]).tobytes() == kx.tobytes()
+    assert np.concatenate([kx_t for _, kx_t, _ in tiles]).tobytes() == kx.tobytes()
+    assert np.concatenate([ky_t for _, _, ky_t in tiles]).tobytes() == ky.tobytes()
+
+
+def test_converge_momenta_tiles_equal_the_split_list_bitwise(rng):
+    """Plastic converge over CONVERGE_BLOCK + 1 momenta, two tiles, samples the maximum
+    of the same list split at the tile edge and converged part by part, bit for bit."""
+    cfg = draw_plastic_compliant(rng)
+    kx, ky = rng.uniform(-3, 3, (2, CONVERGE_BLOCK + 1))
+    eps_list = [2.0 ** -k for k in range(6, 9)]
+    whole = spacetime_convergence(cfg, 0.5, kx, ky, eps_list).samples
+    parts = [spacetime_convergence(cfg, 0.5, kx[s], ky[s], eps_list).samples
+             for s in (slice(0, CONVERGE_BLOCK), slice(CONVERGE_BLOCK, None))]
+    assert whole == tuple((eps, max(e0, e1)) for (eps, e0), (_, e1) in zip(*parts))
+
+
+def test_converge_momenta_memory_stays_near_one_tile(rng):
+    """Plastic converge holds one tile of momenta at a time: over 4 * CONVERGE_BLOCK
+    momenta the traced peak stays under 8 MiB (about 5.5 MiB, as over one tile), where
+    one tile of all of them took 21 MiB."""
+    cfg = draw_plastic_compliant(rng)
+    kx, ky = rng.uniform(-3, 3, (2, 4 * CONVERGE_BLOCK))
+    tracemalloc.start()
+    try:
+        spacetime_convergence(cfg, 0.5, kx, ky, [2.0 ** -k for k in range(6, 10)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 @settings(max_examples=12, deadline=None)

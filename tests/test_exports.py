@@ -10,16 +10,16 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
-from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import plasticwalk
 
+from conftest import PERFBENCH, load_tracer
+
 MODULES = ["plasticwalk"] + sorted(f"plasticwalk.{m.name}"
                                    for m in pkgutil.iter_modules(plasticwalk.__path__))
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -40,10 +40,8 @@ def resolves(module: str, name: str) -> bool:
 
 def test_benchmark_tracer_names_resolve():
     """Every (module, attribute) of the tracer's SPECS, which it wraps by ``getattr``."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    pinned = [(f"plasticwalk.{module}", attribute) for module, attribute, *_ in tracer.SPECS]
+    specs = load_tracer().SPECS
+    pinned = [(f"plasticwalk.{module}", attribute) for module, attribute, *_ in specs]
     assert ("plasticwalk.lattice", "step") in pinned
     assert [pin for pin in pinned if not resolves(*pin)] == []
 

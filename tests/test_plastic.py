@@ -4,6 +4,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, lcm
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -20,12 +21,13 @@ from plasticwalk import plastic
 from plasticwalk.config import ExperimentConfig
 from plasticwalk.mat2 import op_norm, rot
 from plasticwalk.plastic import (
-    TUPLE_BUDGET, DivergenceGroup, TermIndex, _compositions4, _group_table,
-    _index_tuples, _pairs, gamma_hat,
+    TUPLE_BUDGET, TermIndex, _compositions4, _group_table, _index_tuples, _integer_orders,
+    _pairs, gamma_hat,
 )
 
 from conftest import (
-    FAREY_8, HALF, draw_plastic_compliant, draw_plastic_generic, plastic_from_angles,
+    FAREY_8, HALF, draw_plastic_compliant, draw_plastic_generic, load_tracer,
+    plastic_from_angles,
 )
 from oracles import (
     ID2, calibration_exponents, closed_form_gate, closed_form_generator, constraint_f2,
@@ -267,7 +269,8 @@ def _same_as_scan(a, b, order_one):
             assert str(refusal.value) == (A_ZERO_REFUSAL if a == 0 else BUDGET_REFUSAL)
         return
     assert _pairs(a, b, order_one) == want, (a, b, order_one)
-    keys, d, _ = _group_table(LEVELS_CFG, a, b, order_one)
+    keys = _group_table(LEVELS_CFG, a, b, order_one)[0]
+    d = _integer_orders(a, b)[2]
     assert d == lcm(Fraction(a).denominator, Fraction(b).denominator)
     assert len(keys) == sum((sl + 1) * (sn + 1) for sl, sn in want[0])
     assert all(level == d * (a * (kx + ky) + b * (thx + thy))
@@ -309,9 +312,9 @@ def test_pair_table_matches_the_scan(a, b):
 def test_divergence_cancels_on_true_constraint_family(rng):
     for _ in range(10):
         cfg = draw_plastic_compliant(rng)
-        residual, groups = divergence_residual(cfg, HALF, HALF)
+        residual, _ = divergence_residual(cfg, HALF, HALF)
         assert residual <= 1e-12
-        assert all(g.exponent == HALF for g in groups)
+        assert all(g.exponent == HALF for g in grouped_sums(cfg, HALF, HALF, order_one=False))
 
 
 def test_divergence_nonzero_for_generic_angles(rng):
@@ -343,9 +346,8 @@ def test_divergence_grouped_report_reproduces_the_four_conditions(rng):
         zx, phx, zy, phy = rng.uniform(-np.pi, np.pi, size=4)
         cfg = plastic_raw(thx0, thy0, zx, phx, zy, phy)
         a1, a2 = phx + zy, phy + zx
-        _, groups = divergence_residual(cfg, HALF, HALF)
         norm = {(g.kx_power, g.ky_power, g.thx_power, g.thy_power): float(op_norm(g.matrix))
-                for g in groups}
+                for g in grouped_sums(cfg, HALF, HALF, order_one=False)}
         assert set(norm) == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
 
         e_dx = rot("y", thx0) @ rot("z", a1) @ rot("y", thy0) \
@@ -365,8 +367,9 @@ def test_divergence_grouped_report_reproduces_the_four_conditions(rng):
 
 def test_divergence_empty_for_unit_exponents(rng):
     cfg = replace(draw_plastic_compliant(rng), a_exp=Fraction(1), b_exp=Fraction(1))
-    residual, groups = divergence_residual(cfg, Fraction(1), Fraction(1))
-    assert residual == 0.0 and groups == []
+    residual, matrices = divergence_residual(cfg, Fraction(1), Fraction(1))
+    assert residual == 0.0 and matrices.shape == (0, 2, 2)
+    assert grouped_sums(cfg, Fraction(1), Fraction(1), order_one=False) == []
 
 
 # ----------------------------------------------------------- grouped-sum engine
@@ -418,7 +421,8 @@ def _bitwise_as_per_pair(cfg, a, b, order_one):
         with pytest.raises(ValueError, match="work budget"):
             _group_table(cfg, a, b, order_one)
         return
-    keys, d, matrices = _group_table(cfg, a, b, order_one)
+    keys, matrices = _group_table(cfg, a, b, order_one)
+    d = _integer_orders(a, b)[2]
     assert all(type(key) is list and all(type(v) is int for v in key) for key in keys)
     got = grouped_sums(cfg, a, b, order_one)
     want_keys = [(g.exponent, g.kx_power, g.ky_power, g.thx_power, g.thy_power) for g in want]
@@ -430,9 +434,9 @@ def _bitwise_as_per_pair(cfg, a, b, order_one):
     assert all(g.matrix.tobytes() == w.matrix.tobytes() for g, w in zip(got, want))
     norms = op_norm(stack) if want else np.empty(0)
     if not order_one:
-        residual, groups = divergence_residual(cfg, a, b)
+        residual, table = divergence_residual(cfg, a, b)
         assert np.float64(residual).tobytes() == np.max(norms, initial=0.0).tobytes()
-        assert len(groups) == len(want)
+        assert table.shape == stack.shape and table.tobytes() == stack.tobytes()
     elif check_spacetime_limit(cfg).passed:
         seen = []
         with patch.object(plastic, "op_norm", lambda m: seen.append(op_norm(m)) or seen[-1]):
@@ -464,29 +468,48 @@ def test_group_table_is_the_per_pair_sums_bitwise(seed, draw, a, b, order_one):
     _bitwise_as_per_pair(cfg, a, b, order_one)
 
 
-def test_divergence_group_is_a_named_tuple(rng):
-    """The fields in their order, read-only, built positionally as tests/oracles.py builds
-    them; divergence_residual's groups are the per-pair oracle's, field by field, with the
-    same field types and matrix bytes."""
-    assert DivergenceGroup._fields == ("exponent", "kx_power", "ky_power", "thx_power",
-                                       "thy_power", "matrix")
-    matrix = np.arange(4, dtype=np.complex128).reshape(2, 2)
-    group = DivergenceGroup(HALF, 1, 0, 2, 3, matrix)
-    assert group[:5] == (group.exponent, group.kx_power, group.ky_power, group.thx_power,
-                         group.thy_power) == (HALF, 1, 0, 2, 3)
-    assert group.matrix is matrix
-    with pytest.raises(AttributeError):
-        group.kx_power = 4
-    for cfg in (draw_plastic_compliant(rng), draw_plastic_generic(rng)):
-        for a, b in ((HALF, HALF), (Fraction(1, 3), HALF), (Fraction(1, 5), Fraction(3, 7)),
-                     (Fraction(1, 8), Fraction(1, 8))):
-            groups = divergence_residual(cfg, a, b)[1]
-            want = grouped_sums_per_pair(cfg, a, b, order_one=False)
-            assert len(groups) == len(want) > 0
-            for g, w in zip(groups, want):
-                assert type(g) is DivergenceGroup
-                assert [(type(x), x) for x in g[:5]] == [(type(x), x) for x in w[:5]]
-                assert g.matrix.tobytes() == w.matrix.tobytes()
+def test_divergence_residual_returns_the_group_stack(rng):
+    """On every Farey-8 pair, divergence_residual hands back the group table's (G, 2, 2)
+    stack below order 1, bit for bit, and its residual is the largest operator norm of
+    that stack, 0.0 when G = 0."""
+    cfg = draw_plastic_generic(rng)
+    sizes = set()
+    for a, b in itertools.product(FAREY_8, repeat=2):
+        residual, stack = divergence_residual(cfg, a, b)
+        matrices = _group_table(cfg, a, b, False)[1]
+        assert stack.dtype == np.complex128 and stack.shape == matrices.shape, (a, b)
+        assert stack.tobytes() == matrices.tobytes(), (a, b)
+        want = np.max(op_norm(stack)) if len(stack) else np.float64(0.0)
+        assert type(residual) is float
+        assert np.float64(residual).tobytes() == want.tobytes(), (a, b)
+        sizes.add(len(stack))
+    assert 0 in sizes and max(sizes) > 100
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_tracer_group_count_is_the_number_of_groups(rng):
+    """The benchmark tracer's ``groups`` counter of ``plastic.divergence_residual``, applied
+    to its result, counts the groups below order 1 of the oracle: on the four plastic
+    golden configs and on Farey-8 pairs from none to the largest table."""
+    (count,) = [counters["groups"] for module, name, _, counters in load_tracer().SPECS
+                if (module, name) == ("plastic", "divergence_residual")]
+    walks = [ExperimentConfig.load(GOLDEN / name / "config.json").walk
+             for name in sorted(p.name for p in GOLDEN.iterdir()) if name.startswith("plastic_")]
+    assert len(walks) == 4
+    generic = draw_plastic_generic(rng)
+    walks += [replace(generic, a_exp=a, b_exp=b) for a, b in (
+        (Fraction(1), Fraction(1)), (Fraction(2, 3), Fraction(3, 4)), (Fraction(1, 3), HALF),
+        (Fraction(1, 5), Fraction(3, 7)), (Fraction(7, 8), Fraction(1, 8)),
+        (Fraction(1, 8), Fraction(1, 8)))]
+    counts = []
+    for cfg in walks:
+        a, b = cfg.a_exp, cfg.b_exp
+        result = divergence_residual(cfg, a, b)
+        counts.append(count((cfg, a, b), {}, result))
+        assert counts[-1] == len(grouped_sums(cfg, a, b, order_one=False)), (a, b)
+    assert counts[4] == 0 and counts[-1] == 329
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -553,7 +576,8 @@ def test_divergence_order_is_the_smallest_live_group_order(rng):
             report = check_spacetime_limit(cfg)
             if not report["exponents_rational"].satisfied:
                 continue
-            keys, d, matrices = _group_table(cfg, a, b, False)
+            keys, matrices = _group_table(cfg, a, b, False)
+            d = _integer_orders(a, b)[2]
             live = [Fraction(key[0], d) for key, norm in zip(keys, op_norm(matrices).tolist())
                     if norm > 1e-10]
             case = (str(a), str(b), draw.__name__)
