@@ -14,8 +14,9 @@ exceptions into the exit-code contract
     1  domain failure (constraint gate rejected, non-convergence input)
     2  usage or config parse error
 
-a ConfigError (raised while loading the config) or an OSError (writing the
-output) gives 2, any other ValueError gives 1, each with one line on stderr.
+--format csv on a command that writes no CSV, a ConfigError (raised while loading
+the config) or an OSError (writing the output) gives 2, any other ValueError gives
+1, each with one line on stderr.
 
 Outputs are deterministic for a fixed config and seed: JSON is emitted
 with sorted keys, byte for byte as json.dumps(sort_keys=True, indent=2)
@@ -141,7 +142,7 @@ def _json_text(payload: dict) -> str:
 
 def _emit(args, payload: dict) -> None:
     """Write the JSON document of ``payload``, the output of every command without a CSV
-    table, whatever --format asks."""
+    table."""
     _write(args, (_json_text(payload),))
 
 
@@ -468,6 +469,10 @@ def main(argv: list[str] | None = None) -> int:
             args = _parser().parse_args(argv)
         except SystemExit as exc:  # 0 after --help, 2 on a usage error
             return exc.code
+    if args.format == "csv" and args.command not in ("converge", "dispersion", "terms"):
+        sys.stderr.write(f"{args.command}: --format csv applies to converge, dispersion and "
+                         f"terms only; {args.command} writes JSON\n")
+        return 2
 
     # the one map from exceptions to exit codes; any other exception is a defect and escapes
     try:

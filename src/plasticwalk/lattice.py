@@ -30,14 +30,14 @@ It reads what ``save_csv`` writes and nothing else: cells separated by ``,``, ro
 ended by LF (the last may have none) and at most 256 bytes long, no byte below ``-``
 but ``+``, and float cells ``float`` reads, without ``_``.
 
-Binary (little-endian): magic ``b"PWFLD1\\x00\\x00"`` (8 bytes), then Nx,
-Ny as uint32, then the payload: row-major over sites, for each site
-psi_L then psi_R as complex128 (re, im float64 pairs).
+Binary: a numpy ``.npy`` version 1.0 of the (2, Nx, Ny) ``<c16`` array in C order, the
+field as it is held (``numpy.load`` reads it).  ``load_binary`` refuses any other
+version, dtype, order or shape, and a size other than the header's plus 16 bytes a value.
 
-Both readers hold the field they fill plus one block of about ``_ROW_BLOCK`` rows
-(their bytes and the parse's temporaries) or exactly ``_ROW_BLOCK`` sites; ``save_csv``
-holds the text of one block of ``_SITE_BLOCK`` sites, and ``save_binary`` one
-interleaved copy of the field.
+``load_csv`` holds the field it fills plus one block of about ``_ROW_BLOCK`` rows (their
+bytes and the parse's temporaries); ``save_csv`` holds the text of one block of
+``_SITE_BLOCK`` sites.  ``save_binary`` holds no copy of the field, and ``load_binary``
+only the field it reads.
 """
 
 from __future__ import annotations
@@ -65,15 +65,14 @@ __all__ = [
     "load_binary",
 ]
 
-_MAGIC = b"PWFLD1\x00\x00"
 _HEADER = b"l,m,re_L,im_L,re_R,im_R\n"
+_NPY_DTYPE = np.dtype("<c16")
 _ROW_SEPARATORS = np.frombuffer(b",,,,,\n", dtype=np.uint8)
 
-# About the CSV rows, or exactly the binary sites, a snapshot reader holds at once beside
-# the field it fills.  A CSV block is _ROW_BLOCK times the file's mean row length in
-# bytes, to the end of a line.  Measured on 256^2: the byte-level parse of a block peaks
-# at 0.27 times the field's bytes (0.52 at 2**11 rows), and 512^2 loads within 10% of
-# the speed of 2**12-row blocks.
+# About the CSV rows ``load_csv`` holds at once beside the field it fills: a block is
+# _ROW_BLOCK times the file's mean row length in bytes, to the end of a line.  Measured
+# on 256^2: the byte-level parse of a block peaks at 0.27 times the field's bytes (0.52
+# at 2**11 rows), and 512^2 loads within 10% of the speed of 2**12-row blocks.
 _ROW_BLOCK = 2 ** 10
 
 # Most sites ``save_csv`` formats at once, and about the most ``SpinorField.random``
@@ -307,38 +306,30 @@ def _parse_rows(buf, n: int):
 
 
 def save_binary(field: SpinorField, path) -> None:
-    nx, ny = field.shape
-    # row-major over sites, psi_L then psi_R per site: one interleaved copy, written as it is
-    payload = np.moveaxis(field.data, 0, -1).astype("<c16", order="C")
+    """Write the field as it is held, to ``path`` as given: a ``.npy`` version 1.0 of the
+    (2, Nx, Ny) ``<c16`` array, its header and then the array's bytes, with no copy."""
+    data = np.ascontiguousarray(field.data, dtype=_NPY_DTYPE)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + np.array([nx, ny], dtype="<u4").tobytes())
-        fh.write(payload)
+        np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(data))
+        fh.write(data)
 
 
 def load_binary(path) -> SpinorField:
-    """Read a field binary.
-
-    Raises ValueError on a bad magic, and unless the payload holds exactly the
-    header's nx * ny sites, which is checked against the file size before
-    anything is allocated.  The payload is read ``_ROW_BLOCK`` sites at a time.
-    """
+    """Read a field ``.npy`` in the one layout :func:`save_binary` writes (module docstring):
+    the header, and the file size against it, are checked before the field is allocated and
+    read with one ``np.fromfile``.  Any other file raises ValueError."""
     with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16 or head[:8] != _MAGIC:
-            raise ValueError(f"not a spinor-field file (bad magic {head[:8]!r})")
-        nx, ny = (int(n) for n in np.frombuffer(head, dtype="<u4", offset=8))
-        sites, payload = nx * ny, os.fstat(fh.fileno()).st_size - 16
-        if payload % 16:
-            raise ValueError(f"{path}: a payload of {payload} bytes is not a whole number "
-                             "of 16-byte complex values")
-        if payload != 32 * sites:
-            raise ValueError(f"{path}: a {nx} x {ny} field takes {32 * sites} bytes of "
-                             f"payload, the file has {payload}")
-        d = np.empty((2, sites), dtype=np.complex128)
-        block = np.empty((min(sites, _ROW_BLOCK), 2), dtype="<c16")
-        for start in range(0, sites, _ROW_BLOCK):
-            part = block[:sites - start]
-            if fh.readinto(part) != part.nbytes:
-                raise ValueError(f"{path}: the payload ended early")
-            d[:, start:start + len(part)] = part.T
-    return SpinorField(d.reshape(2, nx, ny))
+        try:
+            if (version := np.lib.format.read_magic(fh)) != (1, 0):
+                raise ValueError("a .npy version %d.%d" % version)
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            if dtype != _NPY_DTYPE or fortran or len(shape) != 3 or shape[0] != 2:
+                raise ValueError(f"a {'Fortran' if fortran else 'C'}-order {dtype.str} array "
+                                 f"of shape {shape}")
+            count, size = 2 * shape[1] * shape[2], os.fstat(fh.fileno()).st_size - fh.tell()
+            if size != 16 * count:
+                raise ValueError(f"{size} bytes of payload for {count} values of 16 bytes")
+            return SpinorField(np.fromfile(fh, dtype=_NPY_DTYPE, count=count).reshape(shape))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}; save_binary writes a .npy version 1.0 of a "
+                             "C-order (2, nx, ny) <c16 array, nx and ny at least 2") from exc

@@ -236,8 +236,9 @@ def test_documented_argv_never_builds_argparse(tmp_path, capsys):
     cli._parser.cache_clear()
     for command in cli.COMMANDS:
         config = "plastic_half_compliant" if command in ("pde", "terms") else "time_compliant"
+        fmt = "csv" if command in ("converge", "dispersion", "terms") else "json"
         argv = ["--config", os.path.join(golden, config, "config.json"), "--seed", "3",
-                "--format", "csv", "--output", str(tmp_path / "out"), command]
+                "--format", fmt, "--output", str(tmp_path / "out"), command]
         assert main(argv) == 0
     assert cli._parser.cache_info().misses == 0
     assert main(["--help"]) == 0
@@ -932,6 +933,37 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
     assert main(["--config", path, "--output", out, "check"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("check: cannot write output: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ("check", "hamiltonian", "pde", "simulate"))
+@pytest.mark.parametrize("direct", (True, False))
+def test_format_csv_is_refused_where_a_command_writes_no_csv(tmp_path, capsys, command, direct):
+    """Exit 2 and one stderr line naming the three CSV commands, whether ``main`` reads the
+    argv itself or argparse does (--format=csv), before the config is loaded: nothing is
+    written.  --format json runs the command."""
+    path, out = write_config(tmp_path, time_doc()), tmp_path / "out"
+    argv = ["--config", path, "--output", str(out), command]
+    assert main(argv[:2] + (["--format", "csv"] if direct else ["--format=csv"]) + argv[2:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{command}: --format csv applies to converge, dispersion and "
+                            f"terms only; {command} writes JSON\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+    pde = command == "pde"  # a time config: the command's own refusal
+    assert main(argv[:2] + ["--format", "json"] + argv[2:]) == (1 if pde else 0)
+    assert capsys.readouterr().err == ("pde: requires a plastic-mode config\n" if pde else "")
+
+
+def test_a_seed_longer_than_int_reads_is_argparse_usage_error(tmp_path, capsys):
+    """A seed of more digits than int() reads leaves the direct parse (``_args`` returns
+    None) for argparse, which exits 2 with its usage and one error line, no traceback."""
+    argv = ["--config", write_config(tmp_path, time_doc()), "--seed", "9" * 5000, "check"]
+    assert cli._args(argv) is None
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: plasticwalk") and "Traceback" not in err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "plasticwalk: error: argument --seed: invalid int value: '" + "9" * 5000 + "'"]
 
 
 def test_negative_seed_flag_is_checked_on_load(tmp_path, capsys):

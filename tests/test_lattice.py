@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -720,12 +721,13 @@ def test_csv_roundtrip_is_bitwise_exact(tmp_path, rng, nx, ny):
 
 
 def test_snapshot_io_memory_stays_near_one_field(tmp_path, rng):
-    """At 256^2, each snapshot path holds one field plus one block of rows or sites.
+    """At 256^2, each snapshot path holds at most one field plus one block of rows.
 
     A block of about ``lattice._ROW_BLOCK`` CSV rows, its bytes and the temporaries of
     their parse, takes about 0.3 of a 256^2 field; the whole-table loader took 3.6
     fields, and a save or load through a whole second copy 2.  ``save_csv`` formats
-    ``lattice._SITE_BLOCK`` sites at a time.
+    ``lattice._SITE_BLOCK`` sites at a time; ``save_binary`` writes the field as it is
+    held, and ``load_binary`` reads into the field it returns.
     """
     f = SpinorField.random(256, 256, rng)
     csv, binary = tmp_path / "field.csv", tmp_path / "field.pwf"
@@ -768,14 +770,25 @@ def test_save_csv_blocks_match_per_site_writer(tmp_path, rng, monkeypatch):
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "sites.csv").read_bytes()
 
 
-def test_binary_roundtrip_exact(tmp_path, rng):
-    f = _extreme_field(rng, 6, 4)
-    path = tmp_path / "field.pwf"
+def _assert_binary_roundtrip(tmp_path, f: SpinorField):
+    """Bit for bit, and a plain .npy: numpy.load reads the field as it is held."""
+    path = tmp_path / "field.field.bin"
     save_binary(f, path)
-    back = load_binary(path)
-    assert back.data.tobytes() == f.data.tobytes()
-    with pytest.raises(ValueError):
+    assert load_binary(path).data.tobytes() == f.data.tobytes()
+    assert os.listdir(tmp_path) == ["field.field.bin"]  # written to the path as given
+    plain = np.load(path, allow_pickle=False)
+    assert plain.dtype == np.dtype("<c16") and plain.shape == (2, *f.shape)
+    assert plain.tobytes() == f.data.tobytes()
+
+
+def test_binary_roundtrip_exact(tmp_path, rng):
+    _assert_binary_roundtrip(tmp_path, _extreme_field(rng, 6, 4))
+    with pytest.raises(ValueError, match="the magic string is not correct"):
         load_binary(__file__)
+
+
+def test_binary_roundtrip_of_a_random_512_field(tmp_path, rng):
+    _assert_binary_roundtrip(tmp_path, SpinorField.random(512, 512, rng))
 
 
 def _binary_file(tmp_path, rng, extra: bytes):
@@ -786,25 +799,64 @@ def _binary_file(tmp_path, rng, extra: bytes):
     return path
 
 
+def _npy_file(tmp_path, header: dict, payload: int, version: int = 1):
+    """A .npy of version ``version``.0, the header ``header`` (descr, fortran_order, shape)
+    and ``payload`` zero bytes."""
+    path = tmp_path / "field.npy"
+    write = (np.lib.format.write_array_header_1_0, np.lib.format.write_array_header_2_0)
+    with open(path, "wb") as fh:
+        write[version - 1](fh, header)
+        fh.write(bytes(payload))
+    return path
+
+
 def test_load_binary_refuses_a_header_past_the_file_size(tmp_path):
     """65535 x 65535 sites would take 128 GiB: refused before anything is allocated."""
-    path = tmp_path / "huge.pwf"
-    path.write_bytes(lattice._MAGIC + np.array([65535, 65535], dtype="<u4").tobytes())
+    path = _npy_file(tmp_path, {"descr": "<c16", "fortran_order": False,
+                                "shape": (2, 65535, 65535)}, 0)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="65535 x 65535 field takes 137434759200 bytes "
-                                             "of payload, the file has 0"):
+        with pytest.raises(ValueError, match="0 bytes of payload for 8589672450 values of "
+                                             "16 bytes") as info:
             load_binary(path)
+        assert str(info.value).startswith(f"{path}: ")
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
 
 
 def test_load_binary_refuses_trailing_bytes(tmp_path, rng):
-    with pytest.raises(ValueError, match="3 x 5 field takes 480 bytes of payload, the file has 512"):
+    with pytest.raises(ValueError, match="512 bytes of payload for 30 values of 16 bytes"):
         load_binary(_binary_file(tmp_path, rng, bytes(32)))
 
 
 def test_load_binary_refuses_a_partial_complex_value(tmp_path, rng):
-    with pytest.raises(ValueError, match="payload of 483 bytes is not a whole number of 16-byte"):
+    with pytest.raises(ValueError, match="483 bytes of payload for 30 values of 16 bytes"):
         load_binary(_binary_file(tmp_path, rng, bytes(3)))
+
+
+_C16 = {"descr": "<c16", "fortran_order": False, "shape": (2, 3, 5)}
+
+
+@pytest.mark.parametrize("header, payload, version, message", [
+    pytest.param(_C16, 480, 2, "a .npy version 2.0", id="version-2.0"),
+    pytest.param({**_C16, "descr": ">c16"}, 480, 1, r"C-order >c16 array of shape \(2, 3, 5\)",
+                 id="big-endian"),
+    pytest.param({**_C16, "descr": "<f8"}, 480, 1, "C-order <f8 array", id="float64"),
+    pytest.param({**_C16, "fortran_order": True}, 480, 1, "a Fortran-order <c16 array",
+                 id="fortran"),
+    pytest.param({**_C16, "shape": (3, 2, 5)}, 480, 1, r"of shape \(3, 2, 5\)", id="3-planes"),
+    pytest.param({**_C16, "shape": (2, 15)}, 480, 1, r"of shape \(2, 15\)", id="2-d"),
+    pytest.param(_C16, 464, 1, "464 bytes of payload for 30 values", id="short"),
+    pytest.param({**_C16, "shape": (2, 1, 15)}, 480, 1, r"must have shape \(2, Nx>=2, Ny>=2\)",
+                 id="one-row"),
+])
+def test_load_binary_refuses_every_npy_that_save_binary_does_not_write(
+        tmp_path, header, payload, version, message):
+    """Another version, dtype, order or shape, or a size past the header's: one ValueError
+    naming the path, with the reason and what save_binary writes."""
+    path = _npy_file(tmp_path, header, payload, version)
+    with pytest.raises(ValueError, match=message) as info:
+        load_binary(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert "save_binary writes a .npy version 1.0" in str(info.value)
