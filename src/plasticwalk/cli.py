@@ -100,9 +100,11 @@ _LEAF = {str: _str_text, int: int.__repr__, float: _float_text,
 def _json(value, indent: str = "") -> str:
     """The JSON of ``value`` nested at ``indent``, as json.dumps(sort_keys=True, indent=2).
 
-    Dict keys are strings, as in every payload; any other key raises TypeError.  A
-    container's leaves are written in its loop; only nested containers and leaves of a
-    subclass type recurse.
+    Dict keys are strings, as in every payload; any other key raises TypeError.  A leaf
+    is of an exact type of ``_LEAF``, as every leaf the commands build is (they cast); any
+    other leaf, a subclass such as np.float64 too, raises the TypeError json.dumps raises
+    for an unserializable one.  A container's leaves are written in its loop; only nested
+    containers recurse.
     """
     if isinstance(value, dict):
         if not value:
@@ -126,9 +128,6 @@ def _json(value, indent: str = "") -> str:
     leaf = _LEAF(type(value))
     if leaf is not None:
         return leaf(value)
-    for kind in (str, int, float):  # a subclass (np.float64, IntEnum) as json writes it
-        if isinstance(value, kind):
-            return _LEAF(kind)(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -228,14 +227,13 @@ def cmd_pde(args, cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(args, cfg: ExperimentConfig) -> int:
     _within_budget(cfg.nx * cfg.ny, f"a {cfg.nx}x{cfg.ny} lattice has nx * ny sites")
-    rng = np.random.default_rng(cfg.seed)
     if cfg.initial_type == "plane_wave":
         state = lat.SpinorField.plane_wave(cfg.nx, cfg.ny, cfg.initial.get("kx", 0.0),
                                            cfg.initial.get("ky", 0.0))
     elif cfg.initial_type == "delta":
         state = lat.SpinorField.delta(cfg.nx, cfg.ny)
     else:
-        state = lat.SpinorField.random(cfg.nx, cfg.ny, rng)
+        state = lat.SpinorField.random(cfg.nx, cfg.ny, np.random.default_rng(cfg.seed))
     norm0 = state.norm()
     state = lat.evolve(state, cfg.walk, cfg.eps, cfg.steps)
     norm1 = state.norm()

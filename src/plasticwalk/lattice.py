@@ -102,31 +102,27 @@ class SpinorField:
         return float(np.sqrt(np.sum(np.abs(self.data) ** 2)))
 
     @staticmethod
-    def delta(nx: int, ny: int, site: tuple[int, int] = (0, 0),
-              component: int = 0) -> "SpinorField":
-        """Unit amplitude in one component at one site."""
+    def delta(nx: int, ny: int) -> "SpinorField":
+        """psi_L = 1 at site (0, 0), every other amplitude 0."""
         d = np.zeros((2, nx, ny), dtype=np.complex128)
-        d[component, site[0] % nx, site[1] % ny] = 1.0
+        d[0, 0, 0] = 1.0
         return SpinorField(d)
 
     @staticmethod
-    def plane_wave(nx: int, ny: int, kx: float, ky: float,
-                   spinor=(1.0, 0.0)) -> "SpinorField":
-        """Normalized plane wave e^{i(kx l + ky m)} times a fixed spinor."""
+    def plane_wave(nx: int, ny: int, kx: float, ky: float) -> "SpinorField":
+        """The normalized plane wave e^{i(kx l + ky m)} in psi_L: the spinor (1, 0) times the
+        wave, so psi_R holds the signed zeros of 0j times it."""
         ll = np.arange(nx)[:, None]
         mm = np.arange(ny)[None, :]
         wave = np.exp(1j * (kx * ll + ky * mm))
-        sp = np.asarray(spinor, dtype=np.complex128)
-        sp = sp / np.linalg.norm(sp)
-        d = sp[:, None, None] * wave[None, :, :] / np.sqrt(nx * ny)
-        return SpinorField(d)
+        sp = np.array([1.0, 0.0], dtype=np.complex128)
+        return SpinorField(sp[:, None, None] * wave[None, :, :] / np.sqrt(nx * ny))
 
     @staticmethod
-    def random(nx: int, ny: int, rng: np.random.Generator | None = None) -> "SpinorField":
-        """Normal draws, every real part and then every imaginary part in row-major order,
-        scaled to norm 1.  They are drawn into the field a block of rows of about
-        ``_SITE_BLOCK`` sites at a time, the values one draw of the whole field gives."""
-        rng = rng or np.random.default_rng()
+    def random(nx: int, ny: int, rng: np.random.Generator) -> "SpinorField":
+        """Normal draws from ``rng``, every real part and then every imaginary part in
+        row-major order, scaled to norm 1.  They are drawn into the field a block of rows of
+        about ``_SITE_BLOCK`` sites at a time, the values one draw of the whole field gives."""
         d = np.empty((2, nx, ny), dtype=np.complex128)
         rows = max(1, _SITE_BLOCK // ny)
         for part in (d.real, d.imag):
@@ -226,8 +222,9 @@ def _index_cells(n: int) -> NDArray[np.uint32]:
 def load_csv(path) -> SpinorField:
     """Read a field CSV in the one format :func:`save_csv` writes (module docstring).
 
-    The grid is checked against the file size before the field is allocated, and each
-    block of parsed rows against the sites it must hold.  Any other file raises ValueError.
+    The last row fixes the grid, which is checked against the file size before the field
+    is allocated; each block of parsed rows must be the next sites, so the rows end with
+    that last one exactly where the field is full.  Any other file raises ValueError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -256,8 +253,6 @@ def load_csv(path) -> SpinorField:
                 d.imag[:, start:stop] = block[:, 3::2].T
                 start = stop
                 del block  # one block at a time
-            if start != rows:
-                raise ValueError(f"{start} rows for {rows} sites")
             return SpinorField(d.reshape(2, nx, ny))
         except (ValueError, IndexError) as exc:
             raise ValueError(f"{path}: need a header line, then a row l,m,re_L,im_L,re_R,im_R "

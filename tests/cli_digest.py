@@ -31,11 +31,16 @@ exception and every file it wrote, then the call's label.  The calls run
   with the two theta0 swapped (the other branch), with theta1 = 1e300 on
   both coins, and with every zeta0 and phi0 0.0, then -0.0 (6 calls): the
   coefficient stack at the edge of the float range and at signed zeros;
+* ``simulate`` on the time_compliant and plastic_half_compliant configs from
+  the initial states of ``INITIAL_STATES`` (every golden config starts from
+  ``random``), x steps {0, own (20)} x {stdout, ``--output`` with its field
+  CSV} (16 calls): the bytes of ``SpinorField.delta`` and ``plane_wave``, as
+  built and as evolved;
 * every ``spacetime_scan`` and ``kspace_time`` operation that
   ``perfbench/workloads.py`` builds at seeds 11 and 9001, with the argv it
   builds (the module is imported, not changed).
 
-``plasticwalk`` is imported from ``PYTHONPATH``, so pointing it at the
+That is 4,324 lines.  ``plasticwalk`` is imported from ``PYTHONPATH``, so pointing it at the
 ``src/`` of another checkout digests that checkout with the same calls.
 The calls run in a temporary directory under relative paths, so the
 output does not depend on where it is run; running it twice must give
@@ -68,6 +73,8 @@ PAIRS = (("1/10", "1/10"), ("1/12", "1"), ("1", "1/11"), ("1/11", "1/13"),
 WORKLOADS = ("spacetime_scan", "kspace_time")
 TIME_CONFIGS = ("time_compliant", "time_tau4_delta0")
 CONVERGE_GRIDS = (128, 129, 200, 256)  # 16,384, 16,641, 40,000 and 65,536 k-points
+SIMULATE_CONFIGS = ("time_compliant", "plastic_half_compliant")
+INITIAL_STATES = ({"type": "delta"}, {"type": "plane_wave", "kx": 0.7, "ky": -1.3})
 
 
 def _digest(code, stdout: str, stderr: str, error: str | None, files: dict[str, bytes]) -> str:
@@ -175,6 +182,25 @@ def time_edges(main):
                    _call(main, ["--config", "config.json", "hamiltonian"]))
 
 
+def initial_states(main):
+    """(label, digest) of the 16 ``simulate`` calls from the initial states that no golden
+    config starts from."""
+    os.makedirs("out", exist_ok=True)
+    for config, initial, steps in itertools.product(SIMULATE_CONFIGS, INITIAL_STATES,
+                                                    (0, None)):
+        doc = json.loads((GOLDEN / config / "config.json").read_text())
+        doc["run"]["initial"] = initial
+        if steps is not None:
+            doc["run"]["steps"] = steps
+        with open("config.json", "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+        label = f"{config} initial={initial['type']} steps={steps if steps is not None else 'own'}"
+        argv = ["--config", "config.json"]
+        yield f"{label} simulate stdout", _call(main, argv + ["simulate"])
+        yield f"{label} simulate --output", _call(
+            main, argv + ["--output", "out/result", "simulate"], "out")
+
+
 def workload_ops(main, builders):
     """(label, digest) of every operation of the benchmark's CLI workloads."""
     for workload in WORKLOADS:
@@ -198,7 +224,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for label, digest in itertools.chain(matrix(cli.main), exponent_pairs(cli.main),
-                                             time_edges(cli.main),
+                                             time_edges(cli.main), initial_states(cli.main),
                                              workload_ops(cli.main, BUILDERS)):
             print(f"{digest}  {label}")
         os.chdir(ROOT)

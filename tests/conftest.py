@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
@@ -27,6 +28,26 @@ def load_tracer() -> ModuleType:
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+def load_workloads() -> ModuleType:
+    """The benchmark's ``perfbench/workloads.py``, loaded by its path and left unchanged, with
+    the tracer it imports as ``tracer`` (:func:`load_tracer`)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    saved = {name: sys.modules.get(name) for name in ("tracer", spec.name)}
+    # its dataclasses look the module up by name while they are built
+    sys.modules.update({"tracer": load_tracer(), spec.name: workloads})
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        for name, module in saved.items():
+            if module is None:
+                sys.modules.pop(name)
+            else:
+                sys.modules[name] = module
+    return workloads
 
 
 def nudged(x: float, n: int) -> float:

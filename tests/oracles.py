@@ -12,6 +12,8 @@ no command needs stay here, as oracles for the library's closed forms:
   commutator [Px, Py] of the a = b = 1/2 transport matrices, the
   cancellation of the mixed-derivative words, and the spacetime gate and
   generator in closed form;
+* fields of a unit amplitude at any site and component, and plane waves of any
+  spinor, beside the library's initial states;
 * the real-space shift, the coin applied to every site as a (2, 2) matrix
   and one walk step chained from them (``step_chain``, the reference for
   ``lattice.step``), shift words, the componentwise DFT and evolution by a
@@ -63,7 +65,9 @@ no command needs stay here, as oracles for the library's closed forms:
   class matrix, the reference the engine's one table of all groups equals bit
   for bit, and that table as DivergenceGroups (``grouped_sums``);
 * the smallest live order of a rejected plastic walk in closed form
-  (``divergence_order``);
+  (``divergence_order``), every live order below 1 (``live_orders``) and the
+  quotient max ||(W^2 - I) / (2 eps)|| over a walk's momenta that grows as
+  eps^(f_min - 1) (``divergence_quotient``);
 * the Richardson fit of the PDE prefactor against the numerical limit
   (W^2 - I)/(2 eps), which checks the closed form CALIBRATION = -1/2;
 * the ``terms`` listing written one dict per index tuple through
@@ -515,6 +519,22 @@ def closed_form_generator(cfg: WalkConfig):
 # ----------------------------------------------------------------- real space
 
 
+def site_field(nx: int, ny: int, site: tuple[int, int], component: int) -> SpinorField:
+    """Unit amplitude in one component at one site (``SpinorField.delta`` is component 0
+    at (0, 0))."""
+    d = np.zeros((2, nx, ny), dtype=np.complex128)
+    d[(component, *site)] = 1.0
+    return SpinorField(d)
+
+
+def plane_wave_field(nx: int, ny: int, kx: float, ky: float, spinor) -> SpinorField:
+    """The normalized plane wave e^{i(kx l + ky m)} times the spinor scaled to norm 1
+    (``SpinorField.plane_wave`` is the spinor (1, 0))."""
+    sp = np.asarray(spinor, dtype=np.complex128)
+    wave = np.exp(1j * (kx * np.arange(nx)[:, None] + ky * np.arange(ny)[None, :]))
+    return SpinorField((sp / np.linalg.norm(sp))[:, None, None] * wave / np.sqrt(nx * ny))
+
+
 def shift(field: SpinorField, axis: str) -> SpinorField:
     """Spin-dependent shift along 'x' or 'y'; an exact permutation."""
     if axis not in ("x", "y"):
@@ -903,6 +923,27 @@ def divergence_order(cfg: WalkConfig) -> Fraction | None:
     a, b = cfg.a_exp, cfg.b_exp
     live = ([b] if b < 1 and not _on_shell(cfg) else []) + ([a + b] if a + b < 1 else [])
     return min(live, default=None)
+
+
+def live_orders(cfg: WalkConfig) -> list[Fraction]:
+    """The orders below 1 of the live coefficient groups of a plastic walk with a, b > 0,
+    ascending, in closed form (:func:`closed_form_gate`): b n (n >= 1) off the shell, the
+    pure-n groups, and a l + b n (l, n >= 1), the mixed groups; as integers over the common
+    denominator d of a and b."""
+    a, b = cfg.a_exp, cfg.b_exp
+    d = lcm(a.denominator, b.denominator)
+    big_a, big_b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    pure_n = () if _on_shell(cfg) else range(big_b, d, big_b)
+    mixed = (x + y for x in range(big_a, d, big_a) for y in range(big_b, d - x, big_b))
+    return [Fraction(o, d) for o in sorted({*pure_n, *mixed})]
+
+
+def divergence_quotient(cfg: WalkConfig, kx, ky, eps: float) -> float:
+    """max over the momenta (kx, ky) of ||(W^2 - I) / (2 eps)||, with W(k) from the
+    four-entry chain :func:`walk_k_stack`: about eps^(f_min - 1) on a plastic walk the gate
+    rejects, and bounded on one it passes."""
+    w = walk_k_stack(cfg, kx, ky, eps)
+    return float(np.max(op_norm((mul2(w, w) - ID2) / (2.0 * eps))))
 
 
 def derivative_coefficient(asm: PdeAssembly, dx: int, dy: int) -> NDArray[np.complex128]:

@@ -19,20 +19,20 @@ from plasticwalk.timelimit import time_hamiltonian
 from conftest import draw_plastic_generic, draw_time_compliant, draw_time_generic
 from oracles import (
     ID2, SX, apply_coin, apply_shift_word, dft, evolve_by_symbol, idft, load_csv_table,
-    save_csv_per_site, shift, step_chain,
+    plane_wave_field, save_csv_per_site, shift, site_field, step_chain,
 )
 from test_g17_parse import GRAMMAR
 
 
 def test_shift_moves_left_component_down():
-    f = SpinorField.delta(8, 8, site=(3, 0), component=0)
+    f = site_field(8, 8, (3, 0), 0)
     out = shift(f, "x")
     assert out.data[0, 2, 0] == 1.0
     assert np.count_nonzero(out.data) == 1
 
 
 def test_shift_moves_right_component_up():
-    f = SpinorField.delta(8, 8, site=(3, 0), component=1)
+    f = site_field(8, 8, (3, 0), 1)
     out = shift(f, "x")
     assert out.data[1, 4, 0] == 1.0
     assert np.count_nonzero(out.data) == 1
@@ -74,7 +74,7 @@ def test_apply_coin_rejects_non_unitary(rng):
 
 def test_step_identity_coins_is_pure_transport():
     cfg = WalkConfig(coin_x=CoinJet(), coin_y=CoinJet())
-    f = SpinorField.delta(8, 8, site=(3, 3), component=0)
+    f = site_field(8, 8, (3, 3), 0)
     out = step(f, cfg, 0.0)
     # L component moves by (-1, -1) in site indices
     assert out.data[0, 2, 2] == 1.0
@@ -96,11 +96,11 @@ def test_step_on_plane_wave_matches_symbol(rng):
     kx = 2 * np.pi * jx / nx
     ky = 2 * np.pi * jy / ny
     spinor = np.array([0.6, 0.8j])
-    f = SpinorField.plane_wave(nx, ny, kx, ky, spinor)
+    f = plane_wave_field(nx, ny, kx, ky, spinor)
     stepped = step(f, cfg, 0.02)
     expected_spinor = walk_k(cfg, kx, ky, 0.02) @ (spinor / np.linalg.norm(spinor))
-    expected = SpinorField.plane_wave(nx, ny, kx, ky, expected_spinor)
-    # plane_wave normalizes the spinor; expected_spinor is unit already
+    expected = plane_wave_field(nx, ny, kx, ky, expected_spinor)
+    # plane_wave_field normalizes the spinor; expected_spinor is unit already
     assert float(np.max(np.abs(stepped.data - expected.data))) <= 1e-10
 
 

@@ -26,14 +26,14 @@ from plasticwalk.plastic import (
 )
 
 from conftest import (
-    FAREY_8, HALF, draw_plastic_compliant, draw_plastic_generic, load_tracer,
+    FAREY_8, HALF, draw_plastic_compliant, draw_plastic_generic, load_tracer, load_workloads,
     plastic_from_angles,
 )
 from oracles import (
     ID2, calibration_exponents, closed_form_gate, closed_form_generator, constraint_f2,
-    cross_term_report, derivative_coefficient, divergence_order, grouped_sums,
-    grouped_sums_loop, grouped_sums_per_pair, is_hermitian, sum_pairs_scan,
-    rotations_scalar, transport_commutator, witnesses, word_chain, zeroth_order_residual,
+    cross_term_report, derivative_coefficient, divergence_order, divergence_quotient,
+    grouped_sums, grouped_sums_loop, grouped_sums_per_pair, is_hermitian, live_orders,
+    sum_pairs_scan, rotations_scalar, transport_commutator, witnesses, word_chain, zeroth_order_residual,
 )
 
 
@@ -584,6 +584,49 @@ def test_divergence_order_is_the_smallest_live_group_order(rng):
             assert divergence_order(cfg) == min(live, default=None), case
             assert report.passed == (not live), case
             rejected += not report.passed
+    assert rejected == 458
+
+
+def test_rejected_walk_diverges_at_the_predicted_order():
+    """The walk's own backing of a plastic "no": on every walk of the benchmark's seed-11
+    ``spacetime_scan`` draws (one ``workloads.plastic_walk`` per Farey-8 (a, b) and class)
+    that the gate rejects with order-1 terms present, the quotient q(eps) = max ||(W^2 -
+    I)/(2 eps)|| over the config's momenta grows as eps^(f_min - 1), with f_min from
+    ``divergence_order``.
+
+    Over eps = 1e-7 ... 1e-10 the log-log slope s of q is a weighted mean of the live
+    orders' exponents: f_min - 1, pulled up by the next live order f_next (``live_orders``,
+    or 1, the generator) by a share that shrinks as eps^(f_next - f_min).  So the tolerance
+    is bounded by that gap g: s - (f_min - 1) lies in (-g/2, g); the slowest walks reach
+    0.57 g (a = 1/8, b = 3/7, g = 1/8: 0.071).  A slope just short of f_next - 1 could also
+    be f_next's term alone, so two terms c0 eps^(f_min - 1) + c1 eps^(f_next - 1) are
+    fitted to q, and the first must carry a tenth of q at eps = 1e-10 or more (0.54 at
+    least here; 0.006 on the first walk where a prediction without the shell clause names
+    the dead order b)."""
+    workloads = load_workloads()
+    rng = np.random.default_rng([11, 3])  # spacetime_scan's generator at seed 11
+    eps = np.array([1e-7, 1e-8, 1e-9, 1e-10])
+    rejected = 0
+    for a, b in itertools.product(FAREY_8, repeat=2):
+        for compliant in (True, False):
+            config = ExperimentConfig.from_dict({"walk": workloads.plastic_walk(rng, a, b,
+                                                                                compliant)})
+            cfg = config.walk
+            report = check_spacetime_limit(cfg)
+            if report.passed or not report["exponents_rational"].satisfied:
+                continue
+            f_min = divergence_order(cfg)
+            f_next = min([f for f in live_orders(cfg) if f > f_min], default=Fraction(1))
+            kx, ky = np.array(config.momenta).T
+            q = np.array([divergence_quotient(cfg, kx, ky, e) for e in eps])
+            slope = np.polyfit(np.log(eps), np.log(q), 1)[0]
+            gap = float(f_next - f_min)
+            case = (str(a), str(b), compliant, str(f_min), slope)
+            assert -gap / 2 < slope - (float(f_min) - 1) < gap, case
+            terms = np.stack([eps ** (float(f) - 1) / q for f in (f_min, f_next)], axis=1)
+            c0 = np.linalg.lstsq(terms, np.ones(len(eps)), rcond=None)[0][0]
+            assert c0 * terms[-1, 0] >= 0.1, case
+            rejected += 1
     assert rejected == 458
 
 
