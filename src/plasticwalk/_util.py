@@ -16,9 +16,17 @@ from .mat2 import _defect
 POWER_TOL = 1e-3
 
 # Most k-points the tiles of evolve and dispersion, and the band-table rows of dispersion
-# in either format (8,192 phases a kernel call), hold at once.  Measured on 256^2: the
-# peak traced memory of an evolution is 1.7x the field's bytes at 2**12 k-points a tile
-# (3.9x at 2**14), and 512^2 x 1000 steps is no slower than with larger tiles.
+# in either format (8,192 phases a kernel call), hold at once, and most (eps, k) points a
+# group of converge's eps ladder stacks.  Measured on 256^2: the peak traced memory of an
+# evolution is 1.7x the field's bytes at 2**12 k-points a tile (3.9x at 2**14), and
+# 512^2 x 1000 steps is no slower than with larger tiles.  Measured on converge at grid
+# 32 (best of 60 to 150 calls, a 2-core x86 host), 6 eps and 9 eps: eps by eps 1.51 and
+# 2.12-2.13 ms; in groups of 2**12 points 1.44-1.84 and 1.89-1.97 ms, of 2**11 1.50-1.68
+# and 2.10-2.18 ms, of 2**13 1.76-2.53 and 2.40-2.46 ms.  From 46^2 up a group is one
+# eps, a stack of one row, whose broadcast row axis costs a few us an eps; best of 40
+# calls, eps by eps against one-eps groups: grid 64, 9 eps, 4.58-4.64 against 4.68-4.72
+# ms; grid 80, 7 eps, 5.16-5.29 against 5.26-5.33 ms; grid 96, 8 eps, 9.31-9.80 against
+# 8.73-8.94 ms.
 K_BLOCK = 2 ** 12
 
 # Most k-points a tile of converge holds.  Each tile makes about 80 numpy calls an eps

@@ -144,7 +144,9 @@ def _coin_su2(jet: CoinJet, s: float) -> tuple:
     a = cos(theta/2) e^{-i(zeta + phi)/2} and b = -sin(theta/2) e^{-i(zeta - phi)/2}.
 
     Each is computed in np.longdouble (a 64-bit mantissa on x86-64) from the float64
-    angles and rounded once: the coin's roundoff is the seed of every long power's.
+    angles and rounded once: the coin's roundoff is the seed of every long power's.  An
+    array of drives s gives arrays a and b, elementwise (numpy's long double functions
+    have no vector loops, so an entry is what its drive alone gives).
     """
     zeta, theta, phi = (np.longdouble(w0 + w1 * s) / 2 for w0, w1 in (
         (jet.zeta0, jet.zeta1), (jet.theta0, jet.theta1), (jet.phi0, jet.phi1)))
@@ -153,10 +155,16 @@ def _coin_su2(jet: CoinJet, s: float) -> tuple:
         -np.sin(theta) * np.exp(-1j * (zeta - phi))))
 
 
-def coin_pair(cfg: WalkConfig, eps: float) -> tuple:
+def coin_pair(cfg: WalkConfig, eps) -> tuple:
     """(spacing, C_x, C_y) at eps, the coins in the two-plane form: all that W(k) takes
-    from eps."""
-    spacing, s = cfg.spacing(eps), cfg.drive(eps)
+    from eps.
+
+    eps may be an array, a ladder of step sizes: the spacings, and the a and b of each
+    coin, are then arrays of its shape, each entry what its eps alone gives bit for bit
+    (one ``_coin_su2`` call a coin, on the array of drives), and each coin's g, which
+    does not depend on eps, is one scalar.  A scalar eps gives numpy scalars."""
+    spacing, s = (np.reshape([f(e) for e in np.ravel(eps)], np.shape(eps))[()]
+                  for f in (cfg.spacing, cfg.drive))
     return spacing, _coin_su2(cfg.coin_x, s), _coin_su2(cfg.coin_y, s)
 
 

@@ -9,16 +9,17 @@ should converge to.  Orders are fitted by least squares on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .coins import WalkConfig, coin_pair, walk_planes
-from .mat2 import _entries_su2, _norm_diff, _phases_su2, _power, exp_herm
+from .mat2 import _defect, _entries_su2, _norm_diff, _phases_su2, _power, _rows, exp_herm
 from .plastic import spacetime_hamiltonian
 from .timelimit import time_hamiltonian
-from ._util import CONVERGE_BLOCK, POWER_TOL, check_unitary, k_tiles
+from ._util import CONVERGE_BLOCK, K_BLOCK, POWER_TOL, check_unitary, k_tiles
 
 __all__ = [
     "ConvergenceResult",
@@ -69,6 +70,26 @@ def fit_order(samples: Sequence[tuple[float, float]]) -> tuple[float, float, flo
     return float(slope), float(intercept), float(r2)
 
 
+def _row_max(x) -> list[float]:
+    """The maximum of each row of x along its leading axis."""
+    return x.reshape(len(x), -1).max(axis=1).tolist()
+
+
+def _failing(x: tuple, tol: float) -> list[bool]:
+    """Whether each row of x, in the two-plane form with a leading row axis, fails the
+    unitarity check of ``check_unitary`` at ``tol`` (a NaN defect fails too)."""
+    return [not d <= tol for d in _row_max(_defect(x))]
+
+
+def _target(h, times: list[float], checked: int, what: str, shape: tuple) -> tuple:
+    """The entry planes of exp(-i H t) at each horizon t of ``times``, a row each (``times``
+    shaped to ``shape``), the first ``checked`` of them checked unitary in turn."""
+    evolution = exp_herm(h, np.reshape(times, shape), what)
+    for u in range(checked):
+        check_unitary(_rows(evolution, slice(u, u + 1)), f"{what} evolution", _UNITARITY_TOL)
+    return _entries_su2(evolution)
+
+
 def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
               eps_list: Sequence[float], what: str) -> ConvergenceResult:
     """sup-norm distance between W^(tau n) and exp(-i H(k) tau n eps) as eps shrinks.
@@ -76,32 +97,52 @@ def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
     The step count n = round(T / (tau eps)), tau the walk's, rounds the horizon to a
     whole number of stroboscopic blocks; the induced O(eps) time mismatch is absorbed
     into the fitted order.  W^(tau n) must be unitary to POWER_TOL, and H, named
-    ``what`` in errors, Hermitian.  The coin pair is built once an eps, H once a tile of
-    ``k_tiles`` at ``CONVERGE_BLOCK`` k-points (a grid of 128^2 is one tile, as is a
-    list of 16,384 momenta); each error is the max over the tiles, and every kernel is
-    elementwise and gives the same bits at any array size, a one-point tile too
-    (``mat2._mul_su2``, ``mat2._square_su2``), so the samples do not depend on the tile
-    size.  W, W^(tau n) and the target are in the two-plane form of ``mat2`` and checked
-    there; the target is expanded to four entry planes once a tile and horizon, and
-    ``_norm_diff`` forms the entries of W^(tau n) minus it in place for the norm.
+    ``what`` in errors, Hermitian.
+
+    The eps ladder is walked at once: the coins of every eps come from one ``coin_pair``
+    on the array of eps, and one loop runs over the tiles of ``k_tiles`` at
+    ``CONVERGE_BLOCK`` k-points (a grid of 128^2 is one tile) and, in each, over groups
+    of eps with at most ``K_BLOCK`` points between them (one eps a group on a larger
+    tile).  A group is a stack, an eps a row: W(k), W^(tau n) by one ``mat2._power`` with
+    a step count a row, the target by one ``exp_herm`` of H (built once a tile) at the
+    group's distinct horizons, kept while the next group's are the same, and one
+    ``_norm_diff`` whose maximum is taken a row; each error is the max over the tiles.
+    The kernels are elementwise and give the same bits at any array size, so each sample
+    is what its eps alone gives, and the checks raise what eps by eps would raise first,
+    a row checked as the walk symbol, then W^(tau n), then its target.
     """
     tau = cfg.tau
     eps_list = [float(eps) for eps in sorted(eps_list, reverse=True)]
     steps = [tau * max(1, round(t_final / (tau * eps))) for eps in eps_list]
+    horizons = [m * eps for m, eps in zip(steps, eps_list)]
     errors = [0.0] * len(eps_list)
+    grid = np.broadcast(np.asarray(kx), np.asarray(ky))
+    size = max(1, K_BLOCK // min(grid.size, CONVERGE_BLOCK))
+    groups = [slice(i, i + size) for i in range(0, len(eps_list), size)]
+    ladder = (-1,) + (1,) * grid.ndim  # an eps a row, broadcast over a tile
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
-        pairs = [coin_pair(cfg, eps) for eps in eps_list]
-        for _, kx_t, ky_t in k_tiles(kx, ky, CONVERGE_BLOCK):
-            h, t = hamiltonian(kx_t, ky_t), None
-            for i, (eps, m, pair) in enumerate(zip(eps_list, steps, pairs)):
-                w = check_unitary(walk_planes(pair, kx_t, ky_t), "walk symbol", _UNITARITY_TOL)
-                walk_pow = check_unitary(_power(w, m), f"W^({tau} n) at n = {m // tau:.3g}",
-                                         POWER_TOL)
-                if m * eps != t:  # eps that divide the horizon alike share one target
-                    t = m * eps
-                    target = _entries_su2(check_unitary(exp_herm(h, t, what),
-                                                        f"{what} evolution", _UNITARITY_TOL))
-                errors[i] = max(errors[i], float(_norm_diff(walk_pow, target).max()))
+        spacing, *coins = coin_pair(cfg, np.reshape(eps_list, ladder))
+        for (_, kx_t, ky_t), rows in product(k_tiles(kx, ky, CONVERGE_BLOCK), groups):
+            if rows.start == 0:
+                h, times = hamiltonian(kx_t, ky_t), None
+            w = walk_planes((spacing[rows],) + tuple(_rows(c, rows) for c in coins), kx_t, ky_t)
+            failing = _failing(w, _UNITARITY_TOL)
+            walk_pow = _power(w, steps[rows])
+            failing = [x or y for x, y in zip(failing, _failing(walk_pow, POWER_TOL))]
+            first = failing.index(True) if True in failing else len(failing)
+            group_times = list(dict.fromkeys(horizons[rows]))
+            if first and times != group_times:  # the rows before the first failure reach it
+                times = group_times
+                target = _target(h, times, len(set(horizons[rows][:first])), what, ladder)
+            if first < len(failing):
+                m, one = steps[rows][first], slice(first, first + 1)
+                check_unitary(_rows(w, one), "walk symbol", _UNITARITY_TOL)
+                check_unitary(_rows(walk_pow, one), f"W^({tau} n) at n = {m // tau:.3g}",
+                              POWER_TOL)
+            row_targets = target if len(times) in (1, len(failing)) else tuple(  # one for all,
+                p[[times.index(t) for t in horizons[rows]]] for p in target)  # or a row each
+            for i, error in enumerate(_row_max(_norm_diff(walk_pow, row_targets)), rows.start):
+                errors[i] = max(errors[i], error)
     samples = list(zip(eps_list, errors))
     slope, intercept, r2 = fit_order(samples)
     return ConvergenceResult(tuple(samples), slope, intercept, r2)

@@ -36,11 +36,18 @@ exception and every file it wrote, then the call's label.  The calls run
   ``random``), x steps {0, own (20)} x {stdout, ``--output`` with its field
   CSV} (16 calls): the bytes of ``SpinorField.delta`` and ``plane_wave``, as
   built and as evolved;
+* ``converge`` at the edges of its eps groups, x {JSON, CSV} x {stdout,
+  ``--output`` with its side file} (28 calls): t_final 0.3 on the
+  time_compliant and plastic_half_compliant configs (horizons that differ and
+  step counts that are not powers of two), plastic momentum lists of the
+  lengths of ``LADDER_MOMENTA`` with the 7 default eps (one momentum, and one
+  group of 7 eps or two of 6 and 1 at ``_util.K_BLOCK`` points a group), and
+  time mode at grid 9 with the 16 eps of ``LADDER_EPS``, one group;
 * every ``spacetime_scan`` and ``kspace_time`` operation that
   ``perfbench/workloads.py`` builds at seeds 11 and 9001, with the argv it
   builds (the module is imported, not changed).
 
-That is 4,324 lines.  ``plasticwalk`` is imported from ``PYTHONPATH``, so pointing it at the
+That is 4,352 lines.  ``plasticwalk`` is imported from ``PYTHONPATH``, so pointing it at the
 ``src/`` of another checkout digests that checkout with the same calls.
 The calls run in a temporary directory under relative paths, so the
 output does not depend on where it is run; running it twice must give
@@ -60,6 +67,8 @@ import tempfile
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 COMMANDS = ("check", "hamiltonian", "pde", "simulate", "converge", "dispersion", "terms")
@@ -74,6 +83,9 @@ WORKLOADS = ("spacetime_scan", "kspace_time")
 TIME_CONFIGS = ("time_compliant", "time_tau4_delta0")
 CONVERGE_GRIDS = (128, 129, 200, 256)  # 16,384, 16,641, 40,000 and 65,536 k-points
 SIMULATE_CONFIGS = ("time_compliant", "plastic_half_compliant")
+# 4096 // 7 - 1, 4096 // 7 and 4096 // 7 + 1 momenta about the edge of a group of 7 eps
+LADDER_MOMENTA = (1, 584, 585, 586)
+LADDER_EPS = tuple(2.0 ** -k for k in range(3, 19))
 INITIAL_STATES = ({"type": "delta"}, {"type": "plane_wave", "kx": 0.7, "ky": -1.3})
 
 
@@ -201,6 +213,30 @@ def initial_states(main):
             main, argv + ["--output", "out/result", "simulate"], "out")
 
 
+def ladder_edges(main):
+    """(label, digest) of the 28 ``converge`` calls at the edges of its eps groups."""
+    os.makedirs("out", exist_ok=True)
+    variants = [("time_compliant", "t_final=0.3", {"t_final": 0.3}),
+                ("plastic_half_compliant", "t_final=0.3", {"t_final": 0.3})]
+    for n in LADDER_MOMENTA:
+        momenta = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2)).tolist()
+        variants.append(("plastic_half_compliant", f"momenta={n}",
+                         {"momenta": momenta, "eps_list": None}))
+    variants.append(("time_compliant", "grid=9 eps_list=16",
+                     {"grid": 9, "eps_list": list(LADDER_EPS)}))
+    for config, label, run in variants:
+        doc = json.loads((GOLDEN / config / "config.json").read_text())
+        doc["run"].update(run)
+        doc["run"] = {key: value for key, value in doc["run"].items() if value is not None}
+        with open("config.json", "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+        for fmt in ("json", "csv"):
+            argv = ["--config", "config.json", "--format", fmt]
+            yield f"{config} {label} converge {fmt} stdout", _call(main, argv + ["converge"])
+            yield f"{config} {label} converge {fmt} --output", _call(
+                main, argv + ["--output", "out/result", "converge"], "out")
+
+
 def workload_ops(main, builders):
     """(label, digest) of every operation of the benchmark's CLI workloads."""
     for workload in WORKLOADS:
@@ -225,6 +261,7 @@ def main() -> None:
         os.chdir(tmp)
         for label, digest in itertools.chain(matrix(cli.main), exponent_pairs(cli.main),
                                              time_edges(cli.main), initial_states(cli.main),
+                                             ladder_edges(cli.main),
                                              workload_ops(cli.main, BUILDERS)):
             print(f"{digest}  {label}")
         os.chdir(ROOT)

@@ -27,6 +27,9 @@ no command needs stay here, as oracles for the library's closed forms:
 * the same whole-grid commands on the library's two-plane kernels (W(k)^n by
   ``walk_planes`` and the two-plane squaring, the bands by ``_phases_su2``):
   the references the tile loops equal bit for bit;
+* the convergence loop one eps at a time (``converge_eps_by_eps``), each eps's coins,
+  power and checks on their own: the reference for the loop that walks the eps
+  ladder at once, in its samples and in the error it raises first;
 * W(k) and its power in extended precision, from the walk's float64 angles;
 * the identity ``ID2``, the Pauli matrix ``SX`` and the x-axis rotation
   ``rot_x``, which no coin needs, the conjugate transpose ``dag`` of a stack, and
@@ -100,7 +103,7 @@ from plasticwalk.coins import CoinJet, WalkConfig, coin_at, coin_pair, walk_k, w
 from plasticwalk.config import ConfigError, ExperimentConfig
 from plasticwalk.lattice import SpinorField, momentum_grid
 from plasticwalk.mat2 import (
-    SY, SZ, _entries, _entries_su2, _from_entries, _phases_su2, _power,
+    SY, SZ, _entries, _entries_su2, _from_entries, _norm_diff, _phases_su2, _power,
     eigvals2, exp_herm, op_norm, rot,
 )
 from plasticwalk.plastic import (
@@ -112,7 +115,7 @@ from plasticwalk.timelimit import (
     ANGLE_TOL, ConstraintReport, HamiltonianTerm, _require_branch, check_time_limit,
     time_hamiltonian,
 )
-from plasticwalk._util import POWER_TOL, check_unitary, stack_power
+from plasticwalk._util import CONVERGE_BLOCK, POWER_TOL, check_unitary, k_tiles, stack_power
 
 
 # ----------------------------------------------------------------- 2x2 algebra
@@ -750,6 +753,34 @@ def converge_whole_grid(cfg: WalkConfig, tau: int, hamiltonian, kx, ky, t_final:
                 check_unitary(exp_herm(h, tau * n * eps), "target", 1e-11)))
         samples.append((float(eps), float(np.max(op_norm(walk_pow - target)))))
     return samples
+
+
+def converge_eps_by_eps(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float, eps_list,
+                        what: str) -> list[tuple[float, float]]:
+    """The (eps, error) samples of ``convergence._converge`` one eps at a time, as the
+    loop was before it walked the eps ladder at once: the coin pair of each eps by its
+    own ``coin_pair``, and in each tile of ``CONVERGE_BLOCK`` k-points, eps by eps, W(k)
+    checked, W^(tau n) by ``_power`` with that eps's count alone and checked, and the
+    target e^{-iHt} rebuilt and checked where the horizon changes; the first check that
+    fails raises.  The reference the ladder equals bit for bit, in its errors too."""
+    tau = cfg.tau
+    eps_list = [float(eps) for eps in sorted(eps_list, reverse=True)]
+    steps = [tau * max(1, round(t_final / (tau * eps))) for eps in eps_list]
+    errors = [0.0] * len(eps_list)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [coin_pair(cfg, eps) for eps in eps_list]
+        for _, kx_t, ky_t in k_tiles(kx, ky, CONVERGE_BLOCK):
+            h, t = hamiltonian(kx_t, ky_t), None
+            for i, (eps, m, pair) in enumerate(zip(eps_list, steps, pairs)):
+                w = check_unitary(walk_planes(pair, kx_t, ky_t), "walk symbol", 1e-11)
+                walk_pow = check_unitary(_power(w, m), f"W^({tau} n) at n = {m // tau:.3g}",
+                                         POWER_TOL)
+                if m * eps != t:
+                    t = m * eps
+                    target = _entries_su2(check_unitary(exp_herm(h, t, what),
+                                                        f"{what} evolution", 1e-11))
+                errors[i] = max(errors[i], float(_norm_diff(walk_pow, target).max()))
+    return list(zip(eps_list, errors))
 
 
 # ------------------------------------------------------------ result views

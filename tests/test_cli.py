@@ -375,6 +375,23 @@ def test_converge_csv_with_json_sidecar(tmp_path):
     assert abs(sidecar["slope"] - 1.0) <= 0.3
 
 
+@pytest.mark.parametrize("eps_list, theta1, stderr", [
+    ([0.1, 0.05, 1e-13], 0.5,
+     "converge: W^(2 n) at n = 5e+12 is not unitary to 0.001 (defect 2.223e-03)\n"),
+    ([0.1, 1e308, 0.05, 1e-13], 4.0, "converge: walk symbol is not unitary to 1e-11 (defect nan)\n"),
+], ids=["one-failing-eps-not-first", "two-kinds"])
+def test_converge_reports_the_first_failing_eps(tmp_path, capsys, eps_list, theta1, stderr):
+    """converge checks its eps ladder in the order eps by eps would, largest eps first:
+    a tiny eps whose W^(2n) is past POWER_TOL, listed after two that pass, exits 1 with
+    its n; with a huge eps whose coin angles overflow (theta1 eps = 4e308) too, the
+    overflow, the larger eps, is the failure reported, not the power's."""
+    doc = time_doc()
+    doc["walk"]["coin_x"]["theta1"] = theta1
+    doc["run"]["eps_list"] = eps_list
+    assert main(["--config", write_config(tmp_path, doc), "converge"]) == 1
+    assert capsys.readouterr() == ("", stderr)
+
+
 def test_converge_plastic_mode(tmp_path, capsys):
     rng = np.random.default_rng(8)
     doc = plastic_doc(rng)

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasticwalk import CoinJet, WalkConfig, coin_at, walk_k
+from plasticwalk.coins import coin_pair
 from plasticwalk.mat2 import op_norm, rot
 
-from conftest import HALF, draw_time_compliant, draw_time_generic
+from conftest import HALF, draw_plastic_generic, draw_time_compliant, draw_time_generic
 from oracles import ID2, first_order_blocks, is_unitary, shift_symbol, walk_power_expansion
 
 
@@ -240,3 +241,24 @@ def test_drive_refuses_a_negative_eps_at_a_fractional_b():
             call()
     assert walk.drive(0.0) == 0.0
     assert replace(walk, b_exp=1).drive(-0.01) == -0.01
+
+
+@settings(max_examples=20, deadline=None)
+@given(plastic=st.booleans(), count=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_coin_ladder_equals_coin_pair_eps_by_eps_bitwise(plastic, count, seed):
+    """coin_pair on an array of eps (converge's ladder, one eps a row) gives, entry by
+    entry, the spacing and coins of coin_pair at each eps alone, bit for bit, at drives
+    from 1e-12 to 1 and, in time mode, at eps 0 (drive 0, the zeroth-order coin)."""
+    rng = np.random.default_rng(seed)
+    cfg = draw_plastic_generic(rng) if plastic else draw_time_generic(rng)
+    eps = 10.0 ** -rng.uniform(0, 12, count)
+    if not plastic:  # a spacing eps**a needs eps > 0
+        eps[rng.integers(count)] = 0.0
+    spacing, *coins = coin_pair(cfg, eps.reshape(-1, 1, 1))
+    assert spacing.shape == coins[0][1].shape == coins[1][2].shape == (count, 1, 1)
+    for i, e in enumerate(eps):
+        alone = coin_pair(cfg, float(e))
+        assert np.float64(alone[0]).tobytes() == spacing[i].tobytes()
+        for (g, a, b), (g1, a1, b1) in zip(coins, alone[1:]):
+            assert (g.tobytes(), a[i].tobytes(), b[i].tobytes()) \
+                == (g1.tobytes(), a1.tobytes(), b1.tobytes())

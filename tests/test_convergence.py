@@ -11,6 +11,7 @@ from plasticwalk import (
     spacetime_hamiltonian, time_convergence, time_hamiltonian, walk_k,
 )
 from plasticwalk.coins import coin_pair, walk_planes
+from plasticwalk.convergence import _converge
 from plasticwalk.lattice import SpinorField, evolve
 from plasticwalk.mat2 import _entries_su2, _from_entries, _power, exp_herm, op_norm
 from plasticwalk._util import CONVERGE_BLOCK, K_BLOCK, k_tiles, stack_power
@@ -19,7 +20,7 @@ from conftest import (
     draw_plastic_compliant, draw_plastic_generic, draw_time_compliant, draw_time_generic,
 )
 from oracles import (
-    converge_whole_grid, det2, dispersion_planes_whole_grid, dispersion_whole_grid,
+    converge_eps_by_eps, converge_whole_grid, det2, dispersion_planes_whole_grid, dispersion_whole_grid,
     evolve_whole_grid, walk_k_stack, walk_power_planes, walk_power_stack,
 )
 
@@ -475,9 +476,16 @@ def test_dispersion_tiles_equal_the_whole_grid_bitwise(grid, generic, eps, seed)
     assert _circular(bands, dispersion_whole_grid(cfg, eps, kx, ky)) <= 1e-12
 
 
+# grids whose groups of eps hold one eps (64^2 = K_BLOCK points), two (45^2) and every
+# eps of a ladder (9^2), and momentum lists about the edges of groups of 4 and 7 eps
+LADDER_GRIDS = [(64, 64), (45, 45), (9, 9)]
+LADDER_MOMENTA = [n for count in (4, 7) for n in (K_BLOCK // count - 1, K_BLOCK // count,
+                                                  K_BLOCK // count + 1)]
+
+
 @settings(max_examples=8, deadline=None)
-@given(grid=st.sampled_from(TILE_GRIDS + CONVERGE_TILE_GRIDS), tau=st.sampled_from([2, 4]),
-       end=st.integers(8, 10), t_final=st.sampled_from([0.5, 0.3]),
+@given(grid=st.sampled_from(TILE_GRIDS + CONVERGE_TILE_GRIDS + LADDER_GRIDS),
+       tau=st.sampled_from([2, 4]), end=st.integers(8, 10), t_final=st.sampled_from([0.5, 0.3]),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(grid=(2, 5000), tau=2, end=8, t_final=0.5, seed=0)
 @example(grid=(65, 65), tau=4, end=9, t_final=0.3, seed=1)
@@ -485,29 +493,114 @@ def test_dispersion_tiles_equal_the_whole_grid_bitwise(grid, generic, eps, seed)
 @example(grid=(129, 129), tau=4, end=8, t_final=0.5, seed=3)
 @example(grid=(129, 129), tau=2, end=8, t_final=0.3, seed=0)  # a whole grid past 256 KiB
 @example(grid=(2, CONVERGE_BLOCK + 7), tau=2, end=9, t_final=0.3, seed=4)
+# groups of one, two and every eps; ladders of 3 and of 16 eps; tau 2 and 4
+@example(grid=(64, 64), tau=4, end=8, t_final=0.3, seed=5)
+@example(grid=(64, 64), tau=2, end=21, t_final=0.5, seed=6)
+@example(grid=(45, 45), tau=2, end=8, t_final=0.5, seed=7)
+@example(grid=(45, 45), tau=4, end=21, t_final=0.3, seed=8)
+@example(grid=(9, 9), tau=4, end=8, t_final=0.5, seed=9)
+@example(grid=(9, 9), tau=2, end=21, t_final=0.3, seed=10)
+@example(grid=(1, 1), tau=4, end=21, t_final=0.5, seed=11)
 def test_time_convergence_tiles_equal_the_whole_grid_bitwise(grid, tau, end, t_final, seed):
     """Every (eps, error) sample, with eps in the order the CLI lists them, on grids of
-    one and of several tiles of either block size.  At t_final 0.5 every eps 2^-k
-    divides the horizon, so all share one target; at 0.3 the rounded horizons differ."""
+    one and of several tiles of either block size, whose groups hold one, two or all of
+    the eps.  At t_final 0.5 every eps 2^-k divides the horizon, so all share one target
+    and every step count is a power of two; at 0.3 the rounded horizons differ, and the
+    counts are not powers of two (the products of ``mat2._power``).  The samples equal
+    the loop one eps at a time and the two-plane whole-grid oracle bit for bit, and the
+    four-entry oracle to 1e-12 up to 2^10 steps (its roundoff grows about 3e-16 a step;
+    longer powers are held against an extended-precision power in test_kernels)."""
     cfg = draw_time_compliant(np.random.default_rng(seed), tau=tau, strong_theta1=True)
     kx, ky = _factors(*grid)
     eps_list = [2.0 ** -k for k in range(6, end + 1)]
     samples = time_convergence(cfg, t_final, kx, ky, eps_list[::-1]).samples
     h = time_hamiltonian(cfg)[1]
+    assert np.array(samples).tobytes() == np.array(
+        converge_eps_by_eps(cfg, h, kx, ky, t_final, eps_list, "Hamiltonian")).tobytes()
     oracle = converge_whole_grid(cfg, tau, h, kx, ky, t_final, eps_list, walk_power_planes)
     assert np.array(samples).tobytes() == np.array(oracle).tobytes()
-    four = converge_whole_grid(cfg, tau, h, kx, ky, t_final, eps_list)
-    assert float(np.max(np.abs(np.array(samples) - np.array(four)))) <= 1e-12
+    if end <= 10:
+        four = converge_whole_grid(cfg, tau, h, kx, ky, t_final, eps_list)
+        assert float(np.max(np.abs(np.array(samples) - np.array(four)))) <= 1e-12
 
 
-def test_spacetime_convergence_momentum_list_equals_the_oracle_bitwise(rng):
+@settings(max_examples=6, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 5] + LADDER_MOMENTA), count=st.integers(3, 7),
+       t_final=st.sampled_from([0.5, 0.3]), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=3, count=4, t_final=0.5, seed=0)
+@example(n=1, count=7, t_final=0.3, seed=1)
+@example(n=K_BLOCK // 4 - 1, count=4, t_final=0.5, seed=2)
+@example(n=K_BLOCK // 4, count=4, t_final=0.3, seed=3)
+@example(n=K_BLOCK // 4 + 1, count=4, t_final=0.5, seed=4)
+@example(n=K_BLOCK // 7 - 1, count=7, t_final=0.3, seed=5)
+@example(n=K_BLOCK // 7, count=7, t_final=0.5, seed=6)
+@example(n=K_BLOCK // 7 + 1, count=7, t_final=0.3, seed=7)
+@example(n=K_BLOCK // 16 - 1, count=16, t_final=0.5, seed=8)
+@example(n=K_BLOCK // 16, count=16, t_final=0.3, seed=9)
+@example(n=K_BLOCK // 16 + 1, count=16, t_final=0.3, seed=10)
+def test_spacetime_convergence_momentum_list_equals_the_oracle_bitwise(n, count, t_final, seed):
+    """Plastic converge over a list of n momenta and ``count`` eps about the edges of its
+    groups (K_BLOCK // count momenta fill one group of every eps) equals the loop one eps
+    at a time and the two-plane oracle bit for bit, and the four-entry oracle to 1e-12 up
+    to 2^10 steps.  At t_final 0.3 the horizons differ and the step counts are not
+    powers of two."""
+    rng = np.random.default_rng(seed)
     cfg = draw_plastic_compliant(rng)
-    momenta = [(0.7, -0.3), (0.23, 0.9), (-0.51, 0.42)]
-    eps_list = [2.0 ** -k for k in range(6, 10)]
-    kx, ky = np.array(momenta).T
-    samples = spacetime_convergence(cfg, 0.5, kx, ky, eps_list).samples
+    kx, ky = rng.uniform(-1.0, 1.0, (2, n))
+    eps_list = [2.0 ** -k for k in range(6, 6 + count)]
+    samples = spacetime_convergence(cfg, t_final, kx, ky, eps_list).samples
     h = spacetime_hamiltonian(cfg).hamiltonian
-    oracle = converge_whole_grid(cfg, 2, h, kx, ky, 0.5, eps_list, walk_power_planes)
+    assert np.array(samples).tobytes() == np.array(
+        converge_eps_by_eps(cfg, h, kx, ky, t_final, eps_list, "PDE generator")).tobytes()
+    oracle = converge_whole_grid(cfg, 2, h, kx, ky, t_final, eps_list, walk_power_planes)
     assert np.array(samples).tobytes() == np.array(oracle).tobytes()
-    four = converge_whole_grid(cfg, 2, h, kx, ky, 0.5, eps_list)
-    assert float(np.max(np.abs(np.array(samples) - np.array(four)))) <= 1e-12
+    if count <= 5:
+        four = converge_whole_grid(cfg, 2, h, kx, ky, t_final, eps_list)
+        assert float(np.max(np.abs(np.array(samples) - np.array(four)))) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(grid=st.sampled_from([(1, 1), (3, 5), (9, 9), (45, 45), (129, 129)]),
+       extra=st.lists(st.sampled_from([1e-13, 1e-16, 1e308]), max_size=3),
+       fault=st.sampled_from([None, "first tile", "second tile", "overflow"]),
+       t_final=st.sampled_from([0.5, 0.3]), seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=(9, 9), extra=[1e-13], fault=None, t_final=0.5, seed=0)
+@example(grid=(9, 9), extra=[1e-13, 1e308], fault=None, t_final=0.5, seed=1)
+@example(grid=(45, 45), extra=[1e-13], fault="first tile", t_final=0.3, seed=2)
+@example(grid=(129, 129), extra=[1e-16], fault="second tile", t_final=0.5, seed=3)
+@example(grid=(3, 5), extra=[1e-13], fault="overflow", t_final=0.3, seed=4)
+def test_converge_raises_what_the_loop_eps_by_eps_raises_first(grid, extra, fault, t_final,
+                                                               seed):
+    """With eps whose W^(tau n) is past POWER_TOL (1e-13, 1e-16) or whose coin angles
+    overflow (1e308 at theta1 = 10), and an H that is not Hermitian on the first or the
+    second tile or whose evolution overflows, the ladder raises the message (and n) of
+    the loop one eps at a time, or gives its samples bit for bit."""
+    cfg = draw_time_compliant(np.random.default_rng(seed), tau=2, strong_theta1=True)
+    cfg = replace(cfg, coin_x=replace(cfg.coin_x, theta1=10.0))
+    symbol = time_hamiltonian(cfg)[1]
+    eps_list = [2.0 ** -k for k in range(6, 10)] + extra
+
+    def hamiltonian():
+        tiles = []
+
+        def h(kx, ky):
+            tiles.append(None)
+            out = symbol(kx, ky)
+            if fault == "overflow":
+                return out * 1e305
+            if (fault, len(tiles)) in (("first tile", 1), ("second tile", 2)):
+                out = out.copy()
+                out[..., 0, 1] += 1.0
+            return out
+        return h
+
+    kx, ky = _factors(*grid)
+    try:
+        want = converge_eps_by_eps(cfg, hamiltonian(), kx, ky, t_final, eps_list, "Hamiltonian")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _converge(cfg, hamiltonian(), kx, ky, t_final, eps_list, "Hamiltonian")
+        assert str(got.value) == str(exc)
+        return
+    samples = _converge(cfg, hamiltonian(), kx, ky, t_final, eps_list, "Hamiltonian").samples
+    assert np.array(samples).tobytes() == np.array(want).tobytes()

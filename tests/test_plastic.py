@@ -630,6 +630,49 @@ def test_rejected_walk_diverges_at_the_predicted_order():
     assert rejected == 458
 
 
+def test_walk_without_order_one_terms_has_a_trivial_limit_where_nothing_fractional_lives():
+    """The walk's own backing of the second plastic "no": on every walk of the benchmark's
+    seed-11 ``spacetime_scan`` draws whose (a, b) admits no order-1 term (372 of the 968),
+    so that no generator exists, the quotient q(eps) = max ||(W^2 - I)/(2 eps)|| over the
+    config's momenta goes to 0 (a trivial limit), a positive log-log slope over eps =
+    1e-3 ... 1e-6, exactly where ``live_orders`` says no group below order 1 is live (158
+    walks), and diverges elsewhere (214): there its slope is f_min - 1 within (-g/2, g),
+    the rule of the walks with order-1 terms, f_min the smallest live order and g the gap
+    to the next (or to 1); the largest deviation is 0.59 g.  Every slope lies 0.024 or
+    more from 0: the least, 0.0249, is at a = 2/5, b = 5/8 and its mirror, whose leading
+    order is a + b = 41/40.
+
+    The window is where float64 resolves q.  On eps = 1e-7 ... 1e-10 the compliant walk
+    at a = 7/8, b = 6/7 reads -0.056: its leading order above 1 is 12/7, so q falls as
+    eps^(5/7), 2.3e-6 at eps = 1e-7, under the floor of W^2 - I in float64 (a few 1e-16
+    over 2 eps: 3.6e-6 at 1e-10)."""
+    workloads = load_workloads()
+    rng = np.random.default_rng([11, 3])  # spacetime_scan's generator at seed 11
+    eps = np.array([1e-3, 1e-4, 1e-5, 1e-6])
+    trivial = diverging = 0
+    for a, b in itertools.product(FAREY_8, repeat=2):
+        for compliant in (True, False):
+            config = ExperimentConfig.from_dict({"walk": workloads.plastic_walk(rng, a, b,
+                                                                                compliant)})
+            if enumerate_terms(a, b):
+                continue
+            cfg = config.walk
+            kx, ky = np.array(config.momenta).T
+            q = [divergence_quotient(cfg, kx, ky, e) for e in eps]
+            slope = np.polyfit(np.log(eps), np.log(q), 1)[0]
+            live = live_orders(cfg) + [Fraction(1)]
+            case = (str(a), str(b), compliant, [str(f) for f in live], slope)
+            assert abs(slope) >= 0.024, case
+            if len(live) == 1:
+                assert slope > 0, case
+                trivial += 1
+            else:
+                gap = float(live[1] - live[0])
+                assert -gap / 2 < slope - (float(live[0]) - 1) < gap, case
+                diverging += 1
+    assert (trivial, diverging) == (158, 214)
+
+
 @pytest.mark.parametrize("draw,a,b", [(draw_plastic_compliant, Fraction(1, 3), Fraction(2, 3)),
                                       (draw_plastic_generic, HALF, Fraction(1))])
 def test_walk_converges_to_the_closed_form_generator(rng, draw, a, b):

@@ -27,6 +27,9 @@ ONE = (np.ones((), dtype=np.complex128), np.ones((), dtype=np.complex128),
                  id="rot-x"),
     pytest.param(lambda: _power(ONE, -1), ValueError, "negative powers not supported",
                  id="power-negative"),
+    pytest.param(lambda: _power((ONE[0], np.ones(2, dtype=complex), np.zeros(2, dtype=complex)),
+                                [0, 3]),
+                 ValueError, "a count a row must be at least 1", id="power-row-count-zero"),
     pytest.param(lambda: enumerate_terms(Fraction(-1, 2), HALF), ValueError,
                  "the exponents need a >= 0 and b > 0", id="terms-a-negative"),
     pytest.param(lambda: enumerate_terms(HALF, Fraction(0)), ValueError,
