@@ -103,8 +103,9 @@ def _converge(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float,
     on the array of eps, and one loop runs over the tiles of ``k_tiles`` at
     ``CONVERGE_BLOCK`` k-points (a grid of 128^2 is one tile) and, in each, over groups
     of eps with at most ``K_BLOCK`` points between them (one eps a group on a larger
-    tile).  A group is a stack, an eps a row: W(k), W^(tau n) by one ``mat2._power`` with
-    a step count a row, the target by one ``exp_herm`` of H (built once a tile) at the
+    tile).  A group is a stack, an eps a row: W(k), W^(tau n) by one ``mat2._power`` of
+    the group's step counts (the rows share its squarings, each multiplying its own
+    product), the target by one ``exp_herm`` of H (built once a tile) at the
     group's distinct horizons, kept while the next group's are the same, and one
     ``_norm_diff`` whose maximum is taken a row; each error is the max over the tiles.
     The kernels are elementwise and give the same bits at any array size, so each sample

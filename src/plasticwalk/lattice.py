@@ -111,10 +111,16 @@ class SpinorField:
     @staticmethod
     def plane_wave(nx: int, ny: int, kx: float, ky: float) -> "SpinorField":
         """The normalized plane wave e^{i(kx l + ky m)} in psi_L: the spinor (1, 0) times the
-        wave, so psi_R holds the signed zeros of 0j times it."""
+        wave, so psi_R holds the signed zeros of 0j times it.  Raises ValueError where a
+        phase kx l + ky m overflows (a finite kx of 1e308 on 4 sites)."""
         ll = np.arange(nx)[:, None]
         mm = np.arange(ny)[None, :]
-        wave = np.exp(1j * (kx * ll + ky * mm))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            phase = kx * ll + ky * mm
+        if not np.isfinite(phase).all():
+            raise ValueError(f"plane wave phase kx l + ky m is not finite on a {nx}x{ny} "
+                             f"lattice (kx = {kx!r}, ky = {ky!r})")
+        wave = np.exp(1j * phase)
         sp = np.array([1.0, 0.0], dtype=np.complex128)
         return SpinorField(sp[:, None, None] * wave[None, :, :] / np.sqrt(nx * ny))
 
@@ -163,18 +169,18 @@ def evolve(field: SpinorField, cfg: WalkConfig, eps: float, steps: int) -> Spino
     """
     if steps == 0:
         return field
+    nx, ny = field.shape
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
         pair = coin_pair(cfg, eps)
         for coin in pair[1:]:
             check_unitary(coin, "coin", 1e-10)
-    nx, ny = field.shape
-    kx, ky = (k / pair[0] for k in momentum_grid(nx, ny))
+        kx, ky = (k / pair[0] for k in momentum_grid(nx, ny))
     psi = field.data.copy()
     for axis in (2, 1):
         np.fft.fft(psi, axis=axis, out=psi)
     for tile, kx_t, ky_t in k_tiles(kx, ky):
         with np.errstate(over="ignore", invalid="ignore"):
-            a, b, c, d = _entries_su2(check_unitary(_power(walk_planes(pair, kx_t, ky_t), steps),
+            a, b, c, d = _entries_su2(check_unitary(_power(walk_planes(pair, kx_t, ky_t), [steps]),
                                                     f"W(k)^{steps}", POWER_TOL))
         up, down = psi[0][tile], psi[1][tile]
         psi[0][tile], psi[1][tile] = a * up + b * down, c * up + d * down

@@ -14,9 +14,10 @@ diag(e^{ik}, e^{-ik}) times a coin, and so the walk symbol W(k), its powers and
 the evolution e^{-iHt} of a Hermitian H have this form, and products keep it.
 Products and powers are taken only in it: ``_mul_su2`` and the squaring
 (a^2 - |b|^2, 2 Re(a) b) of ``_power``, on half the arrays of four entry planes.
-``_power`` takes one step count, or a count for each leading row of a stack, as
-``converge`` stacks the eps of its ladder: the rows square together and retire at
-their counts, each the power its count alone gives, bit for bit.
+``_power`` takes a list of step counts, ``[n]`` for one power or a count for each
+leading row of a stack, as ``converge`` stacks the eps of its ladder: one loop over the
+bits of the counts squares the rows together, and each row multiplies its own slice of
+the square into its own product, the power its count alone gives, bit for bit.
 ``exp_herm`` returns its result so, and the k-space tile loops carry W(k) and
 its powers so, with the defect ``_defect`` (M^dag M = |g|^2 (|a|^2 + |b|^2) I
 exactly, so ||M^dag M - I|| = ||g|^2 (|a|^2 + |b|^2) - 1|) and the eigenphases
@@ -42,10 +43,7 @@ All tolerances are absolute; default 1e-12 for algebraic identities and
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
-import operator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -146,64 +144,40 @@ def _rows(x: tuple, s) -> tuple:
     return tuple(p[s] if isinstance(p, np.ndarray) else p for p in x)
 
 
-def _power(x: tuple, n) -> tuple:
-    """M^n for n >= 0 by repeated squaring, M and M^n in the two-plane form (g, a, b).
+def _power(x: tuple, counts: list) -> tuple:
+    """M^n by repeated squaring, M and M^n in the two-plane form (g, a, b), for each
+    count n of ``counts``: ascending step counts >= 1, one a leading row of a and b, or
+    ``[n]`` for planes with no row axis.
 
-    n may be a list of counts >= 1 in ascending order, one for each leading row of a and
-    b, with one phase g for every row: each row of M^n is then the power its count alone
-    gives, bit for bit.  The rows square together while a count has bits left, and the
-    rows whose counts are spent retire, a leading slice.  A row multiplies the power of
-    a bit in where its count has that bit, and keeps its product where it has not; the
-    OR of the counts decides that for all rows at once while none has begun a product
-    (counts that are powers of two never do) or one row is left.  The rows' phases stay
-    numpy complex scalars, an object array of them, so each is the chain of scalar
-    products its count takes: numpy's scalar ``*`` and its array loop round complex
-    products differently; M^n holds them as a complex array of shape (rows, 1, ...),
-    one phase a row broadcast over its planes.
+    One loop runs over the bits of the counts.  At each bit a row whose count has it
+    multiplies the current square, its own one-row slice, into its product, or takes the
+    slice as its first factor; so each row is the power its count alone gives, bit for
+    bit.  The rows whose counts are spent leave the squaring as a leading slice.  The
+    phase g is one numpy scalar for every row, so each row's phase is its own chain of
+    scalar products (numpy's scalar ``*`` and its array loop round complex products
+    differently); the phases become one complex array of shape (rows, 1, ...) at the end,
+    and a single row comes back as it is.
     """
-    counts = n if isinstance(n, list) else [n]
-    if counts[0] < 0:
-        raise ValueError("negative powers not supported")
-    if counts == [0]:
-        one = np.ones(np.broadcast(*x).shape, dtype=np.complex128)
-        return 1.0 + 0j, one, 0 * one
-    if counts[0] == 0:
-        raise ValueError("a count a row must be at least 1")
-    g, a, b = x
-    rows = len(counts)
-    base = (np.array([g] * rows, dtype=object) if rows > 1 else g, a, b)
-    done, acc, bit = [], None, 1
-    bits = functools.reduce(operator.or_, counts)  # the bits some row's count has
+    if counts[0] < 1:
+        raise ValueError("a step count must be at least 1")
+    rows, first, bit = len(counts), 0, 1
+    acc = [None] * rows
     while True:
-        if not bits & (bit - 1):  # no row has begun its product
-            acc = base if bits & bit else acc
-        elif len(counts) == 1:
-            acc = _mul_su2(acc, base) if bits & bit else acc
-        else:
-            taking = [c & bit != 0 for c in counts]
-            if True in taking:  # rows that begin, rows that multiply and rows that wait
-                started = [c & (bit - 1) != 0 for c in counts]
-                acc = _pick(taking, _pick(started, _mul_su2(acc, base), base), acc)
+        for i in range(first, rows):
+            if counts[i] & bit:
+                part = x if rows == 1 else _rows(x, slice(i - first, i - first + 1))
+                acc[i] = part if acc[i] is None else _mul_su2(acc[i], part)
         bit <<= 1
-        if counts[0] < bit:  # the counts ascend: a leading slice of rows is spent
-            spent = bisect.bisect_left(counts, bit)
-            if spent == len(counts):
-                g, a, b = map(np.concatenate, zip(*done, acc)) if done else acc
-                return (g if rows == 1 else
-                        g.astype(np.complex128).reshape((rows,) + (1,) * (a.ndim - 1)), a, b)
-            done.append(_rows(acc, slice(spent)))
-            acc, base, counts = (_rows(acc, slice(spent, None)), _rows(base, slice(spent, None)),
-                                 counts[spent:])
-            bits = functools.reduce(operator.or_, counts)
-        base = _square_su2(base)
-
-
-def _pick(mask: list, x: tuple, y: tuple) -> tuple:
-    """The rows of x where ``mask`` is true and those of y elsewhere, x and y in the
-    two-plane form with a leading row axis."""
-    mask = np.array(mask)
-    return tuple(np.where(mask.reshape(mask.shape + (1,) * (np.ndim(p) - 1)), p, q)
-                 for p, q in zip(x, y))
+        if counts[first] < bit:  # the counts ascend: a leading slice of rows is spent
+            spent = sum(c < bit for c in counts)
+            if spent == rows:
+                break
+            x, first = _rows(x, slice(spent - first, None)), spent
+        x = _square_su2(x)
+    if rows == 1:
+        return acc[0]
+    g, a, b = zip(*acc)
+    return np.reshape(g, (rows,) + (1,) * (a[0].ndim - 1)), np.concatenate(a), np.concatenate(b)
 
 
 def _entries_su2(x: tuple) -> tuple:

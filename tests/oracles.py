@@ -681,10 +681,19 @@ def walk_power_stack(cfg: WalkConfig, kx, ky, eps: float, n: int) -> NDArray[np.
     return power_stack(walk_k_stack(cfg, kx, ky, eps), n)
 
 
+def power_planes(x: tuple, n: int) -> tuple:
+    """M^n for one count n >= 0, M and M^n in the two-plane form (g, a, b): mat2._power
+    of ``[n]``, and the identity at n = 0, where ``lattice.evolve`` returns early."""
+    if n == 0:
+        one = np.ones(np.broadcast(*x).shape, dtype=np.complex128)
+        return 1.0 + 0j, one, 0 * one
+    return _power(x, [n])
+
+
 def walk_power_planes(cfg: WalkConfig, kx, ky, eps: float, n: int) -> NDArray[np.complex128]:
     """W(k)^n over the whole grid in the library's two-plane form (walk_planes, then the
     squarings of mat2._power), expanded to a stack."""
-    return _from_entries(*_entries_su2(_power(walk_planes(coin_pair(cfg, eps), kx, ky), n)))
+    return _from_entries(*_entries_su2(power_planes(walk_planes(coin_pair(cfg, eps), kx, ky), n)))
 
 
 def walk_power_extended(cfg: WalkConfig, kx, ky, eps: float, n: int) -> NDArray[np.clongdouble]:
@@ -773,7 +782,7 @@ def converge_eps_by_eps(cfg: WalkConfig, hamiltonian, kx, ky, t_final: float, ep
             h, t = hamiltonian(kx_t, ky_t), None
             for i, (eps, m, pair) in enumerate(zip(eps_list, steps, pairs)):
                 w = check_unitary(walk_planes(pair, kx_t, ky_t), "walk symbol", 1e-11)
-                walk_pow = check_unitary(_power(w, m), f"W^({tau} n) at n = {m // tau:.3g}",
+                walk_pow = check_unitary(_power(w, [m]), f"W^({tau} n) at n = {m // tau:.3g}",
                                          POWER_TOL)
                 if m * eps != t:
                     t = m * eps

@@ -751,6 +751,12 @@ def _initial_kx(value):
     return edit
 
 
+def _subnormal_spacing(doc):
+    """eps = 1e-320 at a = 1: the spacing eps**a is subnormal, so k / spacing overflows."""
+    doc["walk"]["a"] = "1"
+    doc["run"]["eps"] = 1e-320
+
+
 def _plastic_tau(doc):
     doc.update(plastic_doc(np.random.default_rng(10)))
     doc["walk"]["tau"] = 4
@@ -878,6 +884,9 @@ def _fiftieths(doc):
      "bad config value: run.momenta entry must have 2 entries, got 3"),
     (_overflowing_coin, "dispersion", 1, None),
     (_overflowing_coin, "simulate", 1, "coin is not unitary to 1e-10 (defect nan)"),
+    (_plastic(_subnormal_spacing), "simulate", 1, "W(k)^20 is not unitary to 0.001 (defect nan)"),
+    (_initial_kx(1e308), "simulate", 1, "plane wave phase kx l + ky m is not finite on a "
+     "16x16 lattice (kx = 1e+308, ky = 0.0)"),
     (_set("run", "eps_list", [1e308, 1e-3, 1e-4]), "converge", 1, None),
     (_set("run", "eps_list", [1e-30, 1e-31, 1e-32]), "converge", 1, None),
     (_plastic(_set("run", "eps_list", [1e-300, 1e-301, 1e-302])), "converge", 1, None),
@@ -899,7 +908,8 @@ def _fiftieths(doc):
         "theta1-bool", "eps_list-bool", "momenta-bool", "initial-kx-bool",
         "eps_list-string", "eps_list-object", "momenta-strings", "momenta-object",
         "momenta-long",
-        "coin-overflow-nan-phases", "coin-overflow-simulate", "eps_list-huge", "eps_list-tiny-time", "eps_list-tiny-plastic",
+        "coin-overflow-nan-phases", "coin-overflow-simulate", "eps-subnormal-spacing",
+        "plane-wave-phase-overflow", "eps_list-huge", "eps_list-tiny-time", "eps_list-tiny-plastic",
         "plastic-momenta-inf", "plastic-momenta-huge", "theta0-huge", "budget-check", "budget-pde", "budget-terms"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exit_codes_without_traceback(tmp_path, capsys, edit, command, code, stderr):

@@ -13,7 +13,7 @@ from plasticwalk import (
 from plasticwalk.coins import coin_pair, walk_planes
 from plasticwalk.convergence import _converge
 from plasticwalk.lattice import SpinorField, evolve
-from plasticwalk.mat2 import _entries_su2, _from_entries, _power, exp_herm, op_norm
+from plasticwalk.mat2 import _entries_su2, _from_entries, exp_herm, op_norm
 from plasticwalk._util import CONVERGE_BLOCK, K_BLOCK, k_tiles, stack_power
 
 from conftest import (
@@ -21,7 +21,7 @@ from conftest import (
 )
 from oracles import (
     converge_eps_by_eps, converge_whole_grid, det2, dispersion_planes_whole_grid, dispersion_whole_grid,
-    evolve_whole_grid, walk_k_stack, walk_power_planes, walk_power_stack,
+    evolve_whole_grid, power_planes, walk_k_stack, walk_power_planes, walk_power_stack,
 )
 
 
@@ -410,7 +410,7 @@ def test_entry_planes_equal_the_stack_oracles_bitwise(grid, plastic, eps, steps,
     assert np.stack(_entries_su2(planes), axis=-1).tobytes() == w.reshape(grid + (4,)).tobytes()
     assert walk_k(cfg, kx, ky, eps).tobytes() == w.tobytes()
     w_n = walk_power_planes(cfg, kx, ky, eps, steps)
-    assert np.stack(_entries_su2(_power(planes, steps)), axis=-1).tobytes() \
+    assert np.stack(_entries_su2(power_planes(planes, steps)), axis=-1).tobytes() \
         == w_n.reshape(grid + (4,)).tobytes()
     field = SpinorField.random(*grid, rng)
     if steps == 0:

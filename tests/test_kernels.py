@@ -16,15 +16,15 @@ from hypothesis import strategies as st
 
 from plasticwalk import lattice, walk_k
 from plasticwalk.config import ExperimentConfig
-from plasticwalk.mat2 import _defect, _entries_su2, _from_entries, _phases_su2, _power, op_norm, rot
+from plasticwalk.mat2 import _defect, _entries_su2, _from_entries, _phases_su2, op_norm, rot
 from plasticwalk.timelimit import time_hamiltonian
 from plasticwalk._util import check_unitary, stack_power
 
 from conftest import draw_plastic_compliant, draw_time_compliant, draw_time_generic
 from oracles import (
-    apply_coin, is_hermitian, is_unitary, mul2, op_norm_matmul, rot_x, stack_power_matmul,
-    time_symbol_matmul, unitarity_defect, unitarity_defect_matmul, walk_k_matmul,
-    walk_power_extended, walk_power_planes, walk_power_stack,
+    apply_coin, is_hermitian, is_unitary, mul2, op_norm_matmul, power_planes, rot_x,
+    stack_power_matmul, time_symbol_matmul, unitarity_defect, unitarity_defect_matmul,
+    walk_k_matmul, walk_power_extended, walk_power_planes, walk_power_stack,
 )
 
 ALGEBRA_TOL = 1e-12
@@ -149,7 +149,7 @@ def test_two_plane_kernels_match_matmul(seed, log_noise, n):
     rng = np.random.default_rng(seed)
     x = random_two_plane(rng, (7,), log_noise)
     m = _from_entries(*_entries_su2(x))
-    assert max_err(_from_entries(*_entries_su2(_power(x, n))), stack_power_matmul(m, n)) \
+    assert max_err(_from_entries(*_entries_su2(power_planes(x, n))), stack_power_matmul(m, n)) \
         <= ALGEBRA_TOL * max(1.0, float(np.max(op_norm(m)))) ** n
     assert max_err(_defect(x), unitarity_defect_matmul(m)) <= ALGEBRA_TOL
     # the pair of phases, in either order, as the sum and product of their unit phasors

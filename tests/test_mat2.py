@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasticwalk import mat2
+from plasticwalk.coins import coin_pair, walk_planes
+from plasticwalk.config import ExperimentConfig
 from plasticwalk.mat2 import (
     SY, SZ, _entries, _entries_su2, _from_entries, _gram, _mul_su2, _norm, _norm_diff,
     _power, _radius, _square_su2, _wrap, exp_herm, op_norm, rot,
@@ -316,7 +318,7 @@ def test_two_plane_kernels_do_not_depend_on_the_array_size(scalar_phase):
     def part(p, s):
         return p[s] if np.ndim(p) else p
 
-    kernels = (lambda x, y, t: _mul_su2(x, y), lambda x, y, t: _power(x, 23),
+    kernels = (lambda x, y, t: _mul_su2(x, y), lambda x, y, t: _power(x, [23]),
                lambda x, y, t: _entries_su2(x), lambda x, y, t: (_norm_diff(x, t),))
     for kernel in kernels:
         whole = [np.broadcast_to(p, (n,)) for p in kernel(x, y, t)]
@@ -342,6 +344,40 @@ def test_square_su2_of_one_element_is_that_element_of_a_longer_plane(seed):
             square = _square_su2(alone)
             assert [np.ravel(p).tobytes() for p in square] == \
                 [p[i:i + 1].tobytes() for p in whole], i
+
+
+GOLDEN_WALKS = tuple(
+    ExperimentConfig.load(Path(__file__).parent / "golden" / name / "config.json").walk
+    for name in ("time_compliant", "time_tau4_delta0", "plastic_half_compliant",
+                 "plastic_third_compliant"))
+STEP_COUNTS = (st.integers(1, 300) | st.integers(1, 2 ** 45)
+               | st.integers(0, 45).map(lambda j: 2 ** j))
+
+
+@st.composite
+def ascending_counts(draw):
+    """1-16 ascending step counts, drawn from a pool of at most 16 so that some tie."""
+    pool = draw(st.lists(STEP_COUNTS, min_size=1, max_size=16))
+    return sorted(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(walk=st.sampled_from(GOLDEN_WALKS), counts=ascending_counts(),
+       points=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_power_of_a_row_is_the_power_of_that_row_alone_bitwise(walk, counts, points, seed):
+    """Each row of _power over a stack of W(k), an eps a row as converge stacks its
+    ladder, equals _power of that row alone with its own count, bit for bit, its phase
+    included: the rows share the squarings and retire at their counts."""
+    rng = np.random.default_rng(seed)
+    eps = np.sort(rng.uniform(1e-4, 0.1, len(counts)))[::-1].reshape(-1, 1)
+    kx, ky = rng.uniform(-np.pi, np.pi, (2, 1, points))
+    w = walk_planes(coin_pair(walk, eps), kx, ky)
+    g, a, b = _power(w, counts)
+    assert np.shape(g) == (len(counts), 1) or len(counts) == 1
+    for i, count in enumerate(counts):
+        row = slice(i, i + 1)
+        h, e, f = _power((w[0], w[1][row], w[2][row]), [count])
+        assert _bits([np.ravel(g)[i], a[row], b[row]]) == _bits([h, e, f])
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -25,11 +25,11 @@ ONE = (np.ones((), dtype=np.complex128), np.ones((), dtype=np.complex128),
                  r"field data must have shape \(2, Nx>=2, Ny>=2\), got \(2, 3\)", id="field-2d"),
     pytest.param(lambda: rot("x", 0.1), ValueError, "axis must be 'y' or 'z', got 'x'",
                  id="rot-x"),
-    pytest.param(lambda: _power(ONE, -1), ValueError, "negative powers not supported",
+    pytest.param(lambda: _power(ONE, [-1]), ValueError, "a step count must be at least 1",
                  id="power-negative"),
     pytest.param(lambda: _power((ONE[0], np.ones(2, dtype=complex), np.zeros(2, dtype=complex)),
                                 [0, 3]),
-                 ValueError, "a count a row must be at least 1", id="power-row-count-zero"),
+                 ValueError, "a step count must be at least 1", id="power-row-count-zero"),
     pytest.param(lambda: enumerate_terms(Fraction(-1, 2), HALF), ValueError,
                  "the exponents need a >= 0 and b > 0", id="terms-a-negative"),
     pytest.param(lambda: enumerate_terms(HALF, Fraction(0)), ValueError,
