@@ -39,24 +39,26 @@ CONVERGE_BLOCK = 2 ** 14
 
 
 def k_tiles(kx, ky, block: int = K_BLOCK):
-    """(index into the grid, kx tile, ky tile) for each tile of the momentum grid kx x ky.
+    """(index into the grid, kx tile, ky tile) for each tile of the momenta kx, ky.
 
     Factors kx (nx, 1) and ky (1, ny) are sliced along their own axes into tiles of at
     most ``block`` k-points: whole kx rows, or one row's ky columns when a row alone is
-    longer than ``block``.  Momentum lists kx and ky, 1-D and of equal length, are
-    sliced together into tiles of ``block`` momenta.  Any other shape (scalars) is one
-    tile."""
+    longer than ``block``.  Any other pair is broadcast to one shape (as it is if the
+    shapes agree) and sliced along its first axis into tiles of at most ``block``
+    k-points or one row (momentum lists: ``block`` momenta).  A 0-d pair is one tile."""
     kx, ky = np.asarray(kx, dtype=np.float64), np.asarray(ky, dtype=np.float64)
-    if kx.ndim == ky.ndim == 1 and kx.shape == ky.shape:
-        return ((s, kx[s], ky[s]) for s in (slice(i, i + block)
-                                            for i in range(0, len(kx), block)))
-    if not (kx.ndim == ky.ndim == 2 and kx.shape[1] == ky.shape[0] == 1):
+    if kx.ndim == ky.ndim == 2 and kx.shape[1] == ky.shape[0] == 1:
+        nx, ny = kx.shape[0], ky.shape[1]
+        rows, cols = max(1, block // ny), min(ny, block)
+        return (((r, c), kx[r], ky[:, c])
+                for r in (slice(i, i + rows) for i in range(0, nx, rows))
+                for c in (slice(j, j + cols) for j in range(0, ny, cols)))
+    if kx.shape != ky.shape:
+        kx, ky = np.broadcast_arrays(kx, ky)
+    if kx.ndim == 0:
         return [(..., kx, ky)]
-    nx, ny = kx.shape[0], ky.shape[1]
-    rows, cols = max(1, block // ny), min(ny, block)
-    return (((r, c), kx[r], ky[:, c])
-            for r in (slice(i, i + rows) for i in range(0, nx, rows))
-            for c in (slice(j, j + cols) for j in range(0, ny, cols)))
+    rows = max(1, block // (kx[:1].size or 1))  # kx[:1].size: the k-points of a row
+    return ((s, kx[s], ky[s]) for s in (slice(i, i + rows) for i in range(0, len(kx), rows)))
 
 
 def check_unitary(m: tuple, what: str, tol: float) -> tuple:

@@ -7,7 +7,8 @@ W = V_x V_y with V_i = S_i (C_i (x) Id): the y-factor acts first.
 The coins do not depend on the site, so the walk is diagonal in momentum:
 ``evolve`` takes any number of steps at once as psi_hat(k) <- W(k)^steps
 psi_hat(k), at a cost logarithmic in the step count.  ``step`` is the
-real-space form of one step, and the oracle ``evolve`` is tested against.
+real-space form of one step, and the oracle ``evolve`` is tested against.  Both
+walk the unit lattice, one site a shift, and never read the spacing eps**a.
 
 The spin-dependent shift moves the L component against the axis index and
 the R component along it: output L at l reads input L at l+1 (x axis),
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import WalkConfig, _coin_su2, coin_pair, walk_planes
+from .coins import WalkConfig, _coin_su2, walk_planes
 from .mat2 import _entries_su2, _power, _wrap
 from ._util import (
     POWER_TOL, cells_text, check_unitary, digits_parse, g17_cells, g17_parse, k_tiles,
@@ -140,16 +141,19 @@ class SpinorField:
         return SpinorField(d)
 
 
-def step(field: SpinorField, cfg: WalkConfig, eps: float) -> SpinorField:
-    """One walk step W = V_x V_y, the y factor first: each coin, in the two-plane form and
-    checked as in :func:`evolve`, mixes (psi_L, psi_R) at every site, then L rolls one
-    site against the axis and R one along it.  Unlike ``evolve``, it takes eps = 0 at any a.
-    """
+def _coins(cfg: WalkConfig, eps: float) -> tuple:
+    """(C_x, C_y) at the drive ``cfg.drive(eps)`` in the two-plane form, checked to 1e-10."""
     s = cfg.drive(eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+        return tuple(check_unitary(_coin_su2(j, s), "coin", 1e-10) for j in (cfg.coin_x, cfg.coin_y))
+
+
+def step(field: SpinorField, cfg: WalkConfig, eps: float) -> SpinorField:
+    """One walk step W = V_x V_y, the y factor first: each coin of :func:`_coins` mixes
+    (psi_L, psi_R) at every site, then L rolls one site against the axis and R one along it."""
     psi = field.data
-    for jet, axis in ((cfg.coin_y, 1), (cfg.coin_x, 0)):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-            a, b, c, d = _entries_su2(check_unitary(_coin_su2(jet, s), "coin", 1e-10))
+    for coin, axis in zip(_coins(cfg, eps)[::-1], (1, 0)):  # C_y on axis 1, then C_x on 0
+        a, b, c, d = _entries_su2(coin)
         up, down = psi
         psi = np.stack([np.roll(a * up + b * down, -1, axis=axis),
                         np.roll(c * up + d * down, +1, axis=axis)])
@@ -159,26 +163,20 @@ def step(field: SpinorField, cfg: WalkConfig, eps: float) -> SpinorField:
 def evolve(field: SpinorField, cfg: WalkConfig, eps: float, steps: int) -> SpinorField:
     """``steps`` walk steps at once, in momentum space: psi_hat(k) <- W(k)^steps psi_hat(k).
 
-    The same map as ``steps`` calls of :func:`step`, up to FFT roundoff (up to
-    about 2e-16 where stepping leaves exact zeros).  W(k) is evaluated at k / spacing,
-    so each shift moves one site in plastic mode too.  Both coins must be
-    unitary to 1e-10, and W(k)^steps to ``POWER_TOL``; ``steps == 0`` returns
-    ``field`` itself.  Memory beyond one copy of the field stays small: the
-    FFTs run in place, one axis at a time, and the walk power is built one tile
-    of ``_util.k_tiles`` at a time.
+    The same map as ``steps`` calls of :func:`step`, up to FFT roundoff (up to about
+    2e-16 where stepping leaves exact zeros): W(k) of :func:`_coins` at the lattice
+    momenta with spacing 1, so a plastic walk gives the bits of its walk at a = 0.
+    W(k)^steps must be unitary to ``POWER_TOL``; ``steps == 0`` returns ``field``
+    itself.  Memory beyond one copy of the field stays small: the FFTs run in place,
+    one axis at a time, and the walk power is built a tile of ``_util.k_tiles`` at a time.
     """
     if steps == 0:
         return field
-    nx, ny = field.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
-        pair = coin_pair(cfg, eps)
-        for coin in pair[1:]:
-            check_unitary(coin, "coin", 1e-10)
-        kx, ky = (k / pair[0] for k in momentum_grid(nx, ny))
+    pair = (1.0,) + _coins(cfg, eps)
     psi = field.data.copy()
     for axis in (2, 1):
         np.fft.fft(psi, axis=axis, out=psi)
-    for tile, kx_t, ky_t in k_tiles(kx, ky):
+    for tile, kx_t, ky_t in k_tiles(*momentum_grid(*field.shape)):
         with np.errstate(over="ignore", invalid="ignore"):
             a, b, c, d = _entries_su2(check_unitary(_power(walk_planes(pair, kx_t, ky_t), [steps]),
                                                     f"W(k)^{steps}", POWER_TOL))

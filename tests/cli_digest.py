@@ -1,6 +1,8 @@
 """One sha256 line per CLI call, to show that two checkouts write the same bytes.
 
     PYTHONPATH=src python tests/cli_digest.py > digest.txt
+    PYTHONPATH=src python tests/cli_digest.py --dump DIR > digest.txt
+    python tests/cli_digest.py --compare PARENT CHANGE
 
 Each line is the sha256 of a call's exit code, stdout, stderr, escaped
 exception and every file it wrote, then the call's label.  The calls run
@@ -35,7 +37,8 @@ exception and every file it wrote, then the call's label.  The calls run
   the initial states of ``INITIAL_STATES`` (every golden config starts from
   ``random``), x steps {0, own (20)} x {stdout, ``--output`` with its field
   CSV} (16 calls): the bytes of ``SpinorField.delta`` and ``plane_wave``, as
-  built and as evolved;
+  built and as evolved; then ``simulate --output`` on the plastic_half_compliant
+  config at a = 1 and eps = 1e-320, a subnormal spacing (1 call);
 * ``converge`` at the edges of its eps groups, x {JSON, CSV} x {stdout,
   ``--output`` with its side file} (28 calls): t_final 0.3 on the
   time_compliant and plastic_half_compliant configs (horizons that differ and
@@ -47,25 +50,38 @@ exception and every file it wrote, then the call's label.  The calls run
   ``perfbench/workloads.py`` builds at seeds 11 and 9001, with the argv it
   builds (the module is imported, not changed).
 
-That is 4,352 lines.  ``plasticwalk`` is imported from ``PYTHONPATH``, so pointing it at the
+That is 4,353 lines.  ``plasticwalk`` is imported from ``PYTHONPATH``, so pointing it at the
 ``src/`` of another checkout digests that checkout with the same calls.
 The calls run in a temporary directory under relative paths, so the
 output does not depend on where it is run; running it twice must give
 the same lines (the determinism contract).
+
+``--dump DIR`` prints the same lines and also writes what each call digests
+under ``DIR``, a directory a call named by its label (URL-quoted): files
+``code``, ``stdout``, ``stderr``, ``error`` (only when an exception escaped)
+and the call's own files under ``files/``.  ``--compare A B`` reads two
+such dumps, pairs their calls by label and prints each number that changed,
+with its absolute, relative and ulp difference; it exits 1 if anything but
+a number changed (a word, the count of numbers, a call or file present on
+one side only), else 0.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import itertools
 import json
 import os
+import re
+import struct
 import sys
 import tempfile
 import traceback
 from pathlib import Path
+from urllib.parse import quote, unquote
 
 import numpy as np
 
@@ -87,6 +103,10 @@ SIMULATE_CONFIGS = ("time_compliant", "plastic_half_compliant")
 LADDER_MOMENTA = (1, 584, 585, 586)
 LADDER_EPS = tuple(2.0 ** -k for k in range(3, 19))
 INITIAL_STATES = ({"type": "delta"}, {"type": "plane_wave", "kx": 0.7, "ky": -1.3})
+# a number of the outputs, as JSON, CSV ('%.17g') and messages write them; not the digits
+# inside a word (theta1)
+NUMBER = re.compile(rb"(?<![\w.])(?:-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|-?inf|NaN|nan)"
+                    rb"(?![\w.])")
 
 
 def _digest(code, stdout: str, stderr: str, error: str | None, files: dict[str, bytes]) -> str:
@@ -97,8 +117,9 @@ def _digest(code, stdout: str, stderr: str, error: str | None, files: dict[str, 
     return h.hexdigest()
 
 
-def _call(main, argv: list[str], outdir: str | None = None) -> str:
-    """The digest of ``main(argv)``, with every file it wrote under ``outdir``."""
+def _call(main, argv: list[str], outdir: str | None = None) -> tuple:
+    """What ``main(argv)`` did: (exit code, stdout, stderr, escaped exception, every file it
+    wrote under ``outdir`` by name)."""
     out, err = io.StringIO(), io.StringIO()
     code, error = None, None
     try:
@@ -113,11 +134,11 @@ def _call(main, argv: list[str], outdir: str | None = None) -> str:
             with open(path, "rb") as fh:
                 files[name] = fh.read()
             os.remove(path)
-    return _digest(code, out.getvalue(), err.getvalue(), error, files)
+    return code, out.getvalue(), err.getvalue(), error, files
 
 
 def matrix(main):
-    """(label, digest) of the 796 calls on the golden configs."""
+    """(label, call) of the 796 calls on the golden configs."""
     os.makedirs("out", exist_ok=True)
     for config in sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file()):
         doc = json.loads((GOLDEN / config / "config.json").read_text())
@@ -151,7 +172,7 @@ def matrix(main):
 
 
 def exponent_pairs(main):
-    """(label, digest) of the 54 plastic calls at the exponent pairs of ``PAIRS``."""
+    """(label, call) of the 54 plastic calls at the exponent pairs of ``PAIRS``."""
     doc = json.loads((GOLDEN / "plastic_half_compliant" / "config.json").read_text())
     for a, b in PAIRS:
         doc["walk"]["a"] = a
@@ -165,7 +186,7 @@ def exponent_pairs(main):
 
 
 def time_edges(main):
-    """(label, digest) of the 38 time-mode calls at converge's tile edges and at the
+    """(label, call) of the 38 time-mode calls at converge's tile edges and at the
     extreme and signed-zero angles of ``hamiltonian``."""
     for config, grid, t_final in itertools.product(TIME_CONFIGS, CONVERGE_GRIDS, (None, 0.3)):
         doc = json.loads((GOLDEN / config / "config.json").read_text())
@@ -195,8 +216,8 @@ def time_edges(main):
 
 
 def initial_states(main):
-    """(label, digest) of the 16 ``simulate`` calls from the initial states that no golden
-    config starts from."""
+    """(label, call) of the 16 ``simulate`` calls from the initial states that no golden
+    config starts from, and of ``simulate --output`` at a subnormal plastic spacing."""
     os.makedirs("out", exist_ok=True)
     for config, initial, steps in itertools.product(SIMULATE_CONFIGS, INITIAL_STATES,
                                                     (0, None)):
@@ -211,10 +232,17 @@ def initial_states(main):
         yield f"{label} simulate stdout", _call(main, argv + ["simulate"])
         yield f"{label} simulate --output", _call(
             main, argv + ["--output", "out/result", "simulate"], "out")
+    doc = json.loads((GOLDEN / "plastic_half_compliant" / "config.json").read_text())
+    doc["walk"]["a"] = "1"
+    doc["run"]["eps"] = 1e-320
+    with open("config.json", "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+    yield "plastic_half_compliant a=1 eps=1e-320 simulate --output", _call(
+        main, ["--config", "config.json", "--output", "out/result", "simulate"], "out")
 
 
 def ladder_edges(main):
-    """(label, digest) of the 28 ``converge`` calls at the edges of its eps groups."""
+    """(label, call) of the 28 ``converge`` calls at the edges of its eps groups."""
     os.makedirs("out", exist_ok=True)
     variants = [("time_compliant", "t_final=0.3", {"t_final": 0.3}),
                 ("plastic_half_compliant", "t_final=0.3", {"t_final": 0.3})]
@@ -238,7 +266,7 @@ def ladder_edges(main):
 
 
 def workload_ops(main, builders):
-    """(label, digest) of every operation of the benchmark's CLI workloads."""
+    """(label, call) of every operation of the benchmark's CLI workloads."""
     for workload in WORKLOADS:
         for seed in SEEDS:
             workdir = f"{workload}-{seed}"
@@ -246,10 +274,80 @@ def workload_ops(main, builders):
             for i, op in enumerate(builders[workload](seed, workdir)):
                 outcome = op.call()
                 yield (f"{workload} seed={seed} #{i} {op.label}",
-                       _digest(outcome.code, outcome.stdout, outcome.stderr, outcome.error, {}))
+                       (outcome.code, outcome.stdout, outcome.stderr, outcome.error, {}))
+
+
+def dump(root: Path, label: str, call: tuple) -> None:
+    """Write ``call`` (:func:`_call`) under ``root``, in the directory named by ``label``."""
+    code, stdout, stderr, error, files = call
+    where = root / quote(label, safe="")
+    (where / "files").mkdir(parents=True)
+    (where / "code").write_text(repr(code))
+    (where / "stdout").write_text(stdout)
+    (where / "stderr").write_text(stderr)
+    if error is not None:
+        (where / "error").write_text(error)
+    for name, data in files.items():
+        (where / "files" / name).write_bytes(data)
+
+
+def _contents(root: Path) -> dict:
+    """{(label, file): path} of every file of a dump."""
+    return {(unquote(call.name), path.relative_to(call).as_posix()): path
+            for call in root.iterdir() for path in sorted(call.rglob("*")) if path.is_file()}
+
+
+def _ulps(x: float, y: float) -> int:
+    """How many doubles apart x and y are (0 between +0.0 and -0.0)."""
+    def ordered(v):
+        bits = struct.unpack("<q", struct.pack("<d", v))[0]
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+    return abs(ordered(x) - ordered(y))
+
+
+def compare(a: Path, b: Path, out=None) -> int:
+    """Print to ``out`` (stdout if None) what changed between the dumps ``a`` and ``b``:
+    each changed number with its absolute, relative and ulp difference, then a summary.
+    Returns 1 if anything but a number changed, else 0."""
+    old, new = _contents(Path(a)), _contents(Path(b))
+    numbers, other, most_abs, most_rel, most_ulps = 0, 0, 0.0, 0.0, 0
+    for key in sorted(old.keys() | new.keys()):
+        where = " ".join(key)
+        if key not in old or key not in new:
+            print(f"{where}: only in {a if key in old else b}", file=out)
+            other += 1
+            continue
+        x, y = old[key].read_bytes(), new[key].read_bytes()
+        if NUMBER.split(x) != NUMBER.split(y):  # the text between the numbers, and their count
+            print(f"{where}: changed in more than its numbers", file=out)
+            other += 1
+            continue
+        for i, (u, v) in enumerate(zip(NUMBER.findall(x), NUMBER.findall(y))):
+            if u != v:
+                p, q = float(u), float(v)
+                diff, scale, ulps = abs(p - q), max(abs(p), abs(q)), _ulps(p, q)
+                rel = diff / scale if scale else 0.0
+                print(f"{where} #{i}: {u.decode()} -> {v.decode()}  abs {diff:.3g}  "
+                      f"rel {rel:.3g}  ulp {ulps}", file=out)
+                numbers += 1
+                most_abs, most_rel, most_ulps = max(most_abs, diff), max(most_rel, rel), \
+                    max(most_ulps, ulps)
+    calls = len({label for label, _ in old.keys() | new.keys()})
+    print(f"{calls} calls: {numbers} numbers changed (largest abs {most_abs:.3g}, rel "
+          f"{most_rel:.3g}, ulp {most_ulps}), {other} other changes", file=out)
+    return 1 if other else 0
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="also write what each call digests under DIR")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                        help="print what changed between two dumps; run no call")
+    args = parser.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
+    root = args.dump.resolve() if args.dump else None
     os.environ["COLUMNS"] = "80"  # argparse wraps --help and usage text to the terminal
     sys.path.insert(0, str(ROOT / "perfbench"))
     if not any(Path(p, "plasticwalk").is_dir() for p in sys.path if p):
@@ -259,11 +357,13 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for label, digest in itertools.chain(matrix(cli.main), exponent_pairs(cli.main),
-                                             time_edges(cli.main), initial_states(cli.main),
-                                             ladder_edges(cli.main),
-                                             workload_ops(cli.main, BUILDERS)):
-            print(f"{digest}  {label}")
+        for label, call in itertools.chain(matrix(cli.main), exponent_pairs(cli.main),
+                                           time_edges(cli.main), initial_states(cli.main),
+                                           ladder_edges(cli.main),
+                                           workload_ops(cli.main, BUILDERS)):
+            print(f"{_digest(*call)}  {label}")
+            if root is not None:
+                dump(root, label, call)
         os.chdir(ROOT)
 
 

@@ -718,12 +718,12 @@ def evolve_whole_grid(field: SpinorField, cfg: WalkConfig, eps: float, steps: in
                       walk_power=walk_power_stack) -> NDArray[np.complex128]:
     """The data of ``steps`` walk steps on the FFT of ``field``, W(k)^steps one stack
     over the whole grid by ``walk_power``, with the FFTs of ``lattice.evolve`` in its
-    axis order."""
-    kx, ky = (k / cfg.spacing(eps) for k in momentum_grid(*field.shape))
+    axis order.  The lattice walks one site a shift: W(k) is the walk's at a = 0 (spacing
+    1), at the lattice momenta of ``momentum_grid``."""
     psi = field.data.copy()
     for axis in (2, 1):
         psi = np.fft.fft(psi, axis=axis)
-    w = walk_power(cfg, kx, ky, eps, steps)
+    w = walk_power(dataclasses.replace(cfg, a_exp=0), *momentum_grid(*field.shape), eps, steps)
     psi = np.stack([w[..., 0, 0] * psi[0] + w[..., 0, 1] * psi[1],
                     w[..., 1, 0] * psi[0] + w[..., 1, 1] * psi[1]])
     for axis in (2, 1):

@@ -343,10 +343,55 @@ def test_k_tiles_cover_the_grid_once_a_tile_at_a_time(nx, ny):
         == [tile for tile, _, _ in k_tiles(kx, ky, K_BLOCK)]
 
 
-def test_k_tiles_run_other_shapes_as_one_tile():
-    for kx, ky in ((0.3, -0.2), (np.ones((3, 4)), np.ones((3, 4)))):
-        [(tile, kx_t, ky_t)] = k_tiles(kx, ky)
-        assert tile is Ellipsis and np.array_equal(kx_t, kx) and np.array_equal(ky_t, ky)
+def _full(nx, ny):
+    return tuple(np.array(k) for k in np.broadcast_arrays(*_factors(nx, ny)))
+
+
+@pytest.mark.parametrize("kx,ky,rows", [
+    (*_full(3, 4), 1024), (*_full(100, 100), 40), (*_full(2, 5000), 1), (*_full(5000, 1), 4096),
+    (_factors(70, 1)[0], np.linspace(-1, 1, 100), 40),  # (n, 1) x (m,): broadcast
+    (np.linspace(-1, 1, 7), 0.5, 4096),  # a list beside a 0-d momentum
+], ids=["grid-3x4", "grid-100x100", "grid-2x5000", "grid-5000x1", "column-x-list",
+        "list-x-scalar"])
+def test_k_tiles_slice_other_pairs_into_row_tiles(kx, ky, rows):
+    """A pair that is not a factor grid is broadcast to one shape and cut along its first
+    axis into tiles of ``rows`` whole rows, K_BLOCK k-points at most or one row, in order,
+    each k-point once."""
+    bx, by = np.broadcast_arrays(np.asarray(kx, dtype=np.float64), ky)
+    tiles = list(k_tiles(kx, ky))
+    assert [tile for tile, _, _ in tiles] == [slice(i, i + rows) for i in range(0, len(bx), rows)]
+    for tile, kx_t, ky_t in tiles:
+        assert kx_t.shape == ky_t.shape == bx[tile].shape
+        assert kx_t.size <= K_BLOCK or len(kx_t) == 1
+        assert kx_t.tobytes() == bx[tile].tobytes() and ky_t.tobytes() == by[tile].tobytes()
+
+
+def test_k_tiles_run_a_0d_pair_as_one_tile():
+    [(tile, kx_t, ky_t)] = k_tiles(0.3, -0.2)
+    assert tile is Ellipsis and kx_t.shape == ky_t.shape == () and (kx_t, ky_t) == (0.3, -0.2)
+
+
+def test_full_grids_run_in_row_tiles_as_the_factor_form_bitwise(rng):
+    """dispersion and time_convergence on a full 512^2 grid (not its (512, 1) and (1, 512)
+    factors) hold a tile of rows at a time: the traced peak stays under 8 MiB (the bands
+    alone are 4 MiB; one tile of the whole grid took 40 MiB), and each gives the factor
+    form's result bit for bit."""
+    cfg = draw_time_compliant(rng)
+    factors, full = _factors(512, 512), _full(512, 512)
+    eps_list = [2.0 ** -k for k in range(4, 7)]
+    peaks = []
+    for run in (lambda kx, ky: dispersion(cfg, 0.05, kx, ky),
+                lambda kx, ky: time_convergence(cfg, 0.1, kx, ky, eps_list).samples):
+        tracemalloc.start()
+        try:
+            result = run(*full)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        expected = run(*factors)
+        assert (result.tobytes() == expected.tobytes() if isinstance(result, np.ndarray)
+                else result == expected)
+    assert max(peaks) < 8 * 2 ** 20, peaks
 
 
 @pytest.mark.parametrize("n", [1, 3, K_BLOCK, K_BLOCK + 1, 3 * K_BLOCK - 1])

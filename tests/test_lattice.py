@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plasticwalk import CoinJet, WalkConfig, SpinorField, _util, coins, lattice, walk_k
+from plasticwalk import CoinJet, WalkConfig, SpinorField, _util, lattice, walk_k
 from plasticwalk.lattice import (
     evolve, load_binary, load_csv, momentum_grid, save_binary, save_csv, step,
 )
@@ -118,8 +118,7 @@ def test_step_matches_the_chain_and_evolve(seed, mode, tau, eps, a, b, nx, ny, s
     """``step`` on the two-plane coins against the oracles' coin_at -> apply_coin -> shift
     chain at 1e-12 a step, and its steps against ``evolve`` at 1e-10, on time walks and
     plastic walks at (a, b).  Grids of 3 sites or more tell a roll by +1 from one by -1.
-    At eps = 0 a plastic walk's spacing eps**a is 0: ``evolve`` refuses it, ``step`` does
-    not need it."""
+    Neither reads the spacing eps**a, so a plastic walk at eps = 0 evolves too."""
     rng = np.random.default_rng(seed)
     cfg = (draw_time_generic(rng, tau) if mode == "time"
            else replace(draw_plastic_generic(rng), tau=tau, a_exp=a, b_exp=b))
@@ -129,11 +128,7 @@ def test_step_matches_the_chain_and_evolve(seed, mode, tau, eps, a, b, nx, ny, s
         nxt = step(stepped, cfg, eps)
         assert float(np.max(np.abs(nxt.data - step_chain(stepped, cfg, eps).data))) <= 1e-12
         stepped = nxt
-    if eps > 0 or cfg.a_exp == 0:
-        assert float(np.max(np.abs(evolve(f, cfg, eps, steps).data - stepped.data))) <= 1e-10
-    else:
-        with pytest.raises(ValueError, match="eps must be positive"):
-            evolve(f, cfg, eps, steps)
+    assert float(np.max(np.abs(evolve(f, cfg, eps, steps).data - stepped.data))) <= 1e-10
 
 
 @pytest.mark.parametrize("coin", ["coin_x", "coin_y"])
@@ -171,6 +166,31 @@ def test_evolve_matches_repeated_step(nx, ny, steps, a, seed):
     assert float(np.max(np.abs(evolve(f, cfg, eps, steps).data - expected.data))) <= 1e-10
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), eps=st.floats(1e-6, 0.3),
+       a=st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]),
+       b=st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1)]),
+       nx=st.integers(2, 9), ny=st.integers(2, 9), steps=st.integers(1, 30))
+@example(seed=0, eps=1e-320, a=Fraction(1), b=Fraction(1, 2), nx=4, ny=4, steps=20)
+@example(seed=1, eps=0.3, a=Fraction(1), b=Fraction(1), nx=5, ny=7, steps=9)
+@example(seed=2, eps=0.01, a=Fraction(1, 3), b=Fraction(2, 3), nx=8, ny=3, steps=17)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_plastic_evolve_walks_the_unit_lattice(seed, eps, a, b, nx, ny, steps):
+    """A plastic walk evolves on the unit lattice whatever its spacing eps**a: ``evolve``
+    gives the bits of the same walk at a = 0, and is within 1e-12 of ``steps`` calls of
+    ``step``.  At a = 1 and eps = 1e-320 the spacing is subnormal, and at eps = 0.3 it
+    is not a power of two, so a momentum divided by it and multiplied back moves."""
+    rng = np.random.default_rng(seed)
+    cfg = replace(draw_plastic_generic(rng), a_exp=a, b_exp=b)
+    f = SpinorField.random(nx, ny, rng)
+    evolved = evolve(f, cfg, eps, steps).data
+    assert evolved.tobytes() == evolve(f, replace(cfg, a_exp=0), eps, steps).data.tobytes()
+    stepped = f
+    for _ in range(steps):
+        stepped = step(stepped, cfg, eps)
+    assert float(np.max(np.abs(evolved - stepped.data))) <= 1e-12
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_evolve_gives_the_same_bits_at_any_tile_size(seed, monkeypatch):
     """A 2 x 4097 lattice at K_BLOCK k-points a tile leaves a one-column tile a row; with
@@ -193,8 +213,8 @@ def test_evolve_zero_steps_returns_the_input(rng):
 def test_evolve_rejects_non_unitary_coin(rng, monkeypatch):
     f = SpinorField.random(4, 4, rng)
     cfg = draw_time_generic(rng)
-    # evolve builds its coins once, by coins.coin_pair, in the two-plane form (g, a, b)
-    monkeypatch.setattr(coins, "_coin_su2", lambda jet, s: (1.0 + 0j, 1.0 + 0j, 0.2 + 0j))
+    # evolve builds its coins once, as step does (lattice._coins), in the two-plane form
+    monkeypatch.setattr(lattice, "_coin_su2", lambda jet, s: (1.0 + 0j, 1.0 + 0j, 0.2 + 0j))
     with pytest.raises(ValueError, match="coin is not unitary"):
         evolve(f, cfg, 0.05, 3)
 
