@@ -40,7 +40,7 @@ from . import convergence as conv
 from . import lattice as lat
 from . import plastic as pl
 from . import timelimit as tl
-from ._util import _NONFINITE, K_BLOCK, cells_text, g17_cells, repr_cells
+from ._util import _NONFINITE, K_BLOCK, g17_cells, grid_text, key_text, repr_cells
 from .config import ConfigError, ExperimentConfig
 
 __all__ = ["main"]
@@ -262,10 +262,10 @@ def cmd_converge(args, cfg: ExperimentConfig) -> int:
     if args.format != "csv":
         _emit(args, result.to_dict())
         return 0
-    cells = g17_cells(np.array(result.samples, dtype=np.float64).reshape(-1, 2))
-    cells[:, 0, -1] = ord(",")
-    cells[:, 1, -1] = ord("\n")
-    _write(args, ("eps,error\n", cells_text(cells).decode("ascii")))
+    eps, errors = np.array(result.samples, dtype=np.float64).T
+    keys = key_text(g17_cells(eps)), np.zeros((1, 0), dtype=np.uint8)  # a row an eps
+    rows = grid_text(keys, errors[:, None, None], (b"", b"", b",", b"\n"), g17_cells, K_BLOCK)
+    _write(args, itertools.chain(("eps,error\n",), map(bytes.decode, rows)))
     if args.output:
         with open(args.output + ".json", "w") as fh:
             fh.write(_json_text(result.to_dict()))
@@ -273,55 +273,25 @@ def cmd_converge(args, cfg: ExperimentConfig) -> int:
 
 
 # The text of a row of the band table before its kx, ky, phase1 and phase2 cells, and
-# after them, in each format; a JSON row ends with the ",\n" that separates it from the
-# row after
+# after them, in each format; a JSON row starts with the ",\n" that separates it from the
+# row before
 _BAND_CSV = (b"", b",", b",", b",", b"\n")
-_BAND_JSON = (b'    {\n      "kx": ', b',\n      "ky": ', b',\n      "phase1": ',
-              b',\n      "phase2": ', b"\n    },\n")
+_BAND_JSON = (b',\n    {\n      "kx": ', b',\n      "ky": ', b',\n      "phase1": ',
+              b',\n      "phase2": ', b"\n    }")
 
 
 def _band_rows(kx, ky, bands, fmt: str):
     """Yield the rows of the band table over the grid kx (n, 1) x ky (1, n) in the format
-    ``fmt``, a block of at most ``K_BLOCK`` k-points (whole kx rows, or one) at a time.
-
-    A row is the text of ``_BAND_CSV`` or ``_BAND_JSON`` with the text of each value
-    between its parts, in a block buffer that holds the literal text and the ky values
-    from the start; ``cells_text`` deletes the NULs of each block.  The kx and ky values
-    are formatted once, their NULs deleted, into slots as wide as their longest text
-    (21 bytes at grid 256, against a kernel's 32-byte cell), and each block's phases by
-    one call of the format's kernel: ``g17_cells`` ('%.17g') for CSV, ``repr_cells`` (as
-    json writes a float) for JSON.
-    """
-    csv = fmt == "csv"
-    parts, cells = (_BAND_CSV, g17_cells) if csv else (_BAND_JSON, repr_cells)
-    kx_text, ky_text = _narrow(cells(kx.ravel())), _narrow(cells(ky.ravel()))
-    step = max(1, K_BLOCK // len(ky_text))
-    widths = (kx_text.shape[1], ky_text.shape[1], 32, 32, 0)
-    buf = np.empty((min(step, len(kx_text)), len(ky_text), sum(map(len, parts)) + sum(widths)),
-                   dtype=np.uint8)
-    slots, at = [], 0
-    for text, width in zip(parts, widths):  # the literal, then the slot of the value after it
-        buf[..., at:at + len(text)] = np.frombuffer(text, dtype=np.uint8)
-        at += len(text) + width
-        slots.append(buf[..., at - width:at])
-    kx_slot, ky_slot, phase1, phase2 = slots[:4]
-    ky_slot[:] = ky_text
-    for start in range(0, len(kx_text), step):
-        phases = cells(bands[start:start + step])
-        n = len(phases)
-        kx_slot[:n] = kx_text[start:start + n, None]
-        phase1[:n] = phases[:, :, 0]
-        phase2[:n] = phases[:, :, 1]
-        if not csv and start + n == len(kx_text):
-            buf[n - 1, -1, -2:] = 0  # no separator after the last row: its NULs are deleted
-        yield cells_text(buf[:n]).decode("ascii")
-
-
-def _narrow(cells):
-    """The text of each of the kernel cells ``cells``, NULs deleted, left-aligned in a cell
-    as wide as the longest text and padded with NULs."""
-    cells[:, -1] = ord("\n")  # the free last byte: one split parts the texts
-    return np.array(cells_text(cells).split(b"\n")[:-1]).view(np.uint8).reshape(len(cells), -1)
+    ``fmt``, a tile of at most ``K_BLOCK`` k-points at a time (``_util.grid_text``), with
+    no separator before the first JSON row.  The kx and ky values are formatted once, their
+    NULs deleted, into keys as wide as their longest text (21 bytes at grid 256), and each
+    tile's phases by one call of the format's kernel: ``g17_cells`` ('%.17g') for CSV,
+    ``repr_cells`` (as json writes a float) for JSON."""
+    parts, cells = (_BAND_CSV, g17_cells) if fmt == "csv" else (_BAND_JSON, repr_cells)
+    keys = key_text(cells(kx.ravel())), key_text(cells(ky.ravel()))
+    tiles = map(bytes.decode, grid_text(keys, bands, parts, cells, K_BLOCK))
+    yield next(tiles).removeprefix(",\n")  # a CSV row starts with a value
+    yield from tiles
 
 
 def cmd_dispersion(args, cfg: ExperimentConfig) -> int:

@@ -22,8 +22,8 @@ File formats
 CSV: the header line ``l,m,re_L,im_L,re_R,im_R``, then one row of six cells per site
 in row-major order, the only order ``load_csv`` reads; nx and ny are one more than the
 last row's l and m.  Floats are as ``'%.17g' % x`` writes them, so every double (-0.0
-too) reads back bit for bit.  ``save_csv`` formats them an array at a time
-(``_util.g17_cells``) and writes in binary mode: LF line ends on every platform.
+too) reads back bit for bit.  ``save_csv`` lays out its rows with ``_util.grid_text`` and
+``_util.g17_cells``, in binary mode: LF line ends on every platform.
 ``load_csv`` reads the bytes a block of rows at a time and parses them an array at a
 time too: indices of plain digits, and floats exactly, by ``_util.g17_parse``, which
 hands each cell outside its fast grammar (``inf``, ``nan``, ``12.5``) to ``float``.
@@ -36,9 +36,9 @@ field as it is held (``numpy.load`` reads it).  ``load_binary`` refuses any othe
 version, dtype, order or shape, and a size other than the header's plus 16 bytes a value.
 
 ``load_csv`` holds the field it fills plus one block of about ``_ROW_BLOCK`` rows (their
-bytes and the parse's temporaries); ``save_csv`` holds the text of one block of
-``_SITE_BLOCK`` sites.  ``save_binary`` holds no copy of the field, and ``load_binary``
-only the field it reads.
+bytes and the parse's temporaries); ``save_csv`` holds the text of one tile of at most
+``_SITE_BLOCK`` sites (``_util.grid_tiles``: whole rows, or one row's columns).
+``save_binary`` holds no copy of the field, and ``load_binary`` only the field it reads.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from numpy.typing import NDArray
 from .coins import WalkConfig, _coin_su2, walk_planes
 from .mat2 import _entries_su2, _power, _wrap
 from ._util import (
-    POWER_TOL, cells_text, check_unitary, digits_parse, g17_cells, g17_parse, k_tiles,
+    POWER_TOL, check_unitary, digits_parse, g17_cells, g17_parse, grid_text, grid_tiles, k_tiles,
 )
 
 __all__ = [
@@ -68,7 +68,8 @@ __all__ = [
 
 _HEADER = b"l,m,re_L,im_L,re_R,im_R\n"
 _NPY_DTYPE = np.dtype("<c16")
-_ROW_SEPARATORS = np.frombuffer(b",,,,,\n", dtype=np.uint8)
+_ROW_PARTS = (b"", b",", b",", b",", b",", b",", b"\n")
+_ROW_SEPARATORS = np.frombuffer(b"".join(_ROW_PARTS), dtype=np.uint8)
 
 # About the CSV rows ``load_csv`` holds at once beside the field it fills: a block is
 # _ROW_BLOCK times the file's mean row length in bytes, to the end of a line.  Measured
@@ -76,10 +77,9 @@ _ROW_SEPARATORS = np.frombuffer(b",,,,,\n", dtype=np.uint8)
 # at 2**11 rows), and 512^2 loads within 10% of the speed of 2**12-row blocks.
 _ROW_BLOCK = 2 ** 10
 
-# Most sites ``save_csv`` formats at once, and about the most ``SpinorField.random``
-# draws at once (whole rows, one at least).  Measured on 256^2: its peak traced memory
-# is 1.1x the field's bytes (2.2x at 2**12 sites a block), and 512^2 is written as fast
-# as with larger blocks.
+# Most sites a tile of ``save_csv`` and of ``SpinorField.random`` holds.  Measured on
+# 256^2: the peak traced memory of save_csv is 1.1x the field's bytes (2.2x at 2**12
+# sites a block), and 512^2 is written as fast as with larger blocks.
 _SITE_BLOCK = 2 ** 11
 
 
@@ -128,15 +128,12 @@ class SpinorField:
     @staticmethod
     def random(nx: int, ny: int, rng: np.random.Generator) -> "SpinorField":
         """Normal draws from ``rng``, every real part and then every imaginary part in
-        row-major order, scaled to norm 1.  They are drawn into the field a block of rows of
-        about ``_SITE_BLOCK`` sites at a time, the values one draw of the whole field gives."""
+        row-major order, scaled to norm 1.  They are drawn a tile of ``_util.grid_tiles``
+        (``_SITE_BLOCK`` sites at most) at a time, the values one draw of the field gives."""
         d = np.empty((2, nx, ny), dtype=np.complex128)
-        rows = max(1, _SITE_BLOCK // ny)
-        for part in (d.real, d.imag):
-            for plane in part:
-                for start in range(0, nx, rows):
-                    block = plane[start:start + rows]
-                    block[...] = rng.normal(size=block.shape)
+        for plane in (*d.real, *d.imag):
+            for tile in grid_tiles(nx, ny, _SITE_BLOCK):
+                plane[tile] = rng.normal(size=plane[tile].shape)
         d /= np.linalg.norm(d)
         return SpinorField(d)
 
@@ -194,33 +191,16 @@ def momentum_grid(nx: int, ny: int) -> tuple[NDArray[np.float64], NDArray[np.flo
 
 
 def save_csv(field: SpinorField, path) -> None:
-    """Write a field CSV, ``_SITE_BLOCK`` sites at a time, in binary mode (LF line ends).
-
-    A row is ``l,m,`` from per-axis tables, then the four floats of the site as
-    ``_util.g17_cells`` formats them, ``'%.17g'`` byte for byte; the NUL bytes of
-    each block are deleted as it is written.
-    """
-    nx, ny = field.shape
-    l_cells, m_cells = _index_cells(nx), _index_cells(ny)
-    sites = field.data.reshape(2, nx * ny)
+    """Write a field CSV by ``_util.grid_text``, a tile of at most ``_SITE_BLOCK`` sites at a
+    time, in binary mode (LF line ends): a row is ``l,m,`` and then the four floats of the
+    site as ``_util.g17_cells`` formats them, ``'%.17g'`` byte for byte."""
+    keys = [np.array([b"%d" % i for i in range(n)]).view(np.uint8).reshape(n, -1)
+            for n in field.shape]
     with open(path, "wb") as fh:
         fh.write(_HEADER)
-        for start in range(0, nx * ny, _SITE_BLOCK):
-            l, m = np.divmod(np.arange(start, min(start + _SITE_BLOCK, nx * ny)), ny)
-            # psi_L then psi_R of each site, as (re, im) pairs
-            cells = g17_cells(sites[:, start:start + len(l)].T.copy().view(np.float64))
-            cells[:, :, -1] = ord(",")
-            cells[:, -1, -1] = ord("\n")
-            rows = (l_cells.take(l, axis=0), m_cells.take(m, axis=0),
-                    cells.reshape(len(l), -1).view(np.uint32))
-            fh.write(cells_text(np.concatenate(rows, axis=1)))
-
-
-def _index_cells(n: int) -> NDArray[np.uint32]:
-    """b"i," for each index i below n, NUL-padded to whole 4-byte words, as (n, words)."""
-    text = [b"%d," % i for i in range(n)]
-    width = -(-len(text[-1]) // 4) * 4
-    return np.array(text, dtype=f"S{width}").view(np.uint32).reshape(n, -1)
+        # psi_L then psi_R of each site, as (re, im) pairs
+        fh.writelines(grid_text(keys, field.data.transpose(1, 2, 0), _ROW_PARTS, g17_cells,
+                                _SITE_BLOCK))
 
 
 def load_csv(path) -> SpinorField:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import plasticwalk
 from plasticwalk import cli, convergence
+from plasticwalk._util import key_text
 from plasticwalk.cli import main
 from plasticwalk.config import ConfigError, ExperimentConfig, parse_rational
 
@@ -388,6 +389,21 @@ def test_converge_csv_with_json_sidecar(tmp_path):
     assert abs(sidecar["slope"] - 1.0) <= 0.3
 
 
+@pytest.mark.parametrize("count", [3, 16])
+def test_converge_csv_rows_are_g17_of_the_samples(tmp_path, count):
+    """The converge CSV at the fewest and the most eps a config holds is '%.17g' of each
+    sample of its JSON sidecar, byte for byte."""
+    doc = time_doc()
+    doc["run"]["eps_list"] = [0.1 / (1 + k) for k in range(count)]
+    out_path = tmp_path / "conv.csv"
+    assert main(["--config", write_config(tmp_path, doc), "--format", "csv",
+                 "--output", str(out_path), "converge"]) == 0
+    samples = json.loads((tmp_path / "conv.csv.json").read_text())["samples"]
+    assert len(samples) == count
+    assert out_path.read_bytes() == b"eps,error\n" + b"".join(
+        b"%.17g,%.17g\n" % (s["eps"], s["error"]) for s in samples)
+
+
 @pytest.mark.parametrize("eps_list, theta1, stderr", [
     ([0.1, 0.05, 1e-13], 0.5,
      "converge: W^(2 n) at n = 5e+12 is not unitary to 0.001 (defect 2.223e-03)\n"),
@@ -462,17 +478,17 @@ def test_dispersion_infinite_phases_print_as_json_writes_them(tmp_path, capsys, 
 
 
 # the (g17_cells, repr_cells) calls of each (grid, K_BLOCK or None for the default)
-_BAND_CALLS = {(150, None): (8, 8), (5, 12): (5, 5), (1, None): (3, 3), (5, 4): (7, 7)}
+_BAND_CALLS = {(150, None): (8, 8), (5, 12): (5, 5), (1, None): (3, 3), (5, 4): (12, 12)}
 
 
 @pytest.mark.parametrize("grid,block", list(_BAND_CALLS))
 def test_dispersion_blocks_match_the_oracle(tmp_path, capsys, monkeypatch, grid, block):
-    """Both band tables run through one writer, in blocks of the same kx rows: at grid
-    150, blocks of 27 rows (4,050 of the ``K_BLOCK`` 4,096 k-points) and a last one of
-    15; at grid 5 with a block of 12 k-points, blocks of 2, 2 and 1 rows, so the ",\n"
-    seams between JSON blocks are compared with json.dumps too; at grid 1, one block
-    of one row, the last; and at grid 5 with a block of 4 k-points, less than one kx
-    row, one row a block."""
+    """Both band tables run through one writer, in the same tiles: at grid 150, tiles of
+    27 kx rows (4,050 of the ``K_BLOCK`` 4,096 k-points) and a last one of 15; at grid 5
+    with a block of 12 k-points, tiles of 2, 2 and 1 rows, so the ",\n" seams between
+    JSON tiles are compared with json.dumps too; at grid 1, one tile of one row, the
+    last; and at grid 5 with a block of 4 k-points, less than one kx row, each row cut
+    into column tiles of 4 and 1 k-points, 10 tiles."""
     if block is not None:
         monkeypatch.setattr(cli, "K_BLOCK", block)
     calls = []
@@ -485,7 +501,7 @@ def test_dispersion_blocks_match_the_oracle(tmp_path, capsys, monkeypatch, grid,
     ks = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     bands = convergence.dispersion(cfg.walk, cfg.eps, ks[:, None], ks[None, :])
     assert _dispersion_outputs(tmp_path, capsys, doc) == _dispersion_oracle(cfg.eps, grid, bands)
-    # a call for the kx cells, one for the ky cells, then one a block
+    # a call for the kx cells, one for the ky cells, then one a tile
     assert (calls.count("g17_cells"), calls.count("repr_cells")) == _BAND_CALLS[grid, block]
 
 
@@ -501,17 +517,19 @@ def test_momentum_texts_are_as_wide_as_the_longest(kernel, text):
     texts = [text(x).encode() for x in MOMENTA]
     width = max(map(len, texts))
     assert width == len(text(MOMENTA[-1])) < 32
-    narrow = cli._narrow(kernel(np.array(MOMENTA)))
+    narrow = key_text(kernel(np.array(MOMENTA)))
     assert narrow.shape == (len(MOMENTA), width)
     assert narrow.tobytes() == b"".join(t.ljust(width, b"\0") for t in texts)
 
 
-@pytest.mark.parametrize("block", [None, 16])
+@pytest.mark.parametrize("block", [None, 16, 3])
 @pytest.mark.parametrize("kxs,kys", [(MOMENTA, MOMENTA[::-1]), (MOMENTA[:2], MOMENTA),
                                      (MOMENTA, [0.1, -0.0])])
 def test_band_rows_in_narrow_momentum_slots_match_the_oracle(monkeypatch, kxs, kys, block):
     """kx and ky slots of different widths (4 and 24 bytes in JSON, 2 and 24 in CSV);
-    with a block of 16 k-points, blocks of 2 kx rows and the seams between them."""
+    with a block of 16 k-points, tiles of 2 kx rows and the seams between them; with a
+    block of 3, less than a row of 8 ky momenta, column tiles of 3, 3 and 2 k-points and
+    their seams (tiles of one row where a row is 2)."""
     if block is not None:
         monkeypatch.setattr(cli, "K_BLOCK", block)
     bands = np.random.default_rng(5).uniform(-np.pi, np.pi, (len(kxs), len(kys), 2))

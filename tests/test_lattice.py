@@ -245,9 +245,10 @@ def test_evolve_memory_stays_near_one_field_copy(rng):
 @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (64, 64), (7, lattice._SITE_BLOCK + 3),
                                     (2, 2 ** 15)])
 def test_random_field_is_one_draw_of_the_whole_field(nx, ny):
-    """SpinorField.random, drawn a block of rows at a time, gives the bits of one normal
-    draw of every real part and one of every imaginary part, over their norm, and holds
-    nothing but the field and one block of draws."""
+    """SpinorField.random, drawn a tile of at most ``_SITE_BLOCK`` sites at a time (column
+    tiles where a row is longer), gives the bits of one normal draw of every real part and
+    one of every imaginary part, over their norm, and holds nothing but the field and one
+    tile of draws."""
     f = SpinorField.random(nx, ny, np.random.default_rng(nx * ny))
     rng = np.random.default_rng(nx * ny)
     d = rng.normal(size=(2, nx, ny)) + 1j * rng.normal(size=(2, nx, ny))
@@ -258,7 +259,7 @@ def test_random_field_is_one_draw_of_the_whole_field(nx, ny):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= f.data.nbytes + 8 * max(ny, lattice._SITE_BLOCK) + 4096, peak
+    assert peak <= f.data.nbytes + 8 * lattice._SITE_BLOCK + 4096, peak
 
 
 def test_dft_uniform_and_delta():
@@ -765,8 +766,10 @@ def test_snapshot_io_memory_stays_near_one_field(tmp_path, rng):
         assert peak <= 1.5 * f.data.nbytes, (name, peak / f.data.nbytes)
 
 
-@pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (64, 64)])
+@pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (64, 64), (2, 2 * lattice._SITE_BLOCK + 3)])
 def test_save_csv_matches_per_site_writer(tmp_path, rng, nx, ny):
+    """At (2, 2 _SITE_BLOCK + 3), each row is written in column tiles of _SITE_BLOCK,
+    _SITE_BLOCK and 3 sites, with their seams."""
     d = SpinorField.random(nx, ny, rng).data.copy()
     d[0, 0, 0] = complex(-0.0, 5e-324)  # negative zero and the smallest subnormal
     d[1, -1, -1] = complex(2.2250738585072014e-308 / 3, -0.0)
